@@ -449,13 +449,8 @@ module Store = Psst_store
 (* Wire codec for [config], shared by the RPC protocol (lib/server) and any
    future persisted query plans. Decoding validates the variant tags and the
    same numeric ranges as [validate_config], so a corrupted or adversarial
-   payload surfaces as [Store_error], never as a bogus query.
-
-   [adaptive_field:false] selects the pre-v3 layout, where an SMP
-   verifier carries no [adaptive] byte: encoding drops the flag and
-   decoding defaults it to false. The RPC layer keys this off the frame
-   version so configs from older peers still decode (DESIGN.md §11). *)
-let put_config ?(adaptive_field = true) e (c : config) =
+   payload surfaces as [Store_error], never as a bogus query. *)
+let put_config e (c : config) =
   Store.put_f64 e c.epsilon;
   Store.put_i64 e c.delta;
   Store.put_i64 e (match c.mode with Pruning.Random_pick -> 0 | Optimized -> 1);
@@ -467,11 +462,11 @@ let put_config ?(adaptive_field = true) e (c : config) =
     Store.put_f64 e vc.tau;
     Store.put_f64 e vc.xi;
     Store.put_i64 e vc.emb_cap;
-    if adaptive_field then Store.put_bool e vc.adaptive);
+    Store.put_bool e vc.adaptive);
   Store.put_i64 e c.relax_cap;
   Store.put_i64 e c.seed
 
-let get_config ?(adaptive_field = true) d =
+let get_config d =
   let epsilon = Store.get_f64 d in
   let delta = Store.get_i64 d in
   let mode =
@@ -488,7 +483,7 @@ let get_config ?(adaptive_field = true) d =
       let tau = Store.get_f64 d in
       let xi = Store.get_f64 d in
       let emb_cap = Store.get_i64 d in
-      let adaptive = if adaptive_field then Store.get_bool d else false in
+      let adaptive = Store.get_bool d in
       if not (tau > 0. && xi > 0. && xi < 1. && emb_cap > 0) then
         Store.error "config: invalid verifier parameters (tau %g, xi %g, emb_cap %d)"
           tau xi emb_cap;

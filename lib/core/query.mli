@@ -168,15 +168,10 @@ val run_bounds_only : ?cache:Qcache.t -> database -> Lgraph.t -> config -> outco
 
 (** Wire codec for {!config} (used by the RPC protocol of [Psst_server]).
     [get_config] validates variant tags and numeric ranges, raising
-    [Psst_store.Store_error] on anything invalid.
+    [Psst_store.Store_error] on anything invalid. *)
+val put_config : Psst_store.enc -> config -> unit
 
-    [adaptive_field] (default [true]) selects whether an SMP verifier
-    carries its [adaptive] byte. The RPC layer passes [false] for
-    pre-v3 protocol frames, whose configs predate the flag: encoding
-    drops it and decoding defaults it to [false]. *)
-val put_config : ?adaptive_field:bool -> Psst_store.enc -> config -> unit
-
-val get_config : ?adaptive_field:bool -> Psst_store.dec -> config
+val get_config : Psst_store.dec -> config
 
 (** The pruning-phase PRNG stream of global graph id [gid]: stream index
     [lnot gid], disjoint from the verification streams (which use the

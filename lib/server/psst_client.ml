@@ -11,24 +11,15 @@ type t = {
   mutable fd : Unix.file_descr;
 }
 
-let resolve endpoint =
-  match endpoint with
-  | Proto.Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  | Proto.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> client_error "%s: unknown host" host)
-    in
-    (Unix.PF_INET, Unix.ADDR_INET (inet, port))
-
 (* Non-blocking connect + select so an unreachable or black-holed endpoint
    surfaces as a clean Client_error after [timeout_ms] instead of blocking
    the caller for the kernel's (minutes-long) TCP timeout. *)
 let connect_fd endpoint timeout_ms =
-  let domain, addr = resolve endpoint in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  let addr =
+    try Proto.sockaddr_of_endpoint endpoint
+    with Failure msg -> raise (Client_error msg)
+  in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   try
     (if timeout_ms <= 0. then Unix.connect fd addr
      else begin

@@ -55,10 +55,9 @@ val stats_json : t -> string
     degraded / retryable-rejection counters, ingest epoch and lag). *)
 val health : t -> Psst_proto.health
 
-(** [set_tenant c name] — name this connection's tenant (version 5):
-    subsequent queries and ingest batches on [c] are admitted and
-    metered under [name]. {!Client_error} on an empty name or a
-    rejection. *)
+(** [set_tenant c name] — name this connection's tenant: subsequent
+    queries and ingest batches on [c] are admitted and metered under
+    [name]. {!Client_error} on an empty name or a rejection. *)
 val set_tenant : t -> string -> unit
 
 (** [add_graphs c graphs] — append [graphs] to the served database.
@@ -69,11 +68,11 @@ val set_tenant : t -> string -> unit
     server's rejection; retryable codes (queue full, quota, shutdown,
     ingest disabled) left the database unchanged.
 
-    [token] is the batch's idempotency key (protocol v6): resending a
-    batch whose first ack was lost in transit, with the {e same} token,
-    returns the original ack instead of ingesting twice. By default a
-    fresh process-unique token is generated per call — pass an explicit
-    one to tie a retry to its first attempt, or [""] to disable dedup. *)
+    [token] is the batch's idempotency key: resending a batch whose
+    first ack was lost in transit, with the {e same} token, returns the
+    original ack instead of ingesting twice. By default a fresh
+    process-unique token is generated per call — pass an explicit one
+    to tie a retry to its first attempt, or [""] to disable dedup. *)
 val add_graphs :
   ?id:int ->
   ?token:string ->

@@ -3,42 +3,9 @@
    length and a CRC-32 over header and payload, so every byte on the wire
    is covered by the checksum.
 
-   Version negotiation is per frame: a peer speaks by stamping its version
-   into each frame, and readers accept any version in
-   [min_proto_version .. proto_version]. Version 2 added the [degraded]
-   flag on answers, the [Health] RPC and the [Unavailable] error code; a
-   version-1 frame still decodes (the flag defaults to false) and replies
-   to a version-1 peer are encoded in version 1 (with [Unavailable]
-   mapped to the equally-retryable [Shutdown]), so old clients keep
-   working against new servers and vice versa. Version 3 added the
-   [adaptive] byte to SMP verifier configs in Run/Run_topk requests:
-   v1/v2 frames decode with [adaptive = false], and a request encoded
-   for an older peer drops the flag (Query.put_config ~adaptive_field).
-   Version 4 added the per-worker roster to [Health_reply] (a router
-   aggregates its workers' uptime/queue-depth/degraded counters): the
-   roster is dropped when encoding for a pre-v4 peer and defaults to []
-   when decoding a pre-v4 frame — a plain worker's roster is empty, so
-   old peers lose nothing but the router fleet view.
-
-   Version 5 added continuous ingest and multi-tenancy: the [Set_tenant]
-   and [Add_graphs] requests, the [Ingest_ack] reply, and the ingest
-   fields (epoch / queued graphs / applied graphs) on [Health_reply].
-   The new tags are version-gated on decode — a pre-v5 frame carrying
-   them is malformed, matching what a pre-v5 server would answer — and
-   the health fields are dropped for pre-v5 peers and default to zero
-   when decoding pre-v5 frames. Pre-v5 peers never emit the new tags, so
-   plain query traffic is untouched.
-
-   Version 6 added replication and failover: the [Subscribe] and
-   [Replica_ack] requests and the [Delta_frame] reply carry a standby's
-   delta-stream subscription (DESIGN.md §17), [Add_graphs] gains a
-   client-chosen idempotency token (the writer dedups retries on it),
-   and roster slots in [Health_reply] gain the replica id / ingest
-   epoch / primary-flag triple a replica-aware router reports. All of it
-   is gated both ways: the new tags decode only from v6 frames, the
-   token is dropped when encoding for a pre-v6 peer and defaults to ""
-   on pre-v6 decode, and the roster triple is dropped / defaulted the
-   same way — pre-v6 peers keep their exact wire format. *)
+   There is exactly one protocol version. Every binary of the repository
+   speaks it, a frame stamped with any other version is rejected by
+   [check_header], and a format change bumps [proto_version]. *)
 
 module S = Psst_store
 module Crc32 = Psst_util.Crc32
@@ -48,7 +15,6 @@ exception Timed_out
 
 let error fmt = Printf.ksprintf (fun msg -> raise (Proto_error msg)) fmt
 let proto_version = 6
-let min_proto_version = 1
 let magic = "PSSTRPC\x00"
 let header_bytes = 24
 let max_payload = 16 * 1024 * 1024
@@ -69,6 +35,17 @@ type endpoint = Unix_socket of string | Tcp of string * int
 let endpoint_to_string = function
   | Unix_socket path -> Printf.sprintf "unix:%s" path
   | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+
+let sockaddr_of_endpoint = function
+  | Unix_socket path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) ->
+    let inet =
+      try Unix.inet_addr_of_string host
+      with Failure _ -> (
+        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+        with Not_found -> failwith (host ^ ": unknown host"))
+    in
+    Unix.ADDR_INET (inet, port)
 
 type error_code =
   | Malformed
@@ -126,19 +103,16 @@ let stats_of_query (s : Query.stats) =
     degraded = s.degraded_candidates > 0;
   }
 
-(* One worker's slot in a router's aggregated health roster (v4+). The
-   replica triple (v6+) defaults to "sole primary at epoch 0" when
-   decoding older frames, which is exactly what a pre-v6 router's
-   single-worker shards were. *)
+(* One replica's slot in a router's aggregated health roster. *)
 type worker_health = {
   wid : int;  (* shard / worker index in the router's configuration *)
   reachable : bool;
   worker_uptime_s : float;
   worker_queue_depth : int;
   worker_degraded_answers : int;
-  rid : int;  (* replica index within the shard's group (v6+; 0 before) *)
-  worker_epoch : int;  (* the replica's applied ingest epoch (v6+) *)
-  primary : bool;  (* currently the shard's serving replica (v6+) *)
+  rid : int;  (* replica index within the shard's group *)
+  worker_epoch : int;  (* the replica's applied ingest epoch *)
+  primary : bool;  (* currently the shard's serving replica *)
 }
 
 type health = {
@@ -148,9 +122,8 @@ type health = {
   degraded_answers : int;
   retryable_rejections : int;
   workers : worker_health list;
-      (* router role: one slot per worker; empty for plain workers and
-         when decoding pre-v4 frames *)
-  epoch : int;  (* ingest batches applied since start (v5+; 0 before) *)
+      (* router role: one slot per worker; empty for plain workers *)
+  epoch : int;  (* ingest batches applied since start *)
   ingest_queued : int;  (* graphs waiting in the ingest queue — the lag *)
   ingest_applied : int;  (* graphs applied to the live database *)
 }
@@ -203,23 +176,20 @@ and tag_health = 70
 and tag_ingest_ack = 71
 and tag_delta_frame = 72
 
-let encode_request_payload ~version = function
+let encode_request_payload = function
   | Ping -> (tag_ping, "")
   | Run { id; query; config } ->
     let e = S.encoder () in
     S.put_i64 e id;
     S.put_lgraph e query;
-    (* Version 1–2 configs predate the adaptive flag; dropping it only
-       loses the (off-by-default) sampling optimisation, never the
-       answer. *)
-    Query.put_config ~adaptive_field:(version >= 3) e config;
+    Query.put_config e config;
     (tag_run, S.contents e)
   | Run_topk { id; query; k; config } ->
     let e = S.encoder () in
     S.put_i64 e id;
     S.put_lgraph e query;
     S.put_i64 e k;
-    Query.put_config ~adaptive_field:(version >= 3) e config;
+    Query.put_config e config;
     (tag_run_topk, S.contents e)
   | Get_stats -> (tag_get_stats, "")
   | Get_health -> (tag_get_health, "")
@@ -230,9 +200,7 @@ let encode_request_payload ~version = function
   | Add_graphs { id; token; graphs } ->
     let e = S.encoder () in
     S.put_i64 e id;
-    (* Version 1–5 predate idempotency tokens; dropping one only loses
-       dedup of the pre-v6 peer's retries, never the batch itself. *)
-    if version >= 6 then S.put_string e token;
+    S.put_string e token;
     S.put_array e Pgraph_io.encode_binary graphs;
     (tag_add_graphs, S.contents e)
   | Subscribe { from_seq } ->
@@ -244,7 +212,7 @@ let encode_request_payload ~version = function
     S.put_i64 e seq;
     (tag_replica_ack, S.contents e)
 
-let encode_reply_payload ~version = function
+let encode_reply_payload = function
   | Pong -> (tag_pong, "")
   | Answer { id; answers; stats } ->
     let e = S.encoder () in
@@ -255,10 +223,7 @@ let encode_reply_payload ~version = function
     S.put_i64 e stats.prob_candidates;
     S.put_i64 e stats.accepted_by_bounds;
     S.put_i64 e stats.pruned_by_bounds;
-    (* Version 1 predates the degraded flag; a v1 peer decodes the same
-       frame it always did (and treats every answer as exact, which only
-       loses precision of reporting, not correctness of the id list). *)
-    if version >= 2 then S.put_bool e stats.degraded;
+    S.put_bool e stats.degraded;
     (tag_answer, S.contents e)
   | Topk_answer { id; hits } ->
     let e = S.encoder () in
@@ -280,36 +245,22 @@ let encode_reply_payload ~version = function
     S.put_i64 e h.served;
     S.put_i64 e h.degraded_answers;
     S.put_i64 e h.retryable_rejections;
-    (* Version 1–3 predate the worker roster; dropping it loses only the
-       router's fleet view, never the process-local counters. *)
-    if version >= 4 then
-      S.put_list e
-        (fun e (w : worker_health) ->
-          S.put_i64 e w.wid;
-          S.put_bool e w.reachable;
-          S.put_f64 e w.worker_uptime_s;
-          S.put_i64 e w.worker_queue_depth;
-          S.put_i64 e w.worker_degraded_answers;
-          (* Version 4–5 predate replica groups; dropping the triple
-             loses only the replica view, never the worker counters. *)
-          if version >= 6 then begin
-            S.put_i64 e w.rid;
-            S.put_i64 e w.worker_epoch;
-            S.put_bool e w.primary
-          end)
-        h.workers;
-    (* Version 1–4 predate continuous ingest; dropping the epoch / lag
-       fields loses only the ingest view, never the serving counters. *)
-    if version >= 5 then begin
-      S.put_i64 e h.epoch;
-      S.put_i64 e h.ingest_queued;
-      S.put_i64 e h.ingest_applied
-    end;
+    S.put_list e
+      (fun e (w : worker_health) ->
+        S.put_i64 e w.wid;
+        S.put_bool e w.reachable;
+        S.put_f64 e w.worker_uptime_s;
+        S.put_i64 e w.worker_queue_depth;
+        S.put_i64 e w.worker_degraded_answers;
+        S.put_i64 e w.rid;
+        S.put_i64 e w.worker_epoch;
+        S.put_bool e w.primary)
+      h.workers;
+    S.put_i64 e h.epoch;
+    S.put_i64 e h.ingest_queued;
+    S.put_i64 e h.ingest_applied;
     (tag_health, S.contents e)
   | Error_reply { id; code; message } ->
-    (* [Unavailable] postdates v1; degrade it to the equally-retryable
-       [Shutdown] so a v1 peer still backs off and retries. *)
-    let code = if version < 2 && code = Unavailable then Shutdown else code in
     let e = S.encoder () in
     S.put_i64 e id;
     S.put_i64 e (error_code_tag code);
@@ -335,16 +286,15 @@ let decoding name f =
   | v -> v
   | exception S.Store_error msg -> error "%s: %s" name msg
 
-let decode_request ~version tag payload =
+let decode_request tag payload =
   decoding "request payload" (fun () ->
       let d = S.decoder ~name:"request" payload in
-      let adaptive_field = version >= 3 in
       let req =
         if tag = tag_ping then Ping
         else if tag = tag_run then begin
           let id = S.get_i64 d in
           let query = S.get_lgraph d in
-          let config = Query.get_config ~adaptive_field d in
+          let config = Query.get_config d in
           Run { id; query; config }
         end
         else if tag = tag_run_topk then begin
@@ -352,12 +302,12 @@ let decode_request ~version tag payload =
           let query = S.get_lgraph d in
           let k = S.get_i64 d in
           if k < 1 then S.error "top-k count %d must be >= 1" k;
-          let config = Query.get_config ~adaptive_field d in
+          let config = Query.get_config d in
           Run_topk { id; query; k; config }
         end
         else if tag = tag_get_stats then Get_stats
         else if tag = tag_get_health then Get_health
-        else if version >= 5 && tag = tag_set_tenant then begin
+        else if tag = tag_set_tenant then begin
           let name = S.get_string d in
           if name = "" then S.error "tenant name must be non-empty";
           if String.length name > 128 then
@@ -365,22 +315,22 @@ let decode_request ~version tag payload =
               (String.length name);
           Set_tenant name
         end
-        else if version >= 5 && tag = tag_add_graphs then begin
+        else if tag = tag_add_graphs then begin
           let id = S.get_i64 d in
-          let token = if version >= 6 then S.get_string d else "" in
+          let token = S.get_string d in
           if String.length token > 128 then
             S.error "ingest token of %d bytes exceeds the 128-byte cap"
               (String.length token);
           let graphs = S.get_array d Pgraph_io.decode_binary in
           Add_graphs { id; token; graphs }
         end
-        else if version >= 6 && tag = tag_subscribe then begin
+        else if tag = tag_subscribe then begin
           let from_seq = S.get_i64 d in
           if from_seq < 1 then
             S.error "subscription start seq %d must be >= 1" from_seq;
           Subscribe { from_seq }
         end
-        else if version >= 6 && tag = tag_replica_ack then begin
+        else if tag = tag_replica_ack then begin
           let seq = S.get_i64 d in
           if seq < 1 then S.error "replica ack seq %d must be >= 1" seq;
           Replica_ack { seq }
@@ -390,7 +340,7 @@ let decode_request ~version tag payload =
       S.expect_end d;
       req)
 
-let decode_reply ~version tag payload =
+let decode_reply tag payload =
   decoding "reply payload" (fun () ->
       let d = S.decoder ~name:"reply" payload in
       let rep =
@@ -403,7 +353,7 @@ let decode_reply ~version tag payload =
           let prob_candidates = S.get_i64 d in
           let accepted_by_bounds = S.get_i64 d in
           let pruned_by_bounds = S.get_i64 d in
-          let degraded = if version >= 2 then S.get_bool d else false in
+          let degraded = S.get_bool d in
           Answer
             {
               id;
@@ -437,31 +387,29 @@ let decode_reply ~version tag payload =
           let degraded_answers = S.get_nat d in
           let retryable_rejections = S.get_nat d in
           let workers =
-            if version >= 4 then
-              S.get_list d (fun d ->
-                  let wid = S.get_nat d in
-                  let reachable = S.get_bool d in
-                  let worker_uptime_s = S.get_f64 d in
-                  let worker_queue_depth = S.get_nat d in
-                  let worker_degraded_answers = S.get_nat d in
-                  let rid = if version >= 6 then S.get_nat d else 0 in
-                  let worker_epoch = if version >= 6 then S.get_nat d else 0 in
-                  let primary = if version >= 6 then S.get_bool d else true in
-                  {
-                    wid;
-                    reachable;
-                    worker_uptime_s;
-                    worker_queue_depth;
-                    worker_degraded_answers;
-                    rid;
-                    worker_epoch;
-                    primary;
-                  })
-            else []
+            S.get_list d (fun d ->
+                let wid = S.get_nat d in
+                let reachable = S.get_bool d in
+                let worker_uptime_s = S.get_f64 d in
+                let worker_queue_depth = S.get_nat d in
+                let worker_degraded_answers = S.get_nat d in
+                let rid = S.get_nat d in
+                let worker_epoch = S.get_nat d in
+                let primary = S.get_bool d in
+                {
+                  wid;
+                  reachable;
+                  worker_uptime_s;
+                  worker_queue_depth;
+                  worker_degraded_answers;
+                  rid;
+                  worker_epoch;
+                  primary;
+                })
           in
-          let epoch = if version >= 5 then S.get_nat d else 0 in
-          let ingest_queued = if version >= 5 then S.get_nat d else 0 in
-          let ingest_applied = if version >= 5 then S.get_nat d else 0 in
+          let epoch = S.get_nat d in
+          let ingest_queued = S.get_nat d in
+          let ingest_applied = S.get_nat d in
           Health_reply
             { uptime_s; queue_depth; served; degraded_answers;
               retryable_rejections; workers; epoch; ingest_queued;
@@ -473,14 +421,14 @@ let decode_reply ~version tag payload =
           let message = S.get_string d in
           Error_reply { id; code; message }
         end
-        else if version >= 5 && tag = tag_ingest_ack then begin
+        else if tag = tag_ingest_ack then begin
           let id = S.get_i64 d in
           let epoch = S.get_nat d in
           let base = S.get_nat d in
           let count = S.get_nat d in
           Ingest_ack { id; epoch; base; count }
         end
-        else if version >= 6 && tag = tag_delta_frame then begin
+        else if tag = tag_delta_frame then begin
           let seq = S.get_i64 d in
           if seq < 1 then S.error "delta frame seq %d must be >= 1" seq;
           let bytes = S.get_string d in
@@ -493,12 +441,12 @@ let decode_reply ~version tag payload =
 
 (* --- framing --- *)
 
-let frame ~version ~tag payload =
+let frame ~tag payload =
   let len = String.length payload in
   if len > max_payload then error "payload of %d bytes exceeds frame cap" len;
   let head = Bytes.create 20 in
   Bytes.blit_string magic 0 head 0 8;
-  Bytes.set_int32_le head 8 (Int32.of_int version);
+  Bytes.set_int32_le head 8 (Int32.of_int proto_version);
   Bytes.set_int32_le head 12 (Int32.of_int tag);
   Bytes.set_int32_le head 16 (Int32.of_int len);
   let head = Bytes.unsafe_to_string head in
@@ -511,17 +459,18 @@ let frame ~version ~tag payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let encode_request ?(version = proto_version) r =
-  let tag, payload = encode_request_payload ~version r in
-  frame ~version ~tag payload
+let encode_request r =
+  let tag, payload = encode_request_payload r in
+  frame ~tag payload
 
-let encode_reply ?(version = proto_version) r =
-  let tag, payload = encode_reply_payload ~version r in
-  frame ~version ~tag payload
+let encode_reply r =
+  let tag, payload = encode_reply_payload r in
+  frame ~tag payload
 
-(* Validate the 20 header bytes; returns (version, tag, payload_len). The
-   length is range-checked here, before any caller allocates for the
-   payload. *)
+(* Validate the 20 header bytes; returns (tag, payload_len). The version
+   check is the whole handshake: a peer of another build fails its first
+   frame. The length is range-checked here, before any caller allocates
+   for the payload. *)
 let check_header head =
   if String.length head <> 20 then
     error "internal: header slice of %d bytes" (String.length head);
@@ -530,15 +479,15 @@ let check_header head =
     let v = Int32.to_int (String.get_int32_le head pos) in
     if v < 0 then v + 0x1_0000_0000 else v
   in
-  let version = u32 8 in
-  if version < min_proto_version || version > proto_version then
-    error "unsupported protocol version %d (this build speaks %d..%d)" version
-      min_proto_version proto_version;
+  let stamped = u32 8 in
+  if stamped <> proto_version then
+    error "peer speaks protocol version %d, this build speaks %d" stamped
+      proto_version;
   let tag = u32 12 in
   let len = u32 16 in
   if len > max_payload then
     error "frame payload length %d exceeds cap %d" len max_payload;
-  (version, tag, len)
+  (tag, len)
 
 let check_crc head crc payload =
   let expect = Crc32.update (Crc32.digest head) payload ~pos:0 ~len:(String.length payload) in
@@ -550,7 +499,7 @@ let decode_frame_string s =
   if total < header_bytes then
     error "truncated frame: %d bytes, header needs %d" total header_bytes;
   let head = String.sub s 0 20 in
-  let version, tag, len = check_header head in
+  let tag, len = check_header head in
   let crc = String.get_int32_le s 20 in
   if total < header_bytes + len then
     error "truncated frame: payload needs %d bytes, have %d" len
@@ -559,49 +508,21 @@ let decode_frame_string s =
     error "trailing bytes after frame (%d extra)" (total - header_bytes - len);
   let payload = String.sub s header_bytes len in
   check_crc head crc payload;
-  (version, tag, payload)
+  (tag, payload)
 
 let request_of_string s =
-  let version, tag, payload = decode_frame_string s in
-  decode_request ~version tag payload
+  let tag, payload = decode_frame_string s in
+  decode_request tag payload
 
 let reply_of_string s =
-  let version, tag, payload = decode_frame_string s in
-  decode_reply ~version tag payload
-
-(* Blocking channel reader. The first byte decides between a clean
-   End_of_file and a truncated frame; everything after it must be
-   complete. *)
-let read_frame ic =
-  let first = input_char ic (* End_of_file here = clean close *) in
-  let rest =
-    try really_input_string ic 23
-    with End_of_file -> error "truncated frame header"
-  in
-  let head = String.make 1 first ^ String.sub rest 0 19 in
-  let version, tag, len = check_header head in
-  let crc = String.get_int32_le rest 19 in
-  let payload =
-    try really_input_string ic len
-    with End_of_file -> error "truncated frame payload (expected %d bytes)" len
-  in
-  check_crc head crc payload;
-  (version, tag, payload)
-
-let read_request ic =
-  let version, tag, payload = read_frame ic in
-  decode_request ~version tag payload
-
-let read_reply ic =
-  let version, tag, payload = read_frame ic in
-  decode_reply ~version tag payload
+  let tag, payload = decode_frame_string s in
+  decode_reply tag payload
 
 (* --- fd-level IO: EINTR- and short-IO-safe, with optional deadlines ---
 
-   Sockets deliver short reads and writes and EINTR as a matter of course
-   (the old channel-based path hid the read side and simply broke on the
-   write side under signals); these loops retry until the full frame has
-   moved or the deadline passes. [deadline] is absolute
+   Sockets deliver short reads and writes and EINTR as a matter of course;
+   these loops retry until the full frame has moved or the deadline
+   passes. [deadline] is absolute
    (Unix.gettimeofday-based); on expiry the call raises {!Timed_out} —
    the connection is then in an undefined mid-frame state and must be
    closed, which is exactly what the reconnecting client does. *)
@@ -660,7 +581,7 @@ let read_frame_fd ?deadline fd =
   let head = Bytes.create header_bytes in
   read_exact fd head 0 header_bytes ~deadline ~chunk ~eof_ok_at_start:true
     ~what:"frame header";
-  let version, tag, len = check_header (Bytes.sub_string head 0 20) in
+  let tag, len = check_header (Bytes.sub_string head 0 20) in
   let crc = Bytes.get_int32_le head 20 in
   let payload = Bytes.create len in
   read_exact fd payload 0 len ~deadline ~chunk ~eof_ok_at_start:false
@@ -680,15 +601,15 @@ let read_frame_fd ?deadline fd =
   in
   let payload = Bytes.unsafe_to_string payload in
   check_crc (Bytes.sub_string head 0 20) crc payload;
-  (version, tag, payload)
+  (tag, payload)
 
 let read_request_fd ?deadline fd =
-  let version, tag, payload = read_frame_fd ?deadline fd in
-  (version, decode_request ~version tag payload)
+  let tag, payload = read_frame_fd ?deadline fd in
+  decode_request tag payload
 
 let read_reply_fd ?deadline fd =
-  let version, tag, payload = read_frame_fd ?deadline fd in
-  decode_reply ~version tag payload
+  let tag, payload = read_frame_fd ?deadline fd in
+  decode_reply tag payload
 
 let write_frame_fd ?deadline fd data =
   let chunk, data =

@@ -5,59 +5,27 @@
 
     {v
     offset 0   magic        "PSSTRPC\x00"        8 bytes
-           8   version      u32                  {!min_proto_version} .. {!proto_version}
+           8   version      u32                  {!proto_version}
           12   type         u32                  message tag
           16   payload_len  u32                  <= {!max_payload}
           20   crc          u32                  CRC-32 of bytes 0..19 ++ payload
           24   payload      bytes                {!Psst_store} encoding
     v}
 
-    Readers are defensive end to end: a bad magic, an unknown version or
-    tag, an oversized or negative length, a checksum mismatch, a payload
-    that does not decode, trailing payload bytes, or EOF in the middle of
-    a frame all raise {!Proto_error} with a human-readable message — never
-    [Failure], an out-of-bounds [Invalid_argument], or a hang (a corrupted
-    length field is bounded by [max_payload], so a reader never waits for
-    gigabytes that will not come).
+    Readers are defensive end to end: a bad magic, a foreign version,
+    an unknown tag, an oversized or negative length, a checksum mismatch,
+    a payload that does not decode, trailing payload bytes, or EOF in the
+    middle of a frame all raise {!Proto_error} with a human-readable
+    message — never [Failure], an out-of-bounds [Invalid_argument], or a
+    hang (a corrupted length field is bounded by [max_payload], so a
+    reader never waits for gigabytes that will not come).
 
-    Versioning is per frame. Version 2 added the [degraded] answer flag,
-    the {!request.Get_health} RPC and the [Unavailable] error code; both
-    sides accept version-1 frames and answer a version-1 peer in version 1
-    ([degraded] is simply not sent; [Unavailable] is downgraded to the
-    equally-retryable [Shutdown]), so old clients interoperate with new
-    servers and vice versa. Version 3 added the [adaptive] byte to SMP
-    verifier configs inside [Run]/[Run_topk] requests: a v1/v2 request
-    decodes with [adaptive = false], and a request encoded for an older
-    peer drops the byte (losing only the off-by-default sampling
-    optimisation, never the answer). Version 4 added the per-worker
-    roster to [Health_reply] so a router can expose its fleet: the
-    roster is dropped when encoding for a pre-v4 peer and defaults to
-    [[]] when decoding a pre-v4 frame — a plain worker's roster is empty
-    anyway, so old peers lose only the router's fleet view.
-
-    Version 5 added continuous ingest and multi-tenancy
-    (DESIGN.md §16): {!request.Set_tenant} names the connection's tenant
-    for admission quotas and fair scheduling, {!request.Add_graphs}
-    appends graphs to the served database (answered by
-    {!reply.Ingest_ack} or a retryable [Error_reply]), and
-    [Health_reply] gains the ingest epoch / queued / applied fields.
-    The new tags are rejected as malformed when carried by a pre-v5
-    frame, and the health fields are dropped for pre-v5 peers (decoding
-    a pre-v5 frame defaults them to zero) — a pre-v5 peer never emits
-    them, so query traffic round-trips exactly as before.
-
-    Version 6 added replication and failover (DESIGN.md §17):
-    {!request.Subscribe} opens a standby's delta-stream subscription,
-    answered by a stream of {!reply.Delta_frame} messages carrying the
-    exact bytes of the primary's on-disk [BASE.delta.K] files and acked
-    with {!request.Replica_ack}; {!request.Add_graphs} gains a
-    client-chosen idempotency [token] the ingest writer dedups retries
-    on; and {!worker_health} gains the replica triple ([rid] /
-    [worker_epoch] / [primary]) a replica-aware router reports per
-    roster slot. Gating is symmetric: the new tags decode only from v6
-    frames, the token and the triple are dropped when encoding for
-    pre-v6 peers and default ([""], [0]/[0]/[true]) when decoding
-    pre-v6 frames — old peers keep their exact wire format. *)
+    There is one protocol version, {!proto_version}, and no negotiation:
+    every binary of the repository speaks it, and a frame stamped with
+    any other version raises {!Proto_error} naming both versions. A
+    server or router answers that frame with one [Malformed] reply and
+    closes the connection. A change to any message's encoding bumps
+    {!proto_version}. *)
 
 exception Proto_error of string
 
@@ -67,7 +35,6 @@ exception Proto_error of string
 exception Timed_out
 
 val proto_version : int
-val min_proto_version : int
 
 (** 8-byte frame magic. *)
 val magic : string
@@ -83,6 +50,12 @@ val max_payload : int
 type endpoint = Unix_socket of string | Tcp of string * int
 
 val endpoint_to_string : endpoint -> string
+
+(** The socket address an endpoint names: bind, connect and the
+    listener's stop wake-up all resolve through this one function. A TCP
+    host is a numeric address or a name looked up with [gethostbyname];
+    an unknown name raises [Failure "HOST: unknown host"]. *)
+val sockaddr_of_endpoint : endpoint -> Unix.sockaddr
 
 (** Error taxonomy of {!reply.Error_reply}. [Queue_full], [Shutdown] and
     [Unavailable] are retryable: the request was not executed, so the
@@ -100,7 +73,7 @@ val error_code_retryable : error_code -> bool
 
 (** The pruning counters echoed with every answer, so a client can check
     bit-identity with an offline {!Query.run} without a second channel.
-    [degraded] (version >= 2) marks an answer assembled under a
+    [degraded] marks an answer assembled under a
     verification budget or an injected fault: correct to the PMI bounds
     (a superset of the exact answer set), not exactly verified. *)
 type query_stats = {
@@ -114,8 +87,7 @@ type query_stats = {
 
 val stats_of_query : Query.stats -> query_stats
 
-(** One worker's slot in a router's aggregated health roster
-    (version >= 4). [wid] is the worker's shard index in the router's
+(** One worker's slot in a router's aggregated health roster. [wid] is the worker's shard index in the router's
     configuration; when a worker is unreachable its snapshot fields are
     zero and [reachable] is false. *)
 type worker_health = {
@@ -124,15 +96,12 @@ type worker_health = {
   worker_uptime_s : float;
   worker_queue_depth : int;
   worker_degraded_answers : int;
-  rid : int;
-      (** replica index within the shard's group (version >= 6; 0 when
-          decoding older frames — a pre-v6 shard has one sole replica) *)
+  rid : int;  (** replica index within the shard's group *)
   worker_epoch : int;
-      (** the replica's applied ingest epoch (version >= 6); the
-          primary epoch minus this is the replica's lag *)
+      (** the replica's applied ingest epoch; the primary epoch minus
+          this is the replica's lag *)
   primary : bool;
-      (** true when this replica currently serves the shard's queries
-          (version >= 6; defaults to true on pre-v6 decode) *)
+      (** true when this replica currently serves the shard's queries *)
 }
 
 (** The [Get_health] snapshot a load balancer polls (DESIGN.md §12). *)
@@ -145,17 +114,15 @@ type health = {
       (** retryable error replies sent (queue-full / shutdown /
           unavailable) — the server-side retry-pressure counter *)
   workers : worker_health list;
-      (** router role only (version >= 4): one slot per configured
-          worker. Empty for plain workers and when decoding pre-v4
-          frames. *)
+      (** router role only: one slot per configured worker. Empty for
+          plain workers. *)
   epoch : int;
-      (** ingest batches applied since start (version >= 5; 0 when
-          decoding older frames and on servers without ingest) *)
+      (** ingest batches applied since start (0 on servers without
+          ingest) *)
   ingest_queued : int;
       (** graphs admitted to the ingest queue but not yet applied — the
-          ingest lag a health poller watches (version >= 5) *)
-  ingest_applied : int;
-      (** graphs applied to the live database since start (version >= 5) *)
+          ingest lag a health poller watches *)
+  ingest_applied : int;  (** graphs applied to the live database since start *)
 }
 
 type request =
@@ -165,26 +132,25 @@ type request =
   | Get_stats
   | Get_health
   | Set_tenant of string
-      (** name this connection's tenant (version >= 5): subsequent
+      (** name this connection's tenant: subsequent
           requests on the connection are admitted, scheduled and metered
           under that identity. Answered inline with [Pong]. The name
           must be non-empty and at most 128 bytes; connections that
           never send it run as tenant ["default"]. *)
   | Add_graphs of { id : int; token : string; graphs : Pgraph.t array }
-      (** append [graphs] to the served database (version >= 5).
+      (** append [graphs] to the served database.
           Answered with {!reply.Ingest_ack} once the batch is applied
           (and persisted, when the server serves from a store file), or
           with a retryable [Error_reply] when the ingest queue or the
           tenant's quota is full, ingest is disabled, or persistence
           failed — the database is unchanged in every rejection case.
-          [token] (version >= 6, at most 128 bytes) is a client-chosen
-          idempotency key: a retry carrying the token of an
-          already-applied batch is answered with the original ack
-          instead of ingesting twice. [""] disables dedup for the
-          batch; pre-v6 frames decode with [token = ""]. *)
+          [token] (at most 128 bytes) is a client-chosen idempotency
+          key: a retry carrying the token of an already-applied batch is
+          answered with the original ack instead of ingesting twice.
+          [""] disables dedup for the batch. *)
   | Subscribe of { from_seq : int }
-      (** turn this connection into a replication stream (version >=
-          6): the server sends {!reply.Delta_frame} for every persisted
+      (** turn this connection into a replication stream: the server
+          sends {!reply.Delta_frame} for every persisted
           delta with seq >= [from_seq] ([>= 1]), historical first, then
           live as batches apply. The subscriber answers each frame with
           {!request.Replica_ack}; no other request may follow on the
@@ -192,7 +158,7 @@ type request =
           chain. *)
   | Replica_ack of { seq : int }
       (** the subscriber has validated, persisted and applied delta
-          [seq] (version >= 6). Acks are cumulative: acking seq [k]
+          [seq]. Acks are cumulative: acking seq [k]
           implies every seq [<= k]. *)
 
 type reply =
@@ -205,9 +171,9 @@ type reply =
   | Ingest_ack of { id : int; epoch : int; base : int; count : int }
       (** [Add_graphs] succeeded: the [count] new graphs hold global ids
           [base .. base + count - 1] and every query admitted after this
-          reply observes database epoch [epoch] (version >= 5). *)
+          reply observes database epoch [epoch]. *)
   | Delta_frame of { seq : int; bytes : string }
-      (** one delta of a replication stream (version >= 6): [bytes] is
+      (** one delta of a replication stream: [bytes] is
           the exact content of the primary's on-disk [BASE.delta.seq]
           store file — the subscriber validates it with the store
           reader, persists it verbatim (hence byte-identical chains)
@@ -218,12 +184,11 @@ type reply =
     [Replica_ack], which are answered in order on the connection). *)
 val request_id : request -> int
 
-(** Full frame bytes (header + payload) for one message. [?version]
-    (default {!proto_version}) stamps the frame and selects the encoding
-    a peer of that version expects. *)
-val encode_request : ?version:int -> request -> string
+(** Full frame bytes (header + payload) for one message, stamped with
+    {!proto_version}. *)
+val encode_request : request -> string
 
-val encode_reply : ?version:int -> reply -> string
+val encode_reply : reply -> string
 
 (** Decode one complete frame from a string (fuzz tests and tooling);
     {!Proto_error} on any anomaly, including trailing bytes after the
@@ -231,14 +196,6 @@ val encode_reply : ?version:int -> reply -> string
 val request_of_string : string -> request
 
 val reply_of_string : string -> reply
-
-(** Blocking channel frame readers (tooling and tests). [End_of_file] is
-    raised only at a clean frame boundary (zero bytes of the next frame
-    read); EOF anywhere inside a frame is a truncation and raises
-    {!Proto_error}. *)
-val read_request : in_channel -> request
-
-val read_reply : in_channel -> reply
 
 (** {1 Fd-level frame IO}
 
@@ -250,10 +207,10 @@ val read_reply : in_channel -> reply
     chunks through the same loops, [Bitflip] damages a checksummed byte,
     [Fail] raises {!Psst_fault.Injected} as a dead link. *)
 
-(** [read_request_fd fd] returns [(frame_version, request)] — the server
-    mirrors the version back in its reply. [End_of_file] at a clean frame
-    boundary. *)
-val read_request_fd : ?deadline:float -> Unix.file_descr -> int * request
+(** [read_request_fd fd] reads one request. [End_of_file] at a clean
+    frame boundary; EOF anywhere inside a frame is a truncation and
+    raises {!Proto_error}. *)
+val read_request_fd : ?deadline:float -> Unix.file_descr -> request
 
 val read_reply_fd : ?deadline:float -> Unix.file_descr -> reply
 

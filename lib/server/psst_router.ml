@@ -8,8 +8,9 @@
    because every per-graph verdict draws from PRNG streams keyed on the
    global graph id (see Psst_shard).
 
-   Thread roles mirror Psst_server minus the batcher: one accept thread,
-   one reader thread per client connection. Each reader owns its own set
+   Thread roles mirror Psst_server minus the batcher: the shared
+   Psst_listener's accept thread and one reader thread per client
+   connection. Each reader owns its own set
    of worker connections (Psst_client.t is single-threaded) and executes
    requests serially: send to every worker first, then gather, so the
    shards verify concurrently while the router blocks only once per
@@ -42,16 +43,14 @@
 
 module Proto = Psst_proto
 module Client = Psst_client
+module Listener = Psst_listener
 
-let m_conns = Psst_obs.counter "router.conns"
-let m_requests = Psst_obs.counter "router.requests"
+let m_listener = Listener.metrics "router"
 let m_worker_calls = Psst_obs.counter "router.worker.calls"
 let m_worker_retries = Psst_obs.counter "router.worker.retries"
 let m_worker_failures = Psst_obs.counter "router.worker.failures"
 let m_degraded_shards = Psst_obs.counter "router.degraded_shards"
 let m_unavailable = Psst_obs.counter "router.unavailable"
-let m_write_errors = Psst_obs.counter "router.write.errors"
-let m_proto_errors = Psst_obs.counter "router.proto.errors"
 let m_latency = Psst_obs.histogram "router.latency_s"
 let m_failover = Psst_obs.counter "router.failover"
 let m_failback = Psst_obs.counter "router.failback"
@@ -79,12 +78,6 @@ let default_config ~endpoint ~workers =
     local_fallback = None;
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  wmutex : Mutex.t;
-  mutable open_ : bool;
-}
-
 (* One reader thread's lazily-connected link to one shard (to whichever
    replica of the group is currently preferred). *)
 type wstate = { mutable client : Client.t option; mutable rid : int }
@@ -96,27 +89,18 @@ type replica_state = { mutable alive : bool; mutable repoch : int }
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  bound : Proto.endpoint;
-  mutex : Mutex.t;
-  mutable stopping : bool;
+  listener : Listener.t;
+  stopping : bool Atomic.t;
   mutable is_stopped : bool;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
-  mutable accept_thread : Thread.t option;
   mutable hb_thread : Thread.t option;
   rmutex : Mutex.t;
   replicas : replica_state array array;  (* guarded by rmutex *)
   preferred : int array;  (* rid serving each shard, guarded by rmutex *)
-  served_count : int Atomic.t;
-  degraded_count : int Atomic.t;
-  retry_count : int Atomic.t;
-  start_time : float;
 }
 
-let endpoint t = t.bound
+let endpoint t = Listener.endpoint t.listener
 let stopped t = t.is_stopped
-let served t = Atomic.get t.served_count
+let served t = Listener.served t.listener
 
 (* --- replica liveness and preference --- *)
 
@@ -481,23 +465,13 @@ let roster t =
               slots)
           t.cfg.workers))
 
+(* The router executes requests inline on the reader threads — it has
+   no admission queue of its own (per-worker depths are in the roster) —
+   and it holds no database and never ingests (shards are rebuilt
+   offline and redeployed, DESIGN.md §15, §16), so those fields stay
+   zero. *)
 let health_snapshot t =
-  {
-    Proto.uptime_s = Unix.gettimeofday () -. t.start_time;
-    (* The router executes requests inline on the reader threads — it has
-       no admission queue of its own; per-worker depths are in the
-       roster. *)
-    queue_depth = 0;
-    served = Atomic.get t.served_count;
-    degraded_answers = Atomic.get t.degraded_count;
-    retryable_rejections = Atomic.get t.retry_count;
-    workers = roster t;
-    (* The router holds no database and never ingests; shards are
-       rebuilt offline and redeployed (DESIGN.md §15, §16). *)
-    epoch = 0;
-    ingest_queued = 0;
-    ingest_applied = 0;
-  }
+  { (Listener.health t.listener) with Proto.workers = roster t }
 
 let fresh_wss t =
   Array.mapi
@@ -513,7 +487,7 @@ let health t = health_snapshot t
    each group minus each live replica's epoch. *)
 let heartbeat_loop t =
   let cycle = ref 0 in
-  while not t.stopping do
+  while not (Atomic.get t.stopping) do
     Array.iteri
       (fun sid group -> Array.iteri (fun rid _ -> ignore (probe t sid rid)) group)
       t.cfg.workers;
@@ -538,187 +512,62 @@ let heartbeat_loop t =
     incr cycle;
     let jitter = 0.9 +. (0.2 *. float_of_int (!cycle * 7919 mod 997) /. 997.) in
     let until = Unix.gettimeofday () +. (t.cfg.heartbeat_ms /. 1000. *. jitter) in
-    while (not t.stopping) && Unix.gettimeofday () < until do
+    while (not (Atomic.get t.stopping)) && Unix.gettimeofday () < until do
       Thread.delay 0.05
     done
   done
 
-(* --- connection plumbing (same discipline as Psst_server) --- *)
+(* --- client connections --- *)
 
-let close_conn t c =
-  Mutex.lock c.wmutex;
-  let was_open = c.open_ in
-  if was_open then begin
-    c.open_ <- false;
-    (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error (_, _, _) -> ());
-    (try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
-  end;
-  Mutex.unlock c.wmutex;
-  if was_open then begin
-    Mutex.lock t.mutex;
-    t.conns <- List.filter (fun c' -> c' != c) t.conns;
-    Mutex.unlock t.mutex
-  end
-
-let send_reply c ~version reply =
-  Mutex.lock c.wmutex;
-  (if c.open_ then
-     match Proto.write_frame_fd c.fd (Proto.encode_reply ~version reply) with
-     | () -> ()
-     | exception (Sys_error _ | Unix.Unix_error (_, _, _)) ->
-       Psst_obs.incr m_write_errors
-     | exception Psst_fault.Injected _ -> Psst_obs.incr m_write_errors);
-  Mutex.unlock c.wmutex
-
-let send_counted t c ~version reply =
-  Atomic.incr t.served_count;
-  (match reply with
-  | Proto.Answer { stats; _ } when stats.Proto.degraded ->
-    Atomic.incr t.degraded_count
-  | Proto.Error_reply { code; _ } when Proto.error_code_retryable code ->
-    Atomic.incr t.retry_count
-  | _ -> ());
-  send_reply c ~version reply
-
-let reader_loop t c =
+(* One client connection's worker links; requests run serially on the
+   connection's reader thread. *)
+let session t c =
   let wss = fresh_wss t in
-  let answer_query ~version ~id make =
-    Psst_obs.incr m_requests;
-    if t.stopping then
-      send_counted t c ~version
+  let reply r = Listener.reply t.listener c r in
+  let unavailable ~id message =
+    reply (Proto.Error_reply { id; code = Proto.Unavailable; message })
+  in
+  let answer_query ~id make =
+    if Atomic.get t.stopping then
+      reply
         (Proto.Error_reply
            { id; code = Proto.Shutdown;
              message = "router is shutting down; retry elsewhere" })
     else begin
       let t0 = Unix.gettimeofday () in
-      send_counted t c ~version (make ());
+      reply (make ());
       Psst_obs.observe m_latency (Unix.gettimeofday () -. t0)
     end
   in
-  let rec loop () =
-    match Proto.read_request_fd c.fd with
-    | exception End_of_file -> close_conn t c
-    | exception (Sys_error _ | Unix.Unix_error (_, _, _)) -> close_conn t c
-    | exception Psst_fault.Injected _ -> close_conn t c
-    | exception Proto.Proto_error msg ->
-      Psst_obs.incr m_proto_errors;
-      Psst_obs.warn ~code:"proto" msg;
-      send_counted t c ~version:Proto.min_proto_version
-        (Proto.Error_reply { id = 0; code = Proto.Malformed; message = msg });
-      close_conn t c
-    | version, req ->
-      (match req with
-      | Proto.Ping ->
-        Psst_obs.incr m_requests;
-        send_counted t c ~version Proto.Pong
-      | Proto.Get_stats ->
-        Psst_obs.incr m_requests;
-        send_counted t c ~version (Proto.Stats_json (Psst_obs.to_json_string ()))
-      | Proto.Get_health ->
-        Psst_obs.incr m_requests;
-        send_counted t c ~version (Proto.Health_reply (health_snapshot t))
-      | Proto.Set_tenant _ ->
-        (* Accepted for forward compatibility: workers meter tenants;
-           the router itself schedules nothing per-tenant. *)
-        Psst_obs.incr m_requests;
-        send_counted t c ~version Proto.Pong
-      | Proto.Add_graphs { id; _ } ->
-        (* A sharded deployment's placement is fixed offline
-           (DESIGN.md §15); routing live appends would change shard
-           hashing under readers. Reject cleanly — retryable against a
-           standalone worker. *)
-        Psst_obs.incr m_requests;
-        send_counted t c ~version
-          (Proto.Error_reply
-             {
-               id;
-               code = Proto.Unavailable;
-               message =
-                 "ingest is not supported through the router; send \
-                  Add_graphs to a standalone worker";
-             })
-      | Proto.Subscribe _ | Proto.Replica_ack _ ->
-        (* Replication streams run worker-to-standby (DESIGN.md §17);
-           the router is stateless and has no delta chain to stream. *)
-        Psst_obs.incr m_requests;
-        send_counted t c ~version
-          (Proto.Error_reply
-             {
-               id = 0;
-               code = Proto.Unavailable;
-               message =
-                 "replication subscriptions are not supported through \
-                  the router; subscribe to the shard's primary worker";
-             })
-      | Proto.Run { id; query; config } ->
-        answer_query ~version ~id (fun () -> handle_run t wss ~id query config)
-      | Proto.Run_topk { id; query; k; config } ->
-        answer_query ~version ~id (fun () ->
-            handle_topk t wss ~id query k config));
-      loop ()
+  let handle = function
+    | Proto.Ping | Proto.Get_stats -> ()  (* answered by the listener *)
+    | Proto.Get_health -> reply (Proto.Health_reply (health_snapshot t))
+    | Proto.Set_tenant _ ->
+      (* Accepted for forward compatibility: workers meter tenants;
+         the router itself schedules nothing per-tenant. *)
+      reply Proto.Pong
+    | Proto.Add_graphs { id; _ } ->
+      (* A sharded deployment's placement is fixed offline
+         (DESIGN.md §15); routing live appends would change shard
+         hashing under readers. Reject cleanly — retryable against a
+         standalone worker. *)
+      unavailable ~id
+        "ingest is not supported through the router; send Add_graphs to \
+         a standalone worker"
+    | Proto.Subscribe _ | Proto.Replica_ack _ ->
+      (* Replication streams run worker-to-standby (DESIGN.md §17);
+         the router is stateless and has no delta chain to stream. *)
+      unavailable ~id:0
+        "replication subscriptions are not supported through the router; \
+         subscribe to the shard's primary worker"
+    | Proto.Run { id; query; config } ->
+      answer_query ~id (fun () -> handle_run t wss ~id query config)
+    | Proto.Run_topk { id; query; k; config } ->
+      answer_query ~id (fun () -> handle_topk t wss ~id query k config)
   in
-  Fun.protect ~finally:(fun () -> Array.iter drop_client wss) loop
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _addr when t.stopping ->
-      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-    | fd, _addr ->
-      let c = { fd; wmutex = Mutex.create (); open_ = true } in
-      Psst_obs.incr m_conns;
-      let th =
-        Thread.create
-          (fun () ->
-            try reader_loop t c
-            with e ->
-              Psst_obs.warn ~code:"router.reader" (Printexc.to_string e);
-              close_conn t c)
-          ()
-      in
-      Mutex.lock t.mutex;
-      t.conns <- c :: t.conns;
-      t.readers <- th :: t.readers;
-      Mutex.unlock t.mutex;
-      loop ()
-    | exception Unix.Unix_error (e, _, _) ->
-      if t.stopping then ()
-      else if e = Unix.ECONNABORTED || e = Unix.EINTR then loop ()
-      else begin
-        Psst_obs.warn ~code:"router.accept" (Unix.error_message e);
-        Thread.delay 0.05;
-        if t.stopping then () else loop ()
-      end
-  in
-  loop ()
+  { Listener.handle; close = (fun () -> Array.iter drop_client wss) }
 
 (* --- lifecycle --- *)
-
-let bind_endpoint = function
-  | Proto.Unix_socket path ->
-    (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.bind fd (Unix.ADDR_UNIX path) with e -> Unix.close fd; raise e);
-    Unix.listen fd 64;
-    (fd, Proto.Unix_socket path)
-  | Proto.Tcp (host, port) ->
-    let addr =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> failwith (host ^ ": unknown host"))
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (addr, port))
-     with e -> Unix.close fd; raise e);
-    Unix.listen fd 64;
-    let actual =
-      match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-    in
-    (fd, Proto.Tcp (host, actual))
 
 let start cfg =
   if Array.length cfg.workers = 0 then
@@ -732,21 +581,13 @@ let start cfg =
   if cfg.retries < 0 then invalid_arg "Psst_router: retries must be >= 0";
   if cfg.heartbeat_ms < 0. then
     invalid_arg "Psst_router: heartbeat_ms must be >= 0";
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  let listen_fd, bound = bind_endpoint cfg.endpoint in
+  let listener = Listener.bind m_listener cfg.endpoint in
   let t =
     {
       cfg;
-      listen_fd;
-      bound;
-      mutex = Mutex.create ();
-      stopping = false;
+      listener;
+      stopping = Atomic.make false;
       is_stopped = false;
-      conns = [];
-      readers = [];
-      accept_thread = None;
       hb_thread = None;
       rmutex = Mutex.create ();
       replicas =
@@ -754,13 +595,9 @@ let start cfg =
           (Array.map (fun _ -> { alive = true; repoch = 0 }))
           cfg.workers;
       preferred = Array.make (Array.length cfg.workers) 0;
-      served_count = Atomic.make 0;
-      degraded_count = Atomic.make 0;
-      retry_count = Atomic.make 0;
-      start_time = Unix.gettimeofday ();
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  Listener.serve listener ~session:(session t);
   if cfg.heartbeat_ms > 0. then
     t.hb_thread <-
       Some
@@ -773,43 +610,12 @@ let start cfg =
   t
 
 let stop t =
-  Mutex.lock t.mutex;
-  let already = t.stopping in
-  t.stopping <- true;
-  Mutex.unlock t.mutex;
-  if not already then begin
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error (_, _, _) -> ());
-    (try
-       let wake =
-         match t.bound with
-         | Proto.Unix_socket path ->
-           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-           (try Unix.connect fd (Unix.ADDR_UNIX path)
-            with e -> Unix.close fd; raise e);
-           fd
-         | Proto.Tcp (_, port) ->
-           let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-           (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-            with e -> Unix.close fd; raise e);
-           fd
-       in
-       Unix.close wake
-     with Unix.Unix_error (_, _, _) | Failure _ -> ());
-    Option.iter Thread.join t.accept_thread;
+  if not (Atomic.exchange t.stopping true) then begin
+    Listener.close_admission t.listener;
     Option.iter Thread.join t.hb_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error (_, _, _) -> ());
     (* A request already executing finishes its scatter (bounded by the
        per-shard timeouts); closing the connection under it only loses
        the reply write, never wedges the thread. *)
-    Mutex.lock t.mutex;
-    let conns = t.conns and readers = t.readers in
-    Mutex.unlock t.mutex;
-    List.iter (fun c -> close_conn t c) conns;
-    List.iter Thread.join readers;
-    (match t.bound with
-    | Proto.Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
-    | Proto.Tcp _ -> ());
+    Listener.close_connections t.listener;
     t.is_stopped <- true
   end

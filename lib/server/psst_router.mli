@@ -44,9 +44,8 @@
     [router.{failover,failback,replica_lag}] metrics.
 
     [Get_health] answers with the router's own counters plus one
-    {!Psst_proto.worker_health} slot per replica (protocol version >= 4;
-    the [rid]/[worker_epoch]/[primary] triple is v6) — probing them is
-    itself a liveness poll; [Ping] and [Get_stats] are answered locally.
+    {!Psst_proto.worker_health} slot per replica — probing them is itself
+    a liveness poll; [Ping] and [Get_stats] are answered locally.
     The ["router.scatter"] chaos site lets tests make a worker appear
     faulted or slow from the router's side without touching the worker
     process. *)

@@ -1,11 +1,11 @@
 (* Resident query server (DESIGN.md §11, §16).
 
    Thread roles:
-     - accept thread: accepts sockets, spawns one reader per connection;
-     - reader threads: parse frames, answer Ping/Get_stats/Set_tenant
-       inline, admit Run/Run_topk into the bounded per-tenant queues (or
-       reject with a retryable error when the queue / tenant quota is
-       full or the server is stopping), and hand Add_graphs batches to
+     - accept thread and reader threads (Psst_listener): one reader per
+       connection parses frames, answers Ping/Get_stats/Set_tenant
+       inline, admits Run/Run_topk into the bounded per-tenant queues (or
+       rejects with a retryable error when the queue / tenant quota is
+       full or the server is stopping), and hands Add_graphs batches to
        the ingest writer;
      - batcher thread: owns the domain pool; pops micro-batches
        round-robin across tenants, enforces queue-wait deadlines,
@@ -28,21 +28,16 @@
    request is answered before stop() returns. *)
 
 module Proto = Psst_proto
+module Listener = Psst_listener
 module Pool = Psst_util.Pool
 
 (* --- metrics (bound once; see Psst_obs interning rules) --- *)
 
-let m_conns = Psst_obs.counter "server.conns"
-let m_requests = Psst_obs.counter "server.requests"
-let m_served = Psst_obs.counter "server.served"
+let m_listener = Listener.metrics "server"
 let m_reject_full = Psst_obs.counter "server.reject.queue_full"
 let m_reject_quota = Psst_obs.counter "server.reject.tenant_quota"
 let m_reject_deadline = Psst_obs.counter "server.reject.deadline"
 let m_reject_shutdown = Psst_obs.counter "server.reject.shutdown"
-let m_proto_errors = Psst_obs.counter "server.proto.errors"
-let m_write_errors = Psst_obs.counter "server.write.errors"
-let m_degraded = Psst_obs.counter "server.degraded"
-let m_retries = Psst_obs.counter "server.retries"
 let m_flat_index = Psst_obs.counter "server.db.flat_index"
 let m_batch_size = Psst_obs.histogram ~lo:1. ~hi:1e4 "server.batch.size"
 let m_queue_depth = Psst_obs.histogram ~lo:1. ~hi:1e6 "server.queue.depth"
@@ -106,17 +101,9 @@ let default_tenant = "default"
    helper, ...) and exercises the bounds-only degradation path. *)
 let fault_batch = Psst_fault.site "server.batch"
 
-type conn = {
-  fd : Unix.file_descr;
-  wmutex : Mutex.t;  (* serialises reply writes and the close *)
-  mutable open_ : bool;
-  mutable tenant : string;  (* set by Set_tenant; reader thread only *)
-}
-
 type job = {
-  jconn : conn;
+  jconn : Listener.conn;
   jid : int;
-  jver : int;  (* protocol version of the request frame; replies mirror it *)
   jtenant : string;
   jsnap : Psst_ingest.snapshot;  (* the epoch captured at admission *)
   jkind :
@@ -135,8 +122,7 @@ type t = {
       (* cross-query verification cache, shared by every batch on the
          persistent pool; None when [cache_cap = 0]. Scoped by physical
          database identity, so an epoch swap flushes it automatically. *)
-  listen_fd : Unix.file_descr;
-  bound : Proto.endpoint;  (* endpoint with the actual port resolved *)
+  listener : Listener.t;
   mutex : Mutex.t;
   cond : Condition.t;
   (* Per-tenant FIFO queues with a round-robin rota: a tenant is in
@@ -149,20 +135,13 @@ type t = {
   mutable queued_total : int;
   mutable stopping : bool;
   mutable is_stopped : bool;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
-  mutable accept_thread : Thread.t option;
   mutable batch_thread : Thread.t option;
   trace_ring : Psst_obs.Trace.t Queue.t;  (* guarded by [mutex] *)
-  served_count : int Atomic.t;
-  degraded_count : int Atomic.t;
-  retry_count : int Atomic.t;  (* retryable error replies sent *)
-  start_time : float;
 }
 
-let endpoint t = t.bound
+let endpoint t = Listener.endpoint t.listener
 let stopped t = t.is_stopped
-let served t = Atomic.get t.served_count
+let served t = Listener.served t.listener
 let database t = (Atomic.get t.db_ref).Psst_ingest.db
 let epoch t = (Atomic.get t.db_ref).Psst_ingest.epoch
 let snapshot_ref t = t.db_ref
@@ -183,63 +162,7 @@ let push_trace t tr =
   done;
   Mutex.unlock t.mutex
 
-(* --- connection plumbing --- *)
-
-let close_conn t c =
-  Mutex.lock c.wmutex;
-  let was_open = c.open_ in
-  if was_open then begin
-    c.open_ <- false;
-    (* shutdown() wakes a reader blocked in read(2) on this socket —
-       close() alone does not — so stop() can join every reader thread. *)
-    (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error (_, _, _) -> ());
-    (try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
-  end;
-  Mutex.unlock c.wmutex;
-  if was_open then begin
-    Mutex.lock t.mutex;
-    t.conns <- List.filter (fun c' -> c' != c) t.conns;
-    Mutex.unlock t.mutex
-  end
-
-(* [true] iff the frame left the socket — the replication hub needs the
-   verdict to drop a dead subscriber; everyone else ignores it. *)
-let send_reply_checked c ~version reply =
-  Mutex.lock c.wmutex;
-  let ok =
-    if not c.open_ then false
-    else
-      match Proto.write_frame_fd c.fd (Proto.encode_reply ~version reply) with
-      | () ->
-        Psst_obs.incr m_served;
-        true
-      | exception (Sys_error _ | Unix.Unix_error (_, _, _)) ->
-        (* The client hung up mid-reply: normal under load, not a warning. *)
-        Psst_obs.incr m_write_errors;
-        false
-      | exception Psst_fault.Injected _ ->
-        (* Injected dead link on proto.write: same accounting as a hang-up;
-           the reader side of this connection fails next and closes it. *)
-        Psst_obs.incr m_write_errors;
-        false
-  in
-  Mutex.unlock c.wmutex;
-  ok
-
-let send_reply c ~version reply = ignore (send_reply_checked c ~version reply)
-
-let send_counted t c ~version reply =
-  Atomic.incr t.served_count;
-  (match reply with
-  | Proto.Answer { stats; _ } when stats.Proto.degraded ->
-    Atomic.incr t.degraded_count;
-    Psst_obs.incr m_degraded
-  | Proto.Error_reply { code; _ } when Proto.error_code_retryable code ->
-    Atomic.incr t.retry_count;
-    Psst_obs.incr m_retries
-  | _ -> ());
-  send_reply c ~version reply
+let reply t c r = Listener.reply t.listener c r
 
 (* --- admission --- *)
 
@@ -277,7 +200,7 @@ let admit t job =
   | `Full ->
     Psst_obs.incr m_reject_full;
     Psst_obs.incr (tenant_counter job.jtenant "rejected");
-    send_counted t job.jconn ~version:job.jver
+    reply t job.jconn
       (Proto.Error_reply
          {
            id = job.jid;
@@ -289,7 +212,7 @@ let admit t job =
   | `Quota ->
     Psst_obs.incr m_reject_quota;
     Psst_obs.incr (tenant_counter job.jtenant "rejected");
-    send_counted t job.jconn ~version:job.jver
+    reply t job.jconn
       (Proto.Error_reply
          {
            id = job.jid;
@@ -301,7 +224,7 @@ let admit t job =
          })
   | `Shutdown ->
     Psst_obs.incr m_reject_shutdown;
-    send_counted t job.jconn ~version:job.jver
+    reply t job.jconn
       (Proto.Error_reply
          {
            id = job.jid;
@@ -315,12 +238,8 @@ let health_snapshot t =
   Mutex.unlock t.mutex;
   let snap = Atomic.get t.db_ref in
   {
-    Proto.uptime_s = Unix.gettimeofday () -. t.start_time;
-    queue_depth = depth;
-    served = Atomic.get t.served_count;
-    degraded_answers = Atomic.get t.degraded_count;
-    retryable_rejections = Atomic.get t.retry_count;
-    workers = [];
+    (Listener.health t.listener) with
+    Proto.queue_depth = depth;
     epoch = snap.Psst_ingest.epoch;
     ingest_queued =
       (match t.ingest with
@@ -338,15 +257,14 @@ let health = health_snapshot
    writer thread after the epoch swap (or the failed persist), so an
    Ingest_ack in hand means every later query on any connection sees the
    new graphs. *)
-let handle_add_graphs t c ~version ~id ~token graphs =
-  let tenant = c.tenant in
+let handle_add_graphs t c ~tenant ~id ~token graphs =
   let reject code message =
     Psst_obs.incr (tenant_counter tenant "rejected");
     (match code with
     | Proto.Queue_full -> Psst_obs.incr m_reject_full
     | Proto.Shutdown -> Psst_obs.incr m_reject_shutdown
     | _ -> ());
-    send_counted t c ~version (Proto.Error_reply { id; code; message })
+    reply t c (Proto.Error_reply { id; code; message })
   in
   if not t.writable then
     reject Proto.Unavailable
@@ -360,7 +278,7 @@ let handle_add_graphs t c ~version ~id ~token graphs =
     let ack = function
       | Ok (r : Psst_ingest.result) ->
         Psst_obs.incr (tenant_counter tenant "ingested");
-        send_counted t c ~version
+        reply t c
           (Proto.Ingest_ack
              { id; epoch = r.epoch; base = r.base; count = r.count })
       | Error msg ->
@@ -382,161 +300,60 @@ let handle_add_graphs t c ~version ~id ~token graphs =
     | `Stopped ->
       reject Proto.Shutdown "server is shutting down; retry elsewhere")
 
-let reader_loop t c =
-  (* This connection's replication subscription, if Subscribe turned it
-     into a stream: acks from the peer land here, and the subscription
-     is torn down with the connection however the reader exits. *)
+(* One connection's state: its tenant (set by Set_tenant) and, once
+   Subscribe turned it into a replication stream, its subscription —
+   acks from the peer land there, and it is torn down with the
+   connection however the reader exits. *)
+let session t c =
+  let tenant = ref default_tenant in
   let sub : subscription option ref = ref None in
-  let rec loop () =
-    match Proto.read_request_fd c.fd with
-    | exception End_of_file -> close_conn t c
-    | exception (Sys_error _ | Unix.Unix_error (_, _, _)) -> close_conn t c
-    | exception Psst_fault.Injected _ ->
-      (* Injected dead link on proto.read: drop the connection cleanly,
-         exactly as a real half-open socket would resolve. *)
-      close_conn t c
-    | exception Proto.Proto_error msg ->
-      (* One error reply, one warning event, then drop the connection:
-         after a framing error the byte stream has no trustworthy frame
-         boundary left. The peer's version is unknowable at this point, so
-         the reply is framed at min_proto_version — decodable by all. *)
-      Psst_obs.incr m_proto_errors;
-      Psst_obs.warn ~code:"proto" msg;
-      send_counted t c ~version:Proto.min_proto_version
-        (Proto.Error_reply { id = 0; code = Proto.Malformed; message = msg });
-      close_conn t c
-    | version, req -> (
-      match req with
-      | Proto.Ping ->
-        Psst_obs.incr m_requests;
-        send_counted t c ~version Proto.Pong;
-        loop ()
-      | Proto.Get_stats ->
-        Psst_obs.incr m_requests;
-        send_counted t c ~version
-          (Proto.Stats_json (Psst_obs.to_json_string ()));
-        loop ()
-      | Proto.Get_health ->
-        Psst_obs.incr m_requests;
-        send_counted t c ~version (Proto.Health_reply (health_snapshot t));
-        loop ()
-      | Proto.Set_tenant name ->
-        Psst_obs.incr m_requests;
-        c.tenant <- name;
-        send_counted t c ~version Proto.Pong;
-        loop ()
-      | Proto.Add_graphs { id; token; graphs } ->
-        Psst_obs.incr m_requests;
-        handle_add_graphs t c ~version ~id ~token graphs;
-        loop ()
-      | Proto.Subscribe { from_seq } ->
-        Psst_obs.incr m_requests;
-        (match t.publisher with
-        | None ->
-          send_counted t c ~version
-            (Proto.Error_reply
-               {
-                 id = 0;
-                 code = Proto.Unavailable;
-                 message =
-                   "this server does not accept replication subscriptions \
-                    (no persistent delta chain)";
-               })
-        | Some _ when !sub <> None ->
-          send_counted t c ~version
-            (Proto.Error_reply
-               {
-                 id = 0;
-                 code = Proto.Malformed;
-                 message = "connection is already subscribed";
-               })
-        | Some p -> (
-          match
-            p.pub_subscribe ~from_seq
-              ~send:(fun reply -> send_reply_checked c ~version reply)
-          with
-          | Ok s -> sub := Some s
-          | Error msg ->
-            send_counted t c ~version
-              (Proto.Error_reply
-                 { id = 0; code = Proto.Unavailable; message = msg })));
-        loop ()
-      | Proto.Replica_ack { seq } ->
-        (* One-way: the stream carries Delta_frames the other direction,
-           so acks are never answered. An ack outside a subscription is
-           simply ignored. *)
-        Psst_obs.incr m_requests;
-        Option.iter (fun s -> s.sub_ack ~seq) !sub;
-        loop ()
-      | Proto.Run { id; query; config } ->
-        Psst_obs.incr m_requests;
-        admit t
-          {
-            jconn = c;
-            jid = id;
-            jver = version;
-            jtenant = c.tenant;
-            jsnap = Atomic.get t.db_ref;
-            jkind = `Run (query, config);
-            enqueued = Unix.gettimeofday ();
-          };
-        loop ()
-      | Proto.Run_topk { id; query; k; config } ->
-        Psst_obs.incr m_requests;
-        admit t
-          {
-            jconn = c;
-            jid = id;
-            jver = version;
-            jtenant = c.tenant;
-            jsnap = Atomic.get t.db_ref;
-            jkind = `Topk (query, k, config);
-            enqueued = Unix.gettimeofday ();
-          };
-        loop ())
+  let error code message =
+    reply t c (Proto.Error_reply { id = 0; code; message })
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter (fun s -> s.sub_close ()) !sub)
-    loop
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _addr when t.stopping ->
-      (* stop()'s wake-up connection (or a raced late client): admission
-         is closed, drop it. *)
-      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-    | fd, _addr ->
-      let c =
-        { fd; wmutex = Mutex.create (); open_ = true; tenant = default_tenant }
-      in
-      Psst_obs.incr m_conns;
-      let th =
-        Thread.create
-          (fun () ->
-            try reader_loop t c
-            with e ->
-              Psst_obs.warn ~code:"server.reader" (Printexc.to_string e);
-              close_conn t c)
-          ()
-      in
-      Mutex.lock t.mutex;
-      t.conns <- c :: t.conns;
-      t.readers <- th :: t.readers;
-      Mutex.unlock t.mutex;
-      loop ()
-    | exception Unix.Unix_error (e, _, _) ->
-      if t.stopping then ()
-      else if e = Unix.ECONNABORTED || e = Unix.EINTR then loop ()
-      else begin
-        (* Transient accept failure (e.g. EMFILE): report, back off, keep
-           serving the connections we already have. *)
-        Psst_obs.warn ~code:"server.accept" (Unix.error_message e);
-        Thread.delay 0.05;
-        if t.stopping then () else loop ()
-      end
+  let admit_job id kind =
+    admit t
+      {
+        jconn = c;
+        jid = id;
+        jtenant = !tenant;
+        jsnap = Atomic.get t.db_ref;
+        jkind = kind;
+        enqueued = Unix.gettimeofday ();
+      }
   in
-  loop ()
+  let handle = function
+    | Proto.Ping | Proto.Get_stats -> ()  (* answered by the listener *)
+    | Proto.Get_health -> reply t c (Proto.Health_reply (health_snapshot t))
+    | Proto.Set_tenant name ->
+      tenant := name;
+      reply t c Proto.Pong
+    | Proto.Add_graphs { id; token; graphs } ->
+      handle_add_graphs t c ~tenant:!tenant ~id ~token graphs
+    | Proto.Subscribe { from_seq } -> (
+      match t.publisher with
+      | None ->
+        error Proto.Unavailable
+          "this server does not accept replication subscriptions (no \
+           persistent delta chain)"
+      | Some _ when !sub <> None ->
+        error Proto.Malformed "connection is already subscribed"
+      | Some p -> (
+        match p.pub_subscribe ~from_seq ~send:(Listener.send t.listener c) with
+        | Ok s -> sub := Some s
+        | Error msg -> error Proto.Unavailable msg))
+    | Proto.Replica_ack { seq } ->
+      (* One-way: the stream carries Delta_frames the other direction,
+         so acks are never answered. An ack outside a subscription is
+         simply ignored. *)
+      Option.iter (fun s -> s.sub_ack ~seq) !sub
+    | Proto.Run { id; query; config } -> admit_job id (`Run (query, config))
+    | Proto.Run_topk { id; query; k; config } ->
+      admit_job id (`Topk (query, k, config))
+  in
+  {
+    Listener.handle;
+    close = (fun () -> Option.iter (fun s -> s.sub_close ()) !sub);
+  }
 
 (* --- batching --- *)
 
@@ -544,13 +361,13 @@ let job_error t job code message =
   (match code with
   | Proto.Deadline -> Psst_obs.incr m_reject_deadline
   | _ -> ());
-  send_counted t job.jconn ~version:job.jver
+  reply t job.jconn
     (Proto.Error_reply { id = job.jid; code; message })
 
 let finish_run t job (out : Query.outcome) =
   push_trace t out.trace;
   Psst_obs.incr (tenant_counter job.jtenant "served");
-  send_counted t job.jconn ~version:job.jver
+  reply t job.jconn
     (Proto.Answer
        {
          id = job.jid;
@@ -646,7 +463,7 @@ let process_batch t batch =
       with
       | out ->
         Psst_obs.incr (tenant_counter j.jtenant "served");
-        send_counted t j.jconn ~version:j.jver
+        reply t j.jconn
           (Proto.Topk_answer
              {
                id = j.jid;
@@ -711,34 +528,6 @@ let batch_loop t =
 
 (* --- lifecycle --- *)
 
-let bind_endpoint = function
-  | Proto.Unix_socket path ->
-    (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.bind fd (Unix.ADDR_UNIX path)
-     with e -> Unix.close fd; raise e);
-    Unix.listen fd 64;
-    (fd, Proto.Unix_socket path)
-  | Proto.Tcp (host, port) ->
-    let addr =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> failwith (host ^ ": unknown host"))
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (addr, port))
-     with e -> Unix.close fd; raise e);
-    Unix.listen fd 64;
-    let actual =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
-    (fd, Proto.Tcp (host, actual))
-
 let start ?chain ?publisher cfg db =
   if cfg.queue_cap < 1 then invalid_arg "Psst_server: queue_cap must be >= 1";
   if cfg.batch_max < 1 then invalid_arg "Psst_server: batch_max must be >= 1";
@@ -747,13 +536,10 @@ let start ?chain ?publisher cfg db =
     invalid_arg "Psst_server: ingest_queue_cap must be >= 0";
   if cfg.tenant_quota < 0 then
     invalid_arg "Psst_server: tenant_quota must be >= 0";
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
   (* Record the index backing once at startup so dashboards can tell a
      zero-copy (flat/mmap) deployment from an eager one. *)
   if Pmi.backing db.Query.pmi = `Flat then Psst_obs.incr m_flat_index;
-  let listen_fd, bound = bind_endpoint cfg.endpoint in
+  let listener = Listener.bind m_listener cfg.endpoint in
   let db_ref = Atomic.make { Psst_ingest.epoch = 0; db } in
   let t =
     {
@@ -773,8 +559,7 @@ let start ?chain ?publisher cfg db =
       cache =
         (if cfg.cache_cap > 0 then Some (Qcache.create ~value_cap:cfg.cache_cap ())
          else None);
-      listen_fd;
-      bound;
+      listener;
       mutex = Mutex.create ();
       cond = Condition.create ();
       tqueues = Hashtbl.create 8;
@@ -782,18 +567,11 @@ let start ?chain ?publisher cfg db =
       queued_total = 0;
       stopping = false;
       is_stopped = false;
-      conns = [];
-      readers = [];
-      accept_thread = None;
       batch_thread = None;
       trace_ring = Queue.create ();
-      served_count = Atomic.make 0;
-      degraded_count = Atomic.make 0;
-      retry_count = Atomic.make 0;
-      start_time = Unix.gettimeofday ();
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  Listener.serve listener ~session:(session t);
   t.batch_thread <-
     Some
       (Thread.create
@@ -813,31 +591,7 @@ let stop t =
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex;
   if not already then begin
-    (* Unblock the accept thread. Closing the fd does NOT wake a thread
-       already blocked in accept(2) on Linux, so: shutdown the listening
-       socket (wakes accept on most kernels), then make one wake-up
-       connection to the endpoint as a portable fallback — the accept loop
-       sees [stopping] and drops it. *)
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error (_, _, _) -> ());
-    (try
-       let wake =
-         match t.bound with
-         | Proto.Unix_socket path ->
-           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-           (try Unix.connect fd (Unix.ADDR_UNIX path)
-            with e -> Unix.close fd; raise e);
-           fd
-         | Proto.Tcp (_, port) ->
-           let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-           (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-            with e -> Unix.close fd; raise e);
-           fd
-       in
-       Unix.close wake
-     with Unix.Unix_error (_, _, _) | Failure _ -> ());
-    Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error (_, _, _) -> ());
+    Listener.close_admission t.listener;
     Option.iter Thread.join t.batch_thread;
     (* Queries are drained; now drain the ingest writer so every admitted
        Add_graphs batch is applied (and persisted) and acknowledged
@@ -845,15 +599,7 @@ let stop t =
     Option.iter Psst_ingest.stop t.ingest;
     (* Every admitted request is answered by now; drop the connections so
        the reader threads unblock and exit. *)
-    Mutex.lock t.mutex;
-    let conns = t.conns and readers = t.readers in
-    Mutex.unlock t.mutex;
-    List.iter (fun c -> close_conn t c) conns;
-    List.iter Thread.join readers;
+    Listener.close_connections t.listener;
     Pool.shutdown t.pool;
-    (match t.bound with
-    | Proto.Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
-    | Proto.Tcp _ -> ());
     t.is_stopped <- true
   end

@@ -5,8 +5,8 @@
     index-resident serving model the succinct-index literature assumes
     (no per-query process start, mining, or PMI build).
 
-    Execution model: one accept thread, one lightweight reader thread per
-    connection, a single batcher thread that owns the domain pool, and
+    Execution model: one accept thread and one lightweight reader thread
+    per connection (the shared {!Psst_listener}), a single batcher thread that owns the domain pool, and
     (when ingest is enabled) one {!Psst_ingest} writer thread. Readers
     admit [Run]/[Run_topk] requests into bounded per-tenant queues
     (explicit backpressure: a full queue or tenant quota yields a
@@ -120,8 +120,10 @@ type t
     works, but does not survive the process). [publisher] arms
     replication: [Subscribe] connections stream delta frames and the
     ingest ack gate waits for standby acks. Raises [Unix.Unix_error]
-    when the endpoint cannot be bound. SIGPIPE is set to ignore (a
-    client hanging up mid-reply must not kill the process). *)
+    when the endpoint cannot be bound — [EADDRINUSE] when another live
+    server answers on the Unix socket path, which is never taken over
+    ({!Psst_listener.bind}). SIGPIPE is set to ignore (a client hanging
+    up mid-reply must not kill the process). *)
 val start :
   ?chain:Psst_ingest.chain ->
   ?publisher:publisher ->

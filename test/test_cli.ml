@@ -146,6 +146,26 @@ let test_ingest_flag_validation () =
                          --add %s"
            path))
 
+(* A second server on a live Unix socket path must refuse to start
+   rather than take the path over. *)
+let test_serve_on_live_socket () =
+  let path = missing_path () in
+  let ds =
+    Generator.generate { Generator.default_params with num_graphs = 4; seed = 3 }
+  in
+  let db = Query.index_database ds.Generator.graphs in
+  let srv =
+    Psst_server.start (Psst_server.default_config (Psst_proto.Unix_socket path)) db
+  in
+  Fun.protect
+    ~finally:(fun () -> Psst_server.stop srv)
+    (fun () ->
+      check_dies "serve on a live socket"
+        (Printf.sprintf "serve -n 4 --socket %s" (Filename.quote path));
+      let c = Psst_client.connect (Psst_server.endpoint srv) in
+      Fun.protect ~finally:(fun () -> Psst_client.close c) (fun () ->
+          Psst_client.ping c))
+
 let test_success_path_stays_zero () =
   let code, stderr = run_psst "generate -n 4 --seed 3" in
   Alcotest.(check int) "generate exits 0" 0 code;
@@ -169,4 +189,6 @@ let suite =
       test_ingest_flag_validation;
     Alcotest.test_case "healthy invocation exits 0" `Quick
       test_success_path_stays_zero;
+    Alcotest.test_case "serve on a live socket exits 1" `Quick
+      test_serve_on_live_socket;
   ]

@@ -357,7 +357,7 @@ let test_out_of_order_delta_refused () =
   Alcotest.(check int) "replay stops at the gap" 10
     (Corpus.length reloaded.Query.graphs)
 
-(* --- the idempotency token (v6) --- *)
+(* --- the idempotency token --- *)
 
 (* Resending a batch whose ack was lost, with the same token, must
    return the original ack without ingesting twice — the writer-side
@@ -516,7 +516,7 @@ let test_delta_chain_fuzzing () =
        (fun (w : Psst_obs.warning) -> w.code = "ingest.delta")
        (Psst_obs.warnings ()))
 
-(* --- the v5 wire codec --- *)
+(* --- the ingest wire codec --- *)
 
 let test_v5_codec_roundtrip () =
   let graphs = make_batch 947 3 in
@@ -538,27 +538,6 @@ let test_v5_codec_roundtrip () =
   with
   | P.Ingest_ack { id = 3; epoch = 9; base = 100; count = 5 } -> ()
   | _ -> Alcotest.fail "Ingest_ack round-trip"
-
-(* The v5 tags are gated: carried by a pre-v5 frame they must be re-
-   jected as malformed, exactly like an unknown tag — not half-decoded. *)
-let test_v5_tags_gated () =
-  let graphs = make_batch 953 1 in
-  List.iter
-    (fun (what, bytes) ->
-      match P.request_of_string bytes with
-      | exception P.Proto_error _ -> ()
-      | _ -> Alcotest.failf "%s in a v4 frame must be Proto_error" what)
-    [
-      ("Add_graphs", P.encode_request ~version:4 (P.Add_graphs { id = 1; token = ""; graphs }));
-      ("Set_tenant", P.encode_request ~version:4 (P.Set_tenant "acme"));
-    ];
-  match
-    P.reply_of_string
-      (P.encode_reply ~version:4
-         (P.Ingest_ack { id = 1; epoch = 1; base = 0; count = 1 }))
-  with
-  | exception P.Proto_error _ -> ()
-  | _ -> Alcotest.fail "Ingest_ack in a v4 frame must be Proto_error"
 
 let suite =
   [
@@ -587,6 +566,4 @@ let suite =
     Alcotest.test_case "delta chain survives fuzzing" `Quick
       test_delta_chain_fuzzing;
     Alcotest.test_case "v5 codec round-trips" `Quick test_v5_codec_roundtrip;
-    Alcotest.test_case "v5 tags rejected in pre-v5 frames" `Quick
-      test_v5_tags_gated;
   ]

@@ -27,6 +27,11 @@ let smp_config =
 let exact_config =
   { Query.default_config with verifier = `Exact; mode = Pruning.Random_pick }
 
+let adaptive_config =
+  { smp_config with
+    Query.verifier =
+      `Smp { Verify.default_config with tau = 0.25; emb_cap = 9; adaptive = true } }
+
 let sample_requests =
   [
     P.Ping;
@@ -34,6 +39,7 @@ let sample_requests =
     P.Get_health;
     P.Run { id = 3; query = query_graph; config = smp_config };
     P.Run { id = 0; query = query_graph; config = exact_config };
+    P.Run { id = 5; query = query_graph; config = adaptive_config };
     P.Run_topk { id = 12; query = query_graph; k = 5; config = smp_config };
     P.Subscribe { from_seq = 42 };
     P.Subscribe { from_seq = 1 };
@@ -160,7 +166,7 @@ let test_config_roundtrip () =
       let back = Query.get_config d in
       S.expect_end d;
       Alcotest.(check bool) "config round-trips" true (cfg = back))
-    [ Query.default_config; smp_config; exact_config ]
+    [ Query.default_config; smp_config; exact_config; adaptive_config ]
 
 (* --- adversarial framing --- *)
 
@@ -247,11 +253,26 @@ let test_valid_crc_bad_payload () =
   (* A reply tag is not a request. *)
   expect_proto_error "reply tag as request" (fun () ->
       P.request_of_string (mk_frame ~version:P.proto_version ~tag:65 ""));
-  (* Wrong version, frame otherwise perfect. *)
-  expect_proto_error "future version" (fun () ->
-      P.request_of_string (mk_frame ~version:(P.proto_version + 1) ~tag:1 ""));
-  expect_proto_error "below min version" (fun () ->
-      P.request_of_string (mk_frame ~version:(P.min_proto_version - 1) ~tag:1 ""));
+  (* Another protocol version, frame otherwise perfect: one error that
+     names both versions, for requests and replies alike. *)
+  List.iter
+    (fun version ->
+      let expect =
+        Printf.sprintf "peer speaks protocol version %d, this build speaks %d"
+          version P.proto_version
+      in
+      List.iter
+        (fun (what, decode) ->
+          match decode (mk_frame ~version ~tag:1 "") with
+          | _ -> Alcotest.failf "v%d %s: expected Proto_error" version what
+          | exception P.Proto_error msg ->
+            Alcotest.(check string) (Printf.sprintf "v%d %s message" version what)
+              expect msg)
+        [
+          ("request", fun b -> ignore (P.request_of_string b));
+          ("reply", fun b -> ignore (P.reply_of_string b));
+        ])
+    [ P.proto_version - 1; P.proto_version + 1 ];
   (* Garbage store payload under a Run tag. *)
   expect_proto_error "garbage run payload" (fun () ->
       P.request_of_string
@@ -272,7 +293,124 @@ let test_valid_crc_bad_payload () =
     mk_frame ~version:P.proto_version ~tag:1 "\x00"
   in
   expect_proto_error "payload bytes after message" (fun () ->
-      P.request_of_string ping_plus)
+      P.request_of_string ping_plus);
+  (* An oversized idempotency token is rejected at the codec, not
+     half-accepted. *)
+  expect_proto_error "oversized token" (fun () ->
+      P.request_of_string
+        (P.encode_request
+           (P.Add_graphs { id = 0; token = String.make 129 't'; graphs = [||] })))
+
+(* --- golden bytes: the wire format, pinned --- *)
+
+(* One fixed instance of every request and reply variant. Their frames
+   are the protocol: any change to these bytes is a format change and
+   must bump [proto_version]. *)
+let golden_messages =
+  let reply_named name r = (name, P.encode_reply r) in
+  let request_named name r = (name, P.encode_request r) in
+  [
+    request_named "Ping" P.Ping;
+    request_named "Run"
+      (P.Run { id = 3; query = query_graph; config = adaptive_config });
+    request_named "Run_topk"
+      (P.Run_topk { id = 12; query = query_graph; k = 5; config = exact_config });
+    request_named "Get_stats" P.Get_stats;
+    request_named "Get_health" P.Get_health;
+    request_named "Set_tenant" (P.Set_tenant "acme");
+    request_named "Add_graphs"
+      (P.Add_graphs { id = 4; token = "retry-1"; graphs = [||] });
+    request_named "Subscribe" (P.Subscribe { from_seq = 42 });
+    request_named "Replica_ack" (P.Replica_ack { seq = 7 });
+    reply_named "Pong" P.Pong;
+    reply_named "Answer" (List.nth sample_replies 1);
+    reply_named "Topk_answer" (P.Topk_answer { id = 12; hits = [ (4, 0.75); (0, 0.5) ] });
+    reply_named "Stats_json" (P.Stats_json "{\"counters\": {}}");
+    reply_named "Health_reply"
+      (List.find
+         (function P.Health_reply { workers = _ :: _; _ } -> true | _ -> false)
+         sample_replies);
+    reply_named "Error_reply"
+      (P.Error_reply { id = 4; code = P.Unavailable; message = "retry" });
+    reply_named "Ingest_ack" (P.Ingest_ack { id = 3; epoch = 9; base = 100; count = 5 });
+    reply_named "Delta_frame" (P.Delta_frame { seq = 3; bytes = "delta\x00\xff" });
+  ]
+
+(* The v6 frames of [golden_messages], byte for byte. *)
+let golden_hex =
+  [
+    ("Ping", "505353545250430006000000010000000000000008956fbf");
+    ( "Run",
+      "50535354525043000600000002000000e20000005573fc5c0300000000000000\
+       0400000000000000000000000000000001000000000000000200000000000000\
+       0100000000000000040000000000000000000000000000000100000000000000\
+       0000000000000000010000000000000002000000000000000100000000000000\
+       0200000000000000030000000000000000000000000000000000000000000000\
+       03000000000000000200000000000000666666666666d63f0200000000000000\
+       0100000000000000010100000000000000000000000000d03f9a9999999999a9\
+       3f09000000000000000188130000000000004d00000000000000" );
+    ( "Run_topk",
+      "50535354525043000600000003000000d1000000d92b12640c00000000000000\
+       0400000000000000000000000000000001000000000000000200000000000000\
+       0100000000000000040000000000000000000000000000000100000000000000\
+       0000000000000000010000000000000002000000000000000100000000000000\
+       0200000000000000030000000000000000000000000000000000000000000000\
+       030000000000000002000000000000000500000000000000000000000000e03f\
+       0200000000000000000000000000000001000000000000000000100000000000\
+       000700000000000000" );
+    ("Get_stats", "50535354525043000600000004000000000000006c9b8ff7");
+    ("Get_health", "5053535452504300060000000500000000000000f29b253b");
+    ( "Set_tenant",
+      "505353545250430006000000060000000c000000309648030400000000000000\
+       61636d65" );
+    ( "Add_graphs",
+      "505353545250430006000000070000001f000000676360350400000000000000\
+       070000000000000072657472792d310000000000000000" );
+    ("Subscribe", "5053535452504300060000000800000008000000b3b9c3d32a00000000000000");
+    ("Replica_ack", "5053535452504300060000000900000008000000a55fd81f0700000000000000");
+    ("Pong", "5053535452504300060000004100000000000000e557f296");
+    ( "Answer",
+      "505353545250430006000000420000004a000000b4e931ca0300000000000000\
+       0300000000000000000000000000000004000000000000001100000000000000\
+       010c000000000000000700000000000000020000000000000005000000000000\
+       0000" );
+    ( "Topk_answer",
+      "50535354525043000600000043000000300000007d373fb20c00000000000000\
+       02000000000000000400000000000000000000000000e83f0000000000000000\
+       000000000000e03f" );
+    ( "Stats_json",
+      "50535354525043000600000044000000180000003c0505b51000000000000000\
+       7b22636f756e74657273223a207b7d7d" );
+    ( "Health_reply",
+      "50535354525043000600000046000000ac000000006619890000000000d05840\
+       0000000000000000040000000000000001000000000000000000000000000000\
+       02000000000000000000000000000000010000000000a0584002000000000000\
+       00010000000000000001000000000000000c0000000000000000010000000000\
+       0000000000000000000000000000000000000000000000000000000000000000\
+       0000000000000000000000010000000000000000000000000000000000000000\
+       00000000" );
+    ( "Error_reply",
+      "505353545250430006000000450000001d0000001dcd9bdd0400000000000000\
+       050000000000000005000000000000007265747279" );
+    ( "Ingest_ack",
+      "5053535452504300060000004700000020000000a2f1c6bc0300000000000000\
+       090000000000000064000000000000000500000000000000" );
+    ( "Delta_frame",
+      "505353545250430006000000480000001700000065ef2ff10300000000000000\
+       070000000000000064656c746100ff" );
+  ]
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_golden_bytes () =
+  Alcotest.(check (list string)) "one golden frame per variant"
+    (List.map fst golden_hex) (List.map fst golden_messages);
+  List.iter2
+    (fun (name, expect) (_, bytes) ->
+      Alcotest.(check string) (name ^ " frame bytes") expect (hex bytes))
+    golden_hex golden_messages
 
 let test_oversized_length_rejected_before_allocation () =
   (* A corrupted length field larger than max_payload must be rejected
@@ -282,227 +420,9 @@ let test_oversized_length_rejected_before_allocation () =
   expect_proto_error "4GiB length" (fun () ->
       P.request_of_string (Bytes.to_string b))
 
-let test_stream_reader_matches_string_decoder () =
-  (* read_request over a pipe agrees with request_of_string, and EOF at a
-     frame boundary is a clean End_of_file while EOF inside a frame is a
-     Proto_error. *)
-  let frame =
-    P.encode_request (P.Run { id = 7; query = query_graph; config = exact_config })
-  in
-  let feed bytes f =
-    let path = Filename.temp_file "psst_proto" ".bin" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        let oc = open_out_bin path in
-        output_string oc bytes;
-        close_out oc;
-        let ic = open_in_bin path in
-        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic))
-  in
-  feed (frame ^ frame) (fun ic ->
-      let a = P.read_request ic in
-      let b = P.read_request ic in
-      Alcotest.(check string) "two frames, same decode"
-        (P.encode_request a) (P.encode_request b);
-      match P.read_request ic with
-      | _ -> Alcotest.fail "expected End_of_file at frame boundary"
-      | exception End_of_file -> ());
-  feed (String.sub frame 0 (String.length frame - 3)) (fun ic ->
-      expect_proto_error "EOF inside frame" (fun () -> P.read_request ic))
-
-(* Version negotiation (DESIGN.md §12): a version-1 peer's frames are
-   accepted, and version-2-only information degrades cleanly when a reply
-   is framed for it — the degraded flag is dropped and [Unavailable]
-   becomes the equally-retryable [Shutdown]. *)
-let test_v1_interop () =
-  let answer =
-    P.Answer
-      {
-        id = 1;
-        answers = [ 2 ];
-        stats =
-          {
-            P.relaxed_truncated = false;
-            structural_candidates = 1;
-            prob_candidates = 1;
-            accepted_by_bounds = 0;
-            pruned_by_bounds = 0;
-            degraded = true;
-          };
-      }
-  in
-  (match P.reply_of_string (P.encode_reply ~version:1 answer) with
-  | P.Answer { stats; _ } ->
-    Alcotest.(check bool) "v1 frame drops the degraded flag" false
-      stats.P.degraded
-  | _ -> Alcotest.fail "expected Answer");
-  (match
-     P.reply_of_string
-       (P.encode_reply ~version:1
-          (P.Error_reply { id = 0; code = P.Unavailable; message = "m" }))
-   with
-  | P.Error_reply { code; _ } ->
-    Alcotest.(check string) "Unavailable downgrades to Shutdown at v1"
-      (P.error_code_name P.Shutdown)
-      (P.error_code_name code)
-  | _ -> Alcotest.fail "expected Error_reply");
-  match P.request_of_string (P.encode_request ~version:1 P.Ping) with
-  | P.Ping -> ()
-  | _ -> Alcotest.fail "expected Ping"
-
-(* Version 3 added the adaptive byte to SMP verifier configs in requests.
-   Frames from v1/v2 peers carry configs without the byte and must still
-   decode — adaptive defaults to false — and a request encoded for an
-   older peer drops the flag rather than emitting a byte the peer cannot
-   parse. *)
-let test_pre_v3_config_interop () =
-  let adaptive_config =
-    { smp_config with
-      Query.verifier = `Smp { Verify.default_config with adaptive = true } }
-  in
-  let encode version =
-    P.encode_request ?version
-      (P.Run { id = 5; query = query_graph; config = adaptive_config })
-  in
-  List.iter
-    (fun version ->
-      match P.request_of_string (encode (Some version)) with
-      | P.Run { config = { Query.verifier = `Smp vc; _ }; _ } ->
-        Alcotest.(check bool)
-          (Printf.sprintf "v%d frame decodes with adaptive = false" version)
-          false vc.Verify.adaptive
-      | _ -> Alcotest.fail "expected Run with an Smp verifier")
-    [ 1; 2 ];
-  match P.request_of_string (encode None) with
-  | P.Run { config = { Query.verifier = `Smp vc; _ }; _ } ->
-    Alcotest.(check bool) "current-version frame round-trips adaptive" true
-      vc.Verify.adaptive
-  | _ -> Alcotest.fail "expected Run with an Smp verifier"
-
-(* Version 4 added the router's per-worker roster to Health_reply. A
-   frame encoded for a pre-v4 peer drops the roster, and decoding it
-   yields an empty one — the rest of the snapshot is unchanged, so old
-   load balancers keep polling routers without renegotiation. *)
-let test_pre_v4_health_interop () =
-  let with_roster =
-    List.find
-      (function P.Health_reply { workers = _ :: _; _ } -> true | _ -> false)
-      sample_replies
-  in
-  List.iter
-    (fun version ->
-      match P.reply_of_string (P.encode_reply ~version with_roster) with
-      | P.Health_reply h ->
-        Alcotest.(check bool)
-          (Printf.sprintf "v%d frame decodes with an empty roster" version)
-          true (h.P.workers = []);
-        (match with_roster with
-        | P.Health_reply full ->
-          Alcotest.(check bool)
-            (Printf.sprintf "v%d frame keeps the scalar fields" version)
-            true
-            (h.P.uptime_s = full.P.uptime_s
-            && h.P.queue_depth = full.P.queue_depth
-            && h.P.served = full.P.served
-            && h.P.degraded_answers = full.P.degraded_answers
-            && h.P.retryable_rejections = full.P.retryable_rejections)
-        | _ -> assert false)
-      | _ -> Alcotest.fail "expected Health_reply")
-    [ 2; 3 ];
-  match P.reply_of_string (P.encode_reply with_roster) with
-  | P.Health_reply h ->
-    Alcotest.(check int) "current-version frame round-trips the roster" 2
-      (List.length h.P.workers)
-  | _ -> Alcotest.fail "expected Health_reply"
-
-(* Version 6 added replication (Subscribe / Replica_ack / Delta_frame),
-   the Add_graphs idempotency token and the roster's replica triple. A
-   pre-v6 peer must never see any of it: the replication tags are
-   rejected in pre-v6 frames like any unknown tag, the token is dropped
-   when encoding for an old peer (and defaults to "" when decoding an
-   old frame), and the roster triple defaults to "sole primary at epoch
-   0" so a v4/v5 load balancer keeps polling v6 routers unchanged. *)
-let test_pre_v6_interop () =
-  (* The v6-only tags, framed with a perfect CRC at v5, are malformed. *)
-  List.iter
-    (fun (what, tag, payload) ->
-      expect_proto_error
-        (Printf.sprintf "%s in a v5 frame" what)
-        (fun () -> P.request_of_string (mk_frame ~version:5 ~tag payload)))
-    [
-      ("Subscribe", 8, "\x00\x00\x00\x00\x00\x00\x00\x00");
-      ("Replica_ack", 9, "\x00\x00\x00\x00\x00\x00\x00\x00");
-    ];
-  expect_proto_error "Delta_frame in a v5 frame" (fun () ->
-      ignore (P.reply_of_string (mk_frame ~version:5 ~tag:72 "")));
-  (* The token is dropped for a v5 peer and defaults to "" on decode. *)
-  (match
-     P.request_of_string
-       (P.encode_request ~version:5
-          (P.Add_graphs { id = 4; token = "retry-1"; graphs = [||] }))
-   with
-  | P.Add_graphs { id = 4; token; _ } ->
-    Alcotest.(check string) "v5 frame drops the token" "" token
-  | _ -> Alcotest.fail "expected Add_graphs");
-  (match
-     P.request_of_string
-       (P.encode_request (P.Add_graphs { id = 4; token = "retry-1"; graphs = [||] }))
-   with
-  | P.Add_graphs { token; _ } ->
-    Alcotest.(check string) "current-version frame keeps the token" "retry-1"
-      token
-  | _ -> Alcotest.fail "expected Add_graphs");
-  (* An oversized token is rejected at the codec, not half-accepted. *)
-  expect_proto_error "oversized token" (fun () ->
-      P.request_of_string
-        (P.encode_request
-           (P.Add_graphs { id = 0; token = String.make 129 't'; graphs = [||] })));
-  (* The roster's replica triple is dropped for old peers and defaults
-     to a sole primary at epoch 0 on decode. *)
-  let with_roster =
-    List.find
-      (function P.Health_reply { workers = _ :: _; _ } -> true | _ -> false)
-      sample_replies
-  in
-  List.iter
-    (fun version ->
-      match P.reply_of_string (P.encode_reply ~version with_roster) with
-      | P.Health_reply { workers; _ } ->
-        List.iter
-          (fun (w : P.worker_health) ->
-            Alcotest.(check int)
-              (Printf.sprintf "v%d roster defaults rid to 0" version)
-              0 w.rid;
-            Alcotest.(check int)
-              (Printf.sprintf "v%d roster defaults worker_epoch to 0" version)
-              0 w.worker_epoch;
-            Alcotest.(check bool)
-              (Printf.sprintf "v%d roster defaults primary to true" version)
-              true w.primary)
-          workers
-      | _ -> Alcotest.fail "expected Health_reply")
-    [ 4; 5 ];
-  match P.reply_of_string (P.encode_reply with_roster) with
-  | P.Health_reply { workers; _ } ->
-    Alcotest.(check bool) "current-version frame keeps the replica triple"
-      true
-      (List.exists
-         (fun (w : P.worker_health) ->
-           w.rid = 1 && w.worker_epoch = 12 && not w.primary)
-         workers)
-  | _ -> Alcotest.fail "expected Health_reply"
-
 let suite =
   [
     Alcotest.test_case "requests round-trip" `Quick test_request_roundtrips;
-    Alcotest.test_case "pre-v6 replication interop pinned" `Quick
-      test_pre_v6_interop;
-    Alcotest.test_case "v1 frames interoperate" `Quick test_v1_interop;
-    Alcotest.test_case "pre-v3 configs interoperate" `Quick
-      test_pre_v3_config_interop;
-    Alcotest.test_case "pre-v4 health interoperates" `Quick
-      test_pre_v4_health_interop;
     Alcotest.test_case "replies round-trip" `Quick test_reply_roundtrips;
     Alcotest.test_case "query config round-trips" `Quick test_config_roundtrip;
     Alcotest.test_case "truncation at every boundary" `Quick
@@ -517,6 +437,5 @@ let suite =
       test_valid_crc_bad_payload;
     Alcotest.test_case "oversized length rejected early" `Quick
       test_oversized_length_rejected_before_allocation;
-    Alcotest.test_case "stream reader = string decoder" `Quick
-      test_stream_reader_matches_string_decoder;
+    Alcotest.test_case "golden bytes pin every variant" `Quick test_golden_bytes;
   ]

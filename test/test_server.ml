@@ -8,7 +8,9 @@
 module P = Psst_proto
 module Client = Psst_client
 module Server = Psst_server
+module Router = Psst_router
 module Prng = Psst_util.Prng
+module Crc32 = Psst_util.Crc32
 
 let fast_bounds = { Bounds.default_config with mc_samples = 400 }
 let fast_smp = { Verify.default_config with tau = 0.3 }
@@ -54,9 +56,11 @@ let with_server ?(domains = 1) ?(queue_cap = 128) ?(deadline_ms = 0.)
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f srv)
 
-let with_client srv f =
-  let c = Client.connect (Server.endpoint srv) in
+let with_endpoint ep f =
+  let c = Client.connect ep in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+let with_client srv f = with_endpoint (Server.endpoint srv) f
 
 (* --- differential: served = offline, at 1 and 4 domains --- *)
 
@@ -242,12 +246,24 @@ let test_stop_drains_inflight () =
 let warn_proto_count () =
   Psst_obs.counter_value (Psst_obs.counter "warn.proto")
 
-let expect_malformed_then_recover srv corrupt =
+(* [ep] answers the corrupted frame with one Malformed reply (whose
+   message is [mentions], when given) and closes the connection,
+   records a proto warning, and keeps serving new connections. *)
+let expect_malformed_then_recover ?mentions ep corrupt =
   let before = warn_proto_count () in
-  with_client srv (fun c ->
+  with_endpoint ep (fun c ->
       corrupt c;
       (match Client.read_reply c with
-      | P.Error_reply { code = P.Malformed; _ } -> ()
+      | P.Error_reply { code = P.Malformed; message; _ } ->
+        Option.iter
+          (fun m ->
+            Alcotest.(check string) "Malformed reply names the cause" m message)
+          mentions;
+        (* One reply, then the server closes the connection. *)
+        (match Client.read_reply c with
+        | exception End_of_file -> ()
+        | exception P.Proto_error _ -> ()
+        | _ -> Alcotest.fail "expected the connection closed after Malformed")
       | r ->
         Alcotest.failf "expected Malformed reply, got %s"
           (match r with
@@ -262,7 +278,22 @@ let expect_malformed_then_recover srv corrupt =
   Alcotest.(check bool) "a proto warning was recorded" true
     (warn_proto_count () > before);
   (* The connection is gone but the server must keep serving. *)
-  with_client srv (fun c -> Client.ping c)
+  with_endpoint ep (fun c -> Client.ping c)
+
+(* [frame] re-stamped with another protocol version, CRC recomputed, so
+   the version check alone must reject it. *)
+let restamp frame version =
+  let b = Bytes.of_string frame in
+  Bytes.set_int32_le b 8 (Int32.of_int version);
+  let head = Bytes.sub_string b 0 20 in
+  let payload = Bytes.sub_string b P.header_bytes (Bytes.length b - P.header_bytes) in
+  Bytes.set_int32_le b 20
+    (Crc32.update (Crc32.digest head) payload ~pos:0 ~len:(String.length payload));
+  Bytes.to_string b
+
+let version_mismatch version =
+  Printf.sprintf "peer speaks protocol version %d, this build speaks %d" version
+    P.proto_version
 
 let test_fuzzed_frames_never_crash () =
   let ds, db = make_db 251 15 in
@@ -270,38 +301,106 @@ let test_fuzzed_frames_never_crash () =
   let q, _ = Generator.extract_query rng ds ~edges:4 in
   let frame = P.encode_request (P.Run { id = 0; query = q; config = base_config }) in
   with_server db (fun srv ->
+      let ep = Server.endpoint srv in
       (* Bad magic. *)
-      expect_malformed_then_recover srv (fun c ->
+      expect_malformed_then_recover ep (fun c ->
           Client.send_raw c ("XSSTRPC\x00" ^ String.sub frame 8 (String.length frame - 8)));
       (* Flipped payload byte: checksum mismatch. *)
-      expect_malformed_then_recover srv (fun c ->
+      expect_malformed_then_recover ep (fun c ->
           let b = Bytes.of_string frame in
           let pos = P.header_bytes + 3 in
           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
           Client.send_raw c (Bytes.to_string b));
       (* Flipped CRC byte. *)
-      expect_malformed_then_recover srv (fun c ->
+      expect_malformed_then_recover ep (fun c ->
           let b = Bytes.of_string frame in
           Bytes.set b 20 (Char.chr (Char.code (Bytes.get b 20) lxor 0xFF));
           Client.send_raw c (Bytes.to_string b));
       (* Truncated frame then EOF: the half-close turns a blocked read
          into a detected truncation, not a hang. *)
-      expect_malformed_then_recover srv (fun c ->
+      expect_malformed_then_recover ep (fun c ->
           Client.send_raw c (String.sub frame 0 (String.length frame - 5));
           Client.half_close c);
       (* Unsupported version. *)
-      expect_malformed_then_recover srv (fun c ->
+      expect_malformed_then_recover ep (fun c ->
           let b = Bytes.of_string frame in
           Bytes.set_int32_le b 8 99l;
           Client.send_raw c (Bytes.to_string b));
+      (* Valid-CRC frames of the neighbouring versions: the version check
+         is the whole handshake. *)
+      List.iter
+        (fun version ->
+          expect_malformed_then_recover ~mentions:(version_mismatch version) ep
+            (fun c -> Client.send_raw c (restamp frame version)))
+        [ P.proto_version - 1; P.proto_version + 1 ];
       (* And after all that abuse, real queries still run. *)
-      with_client srv (fun c ->
+      with_endpoint ep (fun c ->
           match Client.rpc c (P.Run { id = 9; query = q; config = base_config }) with
           | P.Answer { id; answers; _ } ->
             Alcotest.(check int) "id echoed" 9 id;
             Alcotest.(check (list int)) "answers still bit-identical"
               (Query.run db q base_config).Query.answers answers
           | _ -> Alcotest.fail "expected Answer after fuzzing"))
+
+(* The router shares the server's listener: a foreign-version frame gets
+   one Malformed reply and a proto warning, and routed queries still
+   answer exactly. *)
+let test_router_rejects_foreign_version () =
+  let ds, db = make_db 257 12 in
+  let rng = Prng.make 59 in
+  let q, _ = Generator.extract_query rng ds ~edges:4 in
+  let frame = P.encode_request (P.Run { id = 0; query = q; config = base_config }) in
+  with_server db (fun srv ->
+      let path = Filename.temp_file "psst_test_router" ".sock" in
+      let router =
+        Router.start
+          (Router.default_config ~endpoint:(P.Unix_socket path)
+             ~workers:[ Server.endpoint srv ])
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.stop router;
+          try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let version = P.proto_version - 1 in
+          expect_malformed_then_recover ~mentions:(version_mismatch version)
+            (Router.endpoint router) (fun c ->
+              Client.send_raw c (restamp frame version));
+          with_endpoint (Router.endpoint router) (fun c ->
+              match Client.rpc c (P.Run { id = 4; query = q; config = base_config }) with
+              | P.Answer { answers; _ } ->
+                Alcotest.(check (list int)) "routed answer still exact"
+                  (Query.run db q base_config).Query.answers answers
+              | _ -> Alcotest.fail "expected Answer from the router")))
+
+(* A second server must not steal a Unix socket path a live server
+   answers on, and a server stopping must not unlink a path another
+   server has since bound. *)
+let test_live_socket_not_stolen () =
+  let _, db = make_db 263 8 in
+  with_server db (fun first ->
+      let path =
+        match Server.endpoint first with
+        | P.Unix_socket p -> p
+        | P.Tcp _ -> Alcotest.fail "expected a Unix socket"
+      in
+      (match Server.start (Server.default_config (P.Unix_socket path)) db with
+      | second ->
+        Server.stop second;
+        Alcotest.fail "second server bound a live socket path"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+      with_client first (fun c -> Client.ping c);
+      (* The path is removed behind the first server's back and a new
+         server binds it: stopping the first must leave it alone. *)
+      Sys.remove path;
+      let second = Server.start (Server.default_config (P.Unix_socket path)) db in
+      Fun.protect
+        ~finally:(fun () -> Server.stop second)
+        (fun () ->
+          Server.stop first;
+          Alcotest.(check bool) "the second server's socket survives" true
+            (Sys.file_exists path);
+          with_client second (fun c -> Client.ping c)))
 
 let suite =
   [
@@ -322,4 +421,8 @@ let suite =
       test_stop_drains_inflight;
     Alcotest.test_case "fuzzed frames: reply, warn, keep serving" `Slow
       test_fuzzed_frames_never_crash;
+    Alcotest.test_case "router rejects a foreign protocol version" `Quick
+      test_router_rejects_foreign_version;
+    Alcotest.test_case "live socket path is never stolen" `Quick
+      test_live_socket_not_stolen;
   ]
