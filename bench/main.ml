@@ -2100,6 +2100,13 @@ let micro ppf =
           (Staged.stage (fun () -> Vf2.distinct_embeddings ~cap:32 feature gc));
         Test.make ~name:"sample-world"
           (Staged.stage (fun () -> Pgraph.sample_world smp_rng g));
+        Test.make ~name:"sample-mask"
+          (Staged.stage (fun () -> Pgraph.sample_mask smp_rng g));
+        Test.make ~name:"velim-prob-all-present"
+          (Staged.stage
+             (let factors = Pgraph.factors g and z = Pgraph.partition_value g in
+              let vars = List.filteri (fun i _ -> i < 3) (Pgraph.uncertain_edges g) in
+              fun () -> Velim.prob_all_present ~z factors vars));
         Test.make ~name:"world-prob"
           (Staged.stage
              (let mask, _, _ = Pgraph.sample_world smp_rng g in

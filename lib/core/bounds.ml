@@ -64,16 +64,10 @@ let counted_ratio_over_pool pool ~num ~den =
 
 let sample_pool config g =
   let rng = Prng.make config.seed in
-  Array.init config.mc_samples (fun _ ->
-      let mask, _, _ = Pgraph.sample_world rng g in
-      mask)
+  Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g)
 
 let estimate_conditional rng g ~num ~den ~samples =
-  let pool =
-    Array.init samples (fun _ ->
-        let mask, _, _ = Pgraph.sample_world rng g in
-        mask)
-  in
+  let pool = Array.init samples (fun _ -> Pgraph.sample_mask rng g) in
   ratio_over_pool pool ~num ~den
 
 let clamp01 x = Float.max 0. (Float.min 1. x)
@@ -89,10 +83,13 @@ let all_present mask s = Bitset.subset s mask
 (* All edges of [s] absent from the world mask. *)
 let all_absent mask s = Bitset.disjoint s mask
 
-let exact_all_present g vars = Velim.prob_all_present (Pgraph.factors g) vars
+let exact_all_present g vars =
+  Velim.prob_all_present ~z:(Pgraph.partition_value g) (Pgraph.factors g) vars
 
 let exact_all_absent g vars =
-  Velim.prob ~evidence:(List.map (fun v -> (v, false)) vars) (Pgraph.factors g)
+  Velim.prob ~z:(Pgraph.partition_value g)
+    ~evidence:(List.map (fun v -> (v, false)) vars)
+    (Pgraph.factors g)
 
 (* First-fit maximal pairwise-disjoint family in index order: the paper's
    plain SIPBound picks an arbitrary disjoint set instead of optimising. *)

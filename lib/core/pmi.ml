@@ -41,17 +41,22 @@ module Log = (val Logs.src_log log_src)
 let m_columns = Psst_obs.counter "pmi.columns_built"
 let h_column = Psst_obs.histogram "pmi.column_build_s"
 
-let build_column config db features gi =
+(* The column of graph [g]: an entry for every feature [fi] with
+   [occurs fi], none elsewhere. *)
+let column_of config features g ~occurs =
   Psst_obs.incr m_columns;
   Psst_obs.span h_column (fun () ->
-      let nf = Array.length features in
-      let g = db.(gi) in
       let world_pool = lazy (Bounds.sample_pool config g) in
-      Array.init nf (fun fi ->
-          let f : Selection.feature = features.(fi) in
-          if List.mem gi f.support then
+      Array.mapi
+        (fun fi (f : Selection.feature) ->
+          if occurs fi then
             Some (Bounds.compute config ~pool:(Lazy.force world_pool) g f.graph)
-          else None))
+          else None)
+        features)
+
+let build_column config db features gi =
+  column_of config features db.(gi) ~occurs:(fun fi ->
+      List.mem gi features.(fi).Selection.support)
 
 let build ?(config = Bounds.default_config) ?(domains = 1) db features =
   let features = Array.of_list features in
@@ -264,7 +269,6 @@ let add_graphs t gs =
   if k = 0 then t
   else begin
     let base = t.num_graphs in
-    let nf = Array.length t.features in
     let skels = Array.map Pgraph.skeleton gs in
     (* occurs.(i).(fi): does feature fi occur in the skeleton of gs.(i)? *)
     let occurs =
@@ -275,20 +279,11 @@ let add_graphs t gs =
             t.features)
         skels
     in
+    (* Entries exactly where the extended supports below list the new
+       graph, so the result equals a [build] over the extended database. *)
     let columns =
       Array.mapi
-        (fun i g ->
-          Psst_obs.incr m_columns;
-          Psst_obs.span h_column (fun () ->
-              let pool = lazy (Bounds.sample_pool t.config g) in
-              Array.init nf (fun fi ->
-                  let f = t.features.(fi) in
-                  if Lgraph.num_edges f.Selection.graph = 0 || occurs.(i).(fi)
-                  then
-                    Some
-                      (Bounds.compute t.config ~pool:(Lazy.force pool) g
-                         f.Selection.graph)
-                  else None)))
+        (fun i g -> column_of t.config t.features g ~occurs:(fun fi -> occurs.(i).(fi)))
         gs
     in
     let entries =

@@ -27,28 +27,57 @@ let scalar x = create [||] [| x |]
 
 let vars t = Array.copy t.vars
 
+(* Position of [v] in the scope, or -1. *)
 let index_of t v =
   let rec go i =
-    if i >= Array.length t.vars then None
-    else if t.vars.(i) = v then Some i
-    else go (i + 1)
+    if i >= Array.length t.vars then -1 else if t.vars.(i) = v then i else go (i + 1)
   in
   go 0
 
-let mentions t v = Option.is_some (index_of t v)
+let mentions t v = index_of t v >= 0
 
 let value t mask = t.data.(mask)
 
 let value_of t assign =
   let mask = ref 0 in
-  Array.iteri (fun i v -> if assign v then mask := !mask lor (1 lsl i)) t.vars;
+  for i = 0 to Array.length t.vars - 1 do
+    if assign t.vars.(i) then mask := !mask lor (1 lsl i)
+  done;
   t.data.(!mask)
 
-let multiply a b =
-  let merged =
-    Array.to_list a.vars @ Array.to_list b.vars |> List.sort_uniq compare
+(* The table operations below build their results directly rather than
+   through [create]; each keeps [create]'s entry check, so they accept and
+   reject exactly what they did when they went through it. *)
+let checked vars data =
+  for i = 0 to Array.length data - 1 do
+    (* false exactly for negative and NaN entries *)
+    if not (data.(i) >= 0.) then invalid_arg "Factor.create: negative or NaN entry"
+  done;
+  { vars; data }
+
+(* Union of two sorted, distinct scopes, sorted. *)
+let merge_scopes a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let rec go i j k =
+    if i = na && j = nb then k
+    else if j = nb || (i < na && a.(i) < b.(j)) then (out.(k) <- a.(i); go (i + 1) j (k + 1))
+    else if i = na || b.(j) < a.(i) then (out.(k) <- b.(j); go i (j + 1) (k + 1))
+    else (out.(k) <- a.(i); go (i + 1) (j + 1) (k + 1))
   in
-  let vars = Array.of_list merged in
+  Array.sub out 0 (go 0 0 0)
+
+(* [project positions mask]: the local mask of a sub-scope whose variable
+   [i] sits at bit [positions.(i)] of [mask]. *)
+let project positions mask =
+  let m = ref 0 in
+  for i = 0 to Array.length positions - 1 do
+    if mask land (1 lsl positions.(i)) <> 0 then m := !m lor (1 lsl i)
+  done;
+  !m
+
+let multiply a b =
+  let vars = merge_scopes a.vars b.vars in
   if Array.length vars > max_vars then invalid_arg "Factor.multiply: scope too large";
   (* Positions of each source variable within the merged scope. *)
   let pos_in src =
@@ -59,31 +88,38 @@ let multiply a b =
       src.vars
   in
   let pa = pos_in a and pb = pos_in b in
-  let project positions mask =
-    let m = ref 0 in
-    Array.iteri (fun i p -> if mask land (1 lsl p) <> 0 then m := !m lor (1 lsl i)) positions;
-    !m
-  in
-  of_fun vars (fun mask -> a.data.(project pa mask) *. b.data.(project pb mask))
+  let data = Array.create_float (1 lsl Array.length vars) in
+  for mask = 0 to Array.length data - 1 do
+    data.(mask) <- a.data.(project pa mask) *. b.data.(project pb mask)
+  done;
+  checked vars data
 
 let multiply_all = function
   | [] -> scalar 1.
   | f :: rest -> List.fold_left multiply f rest
 
+(* Scope [vars] without position [i], and the mask of the old scope that
+   places local mask [m] of the new one around a hole at bit [i]. *)
+let remove_at vars i =
+  Array.append (Array.sub vars 0 i) (Array.sub vars (i + 1) (Array.length vars - i - 1))
+
+let[@inline] with_hole i m =
+  let low_mask = (1 lsl i) - 1 in
+  (m land low_mask) lor ((m land lnot low_mask) lsl 1)
+
 let sum_out t v =
-  match index_of t v with
-  | None -> t
-  | Some i ->
-    let vars' =
-      Array.of_list
-        (List.filteri (fun j _ -> j <> i) (Array.to_list t.vars))
-    in
+  let i = index_of t v in
+  if i < 0 then t
+  else begin
+    let vars = remove_at t.vars i in
     let bit = 1 lsl i in
-    let low_mask = bit - 1 in
-    of_fun vars' (fun m ->
-        (* Re-insert a hole at position i. *)
-        let base = (m land low_mask) lor ((m land lnot low_mask) lsl 1) in
-        t.data.(base) +. t.data.(base lor bit))
+    let data = Array.create_float (1 lsl Array.length vars) in
+    for m = 0 to Array.length data - 1 do
+      let base = with_hole i m in
+      data.(m) <- t.data.(base) +. t.data.(base lor bit)
+    done;
+    checked vars data
+  end
 
 let marginal_onto t keep =
   Array.fold_left
@@ -91,19 +127,24 @@ let marginal_onto t keep =
     t t.vars
 
 let condition t v b =
-  match index_of t v with
-  | None -> t
-  | Some i ->
-    let vars' =
-      Array.of_list (List.filteri (fun j _ -> j <> i) (Array.to_list t.vars))
-    in
-    let bit = 1 lsl i in
-    let low_mask = bit - 1 in
-    of_fun vars' (fun m ->
-        let base = (m land low_mask) lor ((m land lnot low_mask) lsl 1) in
-        t.data.(if b then base lor bit else base))
+  let i = index_of t v in
+  if i < 0 then t
+  else begin
+    let vars = remove_at t.vars i in
+    let on = if b then 1 lsl i else 0 in
+    let data = Array.create_float (1 lsl Array.length vars) in
+    for m = 0 to Array.length data - 1 do
+      data.(m) <- t.data.(with_hole i m lor on)
+    done;
+    checked vars data
+  end
 
-let total t = Array.fold_left ( +. ) 0. t.data
+let total t =
+  let z = ref 0. in
+  for i = 0 to Array.length t.data - 1 do
+    z := !z +. t.data.(i)
+  done;
+  !z
 
 let normalize t =
   let z = total t in

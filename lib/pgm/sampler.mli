@@ -7,24 +7,36 @@
     of such a list is a normalised joint — the paper's Eq 1 — and sampling
     is a single forward pass. *)
 
-(** [sample rng factors] draws a full assignment; returns a lookup function
-    and the list of (var, value) pairs.
+(** A factor list compiled for repeated forward sampling: for every factor,
+    one normalised table per assignment of its already-covered variables,
+    with the cumulative sums the categorical draw scans. Compiling costs
+    one pass over the tables; each draw is then one
+    [Random.State.float] per factor that introduces a variable. Draws
+    consume the generator exactly as conditioning and normalising each
+    factor on the fly would, and pick the same entries. Immutable, so one
+    compiled sampler may be drawn from by several domains at once. *)
+type compiled
+
+(** [compile factors] prepares [factors] (in order) for {!draw}. Raises
+    [Invalid_argument] on a negative variable id. A slice that cannot be
+    normalised is reported only when a draw reaches it, with the
+    [Invalid_argument] that {!Factor.normalize} or
+    {!Psst_util.Prng.categorical} raises. *)
+val compile : Factor.t list -> compiled
+
+(** [draw c rng mask] draws a full assignment and adds every variable
+    drawn true to [mask]; variables drawn false are left as they are. The
+    factors' variables must be absent from [mask] on entry and below its
+    capacity. *)
+val draw : compiled -> Psst_util.Prng.t -> Psst_util.Bitset.t -> unit
+
+(** [sample rng factors] is {!compile} then one {!draw}: a full assignment
+    as a lookup function (false for variables no factor mentions) and the
+    [(var, value)] pairs in increasing variable order.
 
     Exact for chain-consistent lists; for arbitrary factor lists the result
     is biased (use {!Velim} to calibrate first). *)
 val sample : Psst_util.Prng.t -> Factor.t list -> (int -> bool) * (int * bool) list
-
-(** [sample_conditioned rng factors evidence] forward-samples with some
-    variables clamped. The result is a draw from the conditional
-    distribution only when each clamped variable appears no later than its
-    factor (true for clamping whole edge sets, as the verification sampler
-    does); otherwise it is a heuristic proposal. Returns [None] when the
-    evidence has probability 0 along the chain. *)
-val sample_conditioned :
-  Psst_util.Prng.t ->
-  Factor.t list ->
-  (int * bool) list ->
-  ((int -> bool) * (int * bool) list) option
 
 (** [is_chain_consistent ~eps factors] checks that, processed in order, each
     factor is a proper conditional of its new variables given its already

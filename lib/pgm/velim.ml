@@ -1,48 +1,84 @@
-module Iset = Set.Make (Int)
+module Bitset = Psst_util.Bitset
 
-let all_vars factors =
-  List.fold_left
-    (fun acc f -> Array.fold_left (fun acc v -> Iset.add v acc) acc (Factor.vars f))
-    Iset.empty factors
+(* Sorted distinct ids among the factors' scopes and [extra], by insertion:
+   chain scopes arrive nearly sorted, so this is close to one pass. *)
+let sorted_vars ?(extra = [||]) factors =
+  let all = Array.concat (extra :: List.map Factor.vars factors) in
+  let out = Array.make (Array.length all) 0 and n = ref 0 in
+  Array.iter
+    (fun v ->
+      let j = ref !n in
+      while !j > 0 && out.(!j - 1) > v do
+        decr j
+      done;
+      if !j = 0 || out.(!j - 1) <> v then begin
+        Array.blit out !j out (!j + 1) (!n - !j);
+        out.(!j) <- v;
+        incr n
+      end)
+    all;
+  Array.sub out 0 !n
+
+(* Position of [v] in the sorted array [ids] (which holds it). *)
+let rec find ids v lo hi =
+  let mid = (lo + hi) / 2 in
+  if ids.(mid) = v then mid
+  else if ids.(mid) < v then find ids v (mid + 1) hi
+  else find ids v lo mid
 
 (* Min-degree heuristic: repeatedly eliminate the variable whose bucket
-   product has the smallest merged scope. *)
+   product has the smallest merged scope, the lowest variable id winning
+   ties. The merged scope of [v] (the union of the scopes mentioning it)
+   is its closed neighbourhood in the interaction graph, so the scopes are
+   kept as one bitset per variable over dense indices (0 .. n-1 in
+   increasing id order): eliminating [v] joins its neighbours into a
+   clique, exactly as merging its bucket into one scope without [v]. Only
+   those neighbours' costs change. *)
 let elimination_order factors to_eliminate =
-  let to_eliminate = ref (Iset.of_list to_eliminate) in
-  let scopes = ref (List.map (fun f -> Iset.of_list (Array.to_list (Factor.vars f))) factors) in
-  let order = ref [] in
-  while not (Iset.is_empty !to_eliminate) do
-    let cost v =
-      let merged =
-        List.fold_left
-          (fun acc s -> if Iset.mem v s then Iset.union acc s else acc)
-          Iset.empty !scopes
-      in
-      Iset.cardinal merged
-    in
-    let v =
-      Iset.fold
-        (fun v best ->
-          match best with
-          | None -> Some (v, cost v)
-          | Some (_, c) ->
-            let cv = cost v in
-            if cv < c then Some (v, cv) else best)
-        !to_eliminate None
-      |> Option.get |> fst
-    in
-    (* Simulate the elimination on the scope set. *)
-    let touched, rest = List.partition (Iset.mem v) !scopes in
-    let merged = List.fold_left Iset.union Iset.empty touched in
-    scopes := Iset.remove v merged :: rest;
-    to_eliminate := Iset.remove v !to_eliminate;
-    order := v :: !order
+  let ids = sorted_vars ~extra:(Array.of_list to_eliminate) factors in
+  let n = Array.length ids in
+  let index v = find ids v 0 n in
+  (* nbr.(i): the union of the current scopes mentioning variable i. *)
+  let nbr = Array.init n (fun _ -> Bitset.create n) in
+  List.iter
+    (fun f ->
+      let vars = Factor.vars f in
+      let scope = Bitset.create n in
+      Array.iter (fun v -> Bitset.add scope (index v)) vars;
+      Array.iter (fun v -> Bitset.union_into nbr.(index v) scope) vars)
+    factors;
+  let cost = Array.map Bitset.cardinal nbr in
+  (* Pending variables in increasing id order; the first [live] are left. *)
+  let pending = sorted_vars ~extra:(Array.map index (Array.of_list to_eliminate)) [] in
+  let live = ref (Array.length pending) in
+  let order = Array.make !live 0 in
+  for step = 0 to Array.length order - 1 do
+    let best = ref 0 in
+    for j = 1 to !live - 1 do
+      if cost.(pending.(j)) < cost.(pending.(!best)) then best := j
+    done;
+    let v = pending.(!best) in
+    Array.blit pending (!best + 1) pending !best (!live - !best - 1);
+    decr live;
+    let merged = nbr.(v) in
+    Bitset.remove merged v;
+    Bitset.iter
+      (fun u ->
+        Bitset.union_into nbr.(u) merged;
+        Bitset.remove nbr.(u) v;
+        cost.(u) <- Bitset.cardinal nbr.(u))
+      merged;
+    Bitset.clear merged;
+    order.(step) <- ids.(v)
   done;
-  List.rev !order
+  Array.to_list order
 
 let marginal factors keep =
-  let keep_set = Iset.of_list keep in
-  let elim = Iset.elements (Iset.diff (all_vars factors) keep_set) in
+  let elim =
+    Array.fold_right
+      (fun v acc -> if List.mem v keep then acc else v :: acc)
+      (sorted_vars factors) []
+  in
   let order = elimination_order factors elim in
   let work = ref factors in
   List.iter
@@ -58,8 +94,8 @@ let marginal factors keep =
 
 let partition_value factors = Factor.total (marginal factors [])
 
-let prob ~evidence factors =
-  let z = partition_value factors in
+let prob ?z ~evidence factors =
+  let z = match z with Some z -> z | None -> partition_value factors in
   if z <= 0. then invalid_arg "Velim.prob: zero partition value";
   let conditioned =
     List.map
@@ -69,5 +105,5 @@ let prob ~evidence factors =
   in
   Factor.total (marginal conditioned []) /. z
 
-let prob_all_present factors vars =
-  prob ~evidence:(List.map (fun v -> (v, true)) vars) factors
+let prob_all_present ?z factors vars =
+  prob ?z ~evidence:(List.map (fun v -> (v, true)) vars) factors

@@ -63,7 +63,9 @@ let prob_any_present t sets =
           match Hashtbl.find_opt memo key with
           | Some p -> p
           | None ->
-            let p = Velim.prob_all_present (Pgraph.factors t) key in
+            let p =
+              Velim.prob_all_present ~z:(Pgraph.partition_value t) (Pgraph.factors t) key
+            in
             Hashtbl.add memo key p;
             p
         in

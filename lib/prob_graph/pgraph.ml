@@ -1,12 +1,19 @@
 module Bitset = Psst_util.Bitset
 module Prng = Psst_util.Prng
 
+(* Query-independent state every bound computation of the graph reuses:
+   the compiled forward sampler, the present-edge mask of the certain
+   edges (every world's starting point) and the partition value Z. *)
+type prepared = { sampler : Sampler.compiled; base : Bitset.t; z : float }
+
 type t = {
   skeleton : Lgraph.t;
   factors : Factor.t list;
   uncertain : int list; (* sorted *)
-  jt_lock : Mutex.t; (* guards [jt]: graphs are shared across query domains *)
+  certain : int list; (* sorted: the edges no factor mentions *)
+  jt_lock : Mutex.t; (* guards [jt] and [prep]: graphs are shared across query domains *)
   mutable jt : Jtree.t option; (* built on first use *)
+  mutable prep : prepared option; (* built on first use *)
 }
 
 let make skeleton factors =
@@ -25,7 +32,18 @@ let make skeleton factors =
     List.concat_map (fun f -> Array.to_list (Factor.vars f)) factors
     |> List.sort_uniq compare
   in
-  { skeleton; factors; uncertain; jt_lock = Mutex.create (); jt = None }
+  let is_uncertain = Array.make m false in
+  List.iter (fun e -> is_uncertain.(e) <- true) uncertain;
+  let certain = List.filter (fun e -> not is_uncertain.(e)) (List.init m Fun.id) in
+  {
+    skeleton;
+    factors;
+    uncertain;
+    certain;
+    jt_lock = Mutex.create ();
+    jt = None;
+    prep = None;
+  }
 
 let independent skeleton probs =
   let factors =
@@ -50,11 +68,24 @@ let jtree t =
         t.jt <- Some jt;
         jt)
 
-let certain_edges t =
-  let unc = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace unc e ()) t.uncertain;
-  List.init (Lgraph.num_edges t.skeleton) (fun i -> i)
-  |> List.filter (fun i -> not (Hashtbl.mem unc i))
+let certain_edges t = t.certain
+
+let prepared t =
+  Mutex.protect t.jt_lock (fun () ->
+      match t.prep with
+      | Some p -> p
+      | None ->
+        let p =
+          {
+            sampler = Sampler.compile t.factors;
+            base = Bitset.of_list (Lgraph.num_edges t.skeleton) t.certain;
+            z = Velim.partition_value t.factors;
+          }
+        in
+        t.prep <- Some p;
+        p)
+
+let partition_value t = (prepared t).z
 
 let jpt t scope =
   let certain = certain_edges t in
@@ -83,12 +114,14 @@ let world_prob t present =
       (fun acc f -> acc *. Factor.value_of f (Bitset.mem present))
       1. t.factors
 
+let sample_mask rng t =
+  let p = prepared t in
+  let mask = Bitset.copy p.base in
+  Sampler.draw p.sampler rng mask;
+  mask
+
 let sample_world rng t =
-  let lookup, _ = Sampler.sample rng t.factors in
-  let m = Lgraph.num_edges t.skeleton in
-  let mask = Bitset.create m in
-  List.iter (Bitset.add mask) (certain_edges t);
-  List.iter (fun e -> if lookup e then Bitset.add mask e) t.uncertain;
+  let mask = sample_mask rng t in
   let world, edge_map = Lgraph.with_edge_mask t.skeleton mask in
   (mask, world, edge_map)
 

@@ -48,8 +48,19 @@ val edge_marginal : t -> int -> float
     set is [present] (certain edges must be present, else 0). *)
 val world_prob : t -> Psst_util.Bitset.t -> float
 
+(** Partition value Z of the factor product (1 up to rounding for a
+    chain-consistent list): exactly [Velim.partition_value (factors t)],
+    computed on first use and kept, for [Velim.prob ~z]. *)
+val partition_value : t -> float
+
+(** [sample_mask rng t] draws a possible world as its present-edge mask.
+    The sampler is compiled on first use and kept; draws consume [rng]
+    exactly as forward sampling factor by factor does. *)
+val sample_mask : Psst_util.Prng.t -> t -> Psst_util.Bitset.t
+
 (** [sample_world rng t] draws a possible world; returns the present-edge
-    mask and the world graph (all vertices kept, edge ids renumbered; the
+    mask ({!sample_mask} with the same [rng] gives the same one) and the
+    world graph (all vertices kept, edge ids renumbered; the
     int array maps new edge id -> original edge id). *)
 val sample_world :
   Psst_util.Prng.t -> t -> Psst_util.Bitset.t * Lgraph.t * int array

@@ -42,22 +42,33 @@ let popcount w =
   let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
   go 0 w
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+let cardinal t =
+  let c = ref 0 in
+  for i = 0 to Array.length t.words - 1 do
+    c := !c + popcount t.words.(i)
+  done;
+  !c
 
 let same_cap a b =
   if a.cap <> b.cap then invalid_arg "Bitset: capacity mismatch"
 
 let union_into a b =
   same_cap a b;
-  Array.iteri (fun i w -> a.words.(i) <- a.words.(i) lor w) b.words
+  for i = 0 to Array.length a.words - 1 do
+    a.words.(i) <- a.words.(i) lor b.words.(i)
+  done
 
 let inter_into a b =
   same_cap a b;
-  Array.iteri (fun i w -> a.words.(i) <- a.words.(i) land w) b.words
+  for i = 0 to Array.length a.words - 1 do
+    a.words.(i) <- a.words.(i) land b.words.(i)
+  done
 
 let diff_into a b =
   same_cap a b;
-  Array.iteri (fun i w -> a.words.(i) <- a.words.(i) land lnot w) b.words
+  for i = 0 to Array.length a.words - 1 do
+    a.words.(i) <- a.words.(i) land lnot b.words.(i)
+  done
 
 let union a b = let c = copy a in union_into c b; c
 let inter a b = let c = copy a in inter_into c b; c
@@ -84,11 +95,13 @@ let compare a b =
 
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    (* Shift the word down, so the scan stops at its highest member. *)
+    let word = ref t.words.(w) and i = ref (w * bits_per_word) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then f !i;
+      word := !word lsr 1;
+      incr i
+    done
   done
 
 let fold f t init =

@@ -23,18 +23,32 @@ let float t x = Random.State.float t x
 
 let bernoulli t p = Random.State.float t 1.0 < p
 
+(* [Float.max w 0.] spelled out so it inlines: a negative weight counts as
+   0 and a NaN stays NaN. (-0. becomes +0., which adds the same as -0. to
+   any sum that starts at +0.) *)
+let[@inline] clamp_weight w = if w > 0. || w <> w then w else 0.
+
+(* Loops over float refs rather than a recursive closure with a float
+   accumulator, so no float is boxed; the sums are the same left-to-right
+   sums as before, hence the same index for every input and draw. *)
 let categorical t weights =
-  let total = Array.fold_left (fun acc w -> acc +. Float.max w 0.) 0. weights in
-  if total <= 0. then invalid_arg "Prng.categorical: non-positive weights";
-  let x = Random.State.float t total in
   let n = Array.length weights in
-  let rec go i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. Float.max weights.(i) 0. in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. clamp_weight weights.(i)
+  done;
+  if !total <= 0. then invalid_arg "Prng.categorical: non-positive weights";
+  let x = Random.State.float t !total in
+  let acc = ref 0. and i = ref 0 and pick = ref (n - 1) in
+  while !i < n - 1 do
+    acc := !acc +. clamp_weight weights.(!i);
+    if x < !acc then begin
+      pick := !i;
+      i := n
+    end
+    else incr i
+  done;
+  !pick
 
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Prng.choice: empty array";

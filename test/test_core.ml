@@ -170,6 +170,60 @@ let test_pmi_build_and_lookup () =
         (Option.is_some (Pmi.lookup pmi ~feature:fi ~graph:0)))
     col
 
+(* --- PMI golden digest ---
+
+   Every bound of a fixed 40-graph corpus, printed as hex floats ([%h])
+   and hashed. Any change to the world sampler, to exact inference or to
+   the bound logic that moves a single bit of a single entry changes the
+   digest; performance work on those layers must leave it as it is. *)
+
+let golden_digest = "b464b5dfdf1ac3b9584e5f849e37e752"
+
+let golden_corpus () =
+  Generator.generate
+    {
+      Generator.default_params with
+      num_graphs = 40;
+      num_organisms = 5;
+      min_vertices = 9;
+      max_vertices = 12;
+      extra_edge_ratio = 0.2;
+      motif_edges = 8;
+      num_vertex_labels = 10;
+      num_edge_labels = 3;
+      foreign_motif_prob = 0.5;
+      seed = 2012;
+    }
+
+let bounds_digest pmi =
+  let b = Buffer.create 65536 in
+  for fi = 0 to Pmi.num_features pmi - 1 do
+    for gi = 0 to Pmi.num_graphs pmi - 1 do
+      match Pmi.lookup pmi ~feature:fi ~graph:gi with
+      | None -> Printf.bprintf b "%d %d -\n" fi gi
+      | Some e ->
+        Printf.bprintf b "%d %d %h %h %h %h %d %d\n" fi gi e.Bounds.lower
+          e.Bounds.upper e.Bounds.lower_safe e.Bounds.upper_safe
+          e.Bounds.embeddings e.Bounds.cuts
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pmi_golden_digest () =
+  let ds = golden_corpus () in
+  let features =
+    Selection.select
+      (Array.map Pgraph.skeleton ds.graphs)
+      { Selection.default_params with max_edges = 3 }
+  in
+  List.iter
+    (fun domains ->
+      let pmi = Pmi.build ~domains ds.graphs features in
+      Alcotest.(check string)
+        (Printf.sprintf "bounds digest, %d domains" domains)
+        golden_digest (bounds_digest pmi))
+    [ 1; 3 ]
+
 (* --- Pruning soundness --- *)
 
 let pruning_env seed =
@@ -352,6 +406,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bounds_ordered;
     Alcotest.test_case "bounds: conditional estimator" `Slow test_estimate_conditional;
     Alcotest.test_case "pmi: build & lookup" `Slow test_pmi_build_and_lookup;
+    Alcotest.test_case "pmi: golden bounds digest" `Slow test_pmi_golden_digest;
     QCheck_alcotest.to_alcotest prop_usim_bounds_exact_ssp;
     QCheck_alcotest.to_alcotest prop_lsim_safe_below_exact_ssp;
     Alcotest.test_case "verify: sample count" `Quick test_verify_num_samples;

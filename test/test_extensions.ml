@@ -268,12 +268,42 @@ let test_add_graph_pmi_entry_matches_direct () =
       match Pmi.lookup pmi' ~feature:fi ~graph:3 with
       | None ->
         Alcotest.(check bool) "absent feature" false
-          (Lgraph.num_edges f.graph = 0 || Vf2.exists f.graph (Pgraph.skeleton ds.graphs.(3)))
+          (Vf2.exists f.graph (Pgraph.skeleton ds.graphs.(3)))
       | Some e ->
         let direct = Bounds.compute fast_bounds ~pool ds.graphs.(3) f.graph in
         Tgen.check_close ~eps:1e-12 "upper matches" direct.Bounds.upper e.Bounds.upper;
         Tgen.check_close ~eps:1e-12 "lower matches" direct.Bounds.lower e.Bounds.lower)
     features
+
+(* Ingest must leave the index a rebuild would produce: [add_graphs] over
+   a base index equals [build] over the extended corpus with the extended
+   supports, entry for entry, including where entries are absent (vertex
+   features missing from a new graph have none). *)
+let test_add_graphs_equals_rebuild () =
+  let ds = small_dataset 67 10 in
+  let base = Array.sub ds.graphs 0 6 in
+  let features =
+    Selection.select (Array.map Pgraph.skeleton base)
+      { Selection.default_params with max_edges = 2; beta = 0.2 }
+  in
+  let added = Pmi.add_graphs (Pmi.build ~config:fast_bounds base features) (Array.sub ds.graphs 6 4) in
+  let rebuilt =
+    Pmi.build ~config:fast_bounds ds.graphs (Array.to_list (Pmi.features added))
+  in
+  Alcotest.(check int) "filled entries" (Pmi.filled_entries rebuilt) (Pmi.filled_entries added);
+  let absent_vertex_feature = ref false in
+  for fi = 0 to Pmi.num_features added - 1 do
+    for gi = 0 to 9 do
+      match (Pmi.lookup added ~feature:fi ~graph:gi, Pmi.lookup rebuilt ~feature:fi ~graph:gi) with
+      | None, None ->
+        if gi >= 6 && Lgraph.num_edges (Pmi.features added).(fi).graph = 0 then
+          absent_vertex_feature := true
+      | Some a, Some b when a = b -> ()
+      | _ -> Alcotest.failf "entry (%d,%d) differs from the rebuild" fi gi
+    done
+  done;
+  Alcotest.(check bool) "a vertex feature is absent from a new graph" true
+    !absent_vertex_feature
 
 let test_parallel_pmi_build_identical () =
   let ds = small_dataset 61 6 in
@@ -316,4 +346,6 @@ let suite =
     Alcotest.test_case "add_graph queries exact" `Slow test_add_graph_queries_stay_exact;
     Alcotest.test_case "add_graph pmi entries" `Quick
       test_add_graph_pmi_entry_matches_direct;
+    Alcotest.test_case "add_graphs = rebuild over the extended corpus" `Quick
+      test_add_graphs_equals_rebuild;
   ]

@@ -204,21 +204,168 @@ let test_sampler_frequencies () =
   Alcotest.(check bool) "sampling frequency near exact" true
     (Float.abs (freq -. exact) < 0.02)
 
-let test_sampler_conditioned () =
-  let factors = chain3 () in
-  let rng = Prng.make 7 in
-  for _ = 1 to 100 do
-    match Sampler.sample_conditioned rng factors [ (0, true) ] with
-    | None -> Alcotest.fail "evidence has positive probability"
-    | Some (lookup, _) -> Alcotest.(check bool) "evidence respected" true (lookup 0)
-  done
+(* --- Compiled sampler and elimination order against their first versions ---
 
-let test_sampler_conditioned_impossible () =
-  let factors = [ coin 1.0 0 ] in
-  let rng = Prng.make 7 in
-  (match Sampler.sample_conditioned rng factors [ (0, false) ] with
-  | None -> ()
-  | Some _ -> Alcotest.fail "impossible evidence must yield None")
+   The forward sampler conditioned and normalised every factor on every
+   draw, and the elimination order was searched over [Set.Make (Int)]
+   scopes. Both were rewritten for speed under a bit-identity rule; the
+   originals are kept here as oracles. *)
+
+module Iset = Set.Make (Int)
+
+let oracle_sample rng factors =
+  let assign = Hashtbl.create 32 in
+  List.iter
+    (fun f ->
+      let f' =
+        Array.fold_left
+          (fun f v ->
+            match Hashtbl.find_opt assign v with
+            | Some b -> Factor.condition f v b
+            | None -> f)
+          f (Factor.vars f)
+      in
+      if Array.length (Factor.vars f') > 0 then begin
+        let f' = Factor.normalize f' in
+        List.iter (fun (v, b) -> Hashtbl.replace assign v b) (Factor.sample rng f')
+      end)
+    factors;
+  fun v -> match Hashtbl.find_opt assign v with Some b -> b | None -> false
+
+let oracle_elimination_order factors to_eliminate =
+  let to_eliminate = ref (Iset.of_list to_eliminate) in
+  let scopes = ref (List.map (fun f -> Iset.of_list (Array.to_list (Factor.vars f))) factors) in
+  let order = ref [] in
+  while not (Iset.is_empty !to_eliminate) do
+    let cost v =
+      Iset.cardinal
+        (List.fold_left
+           (fun acc s -> if Iset.mem v s then Iset.union acc s else acc)
+           Iset.empty !scopes)
+    in
+    let v =
+      Iset.fold
+        (fun v best ->
+          match best with
+          | None -> Some (v, cost v)
+          | Some (_, c) ->
+            let cv = cost v in
+            if cv < c then Some (v, cv) else best)
+        !to_eliminate None
+      |> Option.get |> fst
+    in
+    let touched, rest = List.partition (Iset.mem v) !scopes in
+    scopes := Iset.remove v (List.fold_left Iset.union Iset.empty touched) :: rest;
+    to_eliminate := Iset.remove v !to_eliminate;
+    order := v :: !order
+  done;
+  List.rev !order
+
+(* A random chain-consistent factor list over sparse, shuffled variable
+   ids: each factor draws 0-3 new variables given up to 3 covered ones,
+   with zero entries and whole zero rows mixed in; a factor with no new
+   variable is a table of ones. *)
+let random_chain rng =
+  let ids = Array.init (2 + Prng.int rng 9) (fun i -> (3 * i) + Prng.int rng 3) in
+  Prng.shuffle rng ids;
+  let covered = ref [] and next = ref 0 and factors = ref [] in
+  while !next < Array.length ids do
+    let fresh = min (Array.length ids - !next) (Prng.int rng 4) in
+    let news = Array.to_list (Array.sub ids !next fresh) in
+    next := !next + fresh;
+    let olds = List.filter (fun _ -> Prng.bernoulli rng 0.4) !covered in
+    let olds = List.filteri (fun i _ -> i < 3) olds in
+    let scope = Array.of_list (List.sort compare (olds @ news)) in
+    let is_new = Array.map (fun v -> List.mem v news) scope in
+    let k = Array.length scope in
+    let split mask =
+      let o = ref 0 and n = ref 0 and no = ref 0 and nn = ref 0 in
+      for p = 0 to k - 1 do
+        let bit = if mask land (1 lsl p) <> 0 then 1 else 0 in
+        if is_new.(p) then (n := !n lor (bit lsl !nn); incr nn)
+        else (o := !o lor (bit lsl !no); incr no)
+      done;
+      (!o, !n)
+    in
+    let width = 1 lsl List.length news in
+    let rows =
+      Array.init (1 lsl List.length olds) (fun _ ->
+          let w =
+            Array.init width (fun _ ->
+                if Prng.bernoulli rng 0.25 then 0. else Prng.float rng 1.)
+          in
+          if Array.for_all (fun x -> x = 0.) w then w.(Prng.int rng width) <- 1.;
+          let z = Array.fold_left ( +. ) 0. w in
+          Array.map (fun x -> x /. z) w)
+    in
+    let data =
+      Array.init (1 lsl k) (fun mask ->
+          let o, n = split mask in
+          rows.(o).(n))
+    in
+    factors := Factor.create scope data :: !factors;
+    covered := news @ !covered
+  done;
+  List.rev !factors
+
+let prop_compiled_sampler_matches_oracle =
+  QCheck.Test.make ~name:"compiled sampler = conditioning sampler, draw for draw"
+    ~count:200 QCheck.small_int
+    (fun seed ->
+      let factors = random_chain (Prng.make (seed + 5)) in
+      let vars = List.concat_map (fun f -> Array.to_list (Factor.vars f)) factors in
+      let cap = 1 + List.fold_left max 0 vars in
+      let compiled = Sampler.compile factors in
+      let a = Prng.make seed and b = Prng.make seed and c = Prng.make seed in
+      let same = ref true in
+      for _ = 1 to 200 do
+        let expect = oracle_sample a factors in
+        let mask = Psst_util.Bitset.create cap in
+        Sampler.draw compiled b mask;
+        let lookup, _ = Sampler.sample c factors in
+        List.iter
+          (fun v ->
+            if expect v <> Psst_util.Bitset.mem mask v || expect v <> lookup v then
+              same := false)
+          vars
+      done;
+      let bits = List.map Random.State.bits [ a; b; c ] in
+      !same && List.for_all (( = ) (List.hd bits)) bits)
+
+let prop_elimination_order_matches_oracle =
+  QCheck.Test.make ~name:"elimination order = Set-based min-degree order" ~count:300
+    QCheck.small_int
+    (fun seed ->
+      let rng = Prng.make (seed + 3) in
+      let factors =
+        List.init (Prng.int rng 8) (fun _ ->
+            let scope =
+              List.sort_uniq compare (List.init (Prng.int rng 5) (fun _ -> Prng.int rng 16))
+            in
+            Factor.create (Array.of_list scope)
+              (Array.make (1 lsl List.length scope) 0.5))
+      in
+      let elim = List.filter (fun _ -> Prng.bernoulli rng 0.7) (List.init 18 Fun.id) in
+      Velim.elimination_order factors elim = oracle_elimination_order factors elim)
+
+let prop_prob_cached_z_bit_identical =
+  QCheck.Test.make ~name:"prob ~z = uncached prob, bit for bit" ~count:100
+    QCheck.small_int
+    (fun seed ->
+      let rng = Prng.make (seed + 71) in
+      let g = Tgen.random_pgraph rng ~n:6 ~extra:3 ~vl:2 ~el:1 in
+      let factors = Pgraph.factors g in
+      let ev =
+        List.filter_map
+          (fun v -> if Prng.bernoulli rng 0.4 then Some (v, Prng.bernoulli rng 0.5) else None)
+          (Pgraph.uncertain_edges g)
+      in
+      let bits = Int64.bits_of_float in
+      let z = Pgraph.partition_value g in
+      bits z = bits (Velim.partition_value factors)
+      && bits (Velim.prob ~z ~evidence:ev factors) = bits (Velim.prob ~evidence:ev factors)
+      && bits (Velim.prob_all_present ~z factors (List.map fst ev))
+         = bits (Velim.prob_all_present factors (List.map fst ev)))
 
 (* --- Junction tree --- *)
 
@@ -332,9 +479,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_velim_matches_bruteforce;
     Alcotest.test_case "sampler chain consistency" `Quick test_sampler_chain_consistency;
     Alcotest.test_case "sampler frequencies" `Quick test_sampler_frequencies;
-    Alcotest.test_case "sampler conditioned" `Quick test_sampler_conditioned;
-    Alcotest.test_case "sampler impossible evidence" `Quick
-      test_sampler_conditioned_impossible;
+    QCheck_alcotest.to_alcotest prop_compiled_sampler_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_elimination_order_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_prob_cached_z_bit_identical;
     Alcotest.test_case "jtree RIP validation" `Quick test_jtree_build_requires_rip;
     Alcotest.test_case "jtree evidence prob" `Quick test_jtree_evidence_prob_matches_velim;
     Alcotest.test_case "jtree variables" `Quick test_jtree_variables;

@@ -97,6 +97,20 @@ let test_sampling_matches_marginals () =
       Alcotest.failf "edge %d: freq %.3f vs exact %.3f" e freq exact
   done
 
+let test_sample_mask_is_sample_world_mask () =
+  let rng = Prng.make 31 in
+  let g = Tgen.random_pgraph rng ~n:7 ~extra:3 ~vl:2 ~el:1 in
+  let a = Prng.make 5 and b = Prng.make 5 in
+  for _ = 1 to 200 do
+    let mask, world, _ = Pgraph.sample_world a g in
+    let m = Pgraph.sample_mask b g in
+    Alcotest.(check bool) "same mask" true (Bitset.equal mask m);
+    Alcotest.(check int) "world edges" (Bitset.cardinal m) (Lgraph.num_edges world);
+    List.iter
+      (fun e -> Alcotest.(check bool) "certain edge present" true (Bitset.mem m e))
+      (Pgraph.certain_edges g)
+  done
+
 let test_to_independent_preserves_marginals () =
   let g = paper_like_pgraph () in
   let ind = Pgraph.to_independent g in
@@ -257,6 +271,8 @@ let suite =
     Alcotest.test_case "edge marginal vs worlds" `Quick test_edge_marginal_vs_worlds;
     Alcotest.test_case "jpt marginal" `Quick test_jpt_marginal;
     Alcotest.test_case "sampling matches marginals" `Slow test_sampling_matches_marginals;
+    Alcotest.test_case "sample_mask = sample_world's mask" `Quick
+      test_sample_mask_is_sample_world_mask;
     Alcotest.test_case "to_independent preserves marginals" `Quick
       test_to_independent_preserves_marginals;
     Alcotest.test_case "table entries" `Quick test_table_entries;

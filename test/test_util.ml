@@ -87,6 +87,52 @@ let test_prng_categorical_invalid () =
     (Invalid_argument "Prng.categorical: non-positive weights") (fun () ->
       ignore (Prng.categorical rng [| 0.; 0. |]))
 
+(* The categorical draw as it was first written (a fold for the total, a
+   recursive scan with a float accumulator), kept as the reference the
+   allocation-free loop must match index for index. *)
+let reference_categorical t weights =
+  let total = Array.fold_left (fun acc w -> acc +. Float.max w 0.) 0. weights in
+  if total <= 0. then invalid_arg "Prng.categorical: non-positive weights";
+  let x = Random.State.float t total in
+  let n = Array.length weights in
+  let rec go i acc =
+    if i >= n - 1 then n - 1
+    else
+      let acc = acc +. Float.max weights.(i) 0. in
+      if x < acc then i else go (i + 1) acc
+  in
+  go 0 0.
+
+let test_prng_categorical_matches_reference () =
+  let shapes =
+    [|
+      [| 1. |];
+      [| 0.; 3.; 1. |];
+      [| 0.5; 0.5 |];
+      [| 0.2; 0.; 0.8; 0.; 0. |];
+      [| 0.; 0.; 1e-300; 0. |];
+      [| -1.; 2.; -0.; 0.25 |];
+      [| 0.1; 0.2; 0.3; 0.4; 0.; 0.; 0.; 0. |];
+    |]
+  in
+  let gen = Prng.make 17 in
+  let a = Prng.make 2012 and b = Prng.make 2012 in
+  for k = 1 to 10_000 do
+    let w =
+      if k mod 3 = 0 then shapes.(k mod Array.length shapes)
+      else
+        (* random length, some zero and trailing-zero entries *)
+        let n = 1 + Prng.int gen 9 in
+        let zeros_from = Prng.int gen (n + 1) in
+        Array.init n (fun i ->
+            if i >= max 1 zeros_from || Prng.bernoulli gen 0.2 then 0.
+            else Prng.float gen 2.)
+    in
+    if Array.exists (fun x -> x > 0.) w then
+      Alcotest.(check int) "same index" (reference_categorical a w) (Prng.categorical b w)
+  done;
+  Alcotest.(check int) "same stream afterwards" (Random.State.bits a) (Random.State.bits b)
+
 let test_prng_sample_without_replacement () =
   let rng = Prng.make 11 in
   let s = Prng.sample_without_replacement rng 5 10 in
@@ -154,6 +200,8 @@ let suite =
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng categorical" `Quick test_prng_categorical;
     Alcotest.test_case "prng categorical invalid" `Quick test_prng_categorical_invalid;
+    Alcotest.test_case "prng categorical = reference draws" `Quick
+      test_prng_categorical_matches_reference;
     Alcotest.test_case "prng sample w/o replacement" `Quick
       test_prng_sample_without_replacement;
     Alcotest.test_case "prng beta mean" `Quick test_prng_beta_mean;
