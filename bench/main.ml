@@ -2070,9 +2070,8 @@ let micro ppf =
   let q, _ = Generator.extract_query rng ds ~edges:5 in
   let relaxed, _ = Relax.relaxed_set q ~delta:1 in
   let skeletons = Array.map Pgraph.skeleton ds.Generator.graphs in
-  let features =
-    Selection.select skeletons { Selection.default_params with max_edges = 2 }
-  in
+  let mining = { Selection.default_params with max_edges = 2 } in
+  let features = Selection.select skeletons mining in
   let feature =
     (List.find
        (fun (f : Selection.feature) -> Lgraph.num_edges f.graph >= 1)
@@ -2114,6 +2113,15 @@ let micro ppf =
         Test.make ~name:"max-weight-clique"
           (Staged.stage (fun () -> Mwc.max_weight_clique clique_graph));
         Test.make ~name:"canonical-code" (Staged.stage (fun () -> Canon.code q));
+        Test.make ~name:"feature-select"
+          (Staged.stage (fun () -> Selection.select skeletons mining));
+        Test.make ~name:"bounds-column"
+          (Staged.stage (fun () ->
+               let column = Bounds.column Bounds.default_config g in
+               List.iter
+                 (fun (f : Selection.feature) ->
+                   ignore (Bounds.compute Bounds.default_config ~column g f.graph))
+                 features));
         Test.make ~name:"mcs-distance"
           (Staged.stage (fun () -> Distance.within q gc ~delta:1));
         Test.make ~name:"smp-verify"

@@ -115,8 +115,9 @@ let corpus_of input num_graphs seed =
    with a server that ingested on the same store; a rebuild clears the
    chain (the deltas chained onto the old base). Returns the database, the
    elapsed time, a description, and the delta chain when persistent
-   (armed for further ingest). *)
-let obtain_database ?(flat = false) ?(mmap = false) index_file graphs =
+   (armed for further ingest). A rebuild runs on [domains]. *)
+let obtain_database ?(flat = false) ?(mmap = false)
+    ?(domains = Psst_util.Pool.default_domains ()) index_file graphs =
   (* Memory-mapped serving needs the flat on-disk layout, so --mmap
      implies writing any rebuilt index with --flat. *)
   let flat = flat || mmap in
@@ -133,7 +134,9 @@ let obtain_database ?(flat = false) ?(mmap = false) index_file graphs =
     (db, t +. t_replay, how, Some chain)
   in
   let build_and_save () =
-    let db, t = Psst_util.Timer.time (fun () -> Query.index_database graphs) in
+    let db, t =
+      Psst_util.Timer.time (fun () -> Query.index_database ~domains graphs)
+    in
     match index_file with
     | Some path ->
       let stale = Psst_ingest.clear_deltas path in
@@ -175,7 +178,10 @@ let index num_graphs seed input flat output =
   or_die @@ fun () ->
   let graphs, _ = corpus_of input num_graphs seed in
   Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
-  let db, t_index = Psst_util.Timer.time (fun () -> Query.index_database graphs) in
+  let db, t_index =
+    Psst_util.Timer.time (fun () ->
+        Query.index_database ~domains:(Psst_util.Pool.default_domains ()) graphs)
+  in
   Query.save_database ~flat output db;
   let bytes =
     let ic = open_in_bin output in
@@ -310,7 +316,9 @@ let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
 let topk num_graphs seed qsize k delta input =
   or_die @@ fun () ->
   let graphs, ds_opt = corpus_of input num_graphs seed in
-  let db = Query.index_database graphs in
+  let db =
+    Query.index_database ~domains:(Psst_util.Pool.default_domains ()) graphs
+  in
   let ds =
     match ds_opt with
     | Some ds -> ds
@@ -650,7 +658,9 @@ let serve num_graphs seed input index_file mmap socket port host domains
           die "--mmap needs --index FILE (or --manifest with --shard)";
         let graphs, _ = corpus_of input num_graphs seed in
         Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
-        let db, t_index, how, chain = obtain_database ~mmap index_file graphs in
+        let db, t_index, how, chain =
+          obtain_database ~mmap ~domains index_file graphs
+        in
         Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how
           t_index
           (List.length db.Query.features)
@@ -1046,7 +1056,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Domain-pool size for the verification fan-out.")
+          ~doc:
+            "Domain-pool size for the verification fan-out, and for \
+             rebuilding a missing or stale index.")
   in
   let queue_cap =
     Arg.(

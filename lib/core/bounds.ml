@@ -41,6 +41,8 @@ let m_embeddings = Psst_obs.counter "bounds.embeddings"
 let m_cuts = Psst_obs.counter "bounds.cuts"
 let m_pool_hits = Psst_obs.counter "bounds.mc_pool_estimates"
 let m_pool_misses = Psst_obs.counter "bounds.mc_exact_fallbacks"
+let m_exact_evals = Psst_obs.counter "bounds.exact_evals"
+let m_exact_hits = Psst_obs.counter "bounds.exact_memo_hits"
 
 let ratio_over_pool pool ~num ~den =
   let n1 = ref 0 and n2 = ref 0 in
@@ -62,10 +64,6 @@ let counted_ratio_over_pool pool ~num ~den =
     Psst_obs.incr m_pool_misses;
     None
 
-let sample_pool config g =
-  let rng = Prng.make config.seed in
-  Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g)
-
 let estimate_conditional rng g ~num ~den ~samples =
   let pool = Array.init samples (fun _ -> Pgraph.sample_mask rng g) in
   ratio_over_pool pool ~num ~den
@@ -83,13 +81,50 @@ let all_present mask s = Bitset.subset s mask
 (* All edges of [s] absent from the world mask. *)
 let all_absent mask s = Bitset.disjoint s mask
 
-let exact_all_present g vars =
-  Velim.prob_all_present ~z:(Pgraph.partition_value g) (Pgraph.factors g) vars
+(* Everything the bounds of one graph share across features: the world
+   pool, the uncertain-edge set and the exact probabilities already asked,
+   keyed by polarity ([true]: all present) and sorted edge list. *)
+type column = {
+  graph : Pgraph.t;
+  pool : Bitset.t array Lazy.t;
+  uncertain : Bitset.t;
+  exact : (bool * int list, float) Hashtbl.t;
+}
 
-let exact_all_absent g vars =
-  Velim.prob ~z:(Pgraph.partition_value g)
-    ~evidence:(List.map (fun v -> (v, false)) vars)
-    (Pgraph.factors g)
+let column config g =
+  {
+    graph = g;
+    pool =
+      lazy
+        (let rng = Prng.make config.seed in
+         Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g));
+    uncertain =
+      Bitset.of_list (Lgraph.num_edges (Pgraph.skeleton g)) (Pgraph.uncertain_edges g);
+    exact = Hashtbl.create 64;
+  }
+
+let memo_exact col present vars =
+  let key = (present, vars) in
+  match Hashtbl.find_opt col.exact key with
+  | Some p ->
+    Psst_obs.incr m_exact_hits;
+    p
+  | None ->
+    Psst_obs.incr m_exact_evals;
+    let g = col.graph in
+    let p =
+      if present then
+        Velim.prob_all_present ~z:(Pgraph.partition_value g) (Pgraph.factors g) vars
+      else
+        Velim.prob ~z:(Pgraph.partition_value g)
+          ~evidence:(List.map (fun v -> (v, false)) vars)
+          (Pgraph.factors g)
+    in
+    Hashtbl.add col.exact key p;
+    p
+
+let exact_all_present col s = memo_exact col true (Bitset.elements s)
+let exact_all_absent col s = memo_exact col false (Bitset.elements s)
 
 (* First-fit maximal pairwise-disjoint family in index order: the paper's
    plain SIPBound picks an arbitrary disjoint set instead of optimising. *)
@@ -120,13 +155,10 @@ let best_disjoint_clique ~config items disjoint weights =
     Mwc.max_weight_clique ~node_budget:config.clique_budget g
   end
 
-let lower_of config pool g (embs : Embedding.t list) =
-  let uncertain = Bitset.of_list (Bitset.capacity (List.hd embs).Embedding.edges)
-      (Pgraph.uncertain_edges g)
-  in
+let lower_of config col (embs : Embedding.t list) =
   (* Work on uncertain parts only: certain edges never fail. *)
   let sets = Array.of_list (List.map (fun e -> e.Embedding.edges) embs) in
-  let usets = Array.map (fun s -> Bitset.inter s uncertain) sets in
+  let usets = Array.map (fun s -> Bitset.inter s col.uncertain) sets in
   let n = Array.length sets in
   let overlapping i =
     List.filter
@@ -137,7 +169,7 @@ let lower_of config pool g (embs : Embedding.t list) =
   for i = 0 to n - 1 do
     let others = overlapping i in
     let p =
-      if others = [] then exact_all_present g (Bitset.elements usets.(i))
+      if others = [] then exact_all_present col usets.(i)
       else begin
         let num mask =
           all_present mask usets.(i)
@@ -146,9 +178,9 @@ let lower_of config pool g (embs : Embedding.t list) =
         let den mask =
           List.for_all (fun j -> not (all_present mask usets.(j))) others
         in
-        match counted_ratio_over_pool pool ~num ~den with
+        match counted_ratio_over_pool (Lazy.force col.pool) ~num ~den with
         | Some p -> p
-        | None -> exact_all_present g (Bitset.elements usets.(i))
+        | None -> exact_all_present col usets.(i)
       end
     in
     survival.(i) <- clamp01 p
@@ -162,14 +194,12 @@ let lower_of config pool g (embs : Embedding.t list) =
   let lower = 1. -. exp (-.z) in
   let lower_safe =
     Array.fold_left Float.max 0.
-      (Array.map (fun s -> exact_all_present g (Bitset.elements s)) usets)
+      (Array.map (fun s -> exact_all_present col s) usets)
   in
   (clamp01 lower, clamp01 lower_safe)
 
-let upper_of config pool g (embs : Embedding.t list) =
-  let capacity = Bitset.capacity (List.hd embs).Embedding.edges in
-  let uncertain = Bitset.of_list capacity (Pgraph.uncertain_edges g) in
-  let usets = List.map (fun e -> Bitset.inter e.Embedding.edges uncertain) embs in
+let upper_of config col (embs : Embedding.t list) =
+  let usets = List.map (fun e -> Bitset.inter e.Embedding.edges col.uncertain) embs in
   (* An embedding with no uncertain edge always survives: SIP = 1 and there
      is no cut at all. Callers short-circuit that case before calling. *)
   let cuts = Transversal.minimal_hitting_sets ~cap:config.cut_cap usets in
@@ -187,7 +217,7 @@ let upper_of config pool g (embs : Embedding.t list) =
     for i = 0 to n - 1 do
       let others = overlapping i in
       let p =
-        if others = [] then exact_all_absent g (Bitset.elements cut_arr.(i))
+        if others = [] then exact_all_absent col cut_arr.(i)
         else begin
           let num mask =
             all_absent mask cut_arr.(i)
@@ -196,9 +226,9 @@ let upper_of config pool g (embs : Embedding.t list) =
           let den mask =
             List.for_all (fun j -> not (all_absent mask cut_arr.(j))) others
           in
-          match counted_ratio_over_pool pool ~num ~den with
+          match counted_ratio_over_pool (Lazy.force col.pool) ~num ~den with
           | Some p -> p
-          | None -> exact_all_absent g (Bitset.elements cut_arr.(i))
+          | None -> exact_all_absent col cut_arr.(i)
         end
       in
       activation.(i) <- clamp01 p
@@ -213,12 +243,12 @@ let upper_of config pool g (embs : Embedding.t list) =
     let upper_safe =
       Array.fold_left Float.min 1.
         (Array.map
-           (fun c -> 1. -. exact_all_absent g (Bitset.elements c))
+           (fun c -> 1. -. exact_all_absent col c)
            cut_arr)
     in
     (clamp01 upper, clamp01 upper_safe, n)
 
-let compute config ?pool g f =
+let compute config ?column:col g f =
   Psst_obs.incr m_computed;
   let gc = Pgraph.skeleton g in
   if Lgraph.num_edges f = 0 then begin
@@ -237,12 +267,15 @@ let compute config ?pool g f =
       { lower = 0.; upper = 0.; lower_safe = 0.; upper_safe = 0.; embeddings = 0; cuts = 0 }
     | _ ->
       Psst_obs.add m_embeddings (List.length embs);
-      let uncertain =
-        Bitset.of_list (Lgraph.num_edges gc) (Pgraph.uncertain_edges g)
+      let col =
+        match col with
+        | Some c when c.graph == g -> c
+        | Some _ -> invalid_arg "Bounds.compute: column of another graph"
+        | None -> column config g
       in
       (* An embedding avoiding every uncertain edge survives all worlds. *)
       let fully_certain =
-        List.exists (fun e -> Bitset.disjoint e.Embedding.edges uncertain) embs
+        List.exists (fun e -> Bitset.disjoint e.Embedding.edges col.uncertain) embs
       in
       if fully_certain then begin
         Psst_obs.incr m_fully_certain;
@@ -256,11 +289,8 @@ let compute config ?pool g f =
         }
       end
       else begin
-        let pool =
-          match pool with Some p -> p | None -> sample_pool config g
-        in
-        let lower, lower_safe = lower_of config pool g embs in
-        let upper, upper_safe, ncuts = upper_of config pool g embs in
+        let lower, lower_safe = lower_of config col embs in
+        let upper, upper_safe, ncuts = upper_of config col embs in
         Psst_obs.add m_cuts ncuts;
         (* Monte-Carlo noise can cross the estimates; never report an
            inverted interval. The safe pair is exact and always ordered. *)

@@ -43,18 +43,27 @@ type t = {
   cuts : int;  (** |Ec| found (capped) *)
 }
 
-(** [compute config ?pool g f] — both bound pairs for feature [f] against
+(** What the bounds of one graph share across features: its Monte-Carlo
+    world pool (sampled on first use), its uncertain-edge set, and a memo
+    of every exact probability already computed, keyed by polarity and
+    edge set. A memo hit returns the float an evaluation would, so bounds
+    are the same with or without a column. {!Pmi} makes one per matrix
+    column and drops it afterwards. A column is used by one domain at a
+    time. *)
+type column
+
+(** [column config g] — an empty column for graph [g]; [config] fixes the
+    pool's size and seed. *)
+val column : config -> Pgraph.t -> column
+
+(** [compute config ?column g f] — both bound pairs for feature [f] against
     probabilistic graph [g]. Exact short-circuits: no embedding -> all 0;
     some embedding made only of certain edges -> all 1.
 
-    [pool]: pre-sampled possible worlds (present-edge masks) reused for
-    every Monte-Carlo ratio; {!Pmi.build} samples one pool per graph so the
-    sampling cost is paid once per graph instead of once per matrix
-    entry. When absent, [mc_samples] fresh worlds are drawn. *)
-val compute : config -> ?pool:Psst_util.Bitset.t array -> Pgraph.t -> Lgraph.t -> t
-
-(** [sample_pool config g] — [mc_samples] worlds for reuse in {!compute}. *)
-val sample_pool : config -> Pgraph.t -> Psst_util.Bitset.t array
+    [column] must come from [column config g] with the same [config] and
+    graph ([Invalid_argument] for another graph); without it a fresh one
+    is used for this call only. *)
+val compute : config -> ?column:column -> Pgraph.t -> Lgraph.t -> t
 
 (** [estimate_conditional rng g ~num ~den ~samples] — Algorithm 3's ratio
     estimator: sample possible worlds and return [#num / #den] where the

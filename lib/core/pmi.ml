@@ -33,8 +33,9 @@ let log_src = Logs.Src.create "psst.pmi" ~doc:"PMI index construction"
 
 module Log = (val Logs.src_log log_src)
 
-(* The matrix is computed column-by-column (per graph) so that the world
-   pool of each graph is sampled once and the columns can be distributed
+(* The matrix is computed column-by-column (per graph) so that what the
+   bounds of a graph share (its world pool and exact probabilities, one
+   [Bounds.column]) is built once and the columns can be distributed
    over domains: every column touches exactly one Pgraph, so the lazily
    built junction trees never contend. Columns land at their graph index,
    hence the build is independent of how the pool schedules them. *)
@@ -46,11 +47,10 @@ let h_column = Psst_obs.histogram "pmi.column_build_s"
 let column_of config features g ~occurs =
   Psst_obs.incr m_columns;
   Psst_obs.span h_column (fun () ->
-      let world_pool = lazy (Bounds.sample_pool config g) in
+      let column = Bounds.column config g in
       Array.mapi
         (fun fi (f : Selection.feature) ->
-          if occurs fi then
-            Some (Bounds.compute config ~pool:(Lazy.force world_pool) g f.graph)
+          if occurs fi then Some (Bounds.compute config ~column g f.graph)
           else None)
         features)
 

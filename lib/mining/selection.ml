@@ -46,10 +46,11 @@ let alphabets db =
   (sorted vl, sorted el)
 
 (* All one-edge extensions of a connected pattern: close a pair of existing
-   vertices or sprout a new labelled vertex. *)
+   vertices or sprout a new labelled vertex. Returned as [Lgraph.create]
+   arguments, so a candidate the pre-filter rules out is never built. *)
 let extensions vlabels elabels p =
   let n = Lgraph.num_vertices p in
-  let base_v = Array.to_list (Lgraph.vertex_labels p) in
+  let base_v = Lgraph.vertex_labels p in
   let base_e =
     Array.to_list (Lgraph.edges p) |> List.map (fun (e : Lgraph.edge) -> (e.u, e.v, e.label))
   in
@@ -65,13 +66,21 @@ let extensions vlabels elabels p =
       (fun u ->
         List.concat_map
           (fun vl ->
-            List.map (fun el -> (base_v @ [ vl ], base_e @ [ (u, n, el) ])) elabels)
+            let vls = Array.append base_v [| vl |] in
+            List.map (fun el -> (vls, base_e @ [ (u, n, el) ])) elabels)
           vlabels)
       (List.init n (fun i -> i))
   in
-  List.map
-    (fun (vls, es) -> Lgraph.create ~vlabels:(Array.of_list vls) ~edges:es)
-    (close @ sprout)
+  close @ sprout
+
+(* Intersection of two sorted sets of graph ids. *)
+let rec inter_sorted a b =
+  match (a, b) with
+  | [], _ | _, [] -> []
+  | x :: a', y :: b' ->
+    if x = y then x :: inter_sorted a' b'
+    else if x < y then inter_sorted a' b
+    else inter_sorted a b'
 
 let support_of db candidates_idx p =
   List.filter (fun gi -> Vf2.exists p db.(gi)) candidates_idx
@@ -90,6 +99,9 @@ let strong_support_of db params p support =
 let select db params =
   let nd = Array.length db in
   let all_idx = List.init nd (fun i -> i) in
+  let reaches_beta graphs =
+    float_of_int (List.length graphs) /. float_of_int nd >= params.beta
+  in
   let vlabels, elabels = alphabets db in
   let selected = Hashtbl.create 64 in
   (* key -> feature *)
@@ -103,22 +115,23 @@ let select db params =
       if support <> [] then
         add { graph = g; key = Canon.code g; support; strong_support = support })
     vlabels;
-  (* Single-edge features: always indexed. *)
+  (* Single-edge features: always indexed; distinct label triples
+     (min vl, max vl, el) are never isomorphic. [triples] keeps the support
+     of every triple, the pre-filter's input. *)
+  let triples = Hashtbl.create 64 in
   List.iter
     (fun (vl1, vl2, el) ->
       let g = Lgraph.create ~vlabels:[| vl1; vl2 |] ~edges:[ (0, 1, el) ] in
-      let key = Canon.code g in
-      if not (Hashtbl.mem selected key) then begin
-        let support = support_of db all_idx g in
-        if support <> [] then
-          add
-            {
-              graph = g;
-              key;
-              support;
-              strong_support = strong_support_of db params g support;
-            }
-      end)
+      let support = support_of db all_idx g in
+      Hashtbl.replace triples (vl1, vl2, el) support;
+      if support <> [] then
+        add
+          {
+            graph = g;
+            key = Canon.code g;
+            support;
+            strong_support = strong_support_of db params g support;
+          })
     (List.concat_map
        (fun vl1 ->
          List.concat_map
@@ -126,6 +139,15 @@ let select db params =
              if vl1 <= vl2 then List.map (fun el -> (vl1, vl2, el)) elabels else [])
            vlabels)
        vlabels);
+  (* Graphs that can hold a candidate: its parent's support intersected
+     with the support of each of its edges' label triples. *)
+  let filter_of parent_support vls es =
+    List.fold_left
+      (fun acc (u, v, el) ->
+        let a = vls.(u) and b = vls.(v) in
+        inter_sorted acc (Hashtbl.find triples (min a b, max a b, el)))
+      parent_support es
+  in
   (* Level-wise growth from the single-edge frontier. *)
   let frontier = ref (List.filter (fun f -> Lgraph.num_edges f.graph = 1) !out) in
   let level = ref 1 in
@@ -136,51 +158,53 @@ let select db params =
     List.iter
       (fun parent ->
         List.iter
-          (fun cand ->
-            let key = Canon.code cand in
-            if
-              (not (Hashtbl.mem selected key))
-              && not (Hashtbl.mem seen_this_level key)
-            then begin
-              Hashtbl.replace seen_this_level key ();
-              let support = support_of db parent.support cand in
-              let strong = strong_support_of db params cand support in
-              let frequent =
-                float_of_int (List.length strong) /. float_of_int nd >= params.beta
-              in
-              if frequent then begin
-                (* Discriminative check against selected subfeatures. *)
-                let subkeys =
-                  List.init (Lgraph.num_edges cand) (fun eid ->
-                      let sub = Lgraph.delete_edges cand [ eid ] in
-                      let sub, _ = Lgraph.drop_isolated sub in
-                      Canon.code sub)
-                  |> List.sort_uniq compare
-                in
-                let parent_supports =
-                  List.filter_map (Hashtbl.find_opt selected) subkeys
-                  |> List.map (fun f -> f.support)
-                in
-                let inter =
-                  match parent_supports with
-                  | [] -> all_idx
-                  | first :: rest ->
-                    List.fold_left
-                      (fun acc s -> List.filter (fun x -> List.mem x s) acc)
-                      first rest
-                in
-                let dis =
-                  match support with
-                  | [] -> 0.
-                  | _ ->
-                    float_of_int (List.length inter) /. float_of_int (List.length support)
-                in
-                if dis >= 1. +. params.gamma then begin
-                  let f =
-                    { graph = cand; key; support; strong_support = strong }
+          (fun (vls, es) ->
+            let filter = filter_of parent.support vls es in
+            (* Exact pre-filter: strong support is a subset of [filter], so
+               a candidate failing here can never be frequent. It is not
+               marked seen; a later isomorphic copy fails here or below. *)
+            if reaches_beta filter then begin
+              let cand = Lgraph.create ~vlabels:vls ~edges:es in
+              let key = Canon.code cand in
+              if
+                (not (Hashtbl.mem selected key))
+                && not (Hashtbl.mem seen_this_level key)
+              then begin
+                Hashtbl.replace seen_this_level key ();
+                let support = support_of db filter cand in
+                let strong = strong_support_of db params cand support in
+                if reaches_beta strong then begin
+                  (* Discriminative check against selected subfeatures. *)
+                  let subkeys =
+                    List.init (Lgraph.num_edges cand) (fun eid ->
+                        let sub = Lgraph.delete_edges cand [ eid ] in
+                        let sub, _ = Lgraph.drop_isolated sub in
+                        Canon.code sub)
+                    |> List.sort_uniq compare
                   in
-                  add f;
-                  next := f :: !next
+                  let parent_supports =
+                    List.filter_map (Hashtbl.find_opt selected) subkeys
+                    |> List.map (fun f -> f.support)
+                  in
+                  let inter =
+                    match parent_supports with
+                    | [] -> all_idx
+                    | first :: rest -> List.fold_left inter_sorted first rest
+                  in
+                  let dis =
+                    match support with
+                    | [] -> 0.
+                    | _ ->
+                      float_of_int (List.length inter)
+                      /. float_of_int (List.length support)
+                  in
+                  if dis >= 1. +. params.gamma then begin
+                    let f =
+                      { graph = cand; key; support; strong_support = strong }
+                    in
+                    add f;
+                    next := f :: !next
+                  end
                 end
               end
             end)

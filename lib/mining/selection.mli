@@ -38,7 +38,21 @@ type feature = {
       (** support graphs whose disjoint-embedding ratio reaches [alpha] *)
 }
 
-(** [select db params] mines and filters features over the certain graphs. *)
+(** [select db params] mines and filters features over the certain graphs.
+
+    Before a grown candidate is built or given a canonical code, it is
+    checked against an exact pre-filter: its parent's support intersected
+    with the support of each of its edges' label triples
+    [(min vl, max vl, el)]. Support is anti-monotone (a graph holding the
+    candidate holds its parent and every one of its edges), so the strong
+    support is a subset of that intersection. When the intersection is
+    already below [beta] the candidate can never be frequent and is
+    dropped without being marked seen; an isomorphic copy reached later
+    has the same support and is rejected too. A candidate that passes is
+    evaluated as before, with its support scan limited to the
+    intersection, so the features, their order and their lists are those
+    of the unfiltered miner. Mining runs on the calling domain only
+    (DESIGN.md §8). *)
 val select : Lgraph.t array -> params -> feature list
 
 (** [max_disjoint_embeddings embs] — size of a maximum edge-disjoint subset

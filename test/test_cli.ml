@@ -172,6 +172,45 @@ let test_success_path_stays_zero () =
   Alcotest.(check int) "generate prints nothing on stderr" 0
     (List.length stderr)
 
+(* [psst index] builds on every core; the index it writes must equal an
+   in-process one-domain build, section for section. The one section left
+   out, [pmi.meta], records the wall-clock build time. *)
+let test_index_matches_one_domain_build () =
+  let ds =
+    Generator.generate { Generator.default_params with num_graphs = 12; seed = 5 }
+  in
+  let corpus = Filename.temp_file "psst_cli" ".pgdb" in
+  let via_cli = Filename.temp_file "psst_cli" ".psst" in
+  let in_process = Filename.temp_file "psst_cli" ".psst" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ corpus; via_cli; in_process ])
+    (fun () ->
+      Pgraph_io.save_binary corpus ds.Generator.graphs;
+      let code, _ =
+        run_psst
+          (Printf.sprintf "index --input %s -o %s" (Filename.quote corpus)
+             (Filename.quote via_cli))
+      in
+      Alcotest.(check int) "psst index exits 0" 0 code;
+      Query.save_database in_process
+        (Query.index_database ~domains:1 (Pgraph_io.load_auto corpus));
+      let sections path =
+        Psst_store.read_file path ~kind:Psst_store.Database
+        |> List.filter (fun (s : Psst_store.section) -> s.name <> "pmi.meta")
+      in
+      let a = sections via_cli and b = sections in_process in
+      Alcotest.(check (list string)) "section names"
+        (List.map (fun (s : Psst_store.section) -> s.name) b)
+        (List.map (fun (s : Psst_store.section) -> s.name) a);
+      List.iter2
+        (fun (x : Psst_store.section) (y : Psst_store.section) ->
+          Alcotest.(check bool) (x.name ^ " byte-identical") true
+            (x.payload = y.payload))
+        a b)
+
 let suite =
   [
     Alcotest.test_case "missing files exit 1" `Quick test_missing_corpus;
@@ -191,4 +230,6 @@ let suite =
       test_success_path_stays_zero;
     Alcotest.test_case "serve on a live socket exits 1" `Quick
       test_serve_on_live_socket;
+    Alcotest.test_case "psst index = one-domain in-process build" `Quick
+      test_index_matches_one_domain_build;
   ]

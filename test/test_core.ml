@@ -195,6 +195,31 @@ let golden_corpus () =
       seed = 2012;
     }
 
+(* Every mined feature of the same corpus: key, vertex labels, edges,
+   support and strong support. Work on the miner must leave it as it is. *)
+let golden_feature_digest = "b4ffc70edc3927df6c67ec7b80d1834b"
+
+let feature_digest features =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (f : Selection.feature) ->
+      Printf.bprintf b "%S|%s|%s|%s|%s\n" f.key
+        (ints (Array.to_list (Lgraph.vertex_labels f.graph)))
+        (String.concat ","
+           (Array.to_list
+              (Array.map
+                 (fun (e : Lgraph.edge) -> Printf.sprintf "%d-%d:%d" e.u e.v e.label)
+                 (Lgraph.edges f.graph))))
+        (ints f.support) (ints f.strong_support))
+    features;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_features () =
+  Selection.select
+    (Array.map Pgraph.skeleton (golden_corpus ()).graphs)
+    { Selection.default_params with max_edges = 3 }
+
 let bounds_digest pmi =
   let b = Buffer.create 65536 in
   for fi = 0 to Pmi.num_features pmi - 1 do
@@ -211,11 +236,7 @@ let bounds_digest pmi =
 
 let test_pmi_golden_digest () =
   let ds = golden_corpus () in
-  let features =
-    Selection.select
-      (Array.map Pgraph.skeleton ds.graphs)
-      { Selection.default_params with max_edges = 3 }
-  in
+  let features = golden_features () in
   List.iter
     (fun domains ->
       let pmi = Pmi.build ~domains ds.graphs features in
@@ -223,6 +244,26 @@ let test_pmi_golden_digest () =
         (Printf.sprintf "bounds digest, %d domains" domains)
         golden_digest (bounds_digest pmi))
     [ 1; 3 ]
+
+let test_mining_golden_digest () =
+  let features = golden_features () in
+  Alcotest.(check int) "feature count" 145 (List.length features);
+  Alcotest.(check string) "feature digest" golden_feature_digest
+    (feature_digest features)
+
+(* The build asks 3136 exact probabilities of this corpus; the column memo
+   answers some of them without running elimination again. *)
+let test_pmi_exact_memo () =
+  let ds = golden_corpus () in
+  let features = golden_features () in
+  let count name = Psst_obs.counter_value (Psst_obs.counter name) in
+  let evals = count "bounds.exact_evals" and hits = count "bounds.exact_memo_hits" in
+  ignore (Pmi.build ds.graphs features);
+  let evals = count "bounds.exact_evals" - evals
+  and hits = count "bounds.exact_memo_hits" - hits in
+  Alcotest.(check int) "evaluations + memo hits = exact probabilities asked" 3136
+    (evals + hits);
+  Alcotest.(check bool) "memo hits" true (hits > 0)
 
 (* --- Pruning soundness --- *)
 
@@ -407,6 +448,8 @@ let suite =
     Alcotest.test_case "bounds: conditional estimator" `Slow test_estimate_conditional;
     Alcotest.test_case "pmi: build & lookup" `Slow test_pmi_build_and_lookup;
     Alcotest.test_case "pmi: golden bounds digest" `Slow test_pmi_golden_digest;
+    Alcotest.test_case "mining: golden feature digest" `Slow test_mining_golden_digest;
+    Alcotest.test_case "pmi: exact memo accounting" `Slow test_pmi_exact_memo;
     QCheck_alcotest.to_alcotest prop_usim_bounds_exact_ssp;
     QCheck_alcotest.to_alcotest prop_lsim_safe_below_exact_ssp;
     Alcotest.test_case "verify: sample count" `Quick test_verify_num_samples;

@@ -262,7 +262,7 @@ let test_add_graph_pmi_entry_matches_direct () =
   in
   let pmi = Pmi.build ~config:fast_bounds base features in
   let pmi' = Pmi.add_graph pmi ds.graphs.(3) in
-  let pool = Bounds.sample_pool fast_bounds ds.graphs.(3) in
+  let column = Bounds.column fast_bounds ds.graphs.(3) in
   List.iteri
     (fun fi (f : Selection.feature) ->
       match Pmi.lookup pmi' ~feature:fi ~graph:3 with
@@ -270,7 +270,7 @@ let test_add_graph_pmi_entry_matches_direct () =
         Alcotest.(check bool) "absent feature" false
           (Vf2.exists f.graph (Pgraph.skeleton ds.graphs.(3)))
       | Some e ->
-        let direct = Bounds.compute fast_bounds ~pool ds.graphs.(3) f.graph in
+        let direct = Bounds.compute fast_bounds ~column ds.graphs.(3) f.graph in
         Tgen.check_close ~eps:1e-12 "upper matches" direct.Bounds.upper e.Bounds.upper;
         Tgen.check_close ~eps:1e-12 "lower matches" direct.Bounds.lower e.Bounds.lower)
     features

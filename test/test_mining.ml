@@ -114,6 +114,208 @@ let prop_strong_support_subset =
           List.for_all (fun gi -> List.mem gi f.support) f.strong_support)
         features)
 
+(* --- Oracle: [Selection.select] before its candidate pre-filter ---
+
+   A verbatim copy of the unpruned miner: every extension candidate gets
+   its canonical code and a support scan over its parent's support. The
+   pre-filter must not change a single feature, support or strong
+   support, nor the order they come out in. *)
+module Oracle = struct
+  let alphabets db =
+    let vl = Hashtbl.create 16 and el = Hashtbl.create 16 in
+    Array.iter
+      (fun g ->
+        Array.iter (fun l -> Hashtbl.replace vl l ()) (Lgraph.vertex_labels g);
+        Array.iter
+          (fun (e : Lgraph.edge) -> Hashtbl.replace el e.label ())
+          (Lgraph.edges g))
+      db;
+    let sorted tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare in
+    (sorted vl, sorted el)
+
+  let extensions vlabels elabels p =
+    let n = Lgraph.num_vertices p in
+    let base_v = Array.to_list (Lgraph.vertex_labels p) in
+    let base_e =
+      Array.to_list (Lgraph.edges p) |> List.map (fun (e : Lgraph.edge) -> (e.u, e.v, e.label))
+    in
+    let close =
+      List.concat_map
+        (fun (u, v) ->
+          if Lgraph.has_edge p u v then []
+          else List.map (fun el -> (base_v, base_e @ [ (u, v, el) ])) elabels)
+        (Psst_util.Combin.pairs (List.init n (fun i -> i)))
+    in
+    let sprout =
+      List.concat_map
+        (fun u ->
+          List.concat_map
+            (fun vl ->
+              List.map (fun el -> (base_v @ [ vl ], base_e @ [ (u, n, el) ])) elabels)
+            vlabels)
+        (List.init n (fun i -> i))
+    in
+    List.map
+      (fun (vls, es) -> Lgraph.create ~vlabels:(Array.of_list vls) ~edges:es)
+      (close @ sprout)
+
+  let support_of db candidates_idx p =
+    List.filter (fun gi -> Vf2.exists p db.(gi)) candidates_idx
+
+  let strong_support_of db (params : Selection.params) p support =
+    List.filter
+      (fun gi ->
+        let embs = Vf2.distinct_embeddings ~cap:params.emb_cap p db.(gi) in
+        match embs with
+        | [] -> false
+        | _ ->
+          let disjoint = Selection.max_disjoint_embeddings embs in
+          float_of_int disjoint /. float_of_int (List.length embs) >= params.alpha)
+      support
+
+  let select db (params : Selection.params) =
+    let nd = Array.length db in
+    let all_idx = List.init nd (fun i -> i) in
+    let vlabels, elabels = alphabets db in
+    let selected = Hashtbl.create 64 in
+    let out = ref [] in
+    let add (f : Selection.feature) = Hashtbl.replace selected f.key f; out := f :: !out in
+    List.iter
+      (fun vl ->
+        let g = Lgraph.vertices_only ~vlabels:[| vl |] in
+        let support = support_of db all_idx g in
+        if support <> [] then
+          add { graph = g; key = Canon.code g; support; strong_support = support })
+      vlabels;
+    List.iter
+      (fun (vl1, vl2, el) ->
+        let g = Lgraph.create ~vlabels:[| vl1; vl2 |] ~edges:[ (0, 1, el) ] in
+        let key = Canon.code g in
+        if not (Hashtbl.mem selected key) then begin
+          let support = support_of db all_idx g in
+          if support <> [] then
+            add
+              {
+                graph = g;
+                key;
+                support;
+                strong_support = strong_support_of db params g support;
+              }
+        end)
+      (List.concat_map
+         (fun vl1 ->
+           List.concat_map
+             (fun vl2 ->
+               if vl1 <= vl2 then List.map (fun el -> (vl1, vl2, el)) elabels else [])
+             vlabels)
+         vlabels);
+    let frontier =
+      ref (List.filter (fun (f : Selection.feature) -> Lgraph.num_edges f.graph = 1) !out)
+    in
+    let level = ref 1 in
+    while !level < params.max_edges && !frontier <> [] do
+      incr level;
+      let next = ref [] in
+      let seen_this_level = Hashtbl.create 64 in
+      List.iter
+        (fun (parent : Selection.feature) ->
+          List.iter
+            (fun cand ->
+              let key = Canon.code cand in
+              if
+                (not (Hashtbl.mem selected key))
+                && not (Hashtbl.mem seen_this_level key)
+              then begin
+                Hashtbl.replace seen_this_level key ();
+                let support = support_of db parent.support cand in
+                let strong = strong_support_of db params cand support in
+                let frequent =
+                  float_of_int (List.length strong) /. float_of_int nd >= params.beta
+                in
+                if frequent then begin
+                  let subkeys =
+                    List.init (Lgraph.num_edges cand) (fun eid ->
+                        let sub = Lgraph.delete_edges cand [ eid ] in
+                        let sub, _ = Lgraph.drop_isolated sub in
+                        Canon.code sub)
+                    |> List.sort_uniq compare
+                  in
+                  let parent_supports =
+                    List.filter_map (Hashtbl.find_opt selected) subkeys
+                    |> List.map (fun (f : Selection.feature) -> f.support)
+                  in
+                  let inter =
+                    match parent_supports with
+                    | [] -> all_idx
+                    | first :: rest ->
+                      List.fold_left
+                        (fun acc s -> List.filter (fun x -> List.mem x s) acc)
+                        first rest
+                  in
+                  let dis =
+                    match support with
+                    | [] -> 0.
+                    | _ ->
+                      float_of_int (List.length inter) /. float_of_int (List.length support)
+                  in
+                  if dis >= 1. +. params.gamma then begin
+                    let f =
+                      { Selection.graph = cand; key; support; strong_support = strong }
+                    in
+                    add f;
+                    next := f :: !next
+                  end
+                end
+              end)
+            (extensions vlabels elabels parent.graph))
+        !frontier;
+      frontier := !next
+    done;
+    List.rev !out
+end
+
+let same_features (a : Selection.feature list) (b : Selection.feature list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Selection.feature) (y : Selection.feature) ->
+         x.key = y.key
+         && Lgraph.vertex_labels x.graph = Lgraph.vertex_labels y.graph
+         && Lgraph.edges x.graph = Lgraph.edges y.graph
+         && x.support = y.support
+         && x.strong_support = y.strong_support)
+       a b
+
+(* Random databases of 0-8 graphs over small label alphabets, so label
+   triples repeat and frequencies land exactly on [beta] (0.5 of an even
+   database) as well as either side of it. *)
+let mining_case =
+  let open QCheck.Gen in
+  let gen =
+    let* seed = int_bound 100_000 in
+    let* nd = int_range 0 8 in
+    let* beta = oneofl [ 0.; 0.2; 0.5; 1.1 ] in
+    let* alpha = oneofl [ 0.; 0.15; 0.6 ] in
+    let* gamma = oneofl [ 0.; 0.15 ] in
+    let* max_edges = int_range 1 4 in
+    return (seed, nd, { Selection.default_params with alpha; beta; gamma; max_edges })
+  in
+  QCheck.make gen
+    ~print:(fun (seed, nd, (p : Selection.params)) ->
+      Printf.sprintf "seed %d, %d graphs, alpha %g beta %g gamma %g max_edges %d"
+        seed nd p.alpha p.beta p.gamma p.max_edges)
+
+let mining_db seed nd =
+  let rng = Prng.make seed in
+  let vl = 1 + Prng.int rng 3 and el = 1 + Prng.int rng 2 in
+  Array.init nd (fun _ ->
+      Tgen.random_connected_graph rng ~n:(3 + Prng.int rng 4) ~extra:(Prng.int rng 3) ~vl ~el)
+
+let prop_select_matches_oracle =
+  QCheck.Test.make ~name:"select = unpruned oracle" ~count:200 mining_case
+    (fun (seed, nd, params) ->
+      let db = mining_db seed nd in
+      same_features (Selection.select db params) (Oracle.select db params))
+
 let suite =
   [
     Alcotest.test_case "singletons always indexed" `Quick test_singletons_always_indexed;
@@ -125,4 +327,5 @@ let suite =
     Alcotest.test_case "max disjoint embeddings" `Quick test_max_disjoint_embeddings;
     QCheck_alcotest.to_alcotest prop_features_unique;
     QCheck_alcotest.to_alcotest prop_strong_support_subset;
+    QCheck_alcotest.to_alcotest prop_select_matches_oracle;
   ]
