@@ -11,6 +11,11 @@
 
 open Bechamel
 
+(* Nearest-rank percentile of sorted samples, the ledger's rule
+   ([Quantile]); nan when there are none. *)
+let percentile sorted q =
+  if Array.length sorted = 0 then nan else Quantile.percentile sorted q
+
 (* Flat mmap-ready image vs eager decode at scale (DESIGN.md §15): index a
    large synthetic corpus once, persist it in both layouts, then measure
    time-to-first-query (load + one query, the cold-start metric a worker
@@ -373,11 +378,6 @@ let serve ~scale ppf =
   in
   let sock = Filename.temp_file "psst_serve" ".sock" in
   let endpoint = Psst_proto.Unix_socket sock in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-  in
   let identical = ref true in
   (* One client thread: [count] requests round-robin over the workload,
      returning per-request latencies and the error-reply count. *)
@@ -566,11 +566,6 @@ let shard_bench ~scale ppf =
         let r = Query.run db q config in
         (r.Query.answers, Psst_proto.stats_of_query r.Query.stats))
       queries
-  in
-  let percentile sorted q =
-    let m = Array.length sorted in
-    if m = 0 then nan
-    else sorted.(min (m - 1) (int_of_float (ceil (q *. float_of_int m)) - 1))
   in
   let clients = 4 in
   let identical = ref true in
@@ -795,11 +790,6 @@ let chaos ~scale ppf =
   in
   let sock = Filename.temp_file "psst_chaos" ".sock" in
   let endpoint = Psst_proto.Unix_socket sock in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-  in
   let c_degraded = Psst_obs.counter "server.degraded" in
   let c_retries = Psst_obs.counter "server.retries" in
   let clients = 4 and per_client = 2 * nq in
@@ -1230,11 +1220,6 @@ let ingest_bench ~scale ppf =
   let quota = 24 in
   let sock = Filename.temp_file "psst_ingest" ".sock" in
   let endpoint = Psst_proto.Unix_socket sock in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-  in
   let violations = ref [] and vm = Mutex.create () in
   let violation fmt =
     Printf.ksprintf
@@ -1491,11 +1476,6 @@ let replica_bench ~scale ppf =
   let db_final = Array.fold_left Query.add_graphs db0 batches in
   let offline =
     Array.map (fun q -> (Query.run db_final q config).Query.answers) queries
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
   in
   let violations = ref [] and vm = Mutex.create () in
   let violation fmt =
@@ -1859,11 +1839,6 @@ let verify_bench ~scale ppf =
   let c_hit = Psst_obs.counter "cache.hit" in
   let c_miss = Psst_obs.counter "cache.miss" in
   let c_early = Psst_obs.counter "verify.early_stop" in
-  let percentile sorted q =
-    match Array.length sorted with
-    | 0 -> nan
-    | n -> sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-  in
   let run_variant ?cache config =
     let samples0 = Psst_obs.counter_value c_samples
     and hit0 = Psst_obs.counter_value c_hit

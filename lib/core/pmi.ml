@@ -305,8 +305,6 @@ let add_graphs t gs =
     { t with features; backing = Heap entries; num_graphs = base + k }
   end
 
-let add_graph t g = add_graphs t [| g |]
-
 (* Slicing and concatenation back the shard store (lib/shard). Both are
    pure re-arrangements of already-computed state: [sub] never recomputes
    a bound (which would be sound — [build_column] is content-deterministic
@@ -838,19 +836,16 @@ let of_sections ?(salvage = false) ~db sections =
 
 let save path ~db t = S.write_file path ~kind:S.Pmi_index (to_sections ~db t)
 
-let save_flat path ~db t =
-  S.write_file path ~kind:S.Pmi_index
-    (S.align_payloads ~targets:[ flat_bounds_name ] (flat_sections ~db t))
-
 (* Zero-copy attach: the small sections are decoded (and CRC-checked)
    exactly like [of_sections]; the postings stay in the mapping after a
    full validating scan, so query-time binary searches never have to
    re-check structure. The bounds payload — the bulk of the image — is
    not scanned at open: its floats are read straight off the mapping and
    its count fields validated on materialisation ([flat_entry]), which is
-   what keeps attach time independent of the index size. [fp] as in
-   [decode_small_sections]. *)
-let of_mapped_gen m ~ng ~fp =
+   what keeps attach time independent of the index size. The graphs share
+   the container, so the fingerprint is not re-proven
+   ([decode_small_sections]). *)
+let of_mapped_lazy m ~ng =
   if not (S.mapped_has m flat_dir_name) then
     S.error
       "store %s holds no flat index image — re-index it with --flat to use \
@@ -864,7 +859,7 @@ let of_mapped_gen m ~ng ~fp =
         else None)
       [ "pmi.config"; "pmi.db"; "pmi.features"; "pmi.meta"; flat_dir_name ]
   in
-  let config, features = decode_small_sections ~ng ~fp small in
+  let config, features = decode_small_sections ~ng ~fp:None small in
   let nf = Array.length features in
   let postings = S.mapped_bytes m flat_postings_name in
   let bounds = S.mapped_f64 m flat_bounds_name in
@@ -893,33 +888,8 @@ let of_mapped_gen m ~ng ~fp =
     build_seconds;
   }
 
-let of_mapped m ~db =
-  of_mapped_gen m ~ng:(Array.length db)
-    ~fp:(Some (fun () -> Pgraph_io.db_fingerprint db))
-
-let of_mapped_lazy m ~ng = of_mapped_gen m ~ng ~fp:None
-
-let load ?(salvage = false) ?(mmap = false) path ~db =
-  let eager () =
-    if salvage then
-      of_sections ~salvage:true ~db
-        (S.read_file_salvage path ~kind:S.Pmi_index).S.intact
-    else of_sections ~db (S.read_file path ~kind:S.Pmi_index)
-  in
-  if not mmap then eager ()
-  else
-    match
-      let m = S.map_file path ~kind:S.Pmi_index in
-      Fun.protect
-        ~finally:(fun () -> S.mapped_release m)
-        (fun () -> of_mapped m ~db)
-    with
-    | t -> t
-    | exception S.Store_error _ when salvage ->
-      (* The mmap path has no partial salvage; fall back to the eager
-         salvage loader, which rebuilds what the file cannot provide. *)
-      eager ()
-
-let pp_stats ppf t =
-  Format.fprintf ppf "PMI: %d features x %d graphs, %d filled entries, built in %.2fs"
-    (num_features t) (num_graphs t) (filled_entries t) t.build_seconds
+let load ?(salvage = false) path ~db =
+  if salvage then
+    of_sections ~salvage:true ~db
+      (S.read_file_salvage path ~kind:S.Pmi_index).S.intact
+  else of_sections ~db (S.read_file path ~kind:S.Pmi_index)

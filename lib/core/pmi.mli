@@ -20,16 +20,13 @@ val build :
   Selection.feature list ->
   t
 
-(** [add_graph t g] appends the column of a new database graph, computing
-    bounds for every feature occurring in its skeleton and adding the new
-    graph id to the support list of every such feature (so the persisted
-    index rebuilds the same columns after a save/load round trip). The
-    feature set is not re-mined. *)
-val add_graph : t -> Pgraph.t -> t
-
-(** [add_graphs t gs] is [add_graph] for a batch: one matrix reallocation
-    per feature row for the whole batch instead of one per graph, making a
-    bulk load linear instead of quadratic in the batch size. *)
+(** [add_graphs t gs] appends the columns of new database graphs,
+    computing bounds for every feature occurring in their skeletons and
+    adding each new graph id to the support list of every such feature
+    (so the persisted index rebuilds the same columns after a save/load
+    round trip). The feature set is not re-mined. One matrix reallocation
+    per feature row for the whole batch, so a bulk load is linear in the
+    batch size. *)
 val add_graphs : t -> Pgraph.t array -> t
 
 (** [sub t ~base ~len] — the PMI of the graph range [base .. base+len-1]
@@ -98,40 +95,20 @@ val save : string -> db:Pgraph.t array -> t -> unit
     warning event. The small metadata sections (config, database
     fingerprint, features, layout) cannot be salvaged — if one of those is
     damaged the load still raises [Store_error] and the caller should fall
-    back to a full rebuild.
+    back to a full rebuild. *)
+val load : ?salvage:bool -> string -> db:Pgraph.t array -> t
 
-    [~mmap:true] memory-maps the file instead of decoding it: the store
-    must hold a flat image ({!save_flat}); postings and bounds stay in the
-    mapping and {!lookup} reads them zero-copy, so cold start does no
-    per-entry decoding (the file is still integrity-scanned once —
-    DESIGN.md §15). Lookups are bit-identical to the eager load of the
-    same file. A non-flat store raises [Store_error] suggesting [--flat].
-    With [~salvage:true], a damaged file falls back to the eager salvage
-    loader (the mapping itself has no partial salvage). *)
-val load : ?salvage:bool -> ?mmap:bool -> string -> db:Pgraph.t array -> t
-
-(** [save_flat path ~db t] writes the flat, mmap-ready image of the index:
-    delta-coded per-feature postings, one fixed-width IEEE-754 bounds
-    array (8-byte aligned via a pad section), and a directory — same
-    outer container, checksums and metadata sections as {!save}. Both
-    {!load} paths read it; only this layout supports [~mmap:true]. *)
-val save_flat : string -> db:Pgraph.t array -> t -> unit
-
-(** [of_mapped m ~db] attaches to the flat image inside an already-mapped
-    store when the graphs are already decoded (standalone [Pmi_index]
-    files paired with an external database). Runs the same metadata
-    validation as {!of_sections} — including the database fingerprint —
-    plus a full validating scan of the postings; bound count fields are
-    validated on first materialisation instead of at open, so attach time
-    does not scale with the bounds payload. *)
-val of_mapped : Psst_store.mapped -> db:Pgraph.t array -> t
-
-(** [of_mapped_lazy m ~ng] — like {!of_mapped} but for images whose
-    graphs live (lazily decoded) in the {e same} container, so only the
-    graph count is cross-checked: the index and the graphs were written
-    in one atomic store file, making re-fingerprinting — which would
-    force the full decode the mapping exists to avoid — redundant for
-    identity. {!Query.load_database}'s [~mmap] path uses this. *)
+(** [of_mapped_lazy m ~ng] attaches to the flat image inside an
+    already-mapped database store, whose graphs live (lazily decoded) in
+    the same container. It runs the metadata validation of
+    {!of_sections} and a full validating scan of the postings; only the
+    graph count is cross-checked against the graphs, because the index
+    and the graphs were written in one atomic store file, making
+    re-fingerprinting — which would force the full decode the mapping
+    exists to avoid — redundant for identity. Bound count fields are
+    validated on first materialisation instead of at open, so attach
+    time does not scale with the bounds payload.
+    {!Query.load_database}'s [~mmap] path uses this. *)
 val of_mapped_lazy : Psst_store.mapped -> ng:int -> t
 
 (** Section-level codec, shared with the whole-database store
@@ -155,4 +132,3 @@ val flat_sections : db:Pgraph.t array -> t -> Psst_store.section list
 val of_sections :
   ?salvage:bool -> db:Pgraph.t array -> Psst_store.section list -> t
 
-val pp_stats : Format.formatter -> t -> unit

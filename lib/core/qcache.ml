@@ -13,8 +13,9 @@ module Bitset = Psst_util.Bitset
 
    Every cached artifact is a deterministic, PRNG-free function of
    (query presentation, database, parameters) — or, for final SSP values,
-   of those plus the verifier config and seed, which Query.run derives
-   per candidate as Prng.stream ~seed gi independently of pool size. So a
+   of those plus the verifier config, seed and stop threshold: Query.run
+   and Topk.run both draw candidate gi from Prng.stream ~seed gi,
+   independently of pool size and ranking order. So a
    hit returns exactly the value a cold run would recompute, and cached
    runs stay bit-identical to cold runs under fixed seeds.
 
@@ -112,93 +113,104 @@ let entries t =
       Tbl.length t.relaxed + Tbl.length t.prepared + Tbl.length t.emb
       + Tbl.length t.sprep + Tbl.length t.ssp)
 
-type scope = { cache : t; qkey : string }
+(* [None] is the unarmed scope of a run without a cache: every accessor
+   then just runs its compute callback. *)
+type armed = { cache : t; qkey : string }
+type scope = armed option
 
-let scope t ~graphs ~pmi ~q ~delta ~relax_cap =
-  let qkey =
-    Psst_obs.span h_key (fun () ->
-        Printf.sprintf "%s\x01%s\x01d=%d;rc=%d" (Canon.code q) (Lgraph.to_string q)
-          delta relax_cap)
-  in
-  Mutex.protect t.mu (fun () ->
-      let same_owner =
-        t.owner_graphs == graphs
-        && match t.owner_pmi with Some p -> p == pmi | None -> false
+let scope cache ~graphs ~pmi ~q ~delta ~relax_cap =
+  Option.map
+    (fun t ->
+      let qkey =
+        Psst_obs.span h_key (fun () ->
+            Printf.sprintf "%s\x01%s\x01d=%d;rc=%d" (Canon.code q)
+              (Lgraph.to_string q) delta relax_cap)
       in
-      if not same_owner then begin
-        if t.owner_pmi <> None then Psst_obs.incr m_flush;
-        flush_unlocked t;
-        t.owner_graphs <- graphs;
-        t.owner_pmi <- Some pmi
-      end);
-  { cache = t; qkey }
+      Mutex.protect t.mu (fun () ->
+          let same_owner =
+            t.owner_graphs == graphs
+            && match t.owner_pmi with Some p -> p == pmi | None -> false
+          in
+          if not same_owner then begin
+            if t.owner_pmi <> None then Psst_obs.incr m_flush;
+            flush_unlocked t;
+            t.owner_graphs <- graphs;
+            t.owner_pmi <- Some pmi
+          end);
+      { cache = t; qkey })
+    cache
 
-(* Shared lookup-or-compute: the lock covers only table access, never the
-   compute callback; exceptions from [compute] (injected faults, budget
-   aborts) propagate without storing anything. *)
-let memo tbl s key compute =
-  let t = s.cache in
-  let cached = Mutex.protect t.mu (fun () -> Tbl.find tbl key) in
-  match cached with
-  | Some v ->
-    Psst_obs.incr m_hit;
-    v
-  | None ->
-    Psst_obs.incr m_miss;
-    let v = compute () in
-    Mutex.protect t.mu (fun () -> Tbl.add tbl key v);
-    v
+(* Shared lookup-or-compute; [key] extends the scope's query key. The lock
+   covers only table access, never the compute callback; exceptions from
+   [compute] (injected faults, budget aborts) propagate without storing
+   anything. A cached value [evict] accepts is dropped and recomputed. *)
+let memo ~evict table s key compute =
+  match s with
+  | None -> compute ()
+  | Some { cache = t; qkey } ->
+    let tbl = table t and key = key qkey in
+    let cached =
+      Mutex.protect t.mu (fun () ->
+          match Tbl.find tbl key with
+          | Some v when evict v ->
+            Tbl.remove tbl key;
+            Psst_obs.incr m_evict;
+            None
+          | found -> found)
+    in
+    (match cached with
+    | Some v ->
+      Psst_obs.incr m_hit;
+      v
+    | None ->
+      Psst_obs.incr m_miss;
+      let v = compute () in
+      Mutex.protect t.mu (fun () -> Tbl.add tbl key v);
+      v)
 
-let relaxed s ~compute = memo s.cache.relaxed s s.qkey compute
-let prepared s ~compute = memo s.cache.prepared s s.qkey compute
+let never _ = false
+let relaxed s ~compute = memo ~evict:never (fun t -> t.relaxed) s Fun.id compute
+let prepared s ~compute = memo ~evict:never (fun t -> t.prepared) s Fun.id compute
 
-let emb_key s ~graph ~emb_cap =
-  Printf.sprintf "%s\x02g=%d;cap=%d" s.qkey graph emb_cap
+let emb_key ~graph ~emb_cap qkey =
+  Printf.sprintf "%s\x02g=%d;cap=%d" qkey graph emb_cap
 
 let embeddings s ~graph ~emb_cap ~compute =
-  memo s.cache.emb s (emb_key s ~graph ~emb_cap) compute
+  memo ~evict:never (fun t -> t.emb) s (emb_key ~graph ~emb_cap) compute
 
 let smp_prep s ~graph ~emb_cap ~compute =
-  memo s.cache.sprep s (emb_key s ~graph ~emb_cap) compute
+  memo ~evict:never (fun t -> t.sprep) s (emb_key ~graph ~emb_cap) compute
 
-let verifier_key ~epsilon ~seed verifier =
-  match verifier with
-  | `Exact -> Printf.sprintf "exact"
+(* Everything a final SSP depends on beyond (query, graph): the verifier,
+   the seed and, for an adaptive verifier, its stop threshold. Query.run
+   stops at its epsilon, so its adaptive estimates differ from top-k's,
+   which stop on precision alone ([stop = None]); the fixed-budget and
+   exact estimates ignore [stop] and are shared by both. *)
+let verifier_key ~stop ~seed = function
+  | `Exact -> "exact"
   | `Smp (vc : Verify.config) ->
-    if vc.adaptive then
-      (* Adaptive estimates depend on the decision threshold (the
-         CI-clears-epsilon stop), so epsilon joins the key. *)
-      Printf.sprintf "smp;t=%h;x=%h;c=%d;s=%d;ad;e=%h" vc.tau vc.xi vc.emb_cap
-        seed epsilon
-    else Printf.sprintf "smp;t=%h;x=%h;c=%d;s=%d" vc.tau vc.xi vc.emb_cap seed
+    let fixed = Printf.sprintf "smp;t=%h;x=%h;c=%d;s=%d" vc.tau vc.xi vc.emb_cap seed in
+    if not vc.adaptive then fixed
+    else
+      match stop with
+      | None -> fixed ^ ";ad"
+      | Some e -> Printf.sprintf "%s;ad;e=%h" fixed e
 
 (* Final SSP values are validated on read: a poisoned entry (NaN or out
    of [0,1] — SSP is a probability) is evicted and recomputed instead of
    served (DESIGN.md §13). *)
-let ssp s ~graph ~vkey ~compute =
-  let t = s.cache in
-  let key = Printf.sprintf "%s\x03g=%d;%s" s.qkey graph vkey in
-  let cached =
-    Mutex.protect t.mu (fun () ->
-        match Tbl.find t.ssp key with
-        | Some v when Float.is_nan v || v < 0. || v > 1. ->
-          Tbl.remove t.ssp key;
-          Psst_obs.incr m_evict;
-          Psst_obs.warn ~code:"cache.poisoned"
-            (Printf.sprintf "evicted out-of-range cached SSP %h for graph %d" v
-               graph);
-          None
-        | found -> found)
+let ssp s ~graph ~stop ~seed verifier ~compute =
+  let poisoned v =
+    let bad = Float.is_nan v || v < 0. || v > 1. in
+    if bad then
+      Psst_obs.warn ~code:"cache.poisoned"
+        (Printf.sprintf "evicted out-of-range cached SSP %h for graph %d" v graph);
+    bad
   in
-  match cached with
-  | Some v ->
-    Psst_obs.incr m_hit;
-    v
-  | None ->
-    Psst_obs.incr m_miss;
-    let v = compute () in
-    Mutex.protect t.mu (fun () -> Tbl.add t.ssp key v);
-    v
+  memo ~evict:poisoned (fun t -> t.ssp) s
+    (fun qkey ->
+      Printf.sprintf "%s\x03g=%d;%s" qkey graph (verifier_key ~stop ~seed verifier))
+    compute
 
 let poison_ssp t value =
   Mutex.protect t.mu (fun () ->

@@ -3,8 +3,9 @@
     Memoises the deterministic, PRNG-free artifacts of the T-PS pipeline
     — relaxed query sets, {!Pruning.prepared} memberships, VF2 embedding
     sets, calibrated Karp–Luby preparations — plus final SSP values,
-    which under {!Query.run}'s per-candidate PRNG streams are themselves
-    pure functions of (query presentation, graph, verifier config, seed).
+    which under the per-candidate PRNG streams of {!Query.run} and
+    {!Topk.run} are themselves pure functions of (query presentation,
+    graph, verifier config, seed, stop threshold).
     A hit therefore returns exactly what a cold run would recompute:
     cached answers are bit-identical to uncached ones at fixed seeds.
 
@@ -39,12 +40,15 @@ val entries : t -> int
 val flush : t -> unit
 
 (** A cache armed for one (database, query, relaxation parameters)
-    triple. Arming verifies the owner database by physical identity and
-    flushes on change. *)
+    triple, or the unarmed scope of a run without a cache. Arming
+    verifies the owner database by physical identity and flushes on
+    change. *)
 type scope
 
+(** [scope cache ...] arms [cache]; [None] gives the unarmed scope, on
+    which every accessor below just runs its [compute]. *)
 val scope :
-  t ->
+  t option ->
   graphs:Corpus.t ->
   pmi:Pmi.t ->
   q:Lgraph.t ->
@@ -52,9 +56,9 @@ val scope :
   relax_cap:int ->
   scope
 
-(** Each [with]-style accessor returns the cached artifact or runs
-    [compute], stores and returns its result. Exceptions from [compute]
-    propagate and cache nothing. *)
+(** Each accessor returns the cached artifact or runs [compute], stores
+    and returns its result. Exceptions from [compute] propagate and cache
+    nothing. *)
 
 val relaxed :
   scope ->
@@ -77,18 +81,22 @@ val smp_prep :
   compute:(unit -> Verify.smp_prep) ->
   Verify.smp_prep
 
-(** [verifier_key ~epsilon ~seed verifier] — the key component capturing
-    everything a final SSP value depends on beyond (query, graph):
-    verifier parameters and seed, plus [epsilon] when the verifier stops
-    adaptively (the decision threshold shapes the estimate). *)
-val verifier_key :
-  epsilon:float -> seed:int -> [ `Exact | `Smp of Verify.config ] -> string
-
-(** [ssp scope ~graph ~vkey ~compute] — final SSP values. Entries are
-    validated on read: NaN or out-of-[0,1] values (a poisoned cache) are
-    evicted with a ["cache.poisoned"] warning and recomputed, never
-    served. *)
-val ssp : scope -> graph:int -> vkey:string -> compute:(unit -> float) -> float
+(** [ssp scope ~graph ~stop ~seed verifier ~compute] — final SSP values,
+    keyed by everything the estimate depends on beyond (query, graph):
+    the verifier's parameters, the seed and, for an adaptive verifier,
+    the stop threshold [stop] (the decision threshold shapes an adaptive
+    estimate). {!Query.run} and {!Topk.run} therefore share fixed-budget
+    and exact values but not adaptive ones. Entries are validated on
+    read: NaN or out-of-[0,1] values (a poisoned cache) are evicted with
+    a ["cache.poisoned"] warning and recomputed, never served. *)
+val ssp :
+  scope ->
+  graph:int ->
+  stop:float option ->
+  seed:int ->
+  [ `Exact | `Smp of Verify.config ] ->
+  compute:(unit -> float) ->
+  float
 
 (** Test hook: overwrite every cached SSP value with [v] (e.g. [nan]),
     returning how many entries were poisoned. Exercised by the chaos

@@ -117,73 +117,85 @@ let trace_of ~label ~answers stats =
   Psst_obs.Trace.set_flag tr "relaxed_truncated" stats.relaxed_truncated;
   tr
 
+(* The relaxation parameters every pipeline entry point shares, checked
+   before any work: a cap of 0 would relax to an empty set. *)
+let check_relaxation config =
+  if config.delta < 0 then invalid_arg "Query: delta must be non-negative";
+  if config.relax_cap <= 0 then invalid_arg "Query: relax_cap must be positive"
+
 let validate_config config =
   if not (config.epsilon > 0. && config.epsilon <= 1.) then
     invalid_arg "Query: epsilon must be in (0, 1]";
-  if config.delta < 0 then invalid_arg "Query: delta must be non-negative"
+  check_relaxation config
 
-(* One candidate's verification, optionally through a cache scope. Every
-   staged artifact (embedding sets, Karp–Luby preparation, final SSP) is
-   a deterministic function of its key, so the cached and cold paths
-   return bit-identical values under a fixed [rng] stream (DESIGN.md
-   §13). Adaptive verifiers receive the query's epsilon as the
-   CI-clears-threshold stopping target. *)
-let verify_candidate ?scope ~graph:gi config rng g relaxed =
-  let cached_embeddings emb_cap compute =
-    match scope with
-    | None -> compute ()
-    | Some s -> Qcache.embeddings s ~graph:gi ~emb_cap ~compute
-  in
-  let compute () =
-    match config.verifier with
-    | `Exact ->
-      let sets =
-        cached_embeddings Verify.default_config.emb_cap (fun () ->
-            Verify.embedding_sets g relaxed)
-      in
-      Verify.exact_with_sets g sets
-    | `Smp vc ->
-      let prep =
-        match scope with
-        | None -> Verify.smp_prepare g (Verify.embedding_sets ~config:vc g relaxed)
-        | Some s ->
-          Qcache.smp_prep s ~graph:gi ~emb_cap:vc.emb_cap ~compute:(fun () ->
-              let sets =
-                cached_embeddings vc.emb_cap (fun () ->
-                    Verify.embedding_sets ~config:vc g relaxed)
-              in
-              Verify.smp_prepare g sets)
-      in
-      let stop_epsilon = if vc.adaptive then Some config.epsilon else None in
-      (Verify.smp_run ~config:vc ?stop_epsilon rng prep).value
-  in
-  match scope with
-  | None -> compute ()
-  | Some s ->
-    let vkey =
-      Qcache.verifier_key ~epsilon:config.epsilon ~seed:config.seed config.verifier
-    in
-    Qcache.ssp s ~graph:gi ~vkey ~compute
-
-(* Phases 1 and 2, shared by [run_on] and [run_bounds_only]. They are
-   sequential (they are cheap); each candidate's bound evaluation draws
-   from its own PRNG stream, so a candidate's decision depends only on
-   (query, global graph id, config) — never on which other graphs share
-   the database. That is what keeps pruning counters and answers
-   bit-identical between a monolithic run and a union of shard runs.
-   [p_candidates] is in reverse structural order, exactly as the fold
-   accumulates it. *)
-type pruned_phases = {
-  p_relaxed : Lgraph.t list;
-  p_truncated : bool;
-  p_structural : int list;
-  p_accepted : int list;
-  p_candidates : int list;
-  p_pruned : int list;
-  pt_relax : float;
-  pt_structural : float;
-  pt_probabilistic : float;
+type front = {
+  scope : Qcache.scope;
+  relaxed : Lgraph.t list;
+  truncated : bool;
+  survivors : int list;
+  prepared : Pruning.prepared;
+  relax_s : float;
+  structural_s : float;
+  prepare_s : float;
 }
+
+(* Relaxation, structural pruning over the certain skeletons (Thm 1) and
+   the PMI memberships of the relaxed set, each memoised through the
+   query's cache scope when a cache is armed. *)
+let front ~cache db q config =
+  check_relaxation config;
+  let scope =
+    Qcache.scope cache ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:config.delta
+      ~relax_cap:config.relax_cap
+  in
+  let (relaxed, status), relax_s =
+    Timer.time (fun () ->
+        Qcache.relaxed scope ~compute:(fun () ->
+            Relax.relaxed_set ~cap:config.relax_cap q ~delta:config.delta))
+  in
+  let survivors, structural_s =
+    Timer.time (fun () ->
+        Structural.candidates db.structural
+          ~skeleton:(Corpus.skeleton db.graphs)
+          q ~delta:config.delta)
+  in
+  let prepared, prepare_s =
+    Timer.time (fun () ->
+        Qcache.prepared scope ~compute:(fun () -> Pruning.prepare db.pmi ~relaxed))
+  in
+  {
+    scope;
+    relaxed;
+    truncated = status = `Truncated;
+    survivors;
+    prepared;
+    relax_s;
+    structural_s;
+    prepare_s;
+  }
+
+(* One candidate's SSP, drawn from the verification stream of its global
+   id. Every staged artifact (embedding sets, Karp–Luby preparation,
+   final SSP) is a deterministic function of its key, so the cached and
+   cold paths return bit-identical values (DESIGN.md §13). [stop] is the
+   threshold an adaptive verifier may stop at once its CI clears it. *)
+let candidate_ssp f ~stop db config gi =
+  let g = Corpus.get db.graphs gi in
+  let embeddings ?config emb_cap =
+    Qcache.embeddings f.scope ~graph:gi ~emb_cap ~compute:(fun () ->
+        Verify.embedding_sets ?config g f.relaxed)
+  in
+  Qcache.ssp f.scope ~graph:gi ~stop ~seed:config.seed config.verifier
+    ~compute:(fun () ->
+      match config.verifier with
+      | `Exact -> Verify.exact_with_sets g (embeddings Verify.default_config.emb_cap)
+      | `Smp vc ->
+        let prep =
+          Qcache.smp_prep f.scope ~graph:gi ~emb_cap:vc.emb_cap ~compute:(fun () ->
+              Verify.smp_prepare g (embeddings ~config:vc vc.emb_cap))
+        in
+        let rng = Prng.stream ~seed:config.seed (global db gi) in
+        (Verify.smp_run ~config:vc ?stop_epsilon:stop rng prep).value)
 
 (* The pruning phase draws from a stream family disjoint from the
    verification one: verification streams use the (non-negative) global
@@ -192,56 +204,72 @@ type pruned_phases = {
    randomness for the same candidate. *)
 let prune_stream ~seed gid = Prng.stream ~seed (lnot gid)
 
-let prune_phases ?scope db q config =
-  let (relaxed, status), pt_relax =
-    Timer.time (fun () ->
-        let compute () =
-          Relax.relaxed_set ~cap:config.relax_cap q ~delta:config.delta
-        in
-        match scope with
-        | None -> compute ()
-        | Some s -> Qcache.relaxed s ~compute)
-  in
-  (* Phase 1: structural pruning over the certain skeletons (Thm 1). *)
-  let structural_cands, pt_structural =
-    Timer.time (fun () ->
-        Structural.candidates db.structural
-          ~skeleton:(Corpus.skeleton db.graphs)
-          q ~delta:config.delta)
-  in
+(* The front end and phase 2, shared by [run_on] and [run_bounds_only].
+   They are sequential (they are cheap); each candidate's bound
+   evaluation draws from its own PRNG stream, so a candidate's decision
+   depends only on (query, global graph id, config) — never on which
+   other graphs share the database. That is what keeps pruning counters
+   and answers bit-identical between a monolithic run and a union of
+   shard runs. [candidates] is in reverse structural order, exactly as
+   the fold accumulates it. *)
+type pruned = {
+  front : front;
+  accepted : int list;
+  candidates : int list;
+  rejected : int list;
+  probabilistic_s : float;
+}
+
+let prune_phases ?cache db q config =
+  let f = front ~cache db q config in
   (* Phase 2: probabilistic pruning through the PMI bounds. *)
-  let (accepted, candidates, pruned), pt_probabilistic =
+  let (accepted, candidates, rejected), evaluate_s =
     Timer.time (fun () ->
-        let prepared =
-          let compute () = Pruning.prepare db.pmi ~relaxed in
-          match scope with
-          | None -> compute ()
-          | Some s -> Qcache.prepared s ~compute
-        in
         List.fold_left
-          (fun (acc, cand, pruned) gi ->
+          (fun (acc, cand, rej) gi ->
             let rng = prune_stream ~seed:config.seed (global db gi) in
             let r =
-              Pruning.evaluate ~certified:config.certified rng db.pmi prepared
+              Pruning.evaluate ~certified:config.certified rng db.pmi f.prepared
                 ~graph:gi ~epsilon:config.epsilon ~mode:config.mode
             in
             match r.Pruning.decision with
-            | `Accepted -> (gi :: acc, cand, pruned)
-            | `Candidate -> (acc, gi :: cand, pruned)
-            | `Pruned -> (acc, cand, gi :: pruned))
-          ([], [], []) structural_cands)
+            | `Accepted -> (gi :: acc, cand, rej)
+            | `Candidate -> (acc, gi :: cand, rej)
+            | `Pruned -> (acc, cand, gi :: rej))
+          ([], [], []) f.survivors)
   in
   {
-    p_relaxed = relaxed;
-    p_truncated = status = `Truncated;
-    p_structural = structural_cands;
-    p_accepted = accepted;
-    p_candidates = candidates;
-    p_pruned = pruned;
-    pt_relax;
-    pt_structural;
-    pt_probabilistic;
+    front = f;
+    accepted;
+    candidates;
+    rejected;
+    probabilistic_s = f.prepare_s +. evaluate_s;
   }
+
+(* The one place an outcome is assembled: [verified] are the candidates
+   kept after phase 3 (all of them for the bounds-only path). *)
+let outcome ~label db p ~verified ~degraded ~t_verification ~t_verification_cpu
+    ~verify_domains =
+  let answers = List.sort compare (List.map (global db) (p.accepted @ verified)) in
+  Psst_obs.add m_answers (List.length answers);
+  let stats =
+    {
+      relaxed_count = List.length p.front.relaxed;
+      relaxed_truncated = p.front.truncated;
+      structural_candidates = List.length p.front.survivors;
+      prob_candidates = List.length p.candidates;
+      accepted_by_bounds = List.length p.accepted;
+      pruned_by_bounds = List.length p.rejected;
+      degraded_candidates = degraded;
+      t_relax = p.front.relax_s;
+      t_structural = p.front.structural_s;
+      t_probabilistic = p.probabilistic_s;
+      t_verification;
+      t_verification_cpu;
+      verify_domains;
+    }
+  in
+  { answers; stats; trace = trace_of ~label ~answers stats }
 
 (* The pipeline on an existing pool, so that [run_batch] can interleave
    the verification tasks of many queries on one set of domains. Phase 3
@@ -266,19 +294,16 @@ let prune_phases ?scope db q config =
    answers are bit-identical to cold ones (DESIGN.md §13). The deadline
    check stays ahead of the cache lookup: a late candidate degrades to
    its bounds whether or not a cached value exists, preserving the
-   budget semantics. *)
+   budget semantics. Adaptive verifiers stop at the query's epsilon. *)
 let run_on ?deadline ?cache pool db q config =
   validate_config config;
   Psst_obs.incr m_runs;
-  let scope =
-    Option.map
-      (fun c ->
-        Qcache.scope c ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:config.delta
-          ~relax_cap:config.relax_cap)
-      cache
+  let p = prune_phases ?cache db q config in
+  let stop =
+    match config.verifier with
+    | `Smp vc when vc.adaptive -> Some config.epsilon
+    | _ -> None
   in
-  let p = prune_phases ?scope db q config in
-  let relaxed = p.p_relaxed in
   (* Phase 3: verification of the undecided candidates. *)
   let results, t_verification =
     Timer.time (fun () ->
@@ -291,15 +316,10 @@ let run_on ?deadline ?cache pool db q config =
             in
             if late then (gi, true, 0., true)
             else
-              let rng = Prng.stream ~seed:config.seed (global db gi) in
-              match
-                Timer.time (fun () ->
-                    verify_candidate ?scope ~graph:gi config rng
-                      (Corpus.get db.graphs gi) relaxed)
-              with
+              match Timer.time (fun () -> candidate_ssp p.front ~stop db config gi) with
               | v, t -> (gi, v >= config.epsilon, t, false)
               | exception Psst_fault.Injected _ -> (gi, true, 0., true))
-          (Array.of_list (List.rev p.p_candidates)))
+          (Array.of_list (List.rev p.candidates)))
   in
   let verified =
     Array.to_list results
@@ -308,36 +328,15 @@ let run_on ?deadline ?cache pool db q config =
   let t_verification_cpu =
     Array.fold_left (fun acc (_, _, t, _) -> acc +. t) 0. results
   in
-  let degraded_candidates =
+  let degraded =
     Array.fold_left (fun acc (_, _, _, d) -> if d then acc + 1 else acc) 0 results
   in
   Log.debug (fun m ->
       m "query: %d structural, %d pruned, %d accepted, %d verified, %d degraded"
-        (List.length p.p_structural) (List.length p.p_pruned)
-        (List.length p.p_accepted) (List.length p.p_candidates)
-        degraded_candidates);
-  let answers =
-    List.sort compare (List.map (global db) (p.p_accepted @ verified))
-  in
-  Psst_obs.add m_answers (List.length answers);
-  let stats =
-    {
-      relaxed_count = List.length relaxed;
-      relaxed_truncated = p.p_truncated;
-      structural_candidates = List.length p.p_structural;
-      prob_candidates = List.length p.p_candidates;
-      accepted_by_bounds = List.length p.p_accepted;
-      pruned_by_bounds = List.length p.p_pruned;
-      degraded_candidates;
-      t_relax = p.pt_relax;
-      t_structural = p.pt_structural;
-      t_probabilistic = p.pt_probabilistic;
-      t_verification;
-      t_verification_cpu;
-      verify_domains = Pool.size pool;
-    }
-  in
-  { answers; stats; trace = trace_of ~label:"query" ~answers stats }
+        (List.length p.front.survivors) (List.length p.rejected)
+        (List.length p.accepted) (List.length p.candidates) degraded);
+  outcome ~label:"query" db p ~verified ~degraded ~t_verification
+    ~t_verification_cpu ~verify_domains:(Pool.size pool)
 
 (* Bounds-only fallback: phases 1–2 alone, every undecided candidate
    included. The all-degraded limit of [run_on ?deadline] — used when the
@@ -346,37 +345,10 @@ let run_on ?deadline ?cache pool db q config =
 let run_bounds_only ?cache db q config =
   validate_config config;
   Psst_obs.incr m_runs;
-  let scope =
-    Option.map
-      (fun c ->
-        Qcache.scope c ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:config.delta
-          ~relax_cap:config.relax_cap)
-      cache
-  in
-  let p = prune_phases ?scope db q config in
-  let candidates = List.rev p.p_candidates in
-  let answers =
-    List.sort compare (List.map (global db) (p.p_accepted @ candidates))
-  in
-  Psst_obs.add m_answers (List.length answers);
-  let stats =
-    {
-      relaxed_count = List.length p.p_relaxed;
-      relaxed_truncated = p.p_truncated;
-      structural_candidates = List.length p.p_structural;
-      prob_candidates = List.length p.p_candidates;
-      accepted_by_bounds = List.length p.p_accepted;
-      pruned_by_bounds = List.length p.p_pruned;
-      degraded_candidates = List.length p.p_candidates;
-      t_relax = p.pt_relax;
-      t_structural = p.pt_structural;
-      t_probabilistic = p.pt_probabilistic;
-      t_verification = 0.;
-      t_verification_cpu = 0.;
-      verify_domains = 0;
-    }
-  in
-  { answers; stats; trace = trace_of ~label:"bounds-only" ~answers stats }
+  let p = prune_phases ?cache db q config in
+  outcome ~label:"bounds-only" db p ~verified:(List.rev p.candidates)
+    ~degraded:(List.length p.candidates) ~t_verification:0.
+    ~t_verification_cpu:0. ~verify_domains:0
 
 let deadline_of_budget = function
   | Some ms when ms > 0. -> Some (Unix.gettimeofday () +. (ms /. 1000.))
@@ -386,7 +358,7 @@ let run ?(domains = 1) ?budget_ms ?cache db q config =
   let deadline = deadline_of_budget budget_ms in
   Pool.with_pool ~domains (fun pool -> run_on ?deadline ?cache pool db q config)
 
-let run_batch_on ?budget_ms ?cache pool db queries config =
+let run_batch ?budget_ms ?cache pool db queries config =
   validate_config config;
   (* One absolute deadline for the whole batch, fixed before the fan-out:
      however the pool schedules the queries, they degrade against the
@@ -396,10 +368,6 @@ let run_batch_on ?budget_ms ?cache pool db queries config =
     (fun q -> run_on ?deadline ?cache pool db q config)
     (Array.of_list queries)
   |> Array.to_list
-
-let run_batch ?(domains = 1) ?budget_ms ?cache db queries config =
-  Pool.with_pool ~domains (fun pool ->
-      run_batch_on ?budget_ms ?cache pool db queries config)
 
 let run_exact_scan db q config =
   validate_config config;
@@ -496,7 +464,6 @@ let get_config d =
   (match validate_config c with
   | () -> ()
   | exception Invalid_argument msg -> Store.error "config: %s" msg);
-  if relax_cap <= 0 then Store.error "config: relax_cap must be positive";
   c
 
 (* The section-level codec is exposed so the shard store (lib/shard) can

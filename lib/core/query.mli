@@ -133,25 +133,15 @@ val run :
   config ->
   outcome
 
-(** [run_batch ?domains db queries config] answers many queries on one
-    domain pool — the heavy-traffic path. Queries and their verification
-    tasks interleave freely on the pool; outcome [i] is bit-identical to
-    [run db (List.nth queries i) config]. [budget_ms] is one shared
-    absolute deadline fixed when the batch starts. *)
+(** [run_batch pool db queries config] answers many queries on a
+    caller-owned domain pool — the heavy-traffic path, where a resident
+    process (the query server) pays domain spawning once at startup
+    instead of once per batch. Queries and their verification tasks
+    interleave freely on the pool; outcome [i] is bit-identical to
+    [run ~domains:(Pool.size pool) db (List.nth queries i) config].
+    [budget_ms] is one shared absolute deadline fixed when the batch
+    starts. *)
 val run_batch :
-  ?domains:int ->
-  ?budget_ms:float ->
-  ?cache:Qcache.t ->
-  database ->
-  Lgraph.t list ->
-  config ->
-  outcome list
-
-(** [run_batch_on pool db queries config] — {!run_batch} on a caller-owned
-    pool, so a resident process (the query server) pays domain spawning
-    once at startup instead of once per micro-batch. Outcomes are
-    bit-identical to {!run_batch} with [domains = Pool.size pool]. *)
-val run_batch_on :
   ?budget_ms:float ->
   ?cache:Qcache.t ->
   Psst_util.Pool.t ->
@@ -173,11 +163,40 @@ val put_config : Psst_store.enc -> config -> unit
 
 val get_config : Psst_store.dec -> config
 
+(** {1 Pipeline phases shared with {!Topk}} *)
+
 (** The pruning-phase PRNG stream of global graph id [gid]: stream index
     [lnot gid], disjoint from the verification streams (which use the
     non-negative [gid] itself), so the two phases never consume
-    correlated randomness. Shared with {!Topk}'s ranking bound. *)
+    correlated randomness. *)
 val prune_stream : seed:int -> int -> Psst_util.Prng.t
+
+(** The query-dependent state every pipeline builds before it ranks or
+    prunes a single graph, with the wall-clock seconds of each step. *)
+type front = {
+  scope : Qcache.scope;  (** the query's cache scope (unarmed without a cache) *)
+  relaxed : Lgraph.t list;  (** the relaxed query set *)
+  truncated : bool;  (** [relax_cap] cut the relaxed set short *)
+  survivors : int list;  (** local ids passing structural pruning *)
+  prepared : Pruning.prepared;  (** PMI memberships of [relaxed] *)
+  relax_s : float;
+  structural_s : float;
+  prepare_s : float;
+}
+
+(** [front ~cache db q config] relaxes [q], prunes structurally and
+    prepares the PMI memberships, memoising through [cache] when it is
+    [Some]. Raises
+    [Invalid_argument] on a negative [delta] or a non-positive
+    [relax_cap] before doing any work ([epsilon] is not checked: top-k
+    ignores it). *)
+val front : cache:Qcache.t option -> database -> Lgraph.t -> config -> front
+
+(** [candidate_ssp f ~stop db config gi] — the verifier's SSP estimate for
+    local graph [gi], drawn from the verification stream of its global
+    id and memoised through [f.scope]. An adaptive verifier may stop once
+    its confidence interval clears [stop]. *)
+val candidate_ssp : front -> stop:float option -> database -> config -> int -> float
 
 (** {1 Persistence (DESIGN.md §9)}
 

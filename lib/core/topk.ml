@@ -1,5 +1,3 @@
-module Prng = Psst_util.Prng
-
 type hit = { graph : int; ssp : float }
 
 type stats = {
@@ -21,75 +19,23 @@ type outcome = { hits : hit list; stats : stats }
    graphs share the database, and of how many competitors were verified
    before it. That is what makes the per-shard top-k lists of a
    partitioned corpus mergeable into exactly the monolithic answer
-   ([Psst_shard.merge_topk]). Only the PRNG-free artifacts (relaxed set,
-   prepared memberships, embedding sets and Karp–Luby preparations)
-   memoise through [cache]; final SSPs are recomputed per run, keeping
-   cached runs bit-identical to cold ones. *)
-let verify_one ?scope ~graph:gi (config : Query.config) rng g relaxed =
-  let cached_embeddings emb_cap compute =
-    match scope with
-    | None -> compute ()
-    | Some s -> Qcache.embeddings s ~graph:gi ~emb_cap ~compute
-  in
-  match config.verifier with
-  | `Exact ->
-    let sets =
-      cached_embeddings Verify.default_config.emb_cap (fun () ->
-          Verify.embedding_sets g relaxed)
-    in
-    Verify.exact_with_sets g sets
-  | `Smp vc ->
-    let prep =
-      match scope with
-      | None -> Verify.smp_prepare g (Verify.embedding_sets ~config:vc g relaxed)
-      | Some s ->
-        Qcache.smp_prep s ~graph:gi ~emb_cap:vc.emb_cap ~compute:(fun () ->
-            let sets =
-              cached_embeddings vc.emb_cap (fun () ->
-                  Verify.embedding_sets ~config:vc g relaxed)
-            in
-            Verify.smp_prepare g sets)
-    in
-    (* No [stop_epsilon]: top-k documents [config.epsilon] as ignored
-       (there is no decision threshold in a ranking query), so adaptive
-       verifiers stop on the precision test alone — never on a CI
-       clearing a meaningless threshold. *)
-    (Verify.smp_run ~config:vc rng prep).value
-
+   ([Psst_shard.merge_topk]), and what lets [cache] memoise final SSPs
+   as [Query.run] does. *)
 let run ?cache (db : Query.database) q ~k (config : Query.config) =
   if k <= 0 then invalid_arg "Topk.run: k must be positive";
   Psst_obs.incr m_runs;
-  let scope =
-    Option.map
-      (fun c ->
-        Qcache.scope c ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:config.delta
-          ~relax_cap:config.relax_cap)
-      cache
-  in
-  let relaxed, status =
-    let compute () = Relax.relaxed_set ~cap:config.relax_cap q ~delta:config.delta in
-    match scope with None -> compute () | Some s -> Qcache.relaxed s ~compute
-  in
-  let structural =
-    Structural.candidates db.structural
-      ~skeleton:(Corpus.skeleton db.Query.graphs)
-      q ~delta:config.delta
-  in
-  let prepared =
-    let compute () = Pruning.prepare db.pmi ~relaxed in
-    match scope with None -> compute () | Some s -> Qcache.prepared s ~compute
-  in
+  let f = Query.front ~cache db q config in
   (* Candidates ordered by decreasing upper bound. *)
   let ranked =
     List.map
       (fun gi ->
         let rng = Query.prune_stream ~seed:config.seed (Query.global db gi) in
         let u =
-          Pruning.usim ~certified:config.certified rng db.pmi prepared ~graph:gi
-            ~mode:config.mode
+          Pruning.usim ~certified:config.certified rng db.pmi f.prepared
+            ~graph:gi ~mode:config.mode
         in
         (gi, u))
-      structural
+      f.survivors
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   (* Best-first: verify until the k-th best verified SSP dominates every
@@ -113,11 +59,10 @@ let run ?cache (db : Query.database) q ~k (config : Query.config) =
         incr skipped
       else begin
         incr verified;
-        let rng = Prng.stream ~seed:config.seed (Query.global db gi) in
-        let ssp =
-          Float.min upper
-            (verify_one ?scope ~graph:gi config rng (Corpus.get db.graphs gi) relaxed)
-        in
+        (* No [stop]: top-k ignores [config.epsilon] (a ranking query has
+           no decision threshold), so an adaptive verifier stops on its
+           precision test alone. *)
+        let ssp = Float.min upper (Query.candidate_ssp f ~stop:None db config gi) in
         if ssp > 0. then begin
           hits := { graph = Query.global db gi; ssp } :: !hits;
           hits :=
@@ -135,9 +80,9 @@ let run ?cache (db : Query.database) q ~k (config : Query.config) =
     hits = top;
     stats =
       {
-        structural_candidates = List.length structural;
+        structural_candidates = List.length f.survivors;
         verified = !verified;
         bound_skipped = !skipped;
-        relaxed_truncated = status = `Truncated;
+        relaxed_truncated = f.truncated;
       };
   }

@@ -38,9 +38,11 @@ type outcome = { hits : hit list; stats : stats }
     database — per-shard top-k lists of a partitioned corpus merge into
     exactly the monolithic answer ({!Psst_shard.merge_topk}).
 
-    [cache] memoises the PRNG-free artifacts only (relaxed set, prepared
-    memberships, embedding sets, Karp–Luby preparations); final SSP
-    values are recomputed per run, so cached runs stay bit-identical to
-    cold ones. *)
+    The relaxed set, structural candidates and PMI memberships come from
+    {!Query.front} and each SSP from {!Query.candidate_ssp} — the phases
+    and verifier {!Query.run} uses — so [cache] memoises the same
+    artifacts, final SSPs included, and a fixed-budget or exact SSP that
+    {!Query.run} stored is read back here (before clamping). Cached runs
+    stay bit-identical to cold ones. *)
 val run :
   ?cache:Qcache.t -> Query.database -> Lgraph.t -> k:int -> Query.config -> outcome

@@ -45,7 +45,6 @@ let build embeddings =
   { lines; arcs = !arcs; num_nodes = !next_node; capacity }
 
 let num_lines t = Array.length t.lines
-let label_capacity t = t.capacity
 
 let disconnects t labels =
   let adj = Array.make t.num_nodes [] in

@@ -18,9 +18,6 @@ val build : Embedding.t list -> t
 
 val num_lines : t -> int
 
-(** Edge-id capacity of the label space (from the embeddings' bitsets). *)
-val label_capacity : t -> int
-
 (** [disconnects t labels] removes every cG edge whose label is in [labels]
     and tests, by BFS over the explicit parallel-graph structure, whether
     [s] and [t] are separated. *)

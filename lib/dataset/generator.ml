@@ -415,108 +415,3 @@ let organism_members t o =
   |> List.filter_map (fun (i, oo) -> if oo = o then Some i else None)
 
 let independent_db t = Array.map Pgraph.to_independent t.graphs
-
-(* --- persistence (DESIGN.md §9) --- *)
-
-module S = Psst_store
-
-let encode_params e p =
-  S.put_i64 e p.num_graphs;
-  S.put_i64 e p.num_organisms;
-  S.put_i64 e p.min_vertices;
-  S.put_i64 e p.max_vertices;
-  S.put_f64 e p.extra_edge_ratio;
-  S.put_i64 e p.num_vertex_labels;
-  S.put_i64 e p.num_edge_labels;
-  S.put_f64 e p.mean_edge_prob;
-  S.put_i64 e p.motif_edges;
-  S.put_i64 e p.max_new_edges_per_factor;
-  S.put_f64 e p.coupling_motif;
-  S.put_f64 e p.coupling_noise;
-  S.put_f64 e p.foreign_motif_prob;
-  S.put_i64 e p.seed
-
-let decode_params d =
-  let num_graphs = S.get_nat d in
-  let num_organisms = S.get_nat d in
-  let min_vertices = S.get_nat d in
-  let max_vertices = S.get_nat d in
-  let extra_edge_ratio = S.get_f64 d in
-  let num_vertex_labels = S.get_nat d in
-  let num_edge_labels = S.get_nat d in
-  let mean_edge_prob = S.get_f64 d in
-  let motif_edges = S.get_nat d in
-  let max_new_edges_per_factor = S.get_nat d in
-  let coupling_motif = S.get_f64 d in
-  let coupling_noise = S.get_f64 d in
-  let foreign_motif_prob = S.get_f64 d in
-  let seed = S.get_i64 d in
-  {
-    num_graphs;
-    num_organisms;
-    min_vertices;
-    max_vertices;
-    extra_edge_ratio;
-    num_vertex_labels;
-    num_edge_labels;
-    mean_edge_prob;
-    motif_edges;
-    max_new_edges_per_factor;
-    coupling_motif;
-    coupling_noise;
-    foreign_motif_prob;
-    seed;
-  }
-
-let save_binary path t =
-  let params = S.encoder () in
-  encode_params params t.params;
-  let graphs = S.encoder () in
-  S.put_array graphs Pgraph_io.encode_binary t.graphs;
-  let organisms = S.encoder () in
-  S.put_array organisms S.put_i64 t.organisms;
-  let motifs = S.encoder () in
-  S.put_array motifs S.put_lgraph t.motifs;
-  let grafts = S.encoder () in
-  S.put_array grafts (fun e g -> S.put_option e S.put_i64 g) t.grafts;
-  S.write_file path ~kind:S.Dataset
-    [
-      S.section "params" params;
-      S.section "graphs" graphs;
-      S.section "organisms" organisms;
-      S.section "motifs" motifs;
-      S.section "grafts" grafts;
-    ]
-
-let load_binary path =
-  let sections = S.read_file path ~kind:S.Dataset in
-  let params = S.decode_section sections "params" decode_params in
-  let graphs =
-    S.decode_section sections "graphs" (fun d ->
-        S.get_array d Pgraph_io.decode_binary)
-  in
-  let organisms =
-    S.decode_section sections "organisms" (fun d -> S.get_array d S.get_nat)
-  in
-  let motifs =
-    S.decode_section sections "motifs" (fun d -> S.get_array d S.get_lgraph)
-  in
-  let grafts =
-    S.decode_section sections "grafts" (fun d ->
-        S.get_array d (fun d -> S.get_option d S.get_nat))
-  in
-  let ng = Array.length graphs in
-  if Array.length organisms <> ng || Array.length grafts <> ng then
-    S.error "dataset arrays disagree: %d graphs, %d organisms, %d grafts" ng
-      (Array.length organisms) (Array.length grafts);
-  let norg = Array.length motifs in
-  Array.iter
-    (fun o -> if o >= norg then S.error "organism id %d with %d motifs" o norg)
-    organisms;
-  Array.iter
-    (function
-      | Some o when o >= norg ->
-        S.error "graft organism id %d with %d motifs" o norg
-      | _ -> ())
-    grafts;
-  { graphs; organisms; motifs; grafts; params }

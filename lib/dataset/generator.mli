@@ -63,15 +63,3 @@ val organism_members : t -> int -> int list
 (** [independent_db t] — every graph converted to the independent-edge
     model with identical marginals (the IND competitor). *)
 val independent_db : t -> Pgraph.t array
-
-(** {1 Persistence (DESIGN.md §9)}
-
-    A whole corpus — graphs, organism assignment, motifs, grafts and the
-    generation parameters — as one [Dataset]-kind {!Psst_store} file, so
-    experiment ground truths survive across processes. *)
-
-val save_binary : string -> t -> unit
-
-(** Raises [Psst_store.Store_error] on corruption, truncation, version or
-    kind mismatch, or inconsistent array lengths. *)
-val load_binary : string -> t

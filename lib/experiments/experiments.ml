@@ -624,7 +624,9 @@ let parallel ?(scale = default_scale) ppf =
   List.iter
     (fun domains ->
       let outcomes, t =
-        Timer.time (fun () -> Query.run_batch ~domains db queries config)
+        Timer.time (fun () ->
+            Psst_util.Pool.with_pool ~domains (fun pool ->
+                Query.run_batch pool db queries config))
       in
       let base_t, base_answers =
         match !baseline with

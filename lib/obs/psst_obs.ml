@@ -9,7 +9,6 @@
    is first interned (module initialisation) and when dumping. *)
 
 let enabled_flag = Atomic.make true
-let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
 let now () = Unix.gettimeofday ()

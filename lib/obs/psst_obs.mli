@@ -16,12 +16,10 @@
 
 (** {1 Enable flag} *)
 
-(** Whether recording is active (default [true]). When disabled, every
-    recording operation is a no-op and {!span} runs its thunk untimed —
-    this is the "uninstrumented" arm that [bench/main.exe obs] compares
-    against. *)
-val enabled : unit -> bool
-
+(** [set_enabled b] turns recording on or off (default on). When
+    disabled, every recording operation is a no-op and {!span} runs its
+    thunk untimed — this is the "uninstrumented" arm that
+    [bench/main.exe obs] compares against. *)
 val set_enabled : bool -> unit
 
 (** {1 Counters} *)

@@ -157,15 +157,6 @@ let sample rng t =
 
 let iter_assignments t f = Array.iteri (fun mask x -> f mask x) t.data
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>factor over [%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";")
-       Format.pp_print_int)
-    (Array.to_list t.vars);
-  Array.iteri (fun mask x -> Format.fprintf ppf "@,  %d -> %g" mask x) t.data;
-  Format.fprintf ppf "@]"
-
 let equal_approx ~eps a b =
   a.vars = b.vars
   && Array.length a.data = Array.length b.data

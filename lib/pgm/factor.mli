@@ -62,7 +62,5 @@ val sample : Psst_util.Prng.t -> t -> (int * bool) list
 (** [iter_assignments t f] calls [f mask value] for every entry. *)
 val iter_assignments : t -> (int -> float -> unit) -> unit
 
-val pp : Format.formatter -> t -> unit
-
 (** [equal_approx ~eps a b] compares scopes and tables entrywise. *)
 val equal_approx : eps:float -> t -> t -> bool

@@ -152,5 +152,3 @@ let ssp t q ~delta =
       let world, _ = Lgraph.with_edge_mask (Pgraph.skeleton t) mask in
       if Distance.within q world ~delta then acc := !acc +. p);
   !acc
-
-let ssp_of_embeddings = prob_any_present

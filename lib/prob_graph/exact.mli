@@ -34,8 +34,3 @@ val sip : ?cap:int -> Pgraph.t -> Lgraph.t -> float
     exponential in the number of uncertain edges. *)
 val ssp : Pgraph.t -> Lgraph.t -> delta:int -> float
 
-(** [ssp_of_embeddings t sets] — Lemma 1 route: given the edge sets of all
-    embeddings of all relaxed queries, the exact SSP is the probability any
-    of them is fully present. Equivalent to {!prob_any_present}; exposed
-    under this name for readability at call sites. *)
-val ssp_of_embeddings : Pgraph.t -> Psst_util.Bitset.t list -> float

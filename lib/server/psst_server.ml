@@ -9,7 +9,7 @@
        the ingest writer;
      - batcher thread: owns the domain pool; pops micro-batches
        round-robin across tenants, enforces queue-wait deadlines,
-       executes with Query.run_batch_on, writes replies;
+       executes with Query.run_batch, writes replies;
      - ingest writer (Psst_ingest, when enabled): the single mutator of
        the served database — applies Add_graphs batches, persists them
        as delta files, and publishes each new epoch with one atomic
@@ -405,7 +405,7 @@ let process_batch t batch =
       live
   in
   (* Group Run jobs by (epoch, config) so each group is one
-     Query.run_batch_on call on the shared pool against the snapshot its
+     Query.run_batch call on the shared pool against the snapshot its
      jobs were admitted under; answers stay bit-identical to offline
      runs on that epoch's database, whatever ingest published since. *)
   let groups =
@@ -428,7 +428,7 @@ let process_batch t batch =
       let db = (fst (List.hd jobs)).jsnap.Psst_ingest.db in
       match
         Psst_fault.inject fault_batch;
-        Query.run_batch_on ?budget_ms ?cache:t.cache t.pool db
+        Query.run_batch ?budget_ms ?cache:t.cache t.pool db
           (List.map snd jobs) cfg
       with
       | outs -> List.iter2 (fun (j, _) out -> finish_run t j out) jobs outs

@@ -12,7 +12,7 @@
     (explicit backpressure: a full queue or tenant quota yields a
     retryable [`Queue_full`] error reply, never an unbounded buffer); the
     batcher drains the queues round-robin across tenants in micro-batches
-    and executes them with {!Query.run_batch_on} on the shared pool, so
+    and executes them with {!Query.run_batch} on the shared pool, so
     concurrent requests interleave across domains while each answer stays
     bit-identical to an offline {!Query.run}. [Ping]/[Get_stats]/
     [Set_tenant] are answered inline by the reader and never queue.

@@ -124,8 +124,6 @@ let add_graphs t gs =
     }
   end
 
-let add_graph t g = add_graphs t [| g |]
-
 let m_checked = Psst_obs.counter "structural.checked"
 let m_survivors = Psst_obs.counter "structural.survivors"
 

@@ -22,14 +22,10 @@ type t
     "at least", keeping the filter conservative). *)
 val build : Lgraph.t array -> Selection.feature list -> emb_cap:int -> t
 
-(** [add_graph t g] appends one column for a new database graph; the
-    feature set is left as mined (a graph added later never causes false
-    dismissals — at worst the filter is less selective on it). *)
-val add_graph : t -> Lgraph.t -> t
-
 (** [add_graphs t gs] appends one column per new graph with a single
-    row reallocation per feature — the batch form [Query.add_graphs]
-    uses to avoid quadratic repeated appends. *)
+    row reallocation per feature, avoiding quadratic repeated appends.
+    The feature set is left as mined (a graph added later never causes
+    false dismissals — at worst the filter is less selective on it). *)
 val add_graphs : t -> Lgraph.t array -> t
 
 (** [of_parts ~features ~counts ~emb_cap] rebuilds the index from its raw

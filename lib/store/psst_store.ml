@@ -25,12 +25,13 @@ let magic = "PSSTSTR\x00"
 let format_version = 1
 let header_bytes = 24
 
-type kind = Pgdb | Pmi_index | Dataset | Database | Manifest | Delta
+type kind = Pgdb | Pmi_index | Database | Manifest | Delta
 
+(* Tag 3 belonged to a retired corpus kind; it is not reused, so such a
+   file fails as an unknown kind rather than loading as something else. *)
 let kind_tag = function
   | Pgdb -> 1
   | Pmi_index -> 2
-  | Dataset -> 3
   | Database -> 4
   | Manifest -> 5
   | Delta -> 6
@@ -38,7 +39,6 @@ let kind_tag = function
 let kind_name = function
   | Pgdb -> "probabilistic graph database"
   | Pmi_index -> "PMI index"
-  | Dataset -> "dataset"
   | Database -> "query database"
   | Manifest -> "shard manifest"
   | Delta -> "ingest delta batch"
@@ -46,7 +46,6 @@ let kind_name = function
 let kind_of_tag = function
   | 1 -> Some Pgdb
   | 2 -> Some Pmi_index
-  | 3 -> Some Dataset
   | 4 -> Some Database
   | 5 -> Some Manifest
   | 6 -> Some Delta
@@ -144,15 +143,6 @@ let get_i32 d =
   d.pos <- d.pos + 4;
   v
 
-let get_bytes d n =
-  if n < 0 then error "section %S: negative byte count %d" d.ctx n;
-  need d n;
-  let s = String.sub d.data d.pos n in
-  d.pos <- d.pos + n;
-  s
-
-let dec_remaining = remaining
-
 let get_f64 d =
   need d 8;
   let v = Int64.float_of_bits (String.get_int64_le d.data d.pos) in
@@ -230,20 +220,6 @@ let put_varint e n =
     end
   in
   go n
-
-let get_varint d =
-  let acc = ref 0 and shift = ref 0 and cont = ref true in
-  while !cont do
-    if !shift > 56 then error "section %S: varint overflow" d.ctx;
-    need d 1;
-    let c = Char.code d.data.[d.pos] in
-    d.pos <- d.pos + 1;
-    acc := !acc lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    cont := c land 0x80 <> 0
-  done;
-  if !acc < 0 then error "section %S: varint overflow" d.ctx;
-  !acc
 
 let find_section sections name =
   match List.find_opt (fun s -> s.name = name) sections with
@@ -704,7 +680,6 @@ let map_file path ~kind =
   | m -> m
 
 let mapped_path m = m.m_path
-let mapped_names m = List.map (fun (n, _, _, _) -> n) m.m_spans
 let mapped_has m name = List.exists (fun (n, _, _, _) -> n = name) m.m_spans
 
 let mapped_span_crc m name =

@@ -48,7 +48,6 @@ val header_bytes : int
 type kind =
   | Pgdb  (** an array of probabilistic graphs *)
   | Pmi_index  (** a serialized {!Pmi.t} with its database fingerprint *)
-  | Dataset  (** a full {!Generator.t} corpus *)
   | Database  (** the whole query-time state ({!Query.database}) *)
   | Manifest  (** a shard manifest ([Psst_shard.manifest]) *)
   | Delta
@@ -161,14 +160,6 @@ val get_array : dec -> (dec -> 'a) -> 'a array
 val get_option : dec -> (dec -> 'a) -> 'a option
 val get_lgraph : dec -> Lgraph.t
 
-(** [get_bytes d n] — the next [n] raw bytes, bounds-checked. Used by
-    codecs with fixed-width fields (e.g. the RPC frame magic) that are not
-    length-prefixed. *)
-val get_bytes : dec -> int -> string
-
-(** Bytes left to consume in the payload. *)
-val dec_remaining : dec -> int
-
 (** [expect_end d] — {!Store_error} unless the payload was fully consumed. *)
 val expect_end : dec -> unit
 
@@ -177,10 +168,9 @@ val expect_end : dec -> unit
 val decode_section : section list -> string -> (dec -> 'a) -> 'a
 
 (** Unsigned LEB128 varint (7 bits per byte, high bit = continuation) —
-    the delta coding of the flat postings sections (DESIGN.md §15). *)
+    the delta coding of the flat postings sections (DESIGN.md §15), which
+    {!Pmi} decodes straight off the mapping. *)
 val put_varint : enc -> int -> unit
-
-val get_varint : dec -> int
 
 (** {1 Memory-mapped zero-copy access (DESIGN.md §15)}
 
@@ -228,7 +218,6 @@ type mapped
 val map_file : string -> kind:kind -> mapped
 
 val mapped_path : mapped -> string
-val mapped_names : mapped -> string list
 val mapped_has : mapped -> string -> bool
 
 (** [mapped_section_string m name] verifies the section's stored CRC and

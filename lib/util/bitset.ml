@@ -27,8 +27,6 @@ let remove t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
 
-let set t i b = if b then add t i else remove t i
-
 let full cap =
   let t = create cap in
   for i = 0 to cap - 1 do add t i done;
@@ -115,10 +113,6 @@ let of_list cap l =
   let t = create cap in
   List.iter (add t) l;
   t
-
-let choose t =
-  let exception Found of int in
-  try iter (fun i -> raise (Found i)) t; None with Found i -> Some i
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 

@@ -22,9 +22,6 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
 
-(** [set t i b] adds [i] when [b], removes it otherwise. *)
-val set : t -> int -> bool -> unit
-
 val is_empty : t -> bool
 val cardinal : t -> int
 
@@ -53,9 +50,6 @@ val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val of_list : int -> int list -> t
-
-(** [choose t] is the smallest element, or [None] when empty. *)
-val choose : t -> int option
 
 val clear : t -> unit
 

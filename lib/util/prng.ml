@@ -2,10 +2,6 @@ type t = Random.State.t
 
 let make seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5deece66 |]
 
-let split t =
-  let a = Random.State.bits t and b = Random.State.bits t in
-  Random.State.make [| a; b |]
-
 (* SplitMix-style finalizer; the constants are 60-bit truncations of the
    usual 64-bit ones (OCaml ints are 63-bit). *)
 let mix z =
@@ -107,10 +103,3 @@ and gaussian t ~mu ~sigma =
 let beta t ~a ~b =
   let x = gamma t a and y = gamma t b in
   x /. (x +. y)
-
-let exponential t lambda =
-  let rec nonzero () =
-    let u = Random.State.float t 1.0 in
-    if u > 0. then u else nonzero ()
-  in
-  -.log (nonzero ()) /. lambda

@@ -8,12 +8,9 @@ type t = Random.State.t
 (** [make seed] is a fresh state derived from [seed]. *)
 val make : int -> t
 
-(** [split t] derives an independent child state (for parallel workloads). *)
-val split : t -> t
-
 (** [stream ~seed i] is the [i]-th member of a family of statistically
-    independent states derived from [seed] alone. Unlike {!split} it does
-    not advance any parent state, so stream [i] is the same no matter how
+    independent states derived from [seed] alone. It does not advance
+    any parent state, so stream [i] is the same no matter how
     many other streams were drawn, in which order, or on which domain —
     the property that makes parallel query execution bit-identical to
     sequential (see DESIGN.md §8). *)
@@ -41,9 +38,6 @@ val sample_without_replacement : t -> int -> int -> int list
 
 (** [beta t ~a ~b] samples a Beta(a,b) variate (Johnk/gamma method). *)
 val beta : t -> a:float -> b:float -> float
-
-(** [exponential t lambda] samples Exp(lambda). *)
-val exponential : t -> float -> float
 
 (** [gaussian t ~mu ~sigma] samples a normal variate (Box-Muller). *)
 val gaussian : t -> mu:float -> sigma:float -> float

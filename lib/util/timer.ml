@@ -6,24 +6,3 @@ let time f =
   (r, now () -. t0)
 
 let time_only f = snd (time f)
-
-type stopwatch = { mutable acc : float; mutable started_at : float option }
-
-let stopwatch () = { acc = 0.; started_at = None }
-
-let start sw =
-  match sw.started_at with
-  | Some _ -> ()
-  | None -> sw.started_at <- Some (now ())
-
-let stop sw =
-  match sw.started_at with
-  | None -> ()
-  | Some t0 ->
-    sw.acc <- sw.acc +. (now () -. t0);
-    sw.started_at <- None
-
-let elapsed sw =
-  match sw.started_at with
-  | None -> sw.acc
-  | Some t0 -> sw.acc +. (now () -. t0)

@@ -5,11 +5,3 @@ val time : (unit -> 'a) -> 'a * float
 
 (** [time_only f] runs [f ()] for its effects and returns elapsed seconds. *)
 val time_only : (unit -> unit) -> float
-
-(** A restartable stopwatch accumulating elapsed time across laps. *)
-type stopwatch
-
-val stopwatch : unit -> stopwatch
-val start : stopwatch -> unit
-val stop : stopwatch -> unit
-val elapsed : stopwatch -> float

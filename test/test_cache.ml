@@ -98,9 +98,12 @@ let test_run_batch_differential () =
   let qs = query_sequence (Prng.make 11) ds ~count:8 in
   List.iter
     (fun domains ->
-      let cold = Query.run_batch ~domains db qs base_config in
-      let cache = Qcache.create () in
-      let warm = Query.run_batch ~domains ~cache db qs base_config in
+      let cold, warm =
+        Psst_util.Pool.with_pool ~domains (fun pool ->
+            let cache = Qcache.create () in
+            ( Query.run_batch pool db qs base_config,
+              Query.run_batch ~cache pool db qs base_config ))
+      in
       List.iteri
         (fun i (a, b) ->
           check_outcome (Printf.sprintf "batch/%dd: query %d" domains i) a b)

@@ -265,6 +265,83 @@ let test_pmi_exact_memo () =
     (evals + hits);
   Alcotest.(check bool) "memo hits" true (hits > 0)
 
+(* --- Pipeline golden digest ---
+
+   Answers and every count and flag of [stats] for [Query.run] (1 and 3
+   domains), [run_batch] and [run_bounds_only], plus each [Topk.run]
+   hit's graph and SSP bits, over the golden corpus and a fixed query
+   set: a fixed and an adaptive Karp–Luby verifier, and a [relax_cap]
+   that truncates the relaxed set. Three passes must give the same
+   digest: cold, through a fresh cache, and again through that filled
+   cache (where [Topk.run] also reads SSPs [Query.run] stored). *)
+
+let golden_pipeline_digest = "2f87e481c2a13ef5881496721ccf33e6"
+
+let golden_db =
+  lazy
+    (let ds = golden_corpus () in
+     let db =
+       Query.index_database
+         ~mining:{ Selection.default_params with max_edges = 3 }
+         ds.graphs
+     in
+     let rng = Prng.make 2024 in
+     let queries = List.init 5 (fun _ -> fst (Generator.extract_query rng ds ~edges:4)) in
+     (db, queries))
+
+let outcome_line b (o : Query.outcome) =
+  let s = o.stats in
+  Printf.bprintf b "[%s] %d %b %d %d %d %d %d %d\n"
+    (String.concat "," (List.map string_of_int o.answers))
+    s.relaxed_count s.relaxed_truncated s.structural_candidates
+    s.prob_candidates s.accepted_by_bounds s.pruned_by_bounds
+    s.degraded_candidates s.verify_domains
+
+let pipeline_digest ?cache db queries =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (epsilon, adaptive, relax_cap) ->
+      let config =
+        {
+          Query.default_config with
+          epsilon;
+          delta = 1;
+          verifier = `Smp { Verify.default_config with adaptive };
+          relax_cap;
+        }
+      in
+      List.iter
+        (fun q ->
+          outcome_line b (Query.run ?cache db q config);
+          outcome_line b (Query.run ~domains:3 ?cache db q config);
+          outcome_line b (Query.run_bounds_only ?cache db q config))
+        queries;
+      Psst_util.Pool.with_pool ~domains:2 (fun pool ->
+          List.iter (outcome_line b)
+            (Query.run_batch ?cache pool db queries config));
+      List.iter
+        (fun q ->
+          let out = Topk.run ?cache db q ~k:3 config in
+          Printf.bprintf b "topk %d %d %d %b:" out.stats.structural_candidates
+            out.stats.verified out.stats.bound_skipped out.stats.relaxed_truncated;
+          List.iter
+            (fun (h : Topk.hit) ->
+              Printf.bprintf b " %d/%Lx" h.graph (Int64.bits_of_float h.ssp))
+            out.hits;
+          Buffer.add_char b '\n')
+        queries)
+    [ (0.4, false, 4096); (0.4, true, 4096); (0.05, false, 3) ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pipeline_golden_digest () =
+  let db, queries = Lazy.force golden_db in
+  let cache = Qcache.create () in
+  List.iter
+    (fun (pass, cache) ->
+      Alcotest.(check string) pass golden_pipeline_digest
+        (pipeline_digest ?cache db queries))
+    [ ("cold", None); ("cache filling", Some cache); ("cache warm", Some cache) ]
+
 (* --- Pruning soundness --- *)
 
 let pruning_env seed =
@@ -450,6 +527,7 @@ let suite =
     Alcotest.test_case "pmi: golden bounds digest" `Slow test_pmi_golden_digest;
     Alcotest.test_case "mining: golden feature digest" `Slow test_mining_golden_digest;
     Alcotest.test_case "pmi: exact memo accounting" `Slow test_pmi_exact_memo;
+    Alcotest.test_case "pipeline: golden digest" `Slow test_pipeline_golden_digest;
     QCheck_alcotest.to_alcotest prop_usim_bounds_exact_ssp;
     QCheck_alcotest.to_alcotest prop_lsim_safe_below_exact_ssp;
     Alcotest.test_case "verify: sample count" `Quick test_verify_num_samples;

@@ -242,6 +242,34 @@ let test_query_config_validation () =
   Alcotest.(check bool) "negative delta rejected" true
     (bad { Query.default_config with delta = -1 })
 
+(* A relaxation the pipelines cannot run is rejected by every entry point
+   before any work: with [relax_cap = 0] nothing is relaxed, so no
+   truncation is counted. *)
+let test_relaxation_config_rejected_first () =
+  let g = Lgraph.create ~vlabels:[| 0; 0; 0 |] ~edges:[ (0, 1, 0); (1, 2, 0) ] in
+  let pg = Pgraph.independent g [ (0, 0.5); (1, 0.5) ] in
+  let db = Query.index_database [| pg |] in
+  let truncated () = Psst_obs.counter_value (Psst_obs.counter "relax.truncated") in
+  List.iter
+    (fun (what, config) ->
+      List.iter
+        (fun (entry, run) ->
+          let before = truncated () in
+          (match run config with
+          | () -> Alcotest.failf "%s: %s accepted" entry what
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check int) (entry ^ ": nothing relaxed") before (truncated ()))
+        [
+          ("run", fun c -> ignore (Query.run db g c));
+          ("run_bounds_only", fun c -> ignore (Query.run_bounds_only db g c));
+          ("Topk.run", fun c -> ignore (Topk.run db g ~k:1 c));
+        ])
+    [
+      ("relax_cap 0", { Query.default_config with relax_cap = 0 });
+      ("relax_cap -1", { Query.default_config with relax_cap = -1 });
+      ("delta -1", { Query.default_config with delta = -1 });
+    ]
+
 (* --- Cross-cutting properties --- *)
 
 let prop_mined_features_connected =
@@ -316,6 +344,8 @@ let prop_percentile_bounded =
 let suite =
   [
     Alcotest.test_case "query config validation" `Quick test_query_config_validation;
+    Alcotest.test_case "relaxation config rejected first" `Quick
+      test_relaxation_config_rejected_first;
     QCheck_alcotest.to_alcotest prop_mined_features_connected;
     QCheck_alcotest.to_alcotest prop_relaxed_set_pairwise_noniso;
     QCheck_alcotest.to_alcotest prop_pruning_decisions_consistent;

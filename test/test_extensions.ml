@@ -1,5 +1,5 @@
-(* Tests for the library extensions: top-k search, serialisation, Gibbs
-   sampling, and incremental index maintenance. *)
+(* Tests for the library extensions: top-k search, serialisation and
+   incremental index maintenance. *)
 
 module Prng = Psst_util.Prng
 
@@ -133,89 +133,6 @@ let test_pgraph_io_archive () =
             (Lgraph.equal_structure (Pgraph.skeleton ds.graphs.(i)) (Pgraph.skeleton g)))
         loaded)
 
-(* --- Gibbs sampling --- *)
-
-let chain3 () =
-  let pa = Factor.create [| 0 |] [| 0.3; 0.7 |] in
-  let pb_a = Factor.create [| 0; 1 |] [| 0.8; 0.1; 0.2; 0.9 |] in
-  let pc_b = Factor.create [| 1; 2 |] [| 0.5; 0.3; 0.5; 0.7 |] in
-  [ pa; pb_a; pc_b ]
-
-let test_gibbs_marginals_match_exact () =
-  let factors = chain3 () in
-  let rng = Prng.make 23 in
-  let est =
-    Gibbs.marginals ~config:{ Gibbs.default_config with samples = 4000 } rng
-      factors ~evidence:[] [ 0; 1; 2 ]
-  in
-  List.iter
-    (fun (v, p) ->
-      let exact = Factor.value (Factor.normalize (Velim.marginal factors [ v ])) 1 in
-      if Float.abs (p -. exact) > 0.03 then
-        Alcotest.failf "var %d: gibbs %.3f vs exact %.3f" v p exact)
-    est
-
-let test_gibbs_respects_evidence () =
-  let factors = chain3 () in
-  let rng = Prng.make 29 in
-  Gibbs.sample ~config:{ Gibbs.default_config with samples = 50 } rng factors
-    ~evidence:[ (0, true) ]
-    (fun lookup -> Alcotest.(check bool) "evidence pinned" true (lookup 0))
-
-let test_gibbs_conditional_matches_exact () =
-  let factors = chain3 () in
-  let rng = Prng.make 31 in
-  let est =
-    Gibbs.marginals ~config:{ Gibbs.default_config with samples = 5000 } rng
-      factors ~evidence:[ (2, true) ] [ 1 ]
-  in
-  let exact =
-    Velim.prob ~evidence:[ (1, true); (2, true) ] factors
-    /. Velim.prob ~evidence:[ (2, true) ] factors
-  in
-  match est with
-  | [ (1, p) ] ->
-    if Float.abs (p -. exact) > 0.03 then
-      Alcotest.failf "gibbs %.3f vs exact %.3f" p exact
-  | _ -> Alcotest.fail "unexpected marginal shape"
-
-let test_gibbs_handles_loopy_model () =
-  (* A loopy pairwise model over a triangle of variables: Jtree.build
-     rejects it, Gibbs still produces sane (normalised) marginals. *)
-  let att = Factor.create [| 0; 1 |] [| 1.2; 0.8; 0.8; 1.2 |] in
-  let att2 = Factor.create [| 1; 2 |] [| 1.2; 0.8; 0.8; 1.2 |] in
-  let att3 = Factor.create [| 0; 2 |] [| 1.2; 0.8; 0.8; 1.2 |] in
-  let factors = [ att; att2; att3 ] in
-  (try
-     ignore (Jtree.build factors);
-     Alcotest.fail "loopy model must violate RIP"
-   with Invalid_argument _ -> ());
-  let rng = Prng.make 37 in
-  let est =
-    Gibbs.marginals ~config:{ Gibbs.default_config with samples = 4000 } rng
-      factors ~evidence:[] [ 0; 1; 2 ]
-  in
-  (* Symmetric model: every marginal is 1/2. *)
-  List.iter
-    (fun (v, p) ->
-      if Float.abs (p -. 0.5) > 0.04 then
-        Alcotest.failf "var %d: gibbs %.3f vs 0.5" v p)
-    est
-
-let test_gibbs_contradiction_detected () =
-  let deterministic = Factor.create [| 0 |] [| 0.; 1. |] in
-  let rng = Prng.make 41 in
-  try
-    Gibbs.sample ~config:{ Gibbs.default_config with samples = 1; burn_in = 1 }
-      rng
-      [ deterministic; Factor.create [| 0; 1 |] [| 1.; 0.; 0.; 1. |] ]
-      ~evidence:[ (1, false) ]
-      (fun _ -> ());
-    (* var0 must be true (first factor) and equal to var1=false (second):
-       zero mass both ways. *)
-    Alcotest.fail "contradiction not detected"
-  with Invalid_argument _ -> ()
-
 (* --- Incremental maintenance --- *)
 
 let test_add_graph_extends_database () =
@@ -261,7 +178,7 @@ let test_add_graph_pmi_entry_matches_direct () =
     Selection.select skeletons { Selection.default_params with max_edges = 2; beta = 0.2 }
   in
   let pmi = Pmi.build ~config:fast_bounds base features in
-  let pmi' = Pmi.add_graph pmi ds.graphs.(3) in
+  let pmi' = Pmi.add_graphs pmi [| ds.graphs.(3) |] in
   let column = Bounds.column fast_bounds ds.graphs.(3) in
   List.iteri
     (fun fi (f : Selection.feature) ->
@@ -337,11 +254,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pgraph_io_roundtrip;
     Alcotest.test_case "pgraph_io rejects garbage" `Quick test_pgraph_io_rejects_garbage;
     Alcotest.test_case "pgraph_io archive" `Quick test_pgraph_io_archive;
-    Alcotest.test_case "gibbs marginals" `Slow test_gibbs_marginals_match_exact;
-    Alcotest.test_case "gibbs evidence" `Quick test_gibbs_respects_evidence;
-    Alcotest.test_case "gibbs conditional" `Slow test_gibbs_conditional_matches_exact;
-    Alcotest.test_case "gibbs loopy model" `Slow test_gibbs_handles_loopy_model;
-    Alcotest.test_case "gibbs contradiction" `Quick test_gibbs_contradiction_detected;
     Alcotest.test_case "add_graph extends" `Quick test_add_graph_extends_database;
     Alcotest.test_case "add_graph queries exact" `Slow test_add_graph_queries_stay_exact;
     Alcotest.test_case "add_graph pmi entries" `Quick

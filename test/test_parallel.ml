@@ -119,7 +119,10 @@ let test_run_batch_matches_run () =
   in
   let queries = List.init 4 (fun _ -> fst (Generator.extract_query rng ds ~edges:4)) in
   let solo = List.map (fun q -> Query.run db q config) queries in
-  let batch = Query.run_batch ~domains:4 db queries config in
+  let batch =
+    Psst_util.Pool.with_pool ~domains:4 (fun pool ->
+        Query.run_batch pool db queries config)
+  in
   List.iteri
     (fun i (a, b) ->
       Alcotest.(check (list int))
