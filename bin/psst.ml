@@ -17,8 +17,7 @@
                  workers and merges the answers (DESIGN.md §14)
      client      submit queries to a running server or router, print
                  answers
-     experiment  regenerate one of the paper's figures
-     micro       (see bench/main.exe) *)
+     experiment  regenerate one of the paper's figures (or the ablations) *)
 
 open Cmdliner
 
@@ -821,6 +820,8 @@ let client socket port host num_graphs seed qsize nqueries epsilon delta
 
 let experiment fig db_size queries seed =
   or_die @@ fun () ->
+  if db_size < 1 then die "--db-size must be >= 1, got %d" db_size;
+  if queries < 1 then die "--queries must be >= 1, got %d" queries;
   let scale = scale_of db_size queries seed in
   let ppf = Format.std_formatter in
   (match fig with
@@ -1362,7 +1363,7 @@ let experiment_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FIG" ~doc:"One of fig9..fig14 or all.")
+      & info [] ~docv:"FIG" ~doc:"One of fig9..fig14, ablation or all.")
   in
   let db_size =
     Arg.(value & opt int 120 & info [ "db-size" ] ~doc:"Corpus size.")

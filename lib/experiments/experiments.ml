@@ -5,7 +5,6 @@ module Stats = Psst_util.Stats
 type scale = { db_size : int; queries_per_point : int; seed : int }
 
 let default_scale = { db_size = 120; queries_per_point = 8; seed = 2012 }
-let quick_scale = { db_size = 40; queries_per_point = 3; seed = 2012 }
 
 (* Scaled counterparts of the paper's defaults (§6): ε = 0.5, δ = 4 -> 2,
    query size 150 -> 8 edges, feature params 0.15, maxL 150 -> 3 edges. *)
@@ -596,63 +595,6 @@ let ablations ?(scale = default_scale) ppf =
   in
   Format.fprintf ppf "@[<v>%-10s %14.1f %14.1f %10s@]@." "vf2" ve vc "";
   Format.fprintf ppf "@[<v>%-10s %14.1f %14.1f %10b@]@." "ullmann" ue uc agree
-
-(* ------------------------------------------------------------------ *)
-(* Parallel execution: domain sweep over the Fig 9 workload.           *)
-(* ------------------------------------------------------------------ *)
-
-let parallel ?(scale = default_scale) ppf =
-  hr ppf "Parallel execution: domain sweep over the Fig 9 workload";
-  let ds = make_dataset scale in
-  let db = make_db ds.graphs in
-  (* The Fig 9 corpus and query distribution, widened to a batch so the
-     heavy-traffic path has enough concurrent queries to fill the pool. *)
-  let rng = Prng.make (scale.seed + 777) in
-  let nq = max 8 (2 * scale.queries_per_point) in
-  let queries =
-    List.init nq (fun _ -> fst (Generator.extract_query rng ds ~edges:default_qsize))
-  in
-  let config =
-    { Query.default_config with epsilon = default_epsilon; delta = default_delta }
-  in
-  Format.fprintf ppf "%d queries, db size %d, %d domains available@." nq
-    scale.db_size
-    (Psst_util.Pool.default_domains ());
-  Format.fprintf ppf "@[<v>%-8s %12s %10s %14s %14s %10s@]@." "domains"
-    "batch(s)" "speedup" "verify-cpu(s)" "verify-par" "identical";
-  let baseline = ref None in
-  List.iter
-    (fun domains ->
-      let outcomes, t =
-        Timer.time (fun () ->
-            Psst_util.Pool.with_pool ~domains (fun pool ->
-                Query.run_batch pool db queries config))
-      in
-      let base_t, base_answers =
-        match !baseline with
-        | None ->
-          baseline := Some (t, List.map (fun o -> o.Query.answers) outcomes);
-          (t, List.map (fun o -> o.Query.answers) outcomes)
-        | Some b -> b
-      in
-      let identical =
-        List.for_all2 (fun a o -> a = o.Query.answers) base_answers outcomes
-      in
-      let verify_cpu =
-        List.fold_left
-          (fun acc o -> acc +. o.Query.stats.t_verification_cpu)
-          0. outcomes
-      in
-      let verify_wall =
-        List.fold_left
-          (fun acc o -> acc +. o.Query.stats.t_verification)
-          0. outcomes
-      in
-      Format.fprintf ppf "@[<v>%-8d %12.3f %9.2fx %14.3f %13.2fx %10b@]@."
-        domains t (base_t /. t) verify_cpu
-        (if verify_wall > 0. then verify_cpu /. verify_wall else 1.)
-        identical)
-    [ 1; 2; 4; 8 ]
 
 let all ?(scale = default_scale) ppf =
   fig9 ~scale ppf;

@@ -19,13 +19,10 @@ type scale = {
 
 val default_scale : scale
 
-(** A tiny scale for smoke tests (fast, minutes for the full suite). *)
-val quick_scale : scale
-
 (** The corpus parameters behind Fig 9-14 at the given scale, and the
     feature-mining parameters every figure indexes with — exposed so
-    external harnesses (e.g. [bench/main.exe store]) can reproduce the
-    exact Fig 9 workload. *)
+    external harnesses (e.g. the ledger in [bench/ledger]) can reproduce
+    the exact Fig 9 workload. *)
 val dataset_params : scale -> Generator.params
 
 val mining_params : Selection.params
@@ -63,14 +60,6 @@ val fig14 : ?scale:scale -> Format.formatter -> unit
       as the Monte-Carlo accuracy knob moves;
     - A4 {b VF2 vs Ullmann} — matcher running times on the query workload. *)
 val ablations : ?scale:scale -> Format.formatter -> unit
-
-(** Domain sweep (1/2/4/8) over the Fig 9 corpus and query distribution:
-    runs the same batch through {!Query.run_batch} at each pool size,
-    reporting batch wall time, end-to-end speedup vs 1 domain, the
-    verification phase's cpu/wall parallelism, and whether every answer
-    set is identical to the sequential run (it must be — the per-candidate
-    PRNG streams make parallel execution bit-identical). *)
-val parallel : ?scale:scale -> Format.formatter -> unit
 
 (** Run every figure in order. *)
 val all : ?scale:scale -> Format.formatter -> unit

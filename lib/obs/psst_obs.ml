@@ -3,13 +3,9 @@
    structured warning-event channel, and per-query traces.
 
    The hot-path operations (incr/add/record/observe) are lock-free — one
-   [Atomic.get] on the enable flag plus one fetch-and-add or CAS loop — so
-   they are safe from every domain of a [Psst_util.Pool] and never
+   fetch-and-add or CAS loop — so they are safe from every domain of a [Psst_util.Pool] and never
    serialise the pipeline. The registry lock is taken only when a metric
    is first interned (module initialisation) and when dumping. *)
-
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
 
 let now () = Unix.gettimeofday ()
 
@@ -99,7 +95,7 @@ let histogram ?(per_decade = 4) ?(lo = 1e-9) ?(hi = 1e3) name =
     (function H h -> Some h | _ -> None)
 
 let add c n =
-  if n <> 0 && Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.cell n)
+  if n <> 0 then ignore (Atomic.fetch_and_add c.cell n)
 
 let incr c = add c 1
 let counter_value c = Atomic.get c.cell
@@ -110,10 +106,8 @@ let rec atomic_add_float cell x =
   if not (Atomic.compare_and_set cell old (old +. x)) then atomic_add_float cell x
 
 let record a x =
-  if Atomic.get enabled_flag then begin
-    atomic_add_float a.a_sum x;
-    ignore (Atomic.fetch_and_add a.a_count 1)
-  end
+  atomic_add_float a.a_sum x;
+  ignore (Atomic.fetch_and_add a.a_count 1)
 
 let acc_sum a = Atomic.get a.a_sum
 let acc_count a = Atomic.get a.a_count
@@ -134,11 +128,9 @@ let bucket_index h v =
   !lo
 
 let observe h v =
-  if Atomic.get enabled_flag then begin
-    ignore (Atomic.fetch_and_add h.buckets.(bucket_index h v) 1);
-    atomic_add_float h.h_sum v;
-    ignore (Atomic.fetch_and_add h.h_count 1)
-  end
+  ignore (Atomic.fetch_and_add h.buckets.(bucket_index h v) 1);
+  atomic_add_float h.h_sum v;
+  ignore (Atomic.fetch_and_add h.h_count 1)
 
 let histogram_count h = Atomic.get h.h_count
 let histogram_sum h = Atomic.get h.h_sum
@@ -170,17 +162,14 @@ let histogram_quantile h q =
   end
 
 let span h f =
-  if Atomic.get enabled_flag then begin
-    let t0 = now () in
-    match f () with
-    | r ->
-      observe h (now () -. t0);
-      r
-    | exception e ->
-      observe h (now () -. t0);
-      raise e
-  end
-  else f ()
+  let t0 = now () in
+  match f () with
+  | r ->
+    observe h (now () -. t0);
+    r
+  | exception e ->
+    observe h (now () -. t0);
+    raise e
 
 (* --- warning events --- *)
 
@@ -192,14 +181,12 @@ let warn_log : warning Queue.t = Queue.create ()
 let warn_dropped = Atomic.make 0
 
 let warn ~code message =
-  if Atomic.get enabled_flag then begin
-    incr (counter ("warn." ^ code));
-    Mutex.lock warn_lock;
-    if Queue.length warn_log < warning_cap then
-      Queue.push { code; message } warn_log
-    else Atomic.incr warn_dropped;
-    Mutex.unlock warn_lock
-  end
+  incr (counter ("warn." ^ code));
+  Mutex.lock warn_lock;
+  if Queue.length warn_log < warning_cap then
+    Queue.push { code; message } warn_log
+  else Atomic.incr warn_dropped;
+  Mutex.unlock warn_lock
 
 let warnings () =
   Mutex.lock warn_lock;

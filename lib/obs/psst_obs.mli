@@ -5,22 +5,12 @@
     a structured warning-event channel, and per-query traces.
 
     Hot-path operations ({!incr}, {!add}, {!record}, {!observe}) are
-    lock-free: one load of the enable flag plus a fetch-and-add or CAS
-    loop, so they are safe from every domain of a [Psst_util.Pool] and
-    never serialise the pipeline. Interning a metric name takes the
-    registry lock, so instrumented modules bind their metrics once at
-    module initialisation.
+    lock-free: one fetch-and-add or CAS loop, so they are safe from every
+    domain of a [Psst_util.Pool] and never serialise the pipeline.
+    Interning a metric name takes the registry lock, so instrumented
+    modules bind their metrics once at module initialisation.
 
-    Metrics never influence results: disabling the layer ({!set_enabled})
-    changes no answer, only skips the recording. *)
-
-(** {1 Enable flag} *)
-
-(** [set_enabled b] turns recording on or off (default on). When
-    disabled, every recording operation is a no-op and {!span} runs its
-    thunk untimed — this is the "uninstrumented" arm that
-    [bench/main.exe obs] compares against. *)
-val set_enabled : bool -> unit
+    Metrics never influence results: no pipeline decision reads one. *)
 
 (** {1 Counters} *)
 

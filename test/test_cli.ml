@@ -146,6 +146,16 @@ let test_ingest_flag_validation () =
                          --add %s"
            path))
 
+(* Corpus and workload sizes are checked before any figure runs: a
+   zero-query point would print a table of zeros, and an empty corpus
+   has no graph to extract a query from. *)
+let test_experiment_size_validation () =
+  check_dies "experiment with no queries" "experiment fig10 --queries 0";
+  check_dies "experiment with negative queries" "experiment fig10 --queries=-2";
+  check_dies "experiment with an empty corpus" "experiment fig10 --db-size 0";
+  check_dies "experiment with a negative corpus"
+    "experiment fig10 --db-size=-5"
+
 (* A second server on a live Unix socket path must refuse to start
    rather than take the path over. *)
 let test_serve_on_live_socket () =
@@ -226,6 +236,8 @@ let suite =
       test_endpoint_string_matrix;
     Alcotest.test_case "ingest flag validation exits 1" `Quick
       test_ingest_flag_validation;
+    Alcotest.test_case "experiment size validation exits 1" `Quick
+      test_experiment_size_validation;
     Alcotest.test_case "healthy invocation exits 0" `Quick
       test_success_path_stays_zero;
     Alcotest.test_case "serve on a live socket exits 1" `Quick

@@ -97,6 +97,17 @@ let check_ingest_differential ~domains () =
   let k = List.length queries in
   let offline0 = List.map (fun q -> Query.run db0 q base_config) queries in
   let offline1 = List.map (fun q -> Query.run db1 q base_config) queries in
+  (* Appending graphs never changes an existing graph's verdict: each
+     candidate's PRNG stream is keyed by its global id, so the epoch-1
+     answers restricted to the epoch-0 ids are the epoch-0 answers. *)
+  let n0 = Corpus.length db0.Query.graphs in
+  List.iteri
+    (fun i ((o0 : Query.outcome), (o1 : Query.outcome)) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "query %d: epoch-1 answers on ids < %d" i n0)
+        o0.Query.answers
+        (List.filter (fun g -> g < n0) o1.Query.answers))
+    (List.combine offline0 offline1);
   with_server ~domains db0 (fun srv ->
       with_client srv (fun c ->
           let replies = Hashtbl.create 16 in

@@ -1,6 +1,6 @@
 (* The observability layer (DESIGN.md §10): registry primitives, domain
-   safety, the disabled no-op arm, warning events, traces, and the
-   counters/flags the pipeline feeds.
+   safety, warning events, traces, and the counters/flags the pipeline
+   feeds.
 
    The registry is process-global, so every check here is written against
    deltas (snapshot before, compare after) or against metric names unique
@@ -83,26 +83,6 @@ let test_parallel_increments () =
     (Psst_obs.counter_value c);
   Tgen.check_close "no lost accumulator updates" (before_s +. 500.)
     (Psst_obs.acc_sum a)
-
-let test_disabled_is_noop () =
-  let c = Psst_obs.counter "test_obs.disabled" in
-  let h = Psst_obs.histogram "test_obs.disabled_h" in
-  let vc = Psst_obs.counter_value c and vh = Psst_obs.histogram_count h in
-  Psst_obs.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Psst_obs.set_enabled true)
-    (fun () ->
-      Psst_obs.incr c;
-      Psst_obs.observe h 1.;
-      Psst_obs.warn ~code:"test_obs.disabled" "never recorded";
-      Alcotest.(check int) "span still runs the thunk" 9
-        (Psst_obs.span h (fun () -> 9)));
-  Alcotest.(check int) "counter untouched" vc (Psst_obs.counter_value c);
-  Alcotest.(check int) "histogram untouched" vh (Psst_obs.histogram_count h);
-  Alcotest.(check bool) "no warning recorded" false
-    (List.exists
-       (fun (w : Psst_obs.warning) -> w.code = "test_obs.disabled")
-       (Psst_obs.warnings ()))
 
 let test_warnings () =
   let (_ : Psst_obs.warning list) = Psst_obs.drain_warnings () in
@@ -251,7 +231,6 @@ let suite =
       test_mismatched_kind_rejected;
     Alcotest.test_case "span times the thunk" `Quick test_span_times_thunk;
     Alcotest.test_case "parallel increments" `Quick test_parallel_increments;
-    Alcotest.test_case "disabled layer is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "warning events" `Quick test_warnings;
     Alcotest.test_case "registry json shape" `Quick test_json_shape;
     Alcotest.test_case "trace" `Quick test_trace;

@@ -87,7 +87,36 @@ let check_differential ~domains () =
                   true
                   (stats = P.stats_of_query off.Query.stats)
               | _ -> Alcotest.failf "query %d: expected Answer" i)
-            offline))
+            offline);
+      (* Four clients at once, each starting at a different query: the
+         server batches requests from several connections together, and
+         every reply must still be the offline one. A thread cannot fail
+         the test itself, so it counts the replies that differ. *)
+      let offline = Array.of_list offline and queries = Array.of_list queries in
+      let k = Array.length queries in
+      let differing = Atomic.make 0 in
+      let client start =
+        try
+          with_client srv (fun c ->
+              for j = 0 to (2 * k) - 1 do
+                let i = (start + j) mod k in
+                match
+                  Client.rpc c
+                    (P.Run { id = j; query = queries.(i); config = base_config })
+                with
+                | P.Answer { answers; stats; _ }
+                  when answers = offline.(i).Query.answers
+                       && stats = P.stats_of_query offline.(i).Query.stats ->
+                  ()
+                | _ -> Atomic.incr differing
+              done)
+        with _ -> Atomic.incr differing
+      in
+      List.iter Thread.join (List.init 4 (Thread.create client));
+      Alcotest.(check int)
+        (Printf.sprintf "concurrent replies differing from offline @ %d domains"
+           domains)
+        0 (Atomic.get differing))
 
 let test_differential_sequential () = check_differential ~domains:1 ()
 let test_differential_parallel () = check_differential ~domains:4 ()

@@ -3,8 +3,8 @@
    bit-identical to the monolithic ones. Offline: per-shard Query.run /
    Topk.run merged with Psst_shard at 1/2/4 shards under 1/4 verification
    domains, cold and warm cache passes, counters included. Served: a
-   scatter-gather router fronting shard workers diffed reply-for-reply
-   against a monolithic server over the wire. Property layer: answer-set
+   scatter-gather router fronting 1/2/4/8 shard workers diffed
+   reply-for-reply against a monolithic server over the wire. Property layer: answer-set
    union, threshold-aware top-k merge with deterministic ties, and the
    split → load → re-split round trip of an on-disk deployment. *)
 
@@ -133,6 +133,8 @@ let with_servers db shards f =
         (msock :: rsock :: socks))
     (fun () -> f (Server.endpoint mono) (Psst_router.endpoint router))
 
+(* A router over 1, 2, 4 and 8 shard workers vs one monolithic server,
+   reply for reply: answers, counters and top-k hits. *)
 let test_differential_routed () =
   let ds, db = make_db 419 20 in
   let n = Array.length ds.Generator.graphs in
@@ -140,38 +142,43 @@ let test_differential_routed () =
   let queries =
     List.init 3 (fun _ -> fst (Generator.extract_query rng ds ~edges:4))
   in
-  let shards = shards_of db (Sh.plan_even ~parts:2 ~total:n) in
-  with_servers db shards (fun mono_ep router_ep ->
-      let mc = Client.connect mono_ep in
-      let rc = Client.connect router_ep in
-      Fun.protect
-        ~finally:(fun () -> Client.close mc; Client.close rc)
-        (fun () ->
-          List.iteri
-            (fun qi q ->
-              (* two passes: the second hits both sides' server caches *)
-              for pass = 1 to 2 do
-                let tag = Printf.sprintf "q=%d pass=%d" qi pass in
-                let run = P.Run { id = qi; query = q; config = base_config } in
-                (match (Client.rpc mc run, Client.rpc rc run) with
-                | ( P.Answer { answers = ma; stats = ms; _ },
-                    P.Answer { answers = ra; stats = rs; _ } ) ->
-                  Alcotest.(check (list int))
-                    (tag ^ ": routed answers = monolithic") ma ra;
-                  Alcotest.(check bool)
-                    (tag ^ ": routed counters = monolithic") true (ms = rs)
-                | _ -> Alcotest.failf "%s: expected two Answers" tag);
-                let topk =
-                  P.Run_topk { id = qi; query = q; k = 4; config = base_config }
-                in
-                match (Client.rpc mc topk, Client.rpc rc topk) with
-                | P.Topk_answer { hits = mh; _ }, P.Topk_answer { hits = rh; _ }
-                  ->
-                  Alcotest.(check bool)
-                    (tag ^ ": routed top-k = monolithic") true (mh = rh)
-                | _ -> Alcotest.failf "%s: expected two Topk_answers" tag
-              done)
-            queries))
+  let check_routed parts mc rc =
+    List.iteri
+      (fun qi q ->
+        (* two passes: the second hits both sides' server caches *)
+        for pass = 1 to 2 do
+          let tag = Printf.sprintf "s=%d q=%d pass=%d" parts qi pass in
+          let run = P.Run { id = qi; query = q; config = base_config } in
+          (match (Client.rpc mc run, Client.rpc rc run) with
+          | ( P.Answer { answers = ma; stats = ms; _ },
+              P.Answer { answers = ra; stats = rs; _ } ) ->
+            Alcotest.(check (list int))
+              (tag ^ ": routed answers = monolithic") ma ra;
+            Alcotest.(check bool)
+              (tag ^ ": routed counters = monolithic") true (ms = rs)
+          | _ -> Alcotest.failf "%s: expected two Answers" tag);
+          let topk =
+            P.Run_topk { id = qi; query = q; k = 4; config = base_config }
+          in
+          match (Client.rpc mc topk, Client.rpc rc topk) with
+          | P.Topk_answer { hits = mh; _ }, P.Topk_answer { hits = rh; _ }
+            ->
+            Alcotest.(check bool)
+              (tag ^ ": routed top-k = monolithic") true (mh = rh)
+          | _ -> Alcotest.failf "%s: expected two Topk_answers" tag
+        done)
+      queries
+  in
+  List.iter
+    (fun parts ->
+      let shards = shards_of db (Sh.plan_even ~parts ~total:n) in
+      with_servers db shards (fun mono_ep router_ep ->
+          let mc = Client.connect mono_ep in
+          let rc = Client.connect router_ep in
+          Fun.protect
+            ~finally:(fun () -> Client.close mc; Client.close rc)
+            (fun () -> check_routed parts mc rc)))
+    [ 1; 2; 4; 8 ]
 
 (* --- properties --- *)
 
