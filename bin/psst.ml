@@ -115,11 +115,8 @@ let corpus_of input num_graphs seed =
    chain (the deltas chained onto the old base). Returns the database, the
    elapsed time, a description, and the delta chain when persistent
    (armed for further ingest). A rebuild runs on [domains]. *)
-let obtain_database ?(flat = false) ?(mmap = false)
+let obtain_database ?(mmap = false)
     ?(domains = Psst_util.Pool.default_domains ()) index_file graphs =
-  (* Memory-mapped serving needs the flat on-disk layout, so --mmap
-     implies writing any rebuilt index with --flat. *)
-  let flat = flat || mmap in
   let with_deltas path (db, t) how =
     let (db, chain), t_replay =
       Psst_util.Timer.time (fun () -> Psst_ingest.apply_deltas ~base:path db)
@@ -143,9 +140,8 @@ let obtain_database ?(flat = false) ?(mmap = false)
         Printf.printf "removed %d stale ingest delta file%s of %s\n%!" stale
           (if stale = 1 then "" else "s")
           path;
-      Query.save_database ~flat path db;
-      Printf.printf "index persisted to %s%s\n%!" path
-        (if flat then " (flat image)" else "");
+      Query.save_database path db;
+      Printf.printf "index persisted to %s\n%!" path;
       if mmap then
         let db, t_map =
           Psst_util.Timer.time (fun () -> Query.load_database ~mmap:true path)
@@ -173,7 +169,7 @@ let obtain_database ?(flat = false) ?(mmap = false)
       build_and_save ())
   | _ -> build_and_save ()
 
-let index num_graphs seed input flat output =
+let index num_graphs seed input _flat output =
   or_die @@ fun () ->
   let graphs, _ = corpus_of input num_graphs seed in
   Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
@@ -181,22 +177,21 @@ let index num_graphs seed input flat output =
     Psst_util.Timer.time (fun () ->
         Query.index_database ~domains:(Psst_util.Pool.default_domains ()) graphs)
   in
-  Query.save_database ~flat output db;
+  Query.save_database output db;
   let bytes =
     let ic = open_in_bin output in
     Fun.protect ~finally:(fun () -> close_in ic) (fun () -> in_channel_length ic)
   in
   Printf.printf
-    "indexed in %.2fs: %d features, %d PMI entries\nindex written to %s (%d bytes%s)\n"
+    "indexed in %.2fs: %d features, %d PMI entries\nindex written to %s (%d bytes)\n"
     t_index
     (List.length db.Query.features)
     (Pmi.filled_entries db.Query.pmi)
     output bytes
-    (if flat then ", flat mmap-ready image" else "")
 
 (* --- shard (DESIGN.md §14) --- *)
 
-let shard num_graphs seed input index_file flat output shards max_graphs
+let shard num_graphs seed input index_file _flat output shards max_graphs
     max_cost =
   or_die @@ fun () ->
   let graphs, _ = corpus_of input num_graphs seed in
@@ -221,10 +216,9 @@ let shard num_graphs seed input index_file flat output shards max_graphs
       Psst_shard.plan_budget db budget
     | Some _, _, _ -> die "--shards conflicts with --max-graphs/--max-cost"
   in
-  let m = Psst_shard.split_to_files ~flat ~manifest_path:output db plan in
-  Printf.printf "sharded %d graphs into %d shards%s (manifest %s):\n" m.total
+  let m = Psst_shard.split_to_files ~manifest_path:output db plan in
+  Printf.printf "sharded %d graphs into %d shards (manifest %s):\n" m.total
     (List.length m.Psst_shard.entries)
-    (if flat then " as flat mmap-ready images" else "")
     output;
   List.iter
     (fun (s : Psst_shard.entry) ->
@@ -882,10 +876,9 @@ let flat_arg =
     value & flag
     & info [ "flat" ]
         ~doc:
-          "Write the succinct flat index image (DESIGN.md §15): delta-coded \
-           PMI postings, fixed-width bounds and u16 structural count cells \
-           that $(b,psst serve --mmap) reads zero-copy out of a memory \
-           mapping. Loads eagerly too, to bit-identical answers.")
+          "Accepted for compatibility and ignored: every index is written \
+           as the flat image (DESIGN.md §15), which $(b,psst serve) loads \
+           eagerly or, with $(b,--mmap), zero-copy.")
 
 let index_cmd =
   let output =
@@ -1037,11 +1030,8 @@ let serve_cmd =
           ~doc:
             "Serve the index zero-copy out of a memory mapping instead of \
              decoding it (worker role: with --index or --manifest/--shard; \
-             router role: applies to the local fallback shards). Requires \
-             the flat image layout ($(b,psst index --flat) / $(b,psst \
-             shard --flat)); a non-flat store is rejected and — when \
-             rebuilding is possible — rebuilt flat. Answers are \
-             bit-identical to the eager load.")
+             router role: applies to the local fallback shards). Answers \
+             are bit-identical to the eager load.")
   in
   let index_file =
     Arg.(

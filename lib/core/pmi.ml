@@ -437,39 +437,12 @@ let filled_entries t =
 let backing t = match t.backing with Heap _ -> `Heap | Flat _ -> `Flat
 let build_seconds t = t.build_seconds
 
-(* --- persistence (DESIGN.md §9) --- *)
+(* --- persistence (DESIGN.md §9, §15) --- *)
 
-let encode_entry e (b : entry) =
-  S.put_f64 e b.Bounds.lower;
-  S.put_f64 e b.upper;
-  S.put_f64 e b.lower_safe;
-  S.put_f64 e b.upper_safe;
-  S.put_i64 e b.embeddings;
-  S.put_i64 e b.cuts
-
-let decode_entry d : entry =
-  let lower = S.get_f64 d in
-  let upper = S.get_f64 d in
-  let lower_safe = S.get_f64 d in
-  let upper_safe = S.get_f64 d in
-  let embeddings = S.get_nat d in
-  let cuts = S.get_nat d in
-  { Bounds.lower; upper; lower_safe; upper_safe; embeddings; cuts }
-
-(* The bound matrix is stored as graph-column shards of [shard_width]
-   columns each ("pmi.entries.<k>"), not one monolithic section: each shard
-   carries its own CRC, so a corrupted byte damages one shard and a salvage
-   load can keep every other column and rebuild only the damaged ones with
-   [build_column] (which is deterministic per (config, db, features, gi) —
-   the salvage result is bit-identical to a full rebuild). "pmi.layout"
-   records the geometry so readers know which shards to expect. *)
-let shard_width = 16
-let shard_name k = Printf.sprintf "pmi.entries.%d" k
-let num_shards ng = if ng = 0 then 0 else ((ng - 1) / shard_width) + 1
 let m_salvaged = Psst_obs.counter "store.salvaged_columns"
 
-(* The small metadata sections are shared verbatim between the eager
-   (sharded) and flat images, so both carry the same validation surface. *)
+(* The small metadata sections, decoded and validated identically by the
+   eager and the mapped load paths. *)
 let small_sections ~db t =
   let config = S.encoder () in
   S.put_i64 config t.config.Bounds.emb_cap;
@@ -490,29 +463,6 @@ let small_sections ~db t =
     S.section "pmi.features" features,
     S.section "pmi.meta" meta )
 
-let to_sections ~db t =
-  let config, dbsec, features, meta = small_sections ~db t in
-  let nf = num_features t and ng = num_graphs t in
-  let entries = entries_matrix t in
-  let layout = S.encoder () in
-  S.put_i64 layout nf;
-  S.put_i64 layout ng;
-  S.put_i64 layout shard_width;
-  let shards =
-    List.init (num_shards ng) (fun k ->
-        let e = S.encoder () in
-        let lo = k * shard_width and hi = min ng ((k + 1) * shard_width) in
-        for gi = lo to hi - 1 do
-          for fi = 0 to nf - 1 do
-            S.put_option e encode_entry entries.(fi).(gi)
-          done
-        done;
-        S.section (shard_name k) e)
-  in
-  config :: dbsec :: features
-  :: S.section "pmi.layout" layout
-  :: (shards @ [ meta ])
-
 (* --- flat image codec (DESIGN.md §15) --- *)
 
 let flat_dir_name = "pmi.flat.dir"
@@ -525,7 +475,7 @@ let count_as_float what v =
     S.error "flat bounds: %s %d is not exactly representable" what v;
   f
 
-let flat_sections ~db t =
+let to_sections ~db t =
   let config, dbsec, features, meta = small_sections ~db t in
   let nf = num_features t and ng = t.num_graphs in
   let block = flat_block in
@@ -638,57 +588,34 @@ let decode_flat_dir payload ~nf ~ng ~postings_len ~bounds_len =
       !run_rank filled;
   (dir, filled, block)
 
-let big_of_string s : S.bigbytes =
-  let n = String.length s in
-  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set b i (String.unsafe_get s i)
-  done;
+(* The flat backing over a directory payload and the postings and bounds
+   views; both load paths build it here. The postings are not walked yet:
+   the mapped path walks them once at open ([scan_postings]), the eager
+   path as it materialises the matrix ([entries_matrix]) — the same
+   validating walk either way. *)
+let flat_backing ~nf ~ng ~dir ~postings ~bounds ~bounds_len =
+  let f_dir, f_filled, f_block =
+    decode_flat_dir dir ~nf ~ng
+      ~postings_len:(Bigarray.Array1.dim postings)
+      ~bounds_len
+  in
+  { f_dir; f_postings = postings; f_bounds = bounds; f_block; f_filled }
+
+let bigbytes_of_string s : S.bigbytes =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (Bigarray.Array1.unsafe_set b) s;
   b
 
-(* Eager decode of a flat image into the heap matrix — used when a flat
-   store file is loaded without [~mmap]. Bit-identical to the matrix the
-   zero-copy path exposes through [lookup]. *)
-let heap_of_flat_sections sections ~nf ~ng =
-  let postings_s = S.find_section sections flat_postings_name in
-  let bounds_s = S.find_section sections flat_bounds_name in
-  let dir, _filled, block =
-    decode_flat_dir
-      (S.find_section sections flat_dir_name)
-      ~nf ~ng
-      ~postings_len:(String.length postings_s)
-      ~bounds_len:(String.length bounds_s)
-  in
-  let p = big_of_string postings_s in
-  let bound_at i = Int64.float_of_bits (String.get_int64_le bounds_s (i * 8)) in
-  let check_count what v =
-    if not (Float.is_integer v) || v < 0. || v > 9.0e15 then
-      S.error "flat bounds: invalid %s %g" what v;
-    int_of_float v
-  in
-  let entries = Array.init nf (fun _ -> Array.make ng None) in
-  scan_postings p dir ~block ~ng (fun fi rank gid ->
-      let idx = dir.(fi).d_rank + rank in
-      let b i = bound_at ((idx * 6) + i) in
-      entries.(fi).(gid) <-
-        Some
-          {
-            Bounds.lower = b 0;
-            upper = b 1;
-            lower_safe = b 2;
-            upper_safe = b 3;
-            embeddings = check_count "embedding count" (b 4);
-            cuts = check_count "cut count" (b 5);
-          });
-  entries
+let floats_of_string s : S.floats =
+  Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (String.length s / 8)
+    (fun i -> Int64.float_of_bits (String.get_int64_le s (8 * i)))
 
-(* Decode + validate the small metadata sections, shared by every load
-   path (eager sharded, eager flat, zero-copy mapped). [fp] recomputes the
-   database fingerprint when identity must be re-proven — the eager paths
-   always do; the zero-copy query path skips it (its graphs live in the
-   same atomically-written container as the index, so identity is
-   intrinsic, and re-fingerprinting would force the decode the mapping
-   exists to avoid). *)
+(* Decode + validate the small metadata sections, shared by both load
+   paths. [fp] recomputes the database fingerprint when identity must be
+   re-proven — the eager path always does; the zero-copy query path skips
+   it (its graphs live in the same atomically-written container as the
+   index, so identity is intrinsic, and re-fingerprinting would force the
+   decode the mapping exists to avoid). *)
 let decode_small_sections ~ng ~fp sections =
   let config =
     S.decode_section sections "pmi.config" (fun d ->
@@ -741,100 +668,39 @@ let of_sections ?(salvage = false) ~db sections =
   in
   let nf = Array.length features in
   let has name = List.exists (fun (s : S.section) -> s.S.name = name) sections in
-  if
-    has flat_dir_name
-    || (salvage && (has flat_postings_name || has flat_bounds_name))
-  then begin
-    (* A flat image. Its three sections do not shard per column, so salvage
-       is coarse: if any of them is damaged, every column is rebuilt with
-       the same deterministic builder the sharded salvage uses. *)
-    let entries, rebuilt =
-      if has flat_dir_name && has flat_postings_name && has flat_bounds_name
-      then (heap_of_flat_sections sections ~nf ~ng, 0)
-      else if not salvage then
-        (heap_of_flat_sections sections ~nf ~ng, 0 (* raises: missing section *))
-      else begin
-        let entries = Array.init nf (fun _ -> Array.make ng None) in
-        for gi = 0 to ng - 1 do
-          let col = build_column config db features gi in
-          for fi = 0 to nf - 1 do
-            entries.(fi).(gi) <- col.(fi)
-          done
-        done;
-        (entries, ng)
-      end
-    in
-    if rebuilt > 0 then begin
-      Psst_obs.add m_salvaged rebuilt;
+  let entries =
+    if
+      salvage
+      && not (List.for_all has [ flat_dir_name; flat_postings_name; flat_bounds_name ])
+    then begin
+      (* Self-healing (DESIGN.md §12): a bulk section failed its checksum
+         (or never reached the disk). The image has no finer grain, so every
+         column is rebuilt from the graphs and the intact features; the
+         build is deterministic, so the result is bit-identical. *)
+      let rebuilt = build ~config db (Array.to_list features) in
+      Psst_obs.add m_salvaged ng;
       Psst_obs.warn ~code:"store.salvaged"
         (Printf.sprintf
-           "PMI salvage: rebuilt all %d columns (damaged flat image section)"
-           rebuilt)
-    end;
-    let build_seconds =
-      if salvage && not (has "pmi.meta") then 0.
-      else S.decode_section sections "pmi.meta" S.get_f64
-    in
-    { config; features; backing = Heap entries; num_graphs = ng; build_seconds }
-  end
-  else begin
-  let shard_w =
-    S.decode_section sections "pmi.layout" (fun d ->
-        let stored_nf = S.get_nat d in
-        let stored_ng = S.get_nat d in
-        let w = S.get_nat d in
-        if stored_nf <> nf then
-          S.error "entry layout has %d rows for %d features" stored_nf nf;
-        if stored_ng <> ng then
-          S.error "entry layout has %d columns for %d graphs" stored_ng ng;
-        if w < 1 then S.error "entry layout shard width %d must be >= 1" w;
-        w)
+           "PMI salvage: rebuilt all %d columns (damaged PMI image section)" ng);
+      entries_matrix rebuilt
+    end
+    else begin
+      let bounds = S.find_section sections flat_bounds_name in
+      let flat =
+        flat_backing ~nf ~ng
+          ~dir:(S.find_section sections flat_dir_name)
+          ~postings:(bigbytes_of_string (S.find_section sections flat_postings_name))
+          ~bounds:(floats_of_string bounds) ~bounds_len:(String.length bounds)
+      in
+      entries_matrix
+        { config; features; backing = Flat flat; num_graphs = ng; build_seconds = 0. }
+    end
   in
-  let entries = Array.init nf (fun _ -> Array.make ng None) in
-  let nshards = if ng = 0 then 0 else ((ng - 1) / shard_w) + 1 in
-  let rebuilt_shards = ref [] in
-  let rebuilt_cols = ref 0 in
-  for k = 0 to nshards - 1 do
-    let name = shard_name k in
-    let lo = k * shard_w and hi = min ng ((k + 1) * shard_w) in
-    if has name then
-      S.decode_section sections name (fun d ->
-          for gi = lo to hi - 1 do
-            for fi = 0 to nf - 1 do
-              entries.(fi).(gi) <- S.get_option d decode_entry
-            done
-          done)
-    else if not salvage then ignore (S.find_section sections name)
-    else
-      (* Self-healing (DESIGN.md §12): the shard's checksum failed (or the
-         section never made it to disk) — recompute exactly its columns
-         from the graphs and the intact feature section. *)
-      begin
-        for gi = lo to hi - 1 do
-          let col = build_column config db features gi in
-          for fi = 0 to nf - 1 do
-            entries.(fi).(gi) <- col.(fi)
-          done;
-          incr rebuilt_cols
-        done;
-        rebuilt_shards := name :: !rebuilt_shards
-      end
-  done;
-  if !rebuilt_cols > 0 then begin
-    Psst_obs.add m_salvaged !rebuilt_cols;
-    Psst_obs.warn ~code:"store.salvaged"
-      (Printf.sprintf "PMI salvage: rebuilt %d columns (damaged shards: %s)"
-         !rebuilt_cols
-         (String.concat ", " (List.rev !rebuilt_shards)))
-  end;
   let build_seconds =
     if salvage && not (has "pmi.meta") then 0.
     else S.decode_section sections "pmi.meta" S.get_f64
   in
   { config; features; backing = Heap entries; num_graphs = ng; build_seconds }
-  end
-
-let save path ~db t = S.write_file path ~kind:S.Pmi_index (to_sections ~db t)
 
 (* Zero-copy attach: the small sections are decoded (and CRC-checked)
    exactly like [of_sections]; the postings stay in the mapping after a
@@ -846,11 +712,6 @@ let save path ~db t = S.write_file path ~kind:S.Pmi_index (to_sections ~db t)
    the container, so the fingerprint is not re-proven
    ([decode_small_sections]). *)
 let of_mapped_lazy m ~ng =
-  if not (S.mapped_has m flat_dir_name) then
-    S.error
-      "store %s holds no flat index image — re-index it with --flat to use \
-       --mmap"
-      (S.mapped_path m);
   let small =
     List.filter_map
       (fun name ->
@@ -860,36 +721,13 @@ let of_mapped_lazy m ~ng =
       [ "pmi.config"; "pmi.db"; "pmi.features"; "pmi.meta"; flat_dir_name ]
   in
   let config, features = decode_small_sections ~ng ~fp:None small in
-  let nf = Array.length features in
-  let postings = S.mapped_bytes m flat_postings_name in
   let bounds = S.mapped_f64 m flat_bounds_name in
-  let dir, filled, block =
-    decode_flat_dir
-      (S.find_section small flat_dir_name)
-      ~nf ~ng
-      ~postings_len:(Bigarray.Array1.dim postings)
-      ~bounds_len:(8 * Bigarray.Array1.dim bounds)
+  let flat =
+    flat_backing ~nf:(Array.length features) ~ng
+      ~dir:(S.find_section small flat_dir_name)
+      ~postings:(S.mapped_bytes m flat_postings_name)
+      ~bounds ~bounds_len:(8 * Bigarray.Array1.dim bounds)
   in
-  scan_postings postings dir ~block ~ng (fun _ _ _ -> ());
+  scan_postings flat.f_postings flat.f_dir ~block:flat.f_block ~ng (fun _ _ _ -> ());
   let build_seconds = S.decode_section small "pmi.meta" S.get_f64 in
-  {
-    config;
-    features;
-    backing =
-      Flat
-        {
-          f_dir = dir;
-          f_postings = postings;
-          f_bounds = bounds;
-          f_block = block;
-          f_filled = filled;
-        };
-    num_graphs = ng;
-    build_seconds;
-  }
-
-let load ?(salvage = false) path ~db =
-  if salvage then
-    of_sections ~salvage:true ~db
-      (S.read_file_salvage path ~kind:S.Pmi_index).S.intact
-  else of_sections ~db (S.read_file path ~kind:S.Pmi_index)
+  { config; features; backing = Flat flat; num_graphs = ng; build_seconds }

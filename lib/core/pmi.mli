@@ -68,67 +68,49 @@ val backing : t -> [ `Heap | `Flat ]
 (** Wall-clock seconds spent computing the entries (Fig 12(c)). *)
 val build_seconds : t -> float
 
-(** {1 Persistence (DESIGN.md §9)}
+(** {1 Persistence (DESIGN.md §9, §15)}
 
-    The PMI is the expensive offline artifact of the pipeline; it is stored
-    bit-exactly (float bounds as IEEE-754 bits), so queries on a loaded
+    The PMI is the expensive offline artifact of the pipeline. It is
+    stored bit-exactly inside a {!Query.save_database} image, as the flat
+    image: per-feature delta-coded postings and a fixed-width IEEE-754
+    bounds array, beside the shared metadata sections. Queries on a loaded
     index are bit-identical — same answers, same pruning counters — to
     queries on a freshly built one. *)
 
-(** [save path ~db t] writes a [Pmi_index]-kind {!Psst_store} file carrying
-    the bound matrix, the mined features, the bounds configuration, and a
-    fingerprint of [db]. *)
-val save : string -> db:Pgraph.t array -> t -> unit
-
-(** [load path ~db] validates the store's format version, kind, checksums,
-    and that the persisted database fingerprint matches [db] before any
-    entry is reused; raises [Psst_store.Store_error] otherwise (a stale or
-    foreign index is rejected, never silently reused).
-
-    [~salvage:true] turns corruption of the bound matrix into self-healing
-    instead of rejection (DESIGN.md §12): the matrix is stored as
-    per-shard-checksummed column groups, so a load keeps every shard whose
-    CRC holds and recomputes only the damaged or missing ones with the same
-    deterministic column builder the offline build uses — the result is
-    bit-identical to a full rebuild. Each rebuilt column counts into
-    ["store.salvaged_columns"] and the load emits one ["store.salvaged"]
-    warning event. The small metadata sections (config, database
-    fingerprint, features, layout) cannot be salvaged — if one of those is
-    damaged the load still raises [Store_error] and the caller should fall
-    back to a full rebuild. *)
-val load : ?salvage:bool -> string -> db:Pgraph.t array -> t
-
-(** [of_mapped_lazy m ~ng] attaches to the flat image inside an
-    already-mapped database store, whose graphs live (lazily decoded) in
-    the same container. It runs the metadata validation of
-    {!of_sections} and a full validating scan of the postings; only the
-    graph count is cross-checked against the graphs, because the index
-    and the graphs were written in one atomic store file, making
-    re-fingerprinting — which would force the full decode the mapping
-    exists to avoid — redundant for identity. Bound count fields are
-    validated on first materialisation instead of at open, so attach
-    time does not scale with the bounds payload.
-    {!Query.load_database}'s [~mmap] path uses this. *)
-val of_mapped_lazy : Psst_store.mapped -> ng:int -> t
-
-(** Section-level codec, shared with the whole-database store
-    ({!Query.save_database}). [of_sections] performs the same validation as
-    {!load} minus the file-level header checks; [~salvage:true] rebuilds
-    entry shards missing from [sections] instead of failing (pass the
-    [intact] list of {!Psst_store.read_file_salvage}). *)
+(** The PMI sections of a database image: ["pmi.config"], ["pmi.db"]
+    (graph count and fingerprint of [db]), ["pmi.features"],
+    ["pmi.flat.dir"], ["pmi.flat.postings"], ["pmi.flat.bounds"] and
+    ["pmi.meta"]. Callers must run {!Psst_store.align_payloads} with target
+    ["pmi.flat.bounds"] on the final section list before writing, or the
+    mmap loader will reject the unaligned bounds payload. *)
 val to_sections : db:Pgraph.t array -> t -> Psst_store.section list
 
-(** The flat-image sections ("pmi.flat.dir" / "pmi.flat.postings" /
-    "pmi.flat.bounds" plus the shared metadata sections). Callers must run
-    {!Psst_store.align_payloads} with target ["pmi.flat.bounds"] on the
-    final section list before writing, or the mmap loader will reject the
-    unaligned bounds payload. *)
-val flat_sections : db:Pgraph.t array -> t -> Psst_store.section list
+(** [of_sections ~db sections] decodes the image eagerly into the heap
+    backing. It validates the format and that the stored fingerprint
+    matches [db] before any entry is reused, and raises
+    [Psst_store.Store_error] otherwise: a stale or foreign index is
+    rejected, never silently reused.
 
-(** [of_sections] accepts both layouts (sharded and flat), eagerly decoding
-    either into the heap backing. With [~salvage:true], a damaged flat
-    image rebuilds {e all} columns (the flat sections are not per-column
-    sharded); damaged metadata still raises. *)
+    [~salvage:true] (pass the [intact] list of
+    {!Psst_store.read_file_salvage}) turns a damaged or missing
+    ["pmi.flat.*"] section into self-healing instead of rejection
+    (DESIGN.md §12): every column is rebuilt with the deterministic
+    builder of {!build}, so the result is bit-identical. The rebuilt
+    columns count into ["store.salvaged_columns"] and the load emits one
+    ["store.salvaged"] warning event. The metadata sections (config,
+    database fingerprint, features) cannot be salvaged: if one of those
+    is damaged the load still raises [Store_error]. *)
 val of_sections :
   ?salvage:bool -> db:Pgraph.t array -> Psst_store.section list -> t
 
+(** [of_mapped_lazy m ~ng] attaches to the image inside an already-mapped
+    database store, whose graphs live (lazily decoded) in the same
+    container. It runs the same metadata, directory and postings
+    validation as {!of_sections}; only the graph count is cross-checked
+    against the graphs, because the index and the graphs were written in
+    one atomic store file, making re-fingerprinting — which would force
+    the full decode the mapping exists to avoid — redundant for identity.
+    Bound count fields are validated on first materialisation instead of
+    at open, so attach time does not scale with the bounds payload.
+    {!Query.load_database}'s [~mmap] path uses this. *)
+val of_mapped_lazy : Psst_store.mapped -> ng:int -> t

@@ -24,6 +24,10 @@ module Log = (val Logs.src_log log_src)
 
 let index_database ?(mining = Selection.default_params)
     ?(bounds = Bounds.default_config) ?(emb_cap = 64) ?(domains = 1) graphs =
+  (* The image stores structural counts, capped at [emb_cap], as u16 cells:
+     a cap it cannot store is refused before mining. *)
+  if emb_cap > 0xFFFF then
+    invalid_arg "Query.index_database: emb_cap must be at most 65535";
   let skeletons = Array.map Pgraph.skeleton graphs in
   let features = Selection.select skeletons mining in
   Log.info (fun m ->
@@ -466,49 +470,33 @@ let get_config d =
   | exception Invalid_argument msg -> Store.error "config: %s" msg);
   c
 
-(* The section-level codec is exposed so the shard store (lib/shard) can
-   compose a database's sections with its own metadata in one file. The
-   "db.base" section carries the global-id offset and is written only
-   when non-zero, so files written by previous releases (always
-   monolithic, base 0) load unchanged. *)
-(* The flat structural image (DESIGN.md §15): a tiny directory plus one
-   feature-major u16 cell matrix that the mmap load path reads zero-copy.
-   Counts are capped at [emb_cap], so u16 range suffices as long as the
-   cap itself fits — enforced here rather than silently truncated. *)
-let structural_flat_sections st =
-  let emb_cap = Structural.emb_cap st in
-  if emb_cap > 0xFFFF then
-    Store.error
-      "flat structural image requires emb_cap < 65536 (this index uses %d)"
-      emb_cap;
-  let nf = Structural.num_features st and ng = Structural.num_graphs st in
+(* --- the database image (DESIGN.md §9, §15) ---
+
+   One layout: the graphs with an offset table, so a mapped corpus can
+   decode one graph without scanning its predecessors; the structural
+   count matrix as u16 cells; the PMI as delta-coded postings and a
+   fixed-width bounds array ([Pmi.to_sections]). The "db.base" section
+   carries the global-id offset of a shard and is written only when
+   non-zero. The eager and the mapped loaders read the structural
+   directory, the PMI and "db.base" through the same validators. *)
+
+(* The structural counts are capped at [emb_cap], which [index_database]
+   keeps within the u16 range of the cells. *)
+let structural_sections st =
   let dir = Store.encoder () in
-  Store.put_i64 dir emb_cap;
-  Store.put_i64 dir nf;
-  Store.put_i64 dir ng;
+  Store.put_i64 dir (Structural.emb_cap st);
+  Store.put_i64 dir (Structural.num_features st);
+  Store.put_i64 dir (Structural.num_graphs st);
   let cells = Store.encoder () in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun c ->
-          if c > 0xFFFF then
-            Store.error "structural count %d does not fit the flat u16 cells" c;
-          Store.put_u16 cells c)
-        row)
-    (Structural.counts st);
+  Array.iter (Array.iter (Store.put_u16 cells)) (Structural.counts st);
   [
     Store.section "structural.flat.dir" dir;
     Store.section "structural.flat.counts" cells;
   ]
 
-let database_sections ?(flat = false) db =
+let database_sections db =
   let garr = Corpus.to_array db.graphs in
   let graphs = Store.encoder () in
-  (* Framing identical to [put_array encode_binary] — the payload bytes
-     (and hence the database fingerprint) are the same in both layouts;
-     the flat image just also records where each graph begins, so a
-     mapped corpus can decode one graph without scanning its
-     predecessors. *)
   let n = Array.length garr in
   Store.put_i64 graphs n;
   let offsets = Array.make (n + 1) 0 in
@@ -518,121 +506,116 @@ let database_sections ?(flat = false) db =
       Pgraph_io.encode_binary graphs g;
       offsets.(i + 1) <- Store.enc_length graphs)
     garr;
-  let head =
-    if flat then begin
-      let offs = Store.encoder () in
-      Store.put_array offs Store.put_i64 offsets;
-      Store.section "graphs" graphs
-      :: Store.section "graphs.offsets" offs
-      :: (structural_flat_sections db.structural
-         @ Pmi.flat_sections ~db:garr db.pmi)
-    end
+  let offs = Store.encoder () in
+  Store.put_array offs Store.put_i64 offsets;
+  let base =
+    if db.base = 0 then []
     else begin
-      let structural = Store.encoder () in
-      Store.put_i64 structural (Structural.emb_cap db.structural);
-      Store.put_array structural
-        (fun e row -> Store.put_array e Store.put_i64 row)
-        (Structural.counts db.structural);
-      Store.section "graphs" graphs
-      :: Store.section "structural" structural
-      :: Pmi.to_sections ~db:garr db.pmi
+      let e = Store.encoder () in
+      Store.put_i64 e db.base;
+      [ Store.section "db.base" e ]
     end
   in
-  if db.base = 0 then head
-  else begin
-    let base = Store.encoder () in
-    Store.put_i64 base db.base;
-    head @ [ Store.section "db.base" base ]
-  end
+  (Store.section "graphs" graphs :: Store.section "graphs.offsets" offs
+   :: structural_sections db.structural)
+  @ Pmi.to_sections ~db:garr db.pmi
+  @ base
 
-let database_of_sections ?(salvage = false) sections =
+(* [small name] is the payload of a small section, [None] when the image
+   lacks it. *)
+let read_base small =
+  match small "db.base" with
+  | None -> 0
+  | Some payload ->
+    let d = Store.decoder ~name:"db.base" payload in
+    let b = Store.get_nat d in
+    Store.expect_end d;
+    b
+
+(* The structural directory against the PMI's features, the graphs and
+   the [bytes] of the count payload; returns [emb_cap]. *)
+let read_structural_dir small ~features ~ng ~bytes =
+  let nf = List.length features in
+  let payload =
+    match small "structural.flat.dir" with
+    | Some p -> p
+    | None -> Store.error "missing section \"structural.flat.dir\""
+  in
+  let d = Store.decoder ~name:"structural.flat.dir" payload in
+  let emb_cap = Store.get_nat d in
+  let snf = Store.get_nat d in
+  let sng = Store.get_nat d in
+  Store.expect_end d;
+  if snf <> nf then
+    Store.error "structural image has %d rows for %d features" snf nf;
+  if sng <> ng then
+    Store.error "structural image has %d columns for %d graphs" sng ng;
+  if bytes <> 2 * nf * ng then
+    Store.error "structural counts: %d bytes for %d x %d cells" bytes nf ng;
+  emb_cap
+
+(* Files of the retired classic layout carry a "structural" section where
+   the image has "structural.flat.*"; they are refused as a whole, so a
+   caller that can rebuild the index does. *)
+let reject_retired_layout path has =
+  if has "structural" then
+    Store.error
+      "store %s is in the retired classic index layout — re-index it" path
+
+let database_of_sections ~path ~salvage sections =
+  let small name =
+    List.find_opt (fun (s : Store.section) -> s.Store.name = name) sections
+    |> Option.map (fun (s : Store.section) -> s.Store.payload)
+  in
+  reject_retired_layout path (fun name -> small name <> None);
   (* The graphs are the source of truth — nothing to rebuild them from, so
      even a salvage load requires them (and the structural counts) intact;
-     only the PMI entry shards are self-healing. *)
+     only the PMI sections are self-healing. [Pmi.of_sections]
+     re-fingerprints the graphs against the stored fingerprint, so a file
+     stitched together from two different stores is rejected. *)
   let graphs =
     Store.decode_section sections "graphs" (fun d ->
         Store.get_array d Pgraph_io.decode_binary)
   in
-  (* [Pmi.of_sections] re-fingerprints the embedded graphs against the
-     stored fingerprint, so a file stitched together from two different
-     stores is rejected here. *)
+  let ng = Array.length graphs in
   let pmi = Pmi.of_sections ~salvage ~db:graphs sections in
   let features = Array.to_list (Pmi.features pmi) in
-  let has name =
-    List.exists (fun (s : Store.section) -> s.Store.name = name) sections
+  let payload = Store.find_section sections "structural.flat.counts" in
+  let emb_cap =
+    read_structural_dir small ~features ~ng ~bytes:(String.length payload)
+  in
+  let counts =
+    Array.init (List.length features) (fun fi ->
+        Array.init ng (fun gi -> String.get_uint16_le payload (2 * ((fi * ng) + gi))))
   in
   let structural =
-    if has "structural.flat.dir" then begin
-      (* Eager decode of the flat image (a flat file loaded without mmap). *)
-      let emb_cap, nf, ng =
-        Store.decode_section sections "structural.flat.dir" (fun d ->
-            let emb_cap = Store.get_nat d in
-            let nf = Store.get_nat d in
-            let ng = Store.get_nat d in
-            (emb_cap, nf, ng))
-      in
-      if nf <> List.length features then
-        Store.error "structural flat image has %d rows for %d features" nf
-          (List.length features);
-      if ng <> Array.length graphs then
-        Store.error "structural flat image has %d columns for %d graphs" ng
-          (Array.length graphs);
-      let payload = Store.find_section sections "structural.flat.counts" in
-      if String.length payload <> 2 * nf * ng then
-        Store.error "structural flat counts: %d bytes for %d x %d cells"
-          (String.length payload) nf ng;
-      let counts =
-        Array.init nf (fun fi ->
-            Array.init ng (fun gi ->
-                String.get_uint16_le payload (2 * ((fi * ng) + gi))))
-      in
-      Store.checked (fun () -> Structural.of_parts ~features ~counts ~emb_cap)
-    end
-    else
-      Store.decode_section sections "structural" (fun d ->
-          let emb_cap = Store.get_nat d in
-          let counts =
-            Store.get_array d (fun d -> Store.get_array d Store.get_nat)
-          in
-          Store.checked (fun () -> Structural.of_parts ~features ~counts ~emb_cap))
+    Store.checked (fun () -> Structural.of_parts ~features ~counts ~emb_cap)
   in
-  let base =
-    if List.exists (fun (s : Store.section) -> s.Store.name = "db.base") sections
-    then
-      Store.decode_section sections "db.base" (fun d ->
-          let b = Store.get_nat d in
-          b)
-    else 0
-  in
-  { graphs = Corpus.of_array graphs; features; structural; pmi; base }
+  { graphs = Corpus.of_array graphs; features; structural; pmi; base = read_base small }
 
-let save_database ?(flat = false) path db =
-  let sections = database_sections ~flat db in
-  let sections =
-    if flat then
-      Store.align_payloads
-        ~targets:[ "structural.flat.counts"; "pmi.flat.bounds" ]
-        sections
-    else sections
-  in
-  Store.write_file path ~kind:Store.Database sections
+let save_database ?(flat = true) path db =
+  if not flat then
+    invalid_arg "Query.save_database: the classic layout is retired (~flat:false)";
+  Store.write_file path ~kind:Store.Database
+    (Store.align_payloads
+       ~targets:[ "structural.flat.counts"; "pmi.flat.bounds" ]
+       (database_sections db))
 
-(* Zero-copy load of a flat database image: only the small metadata
-   sections (directories, features, config) are decoded at open. The
-   graphs stay in the mapping behind a lazily-decoding {!Corpus}, and the
-   PMI postings/bounds and structural count cells — the
-   O(features x graphs) bulk — are read in place, so time-to-first-query
-   does not scale with database size. *)
+(* Zero-copy load: only the small metadata sections (directories,
+   features, config) are decoded at open. The graphs stay in the mapping
+   behind a lazily-decoding {!Corpus}, and the PMI postings/bounds and
+   structural count cells — the O(features x graphs) bulk — are read in
+   place, so time-to-first-query does not scale with database size. *)
 let load_database_mapped path =
   let m = Store.map_file path ~kind:Store.Database in
   Fun.protect
     ~finally:(fun () -> Store.mapped_release m)
     (fun () ->
-      if not (Store.mapped_has m "graphs.offsets") then
-        Store.error
-          "store %s holds no graph offset table — re-index it with --flat to \
-           use --mmap"
-          path;
+      reject_retired_layout path (Store.mapped_has m);
+      let small name =
+        if Store.mapped_has m name then Some (Store.mapped_section_string m name)
+        else None
+      in
       let offsets =
         let d =
           Store.decoder ~name:"graphs.offsets"
@@ -646,49 +629,16 @@ let load_database_mapped path =
       let ng = Corpus.length graphs in
       let pmi = Pmi.of_mapped_lazy m ~ng in
       let features = Array.to_list (Pmi.features pmi) in
-      if not (Store.mapped_has m "structural.flat.dir") then
-        Store.error
-          "store %s holds no flat structural image — re-index it with --flat \
-           to use --mmap"
-          path;
-      let emb_cap, nf =
-        let d =
-          Store.decoder ~name:"structural.flat.dir"
-            (Store.mapped_section_string m "structural.flat.dir")
-        in
-        let emb_cap = Store.get_nat d in
-        let nf = Store.get_nat d in
-        let ng' = Store.get_nat d in
-        Store.expect_end d;
-        if ng' <> ng then
-          Store.error "structural flat image has %d columns for %d graphs" ng'
-            ng;
-        (emb_cap, nf)
-      in
-      if nf <> List.length features then
-        Store.error "structural flat image has %d rows for %d features" nf
-          (List.length features);
       let cells = Store.mapped_u16 m "structural.flat.counts" in
-      if Bigarray.Array1.dim cells <> nf * ng then
-        Store.error "structural flat counts: %d cells for %d x %d"
-          (Bigarray.Array1.dim cells) nf ng;
+      let emb_cap =
+        read_structural_dir small ~features ~ng
+          ~bytes:(2 * Bigarray.Array1.dim cells)
+      in
       let structural =
         Store.checked (fun () ->
             Structural.of_cells ~features ~cells ~num_graphs:ng ~emb_cap)
       in
-      let base =
-        if Store.mapped_has m "db.base" then begin
-          let d =
-            Store.decoder ~name:"db.base"
-              (Store.mapped_section_string m "db.base")
-          in
-          let b = Store.get_nat d in
-          Store.expect_end d;
-          b
-        end
-        else 0
-      in
-      { graphs; features; structural; pmi; base })
+      { graphs; features; structural; pmi; base = read_base small })
 
 let load_database ?(salvage = false) ?(mmap = false) path =
   let eager () =
@@ -697,7 +647,7 @@ let load_database ?(salvage = false) ?(mmap = false) path =
         (Store.read_file_salvage path ~kind:Store.Database).Store.intact
       else Store.read_file path ~kind:Store.Database
     in
-    database_of_sections ~salvage sections
+    database_of_sections ~path ~salvage sections
   in
   if not mmap then eager ()
   else

@@ -28,7 +28,9 @@ val global : database -> int -> int
 
 (** [index_database ?mining ?bounds ?emb_cap ?domains graphs] mines
     features over the skeletons and builds both indexes; [domains]
-    parallelises the PMI bound computation (see {!Pmi.build}). *)
+    parallelises the PMI bound computation (see {!Pmi.build}). Raises
+    [Invalid_argument] before any work when [emb_cap > 65535], the
+    largest count the structural image's u16 cells hold. *)
 val index_database :
   ?mining:Selection.params ->
   ?bounds:Bounds.config ->
@@ -205,45 +207,32 @@ val candidate_ssp : front -> stop:float option -> database -> config -> int -> f
     as one {!Psst_store} file, so a process answers queries without paying
     mining or {!Pmi.build} again. *)
 
-(** [save_database path db] writes a [Database]-kind store file.
+(** [save_database path db] writes a [Database]-kind store file: the
+    succinct image of DESIGN.md §15 (delta-coded PMI postings, a
+    fixed-width bounds array, u16 structural count cells, directory
+    sections), which {!load_database} reads eagerly or memory-maps. A
+    non-zero [base] is carried in an extra ["db.base"] section.
 
-    [~flat:true] writes the succinct mmap-ready image instead (DESIGN.md
-    §15): delta-coded PMI postings, a fixed-width bounds array, u16
-    structural count cells, and directory sections — the only layout
-    {!load_database}'s [~mmap:true] accepts. Both layouts load to
-    bit-identical query behaviour. *)
+    [?flat] is accepted for compatibility only: [true] (the default) is
+    the one layout, and [~flat:false] raises [Invalid_argument]. *)
 val save_database : ?flat:bool -> string -> database -> unit
 
-(** The section-level codec behind {!save_database}/{!load_database},
-    exposed so the shard store ([lib/shard]) can compose a database's
-    sections with its own metadata in one file. A non-zero [base] is
-    carried in an extra ["db.base"] section (absent for monolithic
-    databases, so files from previous releases round-trip unchanged).
-    With [~flat:true] the caller must apply {!Psst_store.align_payloads}
-    (targets ["structural.flat.counts"] and ["pmi.flat.bounds"]) before
-    writing, as {!save_database} does. *)
-val database_sections : ?flat:bool -> database -> Psst_store.section list
-
-val database_of_sections : ?salvage:bool -> Psst_store.section list -> database
-
 (** [load_database path] — raises [Psst_store.Store_error] on corruption,
-    truncation, version skew, or when the embedded PMI's fingerprint does
-    not match the embedded graphs. Queries on the result are bit-identical
-    to queries on the database that was saved. [~salvage:true] applies
-    {!Pmi.load}'s self-healing to the embedded PMI entry shards (for a
-    flat image, a damaged flat section rebuilds all columns); the graphs
-    and structural sections have no rebuild source and must be intact
-    either way.
+    truncation, version skew, a file in the retired classic layout, or
+    when the embedded PMI's fingerprint does not match the embedded
+    graphs. Queries on the result are bit-identical to queries on the
+    database that was saved. [~salvage:true] applies {!Pmi.of_sections}'
+    self-healing to the embedded PMI: a damaged PMI bulk section rebuilds
+    all columns. The graphs and structural sections have no rebuild source
+    and must be intact either way.
 
-    [~mmap:true] memory-maps a flat image ({!save_database} with
-    [~flat:true]) instead of decoding it: PMI lookups and structural
-    count cells read zero-copy out of the mapping, so cold start skips
-    the O(features x graphs) decode entirely (the file is still
-    integrity-scanned once, and graphs/skeletons are still materialised).
-    Queries are bit-identical to the eager load of the same file. A
-    non-flat store raises [Store_error] suggesting [--flat]; combined
-    with [~salvage:true], any mmap failure falls back to the eager
-    salvage loader. *)
+    [~mmap:true] memory-maps the image instead of decoding it: PMI
+    lookups and structural count cells read zero-copy out of the mapping,
+    so cold start skips the O(features x graphs) decode entirely (the
+    small sections and the postings are still integrity-checked at open).
+    Queries are bit-identical to the eager load of the same file.
+    Combined with [~salvage:true], any mmap failure falls back to the
+    eager salvage loader. *)
 val load_database : ?salvage:bool -> ?mmap:bool -> string -> database
 
 (** [run_exact_scan db q config] — the paper's Exact competitor: no

@@ -243,7 +243,7 @@ let shard_file_name ~manifest_path sid =
   let stem = Filename.remove_extension (Filename.basename manifest_path) in
   Printf.sprintf "%s.shard%d" stem sid
 
-let split_to_files ?(flat = false) ~manifest_path (db : Query.database) plan =
+let split_to_files ~manifest_path (db : Query.database) plan =
   if db.Query.base <> 0 then
     invalid_arg "Psst_shard.split_to_files: database must be monolithic (base 0)";
   if plan = [] then invalid_arg "Psst_shard.split_to_files: empty plan";
@@ -257,7 +257,7 @@ let split_to_files ?(flat = false) ~manifest_path (db : Query.database) plan =
         (* Each shard file is written atomically (tmp + rename); the
            manifest below goes last, so a crash at any point leaves the
            previous deployment — or no deployment — fully intact. *)
-        Query.save_database ~flat (Filename.concat dir path) shard;
+        Query.save_database (Filename.concat dir path) shard;
         {
           sid;
           base;

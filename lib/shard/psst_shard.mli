@@ -97,11 +97,9 @@ val merge_topk : k:int -> Topk.hit list list -> Topk.hit list
     the manifest — then the manifest itself, last and atomically: a
     crash anywhere mid-split leaves the previous deployment's manifest
     (or none) intact and never a manifest naming half-written shards.
-    Returns the manifest. [~flat:true] writes each shard as the succinct
-    mmap-ready image ({!Query.save_database} with [~flat:true]), so
-    workers can cold-start with {!load_shard}'s [~mmap:true]. *)
+    Returns the manifest. Each shard file is a {!Query.save_database}
+    image, so workers can cold-start with {!load_shard}'s [~mmap:true]. *)
 val split_to_files :
-  ?flat:bool ->
   manifest_path:string ->
   Query.database ->
   (int * int) list ->
@@ -119,7 +117,7 @@ val load_manifest : string -> manifest
     validates its range and fingerprint against the manifest entry, so a
     stale or foreign shard file is rejected, never silently served.
     [~salvage:true] applies {!Query.load_database}'s PMI self-healing;
-    [~mmap:true] memory-maps a flat shard image zero-copy (see
+    [~mmap:true] memory-maps the shard image zero-copy (see
     {!Query.load_database}) — the manifest validation runs either way. *)
 val load_shard :
   ?salvage:bool ->

@@ -25,27 +25,26 @@ let magic = "PSSTSTR\x00"
 let format_version = 1
 let header_bytes = 24
 
-type kind = Pgdb | Pmi_index | Database | Manifest | Delta
+type kind = Pgdb | Database | Manifest | Delta
 
-(* Tag 3 belonged to a retired corpus kind; it is not reused, so such a
-   file fails as an unknown kind rather than loading as something else. *)
+(* Tag 2 belonged to the retired standalone PMI index file (its matrix now
+   lives only inside a database image) and tag 3 to a retired corpus
+   kind; neither is reused, so such a file fails as an unknown kind
+   rather than loading as something else. *)
 let kind_tag = function
   | Pgdb -> 1
-  | Pmi_index -> 2
   | Database -> 4
   | Manifest -> 5
   | Delta -> 6
 
 let kind_name = function
   | Pgdb -> "probabilistic graph database"
-  | Pmi_index -> "PMI index"
   | Database -> "query database"
   | Manifest -> "shard manifest"
   | Delta -> "ingest delta batch"
 
 let kind_of_tag = function
   | 1 -> Some Pgdb
-  | 2 -> Some Pmi_index
   | 4 -> Some Database
   | 5 -> Some Manifest
   | 6 -> Some Delta
@@ -83,12 +82,6 @@ let put_array e f a =
   Array.iter (f e) a
 
 let put_int_list e l = put_list e put_i64 l
-
-let put_option e f = function
-  | None -> put_bool e false
-  | Some x ->
-    put_bool e true;
-    f e x
 
 let put_lgraph e g =
   put_i64 e (Lgraph.num_vertices g);
@@ -186,7 +179,6 @@ let get_array d f =
 
 let get_int_list d = get_list d get_i64
 
-let get_option d f = if get_bool d then Some (f d) else None
 
 let get_lgraph d =
   let n = get_count d in
@@ -521,10 +513,10 @@ let align_payloads ~targets sections =
 
 (* --- memory-mapped zero-copy access (DESIGN.md §15) ---
 
-   [map_file] maps the whole file read-only and verifies the header CRC and
-   every section CRC by streaming chunks through {!Crc32} — an O(file) scan
-   with no per-entry allocation, so a flipped byte anywhere is caught at
-   open time and the typed views handed out afterwards can be trusted.
+   [map_file] maps the whole file read-only, verifies the header CRC and
+   walks the section framing — O(directory), whatever the payload size.
+   Payload CRCs are checked by the accessors that copy or hand out bytes;
+   the typed bulk views are validated by their consumers (DESIGN.md §15).
    There is no salvage variant: salvage implies rebuilding heap structures,
    which is exactly what the mmap path exists to avoid. *)
 

@@ -44,11 +44,14 @@ val format_version : int
 (** Size of the fixed file header in bytes. *)
 val header_bytes : int
 
-(** What a store file holds; readers reject a kind mismatch. *)
+(** What a store file holds; readers reject a kind mismatch. An index is
+    always a whole [Database] image: there is no standalone PMI kind, and
+    its retired tag is never reused. *)
 type kind =
   | Pgdb  (** an array of probabilistic graphs *)
-  | Pmi_index  (** a serialized {!Pmi.t} with its database fingerprint *)
-  | Database  (** the whole query-time state ({!Query.database}) *)
+  | Database
+      (** the whole query-time state ({!Query.database}) as the flat image
+          of DESIGN.md §15, the one index layout *)
   | Manifest  (** a shard manifest ([Psst_shard.manifest]) *)
   | Delta
       (** one ingest batch appended to a [Database] store — a side file
@@ -134,7 +137,6 @@ val put_string : enc -> string -> unit
 val put_int_list : enc -> int list -> unit
 val put_list : enc -> (enc -> 'a -> unit) -> 'a list -> unit
 val put_array : enc -> (enc -> 'a -> unit) -> 'a array -> unit
-val put_option : enc -> (enc -> 'a -> unit) -> 'a option -> unit
 val put_lgraph : enc -> Lgraph.t -> unit
 
 (** [section name enc] packages an encoder's contents as a section. *)
@@ -157,7 +159,6 @@ val get_string : dec -> string
 val get_int_list : dec -> int list
 val get_list : dec -> (dec -> 'a) -> 'a list
 val get_array : dec -> (dec -> 'a) -> 'a array
-val get_option : dec -> (dec -> 'a) -> 'a option
 val get_lgraph : dec -> Lgraph.t
 
 (** [expect_end d] — {!Store_error} unless the payload was fully consumed. *)

@@ -220,59 +220,82 @@ let base_config =
 
 let c_columns = Psst_obs.counter "pmi.columns_built"
 
-let corrupt_section path original name =
-  let _, start, stop =
-    List.find (fun (n, _, _) -> n = name) (S.section_spans original)
-  in
+let corrupt_sections path original names =
+  let spans = S.section_spans original in
   let b = Bytes.of_string original in
-  (* Midpoint of the span: inside the checksummed payload, away from the
-     section framing, so exactly this one section is damaged. *)
-  let pos = start + ((stop - start) / 2) in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x20));
+  List.iter
+    (fun name ->
+      let _, start, stop = List.find (fun (n, _, _) -> n = name) spans in
+      (* Midpoint of the span: inside the checksummed payload, away from
+         the section framing, so exactly this one section is damaged. *)
+      let pos = start + ((stop - start) / 2) in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x20)))
+    names;
   write_bytes path (Bytes.to_string b)
 
-let test_salvage_rebuilds_only_damaged_shard () =
-  (* 24 graphs and shard width 16: shard 0 holds columns 0..15, shard 1
-     columns 16..23. Damaging shard 1 must rebuild exactly 8 columns. *)
-  let ds, db = make_db 331 24 in
+(* A damaged PMI bulk section ("pmi.flat.*") has no finer grain than the
+   image, so salvage rebuilds every column — any one, two or all three of
+   them damaged — and the deterministic build makes the salvaged index
+   re-save byte for byte. *)
+let test_salvage_rebuilds_damaged_image () =
+  let ng = 24 in
+  let _, db = make_db 331 ng in
   with_tmp (fun path ->
-      Pmi.save path ~db:ds.graphs db.Query.pmi;
+      Query.save_database path db;
       let pristine = read_bytes path in
-      corrupt_section path pristine "pmi.entries.1";
-      expect_store_error "plain load refuses the damaged shard" (fun () ->
-          Pmi.load path ~db:ds.graphs);
-      let salvaged, rebuilt =
-        counter_delta c_columns (fun () ->
-            Pmi.load ~salvage:true path ~db:ds.graphs)
-      in
-      Alcotest.(check int) "exactly the damaged shard's columns rebuilt" 8
-        rebuilt;
-      Alcotest.(check bool) "salvage metered" true
-        (Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
-        >= 8);
-      Alcotest.(check bool) "salvage warning recorded" true
-        (Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged") >= 1);
-      (* Bit-identity: build_column is deterministic per (config, db,
-         features, gi), so re-saving the salvaged index reproduces the
-         pristine file byte for byte. *)
-      with_tmp (fun path2 ->
-          Pmi.save path2 ~db:ds.graphs salvaged;
-          Alcotest.(check bool) "salvaged index re-saves bit-identically" true
-            (read_bytes path2 = pristine)))
+      List.iter
+        (fun damaged ->
+          let what = String.concat " + " damaged in
+          corrupt_sections path pristine damaged;
+          expect_store_error (what ^ ": plain load refuses") (fun () ->
+              Query.load_database path);
+          let salvaged_before =
+            Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
+          in
+          let warned_before =
+            Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged")
+          in
+          let salvaged, rebuilt =
+            counter_delta c_columns (fun () ->
+                Query.load_database ~salvage:true path)
+          in
+          Alcotest.(check int) (what ^ ": every column rebuilt") ng rebuilt;
+          Alcotest.(check int) (what ^ ": salvage metered") ng
+            (Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
+            - salvaged_before);
+          Alcotest.(check bool) (what ^ ": salvage warning recorded") true
+            (Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged")
+            > warned_before);
+          with_tmp (fun path2 ->
+              Query.save_database path2 salvaged;
+              Alcotest.(check bool)
+                (what ^ ": salvaged index re-saves bit-identically")
+                true
+                (read_bytes path2 = pristine)))
+        [
+          [ "pmi.flat.bounds" ];
+          [ "pmi.flat.postings"; "pmi.flat.bounds" ];
+          [ "pmi.flat.dir" ];
+          [ "pmi.flat.dir"; "pmi.flat.postings"; "pmi.flat.bounds" ];
+        ])
 
 let test_salvage_cannot_rebuild_metadata () =
-  (* The feature / config / layout sections have no rebuild source: a
-     salvage load must refuse (callers fall back to a full rebuild). *)
-  let ds, db = make_db 337 8 in
+  (* The graphs, the structural image and the PMI's feature / config /
+     fingerprint sections have no rebuild source: a salvage load must
+     refuse (callers fall back to a full rebuild). *)
+  let _, db = make_db 337 8 in
   with_tmp (fun path ->
-      Pmi.save path ~db:ds.graphs db.Query.pmi;
+      Query.save_database path db;
       let pristine = read_bytes path in
       List.iter
         (fun name ->
-          corrupt_section path pristine name;
+          corrupt_sections path pristine [ name ];
           expect_store_error (name ^ " is not salvageable") (fun () ->
-              Pmi.load ~salvage:true path ~db:ds.graphs))
-        [ "pmi.config"; "pmi.features"; "pmi.layout" ])
+              Query.load_database ~salvage:true path))
+        [
+          "pmi.config"; "pmi.features"; "pmi.db"; "graphs"; "structural.flat.dir";
+          "structural.flat.counts";
+        ])
 
 (* --- degradation: budgets and verification faults, offline --- *)
 
@@ -1302,8 +1325,8 @@ let suite =
       test_bitflipped_write_is_refused_by_readers;
     Alcotest.test_case "read faults surface as Store_error" `Quick
       test_read_faults_surface_cleanly;
-    Alcotest.test_case "salvage rebuilds only the damaged shard" `Slow
-      test_salvage_rebuilds_only_damaged_shard;
+    Alcotest.test_case "salvage rebuilds a damaged image" `Slow
+      test_salvage_rebuilds_damaged_image;
     Alcotest.test_case "metadata sections are not salvageable" `Quick
       test_salvage_cannot_rebuild_metadata;
     Alcotest.test_case "budget degrades to a flagged superset" `Slow

@@ -52,8 +52,6 @@ let test_primitive_round_trip () =
   S.put_string e "";
   S.put_string e "hello\x00world";
   S.put_int_list e [ 3; 1; 4; 1; 5 ];
-  S.put_option e S.put_i64 None;
-  S.put_option e S.put_i64 (Some 42);
   S.put_i32 e 0xDEADBEEFl;
   let d = S.decoder (S.contents e) in
   Alcotest.(check bool) "min_int" true (S.get_i64 d = min_int);
@@ -70,8 +68,6 @@ let test_primitive_round_trip () =
   Alcotest.(check string) "empty string" "" (S.get_string d);
   Alcotest.(check string) "nul string" "hello\x00world" (S.get_string d);
   Alcotest.(check (list int)) "int list" [ 3; 1; 4; 1; 5 ] (S.get_int_list d);
-  Alcotest.(check bool) "none" true (S.get_option d S.get_i64 = None);
-  Alcotest.(check bool) "some" true (S.get_option d S.get_i64 = Some 42);
   Alcotest.(check int32) "i32" 0xDEADBEEFl (S.get_i32 d);
   S.expect_end d
 
@@ -236,18 +232,30 @@ let check_same_answers ds db db' =
       Alcotest.failf "trial %d: pruning counters differ" trial
   done
 
+(* The PMI of a saved image, eagerly decoded into the heap backing and
+   mapped zero-copy, against the index that was saved. *)
 let test_pmi_save_load_bit_identical () =
   let ds, db = build_db 11 10 in
   with_tmp (fun path ->
-      Pmi.save path ~db:ds.graphs db.Query.pmi;
-      let pmi' = Pmi.load path ~db:ds.graphs in
-      check_pmi_identical db.Query.pmi pmi';
-      let db' = { db with Query.pmi = pmi' } in
-      check_same_answers ds db db')
+      Query.save_database path db;
+      List.iter
+        (fun (mmap, backing) ->
+          let pmi' = (Query.load_database ~mmap path).Query.pmi in
+          Alcotest.(check bool)
+            (Printf.sprintf "backing (mmap %b)" mmap)
+            true
+            (Pmi.backing pmi' = backing);
+          check_pmi_identical db.Query.pmi pmi';
+          let db' = { db with Query.pmi = pmi' } in
+          check_same_answers ds db db')
+        [ (false, `Heap); (true, `Flat) ])
 
 let test_database_save_load_bit_identical () =
   let ds, db = build_db 23 10 in
   with_tmp (fun path ->
+      (match Query.save_database ~flat:false path db with
+      | () -> Alcotest.fail "the retired classic layout (~flat:false) was written"
+      | exception Invalid_argument _ -> ());
       Query.save_database path db;
       let db' = Query.load_database path in
       Alcotest.(check int) "graphs" (Corpus.length db.Query.graphs)
@@ -276,36 +284,99 @@ let expect_store_error what f =
     Alcotest.failf "%s: raised %s instead of Store_error" what
       (Printexc.to_string e)
 
+(* Both loaders, eager and mapped, must refuse. *)
+let expect_load_error what path =
+  List.iter
+    (fun mmap ->
+      expect_store_error
+        (Printf.sprintf "%s (mmap %b)" what mmap)
+        (fun () -> Query.load_database ~mmap path))
+    [ false; true ]
+
 let test_version_skew_rejected () =
-  let ds, db = build_db 31 8 in
+  let _, db = build_db 31 8 in
   with_tmp (fun path ->
-      S.write_file ~version:(S.format_version + 1) path ~kind:S.Pmi_index
-        (Pmi.to_sections ~db:ds.graphs db.Query.pmi);
-      expect_store_error "future version" (fun () ->
-          Pmi.load path ~db:ds.graphs))
+      Query.save_database path db;
+      let sections = S.read_file path ~kind:S.Database in
+      S.write_file ~version:(S.format_version + 1) path ~kind:S.Database sections;
+      expect_load_error "future version" path)
 
 let test_kind_mismatch_rejected () =
-  let ds, _ = build_db 37 6 in
+  let ds, db = build_db 37 6 in
   with_tmp (fun path ->
       Pgraph_io.save_binary path ds.graphs;
-      expect_store_error "pgdb loaded as pmi" (fun () ->
-          Pmi.load path ~db:ds.graphs);
-      expect_store_error "pgdb loaded as database" (fun () ->
-          Query.load_database path))
+      expect_load_error "pgdb loaded as database" path;
+      Query.save_database path db;
+      expect_store_error "database loaded as pgdb" (fun () ->
+          Pgraph_io.load_binary path))
 
+(* A file stitched from two stores: the graphs (and their offset table) of
+   one, every other section of another. Only the fingerprint the PMI
+   stored can tell, and the eager loader re-proves it; a graph count that
+   disagrees is refused by both loaders. *)
 let test_fingerprint_mismatch_rejected () =
-  let ds, db = build_db 41 8 in
-  let other = small_dataset 999 8 in
+  let _, db = build_db 41 8 in
+  let stitched path ~graphs_of =
+    with_tmp (fun other ->
+        Query.save_database other graphs_of;
+        let donor = S.read_file other ~kind:S.Database in
+        Query.save_database path db;
+        S.write_file path ~kind:S.Database
+          (List.map
+             (fun (s : S.section) ->
+               if s.S.name = "graphs" || s.S.name = "graphs.offsets" then
+                 { s with S.payload = S.find_section donor s.S.name }
+               else s)
+             (S.read_file path ~kind:S.Database)))
+  in
   with_tmp (fun path ->
-      Pmi.save path ~db:ds.graphs db.Query.pmi;
-      expect_store_error "different corpus" (fun () ->
-          Pmi.load path ~db:other.graphs);
-      expect_store_error "different size" (fun () ->
-          Pmi.load path ~db:(Array.sub ds.graphs 0 5)))
+      stitched path ~graphs_of:(snd (build_db 999 8));
+      (match Query.load_database path with
+      | _ -> Alcotest.fail "different corpus: accepted"
+      | exception S.Store_error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "different corpus: fingerprint refused (%s)" msg)
+          true
+          (String.starts_with ~prefix:"database fingerprint mismatch" msg));
+      stitched path ~graphs_of:(snd (build_db 43 5));
+      expect_load_error "different size" path)
+
+(* An index in the retired classic layout (a "structural" section in
+   place of "structural.flat.*") is refused by every loader, with a
+   message that names the layout and says to re-index. *)
+let test_retired_layout_refused () =
+  let _, db = build_db 47 6 in
+  with_tmp (fun path ->
+      Query.save_database path db;
+      let classic = S.encoder () in
+      S.put_i64 classic 0;
+      S.write_file path ~kind:S.Database
+        (List.filter_map
+           (fun (s : S.section) ->
+             if s.S.name = "structural.flat.dir" then Some (S.section "structural" classic)
+             else if String.starts_with ~prefix:"structural.flat" s.S.name then None
+             else Some s)
+           (S.read_file path ~kind:S.Database));
+      List.iter
+        (fun (salvage, mmap) ->
+          match Query.load_database ~salvage ~mmap path with
+          | _ -> Alcotest.failf "classic layout accepted (salvage %b, mmap %b)" salvage mmap
+          | exception S.Store_error msg ->
+            let has sub =
+              let n = String.length sub in
+              let rec go i =
+                i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+              in
+              go 0
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "message names the layout (%s)" msg)
+              true
+              (has "retired classic" && has "re-index"))
+        [ (false, false); (false, true); (true, false); (true, true) ])
 
 let test_missing_and_garbage_files () =
-  expect_store_error "missing file" (fun () ->
-      Pmi.load "/nonexistent/psst.pmi" ~db:[||]);
+  expect_load_error "missing file" "/nonexistent/psst.db";
   with_tmp (fun path ->
       write_bytes path "";
       expect_store_error "empty file" (fun () -> Pgraph_io.load_binary path);
@@ -324,15 +395,21 @@ let sample_positions start stop =
   List.sort_uniq compare (head @ spread @ [ stop - 1 ])
 
 let test_corruption_detected () =
-  let ds, db = build_db 53 8 in
+  let _, db = build_db 53 8 in
   with_tmp (fun path ->
-      Pmi.save path ~db:ds.graphs db.Query.pmi;
+      Query.save_database path db;
       let original = read_bytes path in
       let spans = S.section_spans original in
-      (* config, db, features, layout, one entry shard (8 graphs fit one
-         16-column shard), meta. *)
-      Alcotest.(check int) "six sections" 6 (List.length spans);
-      let reload () = ignore (Pmi.load path ~db:ds.graphs) in
+      Alcotest.(check (list string))
+        "image section layout"
+        [
+          "graphs"; "graphs.offsets"; "structural.flat.dir";
+          "pad.structural.flat.counts"; "structural.flat.counts"; "pmi.config";
+          "pmi.db"; "pmi.features"; "pmi.flat.dir"; "pmi.flat.postings";
+          "pad.pmi.flat.bounds"; "pmi.flat.bounds"; "pmi.meta";
+        ]
+        (List.map (fun (n, _, _) -> n) spans);
+      let reload () = ignore (Query.load_database path) in
       (* Sanity: the pristine file loads. *)
       reload ();
       (* Truncate at every section boundary, inside every section, and at
@@ -382,7 +459,7 @@ let test_mapped_append_differential () =
     Query.index_database ~mining:small_mining ~bounds:fast_bounds ds.graphs
   in
   with_tmp (fun path ->
-      Query.save_database ~flat:true path db;
+      Query.save_database path db;
       let eager = (Query.load_database path).Query.graphs in
       let reference = Corpus.append eager extra in
       List.iter
@@ -428,12 +505,12 @@ let test_materialise_is_identity_on_eager () =
 
 (* --- flat image: mmap vs eager differential --- *)
 
-(* Same queries, same answers, same pruning counters — eager classic
-   layout vs eager flat decode vs zero-copy mmap, for a single-domain and
-   a 4-domain index build. Each comparison runs twice on the same mapped
-   database: first cold (every graph decode hits the mapping) and then
-   warm (the corpus cache is populated), so memoisation cannot change
-   answers. *)
+(* Same queries, same answers, same pruning counters — the built index vs
+   the eager decode vs the zero-copy mmap of its image, for a
+   single-domain and a 4-domain index build. Each comparison runs twice
+   on the same mapped database: first cold (every graph decode hits the
+   mapping) and then warm (the corpus cache is populated), so memoisation
+   cannot change answers. *)
 let test_flat_mmap_differential () =
   List.iter
     (fun domains ->
@@ -443,7 +520,7 @@ let test_flat_mmap_differential () =
           ds.graphs
       in
       with_tmp (fun path ->
-          Query.save_database ~flat:true path db;
+          Query.save_database path db;
           let db_flat = Query.load_database path in
           let db_mmap = Query.load_database ~mmap:true path in
           Alcotest.(check int32)
@@ -456,15 +533,70 @@ let test_flat_mmap_differential () =
           check_pmi_identical db.Query.pmi db_mmap.Query.pmi))
     [ 1; 4 ]
 
-let test_mmap_requires_flat () =
-  let ds, db = build_db 61 8 in
-  with_tmp (fun path ->
-      Query.save_database path db;
-      expect_store_error "classic layout refused under mmap" (fun () ->
-          Query.load_database ~mmap:true path);
-      (* And the salvage fallback still yields a working eager database. *)
-      let db' = Query.load_database ~salvage:true ~mmap:true path in
-      check_same_answers ds db db')
+(* --- golden flat-image digest ---
+
+   Every section of a saved database image, in file order, by name and
+   the CRC-32 of its payload, hashed. "pmi.meta" is left out: it holds the
+   wall-clock seconds of the PMI build. A change to the store codecs that
+   moves a single byte of the image changes the digest. The same database
+   built on 1 and on 3 domains writes the same image; the two files of a
+   2-way shard split are pinned by a second digest. *)
+
+let golden_image_digest = "8b476f6f527da675e88b42b5f328948e"
+let golden_shard_digest = "da2af0256ae64ad06c09f520b95125f9"
+
+let image_digest paths =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun (s : S.section) ->
+          if s.S.name <> "pmi.meta" then
+            Printf.bprintf b "%s %08lx\n" s.S.name
+              (Psst_util.Crc32.digest s.S.payload))
+        (S.read_file path ~kind:S.Database))
+    paths;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let with_tmp_dir f =
+  let dir = Filename.temp_file "psst_store_dir" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
+let test_golden_image_digest () =
+  let ds = small_dataset 2019 12 in
+  let index domains =
+    Query.index_database ~mining:small_mining ~bounds:fast_bounds ~domains
+      ds.graphs
+  in
+  Alcotest.(check bool) "the image holds PMI entries" true
+    (Pmi.filled_entries (index 1).Query.pmi > 0);
+  List.iter
+    (fun domains ->
+      with_tmp (fun path ->
+          Query.save_database path (index domains);
+          Alcotest.(check string)
+            (Printf.sprintf "image digest, %d domains" domains)
+            golden_image_digest (image_digest [ path ])))
+    [ 1; 3 ];
+  with_tmp_dir (fun dir ->
+      let manifest_path = Filename.concat dir "golden.manifest" in
+      let m =
+        Psst_shard.split_to_files ~manifest_path (index 1)
+          (Psst_shard.plan_even ~parts:2 ~total:12)
+      in
+      Alcotest.(check string) "shard image digest" golden_shard_digest
+        (image_digest
+           (List.map
+              (fun (e : Psst_shard.entry) -> Filename.concat dir e.Psst_shard.path)
+              m.Psst_shard.entries)))
 
 (* --- flat image: hostile inputs --- *)
 
@@ -487,7 +619,7 @@ let mmap_probe path =
 let test_flat_corruption_detected () =
   let ds, db = build_db 67 8 in
   with_tmp (fun path ->
-      Query.save_database ~flat:true path db;
+      Query.save_database path db;
       let original = read_bytes path in
       let spans = S.section_spans original in
       (* Pristine image passes the full probe and the eager load. *)
@@ -542,6 +674,19 @@ let test_flat_corruption_detected () =
       write_bytes path original;
       mmap_probe path;
       let db' = Query.load_database ~mmap:true path in
+      check_same_answers ds db db';
+      (* A damaged postings section fails the mapping at open; the salvage
+         + mmap fallback still yields a working (eager) database. *)
+      let _, start, stop =
+        List.find (fun (n, _, _) -> n = "pmi.flat.postings") spans
+      in
+      let corrupt = Bytes.of_string original in
+      let pos = (start + stop) / 2 in
+      Bytes.set corrupt pos (Char.chr (Char.code (Bytes.get corrupt pos) lxor 0xFF));
+      write_bytes path (Bytes.to_string corrupt);
+      expect_store_error "damaged postings refused under mmap" (fun () ->
+          Query.load_database ~mmap:true path);
+      let db' = Query.load_database ~salvage:true ~mmap:true path in
       check_same_answers ds db db')
 
 (* --- Pgraph_io JPT row validation (regression) --- *)
@@ -684,8 +829,10 @@ let suite =
       test_materialise_is_identity_on_eager;
     Alcotest.test_case "flat mmap = eager (1 and 4 domains, cold+warm)" `Slow
       test_flat_mmap_differential;
-    Alcotest.test_case "mmap refuses classic layout" `Quick
-      test_mmap_requires_flat;
+    Alcotest.test_case "golden flat-image digest (1/3 domains, shards)" `Slow
+      test_golden_image_digest;
+    Alcotest.test_case "retired classic layout refused" `Quick
+      test_retired_layout_refused;
     Alcotest.test_case "flat corruption detected or contained" `Slow
       test_flat_corruption_detected;
     Alcotest.test_case "delta files checksummed end to end" `Quick
