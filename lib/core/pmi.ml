@@ -1,89 +1,36 @@
 type entry = Bounds.t
 
-(* The flat backing (DESIGN.md §15): per-feature delta-coded postings plus
-   a fixed-width IEEE-754 bounds array, both read zero-copy out of a
-   memory-mapped store file. [d_rank] is the cumulative filled-entry count
-   before the feature — the feature's first bounds record lives at float
-   index [6 * d_rank]. *)
-type flat_dir = { d_count : int; d_off : int; d_len : int; d_rank : int }
+module S = Psst_store
 
-type flat = {
-  f_dir : flat_dir array; (* per feature *)
-  f_postings : Psst_store.bigbytes;
-  f_bounds : Psst_store.floats;
-  f_block : int;
-  f_filled : int;
-}
-
-type backing =
-  | Heap of entry option array array (* feature -> graph *)
-  | Flat of flat
+(* The index is held as the flat image of DESIGN.md §15 — whether it was
+   just built, decoded eagerly or mapped zero-copy out of a store file:
+   per-feature delta-coded postings plus a fixed-width IEEE-754 bounds
+   array, six floats per filled entry. Built and eagerly loaded indexes
+   own heap bigarrays; a mapped one holds views over the mapping. [d_rank]
+   is the cumulative filled-entry count before the feature — its first
+   bounds record lives at float index [6 * d_rank]. *)
+type dir_entry = { d_count : int; d_off : int; d_len : int; d_rank : int }
 
 type t = {
   config : Bounds.config;
   features : Selection.feature array;
-  backing : backing;
+  dir : dir_entry array; (* per feature *)
+  postings : S.bigbytes;
+  bounds : S.floats;
+  block : int;
+  filled : int;
   num_graphs : int;
   build_seconds : float;
 }
-
-module S = Psst_store
 
 let log_src = Logs.Src.create "psst.pmi" ~doc:"PMI index construction"
 
 module Log = (val Logs.src_log log_src)
 
-(* The matrix is computed column-by-column (per graph) so that what the
-   bounds of a graph share (its world pool and exact probabilities, one
-   [Bounds.column]) is built once and the columns can be distributed
-   over domains: every column touches exactly one Pgraph, so the lazily
-   built junction trees never contend. Columns land at their graph index,
-   hence the build is independent of how the pool schedules them. *)
-let m_columns = Psst_obs.counter "pmi.columns_built"
-let h_column = Psst_obs.histogram "pmi.column_build_s"
+(* --- the postings layout ---
 
-(* The column of graph [g]: an entry for every feature [fi] with
-   [occurs fi], none elsewhere. *)
-let column_of config features g ~occurs =
-  Psst_obs.incr m_columns;
-  Psst_obs.span h_column (fun () ->
-      let column = Bounds.column config g in
-      Array.mapi
-        (fun fi (f : Selection.feature) ->
-          if occurs fi then Some (Bounds.compute config ~column g f.graph)
-          else None)
-        features)
-
-let build_column config db features gi =
-  column_of config features db.(gi) ~occurs:(fun fi ->
-      List.mem gi features.(fi).Selection.support)
-
-let build ?(config = Bounds.default_config) ?(domains = 1) db features =
-  let features = Array.of_list features in
-  let ng = Array.length db in
-  let nf = Array.length features in
-  let result, build_seconds =
-    Psst_util.Timer.time (fun () ->
-        let d = max 1 (min domains ng) in
-        if d > 1 then Log.debug (fun m -> m "building %d columns on %d domains" ng d);
-        let columns =
-          Psst_util.Pool.with_pool ~domains:d (fun pool ->
-              Psst_util.Pool.map_array pool ~chunk:1
-                (build_column config db features)
-                (Array.init ng Fun.id))
-        in
-        (* Transpose columns into the feature-major layout. *)
-        Array.init nf (fun fi -> Array.init ng (fun gi -> columns.(gi).(fi))))
-  in
-  Log.info (fun m ->
-      m "PMI built: %d features x %d graphs in %.2fs" nf ng build_seconds);
-  { config; features; backing = Heap result; num_graphs = ng; build_seconds }
-
-(* --- flat-backing primitives ---
-
-   Shared by the zero-copy lookup path, the eager decoder and the open-time
-   validator. Postings region layout per feature (byte offsets relative to
-   the postings payload):
+   Postings region per feature (byte offsets relative to the postings
+   payload):
 
      u32 n_blocks
      n_blocks x { u32 first_gid; u32 body_off }      skip entries
@@ -95,49 +42,49 @@ let build ?(config = Bounds.default_config) ?(domains = 1) db features =
 
 let flat_block = 128
 
-let flat_u32 (b : S.bigbytes) at =
-  let g i = Char.code (Bigarray.Array1.get b (at + i)) in
-  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
+let u32 (b : S.bigbytes) at =
+  Char.code (Bigarray.Array1.get b at)
+  lor (Char.code (Bigarray.Array1.get b (at + 1)) lsl 8)
+  lor (Char.code (Bigarray.Array1.get b (at + 2)) lsl 16)
+  lor (Char.code (Bigarray.Array1.get b (at + 3)) lsl 24)
 
-(* Unchecked varint over validated postings: [Bigarray] still bounds-checks,
-   so even hostile bytes cannot read outside the mapping. *)
-let flat_varint (b : S.bigbytes) pos =
-  let acc = ref 0 and shift = ref 0 and p = ref pos and cont = ref true in
-  while !cont do
-    let c = Char.code (Bigarray.Array1.get b !p) in
-    incr p;
-    acc := !acc lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    cont := c land 0x80 <> 0
-  done;
-  (!acc, !p)
+let put_u32 e v = S.put_i32 e (Int32.of_int v)
 
-let flat_varint_checked (b : S.bigbytes) pos stop fi =
-  let acc = ref 0 and shift = ref 0 and p = ref pos and cont = ref true in
-  while !cont do
-    if !p >= stop then S.error "flat postings: feature %d region overrun" fi;
-    if !shift > 56 then S.error "flat postings: feature %d varint overflow" fi;
-    let c = Char.code (Bigarray.Array1.get b !p) in
-    incr p;
-    acc := !acc lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    cont := c land 0x80 <> 0
+let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
+
+(* One feature's region over its strictly increasing graph ids. The body
+   offsets are summed from the varint lengths, so the bodies are written
+   straight after the skip entries, with no buffer of their own. *)
+let put_postings e ids =
+  let n = Array.length ids in
+  let nb = if n = 0 then 0 else ((n - 1) / flat_block) + 1 in
+  put_u32 e nb;
+  let body = ref 0 in
+  for k = 0 to nb - 1 do
+    let lo = k * flat_block and hi = min n ((k + 1) * flat_block) in
+    put_u32 e ids.(lo);
+    put_u32 e !body;
+    for i = lo + 1 to hi - 1 do
+      body := !body + varint_len (ids.(i) - ids.(i - 1))
+    done
   done;
-  if !acc < 0 then S.error "flat postings: feature %d varint overflow" fi;
-  (!acc, !p)
+  (* every id but a block's first is a delta in the bodies *)
+  for i = 1 to n - 1 do
+    if i mod flat_block <> 0 then S.put_varint e (ids.(i) - ids.(i - 1))
+  done
 
 (* Full validating walk over every posting; [emit fi rank gid] is called for
-   each, with [rank] the within-feature rank. Both the eager decoder and the
-   mmap open-time validator use this, so the two paths accept exactly the
-   same byte strings. *)
-let scan_postings (p : S.bigbytes) (dir : flat_dir array) ~block ~ng emit =
+   each, with [rank] the within-feature rank. Both loaders run it at open,
+   so they accept exactly the same byte strings, and the offline
+   operations use it to read the graph ids back. *)
+let scan_postings (p : S.bigbytes) (dir : dir_entry array) ~block ~ng emit =
   Array.iteri
     (fun fi de ->
       let stop = de.d_off + de.d_len in
       let u32 at =
         if at < de.d_off || at + 4 > stop then
           S.error "flat postings: feature %d region overrun" fi;
-        flat_u32 p at
+        u32 p at
       in
       let nb = u32 de.d_off in
       let expect_nb = if de.d_count = 0 then 0 else ((de.d_count - 1) / block) + 1 in
@@ -165,11 +112,18 @@ let scan_postings (p : S.bigbytes) (dir : flat_dir array) ~block ~ng emit =
         emit fi lo g0;
         let cur = ref g0 in
         for i = lo + 1 to hi - 1 do
-          let v, p' = flat_varint_checked p !pos stop fi in
-          pos := p';
-          if v < 1 then
-            S.error "flat postings: feature %d non-positive delta" fi;
-          cur := !cur + v;
+          let v = ref 0 and shift = ref 0 and c = ref 0x80 in
+          while !c land 0x80 <> 0 do
+            if !pos >= stop then S.error "flat postings: feature %d region overrun" fi;
+            if !shift > 56 then S.error "flat postings: feature %d varint overflow" fi;
+            c := Char.code (Bigarray.Array1.get p !pos);
+            incr pos;
+            v := !v lor ((!c land 0x7f) lsl !shift);
+            shift := !shift + 7
+          done;
+          (* a negative value is an overflow into the sign bit *)
+          if !v < 1 then S.error "flat postings: feature %d non-positive delta" fi;
+          cur := !cur + !v;
           if !cur >= ng then
             S.error "flat postings: feature %d mentions graph %d of a \
                      %d-graph database"
@@ -183,140 +137,162 @@ let scan_postings (p : S.bigbytes) (dir : flat_dir array) ~block ~ng emit =
           (stop - !pos))
     dir
 
-(* Count fields are validated here, on materialisation, not at open time:
-   the bounds payload is the bulk of the image and a streaming scan of it
-   at open would defeat the O(mmap) cold start. A corrupted count still
-   surfaces as a clean [Store_error], just at first lookup. *)
-let flat_count what v =
+(* Every feature's graph ids, in rank order. *)
+let posting_ids t =
+  let ids = Array.map (fun de -> Array.make de.d_count 0) t.dir in
+  scan_postings t.postings t.dir ~block:t.block ~ng:t.num_graphs
+    (fun fi rank gid -> ids.(fi).(rank) <- gid);
+  ids
+
+(* --- the bounds records --- *)
+
+let count_as_float what v =
+  let f = Float.of_int v in
+  if v < 0 || Float.to_int f <> v then
+    S.error "flat bounds: %s %d is not exactly representable" what v;
+  f
+
+let put_entry (dst : S.floats) i (e : entry) =
+  let set j v = Bigarray.Array1.set dst ((6 * i) + j) v in
+  set 0 e.Bounds.lower;
+  set 1 e.upper;
+  set 2 e.lower_safe;
+  set 3 e.upper_safe;
+  set 4 (count_as_float "embedding count" e.embeddings);
+  set 5 (count_as_float "cut count" e.cuts)
+
+(* The eager loader checks every count field at open; a mapped index
+   checks each as a lookup reads it, so attach time does not scale with
+   the bounds payload. Either way a corrupted count is a clean
+   [Store_error]. *)
+let[@inline] flat_count what v =
   if not (Float.is_integer v) || v < 0. || v > 9.0e15 then
     S.error "flat bounds: invalid %s %g" what v;
   int_of_float v
 
-let flat_entry fl idx : entry =
-  let b i = Bigarray.Array1.get fl.f_bounds ((idx * 6) + i) in
+let entry t idx : entry =
+  let b = t.bounds and o = 6 * idx in
   {
-    Bounds.lower = b 0;
-    upper = b 1;
-    lower_safe = b 2;
-    upper_safe = b 3;
-    embeddings = flat_count "embedding count" (b 4);
-    cuts = flat_count "cut count" (b 5);
+    Bounds.lower = Bigarray.Array1.get b o;
+    upper = Bigarray.Array1.get b (o + 1);
+    lower_safe = Bigarray.Array1.get b (o + 2);
+    upper_safe = Bigarray.Array1.get b (o + 3);
+    embeddings = flat_count "embedding count" (Bigarray.Array1.get b (o + 4));
+    cuts = flat_count "cut count" (Bigarray.Array1.get b (o + 5));
   }
 
-let flat_lookup fl ~feature ~graph =
-  let de = fl.f_dir.(feature) in
-  if de.d_count = 0 then None
-  else begin
-    let p = fl.f_postings in
-    let base = de.d_off in
-    let nb = flat_u32 p base in
-    let first k = flat_u32 p (base + 4 + (8 * k)) in
-    if graph < first 0 then None
-    else begin
-      (* greatest block whose first id is <= graph *)
-      let lo = ref 0 and hi = ref (nb - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if first mid <= graph then lo := mid else hi := mid - 1
-      done;
-      let k = !lo in
-      let g0 = first k in
-      let start_rank = k * fl.f_block in
-      if g0 = graph then Some (flat_entry fl (de.d_rank + start_rank))
-      else begin
-        let blk_n = min fl.f_block (de.d_count - start_rank) in
-        let bodies = base + 4 + (8 * nb) in
-        let pos = ref (bodies + flat_u32 p (base + 4 + (8 * k) + 4)) in
-        let cur = ref g0 in
-        let found = ref (-1) in
-        let i = ref 1 in
-        while !found < 0 && !i < blk_n && !cur < graph do
-          let v, p' = flat_varint p !pos in
-          pos := p';
-          cur := !cur + v;
-          if !cur = graph then found := de.d_rank + start_rank + !i;
-          incr i
-        done;
-        if !found < 0 then None else Some (flat_entry fl !found)
-      end
-    end
-  end
+let bigbytes_of_string s : S.bigbytes =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (Bigarray.Array1.unsafe_set b) s;
+  b
 
-(* Offline operations ([sub], [concat], [add_graphs], re-encoding) work on
-   the heap matrix; a flat-backed index materialises one first. The floats
-   come straight off the bounds array, so the materialised matrix is
-   bit-identical to what the eager loader would have produced. *)
-let entries_matrix t =
-  match t.backing with
-  | Heap e -> e
-  | Flat fl ->
-    let nf = Array.length t.features and ng = t.num_graphs in
-    let entries = Array.init nf (fun _ -> Array.make ng None) in
-    scan_postings fl.f_postings fl.f_dir ~block:fl.f_block ~ng
-      (fun fi rank gid ->
-        entries.(fi).(gid) <- Some (flat_entry fl (fl.f_dir.(fi).d_rank + rank)));
-    entries
+(* A feature's [count] records, moved as one block: they are contiguous. *)
+let blit_records (src : S.floats) ~rank ~count (dst : S.floats) ~at =
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub src (6 * rank) (6 * count))
+    (Bigarray.Array1.sub dst (6 * at) (6 * count))
 
-(* Incremental insertion. Alongside the new bound columns, the mined
-   features' support lists must absorb the new graph ids: supports drive
-   [build_column] on a reload and the structural filter's count rows, so a
-   stale support would silently drop the graph from both after a
-   save/load round trip. Supports stay sorted because new ids are the
-   largest in the database. One [Array.append] per row per batch keeps a
-   bulk load of k graphs at O(nf * (ng + k)) instead of O(nf * ng * k). *)
-let add_graphs t gs =
-  let k = Array.length gs in
-  if k = 0 then t
-  else begin
-    let base = t.num_graphs in
-    let skels = Array.map Pgraph.skeleton gs in
-    (* occurs.(i).(fi): does feature fi occur in the skeleton of gs.(i)? *)
-    let occurs =
-      Array.map
-        (fun gc ->
-          Array.map
-            (fun (f : Selection.feature) -> Vf2.exists f.graph gc)
-            t.features)
-        skels
-    in
-    (* Entries exactly where the extended supports below list the new
-       graph, so the result equals a [build] over the extended database. *)
-    let columns =
-      Array.mapi
-        (fun i g -> column_of t.config t.features g ~occurs:(fun fi -> occurs.(i).(fi)))
-        gs
-    in
-    let entries =
-      Array.mapi
-        (fun fi row -> Array.append row (Array.init k (fun i -> columns.(i).(fi))))
-        (entries_matrix t)
-    in
-    let features =
+(* [assemble ... rows] lays out a fresh image: [rows.(fi)] is feature
+   [fi]'s strictly increasing graph ids and a writer that fills the
+   feature's [6 * count] bound floats into the view it is handed. *)
+let assemble ~config ~features ~num_graphs ~build_seconds rows =
+  let filled = Array.fold_left (fun a (ids, _) -> a + Array.length ids) 0 rows in
+  let bounds = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (6 * filled) in
+  let postings = S.encoder () in
+  let rank = ref 0 in
+  let dir =
+    Array.init (Array.length rows) (fun fi ->
+        let ids, write = rows.(fi) in
+        let count = Array.length ids and off = S.enc_length postings in
+        put_postings postings ids;
+        write (Bigarray.Array1.sub bounds (6 * !rank) (6 * count));
+        let de =
+          { d_count = count; d_off = off; d_len = S.enc_length postings - off; d_rank = !rank }
+        in
+        rank := !rank + count;
+        de)
+  in
+  {
+    config;
+    features;
+    dir;
+    postings = bigbytes_of_string (S.contents postings);
+    bounds;
+    block = flat_block;
+    filled;
+    num_graphs;
+    build_seconds;
+  }
+
+(* --- building ---
+
+   The matrix is computed column-by-column (per graph) so that what the
+   bounds of a graph share (its world pool and exact probabilities, one
+   [Bounds.column]) is built once and the columns can be distributed
+   over domains: every column touches exactly one Pgraph, so the lazily
+   built junction trees never contend. Columns land at their graph index,
+   hence the build is independent of how the pool schedules them. *)
+let m_columns = Psst_obs.counter "pmi.columns_built"
+let h_column = Psst_obs.histogram "pmi.column_build_s"
+
+(* The column of graph [g]: an entry for every feature [fi] with
+   [occurs fi], none elsewhere. *)
+let column_of config features g ~occurs =
+  Psst_obs.incr m_columns;
+  Psst_obs.span h_column (fun () ->
+      let column = Bounds.column config g in
       Array.mapi
         (fun fi (f : Selection.feature) ->
-          let extra = ref [] in
-          for i = k - 1 downto 0 do
-            if occurs.(i).(fi) then extra := (base + i) :: !extra
-          done;
-          if !extra = [] then f
-          else { f with Selection.support = f.support @ !extra })
-        t.features
-    in
-    { t with features; backing = Heap entries; num_graphs = base + k }
-  end
+          if occurs fi then Some (Bounds.compute config ~column g f.graph)
+          else None)
+        features)
+
+let build ?(config = Bounds.default_config) ?(domains = 1) db features =
+  let features = Array.of_list features in
+  let ng = Array.length db in
+  let nf = Array.length features in
+  let columns, build_seconds =
+    Psst_util.Timer.time (fun () ->
+        let d = max 1 (min domains ng) in
+        if d > 1 then Log.debug (fun m -> m "building %d columns on %d domains" ng d);
+        Psst_util.Pool.with_pool ~domains:d (fun pool ->
+            Psst_util.Pool.map_array pool ~chunk:1
+              (fun gi ->
+                column_of config features db.(gi) ~occurs:(fun fi ->
+                    List.mem gi features.(fi).Selection.support))
+              (Array.init ng Fun.id)))
+  in
+  Log.info (fun m ->
+      m "PMI built: %d features x %d graphs in %.2fs" nf ng build_seconds);
+  assemble ~config ~features ~num_graphs:ng ~build_seconds
+    (Array.init nf (fun fi ->
+         let ids =
+           Array.of_list
+             (List.filter (fun gi -> Option.is_some columns.(gi).(fi)) (List.init ng Fun.id))
+         in
+         (ids, fun dst -> Array.iteri (fun r gi -> put_entry dst r (Option.get columns.(gi).(fi))) ids)))
 
 (* Slicing and concatenation back the shard store (lib/shard). Both are
    pure re-arrangements of already-computed state: [sub] never recomputes
-   a bound (which would be sound — [build_column] is content-deterministic
-   — but would defeat the point of splitting an indexed database), and
-   [concat (sub ..)] pieces round-trip the original matrix bit-exactly,
-   support lists included. Features are rebased to local ids so a shard
-   is a fully self-contained database over its own [0 .. len-1] range. *)
+   a bound (which would be sound — the column build is
+   content-deterministic — but would defeat the point of splitting an
+   indexed database), and [concat (sub ..)] pieces round-trip the original
+   image bit-exactly, support lists included. Features are rebased to local
+   ids so a shard is a fully self-contained database over its own
+   [0 .. len-1] range. *)
 
 let rebase_support ~base ~len l =
   List.filter_map
     (fun gi -> if gi >= base && gi < base + len then Some (gi - base) else None)
     l
+
+(* First rank whose graph id is at least [gid]. *)
+let rank_of ids gid =
+  let i = ref 0 in
+  while !i < Array.length ids && ids.(!i) < gid do
+    incr i
+  done;
+  !i
 
 let sub t ~base ~len =
   if base < 0 || len < 0 || base + len > t.num_graphs then
@@ -333,8 +309,16 @@ let sub t ~base ~len =
         })
       t.features
   in
-  let entries = Array.map (fun row -> Array.sub row base len) (entries_matrix t) in
-  { t with features; backing = Heap entries; num_graphs = len }
+  assemble ~config:t.config ~features ~num_graphs:len
+    ~build_seconds:t.build_seconds
+    (Array.mapi
+       (fun fi ids ->
+         let lo = rank_of ids base and hi = rank_of ids (base + len) in
+         ( Array.init (hi - lo) (fun i -> ids.(lo + i) - base),
+           fun dst ->
+             blit_records t.bounds ~rank:(t.dir.(fi).d_rank + lo) ~count:(hi - lo)
+               dst ~at:0 ))
+       (posting_ids t))
 
 let concat = function
   | [] -> invalid_arg "Pmi.concat: empty list"
@@ -371,7 +355,9 @@ let concat = function
           let gather proj =
             List.concat
               (List.map2
-                 (fun p off -> List.map (fun gi -> gi + off) (proj p.features.(fi)))
+                 (fun p off ->
+                   let l = proj p.features.(fi) in
+                   if off = 0 then l else List.map (fun gi -> gi + off) l)
                  parts offsets)
           in
           {
@@ -380,61 +366,103 @@ let concat = function
             strong_support = gather (fun f -> f.Selection.strong_support);
           })
     in
-    let mats = List.map entries_matrix parts in
-    let entries =
-      Array.init nf (fun fi -> Array.concat (List.map (fun m -> m.(fi)) mats))
-    in
+    let ids = List.map posting_ids parts in
     let build_seconds =
       List.fold_left (fun a p -> Float.max a p.build_seconds) 0. parts
     in
+    assemble ~config:first.config ~features ~num_graphs ~build_seconds
+      (Array.init nf (fun fi ->
+           ( Array.concat
+               (List.map2 (fun ids off -> Array.map (( + ) off) ids.(fi)) ids offsets),
+             fun dst ->
+               ignore
+                 (List.fold_left2
+                    (fun at p ids ->
+                      let count = Array.length ids.(fi) in
+                      blit_records p.bounds ~rank:p.dir.(fi).d_rank ~count dst ~at;
+                      at + count)
+                    0 parts ids) )))
+
+(* Incremental insertion: the new graphs' columns are built as an index of
+   their own, over the features with supports saying where each occurs in
+   the new skeletons, and concatenated after the existing image. So the
+   mined features' support lists absorb the new graph ids — supports drive
+   the column build of a salvage and the structural filter's counts, and a
+   stale support would silently drop the graph from both after a save/load
+   round trip — and stay sorted, as new ids are the largest. The existing
+   entries are not decoded: [concat] re-encodes their graph ids and moves
+   their records as one block per feature. *)
+let add_graphs t gs =
+  if Array.length gs = 0 then t
+  else begin
+    let skels = Array.map Pgraph.skeleton gs in
+    let fresh =
+      Array.map
+        (fun (f : Selection.feature) ->
+          {
+            f with
+            Selection.support =
+              List.filter
+                (fun i -> Vf2.exists f.graph skels.(i))
+                (List.init (Array.length gs) Fun.id);
+            strong_support = [];
+          })
+        t.features
+    in
     {
-      config = first.config;
-      features;
-      backing = Heap entries;
-      num_graphs;
-      build_seconds;
+      (concat [ t; build ~config:t.config gs (Array.to_list fresh) ]) with
+      build_seconds = t.build_seconds;
     }
+  end
 
 let config t = t.config
 let features t = Array.copy t.features
 let num_features t = Array.length t.features
 let num_graphs t = t.num_graphs
 
+(* Binary search over the skip entries, then a walk of at most one block's
+   deltas. The varints are decoded inline, so the only allocation is the
+   entry returned. [Bigarray] bounds-checks every read, so even hostile
+   bytes cannot read outside the postings. *)
 let lookup t ~feature ~graph =
-  match t.backing with
-  | Heap e -> e.(feature).(graph)
-  | Flat fl -> flat_lookup fl ~feature ~graph
+  let de = t.dir.(feature) in
+  if de.d_count = 0 then None
+  else begin
+    let p = t.postings and skips = de.d_off + 4 in
+    let nb = u32 p de.d_off in
+    if graph < u32 p skips then None
+    else begin
+      (* greatest block whose first id is <= graph *)
+      let lo = ref 0 and hi = ref (nb - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if u32 p (skips + (8 * mid)) <= graph then lo := mid else hi := mid - 1
+      done;
+      let k = !lo in
+      let g0 = u32 p (skips + (8 * k)) in
+      let start_rank = de.d_rank + (k * t.block) in
+      if g0 = graph then Some (entry t start_rank)
+      else begin
+        let blk_n = min t.block (de.d_count - (k * t.block)) in
+        let pos = ref (skips + (8 * nb) + u32 p (skips + (8 * k) + 4)) in
+        let cur = ref g0 and i = ref 1 in
+        while !i < blk_n && !cur < graph do
+          let delta = ref 0 and shift = ref 0 and c = ref 0x80 in
+          while !c land 0x80 <> 0 do
+            c := Char.code (Bigarray.Array1.get p !pos);
+            incr pos;
+            delta := !delta lor ((!c land 0x7f) lsl !shift);
+            shift := !shift + 7
+          done;
+          cur := !cur + !delta;
+          incr i
+        done;
+        if !cur = graph then Some (entry t (start_rank + !i - 1)) else None
+      end
+    end
+  end
 
-let column t ~graph =
-  match t.backing with
-  | Heap e ->
-    let out = ref [] in
-    for fi = Array.length t.features - 1 downto 0 do
-      match e.(fi).(graph) with
-      | Some e -> out := (fi, e) :: !out
-      | None -> ()
-    done;
-    !out
-  | Flat fl ->
-    let out = ref [] in
-    for fi = Array.length t.features - 1 downto 0 do
-      match flat_lookup fl ~feature:fi ~graph with
-      | Some e -> out := (fi, e) :: !out
-      | None -> ()
-    done;
-    !out
-
-let filled_entries t =
-  match t.backing with
-  | Heap entries ->
-    Array.fold_left
-      (fun acc row ->
-        acc
-        + Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 row)
-      0 entries
-  | Flat fl -> fl.f_filled
-
-let backing t = match t.backing with Heap _ -> `Heap | Flat _ -> `Flat
+let filled_entries t = t.filled
 let build_seconds t = t.build_seconds
 
 (* --- persistence (DESIGN.md §9, §15) --- *)
@@ -463,86 +491,40 @@ let small_sections ~db t =
     S.section "pmi.features" features,
     S.section "pmi.meta" meta )
 
-(* --- flat image codec (DESIGN.md §15) --- *)
-
 let flat_dir_name = "pmi.flat.dir"
 let flat_postings_name = "pmi.flat.postings"
 let flat_bounds_name = "pmi.flat.bounds"
 
-let count_as_float what v =
-  let f = Float.of_int v in
-  if v < 0 || Float.to_int f <> v then
-    S.error "flat bounds: %s %d is not exactly representable" what v;
-  f
-
+(* The image is already in memory; saving only frames it. *)
 let to_sections ~db t =
   let config, dbsec, features, meta = small_sections ~db t in
-  let nf = num_features t and ng = t.num_graphs in
-  let block = flat_block in
-  (* Posting rows via [lookup], so any backing can be re-encoded. *)
-  let rows =
-    Array.init nf (fun fi ->
-        let acc = ref [] in
-        for gi = ng - 1 downto 0 do
-          match lookup t ~feature:fi ~graph:gi with
-          | Some e -> acc := (gi, e) :: !acc
-          | None -> ()
-        done;
-        Array.of_list !acc)
-  in
-  let filled = Array.fold_left (fun a r -> a + Array.length r) 0 rows in
   let dir = S.encoder () in
-  S.put_i64 dir nf;
-  S.put_i64 dir ng;
-  S.put_i64 dir block;
-  S.put_i64 dir filled;
-  let postings = S.encoder () in
-  let bounds = S.encoder () in
-  let put_u32 e v = S.put_i32 e (Int32.of_int v) in
-  let off = ref 0 in
+  S.put_i64 dir (num_features t);
+  S.put_i64 dir t.num_graphs;
+  S.put_i64 dir t.block;
+  S.put_i64 dir t.filled;
   Array.iter
-    (fun row ->
-      let n = Array.length row in
-      let nb = if n = 0 then 0 else ((n - 1) / block) + 1 in
-      let bodies = S.encoder () in
-      let skips = Array.make nb (0, 0) in
-      for k = 0 to nb - 1 do
-        let lo = k * block and hi = min n ((k + 1) * block) in
-        skips.(k) <- (fst row.(lo), S.enc_length bodies);
-        for i = lo + 1 to hi - 1 do
-          S.put_varint bodies (fst row.(i) - fst row.(i - 1))
-        done
-      done;
-      put_u32 postings nb;
-      Array.iter
-        (fun (g, o) ->
-          put_u32 postings g;
-          put_u32 postings o)
-        skips;
-      let body = S.contents bodies in
-      S.put_raw postings body;
-      let len = 4 + (8 * nb) + String.length body in
-      S.put_i64 dir n;
-      S.put_i64 dir !off;
-      S.put_i64 dir len;
-      off := !off + len;
-      Array.iter
-        (fun (_, (e : entry)) ->
-          S.put_f64 bounds e.Bounds.lower;
-          S.put_f64 bounds e.upper;
-          S.put_f64 bounds e.lower_safe;
-          S.put_f64 bounds e.upper_safe;
-          S.put_f64 bounds (count_as_float "embedding count" e.embeddings);
-          S.put_f64 bounds (count_as_float "cut count" e.cuts))
-        row)
-    rows;
+    (fun de ->
+      S.put_i64 dir de.d_count;
+      S.put_i64 dir de.d_off;
+      S.put_i64 dir de.d_len)
+    t.dir;
+  let bounds = Bytes.create (8 * Bigarray.Array1.dim t.bounds) in
+  for i = 0 to Bigarray.Array1.dim t.bounds - 1 do
+    Bytes.set_int64_le bounds (8 * i)
+      (Int64.bits_of_float (Bigarray.Array1.get t.bounds i))
+  done;
   [
     config;
     dbsec;
     features;
     S.section flat_dir_name dir;
-    S.section flat_postings_name postings;
-    S.section flat_bounds_name bounds;
+    {
+      S.name = flat_postings_name;
+      payload =
+        String.init (Bigarray.Array1.dim t.postings) (Bigarray.Array1.get t.postings);
+    };
+    { S.name = flat_bounds_name; payload = Bytes.unsafe_to_string bounds };
     meta;
   ]
 
@@ -588,27 +570,18 @@ let decode_flat_dir payload ~nf ~ng ~postings_len ~bounds_len =
       !run_rank filled;
   (dir, filled, block)
 
-(* The flat backing over a directory payload and the postings and bounds
-   views; both load paths build it here. The postings are not walked yet:
-   the mapped path walks them once at open ([scan_postings]), the eager
-   path as it materialises the matrix ([entries_matrix]) — the same
-   validating walk either way. *)
-let flat_backing ~nf ~ng ~dir ~postings ~bounds ~bounds_len =
-  let f_dir, f_filled, f_block =
-    decode_flat_dir dir ~nf ~ng
+(* The index over a directory payload and the postings and bounds
+   payloads, whether copies or views over a mapping: both loaders build
+   it here, through the same directory checks and the same validating
+   walk over every posting. *)
+let of_image ~config ~features ~ng ~dir ~postings ~bounds ~build_seconds =
+  let dir, filled, block =
+    decode_flat_dir dir ~nf:(Array.length features) ~ng
       ~postings_len:(Bigarray.Array1.dim postings)
-      ~bounds_len
+      ~bounds_len:(8 * Bigarray.Array1.dim bounds)
   in
-  { f_dir; f_postings = postings; f_bounds = bounds; f_block; f_filled }
-
-let bigbytes_of_string s : S.bigbytes =
-  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
-  String.iteri (Bigarray.Array1.unsafe_set b) s;
-  b
-
-let floats_of_string s : S.floats =
-  Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (String.length s / 8)
-    (fun i -> Int64.float_of_bits (String.get_int64_le s (8 * i)))
+  scan_postings postings dir ~block ~ng (fun _ _ _ -> ());
+  { config; features; dir; postings; bounds; block; filled; num_graphs = ng; build_seconds }
 
 (* Decode + validate the small metadata sections, shared by both load
    paths. [fp] recomputes the database fingerprint when identity must be
@@ -666,9 +639,8 @@ let of_sections ?(salvage = false) ~db sections =
       ~fp:(Some (fun () -> Pgraph_io.db_fingerprint db))
       sections
   in
-  let nf = Array.length features in
   let has name = List.exists (fun (s : S.section) -> s.S.name = name) sections in
-  let entries =
+  let t =
     if
       salvage
       && not (List.for_all has [ flat_dir_name; flat_postings_name; flat_bounds_name ])
@@ -682,34 +654,43 @@ let of_sections ?(salvage = false) ~db sections =
       Psst_obs.warn ~code:"store.salvaged"
         (Printf.sprintf
            "PMI salvage: rebuilt all %d columns (damaged PMI image section)" ng);
-      entries_matrix rebuilt
+      rebuilt
     end
     else begin
+      let postings = S.find_section sections flat_postings_name in
       let bounds = S.find_section sections flat_bounds_name in
-      let flat =
-        flat_backing ~nf ~ng
+      if String.length bounds mod 8 <> 0 then
+        S.error "flat bounds payload is %d bytes, not whole records"
+          (String.length bounds);
+      let t =
+        of_image ~config ~features ~ng
           ~dir:(S.find_section sections flat_dir_name)
-          ~postings:(bigbytes_of_string (S.find_section sections flat_postings_name))
-          ~bounds:(floats_of_string bounds) ~bounds_len:(String.length bounds)
+          ~postings:(bigbytes_of_string postings)
+          ~bounds:
+            (Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout
+               (String.length bounds / 8)
+               (fun i -> Int64.float_of_bits (String.get_int64_le bounds (8 * i))))
+          ~build_seconds:0.
       in
-      entries_matrix
-        { config; features; backing = Flat flat; num_graphs = ng; build_seconds = 0. }
+      for r = 0 to t.filled - 1 do
+        ignore (entry t r)
+      done;
+      t
     end
   in
   let build_seconds =
     if salvage && not (has "pmi.meta") then 0.
     else S.decode_section sections "pmi.meta" S.get_f64
   in
-  { config; features; backing = Heap entries; num_graphs = ng; build_seconds }
+  { t with build_seconds }
 
 (* Zero-copy attach: the small sections are decoded (and CRC-checked)
-   exactly like [of_sections]; the postings stay in the mapping after a
-   full validating scan, so query-time binary searches never have to
-   re-check structure. The bounds payload — the bulk of the image — is
-   not scanned at open: its floats are read straight off the mapping and
-   its count fields validated on materialisation ([flat_entry]), which is
-   what keeps attach time independent of the index size. The graphs share
-   the container, so the fingerprint is not re-proven
+   exactly like [of_sections], and the postings are walked once at open, so
+   query-time binary searches never have to re-check structure. The
+   bounds payload — the bulk of the image — is not scanned at open: its
+   count fields are checked as lookups read them ([entry]), which is what
+   keeps attach time independent of the index size. The graphs share the
+   container, so the fingerprint is not re-proven
    ([decode_small_sections]). *)
 let of_mapped_lazy m ~ng =
   let small =
@@ -721,13 +702,8 @@ let of_mapped_lazy m ~ng =
       [ "pmi.config"; "pmi.db"; "pmi.features"; "pmi.meta"; flat_dir_name ]
   in
   let config, features = decode_small_sections ~ng ~fp:None small in
-  let bounds = S.mapped_f64 m flat_bounds_name in
-  let flat =
-    flat_backing ~nf:(Array.length features) ~ng
-      ~dir:(S.find_section small flat_dir_name)
-      ~postings:(S.mapped_bytes m flat_postings_name)
-      ~bounds ~bounds_len:(8 * Bigarray.Array1.dim bounds)
-  in
-  scan_postings flat.f_postings flat.f_dir ~block:flat.f_block ~ng (fun _ _ _ -> ());
-  let build_seconds = S.decode_section small "pmi.meta" S.get_f64 in
-  { config; features; backing = Flat flat; num_graphs = ng; build_seconds }
+  of_image ~config ~features ~ng
+    ~dir:(S.find_section small flat_dir_name)
+    ~postings:(S.mapped_bytes m flat_postings_name)
+    ~bounds:(S.mapped_f64 m flat_bounds_name)
+    ~build_seconds:(S.decode_section small "pmi.meta" S.get_f64)

@@ -2,7 +2,13 @@
 
     Rows are mined features, columns are the probabilistic graphs of the
     database. Entry (f, g) holds the SIP bound pair for [f] against [g]
-    when [f ⊆iso gc], and is empty otherwise (the paper's ⟨0⟩). *)
+    when [f ⊆iso gc], and is empty otherwise (the paper's ⟨0⟩).
+
+    An index is always held as the flat image of DESIGN.md §15 — per
+    feature delta-coded postings of the graphs it occurs in, and their
+    bound records in one fixed-width float array — whether it was built,
+    loaded eagerly or mapped zero-copy: every operation runs the same code
+    on all three. *)
 
 type entry = Bounds.t
 
@@ -24,20 +30,21 @@ val build :
     computing bounds for every feature occurring in their skeletons and
     adding each new graph id to the support list of every such feature
     (so the persisted index rebuilds the same columns after a save/load
-    round trip). The feature set is not re-mined. One matrix reallocation
-    per feature row for the whole batch, so a bulk load is linear in the
-    batch size. *)
+    round trip). The feature set is not re-mined. The existing entries are
+    not decoded: their postings are re-encoded from the graph ids and each
+    feature's bound records are copied as one block, so a batch costs one
+    pass over the image whatever its size. *)
 val add_graphs : t -> Pgraph.t array -> t
 
 (** [sub t ~base ~len] — the PMI of the graph range [base .. base+len-1]
-    viewed as a database of its own: entry columns are sliced, feature
+    viewed as a database of its own: postings are sliced, feature
     support lists rebased to local ids. Nothing is recomputed, so the
     shard's bounds are bit-identical to the monolithic ones
     ([Invalid_argument] when the range is out of bounds). *)
 val sub : t -> base:int -> len:int -> t
 
 (** [concat parts] reassembles consecutive {!sub} slices (in order) into
-    the monolithic PMI: entry rows are concatenated, supports un-rebased.
+    the monolithic PMI: postings are concatenated, supports un-rebased.
     [concat] of the {!sub} pieces of a PMI round-trips it bit-exactly
     (modulo [build_seconds], which becomes the max over the parts).
     [Invalid_argument] when the parts disagree on bound config or feature
@@ -53,17 +60,8 @@ val num_graphs : t -> int
     the graph's skeleton. *)
 val lookup : t -> feature:int -> graph:int -> entry option
 
-(** Column [Dg] of one graph: the occurring features with their bounds. *)
-val column : t -> graph:int -> (int * entry) list
-
 (** Number of non-empty entries — the "index size" series of Fig 12(d). *)
 val filled_entries : t -> int
-
-(** How the bound matrix is held: [`Heap] (eagerly decoded OCaml arrays) or
-    [`Flat] (zero-copy lookups off a memory-mapped flat image, DESIGN.md
-    §15). Observability only — every query-time accessor behaves
-    identically on both. *)
-val backing : t -> [ `Heap | `Flat ]
 
 (** Wall-clock seconds spent computing the entries (Fig 12(c)). *)
 val build_seconds : t -> float
@@ -85,9 +83,10 @@ val build_seconds : t -> float
     mmap loader will reject the unaligned bounds payload. *)
 val to_sections : db:Pgraph.t array -> t -> Psst_store.section list
 
-(** [of_sections ~db sections] decodes the image eagerly into the heap
-    backing. It validates the format and that the stored fingerprint
-    matches [db] before any entry is reused, and raises
+(** [of_sections ~db sections] copies the image out of CRC-checked
+    sections. It validates the format, walks every posting, range-checks
+    every bound count field, and checks that the stored fingerprint
+    matches [db] before any entry is reused; it raises
     [Psst_store.Store_error] otherwise: a stale or foreign index is
     rejected, never silently reused.
 
@@ -103,14 +102,14 @@ val to_sections : db:Pgraph.t array -> t -> Psst_store.section list
 val of_sections :
   ?salvage:bool -> db:Pgraph.t array -> Psst_store.section list -> t
 
-(** [of_mapped_lazy m ~ng] attaches to the image inside an already-mapped
+(** [of_mapped_lazy m ~ng] wraps the image inside an already-mapped
     database store, whose graphs live (lazily decoded) in the same
     container. It runs the same metadata, directory and postings
     validation as {!of_sections}; only the graph count is cross-checked
     against the graphs, because the index and the graphs were written in
     one atomic store file, making re-fingerprinting — which would force
     the full decode the mapping exists to avoid — redundant for identity.
-    Bound count fields are validated on first materialisation instead of
-    at open, so attach time does not scale with the bounds payload.
+    Bound count fields are checked as lookups read them instead of at
+    open, so attach time does not scale with the bounds payload.
     {!Query.load_database}'s [~mmap] path uses this. *)
 val of_mapped_lazy : Psst_store.mapped -> ng:int -> t

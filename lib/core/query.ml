@@ -480,15 +480,16 @@ let get_config d =
    non-zero. The eager and the mapped loaders read the structural
    directory, the PMI and "db.base" through the same validators. *)
 
-(* The structural counts are capped at [emb_cap], which [index_database]
-   keeps within the u16 range of the cells. *)
 let structural_sections st =
   let dir = Store.encoder () in
   Store.put_i64 dir (Structural.emb_cap st);
   Store.put_i64 dir (Structural.num_features st);
   Store.put_i64 dir (Structural.num_graphs st);
   let cells = Store.encoder () in
-  Array.iter (Array.iter (Store.put_u16 cells)) (Structural.counts st);
+  let c = Structural.cells st in
+  for i = 0 to Bigarray.Array1.dim c - 1 do
+    Store.put_u16 cells (Bigarray.Array1.get c i)
+  done;
   [
     Store.section "structural.flat.dir" dir;
     Store.section "structural.flat.counts" cells;
@@ -584,12 +585,14 @@ let database_of_sections ~path ~salvage sections =
   let emb_cap =
     read_structural_dir small ~features ~ng ~bytes:(String.length payload)
   in
-  let counts =
-    Array.init (List.length features) (fun fi ->
-        Array.init ng (fun gi -> String.get_uint16_le payload (2 * ((fi * ng) + gi))))
+  let cells =
+    Bigarray.Array1.init Bigarray.int16_unsigned Bigarray.c_layout
+      (String.length payload / 2)
+      (fun i -> String.get_uint16_le payload (2 * i))
   in
   let structural =
-    Store.checked (fun () -> Structural.of_parts ~features ~counts ~emb_cap)
+    Store.checked (fun () ->
+        Structural.of_cells ~features ~cells ~num_graphs:ng ~emb_cap)
   in
   { graphs = Corpus.of_array graphs; features; structural; pmi; base = read_base small }
 

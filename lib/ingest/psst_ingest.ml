@@ -5,7 +5,7 @@
    ever [Atomic.get] the snapshot, so there is no read-side locking and
    no torn state — an epoch is immutable once published. The writer
    builds each next epoch with Query.add_graphs (pure: fresh corpus
-   array, fresh index rows) while queries keep running on the previous
+   array, fresh index image) while queries keep running on the previous
    one, persists the delta first, then publishes with one Atomic.set.
    Crash ordering: the delta hits disk before the epoch swap, so an
    acknowledged batch is always reloadable; a batch that failed to

@@ -8,7 +8,7 @@
     readers capture the current snapshot at admission time and every
     query runs against exactly that value, while the single writer
     builds the next epoch with {!Query.add_graphs} (a pure function —
-    it allocates fresh index rows and never mutates its input) and
+    it allocates a fresh index image and never mutates its input) and
     publishes it with one atomic swap. A query admitted at epoch [e] is
     therefore bit-identical to an offline [Query.run] against epoch
     [e]'s database, whatever ingest does concurrently — the

@@ -38,7 +38,6 @@ let m_reject_full = Psst_obs.counter "server.reject.queue_full"
 let m_reject_quota = Psst_obs.counter "server.reject.tenant_quota"
 let m_reject_deadline = Psst_obs.counter "server.reject.deadline"
 let m_reject_shutdown = Psst_obs.counter "server.reject.shutdown"
-let m_flat_index = Psst_obs.counter "server.db.flat_index"
 let m_batch_size = Psst_obs.histogram ~lo:1. ~hi:1e4 "server.batch.size"
 let m_queue_depth = Psst_obs.histogram ~lo:1. ~hi:1e6 "server.queue.depth"
 let m_queue_wait = Psst_obs.histogram "server.queue.wait_s"
@@ -536,9 +535,6 @@ let start ?chain ?publisher cfg db =
     invalid_arg "Psst_server: ingest_queue_cap must be >= 0";
   if cfg.tenant_quota < 0 then
     invalid_arg "Psst_server: tenant_quota must be >= 0";
-  (* Record the index backing once at startup so dashboards can tell a
-     zero-copy (flat/mmap) deployment from an eager one. *)
-  if Pmi.backing db.Query.pmi = `Flat then Psst_obs.incr m_flat_index;
   let listener = Listener.bind m_listener cfg.endpoint in
   let db_ref = Atomic.make { Psst_ingest.epoch = 0; db } in
   let t =

@@ -82,17 +82,10 @@ let sub_database (db : Query.database) ~base ~count =
       (Printf.sprintf "Psst_shard.sub_database: range %d..%d outside 0..%d" base
          (base + count) n);
   let pmi = Pmi.sub db.pmi ~base ~len:count in
-  let features = Array.to_list (Pmi.features pmi) in
-  let counts =
-    Array.map (fun row -> Array.sub row base count) (Structural.counts db.structural)
-  in
-  let structural =
-    Structural.of_parts ~features ~counts ~emb_cap:(Structural.emb_cap db.structural)
-  in
   {
     Query.graphs = Corpus.sub db.graphs ~base ~count;
-    features;
-    structural;
+    features = Array.to_list (Pmi.features pmi);
+    structural = Structural.sub db.structural ~base ~len:count;
     pmi;
     base = db.base + base;
   }
@@ -101,7 +94,6 @@ let merge (parts : Query.database list) =
   match parts with
   | [] -> invalid_arg "Psst_shard.merge: empty list"
   | first :: _ ->
-    let emb_cap = Structural.emb_cap first.Query.structural in
     let _ =
       List.fold_left
         (fun expected_base (p : Query.database) ->
@@ -111,30 +103,19 @@ let merge (parts : Query.database list) =
                  "Psst_shard.merge: part at base %d where %d was expected \
                   (parts must be consecutive and ordered)"
                  p.Query.base expected_base);
-          if Structural.emb_cap p.Query.structural <> emb_cap then
-            invalid_arg
-              "Psst_shard.merge: parts indexed with different embedding caps";
           expected_base + Corpus.length p.Query.graphs)
         first.Query.base parts
     in
     let pmi = Pmi.concat (List.map (fun (p : Query.database) -> p.Query.pmi) parts) in
-    let features = Array.to_list (Pmi.features pmi) in
-    let nf = List.length features in
-    let per_part_counts =
-      List.map (fun (p : Query.database) -> Structural.counts p.Query.structural) parts
-    in
-    let counts =
-      Array.init nf (fun fi ->
-          Array.concat (List.map (fun c -> c.(fi)) per_part_counts))
-    in
-    let structural = Structural.of_parts ~features ~counts ~emb_cap in
     {
       Query.graphs =
         Corpus.of_array
           (Array.concat
              (List.map (fun (p : Query.database) -> Corpus.to_array p.Query.graphs) parts));
-      features;
-      structural;
+      features = Array.to_list (Pmi.features pmi);
+      structural =
+        Structural.concat
+          (List.map (fun (p : Query.database) -> p.Query.structural) parts);
       pmi;
       base = first.Query.base;
     }

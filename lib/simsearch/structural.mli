@@ -19,35 +19,37 @@ type t
 
 (** [build db features ~emb_cap] counts feature embeddings in every graph
     (capped per pair at [emb_cap]; counts at the cap are treated as
-    "at least", keeping the filter conservative). *)
+    "at least", keeping the filter conservative). The counts are held as
+    u16 cells, so [emb_cap] must lie in [1 .. 65535]
+    ([Invalid_argument] otherwise). *)
 val build : Lgraph.t array -> Selection.feature list -> emb_cap:int -> t
 
-(** [add_graphs t gs] appends one column per new graph with a single
-    row reallocation per feature, avoiding quadratic repeated appends.
-    The feature set is left as mined (a graph added later never causes
-    false dismissals — at worst the filter is less selective on it). *)
+(** [add_graphs t gs] appends one column per new graph, copying each
+    existing row once for the whole batch. The feature set is left as
+    mined (a graph added later never causes false dismissals — at worst
+    the filter is less selective on it). *)
 val add_graphs : t -> Lgraph.t array -> t
 
-(** [of_parts ~features ~counts ~emb_cap] rebuilds the index from its raw
-    state (one count row per feature) — the load path of the persistent
-    store, which skips re-running VF2 over the whole database. Raises
-    [Invalid_argument] on dimension mismatches or negative counts. *)
-val of_parts :
-  features:Selection.feature list ->
-  counts:int array array ->
-  emb_cap:int ->
-  t
+(** [sub t ~base ~len] — the counts of graphs [base .. base+len-1] as an
+    index of their own, as {!Pmi.sub} slices the PMI ([Invalid_argument]
+    when the range is out of bounds). *)
+val sub : t -> base:int -> len:int -> t
 
-(** Zero-copy cells for the flat image load path (DESIGN.md §15). *)
+(** [concat parts] — the parts' columns side by side, in order: the
+    inverse of {!sub}. [Invalid_argument] when the parts disagree on
+    [emb_cap] or the number of features. *)
+val concat : t list -> t
+
+(** The count matrix: u16 cells, feature-major (feature [fi], graph [gi]
+    at [fi * num_graphs + gi]) — the payload layout of the flat image
+    (DESIGN.md §15). *)
 type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** [of_cells ~features ~cells ~num_graphs ~emb_cap] wraps a feature-major
-    u16 count matrix (typically a view over a memory-mapped flat store
-    image) without copying it: [candidates] reads cells straight out of
-    [cells]. Counts are capped at [emb_cap] by construction, so u16 range
-    suffices whenever [emb_cap < 65536] (the flat encoder enforces this).
-    Raises [Invalid_argument] when [Bigarray.Array1.dim cells] does not
-    equal [features x num_graphs]. *)
+(** [of_cells ~features ~cells ~num_graphs ~emb_cap] wraps a count
+    matrix without copying it — a loader's checked copy of the image
+    payload, or a view over a memory-mapped image. Raises
+    [Invalid_argument] when [emb_cap] is outside [1 .. 65535] or
+    [Bigarray.Array1.dim cells] does not equal [features x num_graphs]. *)
 val of_cells :
   features:Selection.feature list ->
   cells:u16s ->
@@ -55,8 +57,8 @@ val of_cells :
   emb_cap:int ->
   t
 
-(** Raw capped embedding-count matrix, feature-major (a copy). *)
-val counts : t -> int array array
+(** The cells themselves, not a copy: callers must not write them. *)
+val cells : t -> u16s
 
 val emb_cap : t -> int
 

@@ -517,8 +517,8 @@ let align_payloads ~targets sections =
    walks the section framing — O(directory), whatever the payload size.
    Payload CRCs are checked by the accessors that copy or hand out bytes;
    the typed bulk views are validated by their consumers (DESIGN.md §15).
-   There is no salvage variant: salvage implies rebuilding heap structures,
-   which is exactly what the mmap path exists to avoid. *)
+   There is no salvage variant: salvage implies rebuilding the index from
+   the decoded graphs, which is exactly what the mmap path exists to avoid. *)
 
 type bigbytes =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t

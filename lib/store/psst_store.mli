@@ -206,8 +206,8 @@ type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array
     {!mapped_f64}/{!mapped_u16} views and lazily-decoded payloads are
     validated structurally by their consumers (and exhaustively by the
     eager loader, which remains the integrity baseline). There is no
-    salvage variant — salvage rebuilds heap structures, which is what
-    mmap loading exists to avoid; callers fall back to the eager salvage
+    salvage variant — salvage rebuilds the index from the decoded graphs,
+    which is what mmap loading exists to avoid; callers fall back to the eager salvage
     path instead. *)
 type mapped
 

@@ -162,13 +162,19 @@ let test_pmi_build_and_lookup () =
           | None -> Alcotest.failf "missing entry (%d,%d)" fi gi)
         f.support)
     features;
-  (* Columns agree with lookup. *)
-  let col = Pmi.column pmi ~graph:0 in
-  List.iter
-    (fun (fi, _) ->
-      Alcotest.(check bool) "column entry exists" true
-        (Option.is_some (Pmi.lookup pmi ~feature:fi ~graph:0)))
-    col
+  (* Entries exactly where the supports say, and nowhere else. *)
+  List.iteri
+    (fun fi (f : Selection.feature) ->
+      for gi = 0 to Pmi.num_graphs pmi - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "entry (%d,%d) iff supported" fi gi)
+          (List.mem gi f.support)
+          (Option.is_some (Pmi.lookup pmi ~feature:fi ~graph:gi))
+      done)
+    features;
+  Alcotest.(check int) "filled = total support"
+    (List.fold_left (fun a (f : Selection.feature) -> a + List.length f.support) 0 features)
+    (Pmi.filled_entries pmi)
 
 (* --- PMI golden digest ---
 

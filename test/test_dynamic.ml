@@ -103,8 +103,8 @@ let test_batch_equals_sequential () =
   let batch = Query.add_graphs db extra in
   Alcotest.(check bool) "supports equal" true (supports seq = supports batch);
   Alcotest.(check bool) "structural counts equal" true
-    (Structural.counts seq.Query.structural
-    = Structural.counts batch.Query.structural);
+    (Structural.cells seq.Query.structural
+    = Structural.cells batch.Query.structural);
   let nf = Pmi.num_features seq.Query.pmi in
   let ng = Corpus.length seq.Query.graphs in
   Alcotest.(check int) "pmi num_graphs" ng (Pmi.num_graphs batch.Query.pmi);
@@ -126,6 +126,55 @@ let test_batch_equals_sequential () =
       (Query.run batch q config).Query.answers
   done
 
+(* Ingest is the same whatever form the index is held in: a database as
+   built, loaded eagerly and mapped takes the same batch to the same
+   answers and the same image (bar the build-time metadata). *)
+let test_ingest_same_on_every_form () =
+  let ds, db, extra = split_db 131 ~base:7 ~extra:3 in
+  let tmp () = Filename.temp_file "psst_dynamic" ".pgdb" in
+  let paths = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !paths)
+    (fun () ->
+      let saved db =
+        let p = tmp () in
+        paths := p :: !paths;
+        Query.save_database p db;
+        p
+      in
+      let base = saved db in
+      let forms =
+        [
+          ("built", db);
+          ("eager", Query.load_database base);
+          ("mapped", Query.load_database ~mmap:true base);
+        ]
+        |> List.map (fun (name, db) -> (name, Query.add_graphs db extra))
+      in
+      let image db =
+        List.filter
+          (fun (s : Psst_store.section) -> s.Psst_store.name <> "pmi.meta")
+          (Psst_store.read_file (saved db) ~kind:Psst_store.Database)
+      in
+      let reference = image (List.assoc "built" forms) in
+      let rng = Prng.make 137 in
+      let config =
+        { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Exact }
+      in
+      let queries = List.init 3 (fun _ -> fst (Generator.extract_query rng ds ~edges:4)) in
+      List.iter
+        (fun (name, db') ->
+          Alcotest.(check bool) (name ^ ": image identical") true (image db' = reference);
+          List.iter
+            (fun q ->
+              Alcotest.(check (list int))
+                (name ^ ": answers")
+                (Query.run (List.assoc "built" forms) q config).Query.answers
+                (Query.run db' q config).Query.answers)
+            queries)
+        forms)
+
 let test_empty_batch_is_identity () =
   let _, db, _ = split_db 111 ~base:5 ~extra:1 in
   let db' = Query.add_graphs db [||] in
@@ -145,4 +194,6 @@ let suite =
       test_batch_equals_sequential;
     Alcotest.test_case "empty batch is identity" `Quick
       test_empty_batch_is_identity;
+    Alcotest.test_case "ingest same on every form" `Slow
+      test_ingest_same_on_every_form;
   ]

@@ -284,6 +284,21 @@ let test_emb_cap_rejected_first () =
   Alcotest.(check int) "no PMI column built" before (columns ());
   ignore (Query.index_database ~emb_cap:65_535 [| pg |])
 
+(* [Structural.build] writes u16 cells itself, so it refuses a cap the
+   cells cannot hold rather than wrapping counts (which would dismiss true
+   answers). *)
+let test_structural_emb_cap_range () =
+  let g = Lgraph.create ~vlabels:[| 0; 0 |] ~edges:[ (0, 1, 0) ] in
+  List.iter
+    (fun emb_cap ->
+      match Structural.build [| g |] [] ~emb_cap with
+      | _ -> Alcotest.failf "emb_cap %d accepted" emb_cap
+      | exception Invalid_argument _ -> ())
+    [ 70_000; 65_536; 0; -1 ];
+  List.iter
+    (fun emb_cap -> ignore (Structural.build [| g |] [] ~emb_cap))
+    [ 1; 65_535 ]
+
 (* --- Cross-cutting properties --- *)
 
 let prop_mined_features_connected =
@@ -391,4 +406,6 @@ let suite =
     Alcotest.test_case "verify samples monotone" `Quick test_verify_num_samples_monotone;
     Alcotest.test_case "smp deterministic" `Quick test_smp_deterministic_given_seed;
     Alcotest.test_case "transversal cap" `Quick test_transversal_cap_respected;
+    Alcotest.test_case "structural build emb_cap in u16 range" `Quick
+      test_structural_emb_cap_range;
   ]

@@ -232,23 +232,19 @@ let check_same_answers ds db db' =
       Alcotest.failf "trial %d: pruning counters differ" trial
   done
 
-(* The PMI of a saved image, eagerly decoded into the heap backing and
-   mapped zero-copy, against the index that was saved. *)
+(* The PMI of a saved image, loaded eagerly and mapped zero-copy, against
+   the index that was saved. *)
 let test_pmi_save_load_bit_identical () =
   let ds, db = build_db 11 10 in
   with_tmp (fun path ->
       Query.save_database path db;
       List.iter
-        (fun (mmap, backing) ->
+        (fun mmap ->
           let pmi' = (Query.load_database ~mmap path).Query.pmi in
-          Alcotest.(check bool)
-            (Printf.sprintf "backing (mmap %b)" mmap)
-            true
-            (Pmi.backing pmi' = backing);
           check_pmi_identical db.Query.pmi pmi';
           let db' = { db with Query.pmi = pmi' } in
           check_same_answers ds db db')
-        [ (false, `Heap); (true, `Flat) ])
+        [ false; true ])
 
 let test_database_save_load_bit_identical () =
   let ds, db = build_db 23 10 in
@@ -270,8 +266,8 @@ let test_database_save_load_bit_identical () =
         (List.length db'.Query.features);
       check_pmi_identical db.Query.pmi db'.Query.pmi;
       Alcotest.(check bool) "structural counts" true
-        (Structural.counts db.Query.structural
-        = Structural.counts db'.Query.structural);
+        (Structural.cells db.Query.structural
+        = Structural.cells db'.Query.structural);
       check_same_answers ds db db')
 
 (* --- rejection: version skew, kind and fingerprint mismatches --- *)
@@ -601,8 +597,8 @@ let test_golden_image_digest () =
 (* --- flat image: hostile inputs --- *)
 
 (* Decode every lazily-validated region of a mapped database: all graphs
-   (structural decode), every PMI entry (bound-count materialisation) and
-   the structural count matrix. Cheap, and it touches everything a query
+   (structural decode), every PMI entry (each lookup range-checks the
+   counts it reads) and the structural count cells. Cheap, and it touches everything a query
    could. *)
 let mmap_probe path =
   let db = Query.load_database ~mmap:true path in
@@ -614,7 +610,10 @@ let mmap_probe path =
       ignore (Pmi.lookup db.Query.pmi ~feature:fi ~graph:gi)
     done
   done;
-  ignore (Structural.counts db.Query.structural)
+  let cells = Structural.cells db.Query.structural in
+  for i = 0 to Bigarray.Array1.dim cells - 1 do
+    ignore (Bigarray.Array1.get cells i)
+  done
 
 let test_flat_corruption_detected () =
   let ds, db = build_db 67 8 in
@@ -688,6 +687,76 @@ let test_flat_corruption_detected () =
           Query.load_database ~mmap:true path);
       let db' = Query.load_database ~salvage:true ~mmap:true path in
       check_same_answers ds db db')
+
+(* The eager loader range-checks every bound count field at open, not at
+   first lookup: an image whose bounds are CRC-valid but hold an
+   impossible count is refused whole. The mapped loader defers the same
+   check to the lookup that reads the record. *)
+let test_bad_bound_counts_rejected () =
+  let _, db = build_db 71 8 in
+  with_tmp (fun path ->
+      Query.save_database path db;
+      let sections =
+        List.filter
+          (fun (s : S.section) -> not (String.starts_with ~prefix:"pad." s.S.name))
+          (S.read_file path ~kind:S.Database)
+      in
+      let filled = Pmi.filled_entries db.Query.pmi in
+      Alcotest.(check bool) "some entries" true (filled > 0);
+      List.iter
+        (fun (field, v) ->
+          let rewritten =
+            List.map
+              (fun (s : S.section) ->
+                if s.S.name <> "pmi.flat.bounds" then s
+                else begin
+                  let b = Bytes.of_string s.S.payload in
+                  (* the last record, so the first features stay readable *)
+                  Bytes.set_int64_le b
+                    ((8 * ((6 * (filled - 1)) + field)))
+                    (Int64.bits_of_float v);
+                  { s with S.payload = Bytes.to_string b }
+                end)
+              sections
+          in
+          S.write_file path ~kind:S.Database
+            (S.align_payloads
+               ~targets:[ "structural.flat.counts"; "pmi.flat.bounds" ]
+               rewritten);
+          let what = Printf.sprintf "count field %d = %h" field v in
+          expect_store_error (what ^ ", eager load") (fun () ->
+              Query.load_database path);
+          expect_store_error (what ^ ", mapped lookup") (fun () -> mmap_probe path))
+        [ (4, 0.5); (4, -1.); (4, Float.nan); (5, 0.5); (5, -1.); (5, Float.nan) ])
+
+(* A database with no mined features (three vertexless graphs) keeps every
+   graph on every path: the count matrix has no rows, so its graph count
+   must not be read off them. *)
+let test_zero_feature_database () =
+  let g = Pgraph_io.of_string "pgraph\nend\n" in
+  let db = Query.index_database [| g; g; g |] in
+  Alcotest.(check int) "no features" 0 (List.length db.Query.features);
+  let q = Pgraph.skeleton g in
+  let check what (db : Query.database) =
+    let r = Query.run db q Query.default_config in
+    Alcotest.(check (list int)) (what ^ ": answers") [ 0; 1; 2 ] r.Query.answers;
+    Alcotest.(check int)
+      (what ^ ": structural candidates")
+      3 r.Query.stats.structural_candidates
+  in
+  check "built" db;
+  with_tmp (fun path ->
+      Query.save_database path db;
+      check "eager load" (Query.load_database path);
+      check "mapped load" (Query.load_database ~mmap:true path));
+  let whole = Psst_shard.sub_database db ~base:0 ~count:3 in
+  check "sub_database" whole;
+  check "merge"
+    (Psst_shard.merge
+       [
+         Psst_shard.sub_database whole ~base:0 ~count:1;
+         Psst_shard.sub_database whole ~base:1 ~count:2;
+       ])
 
 (* --- Pgraph_io JPT row validation (regression) --- *)
 
@@ -841,4 +910,8 @@ let suite =
       test_jpt_row_sum_rejected;
     Alcotest.test_case "jpt row sums rejected (binary)" `Quick
       test_jpt_row_sum_rejected_binary;
+    Alcotest.test_case "bad bound counts rejected at eager load" `Quick
+      test_bad_bound_counts_rejected;
+    Alcotest.test_case "zero-feature database on every path" `Quick
+      test_zero_feature_database;
   ]
