@@ -81,14 +81,22 @@ let all_present mask s = Bitset.subset s mask
 (* All edges of [s] absent from the world mask. *)
 let all_absent mask s = Bitset.disjoint s mask
 
+module Sets = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = Bitset.equal
+  let hash = Bitset.hash
+end)
+
 (* Everything the bounds of one graph share across features: the world
    pool, the uncertain-edge set and the exact probabilities already asked,
-   keyed by polarity ([true]: all present) and sorted edge list. *)
+   keyed by the edge set, one table per polarity. *)
 type column = {
   graph : Pgraph.t;
   pool : Bitset.t array Lazy.t;
   uncertain : Bitset.t;
-  exact : (bool * int list, float) Hashtbl.t;
+  present : float Sets.t;
+  absent : float Sets.t;
 }
 
 let column config g =
@@ -100,31 +108,26 @@ let column config g =
          Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g));
     uncertain =
       Bitset.of_list (Lgraph.num_edges (Pgraph.skeleton g)) (Pgraph.uncertain_edges g);
-    exact = Hashtbl.create 64;
+    present = Sets.create 64;
+    absent = Sets.create 64;
   }
 
-let memo_exact col present vars =
-  let key = (present, vars) in
-  match Hashtbl.find_opt col.exact key with
+(* The probability that every edge of [s] is present ([value]) or absent. *)
+let memo_exact col value s =
+  let memo = if value then col.present else col.absent in
+  match Sets.find_opt memo s with
   | Some p ->
     Psst_obs.incr m_exact_hits;
     p
   | None ->
     Psst_obs.incr m_exact_evals;
     let g = col.graph in
-    let p =
-      if present then
-        Velim.prob_all_present ~z:(Pgraph.partition_value g) (Pgraph.factors g) vars
-      else
-        Velim.prob ~z:(Pgraph.partition_value g)
-          ~evidence:(List.map (fun v -> (v, false)) vars)
-          (Pgraph.factors g)
-    in
-    Hashtbl.add col.exact key p;
+    let p = Velim.prob_set ~z:(Pgraph.partition_value g) ~value (Pgraph.factors g) s in
+    Sets.add memo (Bitset.copy s) p;
     p
 
-let exact_all_present col s = memo_exact col true (Bitset.elements s)
-let exact_all_absent col s = memo_exact col false (Bitset.elements s)
+let exact_all_present col s = memo_exact col true s
+let exact_all_absent col s = memo_exact col false s
 
 (* First-fit maximal pairwise-disjoint family in index order: the paper's
    plain SIPBound picks an arbitrary disjoint set instead of optimising. *)

@@ -251,6 +251,19 @@ let build ?(config = Bounds.default_config) ?(domains = 1) db features =
   let features = Array.of_list features in
   let ng = Array.length db in
   let nf = Array.length features in
+  (* Each feature's postings are its support; each column's membership
+     row says which features occur in that graph. *)
+  let ids = Array.map (fun (f : Selection.feature) -> Array.of_list f.support) features in
+  let occurs = Array.init ng (fun _ -> Bytes.make nf '\000') in
+  Array.iteri
+    (fun fi row ->
+      Array.iteri
+        (fun r gi ->
+          if gi < 0 || gi >= ng || (r > 0 && row.(r - 1) >= gi) then
+            invalid_arg "Pmi.build: a support is not increasing graph ids of the database";
+          Bytes.set occurs.(gi) fi '\001')
+        row)
+    ids;
   let columns, build_seconds =
     Psst_util.Timer.time (fun () ->
         let d = max 1 (min domains ng) in
@@ -259,18 +272,18 @@ let build ?(config = Bounds.default_config) ?(domains = 1) db features =
             Psst_util.Pool.map_array pool ~chunk:1
               (fun gi ->
                 column_of config features db.(gi) ~occurs:(fun fi ->
-                    List.mem gi features.(fi).Selection.support))
+                    Bytes.get occurs.(gi) fi <> '\000'))
               (Array.init ng Fun.id)))
   in
   Log.info (fun m ->
       m "PMI built: %d features x %d graphs in %.2fs" nf ng build_seconds);
   assemble ~config ~features ~num_graphs:ng ~build_seconds
-    (Array.init nf (fun fi ->
-         let ids =
-           Array.of_list
-             (List.filter (fun gi -> Option.is_some columns.(gi).(fi)) (List.init ng Fun.id))
-         in
-         (ids, fun dst -> Array.iteri (fun r gi -> put_entry dst r (Option.get columns.(gi).(fi))) ids)))
+    (Array.mapi
+       (fun fi ids ->
+         ( ids,
+           fun dst ->
+             Array.iteri (fun r gi -> put_entry dst r (Option.get columns.(gi).(fi))) ids ))
+       ids)
 
 (* Slicing and concatenation back the shard store (lib/shard). Both are
    pure re-arrangements of already-computed state: [sub] never recomputes

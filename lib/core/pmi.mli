@@ -14,11 +14,13 @@ type entry = Bounds.t
 
 type t
 
-(** [build ?config ?domains db features] computes every matrix entry.
-    [domains > 1] distributes the per-graph columns over a
-    {!Psst_util.Pool} of that many OCaml 5 domains (the computation is
-    embarrassingly parallel per graph and the result is identical to the
-    sequential build). *)
+(** [build ?config ?domains db features] computes every matrix entry:
+    one for each graph of a feature's support, which must be strictly
+    increasing ids of [db]'s graphs, as {!Selection.select} makes them
+    ([Invalid_argument] otherwise). [domains > 1] distributes the
+    per-graph columns over a {!Psst_util.Pool} of that many OCaml 5
+    domains (the computation is embarrassingly parallel per graph and the
+    result is identical to the sequential build). *)
 val build :
   ?config:Bounds.config ->
   ?domains:int ->

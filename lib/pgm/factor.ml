@@ -34,8 +34,6 @@ let index_of t v =
   in
   go 0
 
-let mentions t v = index_of t v >= 0
-
 let value t mask = t.data.(mask)
 
 let value_of t assign =

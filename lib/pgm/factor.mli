@@ -6,7 +6,10 @@
     encoded as bit masks local to the factor: bit [i] is the value of
     [vars.(i)]. Scopes are limited to {!max_vars} variables. *)
 
-type t
+(** The scope and the table, readable so that inner loops such as
+    {!Velim}'s kernel index them without copies. Both arrays are shared:
+    never mutate them. *)
+type t = private { vars : int array; data : float array }
 
 (** Hard cap on scope size (table is [2^|vars|] floats). *)
 val max_vars : int
@@ -23,7 +26,6 @@ val of_fun : int array -> (int -> float) -> t
 val scalar : float -> t
 
 val vars : t -> int array
-val mentions : t -> int -> bool
 
 (** [value t mask] is the entry for local assignment [mask]. *)
 val value : t -> int -> float

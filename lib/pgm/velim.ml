@@ -1,109 +1,437 @@
 module Bitset = Psst_util.Bitset
 
-(* Sorted distinct ids among the factors' scopes and [extra], by insertion:
-   chain scopes arrive nearly sorted, so this is close to one pass. *)
-let sorted_vars ?(extra = [||]) factors =
-  let all = Array.concat (extra :: List.map Factor.vars factors) in
-  let out = Array.make (Array.length all) 0 and n = ref 0 in
-  Array.iter
-    (fun v ->
-      let j = ref !n in
-      while !j > 0 && out.(!j - 1) > v do
-        decr j
-      done;
-      if !j = 0 || out.(!j - 1) <> v then begin
-        Array.blit out !j out (!j + 1) (!n - !j);
-        out.(!j) <- v;
-        incr n
-      end)
-    all;
-  Array.sub out 0 !n
+(* One kernel answers every query. It reads the evidence in place, orders
+   the free variables by min degree and eliminates each in one fused
+   bucket, and it gives the floats of the plain loop over [Factor]
+   primitives: condition copies of the factors, then for each variable
+   multiply the work-list tables mentioning it ([Factor.multiply_all]) and
+   sum it out ([Factor.sum_out]), the new table going to the front of the
+   list. An output entry of a bucket is [P(m, v=0) +. P(m, v=1)], where
+   [P] folds [( *. )] left over the touched tables in that list's order
+   (newest created table first, then the inputs in input order): the same
+   products, sums and order, without a conditioned copy or a product table.
 
-(* Position of [v] in the sorted array [ids] (which holds it). *)
-let rec find ids v lo hi =
-  let mid = (lo + hi) / 2 in
-  if ids.(mid) = v then mid
-  else if ids.(mid) < v then find ids v (mid + 1) hi
-  else find ids v lo mid
+   Variables are renumbered densely, 0 .. n-1 in increasing id order, and a
+   set of them is a mask of [w] consecutive words of a flat int array: one
+   word up to 63 variables. Every array is allocated per call and sized to
+   the problem, so calls may run on several domains at once. *)
 
-(* Min-degree heuristic: repeatedly eliminate the variable whose bucket
-   product has the smallest merged scope, the lowest variable id winning
-   ties. The merged scope of [v] (the union of the scopes mentioning it)
-   is its closed neighbourhood in the interaction graph, so the scopes are
-   kept as one bitset per variable over dense indices (0 .. n-1 in
-   increasing id order): eliminating [v] joins its neighbours into a
-   clique, exactly as merging its bucket into one scope without [v]. Only
-   those neighbours' costs change. *)
-let elimination_order factors to_eliminate =
-  let ids = sorted_vars ~extra:(Array.of_list to_eliminate) factors in
-  let n = Array.length ids in
-  let index v = find ids v 0 n in
-  (* nbr.(i): the union of the current scopes mentioning variable i. *)
-  let nbr = Array.init n (fun _ -> Bitset.create n) in
-  List.iter
-    (fun f ->
-      let vars = Factor.vars f in
-      let scope = Bitset.create n in
-      Array.iter (fun v -> Bitset.add scope (index v)) vars;
-      Array.iter (fun v -> Bitset.union_into nbr.(index v) scope) vars)
-    factors;
-  let cost = Array.map Bitset.cardinal nbr in
-  (* Pending variables in increasing id order; the first [live] are left. *)
-  let pending = sorted_vars ~extra:(Array.map index (Array.of_list to_eliminate)) [] in
-  let live = ref (Array.length pending) in
-  let order = Array.make !live 0 in
-  for step = 0 to Array.length order - 1 do
-    let best = ref 0 in
-    for j = 1 to !live - 1 do
-      if cost.(pending.(j)) < cost.(pending.(!best)) then best := j
-    done;
-    let v = pending.(!best) in
-    Array.blit pending (!best + 1) pending !best (!live - !best - 1);
-    decr live;
-    let merged = nbr.(v) in
-    Bitset.remove merged v;
-    Bitset.iter
-      (fun u ->
-        Bitset.union_into nbr.(u) merged;
-        Bitset.remove nbr.(u) v;
-        cost.(u) <- Bitset.cardinal nbr.(u))
-      merged;
-    Bitset.clear merged;
-    order.(step) <- ids.(v)
+let wbits = Sys.int_size
+
+let rec popcount acc x = if x = 0 then acc else popcount (acc + 1) (x land (x - 1))
+
+(* The index of the lowest set bit of [x <> 0]. 2 has order 66 modulo 67,
+   so the powers of 2 below the sign bit leave distinct remainders; the
+   sign bit alone is negative. An immutable table, shared by all domains. *)
+let low_bit =
+  let t = Array.make 67 0 in
+  for i = 0 to wbits - 2 do
+    t.((1 lsl i) mod 67) <- i
   done;
-  Array.to_list order
+  t
+
+let[@inline] ctz x =
+  let b = x land -x in
+  if b < 0 then wbits - 1 else low_bit.(b mod 67)
+
+let[@inline] mem a off d = a.(off + (d / wbits)) land (1 lsl (d mod wbits)) <> 0
+
+let[@inline] add a off d =
+  let j = off + (d / wbits) in
+  a.(j) <- a.(j) lor (1 lsl (d mod wbits))
+
+let[@inline] remove a off d =
+  let j = off + (d / wbits) in
+  a.(j) <- a.(j) land lnot (1 lsl (d mod wbits))
+
+let card a off w =
+  let c = ref 0 in
+  for j = off to off + w - 1 do
+    c := popcount !c a.(j)
+  done;
+  !c
+
+(* [into.(i ..) <- into.(i ..) lor from.(j ..)], [w] words. *)
+let union_into into i from j w =
+  for x = 0 to w - 1 do
+    into.(i + x) <- into.(i + x) lor from.(j + x)
+  done
+
+type evidence =
+  | Free
+  | Pairs of (int * bool) list  (** the first occurrence of a variable wins *)
+  | All of bool * Bitset.t  (** every member takes the value *)
+
+(* A query's factors read under its evidence. Dense variable [d] is id
+   [ids.(d)]. Table [t] has entries [data.(t)]: the [nf] inputs, then room
+   for one table per eliminated variable. Input [i]'s scope, as dense
+   variables, is [isc.(ioff.(i)) .. isc.(ioff.(i + 1) - 1)], and
+   [base.(i)] sets the local bits of its evidence-true variables. [mask]
+   holds each table's free variables, [w] words per table, and [nbr] each
+   free variable's closed neighbourhood, the union of the free scopes
+   mentioning it. *)
+type problem = {
+  nf : int;
+  n : int;
+  w : int;
+  ids : int array;
+  data : float array array;
+  isc : int array;
+  ioff : int array;
+  base : int array;
+  mask : int array;
+  nbr : int array;
+}
+
+(* Dense index of id [v] among the [n] sorted [ids], or -1. *)
+let dense (ids : int array) n v =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ids.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < n && ids.(!lo) = v then !lo else -1
+
+let pose factors ~extra evidence =
+  let nf = List.length factors and s = ref 0 in
+  List.iter (fun (f : Factor.t) -> s := !s + Array.length f.vars) factors;
+  let s = !s in
+  (* Every scope entry (its slot in [isc]; -1 for [extra]), sorted by id
+     by insertion: chain scopes arrive nearly sorted. *)
+  let len = s + List.length extra in
+  let ids = Array.make len 0 and slot = Array.make len 0 and sorted = ref 0 in
+  let insert v sl =
+    let j = ref !sorted in
+    while !j > 0 && ids.(!j - 1) > v do
+      ids.(!j) <- ids.(!j - 1);
+      slot.(!j) <- slot.(!j - 1);
+      decr j
+    done;
+    ids.(!j) <- v;
+    slot.(!j) <- sl;
+    incr sorted
+  in
+  let ioff = Array.make (nf + 1) 0 in
+  List.iteri
+    (fun i (f : Factor.t) ->
+      let o = ioff.(i) and vars = f.vars in
+      for j = 0 to Array.length vars - 1 do
+        insert vars.(j) (o + j)
+      done;
+      ioff.(i + 1) <- o + Array.length vars)
+    factors;
+  List.iter (fun v -> insert v (-1)) extra;
+  (* Distinct ids, compacted in place, and each entry's dense variable. *)
+  let isc = Array.make s 0 and n = ref 0 in
+  for x = 0 to len - 1 do
+    let v = ids.(x) in
+    if !n = 0 || ids.(!n - 1) <> v then begin
+      ids.(!n) <- v;
+      incr n
+    end;
+    if slot.(x) >= 0 then isc.(slot.(x)) <- !n - 1
+  done;
+  let n = !n in
+  let w = max 1 ((n + wbits - 1) / wbits) in
+  (* '\001' fixed false, '\002' fixed true *)
+  let fixed = Bytes.make n '\000' in
+  (match evidence with
+   | Free -> ()
+   | Pairs l ->
+     List.iter
+       (fun (v, b) ->
+         let d = dense ids n v in
+         if d >= 0 && Bytes.get fixed d = '\000' then
+           Bytes.set fixed d (if b then '\002' else '\001'))
+       l
+   | All (b, set) ->
+     let c = if b then '\002' else '\001' and cap = Bitset.capacity set in
+     for d = 0 to n - 1 do
+       let v = ids.(d) in
+       if v >= 0 && v < cap && Bitset.mem set v then Bytes.set fixed d c
+     done);
+  let data = Array.make (nf + n) [||] and base = Array.make nf 0 in
+  let mask = Array.make ((nf + n) * w) 0 and nbr = Array.make (n * w) 0 in
+  List.iteri
+    (fun i (f : Factor.t) ->
+      data.(i) <- f.data;
+      let o = ioff.(i) in
+      for j = 0 to ioff.(i + 1) - o - 1 do
+        let d = isc.(o + j) in
+        match Bytes.get fixed d with
+        | '\000' -> add mask (i * w) d
+        | '\002' -> base.(i) <- base.(i) lor (1 lsl j)
+        | _ -> ()
+      done;
+      for j = o to ioff.(i + 1) - 1 do
+        let d = isc.(j) in
+        if mem mask (i * w) d then union_into nbr (d * w) mask (i * w) w
+      done)
+    factors;
+  { nf; n; w; ids; data; isc; ioff; base; mask; nbr }
+
+(* The min-degree order of the [count] dense variables [pend] lists in
+   increasing order: each step takes the variable whose bucket (the union
+   of the current scopes mentioning it: its closed neighbourhood) is
+   smallest, the lowest id winning ties, and joins that neighbourhood into
+   a clique without it, as merging the bucket into one scope does; only
+   the neighbours' costs change. Fills [order] and each step's bucket size
+   into [width]. Consumes [p.nbr] and [pend]. *)
+let min_degree p pend count order width =
+  let w = p.w and nbr = p.nbr in
+  let cost = Array.make p.n 0 in
+  for d = 0 to p.n - 1 do
+    cost.(d) <- card nbr (d * w) w
+  done;
+  for step = 0 to count - 1 do
+    let live = count - step and best = ref 0 in
+    let least = ref cost.(pend.(0)) in
+    for j = 1 to live - 1 do
+      let c = cost.(pend.(j)) in
+      if c < !least then begin
+        best := j;
+        least := c
+      end
+    done;
+    let v = pend.(!best) in
+    for j = !best to live - 2 do
+      pend.(j) <- pend.(j + 1)
+    done;
+    order.(step) <- v;
+    width.(step) <- cost.(v);
+    remove nbr (v * w) v;
+    for x = 0 to w - 1 do
+      let bits = ref nbr.((v * w) + x) in
+      while !bits <> 0 do
+        let u = (x * wbits) + ctz !bits in
+        bits := !bits land (!bits - 1);
+        union_into nbr (u * w) nbr (v * w) w;
+        remove nbr (u * w) v;
+        cost.(u) <- card nbr (u * w) w
+      done
+    done;
+    for x = 0 to w - 1 do
+      nbr.((v * w) + x) <- 0
+    done
+  done
+
+(* The free variables outside [keep], in increasing order, their count,
+   and the count of those [keep] holds. *)
+let candidates p keep =
+  let pend = Array.make p.n 0 and count = ref 0 and kept = ref 0 in
+  for d = 0 to p.n - 1 do
+    if mem p.nbr (d * p.w) d then
+      if List.mem p.ids.(d) keep then incr kept
+      else begin
+        pend.(!count) <- d;
+        incr count
+      end
+  done;
+  (pend, !count, !kept)
+
+(* Eliminates every free variable outside [keep] and multiplies what is
+   left: the final table's scope (ids) and entries. *)
+let kernel factors evidence ~keep =
+  let p = pose factors ~extra:[] evidence in
+  let n = p.n and w = p.w and nf = p.nf and data = p.data in
+  let pend, steps, kept = candidates p keep in
+  let order = Array.make steps 0 and width = Array.make steps 0 in
+  min_degree p pend steps order width;
+  (* Table [t] (the inputs, then one per step) has entries [data.(t)],
+     indexed by its [meta.(3t + 1)] variables [sc.(meta.(3t)) ..] (an
+     input's whole scope, evidence included) with the bits [meta.(3t + 2)]
+     set. A created table's scope is its bucket less the summed variable;
+     the scopes are laid out up to the first bucket too wide to build,
+     which raises when its turn comes, then the final product's. *)
+  let tables = nf + steps in
+  let meta = Array.make (3 * tables) 0 in
+  for t = 0 to nf - 1 do
+    meta.(3 * t) <- p.ioff.(t);
+    meta.((3 * t) + 1) <- p.ioff.(t + 1) - p.ioff.(t);
+    meta.((3 * t) + 2) <- p.base.(t)
+  done;
+  let ok = ref 0 and sc_end = ref p.ioff.(nf) in
+  while !ok < steps && width.(!ok) <= Factor.max_vars do
+    let t = nf + !ok in
+    meta.(3 * t) <- !sc_end;
+    meta.((3 * t) + 1) <- width.(!ok) - 1;
+    sc_end := !sc_end + width.(!ok) - 1;
+    incr ok
+  done;
+  let sc = Array.make (!sc_end + kept) 0 in
+  Array.blit p.isc 0 sc 0 p.ioff.(nf);
+  (* The work list: table ids, the newest created first, then the inputs
+     in input order. At most [nf] tables are live at once. *)
+  let work = Array.init nf Fun.id and live = ref nf in
+  let touched = Array.make nf 0 and merged = Array.make w 0 in
+  let idx = Array.make nf 0 and vbit = Array.make nf 0 and pos = Array.make n 0 in
+  let delta = ref [||] in
+  (* Moves the work-list tables mentioning [v] (all of them when [v < 0])
+     to [touched], keeping the order, and their union into [merged].
+     Returns their count. *)
+  let gather v =
+    let k = ref 0 and stay = ref 0 in
+    for x = 0 to w - 1 do
+      merged.(x) <- 0
+    done;
+    for x = 0 to !live - 1 do
+      let t = work.(x) in
+      if v < 0 || mem p.mask (t * w) v then begin
+        touched.(!k) <- t;
+        incr k;
+        union_into merged 0 p.mask (t * w) w
+      end
+      else begin
+        work.(!stay) <- t;
+        incr stay
+      end
+    done;
+    live := !stay;
+    !k
+  in
+  (* Multiplies the [k] gathered tables over the variables [merged] holds
+     and sums out [v] (none when [v < 0]). Writes the product's scope at
+     [sc.(at) ..], in increasing order, by inserting the tables' entries
+     that [merged] holds (one table's are already sorted), and returns its
+     entries. Each table's index is walked incrementally: from [m - 1] to
+     [m] the bits 0 .. ctz m of [m] flip, so it XORs in the local bits of
+     those output variables, [delta] of that count. *)
+  let bucket k v at =
+    let no = ref 0 in
+    for r = 0 to k - 1 do
+      let t = touched.(r) in
+      for j = meta.(3 * t) to meta.(3 * t) + meta.((3 * t) + 1) - 1 do
+        let d = sc.(j) in
+        if mem merged 0 d then begin
+          let x = ref (at + !no) in
+          while !x > at && sc.(!x - 1) > d do
+            decr x
+          done;
+          if !x = at || sc.(!x - 1) <> d then begin
+            for y = at + !no downto !x + 1 do
+              sc.(y) <- sc.(y - 1)
+            done;
+            sc.(!x) <- d;
+            incr no
+          end
+        end
+      done
+    done;
+    let no = !no in
+    for i = 0 to no - 1 do
+      pos.(sc.(at + i)) <- i
+    done;
+    if Array.length !delta < k * no then
+      delta := Array.make (max (k * no) (2 * Array.length !delta)) 0;
+    let delta = !delta in
+    for r = 0 to k - 1 do
+      let t = touched.(r) and row = r * no in
+      for i = row to row + no - 1 do
+        delta.(i) <- 0
+      done;
+      vbit.(r) <- 0;
+      idx.(r) <- meta.((3 * t) + 2);
+      let lo = meta.(3 * t) in
+      for j = 0 to meta.((3 * t) + 1) - 1 do
+        let d = sc.(lo + j) in
+        if d = v then vbit.(r) <- 1 lsl j
+        else if mem merged 0 d then delta.(row + pos.(d)) <- 1 lsl j
+      done;
+      for i = row + 1 to row + no - 1 do
+        delta.(i) <- delta.(i) lor delta.(i - 1)
+      done
+    done;
+    (* Table 0's index and entries stay in locals: most buckets touch one
+       table. *)
+    let sum = v >= 0 and entries = Array.create_float (1 lsl no) in
+    let d0 = data.(touched.(0)) and vb0 = vbit.(0) and i0 = ref idx.(0) in
+    for m = 0 to Array.length entries - 1 do
+      if m > 0 then begin
+        let c = ctz m in
+        i0 := !i0 lxor delta.(c);
+        for r = 1 to k - 1 do
+          idx.(r) <- idx.(r) lxor delta.((r * no) + c)
+        done
+      end;
+      let p0 = ref d0.(!i0) and p1 = ref d0.(!i0 lor vb0) in
+      for r = 1 to k - 1 do
+        let d = data.(touched.(r)) and i = idx.(r) in
+        p0 := !p0 *. d.(i);
+        p1 := !p1 *. d.(i lor vbit.(r))
+      done;
+      let x = if sum then !p0 +. !p1 else !p0 in
+      (* false exactly for negative and NaN entries *)
+      if not (x >= 0.) then invalid_arg "Factor.create: negative or NaN entry";
+      entries.(m) <- x
+    done;
+    entries
+  in
+  (* [Factor.multiply]'s check, which one table (at most [max_vars]
+     variables) never fails. *)
+  let check_width k width =
+    if k >= 2 && width > Factor.max_vars then invalid_arg "Factor.multiply: scope too large"
+  in
+  for s = 0 to steps - 1 do
+    let v = order.(s) and t = nf + s in
+    let k = gather v in
+    check_width k width.(s);
+    remove merged 0 v;
+    union_into p.mask (t * w) merged 0 w;
+    data.(t) <- bucket k v meta.(3 * t);
+    for x = !live downto 1 do
+      work.(x) <- work.(x - 1)
+    done;
+    work.(0) <- t;
+    incr live
+  done;
+  match gather (-1) with
+  | 0 -> ([||], [| 1. |])
+  | k ->
+    check_width k kept;
+    let at = Array.length sc - kept in
+    let entries = bucket k (-1) at in
+    (Array.init kept (fun i -> p.ids.(sc.(at + i))), entries)
+
+let elimination_order factors to_eliminate =
+  let p = pose factors ~extra:to_eliminate Free in
+  let pend = Array.make p.n 0 and count = ref 0 in
+  let cand = Array.make p.n false in
+  List.iter (fun v -> cand.(dense p.ids p.n v) <- true) to_eliminate;
+  for d = 0 to p.n - 1 do
+    if cand.(d) then begin
+      pend.(!count) <- d;
+      incr count
+    end
+  done;
+  let order = Array.make !count 0 in
+  min_degree p pend !count order (Array.make !count 0);
+  Array.to_list (Array.map (fun d -> p.ids.(d)) order)
+
+let marginal_width factors keep =
+  let p = pose factors ~extra:[] Free in
+  let pend, steps, kept = candidates p keep in
+  let width = Array.make steps 0 in
+  min_degree p pend steps (Array.make steps 0) width;
+  Array.fold_left max kept width
 
 let marginal factors keep =
-  let elim =
-    Array.fold_right
-      (fun v acc -> if List.mem v keep then acc else v :: acc)
-      (sorted_vars factors) []
-  in
-  let order = elimination_order factors elim in
-  let work = ref factors in
-  List.iter
-    (fun v ->
-      let touched, rest = List.partition (fun f -> Factor.mentions f v) !work in
-      match touched with
-      | [] -> ()
-      | _ ->
-        let prod = Factor.multiply_all touched in
-        work := Factor.sum_out prod v :: rest)
-    order;
-  Factor.multiply_all !work
+  let vars, data = kernel factors Free ~keep in
+  Factor.create vars data
 
-let partition_value factors = Factor.total (marginal factors [])
+let scalar factors evidence =
+  let _, data = kernel factors evidence ~keep:[] in
+  0. +. data.(0)
 
-let prob ?z ~evidence factors =
+let partition_value factors = scalar factors Free
+
+let conditioned ?z factors evidence =
   let z = match z with Some z -> z | None -> partition_value factors in
   if z <= 0. then invalid_arg "Velim.prob: zero partition value";
-  let conditioned =
-    List.map
-      (fun f ->
-        List.fold_left (fun f (v, b) -> Factor.condition f v b) f evidence)
-      factors
-  in
-  Factor.total (marginal conditioned []) /. z
+  scalar factors evidence /. z
+
+let prob ?z ~evidence factors = conditioned ?z factors (Pairs evidence)
 
 let prob_all_present ?z factors vars =
   prob ?z ~evidence:(List.map (fun v -> (v, true)) vars) factors
+
+let prob_set ?z ~value factors set = conditioned ?z factors (All (value, set))

@@ -3,7 +3,35 @@
     This is the engine behind exact subgraph-isomorphism / similarity
     probabilities and the Pr(Bf) terms of the paper's verification sampler
     (the paper uses a junction tree, ref [17]; variable elimination with a
-    min-degree order computes the same exact marginals). *)
+    min-degree order computes the same exact marginals).
+
+    {b One kernel.} Every function below runs the same elimination: the
+    evidence is read in place, the free variables are eliminated in
+    {!elimination_order}, and each bucket is fused: an entry of the table
+    that eliminating [v] creates is [P(m, v=0) +. P(m, v=1)], where [P]
+    multiplies, left to right, the entries of the current tables
+    mentioning [v] — the most recently created first, then the inputs in
+    input order. That is exactly what conditioning copies of the factors,
+    multiplying each bucket pairwise ({!Factor.multiply_all}) and summing
+    out ({!Factor.sum_out}) gives, so every result is that loop's float,
+    bit for bit, at any number of variables.
+
+    {b Evidence.} An evidence list may repeat a variable: its first
+    occurrence wins. Evidence on a variable no factor mentions (a negative
+    id, say) is ignored. Evidence is read in place: a conditioned factor
+    is its own table plus the index bits of its evidence-true variables,
+    never a copy.
+
+    {b Errors.} [Invalid_argument] with the message of the [Factor]
+    operation the loop would have failed in: ["Factor.multiply: scope too
+    large"] when a bucket of two or more tables spans more than
+    {!Factor.max_vars} variables (see {!marginal_width}), and ["Factor.create:
+    negative or NaN entry"] when a product is NaN (an infinite entry meets
+    a zero one). A bucket that is both too wide and NaN reports the width.
+
+    {b Domains.} Each call allocates its own working state, sized to the
+    problem; there is no shared mutable state, so calls may run on several
+    domains at once. *)
 
 (** [elimination_order factors vars] is the order in which {!marginal}
     eliminates [vars]: min-degree, i.e. each step takes the variable whose
@@ -13,8 +41,16 @@
 val elimination_order : Factor.t list -> int list -> int list
 
 (** [marginal factors keep] eliminates every variable outside [keep] and
-    returns the (unnormalised) joint factor over [keep]. *)
+    returns the (unnormalised) joint factor over the variables of [keep]
+    that some factor mentions. *)
 val marginal : Factor.t list -> int list -> Factor.t
+
+(** [marginal_width factors keep] is the widest scope {!marginal}
+    [factors keep] multiplies over: its largest bucket, or the final
+    product over [keep]. [marginal] raises ["Factor.multiply: scope too
+    large"] exactly when this exceeds {!Factor.max_vars}; it is computed
+    without eliminating anything. *)
+val marginal_width : Factor.t list -> int list -> int
 
 (** [partition_value factors] is the total mass of the product (1.0 for a
     consistent chain factorisation). *)
@@ -24,10 +60,15 @@ val partition_value : Factor.t list -> float
     assignment [evidence = [(var, value); ...]], normalised by the partition
     value. [z], when given, must be [partition_value factors]: callers that
     ask many questions of one factor list pass it to skip recomputing it
-    (the result is the same float). Raises [Invalid_argument] when the
-    partition value is not positive. *)
+    (the result is the same float). Raises
+    [Invalid_argument "Velim.prob: zero partition value"] when the
+    partition value is not positive, before eliminating anything else. *)
 val prob : ?z:float -> evidence:(int * bool) list -> Factor.t list -> float
 
 (** [prob_all_present factors vars] is [prob] with every var set to true —
     the probability that a set of edges co-exists. *)
 val prob_all_present : ?z:float -> Factor.t list -> int list -> float
+
+(** [prob_set ?z ~value factors set] is [prob] with every member of [set]
+    set to [value], bit for bit, without building the evidence list. *)
+val prob_set : ?z:float -> value:bool -> Factor.t list -> Psst_util.Bitset.t -> float

@@ -36,7 +36,9 @@ let prob_any_present t sets =
           minimal
       in
       let union_vars = Bitset.elements union in
-      if List.length union_vars <= Factor.max_vars then begin
+      (* The width covers the union scope itself: every uncertain edge is in
+         some factor. *)
+      if Velim.marginal_width (Pgraph.factors t) union_vars <= Factor.max_vars then begin
         (* Tabulate the joint marginal over the union scope and sweep it. *)
         let marg = Velim.marginal (Pgraph.factors t) union_vars in
         let marg = Factor.normalize marg in

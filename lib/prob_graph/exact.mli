@@ -7,10 +7,11 @@
 (** [prob_any_present t sets] is the probability that at least one of the
     given edge sets (bitsets over the skeleton's edge ids) is fully present
     in a random possible world — the DNF probability behind Lemma 1 and
-    Eq 10. Computed over the marginal of the union scope when it fits in a
-    factor, falling back to inclusion-exclusion with memoised conjunction
-    probabilities. Raises [Failure] beyond the documented guards
-    (union scope > {!Factor.max_vars} and > 22 minimal sets). *)
+    Eq 10. Computed over the marginal of the union scope when eliminating
+    onto it never needs a table wider than a factor
+    ({!Velim.marginal_width} at most {!Factor.max_vars}), falling back to
+    inclusion-exclusion with memoised conjunction probabilities. Raises
+    [Failure] when the fallback would need more than 22 minimal sets. *)
 val prob_any_present : Pgraph.t -> Psst_util.Bitset.t list -> float
 
 (** [prob_any_present_naive t sets] — same value as {!prob_any_present},

@@ -348,6 +348,30 @@ let test_pipeline_golden_digest () =
         (pipeline_digest ?cache db queries))
     [ ("cold", None); ("cache filling", Some cache); ("cache warm", Some cache) ]
 
+(* The [`Exact] verifier's SSP, as [%h], for every structural survivor of
+   every golden query at [delta] 1 and 2: the Lemma-1 union marginal (or
+   inclusion-exclusion) of [Exact.prob_any_present], pinned bit for bit. *)
+let golden_exact_digest = "b34aad3a98da342910ae64be976eb837"
+
+let test_exact_golden_digest () =
+  let db, queries = Lazy.force golden_db in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun delta ->
+      let config = { Query.default_config with delta; verifier = `Exact } in
+      List.iter
+        (fun q ->
+          let front = Query.front ~cache:None db q config in
+          List.iter
+            (fun gi ->
+              Printf.bprintf b "%d %d %h\n" delta gi
+                (Query.candidate_ssp front ~stop:None db config gi))
+            front.survivors)
+        queries)
+    [ 1; 2 ];
+  Alcotest.(check string) "exact SSP digest" golden_exact_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- Pruning soundness --- *)
 
 let pruning_env seed =
@@ -534,6 +558,7 @@ let suite =
     Alcotest.test_case "mining: golden feature digest" `Slow test_mining_golden_digest;
     Alcotest.test_case "pmi: exact memo accounting" `Slow test_pmi_exact_memo;
     Alcotest.test_case "pipeline: golden digest" `Slow test_pipeline_golden_digest;
+    Alcotest.test_case "exact verifier: golden SSP digest" `Slow test_exact_golden_digest;
     QCheck_alcotest.to_alcotest prop_usim_bounds_exact_ssp;
     QCheck_alcotest.to_alcotest prop_lsim_safe_below_exact_ssp;
     Alcotest.test_case "verify: sample count" `Quick test_verify_num_samples;

@@ -367,6 +367,142 @@ let prop_prob_cached_z_bit_identical =
       && bits (Velim.prob_all_present ~z factors (List.map fst ev))
          = bits (Velim.prob_all_present factors (List.map fst ev)))
 
+(* --- The elimination kernel against the Factor-primitive loop ---
+
+   [Velim] runs every query through one fused kernel that reads evidence
+   in place and builds no intermediate product. Its contract is that each
+   float is the one the plain loop gives: condition copies of the factors,
+   then for each variable of the min-degree order multiply the work-list
+   tables that mention it (newest first, then the inputs in input order)
+   and sum it out. That loop is rebuilt here from [Factor] primitives and
+   the Set-based order above, and compared bit for bit, errors included. *)
+
+let reference_marginal factors keep =
+  let elim =
+    List.concat_map (fun f -> Array.to_list (Factor.vars f)) factors
+    |> List.sort_uniq compare
+    |> List.filter (fun v -> not (List.mem v keep))
+  in
+  let work = ref factors in
+  List.iter
+    (fun v ->
+      let touched, rest = List.partition (fun f -> Array.mem v (Factor.vars f)) !work in
+      if touched <> [] then work := Factor.sum_out (Factor.multiply_all touched) v :: rest)
+    (oracle_elimination_order factors elim);
+  Factor.multiply_all !work
+
+let reference_prob ?z ~evidence factors =
+  let z =
+    match z with Some z -> z | None -> Factor.total (reference_marginal factors [])
+  in
+  if z <= 0. then invalid_arg "Velim.prob: zero partition value";
+  let conditioned =
+    List.map
+      (fun f -> List.fold_left (fun f (v, b) -> Factor.condition f v b) f evidence)
+      factors
+  in
+  Factor.total (reference_marginal conditioned []) /. z
+
+(* A computation's outcome as comparable bits: the float bits of every
+   entry (and the scope, for a factor), or the exception's message. *)
+let outcome f =
+  match f () with
+  | fs -> Ok (List.map Int64.bits_of_float fs)
+  | exception Invalid_argument msg -> Error msg
+
+let factor_outcome f =
+  match f () with
+  | m ->
+    let k = Array.length (Factor.vars m) in
+    Ok (Factor.vars m, Array.init (1 lsl k) (fun i -> Int64.bits_of_float (Factor.value m i)))
+  | exception Invalid_argument msg -> Error msg
+
+let same_as_reference ?(keep = []) ~evidence factors =
+  let z = outcome (fun () -> [ Factor.total (reference_marginal factors []) ]) in
+  z = outcome (fun () -> [ Velim.partition_value factors ])
+  && outcome (fun () -> [ reference_prob ~evidence factors ])
+     = outcome (fun () -> [ Velim.prob ~evidence factors ])
+  && factor_outcome (fun () -> reference_marginal factors keep)
+     = factor_outcome (fun () -> Velim.marginal factors keep)
+
+(* Random factor lists over ids 0..15: random scopes of 0-4 variables
+   (scalars included), tables with zeros, occasionally all zero. *)
+let random_factors rng =
+  List.init (Prng.int rng 9) (fun _ ->
+      let scope =
+        List.sort_uniq compare (List.init (Prng.int rng 5) (fun _ -> Prng.int rng 16))
+      in
+      let allzero = Prng.bernoulli rng 0.05 in
+      Factor.create (Array.of_list scope)
+        (Array.init (1 lsl List.length scope) (fun _ ->
+             if allzero || Prng.bernoulli rng 0.2 then 0. else Prng.float rng 2.)))
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = Factor-primitive elimination, bit for bit"
+    ~count:500 QCheck.small_int
+    (fun seed ->
+      let rng = Prng.make (seed + 113) in
+      let factors = random_factors rng in
+      (* Evidence with duplicates and conflicts (the first occurrence
+         wins), on absent ids (16-19) and on negative ids. *)
+      let evidence =
+        List.init (Prng.int rng 7) (fun _ ->
+            (Prng.int rng 22 - 2, Prng.bernoulli rng 0.5))
+      in
+      let keep = List.filter (fun _ -> Prng.bernoulli rng 0.3) (List.init 20 Fun.id) in
+      let bits = List.map Int64.bits_of_float in
+      same_as_reference ~keep ~evidence factors
+      && (match outcome (fun () -> [ Velim.partition_value factors ]) with
+         | Ok [ z ] when Int64.float_of_bits z > 0. ->
+           let z = Int64.float_of_bits z in
+           let vars = List.map fst evidence in
+           outcome (fun () -> [ reference_prob ~z ~evidence factors ])
+           = outcome (fun () -> [ Velim.prob ~z ~evidence factors ])
+           && bits [ Velim.prob_all_present ~z factors vars ]
+              = bits
+                  [ reference_prob ~z ~evidence:(List.map (fun v -> (v, true)) vars) factors ]
+         | _ -> true))
+
+let test_kernel_edge_cases () =
+  let check name ?keep ~evidence factors =
+    Alcotest.(check bool) name true (same_as_reference ?keep ~evidence factors)
+  in
+  check "empty factor list" ~keep:[ 3 ] ~evidence:[ (1, true) ] [];
+  check "scalars only" ~evidence:[] [ Factor.scalar 0.5; Factor.scalar 3. ];
+  (* A chain of 120 variables: scopes past one machine word of mask. *)
+  let rng = Prng.make 7 in
+  let chain =
+    coin 0.3 0
+    :: List.init 119 (fun i ->
+           let p0 = Prng.float rng 1. and p1 = Prng.float rng 1. in
+           Factor.create [| i; i + 1 |] [| 1. -. p0; 1. -. p1; p0; p1 |])
+  in
+  check "120-variable chain" ~keep:[ 0; 64; 119 ]
+    ~evidence:[ (5, true); (63, false); (64, true); (100, true); (5, false) ] chain;
+  (* Zero partition value: prob raises before eliminating. *)
+  let zero = [ Factor.create [| 0 |] [| 0.; 0. |] ] in
+  check "zero partition" ~evidence:[ (0, true) ] zero;
+  Alcotest.check_raises "zero partition message"
+    (Invalid_argument "Velim.prob: zero partition value") (fun () ->
+      ignore (Velim.prob ~evidence:[] zero));
+  (* A bucket wider than Factor.max_vars: a star of 21 pairwise factors. *)
+  let star =
+    coin 0.4 0
+    :: List.init 20 (fun i -> Factor.create [| 0; i + 1 |] [| 0.7; 0.3; 0.3; 0.7 |])
+  in
+  check "scope too large" ~keep:(List.init 20 (fun i -> i + 1)) ~evidence:[] star;
+  Alcotest.check_raises "scope too large message"
+    (Invalid_argument "Factor.multiply: scope too large") (fun () ->
+      ignore (Velim.marginal star (List.init 20 (fun i -> i + 1))));
+  (* An infinite entry times a zero one is NaN. *)
+  let nan =
+    [ Factor.create [| 0 |] [| infinity; 0. |]; Factor.create [| 0 |] [| 0.; 1. |] ]
+  in
+  check "NaN product" ~evidence:[] nan;
+  Alcotest.check_raises "NaN product message"
+    (Invalid_argument "Factor.create: negative or NaN entry") (fun () ->
+      ignore (Velim.partition_value nan))
+
 (* --- Junction tree --- *)
 
 let test_jtree_build_requires_rip () =
@@ -482,6 +618,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compiled_sampler_matches_oracle;
     QCheck_alcotest.to_alcotest prop_elimination_order_matches_oracle;
     QCheck_alcotest.to_alcotest prop_prob_cached_z_bit_identical;
+    QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+    Alcotest.test_case "kernel edge cases = reference" `Quick test_kernel_edge_cases;
     Alcotest.test_case "jtree RIP validation" `Quick test_jtree_build_requires_rip;
     Alcotest.test_case "jtree evidence prob" `Quick test_jtree_evidence_prob_matches_velim;
     Alcotest.test_case "jtree variables" `Quick test_jtree_variables;

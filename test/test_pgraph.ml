@@ -172,6 +172,27 @@ let test_prob_any_present_empty () =
   Tgen.check_close "certain set" 1.0
     (Exact.prob_any_present certain [ Bitset.of_list 1 [ 0 ] ])
 
+(* Twenty pairs over a 21-edge star of correlations: the union scope has 20
+   edges, but marginalising onto it eliminates edge 0 in one bucket of all
+   21 factors, wider than a factor can hold. The answer comes from
+   inclusion-exclusion instead. Given edge 0, the pairs are independent,
+   which gives the closed form below; [prob_any_present_naive] (2^21
+   worlds, seconds) gives 0.84351929820762428. *)
+let test_prob_any_present_wide_bucket () =
+  let skeleton =
+    Lgraph.create ~vlabels:(Array.make 22 0) ~edges:(List.init 21 (fun i -> (i, i + 1, 0)))
+  in
+  let g =
+    Pgraph.make skeleton
+      (Factor.create [| 0 |] [| 0.4; 0.6 |]
+      :: List.init 20 (fun i -> Factor.create [| 0; i + 1 |] [| 0.7; 0.3; 0.3; 0.7 |]))
+  in
+  let sets = List.init 10 (fun i -> Bitset.of_list 21 [ (2 * i) + 1; (2 * i) + 2 ]) in
+  let any_pair p_edge = 1. -. ((1. -. (p_edge *. p_edge)) ** 10.) in
+  let expected = (0.6 *. any_pair 0.7) +. (0.4 *. any_pair 0.3) in
+  Tgen.check_close ~eps:1e-9 "closed form = naive" 0.84351929820762428 expected;
+  Tgen.check_close ~eps:1e-9 "prob_any_present" expected (Exact.prob_any_present g sets)
+
 let test_naive_matches_smart () =
   let g = paper_like_pgraph () in
   let cases =
@@ -284,6 +305,8 @@ let suite =
     Alcotest.test_case "prob_any_present empty/certain" `Quick test_prob_any_present_empty;
     Alcotest.test_case "naive scan = antichain exact" `Quick test_naive_matches_smart;
     QCheck_alcotest.to_alcotest prop_naive_matches_smart;
+    Alcotest.test_case "exact: bucket wider than a factor" `Quick
+      test_prob_any_present_wide_bucket;
     Alcotest.test_case "exact sip triangle" `Quick test_exact_sip_triangle;
     Alcotest.test_case "exact sip vs worlds" `Quick test_exact_sip_vs_worlds;
     QCheck_alcotest.to_alcotest prop_exact_sip_matches_worlds;

@@ -121,6 +121,8 @@ let with_pair ?(domains = 1) ?ack_timeout_ms db f =
   let sdb, schain = I.load spath in
   let hub = Replica.hub ?ack_timeout_ms pchain in
   let psock = fresh_sock () and ssock = fresh_sock () in
+  let subscribes () = Psst_obs.counter_value (Psst_obs.counter "replica.subscribes") in
+  let subscribed = subscribes () in
   let psrv =
     Server.start ~chain:pchain ~publisher:(Replica.publisher hub)
       { (Server.default_config (P.Unix_socket psock)) with Server.domains }
@@ -160,7 +162,11 @@ let with_pair ?(domains = 1) ?ack_timeout_ms db f =
       List.iter
         (fun s -> try Sys.remove s with Sys_error _ -> ())
         [ psock; ssock ])
-    (fun () -> f t)
+    (fun () ->
+      (* Every caller ingests expecting acks gated on this standby, so it
+         must have subscribed first: before that, the primary acks alone. *)
+      wait_for "the standby's subscription" (fun () -> subscribes () > subscribed);
+      f t)
 
 let with_client srv f =
   let c = Client.connect (Server.endpoint srv) in
