@@ -73,69 +73,70 @@ let put_postings e ids =
     if i mod flat_block <> 0 then S.put_varint e (ids.(i) - ids.(i - 1))
   done
 
-(* Full validating walk over every posting; [emit fi rank gid] is called for
-   each, with [rank] the within-feature rank. Both loaders run it at open,
-   so they accept exactly the same byte strings, and the offline
-   operations use it to read the graph ids back. *)
-let scan_postings (p : S.bigbytes) (dir : dir_entry array) ~block ~ng emit =
-  Array.iteri
-    (fun fi de ->
-      let stop = de.d_off + de.d_len in
-      let u32 at =
-        if at < de.d_off || at + 4 > stop then
-          S.error "flat postings: feature %d region overrun" fi;
-        u32 p at
-      in
-      let nb = u32 de.d_off in
-      let expect_nb = if de.d_count = 0 then 0 else ((de.d_count - 1) / block) + 1 in
-      if nb <> expect_nb then
-        S.error "flat postings: feature %d has %d skip blocks, expected %d" fi
-          nb expect_nb;
-      let bodies = de.d_off + 4 + (8 * nb) in
-      if bodies > stop then S.error "flat postings: feature %d region overrun" fi;
-      let pos = ref bodies in
-      let prev = ref (-1) in
-      for k = 0 to nb - 1 do
-        let g0 = u32 (de.d_off + 4 + (8 * k)) in
-        let boff = u32 (de.d_off + 4 + (8 * k) + 4) in
-        if bodies + boff <> !pos then
-          S.error "flat postings: feature %d block %d body offset mismatch" fi k;
-        if g0 <= !prev then
-          S.error "flat postings: feature %d graph ids not strictly increasing"
-            fi;
-        if g0 >= ng then
-          S.error "flat postings: feature %d mentions graph %d of a %d-graph \
-                   database"
-            fi g0 ng;
-        let lo = k * block in
-        let hi = min de.d_count ((k + 1) * block) in
-        emit fi lo g0;
-        let cur = ref g0 in
-        for i = lo + 1 to hi - 1 do
-          let v = ref 0 and shift = ref 0 and c = ref 0x80 in
-          while !c land 0x80 <> 0 do
-            if !pos >= stop then S.error "flat postings: feature %d region overrun" fi;
-            if !shift > 56 then S.error "flat postings: feature %d varint overflow" fi;
-            c := Char.code (Bigarray.Array1.get p !pos);
-            incr pos;
-            v := !v lor ((!c land 0x7f) lsl !shift);
-            shift := !shift + 7
-          done;
-          (* a negative value is an overflow into the sign bit *)
-          if !v < 1 then S.error "flat postings: feature %d non-positive delta" fi;
-          cur := !cur + !v;
-          if !cur >= ng then
-            S.error "flat postings: feature %d mentions graph %d of a \
-                     %d-graph database"
-              fi !cur ng;
-          emit fi i !cur
-        done;
-        prev := !cur
+(* Validating walk over feature [fi]'s postings; [emit rank gid] is called
+   for each, with [rank] the within-feature rank. Both loaders run it over
+   every feature at open ([scan_postings]), so they accept exactly the
+   same byte strings; the offline operations use it to read the graph ids
+   back, and the structural view to walk a feature's graphs. *)
+let scan_feature (p : S.bigbytes) de ~block ~ng fi emit =
+  let stop = de.d_off + de.d_len in
+  let u32 at =
+    if at < de.d_off || at + 4 > stop then
+      S.error "flat postings: feature %d region overrun" fi;
+    u32 p at
+  in
+  let nb = u32 de.d_off in
+  let expect_nb = if de.d_count = 0 then 0 else ((de.d_count - 1) / block) + 1 in
+  if nb <> expect_nb then
+    S.error "flat postings: feature %d has %d skip blocks, expected %d" fi
+      nb expect_nb;
+  let bodies = de.d_off + 4 + (8 * nb) in
+  if bodies > stop then S.error "flat postings: feature %d region overrun" fi;
+  let pos = ref bodies in
+  let prev = ref (-1) in
+  for k = 0 to nb - 1 do
+    let g0 = u32 (de.d_off + 4 + (8 * k)) in
+    let boff = u32 (de.d_off + 4 + (8 * k) + 4) in
+    if bodies + boff <> !pos then
+      S.error "flat postings: feature %d block %d body offset mismatch" fi k;
+    if g0 <= !prev then
+      S.error "flat postings: feature %d graph ids not strictly increasing"
+        fi;
+    if g0 >= ng then
+      S.error "flat postings: feature %d mentions graph %d of a %d-graph \
+               database"
+        fi g0 ng;
+    let lo = k * block in
+    let hi = min de.d_count ((k + 1) * block) in
+    emit lo g0;
+    let cur = ref g0 in
+    for i = lo + 1 to hi - 1 do
+      let v = ref 0 and shift = ref 0 and c = ref 0x80 in
+      while !c land 0x80 <> 0 do
+        if !pos >= stop then S.error "flat postings: feature %d region overrun" fi;
+        if !shift > 56 then S.error "flat postings: feature %d varint overflow" fi;
+        c := Char.code (Bigarray.Array1.get p !pos);
+        incr pos;
+        v := !v lor ((!c land 0x7f) lsl !shift);
+        shift := !shift + 7
       done;
-      if !pos <> stop then
-        S.error "flat postings: feature %d region has %d trailing bytes" fi
-          (stop - !pos))
-    dir
+      (* a negative value is an overflow into the sign bit *)
+      if !v < 1 then S.error "flat postings: feature %d non-positive delta" fi;
+      cur := !cur + !v;
+      if !cur >= ng then
+        S.error "flat postings: feature %d mentions graph %d of a \
+                 %d-graph database"
+          fi !cur ng;
+      emit i !cur
+    done;
+    prev := !cur
+  done;
+  if !pos <> stop then
+    S.error "flat postings: feature %d region has %d trailing bytes" fi
+      (stop - !pos)
+
+let scan_postings p dir ~block ~ng emit =
+  Array.iteri (fun fi de -> scan_feature p de ~block ~ng fi (emit fi)) dir
 
 (* Every feature's graph ids, in rank order. *)
 let posting_ids t =
@@ -400,9 +401,9 @@ let concat = function
    their own, over the features with supports saying where each occurs in
    the new skeletons, and concatenated after the existing image. So the
    mined features' support lists absorb the new graph ids — supports drive
-   the column build of a salvage and the structural filter's counts, and a
-   stale support would silently drop the graph from both after a save/load
-   round trip — and stay sorted, as new ids are the largest. The existing
+   the column build of a salvage, and a stale support would silently drop
+   the graph from a salvaged image — and stay sorted, as new ids are the
+   largest. The existing
    entries are not decoded: [concat] re-encodes their graph ids and moves
    their records as one block per feature. *)
 let add_graphs t gs =
@@ -477,6 +478,18 @@ let lookup t ~feature ~graph =
 
 let filled_entries t = t.filled
 let build_seconds t = t.build_seconds
+
+(* Every bound record carries its entry's embedding count, so the
+   structural filter walks the postings and reads the count field in
+   place: nothing is copied, and no [Bounds.t] is built per posting. *)
+let structural t =
+  Structural.of_postings ~features:t.features ~num_graphs:t.num_graphs
+    ~emb_cap:t.config.Bounds.emb_cap ~entries:t.filled ~postings:(fun fi emit ->
+      let de = t.dir.(fi) in
+      scan_feature t.postings de ~block:t.block ~ng:t.num_graphs fi (fun rank gid ->
+          emit gid
+            (flat_count "embedding count"
+               (Bigarray.Array1.get t.bounds ((6 * (de.d_rank + rank)) + 4)))))
 
 (* --- persistence (DESIGN.md §9, §15) --- *)
 

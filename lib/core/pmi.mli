@@ -68,6 +68,13 @@ val filled_entries : t -> int
 (** Wall-clock seconds spent computing the entries (Fig 12(c)). *)
 val build_seconds : t -> float
 
+(** [structural t] — the structural filter's index as a view over the
+    image: a feature's postings, each with the embedding count its bound
+    record carries, capped at [(config t).emb_cap]. It copies nothing and
+    does no per-entry work until a query walks a feature; on a mapped
+    image each count is range-checked as it is read, like {!lookup}. *)
+val structural : t -> Structural.t
+
 (** {1 Persistence (DESIGN.md §9, §15)}
 
     The PMI is the expensive offline artifact of the pipeline. It is

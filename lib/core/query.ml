@@ -22,20 +22,22 @@ let log_src = Logs.Src.create "psst.query" ~doc:"T-PS query pipeline"
 
 module Log = (val Logs.src_log log_src)
 
+(* The structural filter is a view over the PMI image (Pmi.structural),
+   so every constructor of a database takes it from the PMI it holds. *)
 let index_database ?(mining = Selection.default_params)
-    ?(bounds = Bounds.default_config) ?(emb_cap = 64) ?(domains = 1) graphs =
-  (* The image stores structural counts, capped at [emb_cap], as u16 cells:
-     a cap it cannot store is refused before mining. *)
-  if emb_cap > 0xFFFF then
-    invalid_arg "Query.index_database: emb_cap must be at most 65535";
-  let skeletons = Array.map Pgraph.skeleton graphs in
-  let features = Selection.select skeletons mining in
+    ?(bounds = Bounds.default_config) ?(domains = 1) graphs =
+  let features = Selection.select (Array.map Pgraph.skeleton graphs) mining in
   Log.info (fun m ->
       m "mined %d features over %d graphs" (List.length features)
         (Array.length graphs));
-  let structural = Structural.build skeletons features ~emb_cap in
   let pmi = Pmi.build ~config:bounds ~domains graphs features in
-  { graphs = Corpus.of_array graphs; features; structural; pmi; base = 0 }
+  {
+    graphs = Corpus.of_array graphs;
+    features;
+    structural = Pmi.structural pmi;
+    pmi;
+    base = 0;
+  }
 
 let m_runs = Psst_obs.counter "query.runs"
 let m_answers = Psst_obs.counter "query.answers"
@@ -45,7 +47,6 @@ let m_graphs_added = Psst_obs.counter "query.graphs_added"
 let add_graphs db gs =
   if Array.length gs = 0 then db
   else begin
-    let skels = Array.map Pgraph.skeleton gs in
     (* [Pmi.add_graphs] is the single owner of the support-list update:
        re-reading the features from the new index keeps the database copy
        and the persisted copy identical by construction. *)
@@ -54,7 +55,7 @@ let add_graphs db gs =
     {
       graphs = Corpus.append db.graphs gs;
       features = Array.to_list (Pmi.features pmi);
-      structural = Structural.add_graphs db.structural skels;
+      structural = Pmi.structural pmi;
       pmi;
       base = db.base;
     }
@@ -473,27 +474,14 @@ let get_config d =
 (* --- the database image (DESIGN.md §9, §15) ---
 
    One layout: the graphs with an offset table, so a mapped corpus can
-   decode one graph without scanning its predecessors; the structural
-   count matrix as u16 cells; the PMI as delta-coded postings and a
-   fixed-width bounds array ([Pmi.to_sections]). The "db.base" section
-   carries the global-id offset of a shard and is written only when
-   non-zero. The eager and the mapped loaders read the structural
-   directory, the PMI and "db.base" through the same validators. *)
-
-let structural_sections st =
-  let dir = Store.encoder () in
-  Store.put_i64 dir (Structural.emb_cap st);
-  Store.put_i64 dir (Structural.num_features st);
-  Store.put_i64 dir (Structural.num_graphs st);
-  let cells = Store.encoder () in
-  let c = Structural.cells st in
-  for i = 0 to Bigarray.Array1.dim c - 1 do
-    Store.put_u16 cells (Bigarray.Array1.get c i)
-  done;
-  [
-    Store.section "structural.flat.dir" dir;
-    Store.section "structural.flat.counts" cells;
-  ]
+   decode one graph without scanning its predecessors, and the PMI as
+   delta-coded postings and a fixed-width bounds array
+   ([Pmi.to_sections]), which the structural filter also reads. The
+   "db.base" section carries the global-id offset of a shard and is
+   written only when non-zero. The eager and the mapped loaders read the
+   PMI and "db.base" through the same validators. An image written when
+   the structural counts had sections of their own still loads: its
+   "structural.flat.*" sections are ignored. *)
 
 let database_sections db =
   let garr = Corpus.to_array db.graphs in
@@ -518,8 +506,7 @@ let database_sections db =
     end
   in
   (Store.section "graphs" graphs :: Store.section "graphs.offsets" offs
-   :: structural_sections db.structural)
-  @ Pmi.to_sections ~db:garr db.pmi
+   :: Pmi.to_sections ~db:garr db.pmi)
   @ base
 
 (* [small name] is the payload of a small section, [None] when the image
@@ -533,31 +520,8 @@ let read_base small =
     Store.expect_end d;
     b
 
-(* The structural directory against the PMI's features, the graphs and
-   the [bytes] of the count payload; returns [emb_cap]. *)
-let read_structural_dir small ~features ~ng ~bytes =
-  let nf = List.length features in
-  let payload =
-    match small "structural.flat.dir" with
-    | Some p -> p
-    | None -> Store.error "missing section \"structural.flat.dir\""
-  in
-  let d = Store.decoder ~name:"structural.flat.dir" payload in
-  let emb_cap = Store.get_nat d in
-  let snf = Store.get_nat d in
-  let sng = Store.get_nat d in
-  Store.expect_end d;
-  if snf <> nf then
-    Store.error "structural image has %d rows for %d features" snf nf;
-  if sng <> ng then
-    Store.error "structural image has %d columns for %d graphs" sng ng;
-  if bytes <> 2 * nf * ng then
-    Store.error "structural counts: %d bytes for %d x %d cells" bytes nf ng;
-  emb_cap
-
-(* Files of the retired classic layout carry a "structural" section where
-   the image has "structural.flat.*"; they are refused as a whole, so a
-   caller that can rebuild the index does. *)
+(* Files of the retired classic layout carry a "structural" section; they
+   are refused as a whole, so a caller that can rebuild the index does. *)
 let reject_retired_layout path has =
   if has "structural" then
     Store.error
@@ -570,45 +534,35 @@ let database_of_sections ~path ~salvage sections =
   in
   reject_retired_layout path (fun name -> small name <> None);
   (* The graphs are the source of truth — nothing to rebuild them from, so
-     even a salvage load requires them (and the structural counts) intact;
-     only the PMI sections are self-healing. [Pmi.of_sections]
-     re-fingerprints the graphs against the stored fingerprint, so a file
-     stitched together from two different stores is rejected. *)
+     even a salvage load requires them intact; the PMI sections are
+     self-healing, and the structural filter reads the PMI.
+     [Pmi.of_sections] re-fingerprints the graphs against the stored
+     fingerprint, so a file stitched together from two different stores
+     is rejected. *)
   let graphs =
     Store.decode_section sections "graphs" (fun d ->
         Store.get_array d Pgraph_io.decode_binary)
   in
-  let ng = Array.length graphs in
   let pmi = Pmi.of_sections ~salvage ~db:graphs sections in
-  let features = Array.to_list (Pmi.features pmi) in
-  let payload = Store.find_section sections "structural.flat.counts" in
-  let emb_cap =
-    read_structural_dir small ~features ~ng ~bytes:(String.length payload)
-  in
-  let cells =
-    Bigarray.Array1.init Bigarray.int16_unsigned Bigarray.c_layout
-      (String.length payload / 2)
-      (fun i -> String.get_uint16_le payload (2 * i))
-  in
-  let structural =
-    Store.checked (fun () ->
-        Structural.of_cells ~features ~cells ~num_graphs:ng ~emb_cap)
-  in
-  { graphs = Corpus.of_array graphs; features; structural; pmi; base = read_base small }
+  {
+    graphs = Corpus.of_array graphs;
+    features = Array.to_list (Pmi.features pmi);
+    structural = Pmi.structural pmi;
+    pmi;
+    base = read_base small;
+  }
 
 let save_database ?(flat = true) path db =
   if not flat then
     invalid_arg "Query.save_database: the classic layout is retired (~flat:false)";
   Store.write_file path ~kind:Store.Database
-    (Store.align_payloads
-       ~targets:[ "structural.flat.counts"; "pmi.flat.bounds" ]
-       (database_sections db))
+    (Store.align_payloads ~targets:[ "pmi.flat.bounds" ] (database_sections db))
 
 (* Zero-copy load: only the small metadata sections (directories,
    features, config) are decoded at open. The graphs stay in the mapping
-   behind a lazily-decoding {!Corpus}, and the PMI postings/bounds and
-   structural count cells — the O(features x graphs) bulk — are read in
-   place, so time-to-first-query does not scale with database size. *)
+   behind a lazily-decoding {!Corpus}, and the PMI postings and bounds —
+   the bulk, which the structural filter reads too — are read in place,
+   so time-to-first-query does not scale with database size. *)
 let load_database_mapped path =
   let m = Store.map_file path ~kind:Store.Database in
   Fun.protect
@@ -629,19 +583,14 @@ let load_database_mapped path =
         v
       in
       let graphs = Corpus.of_mapped m ~section:"graphs" ~offsets in
-      let ng = Corpus.length graphs in
-      let pmi = Pmi.of_mapped_lazy m ~ng in
-      let features = Array.to_list (Pmi.features pmi) in
-      let cells = Store.mapped_u16 m "structural.flat.counts" in
-      let emb_cap =
-        read_structural_dir small ~features ~ng
-          ~bytes:(2 * Bigarray.Array1.dim cells)
-      in
-      let structural =
-        Store.checked (fun () ->
-            Structural.of_cells ~features ~cells ~num_graphs:ng ~emb_cap)
-      in
-      { graphs; features; structural; pmi; base = read_base small })
+      let pmi = Pmi.of_mapped_lazy m ~ng:(Corpus.length graphs) in
+      {
+        graphs;
+        features = Array.to_list (Pmi.features pmi);
+        structural = Pmi.structural pmi;
+        pmi;
+        base = read_base small;
+      })
 
 let load_database ?(salvage = false) ?(mmap = false) path =
   let eager () =

@@ -1,8 +1,8 @@
 (** The end-to-end T-PS query processor (paper §1.2): structural pruning →
     probabilistic pruning → verification. *)
 
-(** A database with its two indexes (structural feature-count index and
-    PMI). [base] is the global-id offset of local graph 0: answers, top-k
+(** A database with its PMI and the structural feature-count index, which
+    is a view over the PMI ({!Pmi.structural}). [base] is the global-id offset of local graph 0: answers, top-k
     hits and per-candidate PRNG streams all use global ids [base + gi],
     so a shard of a larger corpus ([Psst_shard.sub_database]) answers
     with corpus-wide ids and draws the same randomness per graph as the
@@ -26,29 +26,28 @@ type database = {
     [gi]. *)
 val global : database -> int -> int
 
-(** [index_database ?mining ?bounds ?emb_cap ?domains graphs] mines
-    features over the skeletons and builds both indexes; [domains]
-    parallelises the PMI bound computation (see {!Pmi.build}). Raises
-    [Invalid_argument] before any work when [emb_cap > 65535], the
-    largest count the structural image's u16 cells hold. *)
+(** [index_database ?mining ?bounds ?domains graphs] mines features over
+    the skeletons and builds the PMI; [domains] parallelises the bound
+    computation (see {!Pmi.build}). The structural filter reads its
+    embedding counts, capped at [bounds.emb_cap], from the PMI. *)
 val index_database :
   ?mining:Selection.params ->
   ?bounds:Bounds.config ->
-  ?emb_cap:int ->
   ?domains:int ->
   Pgraph.t array ->
   database
 
-(** [add_graph db g] appends one graph to the database, extending both
-    indexes incrementally (including the feature support lists, so a
-    subsequent {!save_database}/{!load_database} round trip reproduces
-    the same indexes). Features are {e not} re-mined: pruning on the new
+(** [add_graph db g] appends one graph to the database, extending the PMI
+    (and so the structural view over it) incrementally, including the
+    feature support lists, so a subsequent
+    {!save_database}/{!load_database} round trip reproduces the same
+    index. Features are {e not} re-mined: pruning on the new
     graph uses the existing feature set, which keeps every decision
     sound but may be less selective than a full re-index. *)
 val add_graph : database -> Pgraph.t -> database
 
 (** [add_graphs db gs] bulk insertion: equivalent to folding
-    {!add_graph} over [gs] but with one reallocation per index row per
+    {!add_graph} over [gs] but with one pass over the PMI image per
     batch, so loading k graphs costs O(k) appends instead of O(k²). *)
 val add_graphs : database -> Pgraph.t array -> database
 
@@ -203,13 +202,13 @@ val candidate_ssp : front -> stop:float option -> database -> config -> int -> f
 (** {1 Persistence (DESIGN.md §9)}
 
     The whole query-time state — probabilistic graphs with their JPTs,
-    mined features, the structural count matrix and the PMI bound matrix —
-    as one {!Psst_store} file, so a process answers queries without paying
+    mined features and the PMI bound matrix, which the structural filter
+    reads too — as one {!Psst_store} file, so a process answers queries without paying
     mining or {!Pmi.build} again. *)
 
 (** [save_database path db] writes a [Database]-kind store file: the
-    succinct image of DESIGN.md §15 (delta-coded PMI postings, a
-    fixed-width bounds array, u16 structural count cells, directory
+    succinct image of DESIGN.md §15 (the graphs with an offset table,
+    delta-coded PMI postings, a fixed-width bounds array, directory
     sections), which {!load_database} reads eagerly or memory-maps. A
     non-zero [base] is carried in an extra ["db.base"] section.
 
@@ -223,11 +222,13 @@ val save_database : ?flat:bool -> string -> database -> unit
     graphs. Queries on the result are bit-identical to queries on the
     database that was saved. [~salvage:true] applies {!Pmi.of_sections}'
     self-healing to the embedded PMI: a damaged PMI bulk section rebuilds
-    all columns. The graphs and structural sections have no rebuild source
-    and must be intact either way.
+    all columns. The graphs have no rebuild source and must be intact
+    either way. The ["structural.flat.*"] sections of an image written
+    when the structural counts were stored apart are ignored.
 
     [~mmap:true] memory-maps the image instead of decoding it: PMI
-    lookups and structural count cells read zero-copy out of the mapping,
+    lookups and the structural filter's postings walks read zero-copy out
+    of the mapping,
     so cold start skips the O(features x graphs) decode entirely (the
     small sections and the postings are still integrity-checked at open).
     Queries are bit-identical to the eager load of the same file.

@@ -330,7 +330,7 @@ let fig12 ?(scale = default_scale) ppf =
         (t_mine +. Pmi.build_seconds pmi))
     [ 0.05; 0.1; 0.15; 0.2; 0.25 ];
   (* (d) gamma: index size. *)
-  Format.fprintf ppf "@[<v>(d) %-6s %16s %18s@]@." "gamma" "structure(cells)"
+  Format.fprintf ppf "@[<v>(d) %-6s %18s %18s@]@." "gamma" "structure(entries)"
     "pmi(entries)";
   List.iter
     (fun gamma ->
@@ -339,8 +339,8 @@ let fig12 ?(scale = default_scale) ppf =
       let features = Selection.select skeletons mining in
       let structural = Structural.build skeletons features ~emb_cap:64 in
       let pmi = Pmi.build ~config:Bounds.default_config ds.graphs features in
-      Format.fprintf ppf "@[<v>    %-6.2f %16d %18d@]@." gamma
-        (Structural.size_cells structural)
+      Format.fprintf ppf "@[<v>    %-6.2f %18d %18d@]@." gamma
+        (Structural.entries structural)
         (Pmi.filled_entries pmi))
     [ 0.05; 0.1; 0.15; 0.2; 0.25 ]
 

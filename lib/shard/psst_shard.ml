@@ -85,7 +85,7 @@ let sub_database (db : Query.database) ~base ~count =
   {
     Query.graphs = Corpus.sub db.graphs ~base ~count;
     features = Array.to_list (Pmi.features pmi);
-    structural = Structural.sub db.structural ~base ~len:count;
+    structural = Pmi.structural pmi;
     pmi;
     base = db.base + base;
   }
@@ -113,9 +113,7 @@ let merge (parts : Query.database list) =
           (Array.concat
              (List.map (fun (p : Query.database) -> Corpus.to_array p.Query.graphs) parts));
       features = Array.to_list (Pmi.features pmi);
-      structural =
-        Structural.concat
-          (List.map (fun (p : Query.database) -> p.Query.structural) parts);
+      structural = Pmi.structural pmi;
       pmi;
       base = first.Query.base;
     }

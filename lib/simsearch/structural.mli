@@ -1,78 +1,58 @@
 (** Structural pruning over the certain graphs — the paper's "Structure"
     phase (Thm 1), in the style of Yan et al.'s Grafil (ref [38]).
 
-    A feature-count index over [Dc]: for each indexed feature we store the
-    number of distinct embeddings in every database graph. At query time a
-    graph [g] survives when, for every feature [f],
+    A feature-count index over [Dc]: for each indexed feature [f], the
+    graphs [f] occurs in, each with the number of distinct embeddings of
+    [f] there. At query time a graph [g] survives when, for every feature
+    [f],
 
       count_g(f)  >=  count_q(f) - delta * maxPerEdge_q(f)
 
     where [maxPerEdge_q(f)] is the largest number of [f]-embeddings of [q]
     sharing one edge: deleting an edge of [q] destroys at most that many
     embeddings, so a graph within distance [delta] must still carry the
-    right-hand side. A label-multiset distance bound is applied first.
-    Graphs pruned here have [Pr(q ⊆sim g) = 0] only if the filter is
-    exact; like Grafil, the filter is {e conservative} (no false
-    dismissals) and its survivors are the candidate set [SCq]. *)
+    right-hand side. The graphs that pass every feature are then checked
+    against label-multiset distance bounds. Like Grafil, the filter is
+    {e conservative} (no false dismissals) and its survivors are the
+    candidate set [SCq].
+
+    The index is a postings walk per feature: the (graph, count) pairs of
+    the graphs the feature occurs in. The database's index is a view over
+    its PMI ({!Pmi.structural}), whose bound records already carry the
+    embedding counts; {!build} counts them itself, for the standalone
+    index the experiments time against the PMI. *)
 
 type t
 
-(** [build db features ~emb_cap] counts feature embeddings in every graph
-    (capped per pair at [emb_cap]; counts at the cap are treated as
-    "at least", keeping the filter conservative). The counts are held as
-    u16 cells, so [emb_cap] must lie in [1 .. 65535]
-    ([Invalid_argument] otherwise). *)
-val build : Lgraph.t array -> Selection.feature list -> emb_cap:int -> t
-
-(** [add_graphs t gs] appends one column per new graph, copying each
-    existing row once for the whole batch. The feature set is left as
-    mined (a graph added later never causes false dismissals — at worst
-    the filter is less selective on it). *)
-val add_graphs : t -> Lgraph.t array -> t
-
-(** [sub t ~base ~len] — the counts of graphs [base .. base+len-1] as an
-    index of their own, as {!Pmi.sub} slices the PMI ([Invalid_argument]
-    when the range is out of bounds). *)
-val sub : t -> base:int -> len:int -> t
-
-(** [concat parts] — the parts' columns side by side, in order: the
-    inverse of {!sub}. [Invalid_argument] when the parts disagree on
-    [emb_cap] or the number of features. *)
-val concat : t list -> t
-
-(** The count matrix: u16 cells, feature-major (feature [fi], graph [gi]
-    at [fi * num_graphs + gi]) — the payload layout of the flat image
-    (DESIGN.md §15). *)
-type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(** [of_cells ~features ~cells ~num_graphs ~emb_cap] wraps a count
-    matrix without copying it — a loader's checked copy of the image
-    payload, or a view over a memory-mapped image. Raises
-    [Invalid_argument] when [emb_cap] is outside [1 .. 65535] or
-    [Bigarray.Array1.dim cells] does not equal [features x num_graphs]. *)
-val of_cells :
-  features:Selection.feature list ->
-  cells:u16s ->
+(** [of_postings ~features ~num_graphs ~emb_cap ~entries ~postings] — the
+    index over [postings fi emit], which calls [emit graph count] for
+    every graph feature [fi] occurs in, in increasing graph order, with
+    its embedding count capped at [emb_cap] (a count at the cap reads as
+    "at least"). [entries] is the number of pairs the walks yield, the
+    index size. Vertex features (no edges) are never walked. *)
+val of_postings :
+  features:Selection.feature array ->
   num_graphs:int ->
   emb_cap:int ->
+  entries:int ->
+  postings:(int -> (int -> int -> unit) -> unit) ->
   t
 
-(** The cells themselves, not a copy: callers must not write them. *)
-val cells : t -> u16s
+(** [build db features ~emb_cap] counts the embeddings of every edge
+    feature in the graphs of its support with VF2, capped at [emb_cap]
+    ([Invalid_argument] when [emb_cap < 1]), and holds them sparsely. *)
+val build : Lgraph.t array -> Selection.feature list -> emb_cap:int -> t
 
-val emb_cap : t -> int
+(** Number of (feature, graph) counts the index holds — its size in
+    Fig 12(d). *)
+val entries : t -> int
 
-val num_features : t -> int
-val num_graphs : t -> int
-
-(** Total count-matrix cells (features x graphs) — reported as index size. *)
-val size_cells : t -> int
-
-(** [candidates t ~skeleton q ~delta] — indices of surviving graphs.
-    [skeleton gi] supplies graph [gi]'s skeleton; it is only consulted
-    for graphs that pass the feature-count requirements (which read index
-    cells alone), so a lazily-decoded corpus ({!Corpus}) pays decode cost
-    for the near-survivors only. *)
+(** [candidates t ~skeleton q ~delta] — indices of surviving graphs, in
+    increasing order. Only the postings of features with a positive
+    requirement are walked; [skeleton gi] supplies graph [gi]'s skeleton
+    and is only consulted for graphs that pass them all, so a
+    lazily-decoded corpus ({!Corpus}) pays decode cost for the
+    near-survivors only. *)
 val candidates : t -> skeleton:(int -> Lgraph.t) -> Lgraph.t -> delta:int -> int list
 
 (** [verify_candidate ~skeleton q ~delta gi] — exact check

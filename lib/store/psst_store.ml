@@ -63,9 +63,6 @@ let put_raw = Buffer.add_string
 let put_i64 e i = Buffer.add_int64_le e (Int64.of_int i)
 let put_i32 e (i : int32) = Buffer.add_int32_le e i
 
-let put_u16 e i =
-  if i < 0 || i > 0xFFFF then invalid_arg "put_u16: out of range";
-  Buffer.add_uint16_le e i
 let put_f64 e f = Buffer.add_int64_le e (Int64.bits_of_float f)
 let put_bool e b = Buffer.add_char e (if b then '\001' else '\000')
 
@@ -295,99 +292,164 @@ let write_file ?(version = format_version) path ~kind sections =
       (fun () -> output_string oc data);
     Sys.rename tmp path)
 
-(* A raw cursor over the whole file, distinct from [dec] so framing errors
-   talk about the file rather than a section. *)
-type raw = { file : string; mutable at : int }
+(* --- reading the framing ---
 
-let raw_need r n what =
-  if r.at + n > String.length r.file then
+   One parser reads the header and the section frames, over a byte
+   source that is either the file contents in a string (the eager
+   readers and [section_spans]) or a mapping ([map_file]). The readers
+   differ only in what they do with a frame: copy its payload, check its
+   CRC, skip it as damaged, or record where it lies. *)
+
+type bigbytes =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let big_sub (b : bigbytes) pos len =
+  let s = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set s i (Bigarray.Array1.unsafe_get b (pos + i))
+  done;
+  Bytes.unsafe_to_string s
+
+let crc_chunk = 65536
+
+let big_crc (b : bigbytes) init ~pos ~len =
+  let crc = ref init in
+  let at = ref pos and left = ref len in
+  while !left > 0 do
+    let n = min crc_chunk !left in
+    let chunk = big_sub b !at n in
+    crc := Crc32.update !crc chunk ~pos:0 ~len:n;
+    at := !at + n;
+    left := !left - n
+  done;
+  !crc
+
+(* [sub pos n] copies [n] bytes out; [span_crc init ~pos ~len] continues
+   a CRC-32 over a span in place. *)
+type source = {
+  length : int;
+  sub : int -> int -> string;
+  span_crc : int32 -> pos:int -> len:int -> int32;
+}
+
+let string_source file =
+  {
+    length = String.length file;
+    sub = String.sub file;
+    span_crc = (fun init ~pos ~len -> Crc32.update init file ~pos ~len);
+  }
+
+let big_source b =
+  { length = Bigarray.Array1.dim b; sub = big_sub b; span_crc = big_crc b }
+
+(* A cursor over the whole file, distinct from [dec] so framing errors
+   talk about the file rather than a section. *)
+type cursor = { src : source; mutable at : int }
+
+let need r n what =
+  if r.at + n > r.src.length then
     error "truncated store: unexpected end of file in %s" what
 
-let raw_u32 r what =
-  raw_need r 4 what;
-  let v = String.get_int32_le r.file r.at in
-  r.at <- r.at + 4;
-  v
-
-let raw_u64 r what =
-  raw_need r 8 what;
-  let v = String.get_int64_le r.file r.at in
-  r.at <- r.at + 8;
-  v
-
-let raw_bytes r n what =
-  raw_need r n what;
-  let s = String.sub r.file r.at n in
+let take r n what =
+  need r n what;
+  let s = r.src.sub r.at n in
   r.at <- r.at + n;
   s
 
+let take_u32 r what = String.get_int32_le (take r 4 what) 0
+let take_u64 r what = String.get_int64_le (take r 8 what) 0
+
 let max_section_name = 255
 
-let read_header r ~kind =
-  if String.length r.file < header_bytes then
+(* The header, with its CRC, version and kind ([None] accepts any kind);
+   returns the cursor after it and the section count. *)
+let read_header src ~kind =
+  if src.length < header_bytes then
     error "truncated store: %d bytes is shorter than the %d-byte header"
-      (String.length r.file) header_bytes;
-  let m = raw_bytes r 8 "header" in
-  if m <> magic then error "bad magic: not a PSST store file";
-  let version = Int32.to_int (raw_u32 r "header") in
-  let ktag = Int32.to_int (raw_u32 r "header") in
-  let count = Int32.to_int (raw_u32 r "header") in
-  let stored_crc = raw_u32 r "header" in
-  let actual_crc = Crc32.update 0l r.file ~pos:0 ~len:20 in
-  if stored_crc <> actual_crc then error "header checksum mismatch";
+      src.length header_bytes;
+  let r = { src; at = 0 } in
+  if take r 8 "header" <> magic then error "bad magic: not a PSST store file";
+  let version = Int32.to_int (take_u32 r "header") in
+  let ktag = Int32.to_int (take_u32 r "header") in
+  let count = Int32.to_int (take_u32 r "header") in
+  let stored_crc = take_u32 r "header" in
+  if stored_crc <> src.span_crc 0l ~pos:0 ~len:20 then error "header checksum mismatch";
   if version <> format_version then
     error "unsupported store format version %d (this build reads version %d)"
       version format_version;
-  (match kind_of_tag ktag with
-  | None -> error "unknown store kind tag %d" ktag
-  | Some k ->
-    if k <> kind then
-      error "wrong store kind: expected a %s file, found a %s file"
-        (kind_name kind) (kind_name k));
+  (match (kind_of_tag ktag, kind) with
+  | None, _ -> error "unknown store kind tag %d" ktag
+  | Some k, Some kind when k <> kind ->
+    error "wrong store kind: expected a %s file, found a %s file"
+      (kind_name kind) (kind_name k)
+  | Some _, _ -> ());
   if count < 0 then error "negative section count";
-  count
+  (r, count)
 
-(* Framing parse of one section, CRC left to the caller: [read_one_section]
-   turns a mismatch into an error, the salvage reader skips the section and
-   keeps going (the length field it already consumed tells it where the
-   next section starts). *)
-let read_one_section_raw r =
-  let name_len = Int32.to_int (raw_u32 r "section header") in
+(* One section's framing: it starts at [start] (its name-length field),
+   its payload spans [pos, stop), and [crc] is the stored CRC-32 of its
+   name and payload. *)
+type frame = { name : string; start : int; pos : int; stop : int; crc : int32 }
+
+let ctx name = if name = "" then "<unnamed>" else name
+
+let read_frame r =
+  let start = r.at in
+  let name_len = Int32.to_int (take_u32 r "section header") in
   if name_len < 0 || name_len > max_section_name then
     error "implausible section name length %d" name_len;
-  let name = raw_bytes r name_len "section name" in
-  let ctx = if name = "" then "<unnamed>" else name in
-  let payload_len = raw_u64 r (Printf.sprintf "section %S header" ctx) in
+  let name = take r name_len "section name" in
+  let payload_len = take_u64 r (Printf.sprintf "section %S header" (ctx name)) in
   if Int64.compare payload_len 0L < 0
-     || Int64.compare payload_len (Int64.of_int (String.length r.file - r.at)) > 0
+     || Int64.compare payload_len (Int64.of_int (r.src.length - r.at)) > 0
   then
-    error "section %S: payload length %Ld exceeds the file" ctx payload_len;
-  let stored_crc = raw_u32 r (Printf.sprintf "section %S header" ctx) in
+    error "section %S: payload length %Ld exceeds the file" (ctx name) payload_len;
+  let crc = take_u32 r (Printf.sprintf "section %S header" (ctx name)) in
   let len = Int64.to_int payload_len in
-  let payload = raw_bytes r len (Printf.sprintf "section %S payload" ctx) in
-  ({ name; payload }, stored_crc)
+  need r len (Printf.sprintf "section %S payload" (ctx name));
+  r.at <- r.at + len;
+  { name; start; pos = r.at - len; stop = r.at; crc }
 
-let read_one_section r =
-  let s, stored_crc = read_one_section_raw r in
-  if section_crc s <> stored_crc then
-    error "section %S: checksum mismatch (corrupted payload)"
-      (if s.name = "" then "<unnamed>" else s.name);
-  s
+let frame_intact src f =
+  src.span_crc (Crc32.digest f.name) ~pos:f.pos ~len:(f.stop - f.pos) = f.crc
+
+let check_crc src f =
+  if not (frame_intact src f) then
+    error "section %S: checksum mismatch (corrupted payload)" (ctx f.name)
+
+(* Reads [count] frames, in order. [keep f] says whether a frame counts
+   (a salvage read drops a damaged one); a kept name seen twice is an
+   error. Kept frames are pushed on [kept] as they are read, so a caller
+   that catches a framing error still has the ones before it. *)
+let read_frames r count ~keep kept =
+  for _ = 1 to count do
+    let f = read_frame r in
+    if keep f then begin
+      if List.exists (fun (f' : frame) -> f'.name = f.name) !kept then
+        error "duplicate section %S" f.name;
+      kept := f :: !kept
+    end
+  done
+
+let check_end r =
+  if r.at <> r.src.length then
+    error "trailing garbage: %d bytes after the last section" (r.src.length - r.at)
+
+(* Every frame of a whole, checksummed store, in file order. *)
+let read_all src ~kind =
+  let r, count = read_header src ~kind in
+  let kept = ref [] in
+  read_frames r count ~keep:(fun f -> check_crc src f; true) kept;
+  check_end r;
+  List.rev !kept
+
+let section_of file (f : frame) =
+  { name = f.name; payload = String.sub file f.pos (f.stop - f.pos) }
 
 let read_string file ~kind =
-  let r = { file; at = 0 } in
-  let count = read_header r ~kind in
-  let sections = ref [] in
-  for _ = 1 to count do
-    let s = read_one_section r in
-    if List.exists (fun s' -> s'.name = s.name) !sections then
-      error "duplicate section %S" s.name;
-    sections := s :: !sections
-  done;
-  if r.at <> String.length file then
-    error "trailing garbage: %d bytes after the last section"
-      (String.length file - r.at);
-  List.rev !sections
+  List.map (section_of file) (read_all (string_source file) ~kind:(Some kind))
 
 let read_whole_file path =
   let ic =
@@ -443,37 +505,26 @@ let read_file path ~kind =
 type salvage = { intact : section list; damaged : string list }
 
 let read_string_salvage file ~kind =
-  let r = { file; at = 0 } in
-  let count = read_header r ~kind in
-  let intact = ref [] in
-  let damaged = ref [] in
+  let src = string_source file in
+  let r, count = read_header src ~kind:(Some kind) in
+  let kept = ref [] and damaged = ref [] in
   (try
-     for _ = 1 to count do
-       let s, stored_crc = read_one_section_raw r in
-       if section_crc s <> stored_crc then damaged := s.name :: !damaged
-       else if List.exists (fun s' -> s'.name = s.name) !intact then
-         error "duplicate section %S" s.name
-       else intact := s :: !intact
-     done
+     read_frames r count kept ~keep:(fun f ->
+         frame_intact src f
+         || begin
+           damaged := f.name :: !damaged;
+           false
+         end)
    with Store_error msg ->
      damaged := Printf.sprintf "<unreadable tail: %s>" msg :: !damaged);
-  { intact = List.rev !intact; damaged = List.rev !damaged }
+  { intact = List.rev_map (section_of file) !kept; damaged = List.rev !damaged }
 
 let read_file_salvage path ~kind =
   clean_orphan_tmp path;
   read_string_salvage (read_whole_file path) ~kind
 
 let section_spans file =
-  let r = { file; at = 0 } in
-  if String.length file < header_bytes then error "file shorter than header";
-  if String.sub file 0 8 <> magic then error "bad magic";
-  r.at <- 16;
-  let count = Int32.to_int (raw_u32 r "header") in
-  r.at <- header_bytes;
-  List.init count (fun _ ->
-      let start = r.at in
-      let s = read_one_section r in
-      (s.name, start, r.at))
+  List.map (fun f -> (f.name, f.start, f.stop)) (read_all (string_source file) ~kind:None)
 
 let is_store_file path =
   match open_in_bin path with
@@ -487,7 +538,7 @@ let is_store_file path =
 
 (* --- alignment pads for memory-mapped typed views --- *)
 
-let framed_size s = 16 + String.length s.name + String.length s.payload
+let framed_size (s : section) = 16 + String.length s.name + String.length s.payload
 
 let pad_prefix = "pad."
 
@@ -495,7 +546,7 @@ let align_payloads ~targets sections =
   let out = ref [] in
   let off = ref header_bytes in
   List.iter
-    (fun s ->
+    (fun (s : section) ->
       if List.mem s.name targets then begin
         let pad_name = pad_prefix ^ s.name in
         (* With the pad in front, the target's payload starts at
@@ -513,26 +564,18 @@ let align_payloads ~targets sections =
 
 (* --- memory-mapped zero-copy access (DESIGN.md §15) ---
 
-   [map_file] maps the whole file read-only, verifies the header CRC and
-   walks the section framing — O(directory), whatever the payload size.
-   Payload CRCs are checked by the accessors that copy or hand out bytes;
-   the typed bulk views are validated by their consumers (DESIGN.md §15).
-   There is no salvage variant: salvage implies rebuilding the index from
-   the decoded graphs, which is exactly what the mmap path exists to avoid. *)
-
-type bigbytes =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+   [map_file] maps the whole file read-only and runs the framing parser
+   over the mapping without checking payload CRCs — O(directory), whatever
+   the payload size. Payload CRCs are checked by the accessors that copy
+   or hand out bytes; the typed bulk views are validated by their
+   consumers (DESIGN.md §15). There is no salvage variant: salvage implies
+   rebuilding the index from the decoded graphs, which is exactly what the
+   mmap path exists to avoid. *)
 
 type mapped = {
   m_path : string;
   m_data : bigbytes;
-  m_spans : (string * int * int * int32) list;
-      (* name, payload start, payload end, stored CRC — payload checksums
-         are verified on access, not at open, so mapping a file is O(header
-         + directory) regardless of its size *)
+  m_frames : frame list;
   mutable m_fd : Unix.file_descr option;
 }
 
@@ -540,90 +583,6 @@ type mapped = {
    simulated on a shared read-only mapping without copying (which would
    defeat the point), so they escalate to Fail. *)
 let fault_map = Psst_fault.site "store.map"
-
-let big_sub (b : bigbytes) pos len =
-  let s = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set s i (Bigarray.Array1.unsafe_get b (pos + i))
-  done;
-  Bytes.unsafe_to_string s
-
-let crc_chunk = 65536
-
-let big_crc (b : bigbytes) init ~pos ~len =
-  let crc = ref init in
-  let at = ref pos and left = ref len in
-  while !left > 0 do
-    let n = min crc_chunk !left in
-    let chunk = big_sub b !at n in
-    crc := Crc32.update !crc chunk ~pos:0 ~len:n;
-    at := !at + n;
-    left := !left - n
-  done;
-  !crc
-
-(* A raw cursor over the mapped bytes, mirroring [raw] over strings. *)
-type braw = { bfile : bigbytes; blen : int; mutable bat : int }
-
-let braw_need r n what =
-  if r.bat + n > r.blen then
-    error "truncated store: unexpected end of file in %s" what
-
-let braw_bytes r n what =
-  braw_need r n what;
-  let s = big_sub r.bfile r.bat n in
-  r.bat <- r.bat + n;
-  s
-
-let braw_u32 r what = String.get_int32_le (braw_bytes r 4 what) 0
-let braw_u64 r what = String.get_int64_le (braw_bytes r 8 what) 0
-
-let read_header_mapped r ~kind =
-  if r.blen < header_bytes then
-    error "truncated store: %d bytes is shorter than the %d-byte header"
-      r.blen header_bytes;
-  let m = braw_bytes r 8 "header" in
-  if m <> magic then error "bad magic: not a PSST store file";
-  let version = Int32.to_int (braw_u32 r "header") in
-  let ktag = Int32.to_int (braw_u32 r "header") in
-  let count = Int32.to_int (braw_u32 r "header") in
-  let stored_crc = braw_u32 r "header" in
-  let actual_crc = big_crc r.bfile 0l ~pos:0 ~len:20 in
-  if stored_crc <> actual_crc then error "header checksum mismatch";
-  if version <> format_version then
-    error "unsupported store format version %d (this build reads version %d)"
-      version format_version;
-  (match kind_of_tag ktag with
-  | None -> error "unknown store kind tag %d" ktag
-  | Some k ->
-    if k <> kind then
-      error "wrong store kind: expected a %s file, found a %s file"
-        (kind_name kind) (kind_name k));
-  if count < 0 then error "negative section count";
-  count
-
-let read_one_span_mapped r =
-  let name_len = Int32.to_int (braw_u32 r "section header") in
-  if name_len < 0 || name_len > max_section_name then
-    error "implausible section name length %d" name_len;
-  let name = braw_bytes r name_len "section name" in
-  let ctx = if name = "" then "<unnamed>" else name in
-  let payload_len = braw_u64 r (Printf.sprintf "section %S header" ctx) in
-  if Int64.compare payload_len 0L < 0
-     || Int64.compare payload_len (Int64.of_int (r.blen - r.bat)) > 0
-  then
-    error "section %S: payload length %Ld exceeds the file" ctx payload_len;
-  let stored_crc = braw_u32 r (Printf.sprintf "section %S header" ctx) in
-  let len = Int64.to_int payload_len in
-  let start = r.bat in
-  braw_need r len (Printf.sprintf "section %S payload" ctx);
-  r.bat <- r.bat + len;
-  (* The payload CRC is recorded, not verified: open stays O(directory)
-     so cold start is independent of the file size. Accessors that decode
-     a payload verify it first; the raw [Bigarray] views do not (their
-     consumers validate structurally, and the eager loader re-checks
-     everything). *)
-  (name, start, r.bat, stored_crc)
 
 let map_file path ~kind =
   clean_orphan_tmp path;
@@ -652,18 +611,11 @@ let map_file path ~kind =
         with Unix.Unix_error (e, _, _) ->
           error "cannot map store %s: %s" path (Unix.error_message e)
       in
-      let r = { bfile = data; blen = len; bat = 0 } in
-      let count = read_header_mapped r ~kind in
-      let spans = ref [] in
-      for _ = 1 to count do
-        let ((name, _, _, _) as span) = read_one_span_mapped r in
-        if List.exists (fun (n, _, _, _) -> n = name) !spans then
-          error "duplicate section %S" name;
-        spans := span :: !spans
-      done;
-      if r.bat <> len then
-        error "trailing garbage: %d bytes after the last section" (len - r.bat);
-      { m_path = path; m_data = data; m_spans = List.rev !spans; m_fd = Some fd })
+      let r, count = read_header (big_source data) ~kind:(Some kind) in
+      let frames = ref [] in
+      read_frames r count ~keep:(fun _ -> true) frames;
+      check_end r;
+      { m_path = path; m_data = data; m_frames = List.rev !frames; m_fd = Some fd })
       ()
   with
   | exception e ->
@@ -672,44 +624,39 @@ let map_file path ~kind =
   | m -> m
 
 let mapped_path m = m.m_path
-let mapped_has m name = List.exists (fun (n, _, _, _) -> n = name) m.m_spans
+let mapped_has m name = List.exists (fun (f : frame) -> f.name = name) m.m_frames
 
-let mapped_span_crc m name =
-  match List.find_opt (fun (n, _, _, _) -> n = name) m.m_spans with
-  | Some (_, a, b, crc) -> (a, b, crc)
+let mapped_frame m name =
+  match List.find_opt (fun (f : frame) -> f.name = name) m.m_frames with
+  | Some f -> f
   | None -> error "missing section %S" name
 
-let mapped_span m name =
-  let a, b, _ = mapped_span_crc m name in
-  (a, b)
-
-let verify_span m name =
-  let a, b, stored = mapped_span_crc m name in
-  if big_crc m.m_data (Crc32.digest name) ~pos:a ~len:(b - a) <> stored then
-    error "section %S: checksum mismatch (corrupted payload)" name;
-  (a, b)
+let verify_frame m name =
+  let f = mapped_frame m name in
+  check_crc (big_source m.m_data) f;
+  f
 
 let mapped_section_string m name =
-  let a, b = verify_span m name in
-  big_sub m.m_data a (b - a)
+  let f = verify_frame m name in
+  big_sub m.m_data f.pos (f.stop - f.pos)
 
 let mapped_bytes m name : bigbytes =
-  let a, b = verify_span m name in
-  Bigarray.Array1.sub m.m_data a (b - a)
+  let f = verify_frame m name in
+  Bigarray.Array1.sub m.m_data f.pos (f.stop - f.pos)
 
 (* Raw view without the checksum pass — for payloads whose consumers
    validate lazily (per-record decode, per-lookup range checks). *)
 let mapped_bytes_unverified m name : bigbytes =
-  let a, b = mapped_span m name in
-  Bigarray.Array1.sub m.m_data a (b - a)
+  let f = mapped_frame m name in
+  Bigarray.Array1.sub m.m_data f.pos (f.stop - f.pos)
 
 (* CRC-32 over the raw payload with a zero seed — the same digest
    [Crc32.digest] yields on the payload string, so a caller can compare
    against fingerprints computed over encoded data without decoding or
    copying the section. *)
 let mapped_payload_crc m name =
-  let a, b = mapped_span m name in
-  big_crc m.m_data 0l ~pos:a ~len:(b - a)
+  let f = mapped_frame m name in
+  big_crc m.m_data 0l ~pos:f.pos ~len:(f.stop - f.pos)
 
 let require_fd m name =
   match m.m_fd with
@@ -721,38 +668,20 @@ let require_fd m name =
    the data pointer, so the view's alignment equals [pos mod page]; the
    writer's pad sections ({!align_payloads}) guarantee [pos mod 8 = 0]. *)
 let mapped_f64 m name : floats =
-  let a, b = mapped_span m name in
-  let len = b - a in
+  let f = mapped_frame m name in
+  let len = f.stop - f.pos in
   if len mod 8 <> 0 then
     error "section %S: float payload length %d is not a multiple of 8" name len;
-  if a mod 8 <> 0 then
+  if f.pos mod 8 <> 0 then
     error "section %S: payload offset %d is not 8-byte aligned (missing pad section?)"
-      name a;
+      name f.pos;
   let n = len / 8 in
   if n = 0 then Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
   else
     try
       Bigarray.array1_of_genarray
-        (Unix.map_file (require_fd m name) ~pos:(Int64.of_int a) Bigarray.float64
+        (Unix.map_file (require_fd m name) ~pos:(Int64.of_int f.pos) Bigarray.float64
            Bigarray.c_layout false [| n |])
-    with Unix.Unix_error (e, _, _) ->
-      error "cannot map section %S: %s" name (Unix.error_message e)
-
-let mapped_u16 m name : u16s =
-  let a, b = mapped_span m name in
-  let len = b - a in
-  if len mod 2 <> 0 then
-    error "section %S: u16 payload length %d is not a multiple of 2" name len;
-  if a mod 8 <> 0 then
-    error "section %S: payload offset %d is not 8-byte aligned (missing pad section?)"
-      name a;
-  let n = len / 2 in
-  if n = 0 then Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout 0
-  else
-    try
-      Bigarray.array1_of_genarray
-        (Unix.map_file (require_fd m name) ~pos:(Int64.of_int a)
-           Bigarray.int16_unsigned Bigarray.c_layout false [| n |])
     with Unix.Unix_error (e, _, _) ->
       error "cannot map section %S: %s" name (Unix.error_message e)
 

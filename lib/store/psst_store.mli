@@ -126,9 +126,6 @@ val put_raw : enc -> string -> unit
 val put_i64 : enc -> int -> unit
 val put_i32 : enc -> int32 -> unit
 
-(** Little-endian u16; [Invalid_argument] outside [0 .. 65535]. *)
-val put_u16 : enc -> int -> unit
-
 (** Stored as IEEE-754 bits: round-trips every float bit-exactly. *)
 val put_f64 : enc -> float -> unit
 
@@ -175,16 +172,15 @@ val put_varint : enc -> int -> unit
 
 (** {1 Memory-mapped zero-copy access (DESIGN.md §15)}
 
-    The flat index image stores fixed-width payloads (IEEE-754 bounds,
-    u16 structural counts) that query-time code reads directly out of a
-    memory-mapped store file through typed {!Bigarray} views, skipping the
-    eager decode entirely. *)
+    The flat index image stores fixed-width payloads (IEEE-754 bounds)
+    that query-time code reads directly out of a memory-mapped store file
+    through typed {!Bigarray} views, skipping the eager decode entirely. *)
 
 (** [align_payloads ~targets sections] inserts, immediately before every
     section named in [targets], a zero-filled padding section (named
     ["pad." ^ name]) sized so that the target's payload starts at a file
-    offset that is a multiple of 8 — the alignment {!mapped_f64} and
-    {!mapped_u16} require. Pads carry their own CRC like any section and
+    offset that is a multiple of 8 — the alignment {!mapped_f64}
+    requires. Pads carry their own CRC like any section and
     are simply ignored by readers. Writers of flat images call this once,
     on the final section list, just before {!write_file}. *)
 val align_payloads : targets:string list -> section list -> section list
@@ -193,7 +189,6 @@ type bigbytes =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** A memory-mapped store file: the raw bytes plus the parsed section
     table. Opening one verifies the header CRC and the whole section
@@ -203,7 +198,7 @@ type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array
     start independent of database size. Payloads are then verified where
     they are consumed: {!mapped_section_string} and {!mapped_bytes} check
     the stored CRC before handing bytes out, while the typed
-    {!mapped_f64}/{!mapped_u16} views and lazily-decoded payloads are
+    {!mapped_f64} views and lazily-decoded payloads are
     validated structurally by their consumers (and exhaustively by the
     eager loader, which remains the integrity baseline). There is no
     salvage variant — salvage rebuilds the index from the decoded graphs,
@@ -252,13 +247,9 @@ val mapped_payload_crc : mapped -> string -> int32
     created before {!mapped_release}. *)
 val mapped_f64 : mapped -> string -> floats
 
-(** [mapped_u16 m name] — zero-copy little-endian u16 view. Same
-    alignment contract as {!mapped_f64}. *)
-val mapped_u16 : mapped -> string -> u16s
-
 (** [mapped_release m] closes the underlying file descriptor. The mapping
     itself survives (it is unmapped when the views are garbage-collected),
-    but further {!mapped_f64}/{!mapped_u16} calls fail. Call it once all
+    but further {!mapped_f64} calls fail. Call it once all
     typed views are in hand, so long-lived servers do not pin an fd per
     shard. *)
 val mapped_release : mapped -> unit

@@ -280,9 +280,9 @@ let test_salvage_rebuilds_damaged_image () =
         ])
 
 let test_salvage_cannot_rebuild_metadata () =
-  (* The graphs, the structural image and the PMI's feature / config /
-     fingerprint sections have no rebuild source: a salvage load must
-     refuse (callers fall back to a full rebuild). *)
+  (* The graphs and the PMI's feature / config / fingerprint sections
+     have no rebuild source: a salvage load must refuse (callers fall back
+     to a full rebuild). *)
   let _, db = make_db 337 8 in
   with_tmp (fun path ->
       Query.save_database path db;
@@ -292,10 +292,7 @@ let test_salvage_cannot_rebuild_metadata () =
           corrupt_sections path pristine [ name ];
           expect_store_error (name ^ " is not salvageable") (fun () ->
               Query.load_database ~salvage:true path))
-        [
-          "pmi.config"; "pmi.features"; "pmi.db"; "graphs"; "structural.flat.dir";
-          "structural.flat.counts";
-        ])
+        [ "pmi.config"; "pmi.features"; "pmi.db"; "graphs" ])
 
 (* --- degradation: budgets and verification faults, offline --- *)
 

@@ -102,9 +102,13 @@ let test_batch_equals_sequential () =
   let seq = Array.fold_left Query.add_graph db extra in
   let batch = Query.add_graphs db extra in
   Alcotest.(check bool) "supports equal" true (supports seq = supports batch);
-  Alcotest.(check bool) "structural counts equal" true
-    (Structural.cells seq.Query.structural
-    = Structural.cells batch.Query.structural);
+  let qs =
+    let rng = Prng.make 110 in
+    List.init 4 (fun _ -> fst (Generator.extract_query rng ds ~edges:3))
+  in
+  Alcotest.(check (list (list int))) "structural candidates equal"
+    (Tgen.structural_candidates seq qs)
+    (Tgen.structural_candidates batch qs);
   let nf = Pmi.num_features seq.Query.pmi in
   let ng = Corpus.length seq.Query.graphs in
   Alcotest.(check int) "pmi num_graphs" ng (Pmi.num_graphs batch.Query.pmi);

@@ -270,23 +270,7 @@ let test_relaxation_config_rejected_first () =
       ("delta -1", { Query.default_config with delta = -1 });
     ]
 
-(* The index image stores structural counts, capped at [emb_cap], as u16
-   cells: a cap above their range is refused before mining or the PMI
-   build, not at save time. *)
-let test_emb_cap_rejected_first () =
-  let g = Lgraph.create ~vlabels:[| 0; 0 |] ~edges:[ (0, 1, 0) ] in
-  let pg = Pgraph.independent g [ (0, 0.5) ] in
-  let columns () = Psst_obs.counter_value (Psst_obs.counter "pmi.columns_built") in
-  let before = columns () in
-  (match Query.index_database ~emb_cap:70_000 [| pg |] with
-  | _ -> Alcotest.fail "emb_cap 70000 accepted"
-  | exception Invalid_argument _ -> ());
-  Alcotest.(check int) "no PMI column built" before (columns ());
-  ignore (Query.index_database ~emb_cap:65_535 [| pg |])
-
-(* [Structural.build] writes u16 cells itself, so it refuses a cap the
-   cells cannot hold rather than wrapping counts (which would dismiss true
-   answers). *)
+(* [Structural.build] needs a cap of at least one embedding. *)
 let test_structural_emb_cap_range () =
   let g = Lgraph.create ~vlabels:[| 0; 0 |] ~edges:[ (0, 1, 0) ] in
   List.iter
@@ -294,7 +278,7 @@ let test_structural_emb_cap_range () =
       match Structural.build [| g |] [] ~emb_cap with
       | _ -> Alcotest.failf "emb_cap %d accepted" emb_cap
       | exception Invalid_argument _ -> ())
-    [ 70_000; 65_536; 0; -1 ];
+    [ 0; -1 ];
   List.iter
     (fun emb_cap -> ignore (Structural.build [| g |] [] ~emb_cap))
     [ 1; 65_535 ]
@@ -375,8 +359,6 @@ let suite =
     Alcotest.test_case "query config validation" `Quick test_query_config_validation;
     Alcotest.test_case "relaxation config rejected first" `Quick
       test_relaxation_config_rejected_first;
-    Alcotest.test_case "emb_cap beyond u16 cells rejected first" `Quick
-      test_emb_cap_rejected_first;
     QCheck_alcotest.to_alcotest prop_mined_features_connected;
     QCheck_alcotest.to_alcotest prop_relaxed_set_pairwise_noniso;
     QCheck_alcotest.to_alcotest prop_pruning_decisions_consistent;
@@ -406,6 +388,6 @@ let suite =
     Alcotest.test_case "verify samples monotone" `Quick test_verify_num_samples_monotone;
     Alcotest.test_case "smp deterministic" `Quick test_smp_deterministic_given_seed;
     Alcotest.test_case "transversal cap" `Quick test_transversal_cap_respected;
-    Alcotest.test_case "structural build emb_cap in u16 range" `Quick
+    Alcotest.test_case "structural build emb_cap >= 1" `Quick
       test_structural_emb_cap_range;
   ]

@@ -119,9 +119,12 @@ let test_structural_index_size () =
     Selection.select db { Selection.default_params with beta = 0.2; max_edges = 2 }
   in
   let index = Structural.build db features ~emb_cap:32 in
-  Alcotest.(check int) "cells = features x graphs"
-    (Structural.num_features index * 6)
-    (Structural.size_cells index)
+  Alcotest.(check int) "entries = edge-feature supports"
+    (List.fold_left
+       (fun a (f : Selection.feature) ->
+         if Lgraph.num_edges f.graph = 0 then a else a + List.length f.support)
+       0 features)
+    (Structural.entries index)
 
 let suite =
   [

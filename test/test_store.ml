@@ -265,9 +265,13 @@ let test_database_save_load_bit_identical () =
         (List.length db.Query.features)
         (List.length db'.Query.features);
       check_pmi_identical db.Query.pmi db'.Query.pmi;
-      Alcotest.(check bool) "structural counts" true
-        (Structural.cells db.Query.structural
-        = Structural.cells db'.Query.structural);
+      let qs =
+        let rng = Prng.make 24 in
+        List.init 4 (fun _ -> fst (Generator.extract_query rng ds ~edges:3))
+      in
+      Alcotest.(check (list (list int))) "structural candidates"
+        (Tgen.structural_candidates db qs)
+        (Tgen.structural_candidates db' qs);
       check_same_answers ds db db')
 
 (* --- rejection: version skew, kind and fingerprint mismatches --- *)
@@ -337,9 +341,9 @@ let test_fingerprint_mismatch_rejected () =
       stitched path ~graphs_of:(snd (build_db 43 5));
       expect_load_error "different size" path)
 
-(* An index in the retired classic layout (a "structural" section in
-   place of "structural.flat.*") is refused by every loader, with a
-   message that names the layout and says to re-index. *)
+(* An index in the retired classic layout (a "structural" section) is
+   refused by every loader, with a message that names the layout and says
+   to re-index. *)
 let test_retired_layout_refused () =
   let _, db = build_db 47 6 in
   with_tmp (fun path ->
@@ -347,11 +351,10 @@ let test_retired_layout_refused () =
       let classic = S.encoder () in
       S.put_i64 classic 0;
       S.write_file path ~kind:S.Database
-        (List.filter_map
+        (List.concat_map
            (fun (s : S.section) ->
-             if s.S.name = "structural.flat.dir" then Some (S.section "structural" classic)
-             else if String.starts_with ~prefix:"structural.flat" s.S.name then None
-             else Some s)
+             if s.S.name = "graphs.offsets" then [ s; S.section "structural" classic ]
+             else [ s ])
            (S.read_file path ~kind:S.Database));
       List.iter
         (fun (salvage, mmap) ->
@@ -399,10 +402,9 @@ let test_corruption_detected () =
       Alcotest.(check (list string))
         "image section layout"
         [
-          "graphs"; "graphs.offsets"; "structural.flat.dir";
-          "pad.structural.flat.counts"; "structural.flat.counts"; "pmi.config";
-          "pmi.db"; "pmi.features"; "pmi.flat.dir"; "pmi.flat.postings";
-          "pad.pmi.flat.bounds"; "pmi.flat.bounds"; "pmi.meta";
+          "graphs"; "graphs.offsets"; "pmi.config"; "pmi.db"; "pmi.features";
+          "pmi.flat.dir"; "pmi.flat.postings"; "pad.pmi.flat.bounds";
+          "pmi.flat.bounds"; "pmi.meta";
         ]
         (List.map (fun (n, _, _) -> n) spans);
       let reload () = ignore (Query.load_database path) in
@@ -538,8 +540,8 @@ let test_flat_mmap_differential () =
    built on 1 and on 3 domains writes the same image; the two files of a
    2-way shard split are pinned by a second digest. *)
 
-let golden_image_digest = "8b476f6f527da675e88b42b5f328948e"
-let golden_shard_digest = "da2af0256ae64ad06c09f520b95125f9"
+let golden_image_digest = "755f81d47b9619e8279650b25417f12b"
+let golden_shard_digest = "7e15651aa8c391a4b630b08c6e971e78"
 
 let image_digest paths =
   let b = Buffer.create 1024 in
@@ -597,9 +599,9 @@ let test_golden_image_digest () =
 (* --- flat image: hostile inputs --- *)
 
 (* Decode every lazily-validated region of a mapped database: all graphs
-   (structural decode), every PMI entry (each lookup range-checks the
-   counts it reads) and the structural count cells. Cheap, and it touches everything a query
-   could. *)
+   (structural decode) and every PMI entry (each lookup range-checks the
+   counts it reads, the embedding counts the structural filter walks
+   among them). Cheap, and it touches everything a query could. *)
 let mmap_probe path =
   let db = Query.load_database ~mmap:true path in
   for gi = 0 to Corpus.length db.Query.graphs - 1 do
@@ -609,10 +611,6 @@ let mmap_probe path =
     for gi = 0 to Pmi.num_graphs db.Query.pmi - 1 do
       ignore (Pmi.lookup db.Query.pmi ~feature:fi ~graph:gi)
     done
-  done;
-  let cells = Structural.cells db.Query.structural in
-  for i = 0 to Bigarray.Array1.dim cells - 1 do
-    ignore (Bigarray.Array1.get cells i)
   done
 
 let test_flat_corruption_detected () =
@@ -720,9 +718,7 @@ let test_bad_bound_counts_rejected () =
               sections
           in
           S.write_file path ~kind:S.Database
-            (S.align_payloads
-               ~targets:[ "structural.flat.counts"; "pmi.flat.bounds" ]
-               rewritten);
+            (S.align_payloads ~targets:[ "pmi.flat.bounds" ] rewritten);
           let what = Printf.sprintf "count field %d = %h" field v in
           expect_store_error (what ^ ", eager load") (fun () ->
               Query.load_database path);
@@ -730,7 +726,7 @@ let test_bad_bound_counts_rejected () =
         [ (4, 0.5); (4, -1.); (4, Float.nan); (5, 0.5); (5, -1.); (5, Float.nan) ])
 
 (* A database with no mined features (three vertexless graphs) keeps every
-   graph on every path: the count matrix has no rows, so its graph count
+   graph on every path: the index has no feature rows, so its graph count
    must not be read off them. *)
 let test_zero_feature_database () =
   let g = Pgraph_io.of_string "pgraph\nend\n" in
@@ -870,6 +866,145 @@ let test_delta_file_checksummed () =
           Alcotest.(check string) "restored bytes pass again" original
             (Psst_ingest.delta_bytes chain ~seq:1)))
 
+(* --- the structural filter as a view over the PMI ---
+
+   The database's structural index reads its counts from the PMI bound
+   records. On every form a database takes — built, loaded eagerly,
+   mapped, sliced into shards, merged back, grown by ingest — it must
+   answer as the standalone Grafil index counted with VF2 at the PMI's
+   cap. *)
+
+let reference_structural (db : Query.database) =
+  Structural.build
+    (Array.map Pgraph.skeleton (Corpus.to_array db.Query.graphs))
+    db.Query.features ~emb_cap:(Pmi.config db.Query.pmi).Bounds.emb_cap
+
+let view_candidates (db : Query.database) q ~delta =
+  Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
+    ~delta
+
+let prop_view_equals_build =
+  QCheck.Test.make ~name:"structural: PMI view = Structural.build on every form"
+    ~count:12
+    QCheck.(quad (int_bound 10_000) (int_range 4 9) (int_range 1 3) (oneofl [ 1; 2; 3; 48 ]))
+    (fun (seed, n, extra, emb_cap) ->
+      let ds = small_dataset seed (n + extra) in
+      let bounds = { fast_bounds with mc_samples = 50; emb_cap } in
+      let db =
+        Query.index_database ~mining:small_mining ~bounds
+          (Array.sub ds.Generator.graphs 0 n)
+      in
+      let rng = Prng.make (seed + 1) in
+      let qs =
+        List.init 3 (fun _ -> fst (Generator.extract_query rng ds ~edges:(2 + Prng.int rng 3)))
+        @ [ Tgen.random_connected_graph rng ~n:4 ~extra:1 ~vl:3 ~el:2 ]
+      in
+      let agrees what (db : Query.database) =
+        let reference = reference_structural db in
+        List.iter
+          (fun q ->
+            for delta = 0 to 2 do
+              let expect =
+                Structural.candidates reference ~skeleton:(Corpus.skeleton db.Query.graphs) q
+                  ~delta
+              in
+              if view_candidates db q ~delta <> expect then
+                QCheck.Test.fail_reportf "%s: candidates differ at delta %d" what delta
+            done)
+          qs
+      in
+      agrees "built" db;
+      with_tmp (fun path ->
+          Query.save_database path db;
+          agrees "eager load" (Query.load_database path);
+          agrees "mmap load" (Query.load_database ~mmap:true path));
+      let cut = 1 + (seed mod (n - 1)) in
+      let parts =
+        [ Psst_shard.sub_database db ~base:0 ~count:cut;
+          Psst_shard.sub_database db ~base:cut ~count:(n - cut) ]
+      in
+      List.iteri (fun i p -> agrees (Printf.sprintf "shard %d" i) p) parts;
+      agrees "merge" (Psst_shard.merge parts);
+      agrees "add_graphs"
+        (Query.add_graphs db (Array.sub ds.Generator.graphs n extra));
+      true)
+
+(* The view keeps every graph within distance delta, mapped or not. *)
+let test_view_no_false_dismissals () =
+  let ds, db = build_db 83 12 in
+  with_tmp (fun path ->
+      Query.save_database path db;
+      let mapped = Query.load_database ~mmap:true path in
+      let rng = Prng.make 84 in
+      for trial = 1 to 6 do
+        let q = fst (Generator.extract_query rng ds ~edges:(2 + Prng.int rng 3)) in
+        for delta = 0 to 2 do
+          List.iter
+            (fun (what, (d : Query.database)) ->
+              let cands = view_candidates d q ~delta in
+              for gi = 0 to Corpus.length d.Query.graphs - 1 do
+                if Distance.within q (Corpus.skeleton d.Query.graphs gi) ~delta
+                   && not (List.mem gi cands)
+                then
+                  Alcotest.failf "%s trial %d delta %d: graph %d dismissed" what trial
+                    delta gi
+              done)
+            [ ("built", db); ("mapped", mapped) ]
+        done
+      done)
+
+(* An image written when the structural counts had sections of their own
+   — a "structural.flat.dir" directory and u16 "structural.flat.counts"
+   cells behind a pad — loads eagerly and mapped, ignoring them, and
+   answers as the image without them. *)
+let test_retired_structural_sections_ignored () =
+  let ds, db = build_db 89 10 in
+  with_tmp (fun fresh ->
+      Query.save_database fresh db;
+      let nf = Pmi.num_features db.Query.pmi and ng = Pmi.num_graphs db.Query.pmi in
+      let dir = S.encoder () in
+      List.iter (S.put_i64 dir) [ 64; nf; ng ];
+      let cells = Bytes.make (2 * nf * ng) '\000' in
+      for fi = 0 to nf - 1 do
+        for gi = 0 to ng - 1 do
+          match Pmi.lookup db.Query.pmi ~feature:fi ~graph:gi with
+          | Some e -> Bytes.set_uint16_le cells (2 * ((fi * ng) + gi)) e.Bounds.embeddings
+          | None -> ()
+        done
+      done;
+      let structural =
+        [ S.section "structural.flat.dir" dir;
+          { S.name = "structural.flat.counts"; payload = Bytes.to_string cells } ]
+      in
+      let sections =
+        List.concat_map
+          (fun (s : S.section) ->
+            if s.S.name = "graphs.offsets" then s :: structural
+            else if String.starts_with ~prefix:"pad." s.S.name then []
+            else [ s ])
+          (S.read_file fresh ~kind:S.Database)
+      in
+      with_tmp (fun old ->
+          S.write_file old ~kind:S.Database
+            (S.align_payloads ~targets:[ "structural.flat.counts"; "pmi.flat.bounds" ]
+               sections);
+          Alcotest.(check bool) "the old image has the structural sections" true
+            (List.mem "structural.flat.counts"
+               (List.map (fun (n, _, _) -> n) (S.section_spans (read_bytes old))));
+          let rng = Prng.make 90 in
+          let qs = List.init 4 (fun _ -> fst (Generator.extract_query rng ds ~edges:3)) in
+          List.iter
+            (fun mmap ->
+              let loaded = Query.load_database ~mmap old in
+              let fresh_loaded = Query.load_database ~mmap fresh in
+              Alcotest.(check (list (list int)))
+                (Printf.sprintf "structural candidates (mmap %b)" mmap)
+                (Tgen.structural_candidates fresh_loaded qs)
+                (Tgen.structural_candidates loaded qs);
+              check_pmi_identical fresh_loaded.Query.pmi loaded.Query.pmi;
+              check_same_answers ds fresh_loaded loaded)
+            [ false; true ]))
+
 let suite =
   [
     Alcotest.test_case "primitive round trip" `Quick test_primitive_round_trip;
@@ -914,4 +1049,9 @@ let suite =
       test_bad_bound_counts_rejected;
     Alcotest.test_case "zero-feature database on every path" `Quick
       test_zero_feature_database;
+    QCheck_alcotest.to_alcotest prop_view_equals_build;
+    Alcotest.test_case "structural view: no false dismissals" `Slow
+      test_view_no_false_dismissals;
+    Alcotest.test_case "retired structural sections ignored" `Quick
+      test_retired_structural_sections_ignored;
   ]

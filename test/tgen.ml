@@ -163,3 +163,14 @@ let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 let check_close ?(eps = 1e-9) msg expected actual =
   if not (close ~eps expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
+
+(* The structural filter's survivors on [db] for each query of [qs] at
+   every delta in 0..2 — what the filter answers, whatever holds its
+   counts. *)
+let structural_candidates (db : Query.database) qs =
+  List.concat_map
+    (fun q ->
+      List.init 3 (fun delta ->
+          Structural.candidates db.Query.structural
+            ~skeleton:(Corpus.skeleton db.Query.graphs) q ~delta))
+    qs
