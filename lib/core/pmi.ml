@@ -248,13 +248,12 @@ let column_of config features g ~occurs =
           else None)
         features)
 
-let build ?(config = Bounds.default_config) ?(domains = 1) db features =
-  let features = Array.of_list features in
+(* The image of [features] with feature [fi]'s entries at the strictly
+   increasing graph ids [ids.(fi)] of [db]; each column's membership row
+   says which features occur in that graph. *)
+let build_rows ~config ~domains db features ids =
   let ng = Array.length db in
   let nf = Array.length features in
-  (* Each feature's postings are its support; each column's membership
-     row says which features occur in that graph. *)
-  let ids = Array.map (fun (f : Selection.feature) -> Array.of_list f.support) features in
   let occurs = Array.init ng (fun _ -> Bytes.make nf '\000') in
   Array.iteri
     (fun fi row ->
@@ -286,19 +285,36 @@ let build ?(config = Bounds.default_config) ?(domains = 1) db features =
              Array.iteri (fun r gi -> put_entry dst r (Option.get columns.(gi).(fi))) ids ))
        ids)
 
+let build ?(config = Bounds.default_config) ?(domains = 1) db mined =
+  let mined = Array.of_list mined in
+  build_rows ~config ~domains db
+    (Array.map (fun (m : Selection.mined) -> m.feature) mined)
+    (Array.map (fun (m : Selection.mined) -> Array.of_list m.support) mined)
+
+(* The image of [features] over [db] with each feature's entries at the
+   graphs whose skeleton holds it, by VF2. The miner records exactly that
+   set for every feature it keeps (Selection.select), so this rebuilds the
+   postings wherever no mined list is at hand: the columns of new graphs
+   and a salvaged image. *)
+let build_occurring ~config db features =
+  let skels = Array.map Pgraph.skeleton db in
+  build_rows ~config ~domains:1 db features
+    (Array.map
+       (fun (f : Selection.feature) ->
+         Array.of_list
+           (List.filter
+              (fun gi -> Vf2.exists f.graph skels.(gi))
+              (List.init (Array.length db) Fun.id)))
+       features)
+
 (* Slicing and concatenation back the shard store (lib/shard). Both are
    pure re-arrangements of already-computed state: [sub] never recomputes
    a bound (which would be sound — the column build is
    content-deterministic — but would defeat the point of splitting an
    indexed database), and [concat (sub ..)] pieces round-trip the original
-   image bit-exactly, support lists included. Features are rebased to local
-   ids so a shard is a fully self-contained database over its own
-   [0 .. len-1] range. *)
-
-let rebase_support ~base ~len l =
-  List.filter_map
-    (fun gi -> if gi >= base && gi < base + len then Some (gi - base) else None)
-    l
+   image bit-exactly. Postings are rebased to local ids so a shard is a
+   fully self-contained database over its own [0 .. len-1] range; the
+   features are patterns and are shared as they are. *)
 
 (* First rank whose graph id is at least [gid]. *)
 let rank_of ids gid =
@@ -313,17 +329,7 @@ let sub t ~base ~len =
     invalid_arg
       (Printf.sprintf "Pmi.sub: range %d..%d outside 0..%d" base (base + len)
          t.num_graphs);
-  let features =
-    Array.map
-      (fun (f : Selection.feature) ->
-        {
-          f with
-          Selection.support = rebase_support ~base ~len f.support;
-          strong_support = rebase_support ~base ~len f.strong_support;
-        })
-      t.features
-  in
-  assemble ~config:t.config ~features ~num_graphs:len
+  assemble ~config:t.config ~features:t.features ~num_graphs:len
     ~build_seconds:t.build_seconds
     (Array.mapi
        (fun fi ids ->
@@ -363,28 +369,11 @@ let concat = function
         parts
     in
     let num_graphs = List.fold_left (fun a p -> a + p.num_graphs) 0 parts in
-    let features =
-      Array.init nf (fun fi ->
-          let f = first.features.(fi) in
-          let gather proj =
-            List.concat
-              (List.map2
-                 (fun p off ->
-                   let l = proj p.features.(fi) in
-                   if off = 0 then l else List.map (fun gi -> gi + off) l)
-                 parts offsets)
-          in
-          {
-            f with
-            Selection.support = gather (fun f -> f.Selection.support);
-            strong_support = gather (fun f -> f.Selection.strong_support);
-          })
-    in
     let ids = List.map posting_ids parts in
     let build_seconds =
       List.fold_left (fun a p -> Float.max a p.build_seconds) 0. parts
     in
-    assemble ~config:first.config ~features ~num_graphs ~build_seconds
+    assemble ~config:first.config ~features:first.features ~num_graphs ~build_seconds
       (Array.init nf (fun fi ->
            ( Array.concat
                (List.map2 (fun ids off -> Array.map (( + ) off) ids.(fi)) ids offsets),
@@ -398,35 +387,16 @@ let concat = function
                     0 parts ids) )))
 
 (* Incremental insertion: the new graphs' columns are built as an index of
-   their own, over the features with supports saying where each occurs in
-   the new skeletons, and concatenated after the existing image. So the
-   mined features' support lists absorb the new graph ids — supports drive
-   the column build of a salvage, and a stale support would silently drop
-   the graph from a salvaged image — and stay sorted, as new ids are the
-   largest. The existing
-   entries are not decoded: [concat] re-encodes their graph ids and moves
-   their records as one block per feature. *)
+   their own, at the features' occurrences in the new skeletons, and
+   concatenated after the existing image, whose postings then name the new
+   graphs like any other. The existing entries are not decoded: [concat]
+   re-encodes their graph ids and moves their records as one block per
+   feature. *)
 let add_graphs t gs =
   if Array.length gs = 0 then t
   else begin
-    let skels = Array.map Pgraph.skeleton gs in
-    let fresh =
-      Array.map
-        (fun (f : Selection.feature) ->
-          {
-            f with
-            Selection.support =
-              List.filter
-                (fun i -> Vf2.exists f.graph skels.(i))
-                (List.init (Array.length gs) Fun.id);
-            strong_support = [];
-          })
-        t.features
-    in
-    {
-      (concat [ t; build ~config:t.config gs (Array.to_list fresh) ]) with
-      build_seconds = t.build_seconds;
-    }
+    let fresh = build_occurring ~config:t.config gs t.features in
+    { (concat [ t; fresh ]) with build_seconds = t.build_seconds }
   end
 
 let config t = t.config
@@ -495,6 +465,22 @@ let structural t =
 
 let m_salvaged = Psst_obs.counter "store.salvaged_columns"
 
+(* The features are their patterns alone: the postings are the one record
+   of where each occurs. *)
+let patterns_name = "pmi.patterns"
+
+(* An image written before "pmi.patterns" holds the features in
+   "pmi.features", each pattern followed by its mined support and strong
+   support as two int lists. The postings hold the same supports, so the
+   lists are parsed and dropped. *)
+let legacy_features_name = "pmi.features"
+
+let decode_legacy_feature d =
+  let f = Selection.decode_feature d in
+  ignore (S.get_int_list d : int list);
+  ignore (S.get_int_list d : int list);
+  f
+
 (* The small metadata sections, decoded and validated identically by the
    eager and the mapped load paths. *)
 let small_sections ~db t =
@@ -508,13 +494,13 @@ let small_sections ~db t =
   let dbsec = S.encoder () in
   S.put_i64 dbsec (Array.length db);
   S.put_i32 dbsec (Pgraph_io.db_fingerprint db);
-  let features = S.encoder () in
-  S.put_array features Selection.encode_feature t.features;
+  let patterns = S.encoder () in
+  S.put_array patterns Selection.encode_feature t.features;
   let meta = S.encoder () in
   S.put_f64 meta t.build_seconds;
   ( S.section "pmi.config" config,
     S.section "pmi.db" dbsec,
-    S.section "pmi.features" features,
+    S.section patterns_name patterns,
     S.section "pmi.meta" meta )
 
 let flat_dir_name = "pmi.flat.dir"
@@ -644,18 +630,14 @@ let decode_small_sections ~ng ~fp sections =
              index was built for a different database — rebuild the index"
             stored_fp actual);
   let features =
-    S.decode_section sections "pmi.features" (fun d ->
-        S.get_array d Selection.decode_feature)
+    if List.exists (fun (s : S.section) -> s.S.name = legacy_features_name) sections
+    then
+      S.decode_section sections legacy_features_name (fun d ->
+          S.get_array d decode_legacy_feature)
+    else
+      S.decode_section sections patterns_name (fun d ->
+          S.get_array d Selection.decode_feature)
   in
-  Array.iter
-    (fun (f : Selection.feature) ->
-      List.iter
-        (fun gi ->
-          if gi >= ng then
-            S.error "feature support mentions graph %d of a %d-graph database"
-              gi ng)
-        f.support)
-    features;
   (config, features)
 
 let of_sections ?(salvage = false) ~db sections =
@@ -673,9 +655,10 @@ let of_sections ?(salvage = false) ~db sections =
     then begin
       (* Self-healing (DESIGN.md §12): a bulk section failed its checksum
          (or never reached the disk). The image has no finer grain, so every
-         column is rebuilt from the graphs and the intact features; the
-         build is deterministic, so the result is bit-identical. *)
-      let rebuilt = build ~config db (Array.to_list features) in
+         column is rebuilt from the graphs and the intact features, at the
+         features' occurrences in the skeletons; the build is deterministic,
+         so the result is bit-identical. *)
+      let rebuilt = build_occurring ~config db features in
       Psst_obs.add m_salvaged ng;
       Psst_obs.warn ~code:"store.salvaged"
         (Printf.sprintf
@@ -725,7 +708,8 @@ let of_mapped_lazy m ~ng =
         if S.mapped_has m name then
           Some { S.name; payload = S.mapped_section_string m name }
         else None)
-      [ "pmi.config"; "pmi.db"; "pmi.features"; "pmi.meta"; flat_dir_name ]
+      [ "pmi.config"; "pmi.db"; patterns_name; legacy_features_name; "pmi.meta";
+        flat_dir_name ]
   in
   let config, features = decode_small_sections ~ng ~fp:None small in
   of_image ~config ~features ~ng

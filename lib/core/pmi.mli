@@ -2,7 +2,10 @@
 
     Rows are mined features, columns are the probabilistic graphs of the
     database. Entry (f, g) holds the SIP bound pair for [f] against [g]
-    when [f ⊆iso gc], and is empty otherwise (the paper's ⟨0⟩).
+    when [f ⊆iso gc], and is empty otherwise (the paper's ⟨0⟩). The
+    postings of the filled entries are therefore each feature's support,
+    and they are the only record of it: the features themselves are
+    patterns ({!Selection.feature}).
 
     An index is always held as the flat image of DESIGN.md §15 — per
     feature delta-coded postings of the graphs it occurs in, and their
@@ -14,10 +17,11 @@ type entry = Bounds.t
 
 type t
 
-(** [build ?config ?domains db features] computes every matrix entry:
-    one for each graph of a feature's support, which must be strictly
+(** [build ?config ?domains db mined] computes every matrix entry: one for
+    each graph of a mined feature's support, which must be strictly
     increasing ids of [db]'s graphs, as {!Selection.select} makes them
-    ([Invalid_argument] otherwise). [domains > 1] distributes the
+    ([Invalid_argument] otherwise). The supports become the postings and
+    are not kept otherwise. [domains > 1] distributes the
     per-graph columns over a {!Psst_util.Pool} of that many OCaml 5
     domains (the computation is embarrassingly parallel per graph and the
     result is identical to the sequential build). *)
@@ -25,28 +29,27 @@ val build :
   ?config:Bounds.config ->
   ?domains:int ->
   Pgraph.t array ->
-  Selection.feature list ->
+  Selection.mined list ->
   t
 
 (** [add_graphs t gs] appends the columns of new database graphs,
-    computing bounds for every feature occurring in their skeletons and
-    adding each new graph id to the support list of every such feature
-    (so the persisted index rebuilds the same columns after a save/load
-    round trip). The feature set is not re-mined. The existing entries are
+    computing bounds for every feature occurring in their skeletons
+    ([Vf2.exists], exactly what the miner's supports hold). The feature
+    set is not re-mined. The existing entries are
     not decoded: their postings are re-encoded from the graph ids and each
     feature's bound records are copied as one block, so a batch costs one
     pass over the image whatever its size. *)
 val add_graphs : t -> Pgraph.t array -> t
 
 (** [sub t ~base ~len] — the PMI of the graph range [base .. base+len-1]
-    viewed as a database of its own: postings are sliced, feature
-    support lists rebased to local ids. Nothing is recomputed, so the
+    viewed as a database of its own: postings are sliced and rebased to
+    local ids, the features shared. Nothing is recomputed, so the
     shard's bounds are bit-identical to the monolithic ones
     ([Invalid_argument] when the range is out of bounds). *)
 val sub : t -> base:int -> len:int -> t
 
 (** [concat parts] reassembles consecutive {!sub} slices (in order) into
-    the monolithic PMI: postings are concatenated, supports un-rebased.
+    the monolithic PMI: postings are concatenated and un-rebased.
     [concat] of the {!sub} pieces of a PMI round-trips it bit-exactly
     (modulo [build_seconds], which becomes the max over the parts).
     [Invalid_argument] when the parts disagree on bound config or feature
@@ -85,7 +88,8 @@ val structural : t -> Structural.t
     queries on a freshly built one. *)
 
 (** The PMI sections of a database image: ["pmi.config"], ["pmi.db"]
-    (graph count and fingerprint of [db]), ["pmi.features"],
+    (graph count and fingerprint of [db]), ["pmi.patterns"] (each
+    feature's pattern and canonical code),
     ["pmi.flat.dir"], ["pmi.flat.postings"], ["pmi.flat.bounds"] and
     ["pmi.meta"]. Callers must run {!Psst_store.align_payloads} with target
     ["pmi.flat.bounds"] on the final section list before writing, or the
@@ -97,16 +101,20 @@ val to_sections : db:Pgraph.t array -> t -> Psst_store.section list
     every bound count field, and checks that the stored fingerprint
     matches [db] before any entry is reused; it raises
     [Psst_store.Store_error] otherwise: a stale or foreign index is
-    rejected, never silently reused.
+    rejected, never silently reused. An image written before
+    ["pmi.patterns"] existed carries ["pmi.features"] instead, whose
+    support lists are parsed and dropped; both loaders accept it.
 
     [~salvage:true] (pass the [intact] list of
     {!Psst_store.read_file_salvage}) turns a damaged or missing
     ["pmi.flat.*"] section into self-healing instead of rejection
     (DESIGN.md §12): every column is rebuilt with the deterministic
-    builder of {!build}, so the result is bit-identical. The rebuilt
+    builder of {!build}, at each feature's occurrences in the graphs'
+    skeletons ([Vf2.exists], as {!add_graphs} finds them), so the result
+    is bit-identical. The rebuilt
     columns count into ["store.salvaged_columns"] and the load emits one
     ["store.salvaged"] warning event. The metadata sections (config,
-    database fingerprint, features) cannot be salvaged: if one of those
+    database fingerprint, patterns) cannot be salvaged: if one of those
     is damaged the load still raises [Store_error]. *)
 val of_sections :
   ?salvage:bool -> db:Pgraph.t array -> Psst_store.section list -> t

@@ -26,14 +26,14 @@ module Log = (val Logs.src_log log_src)
    so every constructor of a database takes it from the PMI it holds. *)
 let index_database ?(mining = Selection.default_params)
     ?(bounds = Bounds.default_config) ?(domains = 1) graphs =
-  let features = Selection.select (Array.map Pgraph.skeleton graphs) mining in
+  let mined = Selection.select (Array.map Pgraph.skeleton graphs) mining in
   Log.info (fun m ->
-      m "mined %d features over %d graphs" (List.length features)
+      m "mined %d features over %d graphs" (List.length mined)
         (Array.length graphs));
-  let pmi = Pmi.build ~config:bounds ~domains graphs features in
+  let pmi = Pmi.build ~config:bounds ~domains graphs mined in
   {
     graphs = Corpus.of_array graphs;
-    features;
+    features = List.map (fun (m : Selection.mined) -> m.feature) mined;
     structural = Pmi.structural pmi;
     pmi;
     base = 0;
@@ -47,14 +47,13 @@ let m_graphs_added = Psst_obs.counter "query.graphs_added"
 let add_graphs db gs =
   if Array.length gs = 0 then db
   else begin
-    (* [Pmi.add_graphs] is the single owner of the support-list update:
-       re-reading the features from the new index keeps the database copy
-       and the persisted copy identical by construction. *)
+    (* The features are patterns and stay as they are; the new graphs
+       enter the PMI postings, the one record of where each occurs. *)
     let pmi = Pmi.add_graphs db.pmi gs in
     Psst_obs.add m_graphs_added (Array.length gs);
     {
       graphs = Corpus.append db.graphs gs;
-      features = Array.to_list (Pmi.features pmi);
+      features = db.features;
       structural = Pmi.structural pmi;
       pmi;
       base = db.base;

@@ -38,8 +38,9 @@ val index_database :
   database
 
 (** [add_graph db g] appends one graph to the database, extending the PMI
-    (and so the structural view over it) incrementally, including the
-    feature support lists, so a subsequent
+    (and so the structural view over it) incrementally: its postings, the
+    one record of which graphs hold each feature, name the new graph
+    wherever a feature occurs in it, so a subsequent
     {!save_database}/{!load_database} round trip reproduces the same
     index. Features are {e not} re-mined: pruning on the new
     graph uses the existing feature set, which keeps every decision

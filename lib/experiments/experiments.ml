@@ -476,7 +476,7 @@ let ablations ?(scale = default_scale) ppf =
     (fun (name, config, use_safe) ->
       let widths = ref [] and violations = ref 0 and pairs = ref 0 in
       List.iter
-        (fun (f : Selection.feature) ->
+        (fun ({ feature = f; support; _ } : Selection.mined) ->
           if Lgraph.num_edges f.graph >= 1 then
             List.iter
               (fun gi ->
@@ -492,7 +492,7 @@ let ablations ?(scale = default_scale) ppf =
                   incr pairs;
                   widths := (hi -. lo) :: !widths;
                   if sip < lo -. 1e-9 || sip > hi +. 1e-9 then incr violations)
-              f.support)
+              support)
         features;
       Format.fprintf ppf "@[<v>%-18s %12.4f %14.2f %10d@]@." name
         (Stats.mean !widths)

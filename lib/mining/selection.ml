@@ -9,12 +9,8 @@ type params = {
 let default_params =
   { alpha = 0.15; beta = 0.15; gamma = 0.15; max_edges = 3; emb_cap = 64 }
 
-type feature = {
-  graph : Lgraph.t;
-  key : string;
-  support : int list;
-  strong_support : int list;
-}
+type feature = { graph : Lgraph.t; key : string }
+type mined = { feature : feature; support : int list; strong_support : int list }
 
 let max_disjoint_embeddings embs =
   match embs with
@@ -106,14 +102,17 @@ let select db params =
   let selected = Hashtbl.create 64 in
   (* key -> feature *)
   let out = ref [] in
-  let add f = Hashtbl.replace selected f.key f; out := f :: !out in
+  let add m = Hashtbl.replace selected m.feature.key m; out := m :: !out in
+  let mined graph key support strong_support =
+    { feature = { graph; key }; support; strong_support }
+  in
   (* Single-vertex features: always indexed. *)
   List.iter
     (fun vl ->
       let g = Lgraph.vertices_only ~vlabels:[| vl |] in
       let support = support_of db all_idx g in
       if support <> [] then
-        add { graph = g; key = Canon.code g; support; strong_support = support })
+        add (mined g (Canon.code g) support support))
     vlabels;
   (* Single-edge features: always indexed; distinct label triples
      (min vl, max vl, el) are never isomorphic. [triples] keeps the support
@@ -125,13 +124,7 @@ let select db params =
       let support = support_of db all_idx g in
       Hashtbl.replace triples (vl1, vl2, el) support;
       if support <> [] then
-        add
-          {
-            graph = g;
-            key = Canon.code g;
-            support;
-            strong_support = strong_support_of db params g support;
-          })
+        add (mined g (Canon.code g) support (strong_support_of db params g support)))
     (List.concat_map
        (fun vl1 ->
          List.concat_map
@@ -149,7 +142,7 @@ let select db params =
       parent_support es
   in
   (* Level-wise growth from the single-edge frontier. *)
-  let frontier = ref (List.filter (fun f -> Lgraph.num_edges f.graph = 1) !out) in
+  let frontier = ref (List.filter (fun m -> Lgraph.num_edges m.feature.graph = 1) !out) in
   let level = ref 1 in
   while !level < params.max_edges && !frontier <> [] do
     incr level;
@@ -184,7 +177,7 @@ let select db params =
                   in
                   let parent_supports =
                     List.filter_map (Hashtbl.find_opt selected) subkeys
-                    |> List.map (fun f -> f.support)
+                    |> List.map (fun m -> m.support)
                   in
                   let inter =
                     match parent_supports with
@@ -199,16 +192,14 @@ let select db params =
                       /. float_of_int (List.length support)
                   in
                   if dis >= 1. +. params.gamma then begin
-                    let f =
-                      { graph = cand; key; support; strong_support = strong }
-                    in
-                    add f;
-                    next := f :: !next
+                    let m = mined cand key support strong in
+                    add m;
+                    next := m :: !next
                   end
                 end
               end
             end)
-          (extensions vlabels elabels parent.graph))
+          (extensions vlabels elabels parent.feature.graph))
       !frontier;
     frontier := !next
   done;
@@ -218,23 +209,9 @@ let select db params =
 
 let encode_feature e (f : feature) =
   Psst_store.put_lgraph e f.graph;
-  Psst_store.put_string e f.key;
-  Psst_store.put_int_list e f.support;
-  Psst_store.put_int_list e f.strong_support
-
-let decode_support d what =
-  let l = Psst_store.get_int_list d in
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> a < b && sorted rest
-    | _ -> true
-  in
-  if List.exists (fun g -> g < 0) l || not (sorted l) then
-    Psst_store.error "feature %s list is not a sorted set of graph ids" what;
-  l
+  Psst_store.put_string e f.key
 
 let decode_feature d =
   let graph = Psst_store.get_lgraph d in
   let key = Psst_store.get_string d in
-  let support = decode_support d "support" in
-  let strong_support = decode_support d "strong-support" in
-  { graph; key; support; strong_support }
+  { graph; key }

@@ -30,9 +30,17 @@ type params = {
 (** alpha = beta = gamma = 0.15, max_edges = 3, emb_cap = 64. *)
 val default_params : params
 
+(** A feature is its pattern alone: which graphs it occurs in is held by
+    the PMI's postings ({!Pmi}), the one record of feature occurrence. *)
 type feature = {
   graph : Lgraph.t;  (** the feature pattern *)
   key : string;  (** canonical code *)
+}
+
+(** A feature as the miner found it, with the graph sets its selection
+    rested on. *)
+type mined = {
+  feature : feature;
   support : int list;  (** [Df]: indices of graphs with [f ⊆iso gc] *)
   strong_support : int list;
       (** support graphs whose disjoint-embedding ratio reaches [alpha] *)
@@ -51,20 +59,22 @@ type feature = {
     has the same support and is rejected too. A candidate that passes is
     evaluated as before, with its support scan limited to the
     intersection, so the features, their order and their lists are those
-    of the unfiltered miner. Mining runs on the calling domain only
-    (DESIGN.md §8). *)
-val select : Lgraph.t array -> params -> feature list
+    of the unfiltered miner. The same argument makes each [support]
+    exactly [{g : Vf2.exists f gc}], which is how an index rebuilds a
+    feature's occurrences without the list. Mining runs on the calling
+    domain only (DESIGN.md §8). *)
+val select : Lgraph.t array -> params -> mined list
 
 (** [max_disjoint_embeddings embs] — size of a maximum edge-disjoint subset
     (exact max-weight clique on the disjointness graph with unit weights,
     greedy beyond the node budget). *)
 val max_disjoint_embeddings : Embedding.t list -> int
 
-(** {1 Binary codec} — mined feature sets are part of the persisted index
-    (DESIGN.md §9), so queries on a loaded index skip re-mining. *)
+(** {1 Binary codec} — feature patterns are part of the persisted index
+    (DESIGN.md §9), so queries on a loaded index skip re-mining. A feature
+    is written as its pattern and canonical code. *)
 
 val encode_feature : Psst_store.enc -> feature -> unit
 
-(** Raises [Psst_store.Store_error] on malformed data (including support
-    lists that are unsorted or mention negative graph ids). *)
+(** Raises [Psst_store.Store_error] on malformed data. *)
 val decode_feature : Psst_store.dec -> feature

@@ -58,7 +58,7 @@ val plan_even : parts:int -> total:int -> (int * int) list
 
 (** [sub_database db ~base ~count] — the contiguous slice as a
     self-contained database: graphs, skeletons and index columns sliced,
-    feature support lists rebased, [base] offset composed with
+    postings rebased to local ids, [base] offset composed with
     [db.base]. Nothing is recomputed, so every per-graph bound and count
     is bit-identical to the monolithic one. *)
 val sub_database : Query.database -> base:int -> count:int -> Query.database

@@ -14,24 +14,26 @@ type t = {
 let of_postings ~features ~num_graphs ~emb_cap ~entries ~postings =
   { features; num_graphs; emb_cap; entries; postings }
 
-let build db features ~emb_cap =
+let build db mined ~emb_cap =
   if emb_cap < 1 then
     invalid_arg (Printf.sprintf "Structural.build: emb_cap %d must be >= 1" emb_cap);
-  let features = Array.of_list features in
+  let mined = Array.of_list mined in
   (* Vertex features are never walked: their requirement is always 0. *)
   let rows =
     Array.map
-      (fun (f : Selection.feature) ->
+      (fun ({ feature = f; support; _ } : Selection.mined) ->
         if Lgraph.num_edges f.graph = 0 then [||]
         else
           Array.of_list
             (List.map
                (fun gi ->
                  (gi, List.length (Vf2.distinct_embeddings ~cap:emb_cap f.graph db.(gi))))
-               f.support))
-      features
+               support))
+      mined
   in
-  of_postings ~features ~num_graphs:(Array.length db) ~emb_cap
+  of_postings
+    ~features:(Array.map (fun (m : Selection.mined) -> m.feature) mined)
+    ~num_graphs:(Array.length db) ~emb_cap
     ~entries:(Array.fold_left (fun a r -> a + Array.length r) 0 rows)
     ~postings:(fun fi emit -> Array.iter (fun (gi, c) -> emit gi c) rows.(fi))
 

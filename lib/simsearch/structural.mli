@@ -38,10 +38,11 @@ val of_postings :
   postings:(int -> (int -> int -> unit) -> unit) ->
   t
 
-(** [build db features ~emb_cap] counts the embeddings of every edge
-    feature in the graphs of its support with VF2, capped at [emb_cap]
-    ([Invalid_argument] when [emb_cap < 1]), and holds them sparsely. *)
-val build : Lgraph.t array -> Selection.feature list -> emb_cap:int -> t
+(** [build db mined ~emb_cap] counts the embeddings of every edge
+    feature in the graphs of its mined support with VF2, capped at
+    [emb_cap] ([Invalid_argument] when [emb_cap < 1]), and holds them
+    sparsely. *)
+val build : Lgraph.t array -> Selection.mined list -> emb_cap:int -> t
 
 (** Number of (feature, graph) counts the index holds — its size in
     Fig 12(d). *)

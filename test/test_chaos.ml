@@ -202,18 +202,18 @@ let fast_bounds = { Bounds.default_config with mc_samples = 400 }
 let fast_smp = { Verify.default_config with tau = 0.3 }
 let slow_smp = { Verify.default_config with tau = 0.05 }
 
+let index graphs =
+  Query.index_database
+    ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
+    ~bounds:fast_bounds graphs
+
 let make_db seed n =
   let ds =
     Generator.generate
       { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
         max_vertices = 10; motif_edges = 3 }
   in
-  let db =
-    Query.index_database
-      ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
-      ~bounds:fast_bounds ds.graphs
-  in
-  (ds, db)
+  (ds, index ds.graphs)
 
 let base_config =
   { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
@@ -235,49 +235,61 @@ let corrupt_sections path original names =
 
 (* A damaged PMI bulk section ("pmi.flat.*") has no finer grain than the
    image, so salvage rebuilds every column — any one, two or all three of
-   them damaged — and the deterministic build makes the salvaged index
-   re-save byte for byte. *)
+   them damaged — at each feature's VF2 occurrences in the graphs, and the
+   deterministic build makes the salvaged index re-save byte for byte.
+   That holds for an index as mined, for one grown by ingest (whose new
+   postings were found the same way) and for a shard slice (whose
+   features were mined over the whole corpus). *)
 let test_salvage_rebuilds_damaged_image () =
-  let ng = 24 in
-  let _, db = make_db 331 ng in
-  with_tmp (fun path ->
-      Query.save_database path db;
-      let pristine = read_bytes path in
-      List.iter
-        (fun damaged ->
-          let what = String.concat " + " damaged in
-          corrupt_sections path pristine damaged;
-          expect_store_error (what ^ ": plain load refuses") (fun () ->
-              Query.load_database path);
-          let salvaged_before =
-            Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
-          in
-          let warned_before =
-            Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged")
-          in
-          let salvaged, rebuilt =
-            counter_delta c_columns (fun () ->
-                Query.load_database ~salvage:true path)
-          in
-          Alcotest.(check int) (what ^ ": every column rebuilt") ng rebuilt;
-          Alcotest.(check int) (what ^ ": salvage metered") ng
-            (Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
-            - salvaged_before);
-          Alcotest.(check bool) (what ^ ": salvage warning recorded") true
-            (Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged")
-            > warned_before);
-          with_tmp (fun path2 ->
-              Query.save_database path2 salvaged;
-              Alcotest.(check bool)
-                (what ^ ": salvaged index re-saves bit-identically")
-                true
-                (read_bytes path2 = pristine)))
-        [
-          [ "pmi.flat.bounds" ];
-          [ "pmi.flat.postings"; "pmi.flat.bounds" ];
-          [ "pmi.flat.dir" ];
-          [ "pmi.flat.dir"; "pmi.flat.postings"; "pmi.flat.bounds" ];
-        ])
+  let ds, built = make_db 331 24 in
+  let grown =
+    Query.add_graphs
+      (index (Array.sub ds.Generator.graphs 0 20))
+      (Array.sub ds.Generator.graphs 20 4)
+  in
+  let sliced = Psst_shard.sub_database built ~base:5 ~count:12 in
+  List.iter
+    (fun (form, db) ->
+      let ng = Corpus.length db.Query.graphs in
+      with_tmp (fun path ->
+          Query.save_database path db;
+          let pristine = read_bytes path in
+          List.iter
+            (fun damaged ->
+              let what = form ^ ": " ^ String.concat " + " damaged in
+              corrupt_sections path pristine damaged;
+              expect_store_error (what ^ ": plain load refuses") (fun () ->
+                  Query.load_database path);
+              let salvaged_before =
+                Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
+              in
+              let warned_before =
+                Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged")
+              in
+              let salvaged, rebuilt =
+                counter_delta c_columns (fun () ->
+                    Query.load_database ~salvage:true path)
+              in
+              Alcotest.(check int) (what ^ ": every column rebuilt") ng rebuilt;
+              Alcotest.(check int) (what ^ ": salvage metered") ng
+                (Psst_obs.counter_value (Psst_obs.counter "store.salvaged_columns")
+                - salvaged_before);
+              Alcotest.(check bool) (what ^ ": salvage warning recorded") true
+                (Psst_obs.counter_value (Psst_obs.counter "warn.store.salvaged")
+                > warned_before);
+              with_tmp (fun path2 ->
+                  Query.save_database path2 salvaged;
+                  Alcotest.(check bool)
+                    (what ^ ": salvaged index re-saves bit-identically")
+                    true
+                    (read_bytes path2 = pristine)))
+            [
+              [ "pmi.flat.bounds" ];
+              [ "pmi.flat.postings"; "pmi.flat.bounds" ];
+              [ "pmi.flat.dir" ];
+              [ "pmi.flat.dir"; "pmi.flat.postings"; "pmi.flat.bounds" ];
+            ]))
+    [ ("built", built); ("grown", grown); ("sliced", sliced) ]
 
 let test_salvage_cannot_rebuild_metadata () =
   (* The graphs and the PMI's feature / config / fingerprint sections
@@ -292,7 +304,7 @@ let test_salvage_cannot_rebuild_metadata () =
           corrupt_sections path pristine [ name ];
           expect_store_error (name ^ " is not salvageable") (fun () ->
               Query.load_database ~salvage:true path))
-        [ "pmi.config"; "pmi.features"; "pmi.db"; "graphs" ])
+        [ "pmi.config"; "pmi.patterns"; "pmi.db"; "graphs" ])
 
 (* --- degradation: budgets and verification faults, offline --- *)
 

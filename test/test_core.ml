@@ -154,26 +154,26 @@ let test_pmi_build_and_lookup () =
   Alcotest.(check bool) "some entries" true (Pmi.filled_entries pmi > 0);
   (* Lookup consistency with support lists. *)
   List.iteri
-    (fun fi (f : Selection.feature) ->
+    (fun fi (m : Selection.mined) ->
       List.iter
         (fun gi ->
           match Pmi.lookup pmi ~feature:fi ~graph:gi with
           | Some _ -> ()
           | None -> Alcotest.failf "missing entry (%d,%d)" fi gi)
-        f.support)
+        m.support)
     features;
   (* Entries exactly where the supports say, and nowhere else. *)
   List.iteri
-    (fun fi (f : Selection.feature) ->
+    (fun fi (m : Selection.mined) ->
       for gi = 0 to Pmi.num_graphs pmi - 1 do
         Alcotest.(check bool)
           (Printf.sprintf "entry (%d,%d) iff supported" fi gi)
-          (List.mem gi f.support)
+          (List.mem gi m.support)
           (Option.is_some (Pmi.lookup pmi ~feature:fi ~graph:gi))
       done)
     features;
   Alcotest.(check int) "filled = total support"
-    (List.fold_left (fun a (f : Selection.feature) -> a + List.length f.support) 0 features)
+    (List.fold_left (fun a (m : Selection.mined) -> a + List.length m.support) 0 features)
     (Pmi.filled_entries pmi)
 
 (* --- PMI golden digest ---
@@ -209,7 +209,7 @@ let feature_digest features =
   let ints l = String.concat "," (List.map string_of_int l) in
   let b = Buffer.create 65536 in
   List.iter
-    (fun (f : Selection.feature) ->
+    (fun ({ feature = f; support; strong_support } : Selection.mined) ->
       Printf.bprintf b "%S|%s|%s|%s|%s\n" f.key
         (ints (Array.to_list (Lgraph.vertex_labels f.graph)))
         (String.concat ","
@@ -217,7 +217,7 @@ let feature_digest features =
               (Array.map
                  (fun (e : Lgraph.edge) -> Printf.sprintf "%d-%d:%d" e.u e.v e.label)
                  (Lgraph.edges f.graph))))
-        (ints f.support) (ints f.strong_support))
+        (ints support) (ints strong_support))
     features;
   Digest.to_hex (Digest.string (Buffer.contents b))
 

@@ -76,48 +76,28 @@ let prop_transversals_complete =
       let norm l = List.map Bitset.elements l |> List.sort compare in
       norm cuts = norm !all)
 
-(* --- Parallel graph (Thm 6 cross-check) --- *)
+(* --- Paper Fig 8 (Thm 6) --- *)
 
-let embedding_of_edges l =
-  { Embedding.vmap = [||]; edges = Bitset.of_list 10 l }
-
-let test_parallel_graph_basics () =
-  let pg = Parallel_graph.build [ embedding_of_edges [ 1; 2 ]; embedding_of_edges [ 3 ] ] in
-  Alcotest.(check int) "lines" 2 (Parallel_graph.num_lines pg);
-  Alcotest.(check bool) "no removal: connected" false
-    (Parallel_graph.disconnects pg (bs []));
-  Alcotest.(check bool) "cut both lines" true
-    (Parallel_graph.disconnects pg (bs [ 1; 3 ]));
-  Alcotest.(check bool) "one line intact" false
-    (Parallel_graph.disconnects pg (bs [ 1; 2 ]))
-
+(* Fig 8: f2's three embeddings are the lines of the parallel graph cG,
+   and Thm 6 reads its minimal embedding cuts as the minimal label sets
+   that cut every line: {e1,e3}, {e2,e3} and {e2,e4}. The index takes
+   them from the embeddings' edge sets as minimal transversals. *)
 let test_parallel_graph_paper_example () =
-  (* Fig 8: f2's three embeddings as lines. *)
-  let pg =
-    Parallel_graph.build
-      [
-        embedding_of_edges [ 1; 2 ];
-        embedding_of_edges [ 2; 3 ];
-        embedding_of_edges [ 3; 4 ];
-      ]
+  let embeddings =
+    List.map
+      (fun l -> { Embedding.vmap = [||]; edges = bs l })
+      [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ] ]
   in
-  let cuts = Parallel_graph.min_label_cuts pg in
+  let lines = List.map (fun (e : Embedding.t) -> e.edges) embeddings in
+  let cuts = Transversal.minimal_hitting_sets lines in
   Alcotest.(check (list (list int))) "paper cuts via cG"
     [ [ 1; 3 ]; [ 2; 3 ]; [ 2; 4 ] ]
-    (List.map Bitset.elements cuts |> List.sort compare)
-
-let prop_theorem6_agreement =
-  QCheck.Test.make
-    ~name:"Thm 6: parallel-graph cuts = minimal transversals" ~count:100
-    QCheck.small_int
-    (fun seed ->
-      let rng = Prng.make (seed + 13) in
-      let sets = random_sets rng in
-      let embs = List.map (fun s -> { Embedding.vmap = [||]; edges = s }) sets in
-      let via_transversal = Transversal.minimal_hitting_sets sets in
-      let via_cg = Parallel_graph.min_label_cuts (Parallel_graph.build embs) in
-      let norm l = List.map Bitset.elements l |> List.sort compare in
-      norm via_transversal = norm via_cg)
+    (List.map Bitset.elements cuts |> List.sort compare);
+  List.iter
+    (fun cut ->
+      Alcotest.(check bool) "cuts every line, and no proper subset does" true
+        (Transversal.is_minimal_hitting_set lines cut))
+    cuts
 
 let suite =
   [
@@ -129,8 +109,6 @@ let suite =
     Alcotest.test_case "minimality predicates" `Quick test_is_minimal;
     QCheck_alcotest.to_alcotest prop_transversals_are_minimal_hitting;
     QCheck_alcotest.to_alcotest prop_transversals_complete;
-    Alcotest.test_case "parallel graph basics" `Quick test_parallel_graph_basics;
     Alcotest.test_case "parallel graph paper example" `Quick
       test_parallel_graph_paper_example;
-    QCheck_alcotest.to_alcotest prop_theorem6_agreement;
   ]

@@ -1,8 +1,9 @@
-(* Dynamic-update correctness: incremental insertion must keep the
-   feature support lists in sync with the new columns (the supports drive
-   the column rebuild after a save/load round trip — a stale support
-   silently drops the graph from the index), and the batched insertion
-   paths must be observationally identical to the sequential folds. *)
+(* Dynamic-update correctness: incremental insertion must enter each new
+   graph in the postings of exactly the features occurring in it — the
+   postings are each feature's support, and the only record of it, so a
+   missed one silently drops the graph from the index — and the batched
+   insertion paths must be observationally identical to the sequential
+   folds. *)
 
 module Prng = Psst_util.Prng
 
@@ -23,8 +24,7 @@ let split_db seed ~base ~extra =
   in
   (ds, db, Array.sub ds.Generator.graphs base extra)
 
-let supports db =
-  List.map (fun (f : Selection.feature) -> f.support) db.Query.features
+let supports = Tgen.postings
 
 let test_add_graph_syncs_supports () =
   let _, db, extra = split_db 101 ~base:8 ~extra:1 in
@@ -32,36 +32,47 @@ let test_add_graph_syncs_supports () =
   let gi = Corpus.length db.Query.graphs in
   let db' = Query.add_graph db g in
   let gc = Pgraph.skeleton g in
-  List.iter
-    (fun (f : Selection.feature) ->
+  List.iter2
+    (fun (f : Selection.feature) support ->
       let occurs = Vf2.exists f.graph gc in
       Alcotest.(check bool)
         "new graph in support iff the feature occurs in it" occurs
-        (List.mem gi f.support))
-    db'.Query.features;
+        (List.mem gi support))
+    db'.Query.features (supports db');
+  (* The old graphs keep their postings. *)
+  Alcotest.(check bool) "old postings kept" true
+    (List.map (List.filter (fun g -> g < gi)) (supports db') = supports db);
   (* The database copy and the PMI's own copy must agree. *)
-  Alcotest.(check bool) "db features = pmi features" true
-    (supports db'
-    = List.map
-        (fun (f : Selection.feature) -> f.support)
-        (Array.to_list (Pmi.features db'.Query.pmi)))
+  Alcotest.(check (list string)) "db features = pmi features"
+    (List.map (fun (f : Selection.feature) -> f.key) db'.Query.features)
+    (List.map
+       (fun (f : Selection.feature) -> f.key)
+       (Array.to_list (Pmi.features db'.Query.pmi)))
 
+(* After a batch, every feature's postings are its VF2 occurrences over
+   the whole corpus, and the image reloads: both loaders walk every
+   posting and refuse graph ids that are not strictly increasing. *)
 let test_supports_stay_sorted_unique () =
   let _, db, extra = split_db 103 ~base:6 ~extra:4 in
   let db' = Query.add_graphs db extra in
-  List.iter
-    (fun support ->
-      let rec strictly_increasing = function
-        | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
-        | _ -> true
-      in
-      Alcotest.(check bool) "support sorted, no duplicates" true
-        (strictly_increasing support))
-    (supports db')
+  Alcotest.(check bool) "postings = occurrences" true
+    (supports db'
+    = Tgen.occurrences db'.Query.features
+        (Array.map Pgraph.skeleton (Corpus.to_array db'.Query.graphs)));
+  let path = Filename.temp_file "psst_dynamic" ".pgdb" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Query.save_database path db';
+      List.iter
+        (fun mmap ->
+          Alcotest.(check bool) "reloaded postings equal" true
+            (supports (Query.load_database ~mmap path) = supports db'))
+        [ false; true ])
 
 (* The original defect: after add_graph -> save -> load, the reloaded
    index had no trace of the new graph in any support list, so it was
-   invisible to the structural filter rebuilt from those features. *)
+   invisible to an index rebuilt from those features. *)
 let test_add_then_roundtrip_preserves_index () =
   let ds, db, extra = split_db 107 ~base:8 ~extra:1 in
   let db' = Query.add_graph db extra.(0) in

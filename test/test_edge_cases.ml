@@ -298,7 +298,7 @@ let prop_mined_features_connected =
           { Selection.default_params with max_edges = 3; beta = 0.2; gamma = 0.0 }
       in
       List.for_all
-        (fun (f : Selection.feature) ->
+        (fun ({ feature = f; _ } : Selection.mined) ->
           Lgraph.num_edges f.graph = 0 || Lgraph.is_connected f.graph)
         features)
 

@@ -181,7 +181,7 @@ let test_add_graph_pmi_entry_matches_direct () =
   let pmi' = Pmi.add_graphs pmi [| ds.graphs.(3) |] in
   let column = Bounds.column fast_bounds ds.graphs.(3) in
   List.iteri
-    (fun fi (f : Selection.feature) ->
+    (fun fi ({ feature = f; _ } : Selection.mined) ->
       match Pmi.lookup pmi' ~feature:fi ~graph:3 with
       | None ->
         Alcotest.(check bool) "absent feature" false
@@ -193,8 +193,8 @@ let test_add_graph_pmi_entry_matches_direct () =
     features
 
 (* Ingest must leave the index a rebuild would produce: [add_graphs] over
-   a base index equals [build] over the extended corpus with the extended
-   supports, entry for entry, including where entries are absent (vertex
+   a base index equals [build] over the extended corpus with the features'
+   supports over it (their VF2 occurrences), entry for entry, including where entries are absent (vertex
    features missing from a new graph have none). *)
 let test_add_graphs_equals_rebuild () =
   let ds = small_dataset 67 10 in
@@ -205,7 +205,9 @@ let test_add_graphs_equals_rebuild () =
   in
   let added = Pmi.add_graphs (Pmi.build ~config:fast_bounds base features) (Array.sub ds.graphs 6 4) in
   let rebuilt =
-    Pmi.build ~config:fast_bounds ds.graphs (Array.to_list (Pmi.features added))
+    Pmi.build ~config:fast_bounds ds.graphs
+      (Tgen.mined_over (Array.map Pgraph.skeleton ds.graphs)
+         (Array.to_list (Pmi.features added)))
   in
   Alcotest.(check int) "filled entries" (Pmi.filled_entries rebuilt) (Pmi.filled_entries added);
   let absent_vertex_feature = ref false in

@@ -16,10 +16,10 @@ let test_singletons_always_indexed () =
   let db = tiny_db () in
   let features = Selection.select db Selection.default_params in
   let vertex_features =
-    List.filter (fun (f : Selection.feature) -> Lgraph.num_edges f.graph = 0) features
+    List.filter (fun (m : Selection.mined) -> Lgraph.num_edges m.feature.graph = 0) features
   in
   let edge_features =
-    List.filter (fun (f : Selection.feature) -> Lgraph.num_edges f.graph = 1) features
+    List.filter (fun (m : Selection.mined) -> Lgraph.num_edges m.feature.graph = 1) features
   in
   (* Labels 0,1,2,3 present -> 4 vertex features. *)
   Alcotest.(check int) "vertex features" 4 (List.length vertex_features);
@@ -29,15 +29,15 @@ let test_support_lists_correct () =
   let db = tiny_db () in
   let features = Selection.select db Selection.default_params in
   List.iter
-    (fun (f : Selection.feature) ->
+    (fun ({ feature = f; support; _ } : Selection.mined) ->
       List.iter
         (fun gi ->
           Alcotest.(check bool) "support is real" true (Vf2.exists f.graph db.(gi)))
-        f.support;
+        support;
       (* And graphs outside the support really lack the feature. *)
       List.iter
         (fun gi ->
-          if not (List.mem gi f.support) then
+          if not (List.mem gi support) then
             Alcotest.(check bool) "non-support lacks feature" false
               (Vf2.exists f.graph db.(gi)))
         [ 0; 1; 2 ])
@@ -49,7 +49,7 @@ let test_triangle_mined () =
   let features = Selection.select db p in
   let has_triangle =
     List.exists
-      (fun (f : Selection.feature) ->
+      (fun ({ feature = f; _ } : Selection.mined) ->
         Lgraph.num_edges f.graph = 3 && Lgraph.num_vertices f.graph = 3)
       features
   in
@@ -60,7 +60,7 @@ let test_max_edges_respected () =
   let p = { Selection.default_params with max_edges = 2; beta = 0.0; gamma = 0.0 } in
   let features = Selection.select db p in
   List.iter
-    (fun (f : Selection.feature) ->
+    (fun ({ feature = f; _ } : Selection.mined) ->
       Alcotest.(check bool) "size bound" true (Lgraph.num_edges f.graph <= 2))
     features
 
@@ -96,7 +96,7 @@ let prop_features_unique =
       let features =
         Selection.select db { Selection.default_params with beta = 0.2; max_edges = 2 }
       in
-      let keys = List.map (fun (f : Selection.feature) -> f.key) features in
+      let keys = List.map (fun (m : Selection.mined) -> m.feature.key) features in
       List.length keys = List.length (List.sort_uniq compare keys))
 
 let prop_strong_support_subset =
@@ -110,8 +110,8 @@ let prop_strong_support_subset =
         Selection.select db { Selection.default_params with beta = 0.2; max_edges = 2 }
       in
       List.for_all
-        (fun (f : Selection.feature) ->
-          List.for_all (fun gi -> List.mem gi f.support) f.strong_support)
+        (fun (m : Selection.mined) ->
+          List.for_all (fun gi -> List.mem gi m.support) m.strong_support)
         features)
 
 (* --- Oracle: [Selection.select] before its candidate pre-filter ---
@@ -179,13 +179,16 @@ module Oracle = struct
     let vlabels, elabels = alphabets db in
     let selected = Hashtbl.create 64 in
     let out = ref [] in
-    let add (f : Selection.feature) = Hashtbl.replace selected f.key f; out := f :: !out in
+    let add (m : Selection.mined) = Hashtbl.replace selected m.feature.key m; out := m :: !out in
+    let mined graph key support strong_support =
+      { Selection.feature = { graph; key }; support; strong_support }
+    in
     List.iter
       (fun vl ->
         let g = Lgraph.vertices_only ~vlabels:[| vl |] in
         let support = support_of db all_idx g in
         if support <> [] then
-          add { graph = g; key = Canon.code g; support; strong_support = support })
+          add (mined g (Canon.code g) support support))
       vlabels;
     List.iter
       (fun (vl1, vl2, el) ->
@@ -194,13 +197,7 @@ module Oracle = struct
         if not (Hashtbl.mem selected key) then begin
           let support = support_of db all_idx g in
           if support <> [] then
-            add
-              {
-                graph = g;
-                key;
-                support;
-                strong_support = strong_support_of db params g support;
-              }
+            add (mined g key support (strong_support_of db params g support))
         end)
       (List.concat_map
          (fun vl1 ->
@@ -210,7 +207,7 @@ module Oracle = struct
              vlabels)
          vlabels);
     let frontier =
-      ref (List.filter (fun (f : Selection.feature) -> Lgraph.num_edges f.graph = 1) !out)
+      ref (List.filter (fun (m : Selection.mined) -> Lgraph.num_edges m.feature.graph = 1) !out)
     in
     let level = ref 1 in
     while !level < params.max_edges && !frontier <> [] do
@@ -218,7 +215,7 @@ module Oracle = struct
       let next = ref [] in
       let seen_this_level = Hashtbl.create 64 in
       List.iter
-        (fun (parent : Selection.feature) ->
+        (fun (parent : Selection.mined) ->
           List.iter
             (fun cand ->
               let key = Canon.code cand in
@@ -242,7 +239,7 @@ module Oracle = struct
                   in
                   let parent_supports =
                     List.filter_map (Hashtbl.find_opt selected) subkeys
-                    |> List.map (fun (f : Selection.feature) -> f.support)
+                    |> List.map (fun (m : Selection.mined) -> m.support)
                   in
                   let inter =
                     match parent_supports with
@@ -259,28 +256,26 @@ module Oracle = struct
                       float_of_int (List.length inter) /. float_of_int (List.length support)
                   in
                   if dis >= 1. +. params.gamma then begin
-                    let f =
-                      { Selection.graph = cand; key; support; strong_support = strong }
-                    in
-                    add f;
-                    next := f :: !next
+                    let m = mined cand key support strong in
+                    add m;
+                    next := m :: !next
                   end
                 end
               end)
-            (extensions vlabels elabels parent.graph))
+            (extensions vlabels elabels parent.feature.graph))
         !frontier;
       frontier := !next
     done;
     List.rev !out
 end
 
-let same_features (a : Selection.feature list) (b : Selection.feature list) =
+let same_features (a : Selection.mined list) (b : Selection.mined list) =
   List.length a = List.length b
   && List.for_all2
-       (fun (x : Selection.feature) (y : Selection.feature) ->
-         x.key = y.key
-         && Lgraph.vertex_labels x.graph = Lgraph.vertex_labels y.graph
-         && Lgraph.edges x.graph = Lgraph.edges y.graph
+       (fun (x : Selection.mined) (y : Selection.mined) ->
+         x.feature.key = y.feature.key
+         && Lgraph.vertex_labels x.feature.graph = Lgraph.vertex_labels y.feature.graph
+         && Lgraph.edges x.feature.graph = Lgraph.edges y.feature.graph
          && x.support = y.support
          && x.strong_support = y.strong_support)
        a b

@@ -121,8 +121,8 @@ let test_structural_index_size () =
   let index = Structural.build db features ~emb_cap:32 in
   Alcotest.(check int) "entries = edge-feature supports"
     (List.fold_left
-       (fun a (f : Selection.feature) ->
-         if Lgraph.num_edges f.graph = 0 then a else a + List.length f.support)
+       (fun a ({ feature = f; support; _ } : Selection.mined) ->
+         if Lgraph.num_edges f.graph = 0 then a else a + List.length support)
        0 features)
     (Structural.entries index)
 

@@ -174,15 +174,13 @@ let test_feature_round_trip () =
   let features = Selection.select skeletons small_mining in
   Alcotest.(check bool) "some features mined" true (List.length features > 0);
   List.iter
-    (fun (f : Selection.feature) ->
+    (fun ({ feature = f; _ } : Selection.mined) ->
       let e = S.encoder () in
       Selection.encode_feature e f;
       let d = S.decoder (S.contents e) in
       let f' = Selection.decode_feature d in
       S.expect_end d;
       Alcotest.(check string) "key" f.key f'.key;
-      Alcotest.(check (list int)) "support" f.support f'.support;
-      Alcotest.(check (list int)) "strong" f.strong_support f'.strong_support;
       if not (lgraph_identical f.graph f'.graph) then
         Alcotest.fail "feature graph not identical")
     features
@@ -402,7 +400,7 @@ let test_corruption_detected () =
       Alcotest.(check (list string))
         "image section layout"
         [
-          "graphs"; "graphs.offsets"; "pmi.config"; "pmi.db"; "pmi.features";
+          "graphs"; "graphs.offsets"; "pmi.config"; "pmi.db"; "pmi.patterns";
           "pmi.flat.dir"; "pmi.flat.postings"; "pad.pmi.flat.bounds";
           "pmi.flat.bounds"; "pmi.meta";
         ]
@@ -540,8 +538,8 @@ let test_flat_mmap_differential () =
    built on 1 and on 3 domains writes the same image; the two files of a
    2-way shard split are pinned by a second digest. *)
 
-let golden_image_digest = "755f81d47b9619e8279650b25417f12b"
-let golden_shard_digest = "7e15651aa8c391a4b630b08c6e971e78"
+let golden_image_digest = "ff2b6de5e8b83c97e1b9845e1d362b38"
+let golden_shard_digest = "a4c755ade490ec743b0c0fa90a7cf5ab"
 
 let image_digest paths =
   let b = Buffer.create 1024 in
@@ -872,12 +870,16 @@ let test_delta_file_checksummed () =
    records. On every form a database takes — built, loaded eagerly,
    mapped, sliced into shards, merged back, grown by ingest — it must
    answer as the standalone Grafil index counted with VF2 at the PMI's
-   cap. *)
+   cap, and the PMI postings, the one record of where each feature
+   occurs, must name exactly the graphs whose skeleton holds it. *)
+
+let skeletons (db : Query.database) =
+  Array.map Pgraph.skeleton (Corpus.to_array db.Query.graphs)
 
 let reference_structural (db : Query.database) =
-  Structural.build
-    (Array.map Pgraph.skeleton (Corpus.to_array db.Query.graphs))
-    db.Query.features ~emb_cap:(Pmi.config db.Query.pmi).Bounds.emb_cap
+  let skels = skeletons db in
+  Structural.build skels (Tgen.mined_over skels db.Query.features)
+    ~emb_cap:(Pmi.config db.Query.pmi).Bounds.emb_cap
 
 let view_candidates (db : Query.database) q ~delta =
   Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
@@ -900,6 +902,8 @@ let prop_view_equals_build =
         @ [ Tgen.random_connected_graph rng ~n:4 ~extra:1 ~vl:3 ~el:2 ]
       in
       let agrees what (db : Query.database) =
+        if Tgen.postings db <> Tgen.occurrences db.Query.features (skeletons db) then
+          QCheck.Test.fail_reportf "%s: postings differ from the VF2 occurrences" what;
         let reference = reference_structural db in
         List.iter
           (fun q ->
@@ -1005,6 +1009,67 @@ let test_retired_structural_sections_ignored () =
               check_same_answers ds fresh_loaded loaded)
             [ false; true ]))
 
+(* An image written before "pmi.patterns" existed holds the features in
+   "pmi.features": each pattern and key followed by its mined support and
+   strong support as int lists. Both loaders and salvage read it, dropping
+   the lists, and it answers as the same image in today's layout; saved
+   again, it is that image byte for byte. *)
+let test_parent_feature_section_loads () =
+  let ds, db = build_db 97 10 in
+  let mined =
+    Selection.select (Array.map Pgraph.skeleton ds.Generator.graphs) small_mining
+  in
+  Alcotest.(check (list string)) "the database holds the mined features"
+    (List.map (fun (m : Selection.mined) -> m.feature.key) mined)
+    (List.map (fun (f : Selection.feature) -> f.key) db.Query.features);
+  with_tmp (fun fresh ->
+      Query.save_database fresh db;
+      let features = S.encoder () in
+      S.put_array features
+        (fun e (m : Selection.mined) ->
+          S.put_lgraph e m.feature.graph;
+          S.put_string e m.feature.key;
+          S.put_int_list e m.support;
+          S.put_int_list e m.strong_support)
+        (Array.of_list mined);
+      let sections =
+        List.filter_map
+          (fun (s : S.section) ->
+            if s.S.name = "pmi.patterns" then Some (S.section "pmi.features" features)
+            else if String.starts_with ~prefix:"pad." s.S.name then None
+            else Some s)
+          (S.read_file fresh ~kind:S.Database)
+      in
+      with_tmp (fun old ->
+          S.write_file old ~kind:S.Database
+            (S.align_payloads ~targets:[ "pmi.flat.bounds" ] sections);
+          let names = List.map (fun (n, _, _) -> n) (S.section_spans (read_bytes old)) in
+          Alcotest.(check bool) "the old image has pmi.features, not pmi.patterns" true
+            (List.mem "pmi.features" names && not (List.mem "pmi.patterns" names));
+          let same what (loaded : Query.database) =
+            let reference = Query.load_database fresh in
+            Alcotest.(check (list string)) (what ^ ": features")
+              (List.map (fun (f : Selection.feature) -> f.key) reference.Query.features)
+              (List.map (fun (f : Selection.feature) -> f.key) loaded.Query.features);
+            check_pmi_identical reference.Query.pmi loaded.Query.pmi;
+            check_same_answers ds reference loaded
+          in
+          same "eager" (Query.load_database old);
+          same "mmap" (Query.load_database ~mmap:true old);
+          same "salvage, intact" (Query.load_database ~salvage:true old);
+          with_tmp (fun resaved ->
+              Query.save_database resaved (Query.load_database old);
+              Alcotest.(check bool) "re-saved as today's image" true
+                (read_bytes resaved = read_bytes fresh));
+          let _, start, stop =
+            List.find (fun (n, _, _) -> n = "pmi.flat.bounds") (S.section_spans (read_bytes old))
+          in
+          let damaged = Bytes.of_string (read_bytes old) in
+          let pos = start + ((stop - start) / 2) in
+          Bytes.set damaged pos (Char.chr (Char.code (Bytes.get damaged pos) lxor 0x20));
+          write_bytes old (Bytes.to_string damaged);
+          same "salvage, damaged bounds" (Query.load_database ~salvage:true old)))
+
 let suite =
   [
     Alcotest.test_case "primitive round trip" `Quick test_primitive_round_trip;
@@ -1054,4 +1119,6 @@ let suite =
       test_view_no_false_dismissals;
     Alcotest.test_case "retired structural sections ignored" `Quick
       test_retired_structural_sections_ignored;
+    Alcotest.test_case "parent-format pmi.features loads" `Quick
+      test_parent_feature_section_loads;
   ]

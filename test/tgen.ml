@@ -174,3 +174,28 @@ let structural_candidates (db : Query.database) qs =
           Structural.candidates db.Query.structural
             ~skeleton:(Corpus.skeleton db.Query.graphs) q ~delta))
     qs
+
+(* Each feature's postings in [db]'s PMI: the graphs it has an entry for,
+   in increasing order. *)
+let postings (db : Query.database) =
+  List.init (Pmi.num_features db.Query.pmi) (fun fi ->
+      List.filter
+        (fun gi -> Pmi.lookup db.Query.pmi ~feature:fi ~graph:gi <> None)
+        (List.init (Pmi.num_graphs db.Query.pmi) Fun.id))
+
+(* Each feature's occurrences among [skels] by VF2: what the miner
+   records as its support, and so what the PMI postings must hold. *)
+let occurrences features skels =
+  List.map
+    (fun (f : Selection.feature) ->
+      List.filter
+        (fun gi -> Vf2.exists f.graph skels.(gi))
+        (List.init (Array.length skels) Fun.id))
+    features
+
+(* [features] as if mined over [skels]: their occurrences as supports.
+   Strong supports stay empty; no index reads them. *)
+let mined_over skels features =
+  List.map2
+    (fun feature support -> { Selection.feature; support; strong_support = [] })
+    features (occurrences features skels)
