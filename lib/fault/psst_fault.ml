@@ -142,6 +142,16 @@ let draw_int s n =
   Int64.to_int (Int64.rem (Int64.shift_right_logical (splitmix_next s.state) 1)
                   (Int64.of_int n))
 
+let flip_bit s data =
+  if data = "" then data
+  else begin
+    let b = Bytes.of_string data in
+    let pos = draw_int s (Bytes.length b) in
+    let bit = draw_int s 8 in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+    Bytes.unsafe_to_string b
+  end
+
 (* --- plan syntax: site=kind[:arg][@prob], comma-separated --- *)
 
 let bad fmt = Printf.ksprintf failwith fmt

@@ -69,6 +69,13 @@ val inject : site -> unit
     seeded schedule. *)
 val draw_int : site -> int -> int
 
+(** [flip_bit s data] — a copy of [data] with one bit inverted, the
+    byte position and then the bit drawn from [s]'s stream by
+    {!draw_int}: the one [Bitflip] every IO site applies, so a seeded
+    plan replays the same damage. [data] comes back unchanged, with no
+    draw, when it is empty. *)
+val flip_bit : site -> string -> string
+
 (** [parse_plan spec] parses the [PSST_FAULTS] syntax:
     [site=kind[:arg][@prob]] entries separated by commas, where [kind]
     is [fail], [delay] (arg = milliseconds, default 10), [partial] or

@@ -45,21 +45,26 @@ let graphs_section graphs =
   S.put_array e Pgraph_io.encode_binary graphs;
   S.section "delta.graphs" e
 
-let save_delta chain ~prev_count graphs =
-  let seq = chain.next_seq in
-  S.write_file (delta_path chain.base seq) ~kind:S.Delta
+let write_delta chain ~prev_count graphs =
+  S.write_file (delta_path chain.base chain.next_seq) ~kind:S.Delta
     [
-      meta_section ~seq ~base_fp:chain.base_fp ~prev_count
+      meta_section ~seq:chain.next_seq ~base_fp:chain.base_fp ~prev_count
         ~count:(Array.length graphs);
       graphs_section graphs;
-    ];
-  chain.next_seq <- seq + 1
+    ]
 
-(* Decode delta [seq]; Store_error on damage or a chain mismatch. The
-   fingerprint pins the delta to its base file and the count pins its
-   position, so replay after a base rebuild or out of order is caught
-   here instead of producing a silently different database. *)
-let decode_delta_sections chain ~seq ~prev_count sections =
+let save_delta chain ~prev_count graphs =
+  write_delta chain ~prev_count graphs;
+  chain.next_seq <- chain.next_seq + 1
+
+(* The one delta validator: every checksum, then the chain stamps. The
+   fingerprint pins delta [seq] to its base file and [prev_count] pins
+   its position, so replay after a base rebuild or out of order is
+   caught here instead of producing a silently different database.
+   Without [prev_count] the stored count is trusted — the primary's
+   read-back before streaming, whose subscriber re-checks it against
+   its own database. Store_error on any anomaly. *)
+let validate chain ~seq ?prev_count sections =
   let stored_seq, fp, stored_prev, count =
     S.decode_section sections "delta.meta" (fun d ->
         let stored_seq = S.get_nat d in
@@ -76,6 +81,7 @@ let decode_delta_sections chain ~seq ~prev_count sections =
       "delta %d of %s was written for a different base corpus (fingerprint \
        %08lx, base is %08lx)"
       seq chain.base fp chain.base_fp;
+  let prev_count = Option.value prev_count ~default:stored_prev in
   if stored_prev <> prev_count then
     S.error "delta %d of %s chains onto %d graphs, the database holds %d" seq
       chain.base stored_prev prev_count;
@@ -88,35 +94,16 @@ let decode_delta_sections chain ~seq ~prev_count sections =
       chain.base (Array.length graphs) count;
   graphs
 
-let read_delta chain ~seq ~prev_count =
-  decode_delta_sections chain ~seq ~prev_count
-    (S.read_file (delta_path chain.base seq) ~kind:S.Delta)
-
-let decode_delta chain ~seq ~prev_count bytes =
-  decode_delta_sections chain ~seq ~prev_count (S.read_string bytes ~kind:S.Delta)
-
-(* Raw bytes of a persisted delta, checksum-verified before they leave —
-   the replication hub streams these so a standby's file is the exact
-   bytes of the primary's, not a re-encoding. *)
+(* Raw bytes of a persisted delta, validated before they leave — the
+   replication hub streams these so a standby's file is the exact bytes
+   of the primary's, not a re-encoding, and local disk rot is caught
+   here rather than on the standby. *)
 let delta_bytes chain ~seq =
-  let path = delta_path chain.base seq in
   let bytes =
-    try In_channel.with_open_bin path In_channel.input_all
+    try In_channel.with_open_bin (delta_path chain.base seq) In_channel.input_all
     with Sys_error m -> S.error "cannot read delta %d of %s: %s" seq chain.base m
   in
-  (* Verify every checksum and the seq/fingerprint stamps before the
-     bytes leave this process; the prev_count in the file is trusted as
-     stored — the subscriber re-checks it against its own database. *)
-  let sections = S.read_string bytes ~kind:S.Delta in
-  let stored_prev =
-    S.decode_section sections "delta.meta" (fun d ->
-        let _seq = S.get_nat d in
-        let _fp = S.get_i32 d in
-        let stored_prev = S.get_nat d in
-        let _count = S.get_nat d in
-        stored_prev)
-  in
-  ignore (decode_delta_sections chain ~seq ~prev_count:stored_prev sections);
+  ignore (validate chain ~seq (S.read_string bytes ~kind:S.Delta));
   bytes
 
 let apply_deltas ~base db =
@@ -128,7 +115,8 @@ let apply_deltas ~base db =
     if not (Sys.file_exists (delta_path base seq)) then db
     else
       match
-        read_delta chain ~seq ~prev_count:(Corpus.length db.Query.graphs)
+        validate chain ~seq ~prev_count:(Corpus.length db.Query.graphs)
+          (S.read_file (delta_path base seq) ~kind:S.Delta)
       with
       | graphs ->
         let db = Query.add_graphs db graphs in
@@ -161,98 +149,62 @@ let clear_deltas path =
   in
   go 1 0
 
-(* --- the replicated-apply path (standby side) --- *)
+(* --- the commit both writers run --- *)
 
-(* Same site Psst_store.write_file fires at, so a chaos plan arming
-   "store.write" hits the standby's verbatim persist exactly like the
-   primary's section writer. *)
-let fault_write = Psst_fault.site "store.write"
-
-(* Persist a received delta byte-for-byte with the store's tmp+rename
-   discipline (and its write-fault semantics: Fail/Partial_io abandon
-   the temporary, Bitflip completes the rename with one damaged byte —
-   which the next load's checksums refuse). *)
-let write_verbatim path bytes =
-  let fault = Psst_fault.fire fault_write in
-  (if fault = Some Psst_fault.Fail then
-     raise (Psst_fault.Injected "injected fault at site store.write"));
-  let data =
-    match fault with
-    | Some Psst_fault.Bitflip when String.length bytes > 0 ->
-      let b = Bytes.of_string bytes in
-      let pos = Psst_fault.draw_int fault_write (Bytes.length b) in
-      let bit = Psst_fault.draw_int fault_write 8 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      Bytes.unsafe_to_string b
-    | _ -> bytes
-  in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match fault with
-  | Some Psst_fault.Partial_io ->
-    let cut =
-      if String.length data = 0 then 0
-      else Psst_fault.draw_int fault_write (String.length data)
+(* Build the next epoch on the current snapshot from [graphs ~prev_count]
+   (the primary's batch, or the standby's validated frame), persist it as
+   delta [chain.next_seq] when a chain is armed, and only then publish it
+   and advance the chain: a raise anywhere publishes nothing and leaves
+   [next_seq] where it was. *)
+let commit ?chain db_ref ~graphs ~persist =
+  let snap = Atomic.get db_ref in
+  let prev_count = Corpus.length snap.db.Query.graphs in
+  match
+    let graphs = graphs ~prev_count in
+    let db', dt =
+      Psst_util.Timer.time (fun () -> Query.add_graphs snap.db graphs)
     in
-    output_substring oc data 0 cut;
-    close_out oc;
-    raise (Psst_fault.Injected "injected fault at site store.write")
-  | Some (Psst_fault.Delay s) ->
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc data;
-        flush oc;
-        Unix.sleepf s)
-  | _ ->
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc data));
-  Sys.rename tmp path
+    Option.iter (fun c -> persist c ~prev_count graphs) chain;
+    (Array.length graphs, db', dt)
+  with
+  | n, db', dt ->
+    Atomic.set db_ref { epoch = snap.epoch + 1; db = db' };
+    Option.iter (fun c -> c.next_seq <- c.next_seq + 1) chain;
+    Psst_obs.incr m_batches;
+    Psst_obs.add m_graphs n;
+    Psst_obs.observe m_apply dt;
+    Ok { epoch = snap.epoch + 1; base = snap.db.Query.base + prev_count; count = n }
+  | exception e ->
+    Psst_obs.incr m_rejects;
+    let msg =
+      match e with
+      | S.Store_error m | Psst_fault.Injected m | Sys_error m -> m
+      | e -> Printexc.to_string e
+    in
+    Psst_obs.warn ~code:"ingest.apply" msg;
+    Error msg
 
+(* The standby's write path: the frame is validated against the live
+   database before anything is written, then persisted byte for byte
+   (hence a chain byte-identical to the primary's). The replication
+   thread is this process's single writer — client Add_graphs is
+   rejected while in standby. *)
 let apply_replicated chain db_ref ~seq ~bytes =
   if seq < chain.next_seq then `Stale
   else if seq > chain.next_seq then
     `Error
       (Printf.sprintf "delta stream gap: expected seq %d, received %d"
          chain.next_seq seq)
-  else begin
-    let snap = Atomic.get db_ref in
-    let prev_count = Corpus.length snap.db.Query.graphs in
+  else
     match
-      let graphs = decode_delta chain ~seq ~prev_count bytes in
-      let db' = Query.add_graphs snap.db graphs in
-      write_verbatim (delta_path chain.base seq) bytes;
-      (graphs, db')
+      commit ~chain db_ref
+        ~graphs:(fun ~prev_count ->
+          validate chain ~seq ~prev_count (S.read_string bytes ~kind:S.Delta))
+        ~persist:(fun c ~prev_count:_ _ ->
+          S.write_bytes (delta_path c.base seq) bytes)
     with
-    | graphs, db' ->
-      (* Same persist-before-swap ordering as the primary's writer: the
-         bytes are on disk (verbatim, hence byte-identical chains) before
-         the epoch is visible to readers, so an acked seq is always
-         reloadable. The replication thread is this process's single
-         writer — client Add_graphs is rejected while in standby. *)
-      Atomic.set db_ref { epoch = snap.epoch + 1; db = db' };
-      chain.next_seq <- seq + 1;
-      Psst_obs.incr m_batches;
-      Psst_obs.add m_graphs (Array.length graphs);
-      `Applied
-        {
-          epoch = snap.epoch + 1;
-          base = snap.db.Query.base + prev_count;
-          count = Array.length graphs;
-        }
-    | exception e ->
-      Psst_obs.incr m_rejects;
-      let msg =
-        match e with
-        | S.Store_error m -> m
-        | Psst_fault.Injected m -> m
-        | Sys_error m -> m
-        | e -> Printexc.to_string e
-      in
-      Psst_obs.warn ~code:"ingest.apply" msg;
-      `Error msg
-  end
+    | Ok r -> `Applied r
+    | Error msg -> `Error msg
 
 (* --- the single-writer pipeline --- *)
 
@@ -342,50 +294,20 @@ let apply_one t b =
   | None ->
     if n = 0 then
       b.ack (Ok { epoch = (Atomic.get t.db_ref).epoch; base = 0; count = 0 })
-    else begin
-      let snap = Atomic.get t.db_ref in
-      let prev_count = Corpus.length snap.db.Query.graphs in
+    else
       match
-        let db', dt =
-          Psst_util.Timer.time (fun () -> Query.add_graphs snap.db b.graphs)
-        in
-        Option.iter (fun chain -> save_delta chain ~prev_count b.graphs) t.chain;
-        (db', dt)
+        commit ?chain:t.chain t.db_ref
+          ~graphs:(fun ~prev_count:_ -> b.graphs)
+          ~persist:write_delta
       with
-      | db', dt ->
-        (* Persisted (when armed) and built: publish. The single writer is
-           the only mutator, so a plain set is a race-free epoch swap. *)
-        Atomic.set t.db_ref { epoch = snap.epoch + 1; db = db' };
+      | Ok result ->
         Atomic.fetch_and_add t.applied n |> ignore;
-        Psst_obs.incr m_batches;
-        Psst_obs.add m_graphs n;
-        Psst_obs.observe m_apply dt;
-        let result =
-          {
-            epoch = snap.epoch + 1;
-            base = snap.db.Query.base + prev_count;
-            count = n;
-          }
-        in
-        let seq =
-          match t.chain with Some c -> Some (c.next_seq - 1) | None -> None
-        in
+        let seq = Option.map (fun c -> c.next_seq - 1) t.chain in
         remember t b.token result seq;
         ack_after_publish t ~seq ~result b.ack
-      | exception e ->
-        (* Injected store.write fault, a full disk, or an invalid graph:
-           nothing was published, so the caller may simply retry. *)
-        Psst_obs.incr m_rejects;
-        let msg =
-          match e with
-          | S.Store_error m -> m
-          | Psst_fault.Injected m -> m
-          | Sys_error m -> m
-          | e -> Printexc.to_string e
-        in
-        Psst_obs.warn ~code:"ingest.apply" msg;
+      | Error msg ->
+        (* Nothing was published, so the caller may simply retry. *)
         b.ack (Error ("ingest batch failed: " ^ msg))
-    end
 
 let writer_loop t =
   let rec loop () =

@@ -56,32 +56,29 @@ type chain = { base : string; base_fp : int32; mutable next_seq : int }
     delta was added ([next_seq] is not advanced). *)
 val save_delta : chain -> prev_count:int -> Pgraph.t array -> unit
 
-(** [decode_delta chain ~seq ~prev_count bytes] decodes one delta from
-    raw file contents with the full chain validation of a file read:
-    checksums, sequence number, base fingerprint and the graph count it
-    chains onto. [Psst_store.Store_error] on any anomaly. A replication
-    subscriber runs this on every received frame {e before} persisting
-    anything. *)
-val decode_delta :
-  chain -> seq:int -> prev_count:int -> string -> Pgraph.t array
-
 (** [delta_bytes chain ~seq] — the raw on-disk bytes of delta [seq],
-    checksum-verified before they leave (so local disk rot is caught
-    here, not on the standby). [Psst_store.Store_error] when the file is
-    missing, unreadable or damaged. The replication hub streams these:
-    a subscriber persisting them verbatim ends up with a chain
-    byte-identical to the primary's. *)
+    validated before they leave: every checksum, the sequence number,
+    the base fingerprint and the graph count (the count it chains onto
+    is taken as stored; the subscriber checks it against its own
+    database). So local disk rot is caught here, not on the standby.
+    [Psst_store.Store_error] when the file is missing, unreadable or
+    damaged. The replication hub streams these: a subscriber persisting
+    them verbatim ends up with a chain byte-identical to the primary's. *)
 val delta_bytes : chain -> seq:int -> string
 
 (** [apply_replicated chain db_ref ~seq ~bytes] — the standby's write
-    path: validate [bytes] with {!decode_delta} against the current
-    snapshot, persist them verbatim (tmp+rename; the ["store.write"]
-    fault site applies), then publish the new epoch and advance the
-    chain — the same persist-before-swap ordering as the primary's
-    writer. [`Stale] when [seq] was already applied (a reconnect replay:
-    harmless), [`Error] on a gap, damaged bytes or a failed persist — in
-    which case nothing was persisted or published. The caller must be
-    the process's only database mutator. *)
+    path. It validates [bytes] as delta [seq] against the current
+    snapshot (checksums, sequence number, base fingerprint, the graph
+    count it chains onto, the graph count it holds) before anything is
+    written, then runs the primary's commit: build the next epoch,
+    persist [bytes] verbatim with {!Psst_store.write_bytes} (the
+    ["store.write"] fault site applies), publish the epoch and advance
+    the chain — the same persist-before-swap ordering and the same
+    counters as the primary's writer. [`Stale] when [seq] was already
+    applied (a reconnect replay: harmless), [`Error] on a gap, damaged
+    bytes or a failed persist — in which case nothing was published and
+    [next_seq] is unchanged. The caller must be the process's only
+    database mutator. *)
 val apply_replicated :
   chain ->
   snapshot Atomic.t ->

@@ -65,26 +65,27 @@ let stream_loop h s =
     else begin
       let seq = s.next in
       Mutex.unlock h.hmutex;
-      match I.delta_bytes h.chain ~seq with
-      | bytes ->
-        if s.send (P.Delta_frame { seq; bytes }) then begin
-          Psst_obs.incr m_frames;
-          Mutex.lock h.hmutex;
-          s.next <- seq + 1;
-          Mutex.unlock h.hmutex;
-          loop ()
-        end
-        else close_sub h s
-      | exception Psst_store.Store_error msg ->
+      match s.send (P.Delta_frame { seq; bytes = I.delta_bytes h.chain ~seq }) with
+      | true ->
+        Psst_obs.incr m_frames;
+        Mutex.lock h.hmutex;
+        s.next <- seq + 1;
+        Mutex.unlock h.hmutex;
+        loop ()
+      | false -> close_sub h s
+      | exception e ->
+        (* An unreadable delta, or a send that raises (a frame over the
+           wire's payload cap): drop the subscriber, never the thread
+           alone — a dead thread would leave it in [subs], and every
+           later ack would wait out the gate's full timeout. *)
         Psst_obs.incr m_stream_errors;
+        let msg =
+          match e with
+          | Psst_store.Store_error m | Sys_error m | P.Proto_error m -> m
+          | e -> Printexc.to_string e
+        in
         Psst_obs.warn ~code:"replica.stream"
-          (Printf.sprintf "delta %d unreadable, dropping subscriber %d: %s"
-             seq s.sid msg);
-        close_sub h s
-      | exception Sys_error msg ->
-        Psst_obs.incr m_stream_errors;
-        Psst_obs.warn ~code:"replica.stream"
-          (Printf.sprintf "delta %d unreadable, dropping subscriber %d: %s"
+          (Printf.sprintf "cannot stream delta %d, dropping subscriber %d: %s"
              seq s.sid msg);
         close_sub h s
     end
@@ -269,14 +270,7 @@ let fault_frame bytes =
   | Some (Psst_fault.Delay d) ->
     Thread.delay d;
     bytes
-  | Some Psst_fault.Bitflip ->
-    let b = Bytes.of_string bytes in
-    if Bytes.length b > 0 then begin
-      let i = Psst_fault.draw_int fault_stream (Bytes.length b) in
-      let bit = Psst_fault.draw_int fault_stream 8 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
-    end;
-    Bytes.to_string b
+  | Some Psst_fault.Bitflip -> Psst_fault.flip_bit fault_stream bytes
   | Some (Psst_fault.Fail | Psst_fault.Partial_io) ->
     raise (Psst_fault.Injected "replica.stream")
 

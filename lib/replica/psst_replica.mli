@@ -5,8 +5,10 @@
     subscribes to the primary's delta stream ([Subscribe] from its
     chain's next sequence number), and for every received
     {!Psst_proto.reply.Delta_frame} — the {e exact on-disk bytes} of one
-    [BASE.delta.K] file — validates, persists verbatim and publishes the
-    new epoch through {!Psst_ingest.apply_replicated}, then sends
+    [BASE.delta.K] file — validates, persists verbatim (through
+    {!Psst_store.write_bytes}, the writer of every store file) and
+    publishes the new epoch through {!Psst_ingest.apply_replicated},
+    the primary's own commit, then sends
     [Replica_ack]. The standby's chain is byte-identical to the
     primary's, so its answers at an applied epoch are bit-identical to
     an offline run over the same chain, and promotion is just "stop the
@@ -35,7 +37,11 @@ type hub
 (** [hub ?ack_timeout_ms chain] — a replication hub over the primary's
     delta chain. [ack_timeout_ms] (default 5000, [0.] = wait forever)
     bounds how long an ingest ack waits for standby acknowledgements
-    before degrading to a retryable ["replication lagging"] error. *)
+    before degrading to a retryable ["replication lagging"] error. A
+    subscriber whose [send] returns [false] is dropped; so is one whose
+    next delta cannot be read back or whose [send] raises, with a
+    ["replica.stream"] warning and a ["replica.stream.errors"] bump.
+    Either way the gate stops waiting for it. *)
 val hub : ?ack_timeout_ms:float -> Psst_ingest.chain -> hub
 
 (** The {!Psst_server.publisher} to inject into [Psst_server.start] —

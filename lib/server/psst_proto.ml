@@ -589,17 +589,12 @@ let read_frame_fd ?deadline fd =
   (* Wire corruption: damage a byte the CRC covers — the payload when
      there is one, a stored-CRC byte otherwise — so validation below must
      reject the frame exactly like a flipped byte on a real link. *)
+  let payload = Bytes.unsafe_to_string payload in
   let crc, payload =
     if not bitflip then (crc, payload)
-    else if len > 0 then begin
-      let p = Psst_fault.draw_int fault_read len in
-      Bytes.set payload p
-        (Char.chr (Char.code (Bytes.get payload p) lxor (1 lsl Psst_fault.draw_int fault_read 8)));
-      (crc, payload)
-    end
+    else if len > 0 then (crc, Psst_fault.flip_bit fault_read payload)
     else (Int32.logxor crc 0x1l, payload)
   in
-  let payload = Bytes.unsafe_to_string payload in
   check_crc (Bytes.sub_string head 0 20) crc payload;
   (tag, payload)
 
@@ -620,13 +615,7 @@ let write_frame_fd ?deadline fd data =
     | Some (Psst_fault.Delay s) ->
       Unix.sleepf s;
       (max_int, data)
-    | Some Psst_fault.Bitflip when String.length data > 0 ->
-      let b = Bytes.of_string data in
-      let p = Psst_fault.draw_int fault_write (Bytes.length b) in
-      Bytes.set b p
-        (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl Psst_fault.draw_int fault_write 8)));
-      (max_int, Bytes.unsafe_to_string b)
-    | Some Psst_fault.Bitflip -> (max_int, data)
+    | Some Psst_fault.Bitflip -> (max_int, Psst_fault.flip_bit fault_write data)
   in
   let len = String.length data in
   let sent = ref 0 in

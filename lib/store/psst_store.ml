@@ -59,7 +59,6 @@ type enc = Buffer.t
 let encoder () = Buffer.create 4096
 let contents = Buffer.contents
 let enc_length = Buffer.length
-let put_raw = Buffer.add_string
 let put_i64 e i = Buffer.add_int64_le e (Int64.of_int i)
 let put_i32 e (i : int32) = Buffer.add_int32_le e i
 
@@ -231,34 +230,16 @@ let section_crc s =
     (Crc32.digest s.name)
     s.payload ~pos:0 ~len:(String.length s.payload)
 
-let write_file ?(version = format_version) path ~kind sections =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf magic;
-  add_u32 buf (Int32.of_int version);
-  add_u32 buf (Int32.of_int (kind_tag kind));
-  add_u32 buf (Int32.of_int (List.length sections));
-  add_u32 buf (Crc32.update 0l (Buffer.contents buf) ~pos:0 ~len:20);
-  List.iter
-    (fun s ->
-      add_u32 buf (Int32.of_int (String.length s.name));
-      Buffer.add_string buf s.name;
-      Buffer.add_int64_le buf (Int64.of_int (String.length s.payload));
-      add_u32 buf (section_crc s);
-      Buffer.add_string buf s.payload)
-    sections;
+(* The one atomic writer: every store file, and every delta a standby
+   receives, reaches disk through this tmp+rename. *)
+let write_bytes path data =
   let fault = Psst_fault.fire fault_write in
   if fault = Some Psst_fault.Fail then injected fault_write;
+  (* Bitflip completes the write and the rename, but with one damaged
+     byte: the readers' checksums must refuse the file. *)
   let data =
-    match fault with
-    | Some Psst_fault.Bitflip when Buffer.length buf > 0 ->
-      (* Complete the write and the rename, but with one damaged byte:
-         the readers' checksums must refuse the file. *)
-      let b = Buffer.to_bytes buf in
-      let pos = Psst_fault.draw_int fault_write (Bytes.length b) in
-      let bit = Psst_fault.draw_int fault_write 8 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      Bytes.unsafe_to_string b
-    | _ -> Buffer.contents buf
+    if fault = Some Psst_fault.Bitflip then Psst_fault.flip_bit fault_write data
+    else data
   in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -274,23 +255,38 @@ let write_file ?(version = format_version) path ~kind sections =
     output_substring oc data 0 cut;
     close_out oc;
     injected fault_write
-  | Some (Psst_fault.Delay s) ->
-    (* Stall with the temporary half-written and flushed: the window a
-       SIGKILL-mid-write test aims at. *)
-    let half = String.length data / 2 in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_substring oc data 0 half;
-        flush oc;
-        Unix.sleepf s;
-        output_substring oc data half (String.length data - half));
-    Sys.rename tmp path
   | _ ->
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc data);
-    Sys.rename tmp path)
+      (fun () ->
+        match fault with
+        | Some (Psst_fault.Delay s) ->
+          (* Stall with the temporary half-written and flushed: the
+             window a SIGKILL-mid-write test aims at. *)
+          let half = String.length data / 2 in
+          output_substring oc data 0 half;
+          flush oc;
+          Unix.sleepf s;
+          output_substring oc data half (String.length data - half)
+        | _ -> output_string oc data));
+  Sys.rename tmp path
+
+let write_file ?(version = format_version) path ~kind sections =
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf magic;
+  add_u32 buf (Int32.of_int version);
+  add_u32 buf (Int32.of_int (kind_tag kind));
+  add_u32 buf (Int32.of_int (List.length sections));
+  add_u32 buf (Crc32.update 0l (Buffer.contents buf) ~pos:0 ~len:20);
+  List.iter
+    (fun s ->
+      add_u32 buf (Int32.of_int (String.length s.name));
+      Buffer.add_string buf s.name;
+      Buffer.add_int64_le buf (Int64.of_int (String.length s.payload));
+      add_u32 buf (section_crc s);
+      Buffer.add_string buf s.payload)
+    sections;
+  write_bytes path (Buffer.contents buf)
 
 (* --- reading the framing ---
 
@@ -467,17 +463,12 @@ let read_whole_file path =
   | Some (Psst_fault.Delay s) ->
     Unix.sleepf s;
     contents
-  | Some Psst_fault.Bitflip when String.length contents > 0 ->
-    let b = Bytes.of_string contents in
-    let pos = Psst_fault.draw_int fault_read (Bytes.length b) in
-    let bit = Psst_fault.draw_int fault_read 8 in
-    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-    Bytes.unsafe_to_string b
+  | Some Psst_fault.Bitflip -> Psst_fault.flip_bit fault_read contents
   | Some Psst_fault.Partial_io when String.length contents > 0 ->
     String.sub contents 0 (Psst_fault.draw_int fault_read (String.length contents))
-  | Some (Psst_fault.Bitflip | Psst_fault.Partial_io) -> contents
+  | Some Psst_fault.Partial_io -> contents
 
-(* Crash-safe cleanup: an interrupted [write_file] leaves [path ^ ".tmp"]
+(* Crash-safe cleanup: an interrupted [write_bytes] leaves [path ^ ".tmp"]
    behind (the rename never ran, so [path] itself is the intact previous
    version). The next open removes the orphan so it cannot accumulate or
    be mistaken for live data. *)
@@ -623,7 +614,6 @@ let map_file path ~kind =
     raise e
   | m -> m
 
-let mapped_path m = m.m_path
 let mapped_has m name = List.exists (fun (f : frame) -> f.name = name) m.m_frames
 
 let mapped_frame m name =

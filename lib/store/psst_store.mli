@@ -62,14 +62,25 @@ val kind_name : kind -> string
 
 type section = { name : string; payload : string }
 
-(** [write_file ?version path ~kind sections] writes atomically (via a
-    temporary file and rename). [?version] exists so tests can produce
+(** [write_bytes path data] — the one atomic writer: [data] goes to
+    [path ^ ".tmp"], which is then renamed over [path], so [path] holds
+    either its previous contents or all of [data]. The ["store.write"]
+    fault site applies: [Fail] raises before the temporary is opened,
+    [Partial_io] leaves a prefix in the temporary and raises (no
+    rename), [Bitflip] renames a copy with one bit flipped (the readers'
+    checksums refuse it), and [Delay s] stalls [s] seconds with half the
+    bytes flushed to the temporary before finishing and renaming. *)
+val write_bytes : string -> string -> unit
+
+(** [write_file ?version path ~kind sections] frames [sections] (header,
+    then each section with its CRC-32) and writes the result with
+    {!write_bytes}. [?version] exists so tests can produce
     version-skewed files; production callers omit it. *)
 val write_file : ?version:int -> string -> kind:kind -> section list -> unit
 
 (** [read_file path ~kind] validates the header and every section checksum.
     Raises {!Store_error} on any anomaly. As a side effect it removes an
-    orphaned [path ^ ".tmp"] left behind by an interrupted {!write_file}
+    orphaned [path ^ ".tmp"] left behind by an interrupted {!write_bytes}
     (counted as ["store.tmp_cleaned"], with a warning event) — the rename
     never ran, so [path] itself is still the intact previous version. *)
 val read_file : string -> kind:kind -> section list
@@ -120,9 +131,6 @@ val contents : enc -> string
 (** Bytes written so far — flat encoders use it to record offsets. *)
 val enc_length : enc -> int
 
-(** [put_raw e s] appends [s] with no length prefix (the receiving decoder
-    must know the extent some other way, e.g. from a directory section). *)
-val put_raw : enc -> string -> unit
 val put_i64 : enc -> int -> unit
 val put_i32 : enc -> int32 -> unit
 
@@ -213,7 +221,6 @@ type mapped
     shared read-only mapping cannot be damaged without copying). *)
 val map_file : string -> kind:kind -> mapped
 
-val mapped_path : mapped -> string
 val mapped_has : mapped -> string -> bool
 
 (** [mapped_section_string m name] verifies the section's stored CRC and

@@ -1075,6 +1075,41 @@ let test_ingest_store_faults_reject_cleanly () =
   let reloaded, _ = Psst_ingest.load path in
   Alcotest.(check int) "reload = base + applied batch" 17
     (Corpus.length reloaded.Query.graphs);
+  (* A standby persists the replicated frame through the same writer:
+     the same plans reject it just as cleanly. *)
+  with_tmp (fun spath ->
+      write_bytes spath base_bytes;
+      let sdb, schain = Psst_ingest.load spath in
+      let snap = Atomic.make { Psst_ingest.epoch = 0; db = sdb } in
+      let bytes = Psst_ingest.delta_bytes chain ~seq:1 in
+      let sdelta = Psst_ingest.delta_path spath 1 in
+      List.iter
+        (fun (label, plan) ->
+          F.arm ~seed:43 [ ("store.write", plan, 1.) ];
+          Fun.protect ~finally:F.disarm (fun () ->
+              (match Psst_ingest.apply_replicated schain snap ~seq:1 ~bytes with
+              | `Error _ -> ()
+              | `Applied _ | `Stale ->
+                Alcotest.failf "standby %s: persist fault must reject the frame"
+                  label);
+              Alcotest.(check int) ("standby " ^ label ^ ": epoch unchanged") 0
+                (Atomic.get snap).Psst_ingest.epoch;
+              Alcotest.(check int)
+                ("standby " ^ label ^ ": next_seq unchanged") 1
+                schain.Psst_ingest.next_seq;
+              Alcotest.(check bool) ("standby " ^ label ^ ": no delta file")
+                false (Sys.file_exists sdelta)))
+        [ ("fail", F.Fail); ("partial", F.Partial_io) ];
+      (match Psst_ingest.apply_replicated schain snap ~seq:1 ~bytes with
+      | `Applied r ->
+        Alcotest.(check int) "standby applies after disarm" 1 r.Psst_ingest.epoch
+      | `Stale | `Error _ -> Alcotest.fail "frame must apply once disarmed");
+      Alcotest.(check bool) "standby's delta = the primary's bytes" true
+        (read_bytes sdelta = bytes);
+      let sreloaded, _ = Psst_ingest.load spath in
+      Alcotest.(check int) "standby reload = base + applied batch" 17
+        (Corpus.length sreloaded.Query.graphs);
+      ignore (Psst_ingest.clear_deltas spath));
   ignore (Psst_ingest.clear_deltas path)
 
 (* Armed server.batch faults while epochs advance: ingest still applies

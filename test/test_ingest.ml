@@ -470,6 +470,30 @@ let test_delta_chain_fuzzing () =
     Alcotest.(check bool) (what ^ ": damage was metered") true
       (stale () > before)
   in
+  (* A scratch standby over a copy of the base, one frame behind: every
+     damaged delta 2 must be refused before anything is written. *)
+  with_tmp_store @@ fun spath ->
+  write_file spath (read_file path);
+  let sdb, schain = Psst_ingest.load spath in
+  let snap = Atomic.make { Psst_ingest.epoch = 0; db = sdb } in
+  (match
+     Psst_ingest.apply_replicated schain snap ~seq:1
+       ~bytes:(read_file (Psst_ingest.delta_path path 1))
+   with
+  | `Applied _ -> ()
+  | `Stale | `Error _ -> Alcotest.fail "standby: pristine delta 1 must apply");
+  let sd2 = Psst_ingest.delta_path spath 2 in
+  let check_standby_rejects what bytes =
+    (match Psst_ingest.apply_replicated schain snap ~seq:2 ~bytes with
+    | `Error _ -> ()
+    | `Applied _ | `Stale -> Alcotest.failf "%s: standby must refuse" what);
+    Alcotest.(check bool) (what ^ ": standby wrote no delta 2") false
+      (Sys.file_exists sd2);
+    Alcotest.(check int) (what ^ ": standby epoch unchanged") 1
+      (Atomic.get snap).Psst_ingest.epoch;
+    Alcotest.(check int) (what ^ ": standby next_seq unchanged") 2
+      schain.Psst_ingest.next_seq
+  in
   (* Sanity: the pristine chain replays in full. *)
   let full, _ = Psst_ingest.load path in
   Alcotest.(check int) "pristine chain replays" 15
@@ -487,8 +511,10 @@ let test_delta_chain_fuzzing () =
   List.iter
     (fun cut ->
       if cut < String.length original then begin
+        let what = Printf.sprintf "truncated at %d" cut in
         write_file d2 (String.sub original 0 cut);
-        check_stops_at_prefix (Printf.sprintf "truncated at %d" cut)
+        check_stops_at_prefix what;
+        check_standby_rejects what (String.sub original 0 cut)
       end)
     boundaries;
   (* Byte flips: the whole header, and a sample of every section. *)
@@ -501,9 +527,17 @@ let test_delta_chain_fuzzing () =
       let corrupt = Bytes.of_string original in
       Bytes.set corrupt pos
         (Char.chr (Char.code (Bytes.get corrupt pos) lxor 0xFF));
+      let what = Printf.sprintf "byte %d flipped" pos in
       write_file d2 (Bytes.to_string corrupt);
-      check_stops_at_prefix (Printf.sprintf "byte %d flipped" pos))
+      check_stops_at_prefix what;
+      check_standby_rejects what (Bytes.to_string corrupt))
     positions;
+  (* The pristine frame then applies, persisted byte for byte. *)
+  (match Psst_ingest.apply_replicated schain snap ~seq:2 ~bytes:original with
+  | `Applied _ -> ()
+  | `Stale | `Error _ -> Alcotest.fail "standby: pristine delta 2 must apply");
+  Alcotest.(check bool) "standby's delta 2 = the primary's bytes" true
+    (read_file sd2 = original);
   (* Restore: nothing was cached across the damaged loads. *)
   write_file d2 original;
   let restored, chain' = Psst_ingest.load path in

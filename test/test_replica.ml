@@ -413,6 +413,35 @@ let test_ack_gate_lagging () =
 
 (* --- subscribe validation on the wire --- *)
 
+(* A subscriber whose send raises (as the listener's does for a frame
+   over the wire's payload cap) is dropped like one whose send fails:
+   the gate then sees no standby instead of waiting out its timeout on a
+   subscriber whose streaming thread is gone. *)
+let test_raising_send_drops_subscriber () =
+  let _, db = make_db 761 8 in
+  with_tmp_store @@ fun ppath ->
+  Query.save_database ppath db;
+  let _, chain = I.load ppath in
+  I.save_delta chain ~prev_count:8 (make_batch 767 2);
+  let hub = Replica.hub ~ack_timeout_ms:200. chain in
+  Fun.protect ~finally:(fun () -> Replica.stop_hub hub) (fun () ->
+      let pub = Replica.publisher hub in
+      let errors () =
+        Psst_obs.counter_value (Psst_obs.counter "replica.stream.errors")
+      in
+      let before = errors () in
+      (match
+         pub.Server.pub_subscribe ~from_seq:1 ~send:(fun _ ->
+             raise (P.Proto_error "payload exceeds max_payload"))
+       with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "subscribe refused: %s" msg);
+      Alcotest.(check bool)
+        "a raising send leaves no standby to wait for" true
+        (pub.Server.pub_publish ~seq:1 = `No_standby);
+      Alcotest.(check bool) "the dropped stream is metered" true
+        (errors () > before))
+
 let test_subscribe_validation () =
   let _, db = make_db 757 8 in
   with_tmp_store @@ fun ppath ->
@@ -619,4 +648,6 @@ let suite =
     Alcotest.test_case "promotion loses no acked batch" `Quick test_promotion;
     Alcotest.test_case "router failover keeps answers exact" `Quick
       test_router_failover;
+    Alcotest.test_case "raising send drops the subscriber" `Quick
+      test_raising_send_drops_subscriber;
   ]
