@@ -686,7 +686,7 @@ let serve num_graphs seed input index_file mmap socket port host domains
       stats_json
 
 let client socket port host num_graphs seed qsize nqueries epsilon delta
-    exact_verifier input tenant add_file do_ping do_health do_stats
+    exact_verifier input tenant add_file do_ping do_health stats_json
     connect_timeout_ms timeout_ms retries backoff_ms =
   or_die @@ fun () ->
   (match tenant with
@@ -808,7 +808,12 @@ let client socket port host num_graphs seed qsize nqueries epsilon delta
           queries;
         Printf.printf "%d queries answered in %.3fs\n%!" nqueries t
       end;
-      if do_stats then print_string (Psst_client.stats_json c))
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Psst_client.stats_json c));
+          Printf.printf "stats written to %s\n%!" path)
+        stats_json)
 
 (* --- experiment --- *)
 
@@ -1297,11 +1302,14 @@ let client_cmd =
             "Print the server's health snapshot (uptime, queue depth, \
              served / degraded / retryable-rejection counters).")
   in
-  let do_stats =
+  let stats_json =
     Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print the server's metrics registry JSON after the queries.")
+      value
+      & opt (some string) None
+      & info [ "stats-json" ] ~docv:"FILE"
+          ~doc:
+            "After the queries, write the server's metrics registry \
+             (counters, histograms, warning events) as JSON to $(docv).")
   in
   let connect_timeout_ms =
     Arg.(
@@ -1345,7 +1353,7 @@ let client_cmd =
     Term.(
       const client $ socket_arg $ port_arg $ host_arg $ num_graphs_arg
       $ seed_arg $ qsize $ nqueries $ epsilon $ delta $ exact $ input_arg
-      $ tenant $ add_file $ do_ping $ do_health $ do_stats
+      $ tenant $ add_file $ do_ping $ do_health $ stats_json
       $ connect_timeout_ms $ timeout_ms $ retries $ backoff_ms)
 
 let experiment_cmd =

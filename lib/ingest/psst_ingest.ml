@@ -211,7 +211,6 @@ let apply_replicated chain db_ref ~seq ~bytes =
 type publish = seq:int -> [ `Replicated | `No_standby | `Lagging of string ]
 
 type batch = {
-  tenant : string;
   token : string;  (* idempotency key; "" = dedup disabled *)
   graphs : Pgraph.t array;
   ack : (result, string) Result.t -> unit;
@@ -229,30 +228,15 @@ type t = {
   db_ref : snapshot Atomic.t;
   chain : chain option;
   publish : publish option;
-  queue_cap : int;
-  tenant_quota : int;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  pending : batch Queue.t;
-  per_tenant : (string, int) Hashtbl.t;  (* queued graphs, guarded by mutex *)
-  mutable queued : int;  (* total queued graphs, guarded by mutex *)
-  mutable stopping : bool;
+  queue : batch Psst_util.Tenant_queue.t;  (* weighed in graphs *)
   applied : int Atomic.t;  (* graphs applied to the live database *)
   tokens : (string, remembered) Hashtbl.t;  (* writer thread only *)
   token_fifo : string Queue.t;  (* insertion order, for bounded eviction *)
   mutable writer : Thread.t option;
 }
 
-let queued_graphs t =
-  Mutex.lock t.mutex;
-  let n = t.queued in
-  Mutex.unlock t.mutex;
-  n
-
+let queued_graphs t = Psst_util.Tenant_queue.weight t.queue
 let applied_graphs t = Atomic.get t.applied
-
-let tenant_queued t tenant =
-  Option.value (Hashtbl.find_opt t.per_tenant tenant) ~default:0
 
 (* Remember an applied batch's ack under its idempotency token (bounded:
    oldest tokens are evicted past [token_cap]). Writer thread only. *)
@@ -309,48 +293,24 @@ let apply_one t b =
         (* Nothing was published, so the caller may simply retry. *)
         b.ack (Error ("ingest batch failed: " ^ msg))
 
-let writer_loop t =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.pending && not t.stopping do
-      Condition.wait t.cond t.mutex
-    done;
-    let next =
-      if Queue.is_empty t.pending then None
-      else begin
-        let b = Queue.pop t.pending in
-        let n = Array.length b.graphs in
-        t.queued <- t.queued - n;
-        Hashtbl.replace t.per_tenant b.tenant (tenant_queued t b.tenant - n);
-        Some b
-      end
-    in
-    Mutex.unlock t.mutex;
-    match next with
-    | Some b ->
-      apply_one t b;
-      loop ()
-    | None -> () (* stopping with an empty queue: drained *)
-  in
-  loop ()
+(* One batch per take, round-robin across tenants, until the queue is
+   closed and drained. *)
+let rec writer_loop t =
+  match Psst_util.Tenant_queue.take t.queue ~max:1 with
+  | [] -> ()
+  | batches ->
+    List.iter (apply_one t) batches;
+    writer_loop t
 
-let create ?chain ?publish ?(tenant_quota = 0) ~queue_cap db_ref =
-  if queue_cap < 1 then invalid_arg "Psst_ingest: queue_cap must be >= 1";
-  if tenant_quota < 0 then
-    invalid_arg "Psst_ingest: tenant_quota must be >= 0";
+let create ?chain ?publish ?tenant_quota ~queue_cap db_ref =
   let t =
     {
       db_ref;
       chain;
       publish;
-      queue_cap;
-      tenant_quota;
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      pending = Queue.create ();
-      per_tenant = Hashtbl.create 8;
-      queued = 0;
-      stopping = false;
+      queue =
+        Psst_util.Tenant_queue.create ~depth:m_queue_depth ?quota:tenant_quota
+          ~cap:queue_cap ();
       applied = Atomic.make 0;
       tokens = Hashtbl.create 64;
       token_fifo = Queue.create ();
@@ -368,30 +328,12 @@ let create ?chain ?publish ?(tenant_quota = 0) ~queue_cap db_ref =
   t
 
 let submit ?(token = "") t ~tenant graphs ~ack =
-  let n = Array.length graphs in
-  Mutex.lock t.mutex;
   let verdict =
-    if t.stopping then `Stopped
-    else if t.queued + n > t.queue_cap then `Full
-    else if t.tenant_quota > 0 && tenant_queued t tenant + n > t.tenant_quota
-    then `Quota
-    else begin
-      Queue.add { tenant; token; graphs; ack } t.pending;
-      t.queued <- t.queued + n;
-      Hashtbl.replace t.per_tenant tenant (tenant_queued t tenant + n);
-      Psst_obs.observe m_queue_depth (float_of_int t.queued);
-      Condition.signal t.cond;
-      `Queued
-    end
+    Psst_util.Tenant_queue.submit t.queue ~tenant ~weight:(Array.length graphs)
+      { token; graphs; ack }
   in
-  Mutex.unlock t.mutex;
   (match verdict with `Full | `Quota -> Psst_obs.incr m_rejects | _ -> ());
   verdict
 
 let stop t =
-  Mutex.lock t.mutex;
-  let already = t.stopping in
-  t.stopping <- true;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex;
-  if not already then Option.iter Thread.join t.writer
+  if Psst_util.Tenant_queue.close t.queue then Option.iter Thread.join t.writer

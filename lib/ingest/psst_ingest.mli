@@ -120,9 +120,12 @@ type publish = seq:int -> [ `Replicated | `No_standby | `Lagging of string ]
 
 (** [create ?chain ?publish ?tenant_quota ~queue_cap db_ref] spawns the
     writer thread. [db_ref] is the epoch-swapped database the server
-    serves from; the writer is its only mutator. [queue_cap] bounds the
-    total graphs queued across tenants (>= 1); [tenant_quota] (default
-    0 = unlimited) bounds the graphs one tenant may have queued.
+    serves from; the writer is its only mutator. Batches wait in one
+    {!Psst_util.Tenant_queue} weighed in graphs: [queue_cap] bounds the
+    total graphs queued across tenants (>= 1), [tenant_quota] (default
+    0 = unlimited) the graphs one tenant may have queued, and the writer
+    applies one batch per rota turn, so batches from different tenants
+    apply round-robin while each tenant's stay in order.
     [chain] arms delta persistence: every batch is persisted {e before}
     the epoch swap, so an acknowledged batch is always on disk and a
     failed write rejects the batch with the database unchanged.
@@ -137,14 +140,14 @@ val create :
   snapshot Atomic.t ->
   t
 
-(** [submit ?token t ~tenant graphs ~ack] — enqueue one batch. [`Queued]
-    hands the batch to the writer, which eventually calls [ack] (on the
-    writer thread) with [Ok result] after the epoch swap or [Error msg]
-    when applying or persisting failed (the database is unchanged; the
-    condition is transient, so the caller should answer with a retryable
-    error). [`Full]/[`Quota] reject without queueing — [ack] is never
-    called — when the queue or the tenant's quota cannot take
-    [Array.length graphs] more graphs; [`Stopped] likewise after
+(** [submit ?token t ~tenant graphs ~ack] — enqueue one batch of weight
+    [Array.length graphs]. [`Admitted] hands the batch to the writer,
+    which eventually calls [ack] (on the writer thread) with [Ok result]
+    after the epoch swap or [Error msg] when applying or persisting
+    failed (the database is unchanged; the condition is transient, so
+    the caller should answer with a retryable error). [`Quota]/[`Full]
+    reject without queueing — [ack] is never called — when the tenant's
+    quota or the queue cannot take the batch; [`Closed] likewise after
     {!stop} began. Empty batches are applied trivially (no epoch swap,
     [count = 0]).
 
@@ -159,7 +162,7 @@ val submit :
   tenant:string ->
   Pgraph.t array ->
   ack:((result, string) Result.t -> unit) ->
-  [ `Queued | `Full | `Quota | `Stopped ]
+  Psst_util.Tenant_queue.verdict
 
 (** Capacity of the writer's token-dedup memory (oldest evicted past
     it). *)
@@ -171,6 +174,6 @@ val queued_graphs : t -> int
 (** Graphs applied to the live database since {!create}. *)
 val applied_graphs : t -> int
 
-(** Closes admission ([`Stopped] from then on), drains every queued
+(** Closes admission ([`Closed] from then on), drains every queued
     batch — each gets its [ack] — and joins the writer. Idempotent. *)
 val stop : t -> unit

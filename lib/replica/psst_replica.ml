@@ -235,14 +235,10 @@ let interruptible_sleep st seconds =
   in
   go ()
 
-(* Capped exponential backoff with deterministic jitter keyed on the
-   attempt number — reconnect storms from several standbys spread out
-   without a global randomness source. *)
 let backoff st ~attempt =
-  let base = st.backoff_ms *. (2. ** float_of_int (min attempt 16)) in
-  let capped = Float.min base st.max_backoff_ms in
-  let jitter = 0.8 +. (0.4 *. float_of_int (attempt * 7919 mod 997) /. 997.) in
-  interruptible_sleep st (capped *. jitter /. 1000.)
+  interruptible_sleep st
+    (Client.backoff_delay ~base_ms:st.backoff_ms ~cap_ms:st.max_backoff_ms
+       attempt)
 
 (* Wait for the next frame without committing to a blocking read: slices
    of [select] keep the loop responsive to stop_standby while the stream
@@ -330,12 +326,7 @@ let standby_loop st =
       | Drop_connection msg ->
         Psst_obs.incr m_reconnects;
         Psst_obs.warn ~code:"replica.stream" msg
-      | End_of_file
-      | P.Proto_error _ | P.Timed_out
-      | Unix.Unix_error (_, _, _)
-      | Sys_error _
-      | Client.Client_error _
-      | Psst_fault.Injected _ ->
+      | e when Client.link_broken e ->
         Psst_obs.incr m_reconnects;
         if not (stopping st) then
           Psst_obs.warn ~code:"replica.stream"

@@ -64,8 +64,8 @@ type standby
     standby server's {!Psst_server.snapshot_ref}), acknowledge, repeat.
     Any failure — connect refused, stream broken, frame rejected — drops
     the connection and reconnects from the chain's next sequence number
-    with capped exponential backoff ([backoff_ms] doubled per attempt up
-    to [max_backoff_ms], deterministic jitter), so a standby that
+    with {!Psst_client.backoff_delay} ([backoff_ms] doubled per attempt
+    up to [max_backoff_ms], deterministic jitter), so a standby that
     outlives its primary keeps trying until the primary returns or it is
     promoted. The loop must be the process's only database mutator: run
     it in a server with [writable = false]. *)

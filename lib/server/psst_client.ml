@@ -137,13 +137,25 @@ let add_graphs ?(id = 0) ?token c graphs =
     Error (code, message)
   | _ -> raise (Client_error "add_graphs: unexpected reply")
 
-(* Capped exponential backoff with a deterministic jitter (a PRNG here
-   would make load-driver runs unrepeatable); returns seconds. *)
-let backoff_delay backoff_ms attempt =
-  let base = backoff_ms *. (2. ** float_of_int attempt) in
-  let capped = Float.min base 2000. in
+(* Capped exponential backoff with a deterministic jitter keyed on the
+   attempt (a PRNG here would make load-driver runs unrepeatable, and
+   reconnect storms from several peers still spread out); seconds. *)
+let backoff_delay ~base_ms ~cap_ms attempt =
+  let capped = Float.min (base_ms *. (2. ** float_of_int attempt)) cap_ms in
   let jitter = 0.75 +. (0.5 *. float_of_int (attempt * 7919 mod 997) /. 997.) in
   capped *. jitter /. 1000.
+
+let link_broken = function
+  | End_of_file | Proto.Proto_error _ | Proto.Timed_out
+  | Unix.Unix_error (_, _, _)
+  | Sys_error _ | Client_error _
+  | Psst_fault.Injected _ ->
+    true
+  | _ -> false
+
+(* A reply that breaks the protocol is the server's fault, not the
+   link's: it escapes run_all's retry loop as a Client_error. *)
+exception Violation of string
 
 let run_all ?(max_retries = 0) ?(backoff_ms = 50.) c queries config =
   let queries = Array.of_list queries in
@@ -179,22 +191,17 @@ let run_all ?(max_retries = 0) ?(backoff_ms = 50.) c queries config =
               | Proto.Pong | Proto.Topk_answer _ | Proto.Stats_json _
               | Proto.Health_reply _ | Proto.Ingest_ack _ | Proto.Delta_frame _
                 ->
-                raise (Client_error "run_all: unexpected reply kind")
+                raise (Violation "run_all: unexpected reply kind")
             in
             if id < 0 || id >= n then
-              raise (Client_error "run_all: reply id out of range");
+              raise (Violation "run_all: reply id out of range");
             if out.(id) <> None then
-              raise (Client_error "run_all: duplicate reply id");
+              raise (Violation "run_all: duplicate reply id");
             out.(id) <- Some reply;
             decr remaining
           done;
           true
-        with
-        | End_of_file | Proto.Proto_error _ | Proto.Timed_out
-        | Unix.Unix_error (_, _, _)
-        | Sys_error _
-        | Psst_fault.Injected _ ->
-          false
+        with e when link_broken e -> false
       in
       (* Retryable error replies (queue full, shutdown, unavailable) are
          resubmitted while retries remain; past the budget they stay in
@@ -223,13 +230,13 @@ let run_all ?(max_retries = 0) ?(backoff_ms = 50.) c queries config =
             (Proto.endpoint_to_string c.endpoint)
             (List.length (pending ()))
             n (!attempt + 1);
-        Unix.sleepf (backoff_delay backoff_ms !attempt);
+        Unix.sleepf (backoff_delay ~base_ms:backoff_ms ~cap_ms:2000. !attempt);
         incr attempt;
         if not transport_ok then reconnect c;
         go ()
       end
   in
-  go ();
+  (try go () with Violation msg -> raise (Client_error msg));
   Array.map
     (function
       | Some r -> r

@@ -80,6 +80,19 @@ val add_graphs :
   Pgraph.t array ->
   (Psst_ingest.result, Psst_proto.error_code * string) result
 
+(** [backoff_delay ~base_ms ~cap_ms attempt] — the reconnect policy's
+    sleep before retry [attempt] (0-based), in seconds: [base_ms]
+    doubled per attempt, capped at [cap_ms], times a deterministic
+    jitter in [0.75, 1.25) keyed on [attempt]. {!run_all}, the router's
+    worker links and the replication standby all back off with it. *)
+val backoff_delay : base_ms:float -> cap_ms:float -> int -> float
+
+(** [link_broken e] — whether [e] means the connection broke or could
+    not be made (end of stream, a bad frame, a timeout, a socket or
+    connect error, an injected fault), so the caller should drop the
+    link and reconnect. *)
+val link_broken : exn -> bool
+
 (** [run_all c queries config] — pipeline all queries (ids [0..n-1]),
     then collect the replies and return them indexed by query position
     (replies may arrive out of order across micro-batches). Each slot is
@@ -88,10 +101,11 @@ val add_graphs :
     [max_retries] (default 0) bounds recovery attempts: a transport break
     triggers reconnect-and-resend of the unanswered ids; a retryable
     error reply (queue full / shutdown / unavailable) is resubmitted.
-    Each recovery round sleeps [backoff_ms] (default 50) doubled per
-    attempt, capped at 2 s, with deterministic jitter. Past the budget a
-    transport break raises {!Client_error}; retryable error replies are
-    returned in their slots. *)
+    Each recovery round sleeps {!backoff_delay} with base [backoff_ms]
+    (default 50) and a 2 s cap. Past the budget a transport break raises
+    {!Client_error}; retryable error replies are returned in their
+    slots. A reply that breaks the protocol (wrong kind, unknown or
+    repeated id) raises {!Client_error} at once, without a retry. *)
 val run_all :
   ?max_retries:int ->
   ?backoff_ms:float ->

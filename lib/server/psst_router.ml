@@ -167,14 +167,6 @@ let mark_alive t sid rid epoch =
 
 (* --- worker links --- *)
 
-let transport_failure = function
-  | End_of_file | Proto.Proto_error _ | Proto.Timed_out
-  | Unix.Unix_error (_, _, _)
-  | Sys_error _ | Client.Client_error _
-  | Psst_fault.Injected _ ->
-    true
-  | _ -> false
-
 let drop_client ws =
   match ws.client with
   | Some c ->
@@ -219,7 +211,7 @@ let retry_rpc t ws sid req =
       sync_preferred t ws sid;
       match Client.rpc (ensure_client t ws sid) req with
       | reply -> Some reply
-      | exception e when transport_failure e ->
+      | exception e when Client.link_broken e ->
         drop_client ws;
         mark_dead t sid ws.rid;
         go (attempt + 1)
@@ -256,7 +248,7 @@ let scatter t (wss : wstate array) req =
       sync_preferred t wss.(sid) sid;
       match Client.send (ensure_client t wss.(sid) sid) req with
       | () -> state.(sid) <- `Sent
-      | exception e when transport_failure e ->
+      | exception e when Client.link_broken e ->
         drop_client wss.(sid);
         mark_dead t sid wss.(sid).rid;
         state.(sid) <- `Retry
@@ -269,7 +261,7 @@ let scatter t (wss : wstate array) req =
       | `Sent -> (
         match Client.read_reply (ensure_client t wss.(sid) sid) with
         | reply -> Some reply
-        | exception e when transport_failure e ->
+        | exception e when Client.link_broken e ->
           drop_client wss.(sid);
           mark_dead t sid wss.(sid).rid;
           retry_rpc t wss.(sid) sid req)
@@ -418,7 +410,7 @@ let probe t sid rid =
   | h ->
     mark_alive t sid rid h.Proto.epoch;
     Some h
-  | exception e when transport_failure e ->
+  | exception e when Client.link_broken e ->
     mark_dead t sid rid;
     None
 

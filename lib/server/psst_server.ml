@@ -3,17 +3,20 @@
    Thread roles:
      - accept thread and reader threads (Psst_listener): one reader per
        connection parses frames, answers Ping/Get_stats/Set_tenant
-       inline, admits Run/Run_topk into the bounded per-tenant queues (or
-       rejects with a retryable error when the queue / tenant quota is
-       full or the server is stopping), and hands Add_graphs batches to
-       the ingest writer;
-     - batcher thread: owns the domain pool; pops micro-batches
-       round-robin across tenants, enforces queue-wait deadlines,
-       executes with Query.run_batch, writes replies;
+       inline, submits Run/Run_topk to the query queue and Add_graphs
+       batches to the ingest writer's queue, and answers a refused
+       submission with a retryable error;
+     - batcher thread: owns the domain pool; takes micro-batches from
+       the query queue, enforces queue-wait deadlines, executes with
+       Query.run_batch, writes replies;
      - ingest writer (Psst_ingest, when enabled): the single mutator of
        the served database — applies Add_graphs batches, persists them
        as delta files, and publishes each new epoch with one atomic
        swap.
+
+   Both queues are Psst_util.Tenant_queue instances, so the cap, the
+   per-tenant quota, round-robin between tenants and the drain barrier
+   are one policy for queries (weight 1) and ingest (weight = graphs).
 
    Snapshot consistency: the live database is an epoch-numbered
    immutable snapshot behind an Atomic. Readers capture the snapshot at
@@ -22,10 +25,10 @@
    and every answer is bit-identical to an offline Query.run against
    that epoch's database.
 
-   The queue mutex orders admission against the drain: once [stopping] is
-   set under the mutex, no new job can enter, so the batcher's "stopping
-   and empty" exit condition is a true drain barrier — every admitted
-   request is answered before stop() returns. *)
+   Closing the query queue is the drain barrier: no job enters after
+   it, and the batcher's take returns nothing only once every admitted
+   job is out, so every admitted request is answered before stop()
+   returns. *)
 
 module Proto = Psst_proto
 module Listener = Psst_listener
@@ -56,7 +59,6 @@ type config = {
   deadline_ms : float;
   verify_budget_ms : float;
   batch_max : int;
-  trace_cap : int;
   cache_cap : int;
   ingest_queue_cap : int;
   tenant_quota : int;
@@ -74,7 +76,6 @@ let default_config endpoint =
     deadline_ms = 0.;
     verify_budget_ms = 0.;
     batch_max = 32;
-    trace_cap = 256;
     cache_cap = 16384;
     ingest_queue_cap = 1024;
     tenant_quota = 0;
@@ -94,6 +95,9 @@ type publisher = {
 }
 
 let default_tenant = "default"
+
+(* Per-query traces retained for [--stats-json]. *)
+let trace_cap = 256
 
 (* Chaos site around batch execution (DESIGN.md §12): a Fail plan here
    stands in for the verification stage dying (pool wedged, OOM-killed
@@ -122,20 +126,13 @@ type t = {
          persistent pool; None when [cache_cap = 0]. Scoped by physical
          database identity, so an epoch swap flushes it automatically. *)
   listener : Listener.t;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  (* Per-tenant FIFO queues with a round-robin rota: a tenant is in
-     [tenant_rota] exactly when its queue is non-empty, and the batcher
-     takes one job per rota turn, so a tenant saturating its quota gets
-     an equal share of batch slots, never the whole batch. All three
-     fields are guarded by [mutex]. *)
-  tqueues : (string, job Queue.t) Hashtbl.t;
-  mutable tenant_rota : string list;
-  mutable queued_total : int;
-  mutable stopping : bool;
+  queue : job Psst_util.Tenant_queue.t;
+      (* one job per rota turn, so a tenant saturating its quota gets an
+         equal share of batch slots, never the whole batch *)
   mutable is_stopped : bool;
   mutable batch_thread : Thread.t option;
-  trace_ring : Psst_obs.Trace.t Queue.t;  (* guarded by [mutex] *)
+  trace_mutex : Mutex.t;
+  trace_ring : Psst_obs.Trace.t Queue.t;  (* guarded by [trace_mutex] *)
 }
 
 let endpoint t = Listener.endpoint t.listener
@@ -148,97 +145,63 @@ let writable t = t.writable
 let set_writable t w = t.writable <- w
 
 let traces t =
-  Mutex.lock t.mutex;
-  let l = List.of_seq (Queue.to_seq t.trace_ring) in
-  Mutex.unlock t.mutex;
-  l
+  Mutex.protect t.trace_mutex (fun () -> List.of_seq (Queue.to_seq t.trace_ring))
 
 let push_trace t tr =
-  Mutex.lock t.mutex;
-  Queue.add tr t.trace_ring;
-  while Queue.length t.trace_ring > t.cfg.trace_cap do
-    ignore (Queue.pop t.trace_ring)
-  done;
-  Mutex.unlock t.mutex
+  Mutex.protect t.trace_mutex (fun () ->
+      Queue.add tr t.trace_ring;
+      while Queue.length t.trace_ring > trace_cap do
+        ignore (Queue.pop t.trace_ring)
+      done)
 
 let reply t c r = Listener.reply t.listener c r
 
 (* --- admission --- *)
 
-let tenant_queue t tenant =
-  match Hashtbl.find_opt t.tqueues tenant with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.add t.tqueues tenant q;
-    q
+(* The one rejection mapping, for queries and ingest batches alike: a
+   refused submission becomes its Error_reply, its server.reject.*
+   counter and the tenant's [rejected] counter. [`Ingest] picks the
+   ingest queue's wording and cap. *)
+let reject t c ~id ~tenant ~queue verdict =
+  let name, quota, units, cap =
+    match queue with
+    | `Query -> ("admission queue", "quota", "requests", t.cfg.queue_cap)
+    | `Ingest -> ("ingest queue", "ingest quota", "graphs", t.cfg.ingest_queue_cap)
+  in
+  let code, message, counter =
+    match verdict with
+    | `Full ->
+      ( Proto.Queue_full,
+        Printf.sprintf "%s full (%d %s); retry later" name cap units,
+        Some m_reject_full )
+    | `Quota ->
+      ( Proto.Queue_full,
+        Printf.sprintf "tenant %S is at its %s (%d queued %s); retry later"
+          tenant quota t.cfg.tenant_quota units,
+        Some m_reject_quota )
+    | `Closed ->
+      ( Proto.Shutdown,
+        "server is shutting down; retry elsewhere",
+        Some m_reject_shutdown )
+    | `Unavailable msg -> (Proto.Unavailable, msg, None)
+  in
+  Option.iter Psst_obs.incr counter;
+  Psst_obs.incr (tenant_counter tenant "rejected");
+  reply t c (Proto.Error_reply { id; code; message })
 
 let admit t job =
-  Mutex.lock t.mutex;
-  let verdict =
-    if t.stopping then `Shutdown
-    else begin
-      let q = tenant_queue t job.jtenant in
-      if t.cfg.tenant_quota > 0 && Queue.length q >= t.cfg.tenant_quota then
-        `Quota
-      else if t.queued_total >= t.cfg.queue_cap then `Full
-      else begin
-        if Queue.is_empty q then
-          t.tenant_rota <- t.tenant_rota @ [ job.jtenant ];
-        Queue.add job q;
-        t.queued_total <- t.queued_total + 1;
-        Psst_obs.observe m_queue_depth (float_of_int t.queued_total);
-        Condition.signal t.cond;
-        `Admitted
-      end
-    end
-  in
-  Mutex.unlock t.mutex;
-  match verdict with
+  match
+    Psst_util.Tenant_queue.submit t.queue ~tenant:job.jtenant ~weight:1 job
+  with
   | `Admitted -> Psst_obs.incr (tenant_counter job.jtenant "admitted")
-  | `Full ->
-    Psst_obs.incr m_reject_full;
-    Psst_obs.incr (tenant_counter job.jtenant "rejected");
-    reply t job.jconn
-      (Proto.Error_reply
-         {
-           id = job.jid;
-           code = Proto.Queue_full;
-           message =
-             Printf.sprintf "admission queue full (%d requests); retry later"
-               t.cfg.queue_cap;
-         })
-  | `Quota ->
-    Psst_obs.incr m_reject_quota;
-    Psst_obs.incr (tenant_counter job.jtenant "rejected");
-    reply t job.jconn
-      (Proto.Error_reply
-         {
-           id = job.jid;
-           code = Proto.Queue_full;
-           message =
-             Printf.sprintf
-               "tenant %S is at its quota (%d queued requests); retry later"
-               job.jtenant t.cfg.tenant_quota;
-         })
-  | `Shutdown ->
-    Psst_obs.incr m_reject_shutdown;
-    reply t job.jconn
-      (Proto.Error_reply
-         {
-           id = job.jid;
-           code = Proto.Shutdown;
-           message = "server is shutting down; retry elsewhere";
-         })
+  | (`Quota | `Full | `Closed) as v ->
+    reject t job.jconn ~id:job.jid ~tenant:job.jtenant ~queue:`Query v
 
 let health_snapshot t =
-  Mutex.lock t.mutex;
-  let depth = t.queued_total in
-  Mutex.unlock t.mutex;
   let snap = Atomic.get t.db_ref in
   {
     (Listener.health t.listener) with
-    Proto.queue_depth = depth;
+    Proto.queue_depth = Psst_util.Tenant_queue.weight t.queue;
     epoch = snap.Psst_ingest.epoch;
     ingest_queued =
       (match t.ingest with
@@ -257,22 +220,16 @@ let health = health_snapshot
    Ingest_ack in hand means every later query on any connection sees the
    new graphs. *)
 let handle_add_graphs t c ~tenant ~id ~token graphs =
-  let reject code message =
-    Psst_obs.incr (tenant_counter tenant "rejected");
-    (match code with
-    | Proto.Queue_full -> Psst_obs.incr m_reject_full
-    | Proto.Shutdown -> Psst_obs.incr m_reject_shutdown
-    | _ -> ());
-    reply t c (Proto.Error_reply { id; code; message })
-  in
+  let reject = reject t c ~id ~tenant ~queue:`Ingest in
   if not t.writable then
-    reject Proto.Unavailable
-      "this server is a read-only standby; send writes to the primary"
+    reject
+      (`Unavailable
+        "this server is a read-only standby; send writes to the primary")
   else
   match t.ingest with
   | None ->
-    reject Proto.Unavailable
-      "ingest is disabled on this server (--ingest-queue-cap 0)"
+    reject
+      (`Unavailable "ingest is disabled on this server (--ingest-queue-cap 0)")
   | Some ing -> (
     let ack = function
       | Ok (r : Psst_ingest.result) ->
@@ -283,21 +240,11 @@ let handle_add_graphs t c ~tenant ~id ~token graphs =
       | Error msg ->
         (* Persist or apply failed; nothing was published, so the batch
            is safely retryable. *)
-        reject Proto.Unavailable msg
+        reject (`Unavailable msg)
     in
     match Psst_ingest.submit ~token ing ~tenant graphs ~ack with
-    | `Queued -> ()
-    | `Full ->
-      reject Proto.Queue_full
-        (Printf.sprintf "ingest queue full (%d graphs); retry later"
-           t.cfg.ingest_queue_cap)
-    | `Quota ->
-      reject Proto.Queue_full
-        (Printf.sprintf
-           "tenant %S is at its ingest quota (%d queued graphs); retry later"
-           tenant t.cfg.tenant_quota)
-    | `Stopped ->
-      reject Proto.Shutdown "server is shutting down; retry elsewhere")
+    | `Admitted -> ()
+    | (`Quota | `Full | `Closed) as v -> reject v)
 
 (* One connection's state: its tenant (set by Set_tenant) and, once
    Subscribe turned it into a replication stream, its subscription —
@@ -480,61 +427,25 @@ let process_batch t batch =
         job_error t j Proto.Internal ("top-k failed: " ^ msg))
     topks
 
-(* Pop up to [batch_max] jobs, one per tenant per rota turn (caller holds
-   the mutex). A tenant leaves the rota when its queue empties and
-   re-enters at the tail on its next admission, so no tenant is ever
-   starved by another's backlog. *)
-let pop_batch t =
-  let batch = ref [] in
-  let n = ref 0 in
-  while !n < t.cfg.batch_max && t.queued_total > 0 do
-    match t.tenant_rota with
-    | [] ->
-      (* Unreachable: queued_total > 0 implies a non-empty queue, and
-         every non-empty queue's tenant is in the rota. *)
-      t.queued_total <- 0
-    | tenant :: rest -> (
-      match Hashtbl.find_opt t.tqueues tenant with
-      | None -> t.tenant_rota <- rest
-      | Some q ->
-        if Queue.is_empty q then t.tenant_rota <- rest
-        else begin
-          batch := Queue.pop q :: !batch;
-          incr n;
-          t.queued_total <- t.queued_total - 1;
-          t.tenant_rota <-
-            (if Queue.is_empty q then rest else rest @ [ tenant ])
-        end)
-  done;
-  List.rev !batch
-
-let batch_loop t =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while t.queued_total = 0 && not t.stopping do
-      Condition.wait t.cond t.mutex
-    done;
-    let batch = pop_batch t in
-    Mutex.unlock t.mutex;
-    if batch <> [] then begin
-      process_batch t batch;
-      loop ()
-    end
-    else if not t.stopping then loop ()
-    (* else: stopping with an empty queue — drained, exit. *)
-  in
-  loop ()
+let rec batch_loop t =
+  match Psst_util.Tenant_queue.take t.queue ~max:t.cfg.batch_max with
+  | [] -> () (* closed and drained *)
+  | batch ->
+    process_batch t batch;
+    batch_loop t
 
 (* --- lifecycle --- *)
 
 let start ?chain ?publisher cfg db =
-  if cfg.queue_cap < 1 then invalid_arg "Psst_server: queue_cap must be >= 1";
   if cfg.batch_max < 1 then invalid_arg "Psst_server: batch_max must be >= 1";
   if cfg.cache_cap < 0 then invalid_arg "Psst_server: cache_cap must be >= 0";
   if cfg.ingest_queue_cap < 0 then
     invalid_arg "Psst_server: ingest_queue_cap must be >= 0";
-  if cfg.tenant_quota < 0 then
-    invalid_arg "Psst_server: tenant_quota must be >= 0";
+  (* Raises on a bad queue_cap or tenant_quota, before anything is bound. *)
+  let queue =
+    Psst_util.Tenant_queue.create ~depth:m_queue_depth ~quota:cfg.tenant_quota
+      ~cap:cfg.queue_cap ()
+  in
   let listener = Listener.bind m_listener cfg.endpoint in
   let db_ref = Atomic.make { Psst_ingest.epoch = 0; db } in
   let t =
@@ -556,14 +467,10 @@ let start ?chain ?publisher cfg db =
         (if cfg.cache_cap > 0 then Some (Qcache.create ~value_cap:cfg.cache_cap ())
          else None);
       listener;
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      tqueues = Hashtbl.create 8;
-      tenant_rota = [];
-      queued_total = 0;
-      stopping = false;
+      queue;
       is_stopped = false;
       batch_thread = None;
+      trace_mutex = Mutex.create ();
       trace_ring = Queue.create ();
     }
   in
@@ -581,12 +488,7 @@ let start ?chain ?publisher cfg db =
   t
 
 let stop t =
-  Mutex.lock t.mutex;
-  let already = t.stopping in
-  t.stopping <- true;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex;
-  if not already then begin
+  if Psst_util.Tenant_queue.close t.queue then begin
     Listener.close_admission t.listener;
     Option.iter Thread.join t.batch_thread;
     (* Queries are drained; now drain the ingest writer so every admitted

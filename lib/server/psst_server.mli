@@ -8,11 +8,12 @@
     Execution model: one accept thread and one lightweight reader thread
     per connection (the shared {!Psst_listener}), a single batcher thread that owns the domain pool, and
     (when ingest is enabled) one {!Psst_ingest} writer thread. Readers
-    admit [Run]/[Run_topk] requests into bounded per-tenant queues
-    (explicit backpressure: a full queue or tenant quota yields a
-    retryable [`Queue_full`] error reply, never an unbounded buffer); the
-    batcher drains the queues round-robin across tenants in micro-batches
-    and executes them with {!Query.run_batch} on the shared pool, so
+    submit [Run]/[Run_topk] requests to one bounded
+    {!Psst_util.Tenant_queue} (explicit backpressure: a full queue or
+    tenant quota yields a retryable [`Queue_full`] error reply, never an
+    unbounded buffer); the batcher takes micro-batches of [batch_max]
+    round-robin across tenants and executes them with
+    {!Query.run_batch} on the shared pool, so
     concurrent requests interleave across domains while each answer stays
     bit-identical to an offline {!Query.run}. [Ping]/[Get_stats]/
     [Set_tenant] are answered inline by the reader and never queue.
@@ -27,10 +28,16 @@
     before its epoch is published.
 
     Multi-tenancy: a connection runs as tenant ["default"] until it sends
-    [Set_tenant]. Admission quotas ([tenant_quota]) bound each tenant's
-    queued queries and queued ingest graphs, the batcher takes one job
-    per tenant per rota turn (a saturating tenant gets an equal share of
-    batch slots, never the whole batch), and per-tenant
+    [Set_tenant]. Queries (weight 1, capped at [queue_cap]) and ingest
+    batches (weight = graphs, capped at [ingest_queue_cap]) wait in two
+    instances of the same {!Psst_util.Tenant_queue}: [tenant_quota]
+    bounds each tenant's queued queries and, separately, its queued
+    ingest graphs; the quota is checked before the cap; and both the
+    batcher and the ingest writer serve tenants round-robin (a
+    saturating tenant gets an equal share of batch slots or writer
+    turns, never all of them). Every refusal, from either queue, goes
+    through one mapping to its reply, its [server.reject.*] counter and
+    the tenant's [rejected] counter; per-tenant
     [server.tenant.<name>.{admitted,served,rejected,ingested}] counters
     appear in [Get_stats].
 
@@ -59,7 +66,6 @@ type config = {
           superset-safe answer under overload instead of an ever-growing
           latency tail. [0.] disables budgets (exact answers always). *)
   batch_max : int;  (** micro-batch size cap *)
-  trace_cap : int;  (** per-query traces retained for [--stats-json] *)
   cache_cap : int;
       (** cross-query verification cache ({!Qcache}) value-table bound;
           [0] disables the cache. Cached answers are bit-identical to
@@ -73,8 +79,8 @@ type config = {
   tenant_quota : int;
       (** per-tenant bound on queued queries and queued ingest graphs;
           [0] disables quotas. Exceeding it yields a retryable
-          [`Queue_full`] reply metered on the tenant's [rejected]
-          counter. *)
+          [`Queue_full`] reply metered on [server.reject.tenant_quota]
+          and the tenant's [rejected] counter. *)
   writable : bool;
       (** [false] starts the server as a read-only standby: [Add_graphs]
           is rejected with a retryable [Unavailable] (the replication
@@ -84,7 +90,7 @@ type config = {
 }
 
 (** Unix socket, 1 domain, queue of 128, no deadline, no verification
-    budget, batches of 32, 256 traces, cache of 16384 entries, ingest
+    budget, batches of 32, cache of 16384 entries, ingest
     queue of 1024 graphs, no tenant quota, writable. *)
 val default_config : Psst_proto.endpoint -> config
 
@@ -143,7 +149,7 @@ val stop : t -> unit
 (** True once {!stop} has completed. *)
 val stopped : t -> bool
 
-(** Most recent per-query traces (oldest first, at most [trace_cap]). *)
+(** Most recent per-query traces (oldest first, at most 256). *)
 val traces : t -> Psst_obs.Trace.t list
 
 (** Requests answered since {!start} (including error replies). *)

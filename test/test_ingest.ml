@@ -214,6 +214,8 @@ let tenant_rejected name =
   Psst_obs.counter_value
     (Psst_obs.counter (Printf.sprintf "server.tenant.%s.rejected" name))
 
+let counter name = Psst_obs.counter_value (Psst_obs.counter name)
+
 let test_tenant_quota_rejects () =
   let ds, db = make_db 437 12 in
   let batch = make_batch 917 20 in
@@ -221,6 +223,7 @@ let test_tenant_quota_rejects () =
       with_client srv (fun c ->
           Client.set_tenant c "alice";
           let before = tenant_rejected "alice" in
+          let quota_before = counter "server.reject.tenant_quota" in
           (match Client.add_graphs c batch with
           | Error (P.Queue_full, msg) ->
             Alcotest.(check bool) "retryable" true
@@ -231,6 +234,8 @@ let test_tenant_quota_rejects () =
           | Error _ -> Alcotest.fail "expected Queue_full");
           Alcotest.(check bool) "alice's rejection was metered" true
             (tenant_rejected "alice" > before);
+          Alcotest.(check int) "metered as a quota rejection" (quota_before + 1)
+            (counter "server.reject.tenant_quota");
           (* Within quota still works, and under its own tenant meter. *)
           (match Client.add_graphs c (Array.sub batch 0 4) with
           | Ok r -> Alcotest.(check int) "small batch applied" 4 r.Psst_ingest.count
@@ -293,6 +298,61 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Ingest batches from different tenants apply round-robin, not in
+   arrival order. An armed store.write delay holds the writer inside
+   alice's first batch while alice queues two more and then bob queues
+   one; bob's batch must apply before alice's third. *)
+let test_ingest_tenants_round_robin () =
+  with_tmp_store @@ fun path ->
+  let _, db = make_db 451 10 in
+  Query.save_database path db;
+  let db, chain = Psst_ingest.load path in
+  let a1 = make_batch 951 2 and a2 = make_batch 953 2 in
+  let a3 = make_batch 955 2 and b1 = make_batch 957 2 in
+  let wait_until what cond =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what;
+      Thread.delay 0.002
+    done
+  in
+  let send c id graphs =
+    Client.send c (P.Add_graphs { id; token = ""; graphs })
+  in
+  let ack_epoch c id =
+    match Client.read_reply c with
+    | P.Ingest_ack { id = rid; epoch; _ } when rid = id -> epoch
+    | _ -> Alcotest.failf "batch %d: expected its Ingest_ack" id
+  in
+  with_server ~chain db (fun srv ->
+      with_client srv (fun alice ->
+          with_client srv (fun bob ->
+              Client.set_tenant alice "alice";
+              Client.set_tenant bob "bob";
+              let queued () = (Server.health srv).P.ingest_queued in
+              let fired = counter "fault.store.write" in
+              Psst_fault.arm [ ("store.write", Psst_fault.Delay 0.5, 1.) ];
+              Fun.protect ~finally:Psst_fault.disarm (fun () ->
+                  send alice 1 a1;
+                  wait_until "the writer stalls in alice's first persist"
+                    (fun () -> counter "fault.store.write" > fired);
+                  send alice 2 a2;
+                  send alice 3 a3;
+                  wait_until "alice's two batches queued" (fun () ->
+                      queued () = 4);
+                  send bob 4 b1;
+                  wait_until "bob's batch queued" (fun () -> queued () >= 6);
+                  Alcotest.(check int) "all three queued behind the stall" 6
+                    (queued ()));
+              let e1 = ack_epoch alice 1 in
+              let e2 = ack_epoch alice 2 in
+              let e3 = ack_epoch alice 3 in
+              let eb = ack_epoch bob 4 in
+              Alcotest.(check (list int)) "alice's batches stay in order"
+                [ 1; 2; 4 ] [ e1; e2; e3 ];
+              Alcotest.(check bool) "bob's batch applies before alice's third"
+                true (eb < e3))))
 
 let test_delta_persistence_roundtrip () =
   with_tmp_store @@ fun path ->
@@ -594,6 +654,8 @@ let suite =
       test_ingest_stacks;
     Alcotest.test_case "tenant quota rejects retryably, metered" `Quick
       test_tenant_quota_rejects;
+    Alcotest.test_case "tenants' batches apply round-robin" `Quick
+      test_ingest_tenants_round_robin;
     Alcotest.test_case "ingest queue bound rejects retryably" `Quick
       test_ingest_queue_full_rejects;
     Alcotest.test_case "ingest disabled answers Unavailable" `Quick

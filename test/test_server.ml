@@ -37,7 +37,7 @@ let base_config =
   { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
 
 let with_server ?(domains = 1) ?(queue_cap = 128) ?(deadline_ms = 0.)
-    ?(batch_max = 32) db f =
+    ?(batch_max = 32) ?(tenant_quota = 0) db f =
   let path = Filename.temp_file "psst_test_srv" ".sock" in
   let srv =
     Server.start
@@ -47,6 +47,7 @@ let with_server ?(domains = 1) ?(queue_cap = 128) ?(deadline_ms = 0.)
         queue_cap;
         deadline_ms;
         batch_max;
+        tenant_quota;
       }
       db
   in
@@ -200,6 +201,47 @@ let test_queue_full_rejection () =
           Alcotest.(check bool) "a full queue rejected the rest" true (!full >= 1);
           Alcotest.(check bool) "queue_full is retryable" true
             (P.error_code_retryable P.Queue_full)))
+
+(* The tenant quota on queries: with one query running and one queued,
+   the tenant's next query is refused as retryable Queue_full naming the
+   tenant, on the quota counter and the tenant's rejected counter — while
+   the admission queue itself (cap 128) has room. *)
+let test_tenant_quota_rejection () =
+  let ds, db = make_db 257 15 in
+  let rng = Prng.make 59 in
+  let q, _ = Generator.extract_query rng ds ~edges:4 in
+  let counter name = Psst_obs.counter_value (Psst_obs.counter name) in
+  let quota0 = counter "server.reject.tenant_quota" in
+  let full0 = counter "server.reject.queue_full" in
+  let carol0 = counter "server.tenant.carol.rejected" in
+  with_server ~tenant_quota:1 ~batch_max:1 db (fun srv ->
+      with_client srv (fun c ->
+          Client.set_tenant c "carol";
+          let n = 16 in
+          let replies = Client.run_all c (List.init n (fun _ -> q)) slow_config in
+          let answered = ref 0 and quota = ref 0 in
+          Array.iter
+            (function
+              | P.Answer _ -> incr answered
+              | P.Error_reply { code = P.Queue_full; message; _ } ->
+                Alcotest.(check string) "message names the tenant and quota"
+                  "tenant \"carol\" is at its quota (1 queued requests); \
+                   retry later"
+                  message;
+                incr quota
+              | P.Error_reply { code; _ } ->
+                Alcotest.failf "unexpected reject: %s" (P.error_code_name code)
+              | _ -> Alcotest.fail "unexpected reply kind")
+            replies;
+          Alcotest.(check int) "every request got a reply" n (!answered + !quota);
+          Alcotest.(check bool) "some requests were answered" true (!answered >= 1);
+          Alcotest.(check bool) "the quota refused the rest" true (!quota >= 1);
+          Alcotest.(check int) "metered on the quota counter" (quota0 + !quota)
+            (counter "server.reject.tenant_quota");
+          Alcotest.(check int) "not on the queue-full counter" full0
+            (counter "server.reject.queue_full");
+          Alcotest.(check int) "metered on carol's counter" (carol0 + !quota)
+            (counter "server.tenant.carol.rejected")))
 
 let test_deadline_rejection () =
   let ds, db = make_db 239 15 in
@@ -444,6 +486,8 @@ let suite =
       test_tcp_endpoint_port_resolution;
     Alcotest.test_case "full queue rejects with Queue_full" `Slow
       test_queue_full_rejection;
+    Alcotest.test_case "tenant quota rejects queries with Queue_full" `Slow
+      test_tenant_quota_rejection;
     Alcotest.test_case "stale requests rejected by deadline" `Slow
       test_deadline_rejection;
     Alcotest.test_case "stop drains in-flight requests" `Slow

@@ -2,6 +2,7 @@ module Bitset = Psst_util.Bitset
 module Prng = Psst_util.Prng
 module Stats = Psst_util.Stats
 module Combin = Psst_util.Combin
+module Tq = Psst_util.Tenant_queue
 
 let test_bitset_basics () =
   let b = Bitset.create 130 in
@@ -188,6 +189,101 @@ let prop_combinations_count =
       let l = List.init n (fun i -> i) in
       List.length (Combin.combinations k l) = Combin.binomial n k)
 
+(* --- the tenant queue: the server's one admission policy --- *)
+
+let verdict =
+  Alcotest.testable
+    (fun ppf v ->
+      Format.pp_print_string ppf
+        (match v with
+        | `Admitted -> "Admitted"
+        | `Quota -> "Quota"
+        | `Full -> "Full"
+        | `Closed -> "Closed"))
+    ( = )
+
+let test_tq_cap_quota () =
+  let q = Tq.create ~quota:3 ~cap:5 () in
+  let submit tenant weight = Tq.submit q ~tenant ~weight tenant in
+  Alcotest.(check verdict) "a: 2 of quota 3" `Admitted (submit "a" 2);
+  Alcotest.(check verdict) "a: 2 more passes quota 3" `Quota (submit "a" 2);
+  Alcotest.(check verdict) "b: 3 fills cap 5" `Admitted (submit "b" 3);
+  Alcotest.(check verdict) "c: 1 passes cap 5" `Full (submit "c" 1);
+  Alcotest.(check verdict) "a: over quota and cap: quota first" `Quota
+    (submit "a" 2);
+  Alcotest.(check verdict) "a: within quota, over cap" `Full (submit "a" 1);
+  Alcotest.(check int) "refusals leave the weight" 5 (Tq.weight q);
+  Alcotest.(check verdict) "an item heavier than the cap" `Full
+    (Tq.submit (Tq.create ~cap:5 ()) ~tenant:"a" ~weight:6 "a");
+  Alcotest.check_raises "cap 0" (Invalid_argument "Tenant_queue: cap must be >= 1")
+    (fun () -> ignore (Tq.create ~cap:0 ()));
+  Alcotest.check_raises "negative quota"
+    (Invalid_argument "Tenant_queue: quota must be >= 0") (fun () ->
+      ignore (Tq.create ~quota:(-1) ~cap:1 ()))
+
+let test_tq_weight_zero () =
+  let q = Tq.create ~quota:1 ~cap:1 () in
+  Alcotest.(check verdict) "fills the cap" `Admitted
+    (Tq.submit q ~tenant:"a" ~weight:1 "a1");
+  Alcotest.(check verdict) "weight 0 at a full cap and quota" `Admitted
+    (Tq.submit q ~tenant:"a" ~weight:0 "a0");
+  Alcotest.(check int) "weighs nothing" 1 (Tq.weight q);
+  Alcotest.(check (list string)) "taken in order" [ "a1"; "a0" ]
+    (Tq.take q ~max:2);
+  Alcotest.(check int) "empty" 0 (Tq.weight q)
+
+let test_tq_fifo_round_robin () =
+  let q = Tq.create ~cap:100 () in
+  List.iter
+    (fun x -> ignore (Tq.submit q ~tenant:(String.sub x 0 1) ~weight:1 x))
+    [ "A1"; "A2"; "A3"; "B1" ];
+  let taken = List.concat_map (fun _ -> Tq.take q ~max:1) [ 1; 2; 3; 4 ] in
+  Alcotest.(check (list string)) "take ~max:1 four times"
+    [ "A1"; "B1"; "A2"; "A3" ] taken;
+  (* One batch takes one item per tenant per rota turn; a tenant that
+     emptied and comes back joins at the tail. *)
+  List.iter
+    (fun x -> ignore (Tq.submit q ~tenant:(String.sub x 0 1) ~weight:1 x))
+    [ "A1"; "A2"; "A3"; "B1"; "B2"; "C1" ];
+  Alcotest.(check (list string)) "round-robin batch" [ "A1"; "B1"; "C1"; "A2" ]
+    (Tq.take q ~max:4);
+  ignore (Tq.submit q ~tenant:"C" ~weight:1 "C2");
+  Alcotest.(check (list string)) "per-tenant FIFO; C rejoins at the tail"
+    [ "B2"; "A3"; "C2" ] (Tq.take q ~max:10)
+
+let test_tq_close_drains () =
+  let q = Tq.create ~cap:10 () in
+  List.iter (fun x -> ignore (Tq.submit q ~tenant:"a" ~weight:1 x)) [ 1; 2; 3 ];
+  Alcotest.(check bool) "close closes" true (Tq.close q);
+  Alcotest.(check bool) "close again is a no-op" false (Tq.close q);
+  Alcotest.(check verdict) "submit after close" `Closed
+    (Tq.submit q ~tenant:"b" ~weight:0 4);
+  Alcotest.(check (list int)) "queued items still taken" [ 1; 2 ]
+    (Tq.take q ~max:2);
+  Alcotest.(check (list int)) "the rest" [ 3 ] (Tq.take q ~max:2);
+  Alcotest.(check (list int)) "closed and drained" [] (Tq.take q ~max:2);
+  (* A blocked take wakes on a submit, and returns [] on close. *)
+  let q = Tq.create ~cap:10 () in
+  let got = ref [] in
+  let taker =
+    Thread.create
+      (fun () ->
+        let rec go () =
+          match Tq.take q ~max:1 with
+          | [] -> ()
+          | l ->
+            got := !got @ l;
+            go ()
+        in
+        go ())
+      ()
+  in
+  ignore (Tq.submit q ~tenant:"a" ~weight:1 7);
+  ignore (Tq.submit q ~tenant:"a" ~weight:1 8);
+  ignore (Tq.close q);
+  Thread.join taker;
+  Alcotest.(check (list int)) "a blocked taker drains, then stops" [ 7; 8 ] !got
+
 let suite =
   [
     Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
@@ -209,4 +305,11 @@ let suite =
     Alcotest.test_case "stats precision/recall" `Quick test_stats_precision_recall;
     Alcotest.test_case "combinatorics" `Quick test_combin;
     QCheck_alcotest.to_alcotest prop_combinations_count;
+    Alcotest.test_case "tenant queue: cap, quota, precedence" `Quick
+      test_tq_cap_quota;
+    Alcotest.test_case "tenant queue: weight-0 items" `Quick test_tq_weight_zero;
+    Alcotest.test_case "tenant queue: FIFO per tenant, round-robin" `Quick
+      test_tq_fifo_round_robin;
+    Alcotest.test_case "tenant queue: close refuses, take drains" `Quick
+      test_tq_close_drains;
   ]
