@@ -247,6 +247,22 @@ let write_stats_json path traces =
     (fun () -> output_string oc (Buffer.contents buf));
   Printf.printf "stats written to %s\n%!" path
 
+(* Query extraction needs a dataset wrapper; a loaded corpus gets a
+   trivial one (organism 0 everywhere), shared by [query], [topk] and
+   [client] so the extracted query sequence is identical for the same
+   corpus and seed. *)
+let dataset_wrapper graphs ds_opt =
+  match ds_opt with
+  | Some ds -> ds
+  | None ->
+    {
+      Generator.graphs;
+      organisms = Array.make (Array.length graphs) 0;
+      motifs = [||];
+      grafts = Array.make (Array.length graphs) None;
+      params = Generator.default_params;
+    }
+
 let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
     index_file stats_json =
   or_die @@ fun () ->
@@ -266,20 +282,7 @@ let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
     }
   in
   let rng = Psst_util.Prng.make (seed + 1) in
-  let ds =
-    match ds_opt with
-    | Some ds -> ds
-    | None ->
-      (* Query extraction needs a dataset wrapper; loaded corpora get a
-         trivial one (organism 0 everywhere). *)
-      {
-        Generator.graphs;
-        organisms = Array.make (Array.length graphs) 0;
-        motifs = [||];
-        grafts = Array.make (Array.length graphs) None;
-        params = Generator.default_params;
-      }
-  in
+  let ds = dataset_wrapper graphs ds_opt in
   let traces = ref [] in
   for k = 1 to nqueries do
     let q, org = Generator.extract_query rng ds ~edges:qsize in
@@ -312,18 +315,7 @@ let topk num_graphs seed qsize k delta input =
   let db =
     Query.index_database ~domains:(Psst_util.Pool.default_domains ()) graphs
   in
-  let ds =
-    match ds_opt with
-    | Some ds -> ds
-    | None ->
-      {
-        Generator.graphs;
-        organisms = Array.make (Array.length graphs) 0;
-        motifs = [||];
-        grafts = Array.make (Array.length graphs) None;
-        params = Generator.default_params;
-      }
-  in
+  let ds = dataset_wrapper graphs ds_opt in
   let rng = Psst_util.Prng.make (seed + 1) in
   let q, org = Generator.extract_query rng ds ~edges:qsize in
   Printf.printf "top-%d query (organism %d, %d edges, delta %d):\n" k org
@@ -393,21 +385,6 @@ let endpoint_of_string s =
     | scheme ->
       malformed
         (Printf.sprintf "unknown scheme %S (expected unix or tcp)" scheme))
-
-(* A dataset wrapper for query extraction over a loaded corpus (same
-   trivial organism assignment as the [query] subcommand, so the extracted
-   query sequence is identical for the same corpus and seed). *)
-let dataset_wrapper graphs ds_opt =
-  match ds_opt with
-  | Some ds -> ds
-  | None ->
-    {
-      Generator.graphs;
-      organisms = Array.make (Array.length graphs) 0;
-      motifs = [||];
-      grafts = Array.make (Array.length graphs) None;
-      params = Generator.default_params;
-    }
 
 (* Signal handlers only flip an atomic; the main thread performs the
    drain (and SIGHUP promotion, when armed) outside signal context. *)

@@ -22,7 +22,11 @@ module Bitset = Psst_util.Bitset
    Invalidation is by physical identity of the database's [graphs] array
    and PMI: Query.add_graphs, index_database and load_database all
    allocate fresh arrays/PMI values, so arming a scope against a changed
-   database flushes every table (counter cache.flush).
+   database flushes every table (counter cache.flush). Scopes of two
+   databases can be live at once (a server maps jobs admitted at
+   different epochs over one pool): a scope whose database no longer
+   owns the cache computes without reading or storing, so it never sees
+   another database's entries.
 
    All operations take one mutex; compute callbacks run outside the lock
    (two domains may race to fill the same key — both compute the same
@@ -115,8 +119,13 @@ let entries t =
 
 (* [None] is the unarmed scope of a run without a cache: every accessor
    then just runs its compute callback. *)
-type armed = { cache : t; qkey : string }
+type armed = { cache : t; qkey : string; graphs : Corpus.t; pmi : Pmi.t }
 type scope = armed option
+
+(* Callers must hold [t.mu]. *)
+let owned_by t ~graphs ~pmi =
+  t.owner_graphs == graphs
+  && match t.owner_pmi with Some p -> p == pmi | None -> false
 
 let scope cache ~graphs ~pmi ~q ~delta ~relax_cap =
   Option.map
@@ -127,36 +136,37 @@ let scope cache ~graphs ~pmi ~q ~delta ~relax_cap =
               (Lgraph.to_string q) delta relax_cap)
       in
       Mutex.protect t.mu (fun () ->
-          let same_owner =
-            t.owner_graphs == graphs
-            && match t.owner_pmi with Some p -> p == pmi | None -> false
-          in
-          if not same_owner then begin
+          if not (owned_by t ~graphs ~pmi) then begin
             if t.owner_pmi <> None then Psst_obs.incr m_flush;
             flush_unlocked t;
             t.owner_graphs <- graphs;
             t.owner_pmi <- Some pmi
           end);
-      { cache = t; qkey })
+      { cache = t; qkey; graphs; pmi })
     cache
 
 (* Shared lookup-or-compute; [key] extends the scope's query key. The lock
    covers only table access, never the compute callback; exceptions from
    [compute] (injected faults, budget aborts) propagate without storing
-   anything. A cached value [evict] accepts is dropped and recomputed. *)
+   anything. A cached value [evict] accepts is dropped and recomputed. A
+   scope whose database lost ownership of the cache (another database
+   armed it since) counts a miss and neither reads nor stores. *)
 let memo ~evict table s key compute =
   match s with
   | None -> compute ()
-  | Some { cache = t; qkey } ->
+  | Some { cache = t; qkey; graphs; pmi } ->
     let tbl = table t and key = key qkey in
+    let owned () = owned_by t ~graphs ~pmi in
     let cached =
       Mutex.protect t.mu (fun () ->
-          match Tbl.find tbl key with
-          | Some v when evict v ->
-            Tbl.remove tbl key;
-            Psst_obs.incr m_evict;
-            None
-          | found -> found)
+          if not (owned ()) then None
+          else
+            match Tbl.find tbl key with
+            | Some v when evict v ->
+              Tbl.remove tbl key;
+              Psst_obs.incr m_evict;
+              None
+            | found -> found)
     in
     (match cached with
     | Some v ->
@@ -165,7 +175,7 @@ let memo ~evict table s key compute =
     | None ->
       Psst_obs.incr m_miss;
       let v = compute () in
-      Mutex.protect t.mu (fun () -> Tbl.add tbl key v);
+      Mutex.protect t.mu (fun () -> if owned () then Tbl.add tbl key v);
       v)
 
 let never _ = false

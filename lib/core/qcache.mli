@@ -42,7 +42,9 @@ val flush : t -> unit
 (** A cache armed for one (database, query, relaxation parameters)
     triple, or the unarmed scope of a run without a cache. Arming
     verifies the owner database by physical identity and flushes on
-    change. *)
+    change. Once another database has armed the cache, an older scope
+    computes without reading or storing entries, so concurrent scopes
+    of different databases never share a value. *)
 type scope
 
 (** [scope cache ...] arms [cache]; [None] gives the unarmed scope, on

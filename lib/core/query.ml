@@ -275,7 +275,7 @@ let outcome ~label db p ~verified ~degraded ~t_verification ~t_verification_cpu
   in
   { answers; stats; trace = trace_of ~label ~answers stats }
 
-(* The pipeline on an existing pool, so that [run_batch] can interleave
+(* The pipeline on an existing pool, so that the server can interleave
    the verification tasks of many queries on one set of domains. Phase 3
    fans out over the surviving candidates; each one verifies under its
    own PRNG stream derived from [config.seed] and the graph id alone, so
@@ -361,17 +361,6 @@ let deadline_of_budget = function
 let run ?(domains = 1) ?budget_ms ?cache db q config =
   let deadline = deadline_of_budget budget_ms in
   Pool.with_pool ~domains (fun pool -> run_on ?deadline ?cache pool db q config)
-
-let run_batch ?budget_ms ?cache pool db queries config =
-  validate_config config;
-  (* One absolute deadline for the whole batch, fixed before the fan-out:
-     however the pool schedules the queries, they degrade against the
-     same wall-clock instant. *)
-  let deadline = deadline_of_budget budget_ms in
-  Pool.map_array pool ~chunk:1
-    (fun q -> run_on ?deadline ?cache pool db q config)
-    (Array.of_list queries)
-  |> Array.to_list
 
 let run_exact_scan db q config =
   validate_config config;

@@ -135,22 +135,24 @@ val run :
   config ->
   outcome
 
-(** [run_batch pool db queries config] answers many queries on a
-    caller-owned domain pool — the heavy-traffic path, where a resident
-    process (the query server) pays domain spawning once at startup
-    instead of once per batch. Queries and their verification tasks
-    interleave freely on the pool; outcome [i] is bit-identical to
-    [run ~domains:(Pool.size pool) db (List.nth queries i) config].
-    [budget_ms] is one shared absolute deadline fixed when the batch
-    starts. *)
-val run_batch :
-  ?budget_ms:float ->
+(** [run_on ?deadline ?cache pool db q config] is {!run} on a
+    caller-owned domain pool — the serving path, where a resident process
+    pays domain spawning once at startup and maps many queries over one
+    pool, each fanning its verification out on the same pool (nested
+    calls are safe, see {!Psst_util.Pool}). The outcome is bit-identical
+    to [run ~domains:(Pool.size pool) db q config]. [deadline] is an
+    absolute [Unix.gettimeofday] instant playing the role of [run]'s
+    [budget_ms]: candidates whose verification would start after it are
+    answered from their bounds, so queries mapped together under one
+    deadline degrade against the same wall-clock instant. *)
+val run_on :
+  ?deadline:float ->
   ?cache:Qcache.t ->
   Psst_util.Pool.t ->
   database ->
-  Lgraph.t list ->
+  Lgraph.t ->
   config ->
-  outcome list
+  outcome
 
 (** [run_bounds_only db q config] — phases 1–2 alone: every candidate the
     bounds cannot decide is included and counted degraded. The fallback

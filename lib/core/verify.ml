@@ -8,16 +8,6 @@ let default_config = { tau = 0.1; xi = 0.05; emb_cap = 64; adaptive = false }
 let num_samples c =
   int_of_float (ceil (4. *. log (2. /. c.xi) /. (c.tau *. c.tau)))
 
-let minimal_antichain sets =
-  let sorted =
-    List.sort (fun a b -> compare (Bitset.cardinal a) (Bitset.cardinal b)) sets
-  in
-  List.fold_left
-    (fun kept s ->
-      if List.exists (fun k -> Bitset.subset k s) kept then kept else s :: kept)
-    [] sorted
-  |> List.rev
-
 let embedding_sets ?(config = default_config) g relaxed =
   let gc = Pgraph.skeleton g in
   let m = Lgraph.num_edges gc in
@@ -44,7 +34,7 @@ let embedding_sets ?(config = default_config) g relaxed =
             end)
           (Vf2.distinct_embeddings ~cap:config.emb_cap rq gc))
     relaxed;
-  minimal_antichain !sets
+  Exact.minimal_antichain !sets
 
 let m_exact_calls = Psst_obs.counter "verify.exact_calls"
 let m_smp_calls = Psst_obs.counter "verify.smp_calls"
@@ -99,7 +89,7 @@ let smp_prepare g sets =
     let usets = List.map (fun s -> Bitset.diff s certain) sets in
     if List.exists Bitset.is_empty usets then S_trivial 1.
     else begin
-      let usets = Array.of_list (minimal_antichain usets) in
+      let usets = Array.of_list (Exact.minimal_antichain usets) in
       let jt = Pgraph.jtree g in
       let cals =
         Array.map

@@ -141,26 +141,6 @@ let histogram_buckets h =
 
 let histogram_overflow h = Atomic.get h.buckets.(Array.length h.upper)
 
-let histogram_quantile h q =
-  if not (q >= 0. && q <= 1.) then
-    invalid_arg "Psst_obs.histogram_quantile: q must be in [0, 1]";
-  let total = histogram_count h in
-  if total = 0 then nan
-  else begin
-    (* Rank of the q-th sample (1-based, ceiling), then the upper bound of
-       the bucket it falls in — a conservative estimate: at least a q
-       fraction of the observed values are <= the returned bound. *)
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
-    let n = Array.length h.upper in
-    let rec walk i seen =
-      if i >= n then h.upper.(n - 1) (* overflow: clamp to the last bound *)
-      else
-        let seen = seen + Atomic.get h.buckets.(i) in
-        if seen >= rank then h.upper.(i) else walk (i + 1) seen
-    in
-    walk 0 0
-  end
-
 let span h f =
   let t0 = now () in
   match f () with

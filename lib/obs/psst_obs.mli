@@ -65,14 +65,6 @@ val histogram_buckets : histogram -> (float * int) array
 
 val histogram_overflow : histogram -> int
 
-(** [histogram_quantile h q] — conservative quantile estimate from the
-    log-scale buckets: the smallest bucket upper bound [b] such that at
-    least a [q] fraction of the observed values are [<= b] (so the true
-    quantile is at most one bucket width below the estimate). Overflowed
-    values clamp to the last finite bound. [nan] when the histogram is
-    empty; raises [Invalid_argument] unless [0 <= q <= 1]. *)
-val histogram_quantile : histogram -> float -> float
-
 (** [span h f] runs [f ()] and records its wall-clock duration in [h]
     (also on exception). When the layer is disabled no clock is read. *)
 val span : histogram -> (unit -> 'a) -> 'a

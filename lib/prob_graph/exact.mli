@@ -4,6 +4,11 @@
     All of these are exponential in the worst case (the problems are
     #P-complete, paper Thm 2); they are meant for small graphs / features. *)
 
+(** [minimal_antichain sets] keeps the inclusion-minimal sets of [sets]
+    (smallest first): the event "some set is fully present" is unchanged,
+    and fewer sets keep the exact and sampled estimators tractable. *)
+val minimal_antichain : Psst_util.Bitset.t list -> Psst_util.Bitset.t list
+
 (** [prob_any_present t sets] is the probability that at least one of the
     given edge sets (bitsets over the skeleton's edge ids) is fully present
     in a random possible world — the DNF probability behind Lemma 1 and

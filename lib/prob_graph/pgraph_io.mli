@@ -16,7 +16,7 @@ end
     and [#]-comments are ignored.
 
     Both parsers additionally reject factors with a conditional row whose
-    probabilities sum to more than [1 + eps] (eps = {!jpt_row_eps}), with a
+    probabilities sum to more than [1 + eps] (eps = 1e-9), with a
     diagnostic naming the factor and the row. Such rows used to slip through
     {!Pgraph.make}'s coarser chain-consistency tolerance and only surfaced
     later as silently-too-large probabilities in [Exact]. *)
@@ -27,14 +27,8 @@ val to_string : Pgraph.t -> string
     fail {!Pgraph.make} validation. *)
 val of_string : string -> Pgraph.t
 
-(** Tolerance of the JPT row-sum validation. *)
-val jpt_row_eps : float
-
 (** Multi-graph archives: graphs concatenated, each terminated by its
     [end] line. *)
-
-val write_many : out_channel -> Pgraph.t array -> unit
-val read_many : in_channel -> Pgraph.t array
 
 val save : string -> Pgraph.t array -> unit
 val load : string -> Pgraph.t array

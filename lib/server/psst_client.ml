@@ -72,9 +72,13 @@ let connect ?(connect_timeout_ms = 0.) ?(call_timeout_ms = 0.) endpoint =
 
 let close c = try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
 
+(* The new link is made before the old one is closed, so a refused
+   reconnect leaves [c] holding its old descriptor (closed exactly once,
+   by whoever closes [c]) and can simply be tried again. *)
 let reconnect c =
+  let fd = connect_fd c.endpoint c.connect_timeout_ms in
   close c;
-  c.fd <- connect_fd c.endpoint c.connect_timeout_ms
+  c.fd <- fd
 
 let deadline c =
   if c.call_timeout_ms > 0. then
@@ -169,16 +173,19 @@ let run_all ?(max_retries = 0) ?(backoff_ms = 50.) c queries config =
     !l
   in
   let attempt = ref 0 in
-  let rec go () =
+  let rec go ~reconnect_first =
     match pending () with
     | [] -> ()
     | todo ->
       (* Pipeline every unanswered id, then collect. Server answers are
          deterministic per (db, query, config), so resending after a
          transport break cannot change a result — at worst the server
-         computes an answer twice. *)
+         computes an answer twice. The reconnect after a break is part
+         of the attempt, so a refused one backs off like any other
+         transport failure. *)
       let transport_ok =
         try
+          if reconnect_first then reconnect c;
           List.iter
             (fun id -> send c (Proto.Run { id; query = queries.(id); config }))
             todo;
@@ -232,11 +239,10 @@ let run_all ?(max_retries = 0) ?(backoff_ms = 50.) c queries config =
             n (!attempt + 1);
         Unix.sleepf (backoff_delay ~base_ms:backoff_ms ~cap_ms:2000. !attempt);
         incr attempt;
-        if not transport_ok then reconnect c;
-        go ()
+        go ~reconnect_first:(not transport_ok)
       end
   in
-  (try go () with Violation msg -> raise (Client_error msg));
+  (try go ~reconnect_first:false with Violation msg -> raise (Client_error msg));
   Array.map
     (function
       | Some r -> r

@@ -99,7 +99,8 @@ val link_broken : exn -> bool
     an [Answer] or an [Error_reply].
 
     [max_retries] (default 0) bounds recovery attempts: a transport break
-    triggers reconnect-and-resend of the unanswered ids; a retryable
+    triggers reconnect-and-resend of the unanswered ids, and a refused
+    reconnect is one more failed attempt, not an error; a retryable
     error reply (queue full / shutdown / unavailable) is resubmitted.
     Each recovery round sleeps {!backoff_delay} with base [backoff_ms]
     (default 50) and a 2 s cap. Past the budget a transport break raises

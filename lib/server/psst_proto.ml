@@ -149,12 +149,6 @@ type reply =
   | Ingest_ack of { id : int; epoch : int; base : int; count : int }
   | Delta_frame of { seq : int; bytes : string }
 
-let request_id = function
-  | Ping | Get_stats | Get_health | Set_tenant _ | Subscribe _
-  | Replica_ack _ ->
-    0
-  | Run { id; _ } | Run_topk { id; _ } | Add_graphs { id; _ } -> id
-
 (* --- message payloads (tag + Psst_store-encoded body) --- *)
 
 let tag_ping = 1

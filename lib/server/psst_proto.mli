@@ -179,11 +179,6 @@ type reply =
           reader, persists it verbatim (hence byte-identical chains)
           and applies it through its own ingest path. *)
 
-(** [request_id r] — the client-chosen correlation id ([0] for [Ping] /
-    [Get_stats] / [Get_health] / [Set_tenant] / [Subscribe] /
-    [Replica_ack], which are answered in order on the connection). *)
-val request_id : request -> int
-
 (** Full frame bytes (header + payload) for one message, stamped with
     {!proto_version}. *)
 val encode_request : request -> string

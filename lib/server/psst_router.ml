@@ -300,96 +300,110 @@ let shard_fallback t sid ~why query config =
             { (Proto.stats_of_query out.Query.stats) with Proto.degraded = true } )
       | exception _ -> None))
 
+(* What the request kind decides, and nothing else: which worker reply
+   answers it, whether a shard has a degraded form, and how the
+   per-shard fragments merge. *)
+type 'frag kind = {
+  what : string;  (* names the request in the "shard unavailable" error *)
+  fragment : Proto.reply -> 'frag option;
+  degrade : int -> why:string -> 'frag option;
+  merge : 'frag list -> Proto.reply;
+}
+
+(* A threshold query: a shard degrades to its local bounds-only answer,
+   and fragments merge by sorted union plus the summed funnel. *)
+let threshold t ~id query config =
+  {
+    what = "T-PS query";
+    fragment =
+      (function
+      | Proto.Answer { answers; stats; _ } -> Some (answers, stats)
+      | _ -> None);
+    degrade = (fun sid ~why -> shard_fallback t sid ~why query config);
+    merge =
+      (function
+      | [] ->
+        Proto.Error_reply
+          { id; code = Proto.Internal; message = "router has no workers" }
+      | (a0, s0) :: rest ->
+        let answers, stats =
+          List.fold_left
+            (fun (ans, st) (a, s) -> (a :: ans, merge_proto_stats st s))
+            ([ a0 ], s0) rest
+        in
+        Proto.Answer { id; answers = Psst_shard.merge_answers answers; stats });
+  }
+
+(* A top-k query has no degraded form: a ranking missing one shard's
+   graphs is wrong, not degraded. Fragments merge by the threshold-aware
+   top-k merge. *)
+let topk ~id k =
+  {
+    what = "top-k query";
+    fragment =
+      (function Proto.Topk_answer { hits; _ } -> Some hits | _ -> None);
+    degrade = (fun _ ~why:_ -> None);
+    merge =
+      (fun per_shard ->
+        let hits =
+          per_shard
+          |> List.map (List.map (fun (g, ssp) -> { Topk.graph = g; ssp }))
+          |> Psst_shard.merge_topk ~k
+          |> List.map (fun (h : Topk.hit) -> (h.graph, h.ssp))
+        in
+        Proto.Topk_answer { id; hits });
+  }
+
 type 'frag resolution =
   | Frag of 'frag
-  | Hard of Proto.reply  (* a worker's non-retryable error: propagate *)
-  | Down of int  (* worker sid with no answer and no fallback *)
+  | Hard of (Proto.error_code * string)
+      (* a non-retryable error: propagated under the request's id *)
+  | Down of int  (* worker sid with no answer and no degraded form *)
 
-let resolve_run t query config sid = function
-  | Some (Proto.Answer { answers; stats; _ }) -> Frag (answers, stats)
-  | Some (Proto.Error_reply { code; message; _ } as e) ->
-    if Proto.error_code_retryable code then
-      (* The worker rejected without executing (queue full / draining):
-         same ladder as an unreachable worker. *)
-      match shard_fallback t sid ~why:("rejected: " ^ message) query config with
-      | Some frag -> Frag frag
-      | None -> Down sid
-    else Hard e
-  | Some _ -> Hard (Proto.Error_reply
-      { id = 0; code = Proto.Internal;
-        message = Printf.sprintf "worker %d: unexpected reply kind" sid })
-  | None -> (
-    match shard_fallback t sid ~why:"unreachable" query config with
-    | Some frag -> Frag frag
-    | None -> Down sid)
+let resolve kind sid reply =
+  let degrade why =
+    match kind.degrade sid ~why with Some f -> Frag f | None -> Down sid
+  in
+  match reply with
+  | None -> degrade "unreachable"
+  | Some (Proto.Error_reply { code; message; _ })
+    when Proto.error_code_retryable code ->
+    (* The worker rejected without executing (queue full / draining):
+       same ladder as an unreachable worker. *)
+    degrade ("rejected: " ^ message)
+  | Some (Proto.Error_reply { code; message; _ }) -> Hard (code, message)
+  | Some r -> (
+    match kind.fragment r with
+    | Some f -> Frag f
+    | None ->
+      Hard (Proto.Internal, Printf.sprintf "worker %d: unexpected reply kind" sid))
 
-let resolve_topk sid = function
-  | Some (Proto.Topk_answer { hits; _ }) -> Frag hits
-  | Some (Proto.Error_reply { code; _ } as e)
-    when not (Proto.error_code_retryable code) ->
-    Hard e
-  (* Retryable rejections and dead workers both fail the ranking: a
-     top-k list missing one shard's graphs is wrong, not degraded. *)
-  | Some (Proto.Error_reply _) | Some _ | None -> Down sid
-
-let gather resolutions ~id ~what =
+(* One request: scatter to every shard, resolve each reply, then gather.
+   The first hard error wins, then the first shard that is down; else
+   the fragments merge in shard order. *)
+let handle t wss ~id req kind =
+  let resolutions = Array.mapi (resolve kind) (scatter t wss req) in
   let hard = ref None and down = ref None and frags = ref [] in
   Array.iter
-    (fun r ->
-      match r with
+    (function
       | Frag f -> frags := f :: !frags
       | Hard e -> if !hard = None then hard := Some e
       | Down sid -> if !down = None then down := Some sid)
     resolutions;
-  match !hard with
-  | Some (Proto.Error_reply e) ->
-    Error (Proto.Error_reply { e with id })
-  | Some r -> Error r
-  | None -> (
-    match !down with
-    | Some sid ->
-      Psst_obs.incr m_unavailable;
-      Error
-        (Proto.Error_reply
-           {
-             id;
-             code = Proto.Unavailable;
-             message =
-               Printf.sprintf
-                 "shard %d unavailable and no local fallback; %s failed — retry"
-                 sid what;
-           })
-    | None -> Ok (List.rev !frags))
-
-let handle_run t wss ~id query config =
-  let replies = scatter t wss (Proto.Run { id; query; config }) in
-  let res = Array.mapi (resolve_run t query config) replies in
-  match gather res ~id ~what:"T-PS query" with
-  | Error reply -> reply
-  | Ok [] -> Proto.Error_reply
-      { id; code = Proto.Internal; message = "router has no workers" }
-  | Ok ((a0, s0) :: rest) ->
-    let answers, stats =
-      List.fold_left
-        (fun (ans, st) (a, s) -> (a :: ans, merge_proto_stats st s))
-        ([ a0 ], s0) rest
-    in
-    Proto.Answer { id; answers = Psst_shard.merge_answers answers; stats }
-
-let handle_topk t wss ~id query k config =
-  let replies = scatter t wss (Proto.Run_topk { id; query; k; config }) in
-  let res = Array.mapi (fun sid r -> resolve_topk sid r) replies in
-  match gather res ~id ~what:"top-k query" with
-  | Error reply -> reply
-  | Ok per_shard ->
-    let hits =
-      per_shard
-      |> List.map
-           (List.map (fun (g, ssp) -> { Topk.graph = g; ssp }))
-      |> Psst_shard.merge_topk ~k
-      |> List.map (fun (h : Topk.hit) -> (h.graph, h.ssp))
-    in
-    Proto.Topk_answer { id; hits }
+  match (!hard, !down) with
+  | Some (code, message), _ -> Proto.Error_reply { id; code; message }
+  | None, Some sid ->
+    Psst_obs.incr m_unavailable;
+    Proto.Error_reply
+      {
+        id;
+        code = Proto.Unavailable;
+        message =
+          Printf.sprintf
+            "shard %d unavailable and no local fallback; %s failed — retry" sid
+            kind.what;
+      }
+  | None, None -> kind.merge (List.rev !frags)
 
 (* --- health aggregation and the heartbeat poller --- *)
 
@@ -552,10 +566,11 @@ let session t c =
       unavailable ~id:0
         "replication subscriptions are not supported through the router; \
          subscribe to the shard's primary worker"
-    | Proto.Run { id; query; config } ->
-      answer_query ~id (fun () -> handle_run t wss ~id query config)
-    | Proto.Run_topk { id; query; k; config } ->
-      answer_query ~id (fun () -> handle_topk t wss ~id query k config)
+    | Proto.Run { id; query; config } as req ->
+      answer_query ~id (fun () ->
+          handle t wss ~id req (threshold t ~id query config))
+    | Proto.Run_topk { id; k; _ } as req ->
+      answer_query ~id (fun () -> handle t wss ~id req (topk ~id k))
   in
   { Listener.handle; close = (fun () -> Array.iter drop_client wss) }
 

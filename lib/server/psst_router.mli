@@ -28,7 +28,10 @@
     Top-k never falls back to bounds (a ranking missing one shard's
     graphs is wrong, not degraded): a dead worker fails the request
     cleanly. A worker's non-retryable error ([Malformed], [Deadline],
-    [Internal]) is propagated to the client as-is.
+    [Internal]) is propagated to the client as-is, and a worker reply
+    of the wrong kind for either request is [Internal]. Both request
+    kinds run one scatter → resolve → gather path; the kind decides only
+    whether a shard has a degraded form and how the fragments merge.
 
     Replica awareness (DESIGN.md §17): each shard's entry in [workers]
     is a replica group — slot 0 the primary, the rest standbys kept in

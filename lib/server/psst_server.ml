@@ -7,8 +7,10 @@
        batches to the ingest writer's queue, and answers a refused
        submission with a retryable error;
      - batcher thread: owns the domain pool; takes micro-batches from
-       the query queue, enforces queue-wait deadlines, executes with
-       Query.run_batch, writes replies;
+       the query queue, enforces queue-wait deadlines, fixes one
+       verification deadline per micro-batch, maps every job over the
+       pool as one task (Query.run_on or Topk.run), then writes the
+       replies in admission order through one reply mapping;
      - ingest writer (Psst_ingest, when enabled): the single mutator of
        the served database — applies Add_graphs batches, persists them
        as delta files, and publishes each new epoch with one atomic
@@ -20,10 +22,12 @@
 
    Snapshot consistency: the live database is an epoch-numbered
    immutable snapshot behind an Atomic. Readers capture the snapshot at
-   admission time and the batcher groups jobs by (epoch, config), so a
-   query admitted before an ingest batch never observes the new graphs
-   and every answer is bit-identical to an offline Query.run against
-   that epoch's database.
+   admission time and each job runs against its own snapshot and config,
+   so a query admitted before an ingest batch never observes the new
+   graphs and every answer is bit-identical to an offline Query.run (or
+   Topk.run) against that epoch's database. Jobs of different epochs in
+   one micro-batch run side by side; the cache keeps their entries
+   apart (Qcache).
 
    Closing the query queue is the drain barrier: no job enters after
    it, and the batcher's take returns nothing only once every admitted
@@ -310,17 +314,67 @@ let job_error t job code message =
   reply t job.jconn
     (Proto.Error_reply { id = job.jid; code; message })
 
-let finish_run t job (out : Query.outcome) =
-  push_trace t out.trace;
-  Psst_obs.incr (tenant_counter job.jtenant "served");
-  reply t job.jconn
-    (Proto.Answer
-       {
-         id = job.jid;
-         answers = out.answers;
-         stats = Proto.stats_of_query out.stats;
-       });
-  Psst_obs.observe m_latency (Unix.gettimeofday () -. job.enqueued)
+(* One pool task: the job against the snapshot and config it was
+   admitted under, so its answer is bit-identical to an offline run on
+   that epoch's database whatever ingest published since. [deadline] is
+   the micro-batch's one verification deadline; top-k never degrades, so
+   it ignores it. The task never raises: its exception is its result. *)
+let execute t ~deadline job =
+  let db = job.jsnap.Psst_ingest.db in
+  match
+    Psst_fault.inject fault_batch;
+    match job.jkind with
+    | `Run (q, cfg) -> `Run (Query.run_on ?deadline ?cache:t.cache t.pool db q cfg)
+    | `Topk (q, k, cfg) -> `Topk (Topk.run ?cache:t.cache db q ~k cfg)
+  with
+  | out -> Ok out
+  | exception e -> Error e
+
+(* The one reply mapping, run on the batcher thread in admission order:
+   an outcome becomes its answer, with the trace and the served and
+   latency metrics. An injected server.batch fault stands for the
+   verification stage being down: a threshold job degrades to its
+   bounds-only answer (a flagged superset of the exact one, DESIGN.md
+   §12), and a top-k job, which has no such fallback, gets a retryable
+   error rather than a wrong ranking. Any other exception is Internal. *)
+let rec finish t job result =
+  let served r =
+    Psst_obs.incr (tenant_counter job.jtenant "served");
+    reply t job.jconn r;
+    Psst_obs.observe m_latency (Unix.gettimeofday () -. job.enqueued)
+  in
+  match (result, job.jkind) with
+  | Ok (`Run (out : Query.outcome)), _ ->
+    push_trace t out.trace;
+    served
+      (Proto.Answer
+         {
+           id = job.jid;
+           answers = out.answers;
+           stats = Proto.stats_of_query out.stats;
+         })
+  | Ok (`Topk (out : Topk.outcome)), _ ->
+    served
+      (Proto.Topk_answer
+         {
+           id = job.jid;
+           hits = List.map (fun (h : Topk.hit) -> (h.graph, h.ssp)) out.hits;
+         })
+  | Error (Psst_fault.Injected _), `Run (q, cfg) -> (
+    Psst_obs.warn ~code:"server.batch"
+      "verification unavailable (injected fault): serving bounds-only answers";
+    match Query.run_bounds_only ?cache:t.cache job.jsnap.Psst_ingest.db q cfg with
+    | out -> finish t job (Ok (`Run out))
+    | exception e ->
+      job_error t job Proto.Internal ("query failed: " ^ Printexc.to_string e))
+  | Error (Psst_fault.Injected _), `Topk _ ->
+    job_error t job Proto.Unavailable "top-k stage unavailable; retry"
+  | Error e, kind ->
+    let msg = Printexc.to_string e in
+    Psst_obs.warn ~code:"server.batch" msg;
+    job_error t job Proto.Internal
+      ((match kind with `Run _ -> "query" | `Topk _ -> "top-k")
+      ^ " failed: " ^ msg)
 
 let process_batch t batch =
   let now = Unix.gettimeofday () in
@@ -342,90 +396,17 @@ let process_batch t batch =
            ((now -. j.enqueued) *. 1000.)
            t.cfg.deadline_ms))
     expired;
-  let runs, topks =
-    List.partition_map
-      (fun j ->
-        match j.jkind with
-        | `Run (q, cfg) -> Either.Left (j, q, cfg)
-        | `Topk (q, k, cfg) -> Either.Right (j, q, k, cfg))
-      live
+  (* One absolute verification deadline for the whole micro-batch, fixed
+     before the fan-out: however the pool schedules the jobs, they
+     degrade against the same wall-clock instant. *)
+  let deadline =
+    if t.cfg.verify_budget_ms > 0. then
+      Some (Unix.gettimeofday () +. (t.cfg.verify_budget_ms /. 1000.))
+    else None
   in
-  (* Group Run jobs by (epoch, config) so each group is one
-     Query.run_batch call on the shared pool against the snapshot its
-     jobs were admitted under; answers stay bit-identical to offline
-     runs on that epoch's database, whatever ingest published since. *)
-  let groups =
-    List.fold_left
-      (fun acc (j, q, cfg) ->
-        let key = (j.jsnap.Psst_ingest.epoch, cfg) in
-        match List.assoc_opt key acc with
-        | Some cell ->
-          cell := (j, q) :: !cell;
-          acc
-        | None -> (key, ref [ (j, q) ]) :: acc)
-      [] runs
-    |> List.rev_map (fun (key, cell) -> (key, List.rev !cell))
-  in
-  let budget_ms =
-    if t.cfg.verify_budget_ms > 0. then Some t.cfg.verify_budget_ms else None
-  in
-  List.iter
-    (fun ((_, cfg), jobs) ->
-      let db = (fst (List.hd jobs)).jsnap.Psst_ingest.db in
-      match
-        Psst_fault.inject fault_batch;
-        Query.run_batch ?budget_ms ?cache:t.cache t.pool db
-          (List.map snd jobs) cfg
-      with
-      | outs -> List.iter2 (fun (j, _) out -> finish_run t j out) jobs outs
-      | exception Psst_fault.Injected _ ->
-        (* Verification stage down: degrade the whole group to bounds-only
-           answers (supersets of the exact sets, flagged degraded) instead
-           of failing the requests — DESIGN.md §12. *)
-        Psst_obs.warn ~code:"server.batch"
-          "verification unavailable (injected fault): serving bounds-only \
-           answers";
-        List.iter
-          (fun (j, q) ->
-            match Query.run_bounds_only ?cache:t.cache db q cfg with
-            | out -> finish_run t j out
-            | exception e ->
-              job_error t j Proto.Internal
-                ("query failed: " ^ Printexc.to_string e))
-          jobs
-      | exception e ->
-        let msg = Printexc.to_string e in
-        Psst_obs.warn ~code:"server.batch" msg;
-        List.iter
-          (fun (j, _) -> job_error t j Proto.Internal ("query failed: " ^ msg))
-          jobs)
-    groups;
-  List.iter
-    (fun (j, q, k, cfg) ->
-      let db = j.jsnap.Psst_ingest.db in
-      match
-        Psst_fault.inject fault_batch;
-        Topk.run ?cache:t.cache db q ~k cfg
-      with
-      | out ->
-        Psst_obs.incr (tenant_counter j.jtenant "served");
-        reply t j.jconn
-          (Proto.Topk_answer
-             {
-               id = j.jid;
-               hits =
-                 List.map (fun (h : Topk.hit) -> (h.graph, h.ssp)) out.Topk.hits;
-             });
-        Psst_obs.observe m_latency (Unix.gettimeofday () -. j.enqueued)
-      | exception Psst_fault.Injected _ ->
-        (* Top-k has no bounds-only fallback; answer with a clean retryable
-           error rather than a wrong or missing reply. *)
-        job_error t j Proto.Unavailable "top-k stage unavailable; retry"
-      | exception e ->
-        let msg = Printexc.to_string e in
-        Psst_obs.warn ~code:"server.batch" msg;
-        job_error t j Proto.Internal ("top-k failed: " ^ msg))
-    topks
+  let live = Array.of_list live in
+  Pool.map_array t.pool ~chunk:1 (execute t ~deadline) live
+  |> Array.iteri (fun i result -> finish t live.(i) result)
 
 let rec batch_loop t =
   match Psst_util.Tenant_queue.take t.queue ~max:t.cfg.batch_max with
@@ -481,7 +462,7 @@ let start ?chain ?publisher cfg db =
          (fun () ->
            try batch_loop t
            with e ->
-             (* A bug escaping process_batch's per-group guards: report it
+             (* A bug escaping process_batch's per-job guards: report it
                 loudly; stop() can still join and shut the process down. *)
              Psst_obs.warn ~code:"server.batcher" (Printexc.to_string e))
          ());

@@ -12,11 +12,15 @@
     {!Psst_util.Tenant_queue} (explicit backpressure: a full queue or
     tenant quota yields a retryable [`Queue_full`] error reply, never an
     unbounded buffer); the batcher takes micro-batches of [batch_max]
-    round-robin across tenants and executes them with
-    {!Query.run_batch} on the shared pool, so
-    concurrent requests interleave across domains while each answer stays
-    bit-identical to an offline {!Query.run}. [Ping]/[Get_stats]/
-    [Set_tenant] are answered inline by the reader and never queue.
+    round-robin across tenants, fixes one verification deadline per
+    micro-batch ([verify_budget_ms]) and maps every job over the shared
+    pool as one task: a threshold job runs {!Query.run_on}, a top-k job
+    {!Topk.run}, each against the snapshot and config it was admitted
+    under. Concurrent requests interleave across domains while each
+    answer stays bit-identical to an offline {!Query.run} or
+    {!Topk.run}. Replies leave in admission order once the whole
+    micro-batch is done. [Ping]/[Get_stats]/[Set_tenant] are answered
+    inline by the reader and never queue.
 
     Snapshot-consistent ingest: the served database is an epoch-numbered
     immutable {!Psst_ingest.snapshot} behind an atomic reference. Each
@@ -60,11 +64,13 @@ type config = {
   queue_cap : int;  (** admission queue bound across tenants (backpressure) *)
   deadline_ms : float;  (** max queue wait; [0.] disables deadlines *)
   verify_budget_ms : float;
-      (** per-batch verification budget (DESIGN.md §12): candidates whose
-          verification would start after the budget elapses are answered
-          from their PMI bounds and the reply is flagged [degraded] — a
-          superset-safe answer under overload instead of an ever-growing
-          latency tail. [0.] disables budgets (exact answers always). *)
+      (** per-micro-batch verification budget (DESIGN.md §12): one
+          deadline for every job of the batch, fixed when the batch
+          starts; candidates whose verification would start after it are
+          answered from their PMI bounds and the reply is flagged
+          [degraded] — a superset-safe answer under overload instead of
+          an ever-growing latency tail. [0.] disables budgets (exact
+          answers always). *)
   batch_max : int;  (** micro-batch size cap *)
   cache_cap : int;
       (** cross-query verification cache ({!Qcache}) value-table bound;

@@ -38,14 +38,10 @@ type manifest = {
     bounds are per shard. *)
 type budget = { max_graphs : int; max_cost : float }
 
-(** Estimated PMI build cost of one graph's column: 1 + the number of
-    filled PMI entries in it (each filled entry was one SIP bound
-    computation — the dominant offline cost). Deterministic in the
-    database contents. *)
-val column_cost : Query.database -> int -> float
-
 (** [plan_budget db budget] — contiguous [(base, count)] ranges packed
-    greedily left to right under [budget]. Deterministic in [db].
+    greedily left to right under [budget]. A graph's cost is 1 + the
+    number of filled PMI entries in its column (each was one SIP bound
+    computation, the dominant offline cost). Deterministic in [db].
     [Invalid_argument] unless [max_graphs >= 1]. *)
 val plan_budget : Query.database -> budget -> (int * int) list
 
@@ -104,8 +100,6 @@ val split_to_files :
   Query.database ->
   (int * int) list ->
   manifest
-
-val write_manifest : string -> manifest -> unit
 
 (** [load_manifest path] — validates ranges are dense, tiling and
     consistent with [total]; raises [Psst_store.Store_error] on any

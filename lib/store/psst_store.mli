@@ -58,8 +58,6 @@ type kind =
           ([BASE.delta.K]) holding the new graphs plus the chain metadata
           that pins it to its base ([Psst_ingest]) *)
 
-val kind_name : kind -> string
-
 type section = { name : string; payload : string }
 
 (** [write_bytes path data] — the one atomic writer: [data] goes to
@@ -100,8 +98,6 @@ type salvage = { intact : section list; damaged : string list }
     failures skip just that section instead of aborting. Also cleans an
     orphaned [.tmp] like {!read_file}. *)
 val read_file_salvage : string -> kind:kind -> salvage
-
-val read_string_salvage : string -> kind:kind -> salvage
 
 (** [find_section sections name] — {!Store_error} when absent. *)
 val find_section : section list -> string -> string

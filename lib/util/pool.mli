@@ -2,8 +2,8 @@
 
     One pool serves the whole query stack: the PMI build distributes its
     per-graph columns over it, [Query.run] fans verification out over the
-    surviving candidates, and [Query.run_batch] runs whole queries
-    concurrently. Tasks are claimed from a shared atomic counter in fixed
+    surviving candidates, and the query server runs whole jobs
+    concurrently, one task per job. Tasks are claimed from a shared atomic counter in fixed
     chunks, results land at their input index, so the output of
     {!map_array} is identical to the sequential [Array.map] no matter how
     the chunks were scheduled.

@@ -1,7 +1,7 @@
 (* Differential suite for the cross-query verification cache (Qcache):
    cached and cold runs must be bit-identical — same answer sets, same
    pruning counters, same SSP values — across randomized query sequences
-   with repeats, at 1 and 4 domains, through run / run_batch / Topk.run,
+   with repeats, at 1 and 4 domains, through run / run_on / Topk.run,
    across database mutation (add_graphs invalidates) and a save → load →
    query round trip (physical-identity invalidation means a freshly
    loaded database never sees stale embeddings). *)
@@ -93,7 +93,15 @@ let test_run_differential () =
           ("adaptive", adaptive_cfg) ])
     [ 1; 4 ]
 
-let test_run_batch_differential () =
+(* Queries mapped over one pool, each through [Query.run_on] on that
+   pool — the server's job path. *)
+let run_pool ?cache pool db qs config =
+  Psst_util.Pool.map_array pool ~chunk:1
+    (fun q -> Query.run_on ?cache pool db q config)
+    (Array.of_list qs)
+  |> Array.to_list
+
+let test_pool_differential () =
   let ds, db = make_db 4211 14 in
   let qs = query_sequence (Prng.make 11) ds ~count:8 in
   List.iter
@@ -101,15 +109,15 @@ let test_run_batch_differential () =
       let cold, warm =
         Psst_util.Pool.with_pool ~domains (fun pool ->
             let cache = Qcache.create () in
-            ( Query.run_batch pool db qs base_config,
-              Query.run_batch ~cache pool db qs base_config ))
+            ( run_pool pool db qs base_config,
+              run_pool ~cache pool db qs base_config ))
       in
       List.iteri
         (fun i (a, b) ->
           check_outcome (Printf.sprintf "batch/%dd: query %d" domains i) a b)
         (List.combine cold warm);
-      (* Cached batch answers also match per-query runs (the documented
-         run_batch invariant survives the cache). *)
+      (* Cached pool answers also match per-query runs (the documented
+         run_on invariant survives the cache). *)
       List.iteri
         (fun i (q, b) ->
           check_outcome
@@ -231,6 +239,28 @@ let test_flush_drops_entries () =
     (fun i (a, b) -> check_outcome (Printf.sprintf "post-flush: query %d" i) a b)
     (List.combine before after)
 
+(* Scopes of two databases live at once, as when a server maps jobs of
+   two epochs over one pool: once the newer database armed the cache,
+   the older scope neither reads its entries nor stores its own. *)
+let test_stale_scope_bypasses () =
+  let ds, db0 = make_db 4229 8 in
+  let db1 = Query.add_graphs db0 [| Corpus.get db0.Query.graphs 0 |] in
+  let q = fst (Generator.extract_query (Prng.make 13) ds ~edges:3) in
+  let cache = Qcache.create () in
+  let scope (db : Query.database) =
+    Qcache.scope (Some cache) ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:1
+      ~relax_cap:64
+  in
+  let ssp s v =
+    Qcache.ssp s ~graph:0 ~stop:None ~seed:0 `Exact ~compute:(fun () -> v)
+  in
+  let old_scope = scope db0 in
+  let new_scope = scope db1 in
+  Alcotest.(check (float 0.)) "new scope computes" 0.25 (ssp new_scope 0.25);
+  Alcotest.(check (float 0.)) "old scope does not read the new entry" 0.75
+    (ssp old_scope 0.75);
+  Alcotest.(check (float 0.)) "old scope stored nothing" 0.25 (ssp new_scope 0.5)
+
 let suite =
   [
     Alcotest.test_case "run: cached ≡ cold (1 and 4 domains)" `Slow
@@ -238,14 +268,16 @@ let suite =
     Alcotest.test_case "invalid caps rejected" `Quick test_invalid_caps_rejected;
     Alcotest.test_case "flush drops all entries; answers stay fresh" `Quick
       test_flush_drops_entries;
-    Alcotest.test_case "run_batch: cached ≡ cold" `Slow
-      test_run_batch_differential;
+    Alcotest.test_case "run_on pool: cached ≡ cold" `Slow
+      test_pool_differential;
     Alcotest.test_case "topk: cached ≡ cold (bitwise SSPs)" `Quick
       test_topk_differential;
     Alcotest.test_case "add_graphs invalidates; answers stay fresh" `Quick
       test_invalidation_after_add_graphs;
     Alcotest.test_case "save → load → query sees no stale entries" `Quick
       test_save_load_roundtrip;
+    Alcotest.test_case "stale scope neither reads nor stores" `Quick
+      test_stale_scope_bypasses;
     Alcotest.test_case "bounded eviction preserves answers" `Quick
       test_eviction_is_bounded;
   ]

@@ -1207,6 +1207,245 @@ let wait_for ?(timeout = 30.) what pred =
   in
   go ()
 
+(* --- the batcher's one job path (DESIGN.md §11, §12) ---
+
+   The tests below hold a 1-domain server's batcher on one slow job, so
+   that the jobs sent after it are admitted while it runs and land in
+   one micro-batch together. The slow job has a candidate whose
+   Karp–Luby loop draws samples, and an armed verify.sample delay makes
+   every draw sleep. *)
+
+(* Whether some candidate of [q] draws Karp–Luby samples under [config]:
+   a verify.sample Fail at every draw then degrades it. *)
+let draws_samples db q config =
+  F.arm [ ("verify.sample", F.Fail, 1.) ];
+  Fun.protect ~finally:F.disarm (fun () ->
+      (Query.run db q config).Query.stats.degraded_candidates > 0)
+
+let pick what pred queries =
+  match List.find_opt pred queries with
+  | Some q -> q
+  | None -> Alcotest.failf "no query %s" what
+
+(* Wait until [n] jobs sit in the server's admission queue. *)
+let await_queued c n =
+  wait_for (Printf.sprintf "%d queued jobs" n) (fun () ->
+      (Client.health c).P.queue_depth >= n)
+
+let h_batch_size = Psst_obs.histogram ~lo:1. ~hi:1e4 "server.batch.size"
+
+(* The batch sizes the server observed while [f] ran: (batches, jobs). *)
+let batches f =
+  let n0 = Psst_obs.histogram_count h_batch_size
+  and s0 = Psst_obs.histogram_sum h_batch_size in
+  let r = f () in
+  ( r,
+    ( Psst_obs.histogram_count h_batch_size - n0,
+      int_of_float (Psst_obs.histogram_sum h_batch_size -. s0) ) )
+
+let read_replies c n =
+  let replies = Hashtbl.create n in
+  for _ = 1 to n do
+    match Client.read_reply c with
+    | (P.Answer { id; _ } | P.Topk_answer { id; _ } | P.Error_reply { id; _ })
+      as r ->
+      Hashtbl.replace replies id r
+    | _ -> Alcotest.fail "unexpected reply kind"
+  done;
+  Hashtbl.find replies
+
+(* --verify-budget-ms is one deadline per micro-batch. Job A's sampled
+   candidate, slowed far past the budget, spends it; job B, in the same
+   batch under another config (another seed), then finds it spent, and
+   its only candidate degrades. A fresh budget per config would have
+   verified it. *)
+let test_budget_is_per_micro_batch () =
+  let ds, db = make_db 353 18 in
+  let cfg seed = { base_config with seed } in
+  let rng = Prng.make 61 in
+  let queries =
+    List.init 40 (fun _ -> fst (Generator.extract_query rng ds ~edges:4))
+  in
+  let hold =
+    pick "to hold the batcher" (fun q -> draws_samples db q (cfg 3)) queries
+  in
+  let qa =
+    pick "A with a sampled candidate" (fun q -> draws_samples db q (cfg 1)) queries
+  in
+  let qb =
+    pick "B with one candidate"
+      (fun q -> (Query.run db q (cfg 2)).Query.stats.prob_candidates = 1)
+      queries
+  in
+  let exact_b = (Query.run db qb (cfg 2)).Query.answers in
+  with_server ~verify_budget_ms:100. db (fun srv ->
+      with_client srv (fun c ->
+          F.arm [ ("verify.sample", F.Delay 0.003, 1.) ];
+          Fun.protect ~finally:F.disarm (fun () ->
+              Client.send c (P.Run { id = 0; query = hold; config = cfg 3 });
+              Thread.delay 0.05;
+              Client.send c (P.Run { id = 1; query = qa; config = cfg 1 });
+              Client.send c (P.Run { id = 2; query = qb; config = cfg 2 });
+              let reply = read_replies c 3 in
+              match reply 2 with
+              | P.Answer { answers; stats; _ } ->
+                Alcotest.(check bool) "B is flagged degraded" true
+                  stats.P.degraded;
+                List.iter
+                  (fun a ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "B keeps true answer %d" a)
+                      true (List.mem a answers))
+                  exact_b
+              | _ -> Alcotest.fail "B: expected Answer")))
+
+(* One micro-batch holding threshold and top-k jobs admitted at two
+   epochs: each runs against the snapshot it was admitted under, so
+   every reply equals the offline answer at its admission epoch. *)
+let test_mixed_batch_two_epochs () =
+  let ds, db0 = make_db 359 18 in
+  let added = make_batch 991 4 in
+  let db1 = Query.add_graphs db0 added in
+  let rng = Prng.make 67 in
+  let queries =
+    List.init 40 (fun _ -> fst (Generator.extract_query rng ds ~edges:4))
+  in
+  let hold_cfg = { base_config with seed = 3 } in
+  let hold =
+    pick "to hold the batcher" (fun q -> draws_samples db0 q hold_cfg) queries
+  in
+  let q1 = List.nth queries 1 and q2 = List.nth queries 2 in
+  let run db = Query.run db q1 base_config in
+  let topk db =
+    List.map
+      (fun (h : Topk.hit) -> (h.graph, h.ssp))
+      (Topk.run db q2 ~k:3 base_config).Topk.hits
+  in
+  let expect = [| run db0; run db1 |] and expect_k = [| topk db0; topk db1 |] in
+  with_server db0 (fun srv ->
+      with_client srv (fun c ->
+          with_client srv (fun c2 ->
+              let reply, sizes =
+                batches (fun () ->
+                    F.arm [ ("verify.sample", F.Delay 0.05, 1.) ];
+                    Fun.protect ~finally:F.disarm (fun () ->
+                        Client.send c
+                          (P.Run { id = 0; query = hold; config = hold_cfg });
+                        Thread.delay 0.05;
+                        let send epoch =
+                          Client.send c
+                            (P.Run
+                               { id = 1 + (2 * epoch); query = q1;
+                                 config = base_config });
+                          Client.send c
+                            (P.Run_topk
+                               { id = 2 + (2 * epoch); query = q2; k = 3;
+                                 config = base_config })
+                        in
+                        send 0;
+                        (match Client.add_graphs c2 added with
+                        | Ok r -> Alcotest.(check int) "ingest epoch" 1 r.epoch
+                        | Error (_, msg) -> Alcotest.failf "ingest: %s" msg);
+                        send 1;
+                        await_queued c2 4);
+                    read_replies c 5)
+              in
+              Alcotest.(check (pair int int))
+                "the hold, then one batch of four" (2, 5) sizes;
+              for epoch = 0 to 1 do
+                (match reply (1 + (2 * epoch)) with
+                | P.Answer { answers; stats; _ } ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "epoch %d answers" epoch)
+                    expect.(epoch).Query.answers answers;
+                  Alcotest.(check bool)
+                    (Printf.sprintf "epoch %d counters" epoch)
+                    true
+                    (stats = P.stats_of_query expect.(epoch).Query.stats)
+                | _ -> Alcotest.failf "epoch %d: expected Answer" epoch);
+                match reply (2 + (2 * epoch)) with
+                | P.Topk_answer { hits; _ } ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "epoch %d top-k hits" epoch)
+                    true
+                    (hits = expect_k.(epoch))
+                | _ -> Alcotest.failf "epoch %d: expected Topk_answer" epoch
+              done)))
+
+(* server.batch failing every job of a batch holding both kinds: each
+   threshold job degrades alone to its bounds-only answer (a flagged
+   superset when it has candidates left to verify), and each top-k job,
+   which has no degraded form, gets a retryable Unavailable. *)
+let test_batch_fault_both_kinds () =
+  let ds, db = make_db 367 18 in
+  let rng = Prng.make 71 in
+  let queries =
+    List.init 40 (fun _ -> fst (Generator.extract_query rng ds ~edges:4))
+  in
+  let hold_cfg = { base_config with seed = 3 } in
+  let hold =
+    pick "to hold the batcher" (fun q -> draws_samples db q hold_cfg) queries
+  in
+  let q1 =
+    pick "with candidates to verify"
+      (fun q -> (Query.run db q base_config).Query.stats.prob_candidates > 0)
+      queries
+  in
+  let q2 = List.nth queries 2 in
+  let exact = Query.run db q1 base_config in
+  with_server db (fun srv ->
+      with_client srv (fun c ->
+          with_client srv (fun c2 ->
+              let reply, sizes =
+                batches (fun () ->
+                    F.arm [ ("verify.sample", F.Delay 0.05, 1.) ];
+                    Fun.protect ~finally:F.disarm (fun () ->
+                        Client.send c
+                          (P.Run { id = 0; query = hold; config = hold_cfg });
+                        Thread.delay 0.05;
+                        (* The hold passed server.batch already; from here
+                           on every job fails there. *)
+                        F.arm
+                          [
+                            ("verify.sample", F.Delay 0.05, 1.);
+                            ("server.batch", F.Fail, 1.);
+                          ];
+                        Client.send c
+                          (P.Run { id = 1; query = q1; config = base_config });
+                        Client.send c
+                          (P.Run_topk
+                             { id = 2; query = q2; k = 3; config = base_config });
+                        Client.send c
+                          (P.Run { id = 3; query = q1; config = base_config });
+                        await_queued c2 3;
+                        F.arm [ ("server.batch", F.Fail, 1.) ];
+                        read_replies c 4))
+              in
+              Alcotest.(check (pair int int))
+                "the hold, then one batch of three" (2, 4) sizes;
+              List.iter
+                (fun id ->
+                  match reply id with
+                  | P.Answer { answers; stats; _ } ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "job %d flagged degraded" id)
+                      true stats.P.degraded;
+                    List.iter
+                      (fun a ->
+                        Alcotest.(check bool)
+                          (Printf.sprintf "job %d keeps true answer %d" id a)
+                          true (List.mem a answers))
+                      exact.Query.answers
+                  | _ -> Alcotest.failf "job %d: expected Answer" id)
+                [ 1; 3 ];
+              match reply 2 with
+              | P.Error_reply { code; message; _ } ->
+                Alcotest.(check bool) "top-k error is retryable" true
+                  (P.error_code_retryable code);
+                Alcotest.(check string) "top-k error message"
+                  "top-k stage unavailable; retry" message
+              | _ -> Alcotest.fail "top-k: expected Error_reply")))
+
 let test_replication_chaos_failover () =
   let dir = Filename.temp_file "psst_chaos_rep" "" in
   Sys.remove dir;
@@ -1401,6 +1640,12 @@ let suite =
       test_sigkill_mid_write;
     Alcotest.test_case "SIGKILL mid-split keeps the old deployment" `Slow
       test_sigkill_mid_split;
+    Alcotest.test_case "verify budget is per micro-batch" `Slow
+      test_budget_is_per_micro_batch;
+    Alcotest.test_case "one batch, two epochs, both kinds = offline" `Slow
+      test_mixed_batch_two_epochs;
+    Alcotest.test_case "batch fault: bounds-only or retryable top-k" `Slow
+      test_batch_fault_both_kinds;
     Alcotest.test_case "replication failover loses no acked batch" `Slow
       test_replication_chaos_failover;
   ]

@@ -274,10 +274,10 @@ let test_pmi_exact_memo () =
 (* --- Pipeline golden digest ---
 
    Answers and every count and flag of [stats] for [Query.run] (1 and 3
-   domains), [run_batch] and [run_bounds_only], plus each [Topk.run]
-   hit's graph and SSP bits, over the golden corpus and a fixed query
-   set: a fixed and an adaptive Karp–Luby verifier, and a [relax_cap]
-   that truncates the relaxed set. Three passes must give the same
+   domains), [run_on] mapped over a 2-domain pool and [run_bounds_only],
+   plus each [Topk.run] hit's graph and SSP bits, over the golden corpus
+   and a fixed query set: a fixed and an adaptive Karp–Luby verifier, and
+   a [relax_cap] that truncates the relaxed set. Three passes must give the same
    digest: cold, through a fresh cache, and again through that filled
    cache (where [Topk.run] also reads SSPs [Query.run] stored). *)
 
@@ -323,8 +323,10 @@ let pipeline_digest ?cache db queries =
           outcome_line b (Query.run_bounds_only ?cache db q config))
         queries;
       Psst_util.Pool.with_pool ~domains:2 (fun pool ->
-          List.iter (outcome_line b)
-            (Query.run_batch ?cache pool db queries config));
+          Array.iter (outcome_line b)
+            (Psst_util.Pool.map_array pool ~chunk:1
+               (fun q -> Query.run_on ?cache pool db q config)
+               (Array.of_list queries)));
       List.iter
         (fun q ->
           let out = Topk.run ?cache db q ~k:3 config in

@@ -110,7 +110,7 @@ let test_run_deterministic_across_domains () =
       (counters seq.Query.stats = counters par.Query.stats)
   done
 
-let test_run_batch_matches_run () =
+let test_run_on_matches_run () =
   let ds, db = make_db 93 20 in
   let rng = Prng.make 29 in
   let config =
@@ -121,7 +121,10 @@ let test_run_batch_matches_run () =
   let solo = List.map (fun q -> Query.run db q config) queries in
   let batch =
     Psst_util.Pool.with_pool ~domains:4 (fun pool ->
-        Query.run_batch pool db queries config)
+        Psst_util.Pool.map_array pool ~chunk:1
+          (fun q -> Query.run_on pool db q config)
+          (Array.of_list queries)
+        |> Array.to_list)
   in
   List.iteri
     (fun i (a, b) ->
@@ -193,7 +196,7 @@ let suite =
       test_prng_stream_independent_of_order;
     Alcotest.test_case "query: domains 1 = domains 4" `Slow
       test_run_deterministic_across_domains;
-    Alcotest.test_case "query: run_batch = run" `Slow test_run_batch_matches_run;
+    Alcotest.test_case "query: run_on pool = run" `Slow test_run_on_matches_run;
     Alcotest.test_case "query: parallel stats counters" `Slow
       test_stats_verification_counters;
     Alcotest.test_case "query: add_graph = reindex" `Slow test_add_graph_consistent;

@@ -140,6 +140,51 @@ let test_differential_topk () =
             Alcotest.(check bool) "top-k hits identical" true (hits = expect)
           | _ -> Alcotest.fail "expected Topk_answer"))
 
+(* A refused reconnect is one more failed attempt of run_all, not an
+   error: the server goes away under a connected client, and a new one
+   binds the same socket path ~300 ms later, inside the retry budget. *)
+let test_run_all_retries_refused_reconnect () =
+  let ds, db = make_db 229 15 in
+  let rng = Prng.make 41 in
+  let queries =
+    List.init 3 (fun _ -> fst (Generator.extract_query rng ds ~edges:4))
+  in
+  let offline = List.map (fun q -> Query.run db q base_config) queries in
+  let path = Filename.temp_file "psst_test_srv" ".sock" in
+  let cfg = Server.default_config (P.Unix_socket path) in
+  let first = Server.start cfg db in
+  let c = Client.connect (Server.endpoint first) in
+  let second = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Option.iter Server.stop !second;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Server.stop first;
+      let restart =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.3;
+            second := Some (Server.start cfg db))
+          ()
+      in
+      let replies =
+        Fun.protect
+          ~finally:(fun () -> Thread.join restart)
+          (fun () ->
+            Client.run_all ~max_retries:5 ~backoff_ms:100. c queries base_config)
+      in
+      List.iteri
+        (fun i (off : Query.outcome) ->
+          match replies.(i) with
+          | P.Answer { answers; _ } ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "query %d answers" i)
+              off.Query.answers answers
+          | _ -> Alcotest.failf "query %d: expected Answer" i)
+        offline)
+
 (* --- control plane --- *)
 
 let test_ping_and_stats () =
@@ -498,4 +543,6 @@ let suite =
       test_router_rejects_foreign_version;
     Alcotest.test_case "live socket path is never stolen" `Quick
       test_live_socket_not_stolen;
+    Alcotest.test_case "run_all retries a refused reconnect" `Slow
+      test_run_all_retries_refused_reconnect;
   ]
