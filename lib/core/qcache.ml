@@ -2,31 +2,32 @@ module Bitset = Psst_util.Bitset
 
 (* Cross-query verification cache (DESIGN.md §13).
 
-   Keys are strings built from the query's canonical code
-   (Canon.code, so the key space buckets by isomorphism class) plus its
-   exact textual presentation (Lgraph.to_string) plus the parameters the
-   cached artifact depends on. The presentation component is load-bearing
-   for bit-identity: capped VF2 enumeration and relaxation order depend
-   on vertex/edge numbering, so two isomorphic but differently-presented
-   queries may legitimately produce different (equally sound) embedding
-   samples — they must not share entries.
+   Keys are strings built from the database's lineage id, the query's
+   canonical code (Canon.code, so the key space buckets by isomorphism
+   class), its exact textual presentation (Lgraph.to_string) and the
+   parameters the cached artifact depends on. The presentation component
+   is load-bearing for bit-identity: capped VF2 enumeration and
+   relaxation order depend on vertex/edge numbering, so two isomorphic
+   but differently-presented queries may legitimately produce different
+   (equally sound) embedding samples — they must not share entries.
 
    Every cached artifact is a deterministic, PRNG-free function of
-   (query presentation, database, parameters) — or, for final SSP values,
-   of those plus the verifier config, seed and stop threshold: Query.run
-   and Topk.run both draw candidate gi from Prng.stream ~seed gi,
-   independently of pool size and ranking order. So a
-   hit returns exactly the value a cold run would recompute, and cached
-   runs stay bit-identical to cold runs under fixed seeds.
+   (query presentation, features, at most one graph, parameters) — or,
+   for final SSP values, of those plus the verifier config, seed and
+   stop threshold: Query.run and Topk.run both draw candidate gi from
+   Prng.stream ~seed gi, independently of pool size and ranking order.
+   So a hit returns exactly the value a cold run would recompute, and
+   cached runs stay bit-identical to cold runs under fixed seeds.
 
-   Invalidation is by physical identity of the database's [graphs] array
-   and PMI: Query.add_graphs, index_database and load_database all
-   allocate fresh arrays/PMI values, so arming a scope against a changed
-   database flushes every table (counter cache.flush). Scopes of two
-   databases can be live at once (a server maps jobs admitted at
-   different epochs over one pool): a scope whose database no longer
-   owns the cache computes without reading or storing, so it never sees
-   another database's entries.
+   Query.add_graphs only appends: it keeps the features and every graph
+   at its index. So a database and every database grown from it share
+   one lineage id, and an entry stored at one epoch stays right at every
+   later one; nothing is ever flushed. A lineage is a chain: only an
+   extension of its tip (the database holding the lineage's graph
+   count) keeps the id, so two different graphs never share an index
+   under one id. Every other database (indexed, loaded, sliced, merged,
+   or a second extension of one parent) gets a fresh id, and entries of
+   different ids never meet.
 
    All operations take one mutex; compute callbacks run outside the lock
    (two domains may race to fill the same key — both compute the same
@@ -35,12 +36,10 @@ module Bitset = Psst_util.Bitset
 let m_hit = Psst_obs.counter "cache.hit"
 let m_miss = Psst_obs.counter "cache.miss"
 let m_evict = Psst_obs.counter "cache.evict"
-let m_flush = Psst_obs.counter "cache.flush"
 let h_key = Psst_obs.histogram "cache.key_s"
 
 (* Bounded FIFO table. Insertion order approximates recency well enough
-   for the workloads here (repeated hot queries re-enter after a flush);
-   eviction is O(1) amortised. *)
+   for the workloads here; eviction is O(1) amortised. *)
 module Tbl = struct
   type 'v t = {
     tbl : (string, 'v) Hashtbl.t;
@@ -68,17 +67,11 @@ module Tbl = struct
       Queue.add k t.order
     end
 
-  let clear t =
-    Hashtbl.reset t.tbl;
-    Queue.clear t.order
-
   let length t = Hashtbl.length t.tbl
 end
 
 type t = {
   mu : Mutex.t;
-  mutable owner_graphs : Corpus.t;
-  mutable owner_pmi : Pmi.t option;
   relaxed : (Lgraph.t list * [ `Complete | `Truncated ]) Tbl.t;
   prepared : Pruning.prepared Tbl.t;
   emb : Bitset.t list Tbl.t;
@@ -93,8 +86,6 @@ let create ?(query_cap = 128) ?(value_cap = 16384) () =
   if value_cap < 1 then invalid_arg "Qcache.create: value_cap must be >= 1";
   {
     mu = Mutex.create ();
-    owner_graphs = Corpus.of_array [||];
-    owner_pmi = None;
     relaxed = Tbl.create query_cap;
     prepared = Tbl.create query_cap;
     emb = Tbl.create value_cap;
@@ -102,71 +93,55 @@ let create ?(query_cap = 128) ?(value_cap = 16384) () =
     ssp = Tbl.create value_cap;
   }
 
-(* Callers must hold [t.mu]. *)
-let flush_unlocked t =
-  Tbl.clear t.relaxed;
-  Tbl.clear t.prepared;
-  Tbl.clear t.emb;
-  Tbl.clear t.sprep;
-  Tbl.clear t.ssp
-
-let flush t = Mutex.protect t.mu (fun () -> flush_unlocked t)
-
 let entries t =
   Mutex.protect t.mu (fun () ->
       Tbl.length t.relaxed + Tbl.length t.prepared + Tbl.length t.emb
       + Tbl.length t.sprep + Tbl.length t.ssp)
 
+(* [tip] is the graph count of the lineage's newest database; the one
+   compare-and-set in [extend] moves it, so exactly one extension of each
+   database keeps the id. *)
+type lineage = { id : int; tip : int Atomic.t }
+
+let next_id = Atomic.make 0
+let lineage ~count = { id = Atomic.fetch_and_add next_id 1; tip = Atomic.make count }
+
+let extend l ~parent ~grown =
+  if Atomic.compare_and_set l.tip parent grown then l else lineage ~count:grown
+
 (* [None] is the unarmed scope of a run without a cache: every accessor
    then just runs its compute callback. *)
-type armed = { cache : t; qkey : string; graphs : Corpus.t; pmi : Pmi.t }
+type armed = { cache : t; qkey : string }
 type scope = armed option
 
-(* Callers must hold [t.mu]. *)
-let owned_by t ~graphs ~pmi =
-  t.owner_graphs == graphs
-  && match t.owner_pmi with Some p -> p == pmi | None -> false
-
-let scope cache ~graphs ~pmi ~q ~delta ~relax_cap =
+let scope cache ~lineage ~q ~delta ~relax_cap =
   Option.map
     (fun t ->
       let qkey =
         Psst_obs.span h_key (fun () ->
-            Printf.sprintf "%s\x01%s\x01d=%d;rc=%d" (Canon.code q)
+            Printf.sprintf "%d\x01%s\x01%s\x01d=%d;rc=%d" lineage.id (Canon.code q)
               (Lgraph.to_string q) delta relax_cap)
       in
-      Mutex.protect t.mu (fun () ->
-          if not (owned_by t ~graphs ~pmi) then begin
-            if t.owner_pmi <> None then Psst_obs.incr m_flush;
-            flush_unlocked t;
-            t.owner_graphs <- graphs;
-            t.owner_pmi <- Some pmi
-          end);
-      { cache = t; qkey; graphs; pmi })
+      { cache = t; qkey })
     cache
 
 (* Shared lookup-or-compute; [key] extends the scope's query key. The lock
    covers only table access, never the compute callback; exceptions from
    [compute] (injected faults, budget aborts) propagate without storing
-   anything. A cached value [evict] accepts is dropped and recomputed. A
-   scope whose database lost ownership of the cache (another database
-   armed it since) counts a miss and neither reads nor stores. *)
+   anything. A cached value [evict] accepts is dropped and recomputed. *)
 let memo ~evict table s key compute =
   match s with
   | None -> compute ()
-  | Some { cache = t; qkey; graphs; pmi } ->
+  | Some { cache = t; qkey } ->
     let tbl = table t and key = key qkey in
-    let owned () = owned_by t ~graphs ~pmi in
     let cached =
       Mutex.protect t.mu (fun () ->
-          if not (owned ()) then None
-          else
-            match Tbl.find tbl key with
-            | Some v when evict v ->
-              Tbl.remove tbl key;
-              Psst_obs.incr m_evict;
-              None
-            | found -> found)
+          match Tbl.find tbl key with
+          | Some v when evict v ->
+            Tbl.remove tbl key;
+            Psst_obs.incr m_evict;
+            None
+          | found -> found)
     in
     (match cached with
     | Some v ->
@@ -175,7 +150,7 @@ let memo ~evict table s key compute =
     | None ->
       Psst_obs.incr m_miss;
       let v = compute () in
-      Mutex.protect t.mu (fun () -> if owned () then Tbl.add tbl key v);
+      Mutex.protect t.mu (fun () -> Tbl.add tbl key v);
       v)
 
 let never _ = false

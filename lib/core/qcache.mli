@@ -9,18 +9,16 @@
     A hit therefore returns exactly what a cold run would recompute:
     cached answers are bit-identical to uncached ones at fixed seeds.
 
-    Keys combine the query's canonical code ({!Canon.code}) with its
-    exact textual presentation: capped embedding enumeration is
-    presentation-dependent, so isomorphic-but-renumbered queries never
-    share entries.
+    Keys start with the database's {!lineage}. {!Query.add_graphs} only
+    appends, so a database and the databases grown from it share
+    entries, and no entry is ever flushed; every other database gets a
+    fresh lineage and shares nothing. The query's canonical code
+    ({!Canon.code}) and its exact textual presentation follow: capped
+    embedding enumeration is presentation-dependent, so
+    isomorphic-but-renumbered queries never share entries.
 
-    Invalidation is by physical identity of the database ([graphs] array
-    and PMI): {!Query.add_graphs}, {!Query.index_database} and
-    {!Query.load_database} all allocate fresh values, so {!scope} flushes
-    automatically when armed against a changed database.
-
-    Tables are FIFO-bounded; hits, misses, evictions and flushes surface
-    as the [cache.{hit,miss,evict,flush}] counters in {!Psst_obs}. All
+    Tables are FIFO-bounded; hits, misses and evictions surface as the
+    [cache.{hit,miss,evict}] counters in {!Psst_obs}. All
     operations are safe from every domain of a [Psst_util.Pool]; compute
     callbacks run outside the cache lock. *)
 
@@ -36,27 +34,31 @@ val create : ?query_cap:int -> ?value_cap:int -> unit -> t
 (** Total cached entries across all tables. *)
 val entries : t -> int
 
-(** Drop every entry (owner sticks). *)
-val flush : t -> unit
+(** The identity of a chain of databases, each grown from the one
+    before by appending graphs. Graph [i] is the same graph in every
+    database of a lineage, so cached entries are keyed by it. *)
+type lineage
 
-(** A cache armed for one (database, query, relaxation parameters)
-    triple, or the unarmed scope of a run without a cache. Arming
-    verifies the owner database by physical identity and flushes on
-    change. Once another database has armed the cache, an older scope
-    computes without reading or storing entries, so concurrent scopes
-    of different databases never share a value. *)
+(** [lineage ~count] is a fresh lineage whose newest database holds
+    [count] graphs. *)
+val lineage : count:int -> lineage
+
+(** [extend l ~parent ~grown] is the lineage of a database of [grown]
+    graphs made by appending to a database of [parent] graphs in [l]. It
+    is [l] when the parent is the newest database of [l] (one atomic
+    compare-and-set on its graph count), and a fresh lineage otherwise:
+    a second extension of one parent is a fork, whose graph [parent]
+    differs from the first extension's. *)
+val extend : lineage -> parent:int -> grown:int -> lineage
+
+(** A cache armed for one (lineage, query, relaxation parameters)
+    triple, or the unarmed scope of a run without a cache. *)
 type scope
 
 (** [scope cache ...] arms [cache]; [None] gives the unarmed scope, on
     which every accessor below just runs its [compute]. *)
 val scope :
-  t option ->
-  graphs:Corpus.t ->
-  pmi:Pmi.t ->
-  q:Lgraph.t ->
-  delta:int ->
-  relax_cap:int ->
-  scope
+  t option -> lineage:lineage -> q:Lgraph.t -> delta:int -> relax_cap:int -> scope
 
 (** Each accessor returns the cached artifact or runs [compute], stores
     and returns its result. Exceptions from [compute] propagate and cache

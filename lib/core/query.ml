@@ -8,6 +8,7 @@ type database = {
   structural : Structural.t;
   pmi : Pmi.t;
   base : int;
+  lineage : Qcache.lineage;
 }
 
 (* Graph ids in answers, hits and PRNG-stream derivations are global:
@@ -37,6 +38,7 @@ let index_database ?(mining = Selection.default_params)
     structural = Pmi.structural pmi;
     pmi;
     base = 0;
+    lineage = Qcache.lineage ~count:(Array.length graphs);
   }
 
 let m_runs = Psst_obs.counter "query.runs"
@@ -51,12 +53,16 @@ let add_graphs db gs =
        enter the PMI postings, the one record of where each occurs. *)
     let pmi = Pmi.add_graphs db.pmi gs in
     Psst_obs.add m_graphs_added (Array.length gs);
+    let graphs = Corpus.append db.graphs gs in
     {
-      graphs = Corpus.append db.graphs gs;
+      graphs;
       features = db.features;
       structural = Pmi.structural pmi;
       pmi;
       base = db.base;
+      lineage =
+        Qcache.extend db.lineage ~parent:(Corpus.length db.graphs)
+          ~grown:(Corpus.length graphs);
     }
   end
 
@@ -149,7 +155,7 @@ type front = {
 let front ~cache db q config =
   check_relaxation config;
   let scope =
-    Qcache.scope cache ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:config.delta
+    Qcache.scope cache ~lineage:db.lineage ~q ~delta:config.delta
       ~relax_cap:config.relax_cap
   in
   let (relaxed, status), relax_s =
@@ -538,6 +544,7 @@ let database_of_sections ~path ~salvage sections =
     structural = Pmi.structural pmi;
     pmi;
     base = read_base small;
+    lineage = Qcache.lineage ~count:(Array.length graphs);
   }
 
 let save_database ?(flat = true) path db =
@@ -578,6 +585,7 @@ let load_database_mapped path =
         structural = Pmi.structural pmi;
         pmi;
         base = read_base small;
+        lineage = Qcache.lineage ~count:(Corpus.length graphs);
       })
 
 let load_database ?(salvage = false) ?(mmap = false) path =

@@ -20,6 +20,10 @@ type database = {
   structural : Structural.t;
   pmi : Pmi.t;
   base : int;  (** global id of local graph 0 *)
+  lineage : Qcache.lineage;
+      (** kept by {!add_graphs} on the lineage's newest database
+          ({!Qcache.extend}), so a grown database shares its parent's
+          {!Qcache} entries; every other constructor mints a fresh one *)
 }
 
 (** [global db gi] = [db.base + gi], the corpus-wide id of local graph

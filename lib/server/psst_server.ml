@@ -26,8 +26,9 @@
    so a query admitted before an ingest batch never observes the new
    graphs and every answer is bit-identical to an offline Query.run (or
    Topk.run) against that epoch's database. Jobs of different epochs in
-   one micro-batch run side by side; the cache keeps their entries
-   apart (Qcache).
+   one micro-batch run side by side and share cache entries: an epoch
+   only appends graphs, so every entry an older epoch can read is right
+   at every later one (Qcache).
 
    Closing the query queue is the drain barrier: no job enters after
    it, and the batcher's take returns nothing only once every admitted
@@ -127,8 +128,8 @@ type t = {
   pool : Pool.t;
   cache : Qcache.t option;
       (* cross-query verification cache, shared by every batch on the
-         persistent pool; None when [cache_cap = 0]. Scoped by physical
-         database identity, so an epoch swap flushes it automatically. *)
+         persistent pool; None when [cache_cap = 0]. Keyed by the
+         database's lineage, which an epoch swap keeps. *)
   listener : Listener.t;
   queue : job Psst_util.Tenant_queue.t;
       (* one job per rota turn, so a tenant saturating its quota gets an

@@ -76,9 +76,9 @@ type config = {
       (** cross-query verification cache ({!Qcache}) value-table bound;
           [0] disables the cache. Cached answers are bit-identical to
           cold ones (the cache memoises deterministic artifacts only) and
-          the cache self-invalidates when the database changes — an
-          ingest epoch swap flushes it automatically — so the only
-          trade-off is memory. *)
+          keyed by the database's lineage, so an ingest epoch keeps the
+          entries of the epochs before it; the only trade-off is
+          memory. *)
   ingest_queue_cap : int;
       (** bound on graphs queued for ingest across tenants; [0] disables
           ingest entirely ([Add_graphs] is answered [Unavailable]). *)

@@ -88,6 +88,7 @@ let sub_database (db : Query.database) ~base ~count =
     structural = Pmi.structural pmi;
     pmi;
     base = db.base + base;
+    lineage = Qcache.lineage ~count;
   }
 
 let merge (parts : Query.database list) =
@@ -107,15 +108,17 @@ let merge (parts : Query.database list) =
         first.Query.base parts
     in
     let pmi = Pmi.concat (List.map (fun (p : Query.database) -> p.Query.pmi) parts) in
+    let graphs =
+      Array.concat
+        (List.map (fun (p : Query.database) -> Corpus.to_array p.Query.graphs) parts)
+    in
     {
-      Query.graphs =
-        Corpus.of_array
-          (Array.concat
-             (List.map (fun (p : Query.database) -> Corpus.to_array p.Query.graphs) parts));
+      Query.graphs = Corpus.of_array graphs;
       features = Array.to_list (Pmi.features pmi);
       structural = Pmi.structural pmi;
       pmi;
       base = first.Query.base;
+      lineage = Qcache.lineage ~count:(Array.length graphs);
     }
 
 (* --- answer merging --- *)

@@ -2,9 +2,12 @@
    cached and cold runs must be bit-identical — same answer sets, same
    pruning counters, same SSP values — across randomized query sequences
    with repeats, at 1 and 4 domains, through run / run_on / Topk.run,
-   across database mutation (add_graphs invalidates) and a save → load →
-   query round trip (physical-identity invalidation means a freshly
-   loaded database never sees stale embeddings). *)
+   across database growth (add_graphs keeps the lineage, so the grown
+   database reuses the entries of its parent) and a save → load → query
+   round trip (a loaded database is a fresh lineage and shares nothing).
+   Scope-level cases pin which databases share entries: a database and
+   its extension do; two separately indexed databases and two different
+   extensions of one parent (a fork) never do. *)
 
 module Prng = Psst_util.Prng
 
@@ -143,20 +146,28 @@ let test_topk_differential () =
         a.Topk.stats.verified b.Topk.stats.verified)
     (List.combine cold warm)
 
-let test_invalidation_after_add_graphs () =
+(* The queries of [qs], each once: a first pass over them can only hit
+   entries stored before it. *)
+let distinct qs =
+  List.sort_uniq (fun a b -> compare (Lgraph.to_string a) (Lgraph.to_string b)) qs
+
+let test_add_graphs_keeps_cache () =
   let ds, db = make_db 4231 12 in
-  let qs = query_sequence (Prng.make 17) ds ~count:6 in
+  let qs = distinct (query_sequence (Prng.make 17) ds ~count:6) in
   let cache = Qcache.create () in
   (* Warm the cache thoroughly against the original database. *)
   List.iter (fun q -> ignore (Query.run ~cache db q base_config)) qs;
   Alcotest.(check bool) "cache holds entries" true (Qcache.entries cache > 0);
   let extra, _ = make_db 4232 3 in
   let db2 = Query.add_graphs db extra.Generator.graphs in
-  let flushes_before = counter_value "cache.flush" in
   let cold2 = List.map (fun q -> Query.run db2 q base_config) qs in
+  let hits_before = counter_value "cache.hit"
+  and flushes_before = counter_value "cache.flush" in
   let warm2 = List.map (fun q -> Query.run ~cache db2 q base_config) qs in
-  Alcotest.(check bool) "arming against the grown database flushed" true
-    (counter_value "cache.flush" > flushes_before);
+  Alcotest.(check bool) "the grown database hits its parent's entries" true
+    (counter_value "cache.hit" > hits_before);
+  Alcotest.(check int) "nothing flushed" flushes_before
+    (counter_value "cache.flush");
   List.iteri
     (fun i (a, b) ->
       check_outcome (Printf.sprintf "post-add_graphs: query %d" i) a b)
@@ -173,16 +184,19 @@ let with_tmp f =
 
 let test_save_load_roundtrip () =
   let ds, db = make_db 4241 12 in
-  let qs = query_sequence (Prng.make 19) ds ~count:6 in
+  let qs = distinct (query_sequence (Prng.make 19) ds ~count:6) in
   let cache = Qcache.create () in
   (* Warm against the in-memory database, then reload from disk and keep
-     using the same cache: the loaded database is a fresh physical value,
-     so the scope must flush rather than serve stale embeddings. *)
+     using the same cache: the loaded database is a fresh lineage, so it
+     reads none of the in-memory entries and drops none of them. *)
   let before = List.map (fun q -> Query.run ~cache db q base_config) qs in
   with_tmp (fun path ->
       Query.save_database path db;
       let loaded = Query.load_database path in
+      let hits_before = counter_value "cache.hit" in
       let after = List.map (fun q -> Query.run ~cache loaded q base_config) qs in
+      Alcotest.(check int) "the loaded database's first pass hits nothing"
+        hits_before (counter_value "cache.hit");
       List.iteri
         (fun i (a, b) ->
           check_outcome (Printf.sprintf "save/load: query %d" i) a b)
@@ -193,7 +207,11 @@ let test_save_load_roundtrip () =
           check_outcome
             (Printf.sprintf "save/load cold: query %d" i)
             (Query.run loaded q base_config) b)
-        (List.combine qs after))
+        (List.combine qs after);
+      let misses_before = counter_value "cache.miss" in
+      List.iter (fun q -> ignore (Query.run ~cache db q base_config)) qs;
+      Alcotest.(check int) "the in-memory entries survived the loaded pass"
+        misses_before (counter_value "cache.miss"))
 
 let test_eviction_is_bounded () =
   (* A tiny cache must keep answers identical while evicting. *)
@@ -225,59 +243,118 @@ let test_invalid_caps_rejected () =
   expect_invalid "negative caps" (fun () ->
       Qcache.create ~query_cap:(-1) ~value_cap:(-8) ())
 
-let test_flush_drops_entries () =
-  let ds, db = make_db 4261 10 in
-  let qs = query_sequence (Prng.make 29) ds ~count:4 in
-  let cache = Qcache.create () in
-  let before = List.map (fun q -> Query.run ~cache db q base_config) qs in
-  Alcotest.(check bool) "entries present before flush" true
-    (Qcache.entries cache > 0);
-  Qcache.flush cache;
-  Alcotest.(check int) "flush empties every table" 0 (Qcache.entries cache);
-  let after = List.map (fun q -> Query.run ~cache db q base_config) qs in
-  List.iteri
-    (fun i (a, b) -> check_outcome (Printf.sprintf "post-flush: query %d" i) a b)
-    (List.combine before after)
-
-(* Scopes of two databases live at once, as when a server maps jobs of
-   two epochs over one pool: once the newer database armed the cache,
-   the older scope neither reads its entries nor stores its own. *)
-let test_stale_scope_bypasses () =
-  let ds, db0 = make_db 4229 8 in
-  let db1 = Query.add_graphs db0 [| Corpus.get db0.Query.graphs 0 |] in
+(* Scope-level sharing: [ssp db ~graph v] looks up the SSP of graph
+   [graph] for one query through a scope armed for [db], returning the
+   cached value if there is one and storing and returning [v] if not. *)
+let scope_cases () =
+  let ds, db = make_db 4229 8 in
   let q = fst (Generator.extract_query (Prng.make 13) ds ~edges:3) in
   let cache = Qcache.create () in
-  let scope (db : Query.database) =
-    Qcache.scope (Some cache) ~graphs:db.graphs ~pmi:db.pmi ~q ~delta:1
-      ~relax_cap:64
+  let ssp (db : Query.database) ~graph v =
+    Qcache.ssp
+      (Qcache.scope (Some cache) ~lineage:db.lineage ~q ~delta:1 ~relax_cap:64)
+      ~graph ~stop:None ~seed:0 `Exact ~compute:(fun () -> v)
   in
-  let ssp s v =
-    Qcache.ssp s ~graph:0 ~stop:None ~seed:0 `Exact ~compute:(fun () -> v)
+  (ds, db, ssp)
+
+let test_separate_indexes_share_nothing () =
+  let ds, db, ssp = scope_cases () in
+  let twin =
+    Query.index_database
+      ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
+      ~bounds:fast_bounds ds.Generator.graphs
   in
-  let old_scope = scope db0 in
-  let new_scope = scope db1 in
-  Alcotest.(check (float 0.)) "new scope computes" 0.25 (ssp new_scope 0.25);
-  Alcotest.(check (float 0.)) "old scope does not read the new entry" 0.75
-    (ssp old_scope 0.75);
-  Alcotest.(check (float 0.)) "old scope stored nothing" 0.25 (ssp new_scope 0.5)
+  Alcotest.(check (float 0.)) "db stores" 0.25 (ssp db ~graph:0 0.25);
+  Alcotest.(check (float 0.)) "an index of the same graphs computes" 0.75
+    (ssp twin ~graph:0 0.75);
+  Alcotest.(check (float 0.)) "db keeps its own entry" 0.25 (ssp db ~graph:0 0.5)
+
+let test_extension_shares () =
+  let _, db, ssp = scope_cases () in
+  let grown = Query.add_graphs db [| Corpus.get db.Query.graphs 0 |] in
+  Alcotest.(check (float 0.)) "db stores" 0.25 (ssp db ~graph:0 0.25);
+  Alcotest.(check (float 0.)) "its extension reads the entry" 0.25
+    (ssp grown ~graph:0 0.75);
+  Alcotest.(check (float 0.)) "the extension stores" 0.5
+    (ssp grown ~graph:8 0.5);
+  let grown2 = Query.add_graphs grown [| Corpus.get db.Query.graphs 1 |] in
+  Alcotest.(check (float 0.)) "a second extension reads both" 0.5
+    (ssp grown2 ~graph:8 0.75)
+
+(* Two different extensions of one parent hold different graphs at the
+   same index: the second is a fork and must not read the first's
+   entries, at scope level or through whole runs. *)
+let test_fork_shares_nothing () =
+  let ds, db, ssp = scope_cases () in
+  let a, _ = make_db 4233 3 and b, _ = make_db 4234 3 in
+  let db_a = Query.add_graphs db a.Generator.graphs in
+  let db_b = Query.add_graphs db b.Generator.graphs in
+  Alcotest.(check (float 0.)) "the first extension stores" 0.25
+    (ssp db_a ~graph:8 0.25);
+  Alcotest.(check (float 0.)) "the fork computes its own graph 8" 0.75
+    (ssp db_b ~graph:8 0.75);
+  let qs = distinct (query_sequence (Prng.make 31) ds ~count:6) in
+  let cache = Qcache.create () in
+  List.iter
+    (fun (name, grown) ->
+      List.iteri
+        (fun i q ->
+          check_outcome
+            (Printf.sprintf "%s: query %d" name i)
+            (Query.run grown q base_config)
+            (Query.run ~cache grown q base_config))
+        qs)
+    [ ("first extension", db_a); ("fork", db_b) ]
+
+(* The shared [Pruning.prepared] entries index features by position, so
+   growing a PMI must keep the parent's features in the parent's order:
+   built, and grown through [Pmi.add_graphs] and through
+   [Query.add_graphs] on a built and on a mapped database. *)
+let test_growth_keeps_feature_order () =
+  let _, db = make_db 4271 10 in
+  let extra, _ = make_db 4272 4 in
+  let keys pmi =
+    Array.to_list
+      (Array.map
+         (fun (f : Selection.feature) -> (f.key, Lgraph.to_string f.graph))
+         (Pmi.features pmi))
+  in
+  let parent = keys db.Query.pmi in
+  Alcotest.(check bool) "the parent has features" true (parent <> []);
+  let same what pmi =
+    Alcotest.(check (list (pair string string))) what parent (keys pmi)
+  in
+  same "Pmi.add_graphs" (Pmi.add_graphs db.pmi extra.Generator.graphs);
+  same "Query.add_graphs, built"
+    (Query.add_graphs db extra.Generator.graphs).pmi;
+  with_tmp (fun path ->
+      Query.save_database path db;
+      let mapped = Query.load_database ~mmap:true path in
+      same "mapped" mapped.pmi;
+      same "Query.add_graphs, mapped"
+        (Query.add_graphs mapped extra.Generator.graphs).pmi)
 
 let suite =
   [
     Alcotest.test_case "run: cached ≡ cold (1 and 4 domains)" `Slow
       test_run_differential;
     Alcotest.test_case "invalid caps rejected" `Quick test_invalid_caps_rejected;
-    Alcotest.test_case "flush drops all entries; answers stay fresh" `Quick
-      test_flush_drops_entries;
     Alcotest.test_case "run_on pool: cached ≡ cold" `Slow
       test_pool_differential;
     Alcotest.test_case "topk: cached ≡ cold (bitwise SSPs)" `Quick
       test_topk_differential;
-    Alcotest.test_case "add_graphs invalidates; answers stay fresh" `Quick
-      test_invalidation_after_add_graphs;
+    Alcotest.test_case "add_graphs keeps the cache; answers stay fresh" `Quick
+      test_add_graphs_keeps_cache;
     Alcotest.test_case "save → load → query sees no stale entries" `Quick
       test_save_load_roundtrip;
-    Alcotest.test_case "stale scope neither reads nor stores" `Quick
-      test_stale_scope_bypasses;
+    Alcotest.test_case "separate indexes of one corpus share nothing" `Quick
+      test_separate_indexes_share_nothing;
+    Alcotest.test_case "a database and its extension share entries" `Quick
+      test_extension_shares;
+    Alcotest.test_case "two extensions of one parent share nothing" `Quick
+      test_fork_shares_nothing;
+    Alcotest.test_case "growth keeps the feature order" `Quick
+      test_growth_keeps_feature_order;
     Alcotest.test_case "bounded eviction preserves answers" `Quick
       test_eviction_is_bounded;
   ]

@@ -1301,9 +1301,13 @@ let test_budget_is_per_micro_batch () =
 
 (* One micro-batch holding threshold and top-k jobs admitted at two
    epochs: each runs against the snapshot it was admitted under, so
-   every reply equals the offline answer at its admission epoch. *)
+   every reply equals the offline answer at its admission epoch. The
+   served database is indexed apart from the offline one, so its ingest
+   extends its own lineage: the two epochs share cache entries, and the
+   epoch-1 jobs hit what the epoch-0 jobs stored. *)
 let test_mixed_batch_two_epochs () =
   let ds, db0 = make_db 359 18 in
+  let _, served = make_db 359 18 in
   let added = make_batch 991 4 in
   let db1 = Query.add_graphs db0 added in
   let rng = Prng.make 67 in
@@ -1322,7 +1326,9 @@ let test_mixed_batch_two_epochs () =
       (Topk.run db q2 ~k:3 base_config).Topk.hits
   in
   let expect = [| run db0; run db1 |] and expect_k = [| topk db0; topk db1 |] in
-  with_server db0 (fun srv ->
+  let hits = Psst_obs.counter "cache.hit" in
+  let hits_before = Psst_obs.counter_value hits in
+  with_server served (fun srv ->
       with_client srv (fun c ->
           with_client srv (fun c2 ->
               let reply, sizes =
@@ -1343,6 +1349,9 @@ let test_mixed_batch_two_epochs () =
                                  config = base_config })
                         in
                         send 0;
+                        (* Both epoch-0 jobs are admitted before the
+                           ingest commits. *)
+                        await_queued c2 2;
                         (match Client.add_graphs c2 added with
                         | Ok r -> Alcotest.(check int) "ingest epoch" 1 r.epoch
                         | Error (_, msg) -> Alcotest.failf "ingest: %s" msg);
@@ -1352,6 +1361,8 @@ let test_mixed_batch_two_epochs () =
               in
               Alcotest.(check (pair int int))
                 "the hold, then one batch of four" (2, 5) sizes;
+              Alcotest.(check bool) "the epochs share cache entries" true
+                (Psst_obs.counter_value hits > hits_before);
               for epoch = 0 to 1 do
                 (match reply (1 + (2 * epoch)) with
                 | P.Answer { answers; stats; _ } ->

@@ -135,9 +135,9 @@ let check_ingest_differential ~domains () =
           while not !acked do
             if collect () = `Ack then acked := true
           done;
-          (* Cold second wave, then a warm repeat: the Qcache keys on the
-             physical database, so the swapped epoch must serve fresh
-             (yet bit-identical) answers, not stale epoch-0 ones. *)
+          (* Second wave, then a warm repeat: the swapped epoch shares the
+             epoch-0 cache entries of its lineage and must still answer
+             bit-identically to an offline run on the grown database. *)
           List.iteri
             (fun i q ->
               Client.send c
