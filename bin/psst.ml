@@ -95,16 +95,23 @@ let generate num_graphs organisms seed verbose binary output =
 
 (* --- query --- *)
 
+(* A binary corpus file hands over its graphs' fingerprint with them
+   (the CRC of the payload they were decoded from). *)
 let corpus_of input num_graphs seed =
   match input with
   | Some path ->
-    let graphs = Pgraph_io.load_auto path in
+    let graphs, fingerprint =
+      if Psst_store.is_store_file path then
+        let graphs, fp = Pgraph_io.load_binary_fingerprinted path in
+        (graphs, Some fp)
+      else (Pgraph_io.load path, None)
+    in
     Printf.printf "loaded %d graphs from %s\n%!" (Array.length graphs) path;
-    (graphs, None)
+    (Corpus.of_array ?fingerprint graphs, None)
   | None ->
     let params = { Generator.default_params with num_graphs; seed } in
     let ds = Generator.generate params in
-    (ds.graphs, Some ds)
+    (Corpus.of_array ds.graphs, Some ds)
 
 (* Build the indexes, or reuse a persisted database when [index_file] names
    a valid store for this exact corpus. A missing file is built and saved; a
@@ -116,7 +123,8 @@ let corpus_of input num_graphs seed =
    elapsed time, a description, and the delta chain when persistent
    (armed for further ingest). A rebuild runs on [domains]. *)
 let obtain_database ?(mmap = false)
-    ?(domains = Psst_util.Pool.default_domains ()) index_file graphs =
+    ?(domains = Psst_util.Pool.default_domains ()) index_file corpus =
+  let graphs = Corpus.to_array corpus in
   let with_deltas path (db, t) how =
     let (db, chain), t_replay =
       Psst_util.Timer.time (fun () -> Psst_ingest.apply_deltas ~base:path db)
@@ -155,8 +163,7 @@ let obtain_database ?(mmap = false)
   | Some path when Sys.file_exists path -> (
     match Psst_util.Timer.time (fun () -> Query.load_database ~mmap path) with
     | db, t when
-        Corpus.fingerprint db.Query.graphs
-        = Pgraph_io.db_fingerprint graphs ->
+        Corpus.fingerprint db.Query.graphs = Corpus.fingerprint corpus ->
       with_deltas path (db, t)
         (if mmap then "memory-mapped (zero-copy flat image)"
          else "loaded (mining and PMI build skipped)")
@@ -171,7 +178,7 @@ let obtain_database ?(mmap = false)
 
 let index num_graphs seed input _flat output =
   or_die @@ fun () ->
-  let graphs, _ = corpus_of input num_graphs seed in
+  let graphs = Corpus.to_array (fst (corpus_of input num_graphs seed)) in
   Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
   let db, t_index =
     Psst_util.Timer.time (fun () ->
@@ -194,16 +201,16 @@ let index num_graphs seed input _flat output =
 let shard num_graphs seed input index_file _flat output shards max_graphs
     max_cost =
   or_die @@ fun () ->
-  let graphs, _ = corpus_of input num_graphs seed in
-  Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
-  let db, t_index, how, _chain = obtain_database index_file graphs in
+  let corpus, _ = corpus_of input num_graphs seed in
+  Printf.printf "indexing %d graphs...\n%!" (Corpus.length corpus);
+  let db, t_index, how, _chain = obtain_database index_file corpus in
   Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how t_index
     (List.length db.Query.features)
     (Pmi.filled_entries db.Query.pmi);
   let plan =
     match (shards, max_graphs, max_cost) with
     | Some parts, None, None ->
-      Psst_shard.plan_even ~parts ~total:(Array.length graphs)
+      Psst_shard.plan_even ~parts ~total:(Corpus.length corpus)
     | None, None, None ->
       die "pass --shards N (even split) or --max-graphs / --max-cost (budget)"
     | None, mg, mc ->
@@ -251,10 +258,11 @@ let write_stats_json path traces =
    trivial one (organism 0 everywhere), shared by [query], [topk] and
    [client] so the extracted query sequence is identical for the same
    corpus and seed. *)
-let dataset_wrapper graphs ds_opt =
+let dataset_wrapper corpus ds_opt =
   match ds_opt with
   | Some ds -> ds
   | None ->
+    let graphs = Corpus.to_array corpus in
     {
       Generator.graphs;
       organisms = Array.make (Array.length graphs) 0;
@@ -266,9 +274,9 @@ let dataset_wrapper graphs ds_opt =
 let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
     index_file stats_json =
   or_die @@ fun () ->
-  let graphs, ds_opt = corpus_of input num_graphs seed in
-  Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
-  let db, t_index, how, _chain = obtain_database index_file graphs in
+  let corpus, ds_opt = corpus_of input num_graphs seed in
+  Printf.printf "indexing %d graphs...\n%!" (Corpus.length corpus);
+  let db, t_index, how, _chain = obtain_database index_file corpus in
   Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how t_index
     (List.length db.Query.features)
     (Pmi.filled_entries db.Query.pmi);
@@ -282,7 +290,7 @@ let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
     }
   in
   let rng = Psst_util.Prng.make (seed + 1) in
-  let ds = dataset_wrapper graphs ds_opt in
+  let ds = dataset_wrapper corpus ds_opt in
   let traces = ref [] in
   for k = 1 to nqueries do
     let q, org = Generator.extract_query rng ds ~edges:qsize in
@@ -311,11 +319,12 @@ let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
 
 let topk num_graphs seed qsize k delta input =
   or_die @@ fun () ->
-  let graphs, ds_opt = corpus_of input num_graphs seed in
+  let corpus, ds_opt = corpus_of input num_graphs seed in
   let db =
-    Query.index_database ~domains:(Psst_util.Pool.default_domains ()) graphs
+    Query.index_database ~domains:(Psst_util.Pool.default_domains ())
+      (Corpus.to_array corpus)
   in
-  let ds = dataset_wrapper graphs ds_opt in
+  let ds = dataset_wrapper corpus ds_opt in
   let rng = Psst_util.Prng.make (seed + 1) in
   let q, org = Generator.extract_query rng ds ~edges:qsize in
   Printf.printf "top-%d query (organism %d, %d edges, delta %d):\n" k org
@@ -626,10 +635,10 @@ let serve num_graphs seed input index_file mmap socket port host domains
       | None, None ->
         if mmap && index_file = None then
           die "--mmap needs --index FILE (or --manifest with --shard)";
-        let graphs, _ = corpus_of input num_graphs seed in
-        Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
+        let corpus, _ = corpus_of input num_graphs seed in
+        Printf.printf "indexing %d graphs...\n%!" (Corpus.length corpus);
         let db, t_index, how, chain =
-          obtain_database ~mmap ~domains index_file graphs
+          obtain_database ~mmap ~domains index_file corpus
         in
         Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how
           t_index
@@ -733,8 +742,8 @@ let client socket port host num_graphs seed qsize nqueries epsilon delta
           h.Psst_proto.workers
       end;
       if nqueries > 0 then begin
-        let graphs, ds_opt = corpus_of input num_graphs seed in
-        let ds = dataset_wrapper graphs ds_opt in
+        let corpus, ds_opt = corpus_of input num_graphs seed in
+        let ds = dataset_wrapper corpus ds_opt in
         let rng = Psst_util.Prng.make (seed + 1) in
         let queries =
           List.init nqueries (fun _ ->

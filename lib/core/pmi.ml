@@ -483,7 +483,7 @@ let decode_legacy_feature d =
 
 (* The small metadata sections, decoded and validated identically by the
    eager and the mapped load paths. *)
-let small_sections ~db t =
+let small_sections ~ng ~fingerprint t =
   let config = S.encoder () in
   S.put_i64 config t.config.Bounds.emb_cap;
   S.put_i64 config t.config.cut_cap;
@@ -492,8 +492,8 @@ let small_sections ~db t =
   S.put_bool config t.config.tightest;
   S.put_i64 config t.config.seed;
   let dbsec = S.encoder () in
-  S.put_i64 dbsec (Array.length db);
-  S.put_i32 dbsec (Pgraph_io.db_fingerprint db);
+  S.put_i64 dbsec ng;
+  S.put_i32 dbsec fingerprint;
   let patterns = S.encoder () in
   S.put_array patterns Selection.encode_feature t.features;
   let meta = S.encoder () in
@@ -508,8 +508,8 @@ let flat_postings_name = "pmi.flat.postings"
 let flat_bounds_name = "pmi.flat.bounds"
 
 (* The image is already in memory; saving only frames it. *)
-let to_sections ~db t =
-  let config, dbsec, features, meta = small_sections ~db t in
+let to_sections ~ng ~fingerprint t =
+  let config, dbsec, features, meta = small_sections ~ng ~fingerprint t in
   let dir = S.encoder () in
   S.put_i64 dir (num_features t);
   S.put_i64 dir t.num_graphs;
@@ -596,9 +596,9 @@ let of_image ~config ~features ~ng ~dir ~postings ~bounds ~build_seconds =
   { config; features; dir; postings; bounds; block; filled; num_graphs = ng; build_seconds }
 
 (* Decode + validate the small metadata sections, shared by both load
-   paths. [fp] recomputes the database fingerprint when identity must be
-   re-proven — the eager path always does; the zero-copy query path skips
-   it (its graphs live in the same atomically-written container as the
+   paths. [fp] is the database's actual fingerprint when identity must be
+   re-proven — the eager path always passes it; the zero-copy query path
+   skips it (its graphs live in the same atomically-written container as the
    index, so identity is intrinsic, and re-fingerprinting would force the
    decode the mapping exists to avoid). *)
 let decode_small_sections ~ng ~fp sections =
@@ -622,8 +622,7 @@ let decode_small_sections ~ng ~fp sections =
           stored_ng ng;
       match fp with
       | None -> ()
-      | Some recompute ->
-        let actual = recompute () in
+      | Some actual ->
         if stored_fp <> actual then
           S.error
             "database fingerprint mismatch (stored %08lx, actual %08lx): the \
@@ -640,12 +639,10 @@ let decode_small_sections ~ng ~fp sections =
   in
   (config, features)
 
-let of_sections ?(salvage = false) ~db sections =
+let of_sections ?(salvage = false) ~db ~fingerprint sections =
   let ng = Array.length db in
   let config, features =
-    decode_small_sections ~ng
-      ~fp:(Some (fun () -> Pgraph_io.db_fingerprint db))
-      sections
+    decode_small_sections ~ng ~fp:(Some fingerprint) sections
   in
   let has name = List.exists (fun (s : S.section) -> s.S.name = name) sections in
   let t =

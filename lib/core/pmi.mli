@@ -87,19 +87,23 @@ val structural : t -> Structural.t
     index are bit-identical — same answers, same pruning counters — to
     queries on a freshly built one. *)
 
-(** The PMI sections of a database image: ["pmi.config"], ["pmi.db"]
-    (graph count and fingerprint of [db]), ["pmi.patterns"] (each
+(** [to_sections ~ng ~fingerprint t] — the PMI sections of a database
+    image over [ng] graphs whose {!Corpus.fingerprint} is [fingerprint]:
+    ["pmi.config"], ["pmi.db"] (that count and fingerprint),
+    ["pmi.patterns"] (each
     feature's pattern and canonical code),
     ["pmi.flat.dir"], ["pmi.flat.postings"], ["pmi.flat.bounds"] and
     ["pmi.meta"]. Callers must run {!Psst_store.align_payloads} with target
     ["pmi.flat.bounds"] on the final section list before writing, or the
     mmap loader will reject the unaligned bounds payload. *)
-val to_sections : db:Pgraph.t array -> t -> Psst_store.section list
+val to_sections :
+  ng:int -> fingerprint:int32 -> t -> Psst_store.section list
 
-(** [of_sections ~db sections] copies the image out of CRC-checked
-    sections. It validates the format, walks every posting, range-checks
-    every bound count field, and checks that the stored fingerprint
-    matches [db] before any entry is reused; it raises
+(** [of_sections ~db ~fingerprint sections] copies the image out of
+    CRC-checked sections. It validates the format, walks every posting,
+    range-checks every bound count field, and checks that the stored
+    fingerprint equals [fingerprint], the caller's fingerprint of [db],
+    before any entry is reused; it raises
     [Psst_store.Store_error] otherwise: a stale or foreign index is
     rejected, never silently reused. An image written before
     ["pmi.patterns"] existed carries ["pmi.features"] instead, whose
@@ -117,7 +121,11 @@ val to_sections : db:Pgraph.t array -> t -> Psst_store.section list
     database fingerprint, patterns) cannot be salvaged: if one of those
     is damaged the load still raises [Store_error]. *)
 val of_sections :
-  ?salvage:bool -> db:Pgraph.t array -> Psst_store.section list -> t
+  ?salvage:bool ->
+  db:Pgraph.t array ->
+  fingerprint:int32 ->
+  Psst_store.section list ->
+  t
 
 (** [of_mapped_lazy m ~ng] wraps the image inside an already-mapped
     database store, whose graphs live (lazily decoded) in the same

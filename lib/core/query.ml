@@ -499,8 +499,12 @@ let database_sections db =
       [ Store.section "db.base" e ]
     end
   in
-  (Store.section "graphs" graphs :: Store.section "graphs.offsets" offs
-   :: Pmi.to_sections ~db:garr db.pmi)
+  (* The payload is the fingerprint's canonical encoding, so its CRC is
+     the corpus fingerprint without a second encoding pass. *)
+  let graphs = Store.section "graphs" graphs in
+  let fingerprint = Psst_util.Crc32.digest graphs.Store.payload in
+  (graphs :: Store.section "graphs.offsets" offs
+   :: Pmi.to_sections ~ng:n ~fingerprint db.pmi)
   @ base
 
 (* [small name] is the payload of a small section, [None] when the image
@@ -530,16 +534,17 @@ let database_of_sections ~path ~salvage sections =
   (* The graphs are the source of truth — nothing to rebuild them from, so
      even a salvage load requires them intact; the PMI sections are
      self-healing, and the structural filter reads the PMI.
-     [Pmi.of_sections] re-fingerprints the graphs against the stored
-     fingerprint, so a file stitched together from two different stores
-     is rejected. *)
+     [Pmi.of_sections] checks the graphs' fingerprint (the CRC of their
+     payload, as for a mapped corpus) against the stored one, so a file
+     stitched together from two different stores is rejected. *)
+  let fingerprint = Psst_util.Crc32.digest (Store.find_section sections "graphs") in
   let graphs =
     Store.decode_section sections "graphs" (fun d ->
         Store.get_array d Pgraph_io.decode_binary)
   in
-  let pmi = Pmi.of_sections ~salvage ~db:graphs sections in
+  let pmi = Pmi.of_sections ~salvage ~db:graphs ~fingerprint sections in
   {
-    graphs = Corpus.of_array graphs;
+    graphs = Corpus.of_array ~fingerprint graphs;
     features = Array.to_list (Pmi.features pmi);
     structural = Pmi.structural pmi;
     pmi;

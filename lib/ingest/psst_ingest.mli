@@ -91,7 +91,10 @@ val apply_replicated :
     database and the chain positioned after the last applied delta.
     A delta that is damaged or does not chain (wrong base fingerprint or
     graph count) stops the replay with an ["ingest.delta"] warning; the
-    deltas before it are kept. *)
+    deltas before it are kept. The base fingerprint is
+    [Corpus.fingerprint db.graphs], memoised on the corpus, so a caller
+    that has already checked it (as [psst serve --index] does) pays no
+    second pass. *)
 val apply_deltas : base:string -> Query.database -> Query.database * chain
 
 (** [load ?salvage ?mmap path] — {!Query.load_database} followed by

@@ -28,19 +28,6 @@ let max_disjoint_embeddings embs =
     let clique, _ = Mwc.max_weight_clique ~node_budget:20_000 g in
     List.length clique
 
-(* Observed label alphabets of the database, used to drive extensions. *)
-let alphabets db =
-  let vl = Hashtbl.create 16 and el = Hashtbl.create 16 in
-  Array.iter
-    (fun g ->
-      Array.iter (fun l -> Hashtbl.replace vl l ()) (Lgraph.vertex_labels g);
-      Array.iter
-        (fun (e : Lgraph.edge) -> Hashtbl.replace el e.label ())
-        (Lgraph.edges g))
-    db;
-  let sorted tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare in
-  (sorted vl, sorted el)
-
 (* All one-edge extensions of a connected pattern: close a pair of existing
    vertices or sprout a new labelled vertex. Returned as [Lgraph.create]
    arguments, so a candidate the pre-filter rules out is never built. *)
@@ -78,9 +65,6 @@ let rec inter_sorted a b =
     else if x < y then inter_sorted a' b
     else inter_sorted a b'
 
-let support_of db candidates_idx p =
-  List.filter (fun gi -> Vf2.exists p db.(gi)) candidates_idx
-
 let strong_support_of db params p support =
   List.filter
     (fun gi ->
@@ -98,7 +82,6 @@ let select db params =
   let reaches_beta graphs =
     float_of_int (List.length graphs) /. float_of_int nd >= params.beta
   in
-  let vlabels, elabels = alphabets db in
   let selected = Hashtbl.create 64 in
   (* key -> feature *)
   let out = ref [] in
@@ -106,25 +89,58 @@ let select db params =
   let mined graph key support strong_support =
     { feature = { graph; key }; support; strong_support }
   in
+  (* Supports of the one-vertex and one-edge patterns, by one scan of each
+     graph's labels. [Lgraph.create] rejects self-loops and duplicate
+     edges, so a graph holds the pattern exactly when it has a vertex of
+     that label, or an edge with that label triple (min vl, max vl, el):
+     the scan is [Vf2.exists]. Graphs are scanned in decreasing order, so
+     consing leaves each list sorted. *)
+  let vertex_support = Hashtbl.create 16 and triples = Hashtbl.create 64 in
+  let note tbl k gi =
+    match Hashtbl.find_opt tbl k with
+    | Some (g :: _) when g = gi -> ()
+    | l -> Hashtbl.replace tbl k (gi :: Option.value l ~default:[])
+  in
+  for gi = nd - 1 downto 0 do
+    let g = db.(gi) in
+    let vls = Lgraph.vertex_labels g in
+    Array.iter (fun l -> note vertex_support l gi) vls;
+    Array.iter
+      (fun (e : Lgraph.edge) ->
+        let a = vls.(e.u) and b = vls.(e.v) in
+        note triples (min a b, max a b, e.label) gi)
+      (Lgraph.edges g)
+  done;
+  let scanned tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
+  (* The observed label alphabets, which drive the extensions. *)
+  let sorted_keys tbl key =
+    Hashtbl.fold (fun k _ acc -> key k :: acc) tbl [] |> List.sort_uniq compare
+  in
+  let vlabels = sorted_keys vertex_support Fun.id
+  and elabels = sorted_keys triples (fun (_, _, el) -> el) in
   (* Single-vertex features: always indexed. *)
   List.iter
     (fun vl ->
       let g = Lgraph.vertices_only ~vlabels:[| vl |] in
-      let support = support_of db all_idx g in
-      if support <> [] then
-        add (mined g (Canon.code g) support support))
+      let support = scanned vertex_support vl in
+      add (mined g (Canon.code g) support support))
     vlabels;
-  (* Single-edge features: always indexed; distinct label triples
-     (min vl, max vl, el) are never isomorphic. [triples] keeps the support
-     of every triple, the pre-filter's input. *)
-  let triples = Hashtbl.create 64 in
+  (* Single-edge features: always indexed; distinct label triples are never
+     isomorphic. A one-edge pattern's distinct embeddings are distinct
+     single edges, pairwise edge-disjoint, so its disjoint-embedding ratio
+     is 1 in every support graph and its strong support is its support
+     whenever [alpha <= 1]; any other [alpha] takes the VF2 path. *)
   List.iter
     (fun (vl1, vl2, el) ->
-      let g = Lgraph.create ~vlabels:[| vl1; vl2 |] ~edges:[ (0, 1, el) ] in
-      let support = support_of db all_idx g in
-      Hashtbl.replace triples (vl1, vl2, el) support;
-      if support <> [] then
-        add (mined g (Canon.code g) support (strong_support_of db params g support)))
+      let support = scanned triples (vl1, vl2, el) in
+      if support <> [] then begin
+        let g = Lgraph.create ~vlabels:[| vl1; vl2 |] ~edges:[ (0, 1, el) ] in
+        let strong =
+          if params.alpha <= 1. then support
+          else strong_support_of db params g support
+        in
+        add (mined g (Canon.code g) support strong)
+      end)
     (List.concat_map
        (fun vl1 ->
          List.concat_map
@@ -138,7 +154,7 @@ let select db params =
     List.fold_left
       (fun acc (u, v, el) ->
         let a = vls.(u) and b = vls.(v) in
-        inter_sorted acc (Hashtbl.find triples (min a b, max a b, el)))
+        inter_sorted acc (scanned triples (min a b, max a b, el)))
       parent_support es
   in
   (* Level-wise growth from the single-edge frontier. *)
@@ -164,7 +180,7 @@ let select db params =
                 && not (Hashtbl.mem seen_this_level key)
               then begin
                 Hashtbl.replace seen_this_level key ();
-                let support = support_of db filter cand in
+                let support = List.filter (fun gi -> Vf2.exists cand db.(gi)) filter in
                 let strong = strong_support_of db params cand support in
                 if reaches_beta strong then begin
                   (* Discriminative check against selected subfeatures. *)

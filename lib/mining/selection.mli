@@ -61,8 +61,17 @@ type mined = {
     intersection, so the features, their order and their lists are those
     of the unfiltered miner. The same argument makes each [support]
     exactly [{g : Vf2.exists f gc}], which is how an index rebuilds a
-    feature's occurrences without the list. Mining runs on the calling
-    domain only (DESIGN.md §8). *)
+    feature's occurrences without the list.
+
+    Mining runs on the calling domain only (DESIGN.md §8). The first two
+    levels come from one scan of each graph's vertex and edge labels, not
+    from VF2: a graph holds a one-vertex pattern exactly when it has a
+    vertex of that label, and a one-edge pattern exactly when it has an
+    edge with that label triple (graphs have no self-loops or duplicate
+    edges). A one-edge pattern's distinct embeddings are distinct single
+    edges, pairwise edge-disjoint, so its strong support is its support
+    whenever [alpha <= 1]; for a larger [alpha] it is computed with VF2
+    as for every grown level. *)
 val select : Lgraph.t array -> params -> mined list
 
 (** [max_disjoint_embeddings embs] — size of a maximum edge-disjoint subset

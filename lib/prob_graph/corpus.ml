@@ -16,9 +16,14 @@ type mapped_src = {
   mu : Mutex.t;
 }
 
-type t = Eager of Pgraph.t array | Mapped of mapped_src
+type backing = Eager of Pgraph.t array | Mapped of mapped_src
 
-let of_array graphs = Eager graphs
+(* [fp] memoises {!fingerprint}: the graphs never change, so it is
+   computed at most once per corpus value. A racing second computation
+   writes the same value. *)
+type t = { backing : backing; mutable fp : int32 option }
+
+let of_array ?fingerprint graphs = { backing = Eager graphs; fp = fingerprint }
 
 let slice_string (b : S.bigbytes) pos len =
   let s = Bytes.create len in
@@ -53,10 +58,15 @@ let of_mapped m ~section ~offsets =
   if stored_n <> n then
     S.error "section %S holds %d graphs, its offsets table describes %d"
       section stored_n n;
-  Mapped
-    { m; section; data; offsets; cache = Array.make n None; mu = Mutex.create () }
+  {
+    backing =
+      Mapped
+        { m; section; data; offsets; cache = Array.make n None; mu = Mutex.create () };
+    fp = None;
+  }
 
-let length = function
+let length t =
+  match t.backing with
   | Eager g -> Array.length g
   | Mapped s -> Array.length s.cache
 
@@ -71,7 +81,7 @@ let decode_one s i =
   g
 
 let get t i =
-  match t with
+  match t.backing with
   | Eager g -> g.(i)
   | Mapped s ->
     if i < 0 || i >= Array.length s.cache then
@@ -94,20 +104,27 @@ let get t i =
 
 let skeleton t i = Pgraph.skeleton (get t i)
 let to_array t = Array.init (length t) (get t)
-let sub t ~base ~count = Eager (Array.init count (fun i -> get t (base + i)))
+let sub t ~base ~count = of_array (Array.init count (fun i -> get t (base + i)))
 
 (* Decoding goes through [get], so graphs already memoised by earlier
    lazy accesses are reused as-is and the rest decode (and validate)
    now — a mapped corpus materialises to exactly the array the classic
    eager loader would have produced, whatever the prior access pattern. *)
 let materialise t =
-  match t with Eager _ -> t | Mapped _ -> Eager (to_array t)
+  match t.backing with
+  | Eager _ -> t
+  | Mapped _ -> { backing = Eager (to_array t); fp = t.fp }
 
-let append t gs =
-  match materialise t with
-  | Eager old -> Eager (Array.append old gs)
-  | Mapped _ -> assert false (* materialise never returns Mapped *)
+let append t gs = of_array (Array.append (to_array t) gs)
 
-let fingerprint = function
-  | Eager g -> Pgraph_io.db_fingerprint g
-  | Mapped s -> S.mapped_payload_crc s.m s.section
+let fingerprint t =
+  match t.fp with
+  | Some fp -> fp
+  | None ->
+    let fp =
+      match t.backing with
+      | Eager g -> Pgraph_io.db_fingerprint g
+      | Mapped s -> S.mapped_payload_crc s.m s.section
+    in
+    t.fp <- Some fp;
+    fp

@@ -18,7 +18,11 @@ type t
 
 (** {1 Construction} *)
 
-val of_array : Pgraph.t array -> t
+(** [of_array ?fingerprint graphs] — an eager corpus. [fingerprint], when
+    given, is taken as the corpus's {!fingerprint} instead of being
+    computed: a loader passes the CRC of the payload it decoded [graphs]
+    from. *)
+val of_array : ?fingerprint:int32 -> Pgraph.t array -> t
 
 (** [of_mapped m ~section ~offsets] — lazy view over section [section] of
     the mapping [m]. [offsets] holds [n + 1] boundaries into the payload:
@@ -75,5 +79,7 @@ val append : t -> Pgraph.t array -> t
 (** [fingerprint t] — {!Pgraph_io.db_fingerprint} of the graphs. For a
     mapped corpus this is one streaming CRC pass over the raw payload (no
     decode, no copy): the payload is byte-identical to the encoding the
-    fingerprint is defined over. *)
+    fingerprint is defined over. It is computed at most once per corpus
+    value (memoised; {!materialise} keeps it), so a process that checks a
+    loaded corpus and then replays its delta chain hashes it once. *)
 val fingerprint : t -> int32

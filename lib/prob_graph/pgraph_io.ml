@@ -170,14 +170,16 @@ let save_binary path graphs =
   S.put_array body encode_binary graphs;
   S.write_file path ~kind:S.Pgdb [ S.section "meta" meta; S.section "graphs" body ]
 
-let load_binary path =
+let load_binary_fingerprinted path =
   let sections = S.read_file path ~kind:S.Pgdb in
   let count = S.decode_section sections "meta" S.get_nat in
   let graphs = S.decode_section sections "graphs" (fun d -> S.get_array d decode_binary) in
   if Array.length graphs <> count then
     S.error "graph count mismatch: meta says %d, payload holds %d" count
       (Array.length graphs);
-  graphs
+  (graphs, Psst_util.Crc32.digest (S.find_section sections "graphs"))
+
+let load_binary path = fst (load_binary_fingerprinted path)
 
 let load_auto path =
   if S.is_store_file path then load_binary path else load path

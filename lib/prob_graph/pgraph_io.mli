@@ -53,6 +53,12 @@ val save_binary : string -> Pgraph.t array -> unit
     truncation, version or kind mismatch. *)
 val load_binary : string -> Pgraph.t array
 
+(** [load_binary_fingerprinted path] — {!load_binary} and the CRC of the
+    graphs payload it decoded. That payload is the canonical encoding
+    {!db_fingerprint} is defined over, so the CRC is the graphs'
+    fingerprint, found without encoding them again. *)
+val load_binary_fingerprinted : string -> Pgraph.t array * int32
+
 (** [load_auto path] sniffs the store magic and dispatches to
     {!load_binary} or the textual {!load}. *)
 val load_auto : string -> Pgraph.t array

@@ -308,20 +308,6 @@ let big_sub (b : bigbytes) pos len =
   done;
   Bytes.unsafe_to_string s
 
-let crc_chunk = 65536
-
-let big_crc (b : bigbytes) init ~pos ~len =
-  let crc = ref init in
-  let at = ref pos and left = ref len in
-  while !left > 0 do
-    let n = min crc_chunk !left in
-    let chunk = big_sub b !at n in
-    crc := Crc32.update !crc chunk ~pos:0 ~len:n;
-    at := !at + n;
-    left := !left - n
-  done;
-  !crc
-
 (* [sub pos n] copies [n] bytes out; [span_crc init ~pos ~len] continues
    a CRC-32 over a span in place. *)
 type source = {
@@ -338,7 +324,11 @@ let string_source file =
   }
 
 let big_source b =
-  { length = Bigarray.Array1.dim b; sub = big_sub b; span_crc = big_crc b }
+  {
+    length = Bigarray.Array1.dim b;
+    sub = big_sub b;
+    span_crc = (fun init ~pos ~len -> Crc32.update_bigbytes init b ~pos ~len);
+  }
 
 (* A cursor over the whole file, distinct from [dec] so framing errors
    talk about the file rather than a section. *)
@@ -646,7 +636,7 @@ let mapped_bytes_unverified m name : bigbytes =
    copying the section. *)
 let mapped_payload_crc m name =
   let f = mapped_frame m name in
-  big_crc m.m_data 0l ~pos:f.pos ~len:(f.stop - f.pos)
+  Crc32.update_bigbytes 0l m.m_data ~pos:f.pos ~len:(f.stop - f.pos)
 
 let require_fd m name =
   match m.m_fd with

@@ -1,6 +1,13 @@
-(** CRC-32 (IEEE 802.3, reflected polynomial [0xEDB88320]) — the per-section
-    checksum of the on-disk store format (DESIGN.md §9). Matches the CRC used
-    by zlib/gzip, so stored files can be cross-checked with external tools. *)
+(** CRC-32 (IEEE 802.3, reflected polynomial [0xEDB88320], initial value
+    and final xor [0xFFFFFFFF]) — the per-section checksum of the on-disk
+    store format (DESIGN.md §9). The values are the standard CRC-32 that
+    zlib/gzip compute ([digest "123456789" = 0xCBF43926l]), so stored files
+    can be cross-checked with external tools.
+
+    The algorithm is slicing-by-8 over native ints: eight 256-entry tables,
+    one register step per eight input bytes (two 32-bit loads on a
+    little-endian host) and a bytewise tail. It yields the same value as
+    the bytewise table loop, bit for bit. *)
 
 (** [digest s] is the CRC of the whole string. *)
 val digest : string -> int32
@@ -9,3 +16,11 @@ val digest : string -> int32
     be computed over a concatenation without materialising it. Raises
     [Invalid_argument] when [pos]/[len] do not describe a valid substring. *)
 val update : int32 -> string -> pos:int -> len:int -> int32
+
+type bigbytes =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [update_bigbytes crc b ~pos ~len] is {!update} over a span of a byte
+    bigarray (a memory-mapped file, say) read in place, without copying it
+    into a string. Raises [Invalid_argument] on a span outside [b]. *)
+val update_bigbytes : int32 -> bigbytes -> pos:int -> len:int -> int32

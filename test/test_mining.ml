@@ -289,7 +289,9 @@ let mining_case =
     let* seed = int_bound 100_000 in
     let* nd = int_range 0 8 in
     let* beta = oneofl [ 0.; 0.2; 0.5; 1.1 ] in
-    let* alpha = oneofl [ 0.; 0.15; 0.6 ] in
+    (* alpha 1 keeps every one-edge support graph (ratio exactly 1);
+       alpha 1.5 sends the one-edge level down the VF2 path. *)
+    let* alpha = oneofl [ 0.; 0.15; 0.6; 1.; 1.5 ] in
     let* gamma = oneofl [ 0.; 0.15 ] in
     let* max_edges = int_range 1 4 in
     return (seed, nd, { Selection.default_params with alpha; beta; gamma; max_edges })

@@ -450,8 +450,23 @@ let prop_kernel_matches_reference =
             (Prng.int rng 22 - 2, Prng.bernoulli rng 0.5))
       in
       let keep = List.filter (fun _ -> Prng.bernoulli rng 0.3) (List.init 20 Fun.id) in
+      (* [Velim.prob_set]'s set: members among ids 0-19, absent ones
+         (16-19) included, possibly empty. *)
+      let set = Psst_util.Bitset.create 20 in
+      List.iter
+        (fun v -> if Prng.bernoulli rng 0.3 then Psst_util.Bitset.add set v)
+        (List.init 20 Fun.id);
+      let set_evidence value =
+        List.map (fun v -> (v, value)) (Psst_util.Bitset.elements set)
+      in
       let bits = List.map Int64.bits_of_float in
       same_as_reference ~keep ~evidence factors
+      && List.for_all
+           (fun value ->
+             outcome (fun () ->
+                 [ reference_prob ~evidence:(set_evidence value) factors ])
+             = outcome (fun () -> [ Velim.prob_set ~value factors set ]))
+           [ true; false ]
       && (match outcome (fun () -> [ Velim.partition_value factors ]) with
          | Ok [ z ] when Int64.float_of_bits z > 0. ->
            let z = Int64.float_of_bits z in
@@ -461,6 +476,12 @@ let prop_kernel_matches_reference =
            && bits [ Velim.prob_all_present ~z factors vars ]
               = bits
                   [ reference_prob ~z ~evidence:(List.map (fun v -> (v, true)) vars) factors ]
+           && List.for_all
+                (fun value ->
+                  outcome (fun () ->
+                      [ reference_prob ~z ~evidence:(set_evidence value) factors ])
+                  = outcome (fun () -> [ Velim.prob_set ~z ~value factors set ]))
+                [ true; false ]
          | _ -> true))
 
 let test_kernel_edge_cases () =

@@ -250,11 +250,13 @@ let test_queue_full_rejection () =
 (* The tenant quota on queries: with one query running and one queued,
    the tenant's next query is refused as retryable Queue_full naming the
    tenant, on the quota counter and the tenant's rejected counter — while
-   the admission queue itself (cap 128) has room. *)
+   the admission queue itself (cap 128) has room. The burst's queries are
+   distinct, so none is a cache hit that the batcher clears before the
+   next frame is read: each runs a slow verification, and the second
+   waits behind the first. *)
 let test_tenant_quota_rejection () =
   let ds, db = make_db 257 15 in
   let rng = Prng.make 59 in
-  let q, _ = Generator.extract_query rng ds ~edges:4 in
   let counter name = Psst_obs.counter_value (Psst_obs.counter name) in
   let quota0 = counter "server.reject.tenant_quota" in
   let full0 = counter "server.reject.queue_full" in
@@ -263,7 +265,10 @@ let test_tenant_quota_rejection () =
       with_client srv (fun c ->
           Client.set_tenant c "carol";
           let n = 16 in
-          let replies = Client.run_all c (List.init n (fun _ -> q)) slow_config in
+          let queries =
+            List.init n (fun _ -> fst (Generator.extract_query rng ds ~edges:4))
+          in
+          let replies = Client.run_all c queries slow_config in
           let answered = ref 0 and quota = ref 0 in
           Array.iter
             (function
@@ -323,6 +328,8 @@ let test_stop_drains_inflight () =
   let srv =
     Server.start { (Server.default_config (P.Unix_socket path)) with batch_max = 1 } db
   in
+  let admitted = Psst_obs.counter "server.tenant.default.admitted" in
+  let admitted0 = Psst_obs.counter_value admitted in
   let replies = ref [||] in
   let client =
     Thread.create
@@ -333,10 +340,15 @@ let test_stop_drains_inflight () =
           (fun () -> replies := Client.run_all c queries slow_config))
       ()
   in
-  (* Give the reader time to admit the burst, then stop mid-processing:
-     the drain barrier must answer every admitted request before stop
-     returns. *)
-  Thread.delay 0.05;
+  (* Wait until the reader has admitted the whole burst, then stop
+     mid-processing: the drain barrier must answer every admitted request
+     before stop returns. *)
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Psst_obs.counter_value admitted - admitted0 < 5 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "timed out waiting for the burst's admission";
+    Thread.delay 0.005
+  done;
   Server.stop srv;
   Alcotest.(check bool) "stop completed" true (Server.stopped srv);
   Thread.join client;

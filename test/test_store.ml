@@ -84,6 +84,94 @@ let test_crc32_known_vectors () =
   in
   Alcotest.(check int32) "incremental = whole" whole incr
 
+(* The bytewise table loop over [int32] — the CRC before slicing-by-8 —
+   as the oracle of the fast one. *)
+let crc32_reference crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let bigbytes_of_string s =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (Bigarray.Array1.set b) s;
+  b
+
+(* Random strings (sometimes past 64 KiB, the chunk the mapped CRC once
+   copied through), a random seed CRC, a random span and a random split
+   of it into chained [update] calls: the string and the bigarray entry
+   must both equal the bytewise reference. *)
+let prop_crc32_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    let* n = frequency [ (4, int_bound 300); (1, int_range 65_000 70_000) ] in
+    let* s = string_size ~gen:char (return n) in
+    let* pos = int_bound n in
+    let* len = int_bound (n - pos) in
+    let* cuts = list_size (int_bound 4) (int_bound len) in
+    let* seed = ui32 in
+    return (s, pos, len, List.sort_uniq compare cuts, seed)
+  in
+  QCheck.Test.make ~name:"crc32 = bytewise reference (spans, chains, bigarray)"
+    ~count:300
+    (QCheck.make gen ~print:(fun (s, pos, len, cuts, seed) ->
+         Printf.sprintf "%d bytes, pos %d, len %d, cuts [%s], seed %08lx"
+           (String.length s) pos len
+           (String.concat "; " (List.map string_of_int cuts))
+           seed))
+    (fun (s, pos, len, cuts, seed) ->
+      let expect = crc32_reference seed s ~pos ~len in
+      let big = bigbytes_of_string s in
+      let chained update =
+        let stops = cuts @ [ len ] in
+        fst
+          (List.fold_left
+             (fun (crc, at) stop ->
+               (update crc ~pos:(pos + at) ~len:(stop - at), stop))
+             (seed, 0) stops)
+      in
+      Psst_util.Crc32.update seed s ~pos ~len = expect
+      && Psst_util.Crc32.update_bigbytes seed big ~pos ~len = expect
+      && chained (fun crc -> Psst_util.Crc32.update crc s) = expect
+      && chained (fun crc -> Psst_util.Crc32.update_bigbytes crc big) = expect)
+
+(* A mapped section past 64 KiB: its payload CRC, read in place, is the
+   digest of the payload string, and the file's frame checks pass. *)
+let test_mapped_payload_crc () =
+  let path = Filename.temp_file "psst_crc" ".psst" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let e = S.encoder () in
+      S.put_string e (String.init 70_001 (fun i -> Char.chr ((i * 131) land 0xff)));
+      let sec = S.section "big" e in
+      S.write_file path ~kind:S.Pgdb [ sec ];
+      let m = S.map_file path ~kind:S.Pgdb in
+      Fun.protect
+        ~finally:(fun () -> S.mapped_release m)
+        (fun () ->
+          Alcotest.(check int32) "mapped payload CRC = digest"
+            (Psst_util.Crc32.digest sec.S.payload)
+            (S.mapped_payload_crc m "big");
+          Alcotest.(check int) "verified view" (String.length sec.S.payload)
+            (Bigarray.Array1.dim (S.mapped_bytes m "big"))))
+
 (* --- graph / pgraph round trips --- *)
 
 let test_lgraph_round_trip () =
@@ -1074,6 +1162,8 @@ let suite =
   [
     Alcotest.test_case "primitive round trip" `Quick test_primitive_round_trip;
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_known_vectors;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+    Alcotest.test_case "mapped payload crc past 64 KiB" `Quick test_mapped_payload_crc;
     Alcotest.test_case "lgraph round trip x200" `Quick test_lgraph_round_trip;
     Alcotest.test_case "pgraph round trip x200" `Quick test_pgraph_round_trip;
     Alcotest.test_case "pgdb file round trip" `Quick test_pgdb_file_round_trip;
