@@ -500,9 +500,10 @@ let database_sections db =
     end
   in
   (* The payload is the fingerprint's canonical encoding, so its CRC is
-     the corpus fingerprint without a second encoding pass. *)
+     the corpus fingerprint without a second encoding pass; the corpus
+     memoises it, and a corpus that already knows it is not hashed again. *)
   let graphs = Store.section "graphs" graphs in
-  let fingerprint = Psst_util.Crc32.digest graphs.Store.payload in
+  let fingerprint = Corpus.fingerprint ~encoding:graphs.Store.payload db.graphs in
   (graphs :: Store.section "graphs.offsets" offs
    :: Pmi.to_sections ~ng:n ~fingerprint db.pmi)
   @ base

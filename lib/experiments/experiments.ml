@@ -46,9 +46,34 @@ let make_dataset scale = Generator.generate (dataset_params scale)
 let make_db ?(mining = mining_params) ?(bounds = Bounds.default_config) graphs =
   Query.index_database ~mining ~bounds graphs
 
+(* The SIPBound arm: the paper's bounds with a first-fit disjoint-feature
+   family instead of the tightest (max-weight clique) one. *)
+let first_fit_bounds = { Bounds.default_config with tightest = false }
+
 let make_queries scale ds ~edges =
   let rng = Prng.make (scale.seed + 777) in
   List.init scale.queries_per_point (fun _ -> Generator.extract_query rng ds ~edges)
+
+(* Every figure queries through the served pipeline ({!Query}), with the
+   paper's (uncertified) bounds. *)
+let paper_config ?(mode = Pruning.Optimized) ~epsilon ~delta () =
+  { Query.default_config with epsilon; delta; mode; certified = false }
+
+(* Phases 1–2 of one query: the candidate counts and pruning times of
+   Figs 10–12 are the stats of {!Query.run_bounds_only}. *)
+let prune_runs db queries config =
+  List.map (fun (q, _) -> (Query.run_bounds_only db q config).Query.stats) queries
+
+let mean_by f runs = Stats.mean (List.map f runs)
+let structure (s : Query.stats) = float_of_int s.structural_candidates
+let undecided (s : Query.stats) = float_of_int s.prob_candidates
+let t_structural (s : Query.stats) = s.t_structural
+let t_probabilistic (s : Query.stats) = s.t_probabilistic
+
+(* The SSPBound (random pick) and OPT-SSPBound (greedy cover) arms. *)
+let mode_arms db queries ~epsilon ~delta =
+  let run mode = prune_runs db queries (paper_config ~mode ~epsilon ~delta ()) in
+  (run Pruning.Random_pick, run Pruning.Optimized)
 
 let pct x = 100. *. x
 
@@ -64,6 +89,8 @@ let fig9 ?(scale = default_scale) ppf =
   hr ppf "Figure 9: verification (Exact vs SMP) vs query size";
   let ds = make_dataset scale in
   let db = make_db ds.graphs in
+  let smp = paper_config ~epsilon:default_epsilon ~delta:default_delta () in
+  let exact = { smp with Query.verifier = `Exact } in
   (* Exact is the paper's index-free competitor: full possible-world
      enumeration. Its per-candidate cost is timed on a few pairs per query
      size; SMP quality is judged against the exact SSP values. *)
@@ -79,29 +106,26 @@ let fig9 ?(scale = default_scale) ppf =
       let pairs = ref 0 in
       List.iter
         (fun (q, _) ->
-          let relaxed, _ = Relax.relaxed_set q ~delta:default_delta in
-          let cands =
-            Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
-              ~delta:default_delta
-          in
+          let f = Query.front ~cache:None db q smp in
           let exact_answers = ref [] and smp_answers = ref [] in
           List.iter
             (fun gi ->
-              let g = Corpus.get db.Query.graphs gi in
-              (try
-                 let v = Verify.exact g relaxed in
-                 if v >= default_epsilon then exact_answers := gi :: !exact_answers;
-                 incr pairs;
-                 if List.length !t_exact < naive_pairs_per_size then begin
-                   let _, t = Timer.time (fun () -> Verify.exact_naive g relaxed) in
-                   t_exact := (t *. 1000.) :: !t_exact
-                 end;
-                 let rng = Prng.make (gi + 31) in
-                 let v', t' = Timer.time (fun () -> Verify.smp rng g relaxed) in
-                 t_smp := (t' *. 1000.) :: !t_smp;
-                 if v' >= default_epsilon then smp_answers := gi :: !smp_answers
-               with Failure _ -> ()))
-            cands;
+              try
+                let v = Query.candidate_ssp f ~stop:None db exact gi in
+                if v >= default_epsilon then exact_answers := gi :: !exact_answers;
+                incr pairs;
+                if List.length !t_exact < naive_pairs_per_size then begin
+                  let g = Corpus.get db.Query.graphs gi in
+                  let _, t = Timer.time (fun () -> Verify.exact_naive g f.Query.relaxed) in
+                  t_exact := (t *. 1000.) :: !t_exact
+                end;
+                let v', t' =
+                  Timer.time (fun () -> Query.candidate_ssp f ~stop:None db smp gi)
+                in
+                t_smp := (t' *. 1000.) :: !t_smp;
+                if v' >= default_epsilon then smp_answers := gi :: !smp_answers
+              with Failure _ -> ())
+            f.Query.survivors;
           let p, r =
             Stats.precision_recall ~returned:!smp_answers ~truth:!exact_answers
           in
@@ -117,25 +141,6 @@ let fig9 ?(scale = default_scale) ppf =
 (* Fig 10: candidate size / pruning time vs probability threshold.     *)
 (* ------------------------------------------------------------------ *)
 
-let prune_stats ~mode ~certified pmi structural_cands relaxed epsilon =
-  let rng = Prng.make 11 in
-  let undecided = ref 0 in
-  let t =
-    Timer.time_only (fun () ->
-        let prepared = Pruning.prepare pmi ~relaxed in
-        List.iter
-          (fun gi ->
-            let r =
-              Pruning.evaluate ~certified rng pmi prepared ~graph:gi ~epsilon
-                ~mode
-            in
-            match r.Pruning.decision with
-            | `Candidate -> incr undecided
-            | `Accepted | `Pruned -> ())
-          structural_cands)
-  in
-  (!undecided, t)
-
 let fig10 ?(scale = default_scale) ppf =
   hr ppf "Figure 10: candidates & pruning time vs probability threshold";
   let ds = make_dataset scale in
@@ -145,33 +150,11 @@ let fig10 ?(scale = default_scale) ppf =
     "Structure" "SSPBound" "OPT-SSPBound" "t_struct(s)" "t_ssp(s)" "t_opt-ssp(s)";
   List.iter
     (fun epsilon ->
-      let acc = Array.make 3 [] and times = Array.make 3 [] in
-      List.iter
-        (fun (q, _) ->
-          let relaxed, _ = Relax.relaxed_set q ~delta:default_delta in
-          let cands, t_struct =
-            Timer.time (fun () ->
-                Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
-                  ~delta:default_delta)
-          in
-          let n_rand, t_rand =
-            prune_stats ~mode:Pruning.Random_pick ~certified:false db.Query.pmi
-              cands relaxed epsilon
-          in
-          let n_opt, t_opt =
-            prune_stats ~mode:Pruning.Optimized ~certified:false db.Query.pmi
-              cands relaxed epsilon
-          in
-          acc.(0) <- float_of_int (List.length cands) :: acc.(0);
-          acc.(1) <- float_of_int n_rand :: acc.(1);
-          acc.(2) <- float_of_int n_opt :: acc.(2);
-          times.(0) <- t_struct :: times.(0);
-          times.(1) <- t_rand :: times.(1);
-          times.(2) <- t_opt :: times.(2))
-        queries;
+      let rand, opt = mode_arms db queries ~epsilon ~delta:default_delta in
       Format.fprintf ppf "@[<v>%-6.1f %10.1f %10.1f %14.1f %12.4f %12.4f %16.4f@]@."
-        epsilon (Stats.mean acc.(0)) (Stats.mean acc.(1)) (Stats.mean acc.(2))
-        (Stats.mean times.(0)) (Stats.mean times.(1)) (Stats.mean times.(2)))
+        epsilon (mean_by structure opt) (mean_by undecided rand)
+        (mean_by undecided opt) (mean_by t_structural opt)
+        (mean_by t_probabilistic rand) (mean_by t_probabilistic opt))
     [ 0.3; 0.4; 0.5; 0.6; 0.7 ]
 
 (* ------------------------------------------------------------------ *)
@@ -181,95 +164,42 @@ let fig10 ?(scale = default_scale) ppf =
 let fig11 ?(scale = default_scale) ppf =
   hr ppf "Figure 11: candidates & pruning time vs subgraph distance threshold";
   let ds = Generator.generate (dataset_params_mining scale) in
-  let skeletons = Array.map Pgraph.skeleton ds.graphs in
-  let features = Selection.select skeletons mining_params in
-  let structural = Structural.build skeletons features ~emb_cap:64 in
-  let pmi_loose =
-    Pmi.build ~config:{ Bounds.default_config with tightest = false } ds.graphs
-      features
-  in
-  let pmi_tight = Pmi.build ~config:Bounds.default_config ds.graphs features in
+  let db_loose = make_db ~bounds:first_fit_bounds ds.graphs in
+  let db_tight = make_db ds.graphs in
   let queries = make_queries scale ds ~edges:default_qsize in
   Format.fprintf ppf "@[<v>%-6s %10s %10s %14s %12s %12s %16s@]@." "delta"
     "Structure" "SIPBound" "OPT-SIPBound" "t_struct(s)" "t_sip(s)" "t_opt-sip(s)";
   List.iter
     (fun delta ->
-      let acc = Array.make 3 [] and times = Array.make 3 [] in
-      List.iter
-        (fun (q, _) ->
-          let relaxed, _ = Relax.relaxed_set q ~delta in
-          let cands, t_struct =
-            Timer.time (fun () -> Structural.candidates structural ~skeleton:(fun gi -> skeletons.(gi)) q ~delta)
-          in
-          let n_loose, t_loose =
-            prune_stats ~mode:Pruning.Optimized ~certified:false pmi_loose cands
-              relaxed default_epsilon
-          in
-          let n_tight, t_tight =
-            prune_stats ~mode:Pruning.Optimized ~certified:false pmi_tight cands
-              relaxed default_epsilon
-          in
-          acc.(0) <- float_of_int (List.length cands) :: acc.(0);
-          acc.(1) <- float_of_int n_loose :: acc.(1);
-          acc.(2) <- float_of_int n_tight :: acc.(2);
-          times.(0) <- t_struct :: times.(0);
-          times.(1) <- t_loose :: times.(1);
-          times.(2) <- t_tight :: times.(2))
-        queries;
+      let config = paper_config ~epsilon:default_epsilon ~delta () in
+      let loose = prune_runs db_loose queries config in
+      let tight = prune_runs db_tight queries config in
       Format.fprintf ppf "@[<v>%-6d %10.1f %10.1f %14.1f %12.4f %12.4f %16.4f@]@."
-        delta (Stats.mean acc.(0)) (Stats.mean acc.(1)) (Stats.mean acc.(2))
-        (Stats.mean times.(0)) (Stats.mean times.(1)) (Stats.mean times.(2)))
+        delta (mean_by structure tight) (mean_by undecided loose)
+        (mean_by undecided tight) (mean_by t_structural tight)
+        (mean_by t_probabilistic loose) (mean_by t_probabilistic tight))
     [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig 12: feature-generation parameter sweeps.                        *)
 (* ------------------------------------------------------------------ *)
 
-let candidates_with db queries ~mode ~epsilon ~delta =
-  let acc = ref [] in
-  List.iter
-    (fun (q, _) ->
-      let relaxed, _ = Relax.relaxed_set q ~delta in
-      let cands =
-        Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q ~delta
-      in
-      let n, _ =
-        prune_stats ~mode ~certified:false db.Query.pmi cands relaxed epsilon
-      in
-      acc := float_of_int n :: !acc)
-    queries;
-  Stats.mean !acc
-
-let structure_candidates db queries ~delta =
-  Stats.mean
-    (List.map
-       (fun (q, _) ->
-         float_of_int
-           (List.length
-              (Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
-                 ~delta)))
-       queries)
-
 let fig12 ?(scale = default_scale) ppf =
   hr ppf "Figure 12: impact of feature-generation parameters";
   let ds = Generator.generate (dataset_params_mining scale) in
   let queries = make_queries scale ds ~edges:default_qsize in
+  let config = paper_config ~epsilon:default_epsilon ~delta:default_delta () in
   (* (a) maxL: candidate size of the SSP arms. *)
   Format.fprintf ppf "@[<v>(a) %-6s %10s %10s %14s@]@." "maxL" "Structure"
     "SSPBound" "OPT-SSPBound";
   List.iter
     (fun max_edges ->
       let db = make_db ~mining:{ mining_params with max_edges } ds.graphs in
-      let s = structure_candidates db queries ~delta:default_delta in
-      let rand =
-        candidates_with db queries ~mode:Pruning.Random_pick
-          ~epsilon:default_epsilon ~delta:default_delta
+      let rand, opt =
+        mode_arms db queries ~epsilon:default_epsilon ~delta:default_delta
       in
-      let opt =
-        candidates_with db queries ~mode:Pruning.Optimized
-          ~epsilon:default_epsilon ~delta:default_delta
-      in
-      Format.fprintf ppf "@[<v>    %-6d %10.1f %10.1f %14.1f@]@." max_edges s rand opt)
+      Format.fprintf ppf "@[<v>    %-6d %10.1f %10.1f %14.1f@]@." max_edges
+        (mean_by structure opt) (mean_by undecided rand) (mean_by undecided opt))
     [ 1; 2; 3; 4 ];
   (* (b) alpha: candidate size of the SIP arms. *)
   Format.fprintf ppf "@[<v>(b) %-6s %10s %10s %14s@]@." "alpha" "Structure"
@@ -277,43 +207,13 @@ let fig12 ?(scale = default_scale) ppf =
   List.iter
     (fun alpha ->
       let mining = { mining_params with alpha } in
-      let skeletons = Array.map Pgraph.skeleton ds.graphs in
-      let features = Selection.select skeletons mining in
-      let structural = Structural.build skeletons features ~emb_cap:64 in
-      let pmi_loose =
-        Pmi.build ~config:{ Bounds.default_config with tightest = false }
-          ds.graphs features
-      in
-      let pmi_tight = Pmi.build ~config:Bounds.default_config ds.graphs features in
-      let counts which_pmi =
-        Stats.mean
-          (List.map
-             (fun (q, _) ->
-               let relaxed, _ = Relax.relaxed_set q ~delta:default_delta in
-               let cands =
-                 Structural.candidates structural ~skeleton:(fun gi -> skeletons.(gi)) q ~delta:default_delta
-               in
-               let n, _ =
-                 prune_stats ~mode:Pruning.Optimized ~certified:false which_pmi
-                   cands relaxed default_epsilon
-               in
-               float_of_int n)
-             queries)
-      in
-      let s =
-        Stats.mean
-          (List.map
-             (fun (q, _) ->
-               float_of_int
-                 (List.length
-                    (Structural.candidates structural ~skeleton:(fun gi -> skeletons.(gi)) q
-                       ~delta:default_delta)))
-             queries)
-      in
-      Format.fprintf ppf "@[<v>    %-6.2f %10.1f %10.1f %14.1f@]@." alpha s
-        (counts pmi_loose) (counts pmi_tight))
+      let run bounds = prune_runs (make_db ~mining ~bounds ds.graphs) queries config in
+      let loose = run first_fit_bounds and tight = run Bounds.default_config in
+      Format.fprintf ppf "@[<v>    %-6.2f %10.1f %10.1f %14.1f@]@." alpha
+        (mean_by structure tight) (mean_by undecided loose) (mean_by undecided tight))
     [ 0.05; 0.1; 0.15; 0.2; 0.25 ];
-  (* (c) beta: index building time. *)
+  (* (c) beta: index building time, against the standalone Grafil-style
+     structural index the paper compares with. *)
   Format.fprintf ppf "@[<v>(c) %-6s %16s %18s@]@." "beta" "t_structure(s)"
     "t_opt-sipbound(s)";
   List.iter
@@ -343,6 +243,7 @@ let fig12 ?(scale = default_scale) ppf =
         (Structural.entries structural)
         (Pmi.filled_entries pmi))
     [ 0.05; 0.1; 0.15; 0.2; 0.25 ]
+
 
 (* ------------------------------------------------------------------ *)
 (* Fig 13: total query time vs database size — PMI vs Exact.           *)
@@ -503,66 +404,57 @@ let ablations ?(scale = default_scale) ppf =
   hr ppf "Ablation A2: Usim assembly (greedy cover vs random pick)";
   let db = make_db ds.Generator.graphs in
   let queries = make_queries scale ds ~edges:6 in
+  let config = paper_config ~epsilon:default_epsilon ~delta:default_delta () in
+  let fronts = List.map (fun (q, _) -> Query.front ~cache:None db q config) queries in
   Format.fprintf ppf "@[<v>%-14s %12s %14s@]@." "assembly" "mean Usim"
     "pruned(%) @0.5";
   List.iter
     (fun (name, mode) ->
-      let values = ref [] and pruned = ref 0 and total = ref 0 in
-      List.iter
-        (fun (q, _) ->
-          let relaxed, _ = Relax.relaxed_set q ~delta:default_delta in
-          let prepared = Pruning.prepare db.Query.pmi ~relaxed in
-          let cands =
-            Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
-              ~delta:default_delta
-          in
-          let rng = Prng.make 3 in
-          List.iter
-            (fun gi ->
-              let u =
-                Pruning.usim ~certified:false rng db.Query.pmi prepared
-                  ~graph:gi ~mode
-              in
-              values := u :: !values;
-              incr total;
-              if u < 0.5 then incr pruned)
-            cands)
-        queries;
-      Format.fprintf ppf "@[<v>%-14s %12.4f %14.1f@]@." name
-        (Stats.mean !values)
-        (100. *. float_of_int !pruned /. float_of_int (max 1 !total)))
+      (* Each graph draws from its own pruning stream, as [Topk] does. *)
+      let values =
+        List.concat_map
+          (fun (f : Query.front) ->
+            List.map
+              (fun gi ->
+                let rng = Query.prune_stream ~seed:config.seed (Query.global db gi) in
+                Pruning.usim ~certified:config.certified rng db.Query.pmi f.prepared
+                  ~graph:gi ~mode)
+              f.survivors)
+          fronts
+      in
+      let pruned = List.length (List.filter (fun u -> u < 0.5) values) in
+      Format.fprintf ppf "@[<v>%-14s %12.4f %14.1f@]@." name (Stats.mean values)
+        (100. *. float_of_int pruned /. float_of_int (max 1 (List.length values))))
     [ ("greedy-cover", Pruning.Optimized); ("random-pick", Pruning.Random_pick) ];
 
   hr ppf "Ablation A3: SMP accuracy and time vs tau";
   Format.fprintf ppf "@[<v>%-8s %10s %12s %12s@]@." "tau" "samples"
     "mean |err|" "time(ms)";
+  let exact = { config with verifier = `Exact } in
   let pairs =
     List.concat_map
-      (fun (q, _) ->
-        let relaxed, _ = Relax.relaxed_set q ~delta:default_delta in
-        Structural.candidates db.Query.structural ~skeleton:(Corpus.skeleton db.Query.graphs) q
-          ~delta:default_delta
+      (fun (f : Query.front) ->
+        f.survivors
         |> List.filteri (fun i _ -> i < 3)
         |> List.filter_map (fun gi ->
-               let g = ds.Generator.graphs.(gi) in
-               match Verify.exact g relaxed with
+               match Query.candidate_ssp f ~stop:None db exact gi with
                | exception Failure _ -> None
-               | exact -> Some (g, relaxed, exact)))
-      queries
+               | ssp -> Some (f, gi, ssp)))
+      fronts
   in
   List.iter
     (fun tau ->
-      let config = { Verify.default_config with tau } in
+      let vc = { Verify.default_config with tau } in
+      let smp = { config with verifier = `Smp vc } in
       let errs = ref [] and times = ref [] in
-      List.iteri
-        (fun i (g, relaxed, exact) ->
-          let rng = Prng.make (i + 3) in
-          let est, t = Timer.time (fun () -> Verify.smp ~config rng g relaxed) in
+      List.iter
+        (fun (f, gi, exact) ->
+          let est, t = Timer.time (fun () -> Query.candidate_ssp f ~stop:None db smp gi) in
           errs := Float.abs (est -. exact) :: !errs;
           times := (t *. 1000.) :: !times)
         pairs;
       Format.fprintf ppf "@[<v>%-8.2f %10d %12.4f %12.3f@]@." tau
-        (Verify.num_samples config) (Stats.mean !errs) (Stats.mean !times))
+        (Verify.num_samples vc) (Stats.mean !errs) (Stats.mean !times))
     [ 0.3; 0.2; 0.1; 0.05 ];
 
   hr ppf "Ablation A4: VF2 vs Ullmann subgraph isomorphism";

@@ -9,7 +9,18 @@
     Paper parameter grid: probability threshold ε in 0.3..0.7 (default
     0.5), subgraph distance δ in 2..6 scaled to 1..4 here (default 2),
     query size q50..q250 scaled to 4..12 edges (default 8), feature
-    parameters maxL / α / β / γ defaulting to 0.15 (maxL scaled to edges). *)
+    parameters maxL / α / β / γ defaulting to 0.15 (maxL scaled to edges).
+
+    Every figure queries through the pipeline the system serves
+    ({!Query}), with the paper's (uncertified) bounds: the candidate
+    counts and pruning times of Figs 10–12(b) are the stats of
+    {!Query.run_bounds_only}, each bound arm being a database indexed
+    with that arm's {!Bounds.config} or {!Selection.params}; Fig 9 and
+    ablations A2/A3 take their candidates from {!Query.front} and verify
+    through {!Query.candidate_ssp}, so every graph draws from its own
+    pruning and verification streams. Only Fig 12(c)/(d) build the
+    standalone {!Structural} index, to time and size the structural
+    comparator. *)
 
 type scale = {
   db_size : int;  (** graphs in the corpus *)

@@ -105,8 +105,7 @@ let coordinate_ascent inst cov x =
     done
   done
 
-let solve ?(iters = 8) inst =
-  ignore iters;
+let solve inst =
   let n = Array.length inst.sets in
   let cov = covering_sets inst in
   (* Multi-start: the all-ones point plus greedy integer covers by three

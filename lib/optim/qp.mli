@@ -41,7 +41,6 @@ val integer_objective_safe : instance -> chosen:int list -> float
 (** [coverage ~eps inst x] — all constraints satisfied within [eps]. *)
 val coverage : ?eps:float -> instance -> float array -> bool
 
-(** [solve ?iters inst] — coordinate-ascent solution of the relaxed QP.
-    Deterministic. [iters] is accepted for compatibility and unused (the
-    ascent runs to convergence). *)
-val solve : ?iters:int -> instance -> solution
+(** [solve inst] — coordinate-ascent solution of the relaxed QP, run to
+    convergence. Deterministic. *)
+val solve : instance -> solution

@@ -117,14 +117,15 @@ let materialise t =
 
 let append t gs = of_array (Array.append (to_array t) gs)
 
-let fingerprint t =
+let fingerprint ?encoding t =
   match t.fp with
   | Some fp -> fp
   | None ->
     let fp =
-      match t.backing with
-      | Eager g -> Pgraph_io.db_fingerprint g
-      | Mapped s -> S.mapped_payload_crc s.m s.section
+      match (encoding, t.backing) with
+      | Some e, _ -> Psst_util.Crc32.digest e
+      | None, Eager g -> Pgraph_io.db_fingerprint g
+      | None, Mapped s -> S.mapped_payload_crc s.m s.section
     in
     t.fp <- Some fp;
     fp

@@ -81,5 +81,10 @@ val append : t -> Pgraph.t array -> t
     decode, no copy): the payload is byte-identical to the encoding the
     fingerprint is defined over. It is computed at most once per corpus
     value (memoised; {!materialise} keeps it), so a process that checks a
-    loaded corpus and then replays its delta chain hashes it once. *)
-val fingerprint : t -> int32
+    loaded corpus and then replays its delta chain hashes it once.
+
+    [encoding], when given, must be the canonical encoding of the graphs
+    (the ["graphs"] payload of a store image): its CRC is taken instead of
+    encoding them again. A saver passes the payload it just built, so a
+    corpus written to disk is never encoded twice for its fingerprint. *)
+val fingerprint : ?encoding:string -> t -> int32

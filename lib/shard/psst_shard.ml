@@ -240,6 +240,8 @@ let split_to_files ~manifest_path (db : Query.database) plan =
            manifest below goes last, so a crash at any point leaves the
            previous deployment — or no deployment — fully intact. *)
         Query.save_database (Filename.concat dir path) shard;
+        (* The save memoised the shard corpus's fingerprint from the
+           payload it wrote, so the entry reads it without hashing. *)
         {
           sid;
           base;

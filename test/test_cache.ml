@@ -11,24 +11,7 @@
 
 module Prng = Psst_util.Prng
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
-let fast_smp = { Verify.default_config with tau = 0.3 }
-
-let make_db seed n =
-  let ds =
-    Generator.generate
-      { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
-        max_vertices = 10; motif_edges = 3 }
-  in
-  let db =
-    Query.index_database
-      ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
-      ~bounds:fast_bounds ds.graphs
-  in
-  (ds, db)
-
-let base_config =
-  { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
+open Tgen.Fixtures
 
 (* A sequence with deliberate repeats and near-duplicates: repeats are
    what a warm cache actually serves. *)

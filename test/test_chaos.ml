@@ -198,25 +198,10 @@ let test_read_faults_surface_cleanly () =
 
 (* --- self-healing PMI salvage --- *)
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
-let fast_smp = { Verify.default_config with tau = 0.3 }
+open Tgen.Fixtures
+
 let slow_smp = { Verify.default_config with tau = 0.05 }
-
-let index graphs =
-  Query.index_database
-    ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
-    ~bounds:fast_bounds graphs
-
-let make_db seed n =
-  let ds =
-    Generator.generate
-      { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
-        max_vertices = 10; motif_edges = 3 }
-  in
-  (ds, index ds.graphs)
-
-let base_config =
-  { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
+let index graphs = Query.index_database ~mining:small_mining ~bounds:fast_bounds graphs
 
 let c_columns = Psst_obs.counter "pmi.columns_built"
 

@@ -1,7 +1,7 @@
 module Bitset = Psst_util.Bitset
 module Prng = Psst_util.Prng
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
+open Tgen.Fixtures
 
 (* Random pgraph + random small feature extracted from it, so embeddings
    exist most of the time. *)

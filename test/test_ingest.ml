@@ -16,29 +16,12 @@ module Client = Psst_client
 module Server = Psst_server
 module Prng = Psst_util.Prng
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
-let fast_smp = { Verify.default_config with tau = 0.3 }
-
-let make_db seed n =
-  let ds =
-    Generator.generate
-      { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
-        max_vertices = 10; motif_edges = 3 }
-  in
-  let db =
-    Query.index_database
-      ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
-      ~bounds:fast_bounds ds.graphs
-  in
-  (ds, db)
+open Tgen.Fixtures
 
 (* Fresh graphs to ingest, disjoint from any generated corpus's seed. *)
 let make_batch seed n =
   (Generator.generate { Generator.default_params with num_graphs = n; seed })
     .Generator.graphs
-
-let base_config =
-  { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
 
 let with_server ?chain ?(domains = 1) ?(ingest_queue_cap = 1024)
     ?(tenant_quota = 0) db f =

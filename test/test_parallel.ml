@@ -5,8 +5,7 @@
 module Pool = Psst_util.Pool
 module Prng = Psst_util.Prng
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
-let fast_smp = { Verify.default_config with tau = 0.3 }
+open Tgen.Fixtures
 
 (* --- Pool primitives --- *)
 
@@ -70,19 +69,6 @@ let test_prng_stream_independent_of_order () =
     (List.sort_uniq compare forward |> List.length > 5)
 
 (* --- Determinism of the parallel query paths --- *)
-
-let make_db seed n =
-  let ds =
-    Generator.generate
-      { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
-        max_vertices = 10; motif_edges = 3 }
-  in
-  let db =
-    Query.index_database
-      ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
-      ~bounds:fast_bounds ds.graphs
-  in
-  (ds, db)
 
 let counters (s : Query.stats) =
   ( s.structural_candidates,

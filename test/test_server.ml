@@ -12,29 +12,12 @@ module Router = Psst_router
 module Prng = Psst_util.Prng
 module Crc32 = Psst_util.Crc32
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
-let fast_smp = { Verify.default_config with tau = 0.3 }
+open Tgen.Fixtures
 
 (* Verification cost scales like 1/tau^2, so this config makes each query
    slow enough for the backpressure and deadline tests to observe a busy
    batcher without any sleeps in the server. *)
 let slow_smp = { Verify.default_config with tau = 0.05 }
-
-let make_db seed n =
-  let ds =
-    Generator.generate
-      { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
-        max_vertices = 10; motif_edges = 3 }
-  in
-  let db =
-    Query.index_database
-      ~mining:{ Selection.default_params with max_edges = 2; beta = 0.2 }
-      ~bounds:fast_bounds ds.graphs
-  in
-  (ds, db)
-
-let base_config =
-  { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
 
 let with_server ?(domains = 1) ?(queue_cap = 128) ?(deadline_ms = 0.)
     ?(batch_max = 32) ?(tenant_quota = 0) db f =

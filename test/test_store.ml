@@ -253,8 +253,7 @@ let small_dataset seed n =
     { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
       max_vertices = 10; motif_edges = 3 }
 
-let fast_bounds = { Bounds.default_config with mc_samples = 400 }
-let small_mining = { Selection.default_params with max_edges = 2; beta = 0.2 }
+open Tgen.Fixtures
 
 let test_feature_round_trip () =
   let ds = small_dataset 5 8 in
@@ -274,10 +273,6 @@ let test_feature_round_trip () =
     features
 
 (* --- PMI and whole-database round trips --- *)
-
-let build_db seed n =
-  let ds = small_dataset seed n in
-  (ds, Query.index_database ~mining:small_mining ~bounds:fast_bounds ds.graphs)
 
 let entry_identical (a : Pmi.entry) (b : Pmi.entry) =
   Int64.bits_of_float a.Bounds.lower = Int64.bits_of_float b.Bounds.lower
@@ -321,7 +316,7 @@ let check_same_answers ds db db' =
 (* The PMI of a saved image, loaded eagerly and mapped zero-copy, against
    the index that was saved. *)
 let test_pmi_save_load_bit_identical () =
-  let ds, db = build_db 11 10 in
+  let ds, db = make_db 11 10 in
   with_tmp (fun path ->
       Query.save_database path db;
       List.iter
@@ -333,7 +328,7 @@ let test_pmi_save_load_bit_identical () =
         [ false; true ])
 
 let test_database_save_load_bit_identical () =
-  let ds, db = build_db 23 10 in
+  let ds, db = make_db 23 10 in
   with_tmp (fun path ->
       (match Query.save_database ~flat:false path db with
       | () -> Alcotest.fail "the retired classic layout (~flat:false) was written"
@@ -380,7 +375,7 @@ let expect_load_error what path =
     [ false; true ]
 
 let test_version_skew_rejected () =
-  let _, db = build_db 31 8 in
+  let _, db = make_db 31 8 in
   with_tmp (fun path ->
       Query.save_database path db;
       let sections = S.read_file path ~kind:S.Database in
@@ -388,7 +383,7 @@ let test_version_skew_rejected () =
       expect_load_error "future version" path)
 
 let test_kind_mismatch_rejected () =
-  let ds, db = build_db 37 6 in
+  let ds, db = make_db 37 6 in
   with_tmp (fun path ->
       Pgraph_io.save_binary path ds.graphs;
       expect_load_error "pgdb loaded as database" path;
@@ -401,7 +396,7 @@ let test_kind_mismatch_rejected () =
    stored can tell, and the eager loader re-proves it; a graph count that
    disagrees is refused by both loaders. *)
 let test_fingerprint_mismatch_rejected () =
-  let _, db = build_db 41 8 in
+  let _, db = make_db 41 8 in
   let stitched path ~graphs_of =
     with_tmp (fun other ->
         Query.save_database other graphs_of;
@@ -416,7 +411,7 @@ let test_fingerprint_mismatch_rejected () =
              (S.read_file path ~kind:S.Database)))
   in
   with_tmp (fun path ->
-      stitched path ~graphs_of:(snd (build_db 999 8));
+      stitched path ~graphs_of:(snd (make_db 999 8));
       (match Query.load_database path with
       | _ -> Alcotest.fail "different corpus: accepted"
       | exception S.Store_error msg ->
@@ -424,14 +419,14 @@ let test_fingerprint_mismatch_rejected () =
           (Printf.sprintf "different corpus: fingerprint refused (%s)" msg)
           true
           (String.starts_with ~prefix:"database fingerprint mismatch" msg));
-      stitched path ~graphs_of:(snd (build_db 43 5));
+      stitched path ~graphs_of:(snd (make_db 43 5));
       expect_load_error "different size" path)
 
 (* An index in the retired classic layout (a "structural" section) is
    refused by every loader, with a message that names the layout and says
    to re-index. *)
 let test_retired_layout_refused () =
-  let _, db = build_db 47 6 in
+  let _, db = make_db 47 6 in
   with_tmp (fun path ->
       Query.save_database path db;
       let classic = S.encoder () in
@@ -480,7 +475,7 @@ let sample_positions start stop =
   List.sort_uniq compare (head @ spread @ [ stop - 1 ])
 
 let test_corruption_detected () =
-  let _, db = build_db 53 8 in
+  let _, db = make_db 53 8 in
   with_tmp (fun path ->
       Query.save_database path db;
       let original = read_bytes path in
@@ -700,7 +695,7 @@ let mmap_probe path =
   done
 
 let test_flat_corruption_detected () =
-  let ds, db = build_db 67 8 in
+  let ds, db = make_db 67 8 in
   with_tmp (fun path ->
       Query.save_database path db;
       let original = read_bytes path in
@@ -777,7 +772,7 @@ let test_flat_corruption_detected () =
    impossible count is refused whole. The mapped loader defers the same
    check to the lookup that reads the record. *)
 let test_bad_bound_counts_rejected () =
-  let _, db = build_db 71 8 in
+  let _, db = make_db 71 8 in
   with_tmp (fun path ->
       Query.save_database path db;
       let sections =
@@ -916,7 +911,7 @@ let test_jpt_row_sum_rejected_binary () =
    a standby. Truncate at every byte boundary and flip every byte: the
    file is tiny, so the sweep is exhaustive. *)
 let test_delta_file_checksummed () =
-  let _, db = build_db 57 6 in
+  let _, db = make_db 57 6 in
   with_tmp (fun path ->
       Query.save_database path db;
       let _, chain = Psst_ingest.load path in
@@ -1023,7 +1018,7 @@ let prop_view_equals_build =
 
 (* The view keeps every graph within distance delta, mapped or not. *)
 let test_view_no_false_dismissals () =
-  let ds, db = build_db 83 12 in
+  let ds, db = make_db 83 12 in
   with_tmp (fun path ->
       Query.save_database path db;
       let mapped = Query.load_database ~mmap:true path in
@@ -1050,7 +1045,7 @@ let test_view_no_false_dismissals () =
    cells behind a pad — loads eagerly and mapped, ignoring them, and
    answers as the image without them. *)
 let test_retired_structural_sections_ignored () =
-  let ds, db = build_db 89 10 in
+  let ds, db = make_db 89 10 in
   with_tmp (fun fresh ->
       Query.save_database fresh db;
       let nf = Pmi.num_features db.Query.pmi and ng = Pmi.num_graphs db.Query.pmi in
@@ -1103,7 +1098,7 @@ let test_retired_structural_sections_ignored () =
    the lists, and it answers as the same image in today's layout; saved
    again, it is that image byte for byte. *)
 let test_parent_feature_section_loads () =
-  let ds, db = build_db 97 10 in
+  let ds, db = make_db 97 10 in
   let mined =
     Selection.select (Array.map Pgraph.skeleton ds.Generator.graphs) small_mining
   in

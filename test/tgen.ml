@@ -199,3 +199,24 @@ let mined_over skels features =
   List.map2
     (fun feature support -> { Selection.feature; support; strong_support = [] })
     features (occurrences features skels)
+
+(* The small indexed corpus the integration suites share: [n] graphs of
+   6–10 vertices, features of at most two edges, bounds from 400 samples
+   and a coarse (tau = 0.3) verifier. A suite opens this where it needs
+   these values; one whose values differ keeps its own. *)
+module Fixtures = struct
+  let fast_bounds = { Bounds.default_config with mc_samples = 400 }
+  let fast_smp = { Verify.default_config with tau = 0.3 }
+  let small_mining = { Selection.default_params with max_edges = 2; beta = 0.2 }
+
+  let make_db seed n =
+    let ds =
+      Generator.generate
+        { Generator.default_params with num_graphs = n; seed; min_vertices = 6;
+          max_vertices = 10; motif_edges = 3 }
+    in
+    (ds, Query.index_database ~mining:small_mining ~bounds:fast_bounds ds.graphs)
+
+  let base_config =
+    { Query.default_config with epsilon = 0.4; delta = 1; verifier = `Smp fast_smp }
+end
