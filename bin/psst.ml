@@ -95,23 +95,48 @@ let generate num_graphs organisms seed verbose binary output =
 
 (* --- query --- *)
 
-(* A binary corpus file hands over its graphs' fingerprint with them
-   (the CRC of the payload they were decoded from). *)
+(* The corpus a command runs on: generated, or read from [--input]. A
+   binary file is checked when it is read (kind, frame CRCs, graph count)
+   and fingerprinted by the CRC of its graphs payload, but its graphs are
+   decoded only when a command asks for [corpus]: a reused index serves
+   its own graphs and only compares fingerprints. *)
+type source = {
+  count : int;
+  fingerprint : int32 Lazy.t;
+  corpus : Corpus.t Lazy.t;
+  ds : Generator.t option;
+}
+
+let eager_source graphs ds =
+  let corpus = Corpus.of_array graphs in
+  {
+    count = Array.length graphs;
+    fingerprint = lazy (Corpus.fingerprint corpus);
+    corpus = Lazy.from_val corpus;
+    ds;
+  }
+
 let corpus_of input num_graphs seed =
   match input with
   | Some path ->
-    let graphs, fingerprint =
+    let src =
       if Psst_store.is_store_file path then
-        let graphs, fp = Pgraph_io.load_binary_fingerprinted path in
-        (graphs, Some fp)
-      else (Pgraph_io.load path, None)
+        let b = Pgraph_io.read_binary path in
+        {
+          count = b.count;
+          fingerprint = Lazy.from_val b.fingerprint;
+          corpus =
+            lazy (Corpus.of_array ~fingerprint:b.fingerprint (Lazy.force b.graphs));
+          ds = None;
+        }
+      else eager_source (Pgraph_io.load path) None
     in
-    Printf.printf "loaded %d graphs from %s\n%!" (Array.length graphs) path;
-    (Corpus.of_array ?fingerprint graphs, None)
+    Printf.printf "loaded %d graphs from %s\n%!" src.count path;
+    src
   | None ->
     let params = { Generator.default_params with num_graphs; seed } in
     let ds = Generator.generate params in
-    (Corpus.of_array ds.graphs, Some ds)
+    eager_source ds.graphs (Some ds)
 
 (* Build the indexes, or reuse a persisted database when [index_file] names
    a valid store for this exact corpus. A missing file is built and saved; a
@@ -123,8 +148,7 @@ let corpus_of input num_graphs seed =
    elapsed time, a description, and the delta chain when persistent
    (armed for further ingest). A rebuild runs on [domains]. *)
 let obtain_database ?(mmap = false)
-    ?(domains = Psst_util.Pool.default_domains ()) index_file corpus =
-  let graphs = Corpus.to_array corpus in
+    ?(domains = Psst_util.Pool.default_domains ()) index_file src =
   let with_deltas path (db, t) how =
     let (db, chain), t_replay =
       Psst_util.Timer.time (fun () -> Psst_ingest.apply_deltas ~base:path db)
@@ -139,7 +163,8 @@ let obtain_database ?(mmap = false)
   in
   let build_and_save () =
     let db, t =
-      Psst_util.Timer.time (fun () -> Query.index_database ~domains graphs)
+      Psst_util.Timer.time (fun () ->
+          Query.index_database ~domains (Corpus.to_array (Lazy.force src.corpus)))
     in
     match index_file with
     | Some path ->
@@ -163,7 +188,7 @@ let obtain_database ?(mmap = false)
   | Some path when Sys.file_exists path -> (
     match Psst_util.Timer.time (fun () -> Query.load_database ~mmap path) with
     | db, t when
-        Corpus.fingerprint db.Query.graphs = Corpus.fingerprint corpus ->
+        Corpus.fingerprint db.Query.graphs = Lazy.force src.fingerprint ->
       with_deltas path (db, t)
         (if mmap then "memory-mapped (zero-copy flat image)"
          else "loaded (mining and PMI build skipped)")
@@ -178,7 +203,9 @@ let obtain_database ?(mmap = false)
 
 let index num_graphs seed input _flat output =
   or_die @@ fun () ->
-  let graphs = Corpus.to_array (fst (corpus_of input num_graphs seed)) in
+  let graphs =
+    Corpus.to_array (Lazy.force (corpus_of input num_graphs seed).corpus)
+  in
   Printf.printf "indexing %d graphs...\n%!" (Array.length graphs);
   let db, t_index =
     Psst_util.Timer.time (fun () ->
@@ -201,16 +228,16 @@ let index num_graphs seed input _flat output =
 let shard num_graphs seed input index_file _flat output shards max_graphs
     max_cost =
   or_die @@ fun () ->
-  let corpus, _ = corpus_of input num_graphs seed in
-  Printf.printf "indexing %d graphs...\n%!" (Corpus.length corpus);
-  let db, t_index, how, _chain = obtain_database index_file corpus in
+  let src = corpus_of input num_graphs seed in
+  Printf.printf "indexing %d graphs...\n%!" src.count;
+  let db, t_index, how, _chain = obtain_database index_file src in
   Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how t_index
     (List.length db.Query.features)
     (Pmi.filled_entries db.Query.pmi);
   let plan =
     match (shards, max_graphs, max_cost) with
     | Some parts, None, None ->
-      Psst_shard.plan_even ~parts ~total:(Corpus.length corpus)
+      Psst_shard.plan_even ~parts ~total:src.count
     | None, None, None ->
       die "pass --shards N (even split) or --max-graphs / --max-cost (budget)"
     | None, mg, mc ->
@@ -255,14 +282,14 @@ let write_stats_json path traces =
   Printf.printf "stats written to %s\n%!" path
 
 (* Query extraction needs a dataset wrapper; a loaded corpus gets a
-   trivial one (organism 0 everywhere), shared by [query], [topk] and
-   [client] so the extracted query sequence is identical for the same
-   corpus and seed. *)
-let dataset_wrapper corpus ds_opt =
-  match ds_opt with
+   trivial one (organism 0 everywhere) over [corpus], the source's graphs,
+   shared by [query], [topk] and [client] so the extracted query sequence
+   is identical for the same corpus and seed. *)
+let dataset_wrapper src corpus =
+  match src.ds with
   | Some ds -> ds
   | None ->
-    let graphs = Corpus.to_array corpus in
+    let graphs = Corpus.to_array (Lazy.force corpus) in
     {
       Generator.graphs;
       organisms = Array.make (Array.length graphs) 0;
@@ -274,9 +301,9 @@ let dataset_wrapper corpus ds_opt =
 let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
     index_file stats_json =
   or_die @@ fun () ->
-  let corpus, ds_opt = corpus_of input num_graphs seed in
-  Printf.printf "indexing %d graphs...\n%!" (Corpus.length corpus);
-  let db, t_index, how, _chain = obtain_database index_file corpus in
+  let src = corpus_of input num_graphs seed in
+  Printf.printf "indexing %d graphs...\n%!" src.count;
+  let db, t_index, how, _chain = obtain_database index_file src in
   Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how t_index
     (List.length db.Query.features)
     (Pmi.filled_entries db.Query.pmi);
@@ -290,7 +317,13 @@ let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
     }
   in
   let rng = Psst_util.Prng.make (seed + 1) in
-  let ds = dataset_wrapper corpus ds_opt in
+  (* The database begins with the source's graphs (its fingerprint
+     matched, or it was built from them), already decoded by an eager
+     load: the queries are drawn from those. *)
+  let ds =
+    dataset_wrapper src
+      (lazy (Corpus.sub db.Query.graphs ~base:0 ~count:src.count))
+  in
   let traces = ref [] in
   for k = 1 to nqueries do
     let q, org = Generator.extract_query rng ds ~edges:qsize in
@@ -319,12 +352,12 @@ let query num_graphs seed qsize nqueries epsilon delta exact_verifier input
 
 let topk num_graphs seed qsize k delta input =
   or_die @@ fun () ->
-  let corpus, ds_opt = corpus_of input num_graphs seed in
+  let src = corpus_of input num_graphs seed in
   let db =
     Query.index_database ~domains:(Psst_util.Pool.default_domains ())
-      (Corpus.to_array corpus)
+      (Corpus.to_array (Lazy.force src.corpus))
   in
-  let ds = dataset_wrapper corpus ds_opt in
+  let ds = dataset_wrapper src src.corpus in
   let rng = Psst_util.Prng.make (seed + 1) in
   let q, org = Generator.extract_query rng ds ~edges:qsize in
   Printf.printf "top-%d query (organism %d, %d edges, delta %d):\n" k org
@@ -635,10 +668,10 @@ let serve num_graphs seed input index_file mmap socket port host domains
       | None, None ->
         if mmap && index_file = None then
           die "--mmap needs --index FILE (or --manifest with --shard)";
-        let corpus, _ = corpus_of input num_graphs seed in
-        Printf.printf "indexing %d graphs...\n%!" (Corpus.length corpus);
+        let src = corpus_of input num_graphs seed in
+        Printf.printf "indexing %d graphs...\n%!" src.count;
         let db, t_index, how, chain =
-          obtain_database ~mmap ~domains index_file corpus
+          obtain_database ~mmap ~domains index_file src
         in
         Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how
           t_index
@@ -742,8 +775,8 @@ let client socket port host num_graphs seed qsize nqueries epsilon delta
           h.Psst_proto.workers
       end;
       if nqueries > 0 then begin
-        let corpus, ds_opt = corpus_of input num_graphs seed in
-        let ds = dataset_wrapper corpus ds_opt in
+        let src = corpus_of input num_graphs seed in
+        let ds = dataset_wrapper src src.corpus in
         let rng = Psst_util.Prng.make (seed + 1) in
         let queries =
           List.init nqueries (fun _ ->

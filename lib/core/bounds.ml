@@ -43,6 +43,7 @@ let m_pool_hits = Psst_obs.counter "bounds.mc_pool_estimates"
 let m_pool_misses = Psst_obs.counter "bounds.mc_exact_fallbacks"
 let m_exact_evals = Psst_obs.counter "bounds.exact_evals"
 let m_exact_hits = Psst_obs.counter "bounds.exact_memo_hits"
+let m_world_pools = Psst_obs.counter "bounds.world_pools"
 
 let ratio_over_pool pool ~num ~den =
   let n1 = ref 0 and n2 = ref 0 in
@@ -89,11 +90,13 @@ module Sets = Hashtbl.Make (struct
 end)
 
 (* Everything the bounds of one graph share across features: the world
-   pool, the uncertain-edge set and the exact probabilities already asked,
-   keyed by the edge set, one table per polarity. *)
+   pool, the elimination plan of its factors, the uncertain-edge set and
+   the exact probabilities already asked, keyed by the edge set, one table
+   per polarity. *)
 type column = {
   graph : Pgraph.t;
   pool : Bitset.t array Lazy.t;
+  plan : Velim.plan Lazy.t;
   uncertain : Bitset.t;
   present : float Sets.t;
   absent : float Sets.t;
@@ -104,8 +107,10 @@ let column config g =
     graph = g;
     pool =
       lazy
-        (let rng = Prng.make config.seed in
+        (Psst_obs.incr m_world_pools;
+         let rng = Prng.make config.seed in
          Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g));
+    plan = lazy (Velim.plan (Pgraph.factors g));
     uncertain =
       Bitset.of_list (Lgraph.num_edges (Pgraph.skeleton g)) (Pgraph.uncertain_edges g);
     present = Sets.create 64;
@@ -122,7 +127,7 @@ let memo_exact col value s =
   | None ->
     Psst_obs.incr m_exact_evals;
     let g = col.graph in
-    let p = Velim.prob_set ~z:(Pgraph.partition_value g) ~value (Pgraph.factors g) s in
+    let p = Velim.prob_set ~z:(Pgraph.partition_value g) ~value (Lazy.force col.plan) s in
     Sets.add memo (Bitset.copy s) p;
     p
 

@@ -1,3 +1,5 @@
+module Bitset = Psst_util.Bitset
+
 type params = {
   alpha : float;
   beta : float;
@@ -56,15 +58,6 @@ let extensions vlabels elabels p =
   in
   close @ sprout
 
-(* Intersection of two sorted sets of graph ids. *)
-let rec inter_sorted a b =
-  match (a, b) with
-  | [], _ | _, [] -> []
-  | x :: a', y :: b' ->
-    if x = y then x :: inter_sorted a' b'
-    else if x < y then inter_sorted a' b
-    else inter_sorted a b'
-
 let strong_support_of db params p support =
   List.filter
     (fun gi ->
@@ -78,14 +71,17 @@ let strong_support_of db params p support =
 
 let select db params =
   let nd = Array.length db in
-  let all_idx = List.init nd (fun i -> i) in
-  let reaches_beta graphs =
-    float_of_int (List.length graphs) /. float_of_int nd >= params.beta
-  in
+  let reaches_beta count = float_of_int count /. float_of_int nd >= params.beta in
+  (* Graph sets are sorted id lists where they are returned, and bitsets
+     over the [nd] graphs where they are intersected. *)
+  let bits = Bitset.of_list nd in
   let selected = Hashtbl.create 64 in
-  (* key -> feature *)
+  (* key -> feature, with its support as a bitset *)
   let out = ref [] in
-  let add m = Hashtbl.replace selected m.feature.key m; out := m :: !out in
+  let add m support =
+    Hashtbl.replace selected m.feature.key (m, support);
+    out := m :: !out
+  in
   let mined graph key support strong_support =
     { feature = { graph; key }; support; strong_support }
   in
@@ -123,7 +119,7 @@ let select db params =
     (fun vl ->
       let g = Lgraph.vertices_only ~vlabels:[| vl |] in
       let support = scanned vertex_support vl in
-      add (mined g (Canon.code g) support support))
+      add (mined g (Canon.code g) support support) (bits support))
     vlabels;
   (* Single-edge features: always indexed; distinct label triples are never
      isomorphic. A one-edge pattern's distinct embeddings are distinct
@@ -139,7 +135,7 @@ let select db params =
           if params.alpha <= 1. then support
           else strong_support_of db params g support
         in
-        add (mined g (Canon.code g) support strong)
+        add (mined g (Canon.code g) support strong) (bits support)
       end)
     (List.concat_map
        (fun vl1 ->
@@ -149,30 +145,45 @@ let select db params =
            vlabels)
        vlabels);
   (* Graphs that can hold a candidate: its parent's support intersected
-     with the support of each of its edges' label triples. *)
+     with the support of each of its edges' label triples, into the
+     reused set [filter]. *)
+  let triple_bits = Hashtbl.create 64 in
+  Hashtbl.iter (fun k l -> Hashtbl.replace triple_bits k (bits l)) triples;
+  let filter = Bitset.create nd in
   let filter_of parent_support vls es =
-    List.fold_left
-      (fun acc (u, v, el) ->
+    Bitset.clear filter;
+    Bitset.union_into filter parent_support;
+    List.iter
+      (fun (u, v, el) ->
         let a = vls.(u) and b = vls.(v) in
-        inter_sorted acc (scanned triples (min a b, max a b, el)))
-      parent_support es
+        match Hashtbl.find_opt triple_bits (min a b, max a b, el) with
+        | Some t -> Bitset.inter_into filter t
+        | None -> Bitset.clear filter)
+      es
   in
   (* Level-wise growth from the single-edge frontier. *)
-  let frontier = ref (List.filter (fun m -> Lgraph.num_edges m.feature.graph = 1) !out) in
+  let frontier =
+    ref
+      (List.filter_map
+         (fun m ->
+           if Lgraph.num_edges m.feature.graph = 1 then Hashtbl.find_opt selected m.feature.key
+           else None)
+         !out)
+  in
   let level = ref 1 in
   while !level < params.max_edges && !frontier <> [] do
     incr level;
     let next = ref [] in
     let seen_this_level = Hashtbl.create 64 in
     List.iter
-      (fun parent ->
+      (fun ((parent : mined), parent_support) ->
         List.iter
           (fun (vls, es) ->
-            let filter = filter_of parent.support vls es in
+            filter_of parent_support vls es;
             (* Exact pre-filter: strong support is a subset of [filter], so
                a candidate failing here can never be frequent. It is not
                marked seen; a later isomorphic copy fails here or below. *)
-            if reaches_beta filter then begin
+            if reaches_beta (Bitset.cardinal filter) then begin
               let cand = Lgraph.create ~vlabels:vls ~edges:es in
               let key = Canon.code cand in
               if
@@ -180,9 +191,11 @@ let select db params =
                 && not (Hashtbl.mem seen_this_level key)
               then begin
                 Hashtbl.replace seen_this_level key ();
-                let support = List.filter (fun gi -> Vf2.exists cand db.(gi)) filter in
+                let support =
+                  List.filter (fun gi -> Vf2.exists cand db.(gi)) (Bitset.elements filter)
+                in
                 let strong = strong_support_of db params cand support in
-                if reaches_beta strong then begin
+                if reaches_beta (List.length strong) then begin
                   (* Discriminative check against selected subfeatures. *)
                   let subkeys =
                     List.init (Lgraph.num_edges cand) (fun eid ->
@@ -191,26 +204,24 @@ let select db params =
                         Canon.code sub)
                     |> List.sort_uniq compare
                   in
-                  let parent_supports =
-                    List.filter_map (Hashtbl.find_opt selected) subkeys
-                    |> List.map (fun m -> m.support)
-                  in
                   let inter =
-                    match parent_supports with
-                    | [] -> all_idx
-                    | first :: rest -> List.fold_left inter_sorted first rest
+                    match List.filter_map (Hashtbl.find_opt selected) subkeys with
+                    | [] -> nd
+                    | (_, first) :: rest ->
+                      let inter = Bitset.copy first in
+                      List.iter (fun (_, b) -> Bitset.inter_into inter b) rest;
+                      Bitset.cardinal inter
                   in
                   let dis =
                     match support with
                     | [] -> 0.
-                    | _ ->
-                      float_of_int (List.length inter)
-                      /. float_of_int (List.length support)
+                    | _ -> float_of_int inter /. float_of_int (List.length support)
                   in
                   if dis >= 1. +. params.gamma then begin
                     let m = mined cand key support strong in
-                    add m;
-                    next := m :: !next
+                    let b = bits support in
+                    add m b;
+                    next := (m, b) :: !next
                   end
                 end
               end

@@ -71,7 +71,10 @@ type mined = {
     edges). A one-edge pattern's distinct embeddings are distinct single
     edges, pairwise edge-disjoint, so its strong support is its support
     whenever [alpha <= 1]; for a larger [alpha] it is computed with VF2
-    as for every grown level. *)
+    as for every grown level. The pre-filter and the discriminative
+    check intersect graph sets as bitsets over the database (each label
+    triple's support and each selected feature's), and test [beta] by
+    the intersection's cardinality. *)
 val select : Lgraph.t array -> params -> mined list
 
 (** [max_disjoint_embeddings embs] — size of a maximum edge-disjoint subset

@@ -229,8 +229,27 @@ let candidates p keep =
   done;
   (pend, !count, !kept)
 
-(* Eliminates every free variable outside [keep] and multiplies what is
-   left: the final table's scope (ids) and entries. *)
+(* A run's pick stream: step [s] eliminated the variable [pick.(s)],
+   whose bucket held [cost.(s)] variables. [fail] is the step that
+   raised [Invalid_argument why], or [Array.length cost] when none did.
+   [ends] lists the steps that left a table without a variable, with its
+   entry, in increasing order; [fixed] the inputs every variable of which
+   is evidence, with their entry, in input order. Both are meaningful
+   only for a run that eliminated everything ([keep = []]) and did not
+   fail. *)
+type stream = {
+  cost : int array;
+  pick : int array;
+  fail : int;
+  why : string;
+  ends : (int * float) list;
+  fixed : (int * float) list;
+}
+
+(* Eliminates every free variable outside [keep]. Returns the run's
+   stream and a function that multiplies what is left into the final
+   table (its scope as ids, and its entries), raising the run's error if
+   a step failed. *)
 let kernel factors evidence ~keep =
   let p = pose factors ~extra:[] evidence in
   let n = p.n and w = p.w and nf = p.nf and data = p.data in
@@ -371,26 +390,55 @@ let kernel factors evidence ~keep =
   let check_width k width =
     if k >= 2 && width > Factor.max_vars then invalid_arg "Factor.multiply: scope too large"
   in
-  for s = 0 to steps - 1 do
-    let v = order.(s) and t = nf + s in
-    let k = gather v in
-    check_width k width.(s);
-    remove merged 0 v;
-    union_into p.mask (t * w) merged 0 w;
-    data.(t) <- bucket k v meta.(3 * t);
-    for x = !live downto 1 do
-      work.(x) <- work.(x - 1)
+  let fail = ref 0 and why = ref "" in
+  (try
+     while !fail < steps do
+       let s = !fail in
+       let v = order.(s) and t = nf + s in
+       let k = gather v in
+       check_width k width.(s);
+       remove merged 0 v;
+       union_into p.mask (t * w) merged 0 w;
+       data.(t) <- bucket k v meta.(3 * t);
+       for x = !live downto 1 do
+         work.(x) <- work.(x - 1)
+       done;
+       work.(0) <- t;
+       incr live;
+       incr fail
+     done
+   with Invalid_argument msg -> why := msg);
+  let fail = !fail and why = !why in
+  (* The work list holds the created tables newest first, then the
+     inputs in input order. *)
+  let ends = ref [] and fixed = ref [] in
+  if fail = steps then
+    for x = !live - 1 downto 0 do
+      let t = work.(x) in
+      if t < nf then fixed := (t, data.(t).(meta.((3 * t) + 2))) :: !fixed
+      else ends := (t - nf, data.(t).(0)) :: !ends
     done;
-    work.(0) <- t;
-    incr live
-  done;
-  match gather (-1) with
-  | 0 -> ([||], [| 1. |])
-  | k ->
-    check_width k kept;
-    let at = Array.length sc - kept in
-    let entries = bucket k (-1) at in
-    (Array.init kept (fun i -> p.ids.(sc.(at + i))), entries)
+  let stream =
+    {
+      cost = width;
+      pick = Array.map (fun d -> p.ids.(d)) order;
+      fail;
+      why;
+      ends = List.rev !ends;
+      fixed = !fixed;
+    }
+  in
+  let product () =
+    if fail < steps then invalid_arg why;
+    match gather (-1) with
+    | 0 -> ([||], [| 1. |])
+    | k ->
+      check_width k kept;
+      let at = Array.length sc - kept in
+      let entries = bucket k (-1) at in
+      (Array.init kept (fun i -> p.ids.(sc.(at + i))), entries)
+  in
+  (stream, product)
 
 let elimination_order factors to_eliminate =
   let p = pose factors ~extra:to_eliminate Free in
@@ -415,11 +463,13 @@ let marginal_width factors keep =
   Array.fold_left max kept width
 
 let marginal factors keep =
-  let vars, data = kernel factors Free ~keep in
+  let _, product = kernel factors Free ~keep in
+  let vars, data = product () in
   Factor.create vars data
 
 let scalar factors evidence =
-  let _, data = kernel factors evidence ~keep:[] in
+  let _, product = kernel factors evidence ~keep:[] in
+  let _, data = product () in
   0. +. data.(0)
 
 let partition_value factors = scalar factors Free
@@ -434,4 +484,164 @@ let prob ?z ~evidence factors = conditioned ?z factors (Pairs evidence)
 let prob_all_present ?z factors vars =
   prob ?z ~evidence:(List.map (fun v -> (v, true)) vars) factors
 
-let prob_set ?z ~value factors set = conditioned ?z factors (All (value, set))
+(* --- Evidence-local elimination ---
+
+   A variable's bucket never leaves its connected component of the
+   factor graph, so a component runs the same steps and products whether
+   it is eliminated alone or inside the whole list: costs change only
+   when one of its own variables goes, ties go to the lowest id in every
+   sub-problem (dense order is id order), and the work-list order among
+   its tables does not depend on the others. The whole list's min-degree
+   sequence is therefore the merge of the components' pick streams by
+   (cost, id), and its final product is the components' one-entry tables
+   newest first, then the fully fixed inputs in input order. *)
+
+(* One component: its variables, and the stream of its free elimination
+   alone, which ends in one table. *)
+type part = { vars : int array; free : stream }
+
+type plan = {
+  factors : Factor.t array;
+  part_of : int array; (* each input's part; -1 for a scope-0 input *)
+  parts : part array;
+  scalars : (int * float) list; (* scope-0 inputs and their entry *)
+}
+
+let plan factor_list =
+  let factors = Array.of_list factor_list in
+  let nf = Array.length factors in
+  (* Union-find over the inputs sharing a variable; a root is the least
+     input of its set. *)
+  let root = Array.init nf Fun.id in
+  let rec find i =
+    let r = root.(i) in
+    if r = i then i
+    else begin
+      let r = find r in
+      root.(i) <- r;
+      r
+    end
+  in
+  let first = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (f : Factor.t) ->
+      Array.iter
+        (fun v ->
+          match Hashtbl.find_opt first v with
+          | None -> Hashtbl.add first v i
+          | Some j ->
+            let a = find i and b = find j in
+            if a <> b then root.(max a b) <- min a b)
+        f.vars)
+    factors;
+  let part_of = Array.make nf (-1) and count = ref 0 and scalars = ref [] in
+  Array.iteri
+    (fun i (f : Factor.t) ->
+      if Array.length f.vars = 0 then scalars := (i, f.data.(0)) :: !scalars
+      else begin
+        let r = find i in
+        if r = i then begin
+          part_of.(i) <- !count;
+          incr count
+        end
+        else part_of.(i) <- part_of.(r)
+      end)
+    factors;
+  let members = Array.make !count [] in
+  for i = nf - 1 downto 0 do
+    if part_of.(i) >= 0 then members.(part_of.(i)) <- i :: members.(part_of.(i))
+  done;
+  let parts =
+    Array.map
+      (fun inputs ->
+        let own = List.map (fun i -> factors.(i)) inputs in
+        let vars =
+          List.concat_map (fun (f : Factor.t) -> Array.to_list f.vars) own
+          |> List.sort_uniq compare |> Array.of_list
+        in
+        { vars; free = fst (kernel own Free ~keep:[]) })
+      members
+  in
+  { factors; part_of; parts; scalars = List.rev !scalars }
+
+(* The whole list's scalar from the streams of its independent parts and
+   its fully fixed inputs, as the whole-list run computes it: the first
+   step to fail in the merged order raises, and the product runs over
+   the one-entry tables in decreasing merged step, then [fixed]. *)
+let combine streams fixed =
+  let ns = Array.length streams in
+  let at = Array.make ns 0 and ends = Array.map (fun s -> s.ends) streams in
+  let made = ref [] and go = ref true in
+  while !go do
+    let best = ref (-1) and bc = ref 0 and bp = ref 0 in
+    for x = 0 to ns - 1 do
+      let s = streams.(x) and i = at.(x) in
+      if i < Array.length s.cost then begin
+        let c = s.cost.(i) and v = s.pick.(i) in
+        if !best < 0 || c < !bc || (c = !bc && v < !bp) then begin
+          best := x;
+          bc := c;
+          bp := v
+        end
+      end
+    done;
+    if !best < 0 then go := false
+    else begin
+      let x = !best in
+      let s = streams.(x) and i = at.(x) in
+      if i = s.fail then invalid_arg s.why;
+      (match ends.(x) with
+       | (j, e) :: rest when j = i ->
+         made := e :: !made;
+         ends.(x) <- rest
+       | _ -> ());
+      at.(x) <- i + 1
+    end
+  done;
+  match !made @ List.map snd fixed with
+  | [] -> 1.
+  | e :: rest ->
+    let x = List.fold_left ( *. ) e rest in
+    (* false exactly for negative and NaN products *)
+    if not (x >= 0.) then invalid_arg "Factor.create: negative or NaN entry";
+    0. +. x
+
+let prob_set ?z ~value plan set =
+  let z =
+    match z with
+    | Some z -> z
+    | None -> combine (Array.map (fun p -> p.free) plan.parts) plan.scalars
+  in
+  if z <= 0. then invalid_arg "Velim.prob: zero partition value";
+  let cap = Bitset.capacity set in
+  let hit =
+    Array.map
+      (fun p -> Array.exists (fun v -> v >= 0 && v < cap && Bitset.mem set v) p.vars)
+      plan.parts
+  in
+  let untouched = ref [] in
+  for x = Array.length plan.parts - 1 downto 0 do
+    if not hit.(x) then untouched := plan.parts.(x).free :: !untouched
+  done;
+  let inputs = ref [] in
+  for i = Array.length plan.factors - 1 downto 0 do
+    let x = plan.part_of.(i) in
+    if x >= 0 && hit.(x) then inputs := i :: !inputs
+  done;
+  let p =
+    match !inputs with
+    | [] -> combine (Array.of_list !untouched) plan.scalars
+    | inputs ->
+      let local = Array.of_list inputs in
+      let s, _ =
+        kernel (List.map (fun i -> plan.factors.(i)) inputs) (All (value, set)) ~keep:[]
+      in
+      let fixed =
+        List.merge
+          (fun (a, _) (b, _) -> compare a b)
+          plan.scalars
+          (List.map (fun (j, e) -> (local.(j), e)) s.fixed)
+      in
+      combine (Array.of_list (s :: !untouched)) fixed
+  in
+  p /. z

@@ -69,6 +69,47 @@ val prob : ?z:float -> evidence:(int * bool) list -> Factor.t list -> float
     the probability that a set of edges co-exists. *)
 val prob_all_present : ?z:float -> Factor.t list -> int list -> float
 
-(** [prob_set ?z ~value factors set] is [prob] with every member of [set]
-    set to [value], bit for bit, without building the evidence list. *)
-val prob_set : ?z:float -> value:bool -> Factor.t list -> Psst_util.Bitset.t -> float
+(** {1 Evidence-local probabilities}
+
+    A plan answers the questions whose evidence sets a group of variables
+    to one value, as the PMI's bounds ask them: Pr(every edge of a set
+    present), or Pr(every edge absent), for each embedding and cut of a
+    graph. *)
+
+(** A factor list split into the connected components of its factor
+    graph (inputs sharing a variable belong to one component), each with
+    the pick stream of its own free elimination (the (bucket size,
+    variable id) of every step) and its final entry or the error it
+    raised. Scope-0 inputs belong to no component. A plan is immutable
+    once built: one plan may serve calls on several domains at once. *)
+type plan
+
+(** [plan factors] builds the plan of [factors]. It never raises: a
+    component that cannot be eliminated on its own (too wide, or NaN)
+    keeps its error for the calls that leave it untouched. *)
+val plan : Factor.t list -> plan
+
+(** [prob_set ?z ~value plan set] is [prob ~evidence factors] with every
+    member of [set] set to [value], where [plan = plan factors], bit for
+    bit and errors included, without building the evidence list. [z] is
+    as for {!prob}; without it the partition value comes from the plan's
+    recorded components.
+
+    Only the components [set] touches are eliminated, by the kernel, on
+    their inputs in input order; every untouched component reuses its
+    recorded entry. The parts are then multiplied as the whole-list
+    kernel multiplies them. Eliminating one variable changes the costs of
+    that variable's component only, ties go to the lowest id inside every
+    component as in the whole list, and a component's tables keep their
+    relative work-list order whatever the other components do. So each
+    component runs the same steps and products alone as in the whole
+    list, and the whole list's min-degree sequence is the {e merge} of
+    the components' pick streams: at each step, the least (bucket size,
+    variable id) among the components' next picks. The merge gives the
+    step at which each component leaves its one-entry tables; the final
+    product multiplies them newest step first, then the fully fixed
+    inputs (scope-0 ones included) in input order, exactly as the
+    whole-list kernel's final work list does. An error is the one the
+    first failing step in the merged order raises. Hence every float,
+    and every error, is the whole-list kernel's. *)
+val prob_set : ?z:float -> value:bool -> plan -> Psst_util.Bitset.t -> float

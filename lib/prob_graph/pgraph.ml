@@ -1,20 +1,25 @@
 module Bitset = Psst_util.Bitset
 module Prng = Psst_util.Prng
 
-(* Query-independent state every bound computation of the graph reuses:
-   the compiled forward sampler, the present-edge mask of the certain
-   edges (every world's starting point) and the partition value Z. *)
-type prepared = { sampler : Sampler.compiled; base : Bitset.t; z : float }
+(* Query-independent state every bound computation of the graph reuses,
+   each part built on its first use: the compiled forward sampler with
+   the present-edge mask of the certain edges (every world's starting
+   point), and the partition value Z. Most graphs of an index build need
+   Z and no world. *)
+type worlds = { sampler : Sampler.compiled; base : Bitset.t }
 
 type t = {
   skeleton : Lgraph.t;
   factors : Factor.t list;
   uncertain : int list; (* sorted *)
   certain : int list; (* sorted: the edges no factor mentions *)
-  jt_lock : Mutex.t; (* guards [jt] and [prep]: graphs are shared across query domains *)
-  mutable jt : Jtree.t option; (* built on first use *)
-  mutable prep : prepared option; (* built on first use *)
+  lock : Mutex.t; (* guards the lazy fields: graphs are shared across query domains *)
+  mutable jt : Jtree.t option;
+  mutable worlds : worlds option;
+  mutable z : float option;
 }
+
+let m_sampler_compiles = Psst_obs.counter "pgraph.sampler_compiles"
 
 let make skeleton factors =
   let m = Lgraph.num_edges skeleton in
@@ -40,9 +45,10 @@ let make skeleton factors =
     factors;
     uncertain;
     certain;
-    jt_lock = Mutex.create ();
+    lock = Mutex.create ();
     jt = None;
-    prep = None;
+    worlds = None;
+    z = None;
   }
 
 let independent skeleton probs =
@@ -59,33 +65,35 @@ let skeleton t = t.skeleton
 let factors t = t.factors
 let uncertain_edges t = t.uncertain
 
-let jtree t =
-  Mutex.protect t.jt_lock (fun () ->
-      match t.jt with
-      | Some jt -> jt
+(* The field [get t] reads, built by [build t] and kept by [set] under
+   the graph's lock on first use. *)
+let first_use t get set build =
+  Mutex.protect t.lock (fun () ->
+      match get t with
+      | Some x -> x
       | None ->
-        let jt = Jtree.build t.factors in
-        t.jt <- Some jt;
-        jt)
+        let x = build t in
+        set t x;
+        x)
+
+let jtree t =
+  first_use t (fun t -> t.jt) (fun t x -> t.jt <- Some x) (fun t -> Jtree.build t.factors)
 
 let certain_edges t = t.certain
 
-let prepared t =
-  Mutex.protect t.jt_lock (fun () ->
-      match t.prep with
-      | Some p -> p
-      | None ->
-        let p =
-          {
-            sampler = Sampler.compile t.factors;
-            base = Bitset.of_list (Lgraph.num_edges t.skeleton) t.certain;
-            z = Velim.partition_value t.factors;
-          }
-        in
-        t.prep <- Some p;
-        p)
+let worlds t =
+  first_use t
+    (fun t -> t.worlds)
+    (fun t x -> t.worlds <- Some x)
+    (fun t ->
+      Psst_obs.incr m_sampler_compiles;
+      {
+        sampler = Sampler.compile t.factors;
+        base = Bitset.of_list (Lgraph.num_edges t.skeleton) t.certain;
+      })
 
-let partition_value t = (prepared t).z
+let partition_value t =
+  first_use t (fun t -> t.z) (fun t x -> t.z <- Some x) (fun t -> Velim.partition_value t.factors)
 
 let jpt t scope =
   let certain = certain_edges t in
@@ -115,7 +123,7 @@ let world_prob t present =
       1. t.factors
 
 let sample_mask rng t =
-  let p = prepared t in
+  let p = worlds t in
   let mask = Bitset.copy p.base in
   Sampler.draw p.sampler rng mask;
   mask

@@ -50,12 +50,15 @@ val world_prob : t -> Psst_util.Bitset.t -> float
 
 (** Partition value Z of the factor product (1 up to rounding for a
     chain-consistent list): exactly [Velim.partition_value (factors t)],
-    computed on first use and kept, for [Velim.prob ~z]. *)
+    computed on first use and kept, for [Velim.prob ~z]. It does not
+    compile the world sampler, which {!sample_mask} builds on its own
+    first use. *)
 val partition_value : t -> float
 
 (** [sample_mask rng t] draws a possible world as its present-edge mask.
-    The sampler is compiled on first use and kept; draws consume [rng]
-    exactly as forward sampling factor by factor does. *)
+    The sampler is compiled on first use and kept (counted by the
+    [pgraph.sampler_compiles] metric); draws consume [rng] exactly as
+    forward sampling factor by factor does. *)
 val sample_mask : Psst_util.Prng.t -> t -> Psst_util.Bitset.t
 
 (** [sample_world rng t] draws a possible world; returns the present-edge

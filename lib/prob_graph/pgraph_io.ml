@@ -170,16 +170,23 @@ let save_binary path graphs =
   S.put_array body encode_binary graphs;
   S.write_file path ~kind:S.Pgdb [ S.section "meta" meta; S.section "graphs" body ]
 
-let load_binary_fingerprinted path =
+type binary = { count : int; fingerprint : int32; graphs : Pgraph.t array Lazy.t }
+
+let read_binary path =
   let sections = S.read_file path ~kind:S.Pgdb in
   let count = S.decode_section sections "meta" S.get_nat in
-  let graphs = S.decode_section sections "graphs" (fun d -> S.get_array d decode_binary) in
-  if Array.length graphs <> count then
-    S.error "graph count mismatch: meta says %d, payload holds %d" count
-      (Array.length graphs);
-  (graphs, Psst_util.Crc32.digest (S.find_section sections "graphs"))
+  let payload = S.find_section sections "graphs" in
+  let held = S.get_nat (S.decoder ~name:"graphs" payload) in
+  if held <> count then
+    S.error "graph count mismatch: meta says %d, payload holds %d" count held;
+  {
+    count;
+    fingerprint = Psst_util.Crc32.digest payload;
+    graphs =
+      lazy (S.decode_section sections "graphs" (fun d -> S.get_array d decode_binary));
+  }
 
-let load_binary path = fst (load_binary_fingerprinted path)
+let load_binary path = Lazy.force (read_binary path).graphs
 
 let load_auto path =
   if S.is_store_file path then load_binary path else load path

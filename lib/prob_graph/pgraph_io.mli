@@ -53,11 +53,18 @@ val save_binary : string -> Pgraph.t array -> unit
     truncation, version or kind mismatch. *)
 val load_binary : string -> Pgraph.t array
 
-(** [load_binary_fingerprinted path] — {!load_binary} and the CRC of the
-    graphs payload it decoded. That payload is the canonical encoding
-    {!db_fingerprint} is defined over, so the CRC is the graphs'
-    fingerprint, found without encoding them again. *)
-val load_binary_fingerprinted : string -> Pgraph.t array * int32
+(** A [Pgdb] store file read and checked without decoding a graph:
+    [count] is the graph count of its ["meta"] section, equal to the
+    count prefix of its ["graphs"] payload; [fingerprint] is the CRC of
+    that payload, the canonical encoding {!db_fingerprint} is defined
+    over, so it is the graphs' fingerprint; [graphs] decodes them on
+    first force (raising [Psst_store.Store_error] on malformed graphs). *)
+type binary = { count : int; fingerprint : int32; graphs : Pgraph.t array Lazy.t }
+
+(** [read_binary path] — raises [Psst_store.Store_error] on corruption
+    (any frame CRC), truncation, version or kind mismatch, and a graph
+    count that differs between ["meta"] and the payload. *)
+val read_binary : string -> binary
 
 (** [load_auto path] sniffs the store magic and dispatches to
     {!load_binary} or the textual {!load}. *)

@@ -221,6 +221,78 @@ let test_index_matches_one_domain_build () =
             (x.payload = y.payload))
         a b)
 
+(* Run [args], return (exit code, stdout lines). stderr is discarded. *)
+let run_psst_out args =
+  let out = Filename.temp_file "psst_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >%s 2>/dev/null" (Filename.quote exe) args
+             (Filename.quote out))
+      in
+      (code, In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n'))
+
+let answers lines =
+  List.filter (fun l -> String.length l > 10 && String.sub l 0 10 = "  answers:") lines
+
+let contains line sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length line && (String.sub line i n = sub || at (i + 1)) in
+  at 0
+
+(* A binary [--input] corpus is only fingerprinted when an index of it is
+   reused, and decoded when one is built: both must answer alike, a
+   damaged file must still be refused, and an index of another corpus
+   must be rebuilt. *)
+let test_input_corpus_with_index () =
+  let corpus seed =
+    let path = Filename.temp_file "psst_cli" ".pgdb" in
+    Pgraph_io.save_binary path
+      (Generator.generate { Generator.default_params with num_graphs = 12; seed })
+        .Generator.graphs;
+    path
+  in
+  let c11 = corpus 11 and c12 = corpus 12 in
+  let index = Filename.temp_file "psst_cli" ".psst" in
+  let flipped = Filename.temp_file "psst_cli" ".pgdb" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ c11; c12; index; flipped ])
+    (fun () ->
+      let q = Filename.quote in
+      let code, _ = run_psst (Printf.sprintf "index --input %s -o %s" (q c11) (q index)) in
+      Alcotest.(check int) "psst index exits 0" 0 code;
+      let query c idx =
+        let code, out =
+          run_psst_out
+            (Printf.sprintf "query --queries 3 --input %s%s" (q c)
+               (match idx with Some i -> " --index " ^ q i | None -> ""))
+        in
+        Alcotest.(check int) "psst query exits 0" 0 code;
+        out
+      in
+      let fresh = query c11 None and reused = query c11 (Some index) in
+      Alcotest.(check bool) "the index is reused" true
+        (List.exists (fun l -> contains l "index loaded") reused);
+      Alcotest.(check (list string)) "reused index = fresh build" (answers fresh)
+        (answers reused);
+      (* One bit flipped inside the graphs payload: its frame CRC fails. *)
+      let bytes = In_channel.with_open_bin c11 In_channel.input_all |> Bytes.of_string in
+      let at = Bytes.length bytes - 40 in
+      Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 1));
+      Out_channel.with_open_bin flipped (fun oc -> Out_channel.output_bytes oc bytes);
+      check_dies "query on a bit-flipped corpus with a reused index"
+        (Printf.sprintf "query --input %s --index %s" (q flipped) (q index));
+      let other = query c12 (Some index) in
+      Alcotest.(check bool) "an index of another corpus is rebuilt" true
+        (List.exists (fun l -> contains l "built for a different corpus; rebuilding") other);
+      Alcotest.(check (list string)) "rebuilt index = fresh build"
+        (answers (query c12 None)) (answers other))
+
 let suite =
   [
     Alcotest.test_case "missing files exit 1" `Quick test_missing_corpus;
@@ -244,4 +316,6 @@ let suite =
       test_serve_on_live_socket;
     Alcotest.test_case "psst index = one-domain in-process build" `Quick
       test_index_matches_one_domain_build;
+    Alcotest.test_case "--input corpus with a reused or stale index" `Quick
+      test_input_corpus_with_index;
   ]

@@ -544,6 +544,28 @@ let test_pipeline_stats_consistent () =
   Alcotest.(check bool) "answers within structural" true
     (List.for_all (fun _ -> true) out.answers)
 
+(* Every bound asks for Z, but few columns sample worlds: on fresh graphs
+   of the standard corpus a PMI build compiles a graph's forward sampler
+   only for a column that samples its Monte-Carlo pool. *)
+let test_pmi_build_compiles_samplers_lazily () =
+  let ds = Generator.generate (Experiments.dataset_params Experiments.default_scale) in
+  let mined =
+    Selection.select (Array.map Pgraph.skeleton ds.graphs) Experiments.mining_params
+  in
+  let compiles = Psst_obs.counter "pgraph.sampler_compiles"
+  and pools = Psst_obs.counter "bounds.world_pools" in
+  let c0 = Psst_obs.counter_value compiles and p0 = Psst_obs.counter_value pools in
+  ignore (Pmi.build ~domains:1 ds.graphs mined);
+  let c = Psst_obs.counter_value compiles - c0 and p = Psst_obs.counter_value pools - p0 in
+  Alcotest.(check bool) (Printf.sprintf "some column samples worlds (%d)" p) true (p > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sampler compiles <= %d world pools" c p)
+    true (c <= p);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sampler compiles for %d graphs" c (Array.length ds.graphs))
+    true
+    (c < Array.length ds.graphs)
+
 let suite =
   [
     Alcotest.test_case "bounds: vertex feature" `Quick test_bounds_vertex_feature;
@@ -572,4 +594,6 @@ let suite =
     Alcotest.test_case "pipeline random-pick sound" `Slow
       test_pipeline_random_pick_mode_sound;
     Alcotest.test_case "pipeline stats consistent" `Slow test_pipeline_stats_consistent;
+    Alcotest.test_case "pmi build: samplers only for sampled columns" `Quick
+      test_pmi_build_compiles_samplers_lazily;
   ]

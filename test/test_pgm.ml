@@ -460,12 +460,13 @@ let prop_kernel_matches_reference =
         List.map (fun v -> (v, value)) (Psst_util.Bitset.elements set)
       in
       let bits = List.map Int64.bits_of_float in
+      let plan = Velim.plan factors in
       same_as_reference ~keep ~evidence factors
       && List.for_all
            (fun value ->
              outcome (fun () ->
                  [ reference_prob ~evidence:(set_evidence value) factors ])
-             = outcome (fun () -> [ Velim.prob_set ~value factors set ]))
+             = outcome (fun () -> [ Velim.prob_set ~value plan set ]))
            [ true; false ]
       && (match outcome (fun () -> [ Velim.partition_value factors ]) with
          | Ok [ z ] when Int64.float_of_bits z > 0. ->
@@ -480,7 +481,7 @@ let prop_kernel_matches_reference =
                 (fun value ->
                   outcome (fun () ->
                       [ reference_prob ~z ~evidence:(set_evidence value) factors ])
-                  = outcome (fun () -> [ Velim.prob_set ~z ~value factors set ]))
+                  = outcome (fun () -> [ Velim.prob_set ~z ~value plan set ]))
                 [ true; false ]
          | _ -> true))
 
@@ -523,6 +524,130 @@ let test_kernel_edge_cases () =
   Alcotest.check_raises "NaN product message"
     (Invalid_argument "Factor.create: negative or NaN entry") (fun () ->
       ignore (Velim.partition_value nan))
+
+(* --- Evidence-local elimination: plans against the reference loop ---
+
+   [Velim.prob_set] eliminates only the components of the factor graph
+   its set touches and merges the others' recorded pick streams. These
+   lists have three or more components, chains and stars over
+   interleaved ids (so min-degree ties fall between components), one
+   factor of 9-10 variables, as the corpus's JPTs have, inputs of all
+   components interleaved, and scalars among them. *)
+
+let random_table rng k =
+  Array.init (1 lsl k) (fun _ -> if Prng.bernoulli rng 0.1 then 0. else Prng.float rng 2.)
+
+let random_factor rng scope =
+  let scope = List.sort compare scope in
+  Factor.create (Array.of_list scope) (random_table rng (List.length scope))
+
+(* The factors, in a random input order, and each component's ids. *)
+let component_factors rng =
+  let shapes =
+    `Wide :: List.init (2 + Prng.int rng 3) (fun _ -> if Prng.bernoulli rng 0.5 then `Chain else `Star)
+  in
+  let sizes = List.map (function `Wide -> 9 + Prng.int rng 2 | _ -> 2 + Prng.int rng 4) shapes in
+  let ids = Array.init (List.fold_left ( + ) 0 sizes) Fun.id in
+  Prng.shuffle rng ids;
+  let next = ref 0 in
+  let comps =
+    List.map
+      (fun k ->
+        let vs = Array.to_list (Array.sub ids !next k) in
+        next := !next + k;
+        vs)
+      sizes
+  in
+  let own shape vs =
+    match (shape, vs) with
+    | `Wide, v :: _ -> [ random_factor rng [ v ]; random_factor rng vs ]
+    | `Chain, v :: _ ->
+      random_factor rng [ v ]
+      :: List.map2 (fun a b -> random_factor rng [ a; b ])
+           (List.filteri (fun i _ -> i < List.length vs - 1) vs) (List.tl vs)
+    | `Star, c :: leaves -> random_factor rng [ c ] :: List.map (fun l -> random_factor rng [ c; l ]) leaves
+    | _, [] -> []
+  in
+  let scalars = List.init (Prng.int rng 3) (fun _ -> Factor.scalar (Prng.float rng 2.)) in
+  let factors = Array.of_list (scalars @ List.concat (List.map2 own shapes comps)) in
+  Prng.shuffle rng factors;
+  (Array.to_list factors, comps)
+
+let prop_plan_matches_reference =
+  QCheck.Test.make ~name:"plan: sets touching no, one or every component = reference"
+    ~count:150 QCheck.small_int
+    (fun seed ->
+      let rng = Prng.make (seed + 307) in
+      let factors, comps = component_factors rng in
+      let total = List.fold_left (fun n c -> n + List.length c) 0 comps in
+      let some vs =
+        match List.filter (fun _ -> Prng.bernoulli rng 0.4) vs with [] -> [ List.hd vs ] | l -> l
+      in
+      let sets =
+        [ [ total; total + 1 ] (* absent ids only *);
+          some (List.nth comps (Prng.int rng (List.length comps)));
+          List.concat_map some comps ]
+      in
+      let plan = Velim.plan factors in
+      let z = outcome (fun () -> [ Velim.partition_value factors ]) in
+      List.for_all
+        (fun members ->
+          let set = Psst_util.Bitset.of_list (total + 2) members in
+          List.for_all
+            (fun value ->
+              let evidence = List.map (fun v -> (v, value)) members in
+              outcome (fun () -> [ reference_prob ~evidence factors ])
+              = outcome (fun () -> [ Velim.prob_set ~value plan set ])
+              &&
+              match z with
+              | Ok [ z ] when Int64.float_of_bits z > 0. ->
+                let z = Int64.float_of_bits z in
+                outcome (fun () -> [ reference_prob ~z ~evidence factors ])
+                = outcome (fun () -> [ Velim.prob_set ~z ~value plan set ])
+              | _ -> true)
+            [ true; false ])
+        sets)
+
+(* A component no elimination order can eliminate within
+   [Factor.max_vars]: three 16-variable factors, every variable in two of
+   them, so every bucket spans 24 variables. Evidence on eight of its
+   variables makes it feasible. *)
+let test_plan_wide_component () =
+  let rng = Prng.make 5 in
+  let wide =
+    [ random_factor rng (List.init 16 Fun.id);
+      random_factor rng (List.init 16 (fun i -> i + 8));
+      random_factor rng (List.init 8 Fun.id @ List.init 8 (fun i -> i + 16)) ]
+  in
+  let chain = [ coin 0.3 30; Factor.create [| 30; 31 |] [| 0.6; 0.2; 0.4; 0.8 |] ] in
+  let factors = chain @ wide in
+  let plan = Velim.plan factors in
+  let set members = Psst_util.Bitset.of_list 32 members in
+  let same name members =
+    List.iter
+      (fun value ->
+        let evidence = List.map (fun v -> (v, value)) members in
+        Alcotest.(check bool) name true
+          (outcome (fun () -> [ Velim.prob ~z:1. ~evidence factors ])
+           = outcome (fun () -> [ Velim.prob_set ~z:1. ~value plan (set members) ])))
+      [ true; false ]
+  in
+  same "untouched wide component raises" [ 31 ];
+  same "no member raises" [];
+  same "touched wide component" (List.init 8 Fun.id);
+  same "both touched" (31 :: List.init 8 Fun.id);
+  Alcotest.check_raises "untouched: scope too large"
+    (Invalid_argument "Factor.multiply: scope too large") (fun () ->
+      ignore (Velim.prob_set ~z:1. ~value:true plan (set [ 30 ])));
+  Alcotest.check_raises "no z: the partition value raises"
+    (Invalid_argument "Factor.multiply: scope too large") (fun () ->
+      ignore (Velim.prob_set ~value:true plan (set (List.init 8 Fun.id))));
+  let p = Velim.prob_set ~z:1. ~value:false plan (set (List.init 8 Fun.id)) in
+  Alcotest.(check bool) "touched: a probability" true (p >= 0.);
+  Alcotest.(check bool) "touched = reference" true
+    (outcome (fun () -> [ p ])
+     = outcome (fun () ->
+           [ reference_prob ~z:1. ~evidence:(List.init 8 (fun v -> (v, false))) factors ]))
 
 (* --- Junction tree --- *)
 
@@ -650,4 +775,7 @@ let suite =
       test_jtree_posterior_frequencies;
     Alcotest.test_case "jtree impossible evidence" `Quick test_jtree_posterior_impossible;
     QCheck_alcotest.to_alcotest prop_jtree_matches_velim_on_random_chains;
+    QCheck_alcotest.to_alcotest prop_plan_matches_reference;
+    Alcotest.test_case "plan: a too-wide component raises only untouched" `Quick
+      test_plan_wide_component;
   ]
