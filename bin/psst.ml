@@ -146,8 +146,10 @@ let corpus_of input num_graphs seed =
    with a server that ingested on the same store; a rebuild clears the
    chain (the deltas chained onto the old base). Returns the database, the
    elapsed time, a description, and the delta chain when persistent
-   (armed for further ingest). A rebuild runs on [domains]. *)
-let obtain_database ?(mmap = false)
+   (armed for further ingest). A rebuild runs on [domains]. [verify]
+   checks every section's CRC when a reused index is mapped, so damage
+   anywhere in it is rebuilt too. *)
+let obtain_database ?(mmap = false) ?(verify = false)
     ?(domains = Psst_util.Pool.default_domains ()) index_file src =
   let with_deltas path (db, t) how =
     let (db, chain), t_replay =
@@ -186,7 +188,7 @@ let obtain_database ?(mmap = false)
   in
   match index_file with
   | Some path when Sys.file_exists path -> (
-    match Psst_util.Timer.time (fun () -> Query.load_database ~mmap path) with
+    match Psst_util.Timer.time (fun () -> Query.load_database ~mmap ~verify path) with
     | db, t when
         Corpus.fingerprint db.Query.graphs = Lazy.force src.fingerprint ->
       with_deltas path (db, t)
@@ -230,7 +232,13 @@ let shard num_graphs seed input index_file _flat output shards max_graphs
   or_die @@ fun () ->
   let src = corpus_of input num_graphs seed in
   Printf.printf "indexing %d graphs...\n%!" src.count;
-  let db, t_index, how, _chain = obtain_database index_file src in
+  (* A reused index is mapped: each shard's graphs are copied from the
+     mapped image's bytes, none decoded and encoded again. The split
+     copies its postings and bounds too, so every section's CRC is
+     checked at load, and a damaged index is rebuilt rather than copied
+     under fresh CRCs. A database built here is split as built. *)
+  let mmap = match index_file with Some p -> Sys.file_exists p | None -> false in
+  let db, t_index, how, _chain = obtain_database ~mmap ~verify:true index_file src in
   Printf.printf "index %s in %.2fs: %d features, %d PMI entries\n%!" how t_index
     (List.length db.Query.features)
     (Pmi.filled_entries db.Query.pmi);

@@ -90,13 +90,12 @@ module Sets = Hashtbl.Make (struct
 end)
 
 (* Everything the bounds of one graph share across features: the world
-   pool, the elimination plan of its factors, the uncertain-edge set and
-   the exact probabilities already asked, keyed by the edge set, one table
-   per polarity. *)
+   pool, the uncertain-edge set and the exact probabilities already
+   asked, keyed by the edge set, one table per polarity. The elimination
+   plan is the graph's own ([Pgraph.plan]), kept across columns. *)
 type column = {
   graph : Pgraph.t;
   pool : Bitset.t array Lazy.t;
-  plan : Velim.plan Lazy.t;
   uncertain : Bitset.t;
   present : float Sets.t;
   absent : float Sets.t;
@@ -110,7 +109,6 @@ let column config g =
         (Psst_obs.incr m_world_pools;
          let rng = Prng.make config.seed in
          Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g));
-    plan = lazy (Velim.plan (Pgraph.factors g));
     uncertain =
       Bitset.of_list (Lgraph.num_edges (Pgraph.skeleton g)) (Pgraph.uncertain_edges g);
     present = Sets.create 64;
@@ -127,7 +125,7 @@ let memo_exact col value s =
   | None ->
     Psst_obs.incr m_exact_evals;
     let g = col.graph in
-    let p = Velim.prob_set ~z:(Pgraph.partition_value g) ~value (Lazy.force col.plan) s in
+    let p = Velim.prob_set ~z:(Pgraph.partition_value g) ~value (Pgraph.plan g) s in
     Sets.add memo (Bitset.copy s) p;
     p
 

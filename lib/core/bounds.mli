@@ -44,12 +44,13 @@ type t = {
 }
 
 (** What the bounds of one graph share across features: its Monte-Carlo
-    world pool (sampled on first use), the {!Velim.plan} of its factors
-    (built on the first exact probability, so each one eliminates only
-    the factor components its edge set touches), its uncertain-edge set,
+    world pool (sampled on first use), its uncertain-edge set,
     and a memo of every exact probability already computed, keyed by
     polarity and edge set. A memo hit returns the float an evaluation would, so bounds
-    are the same with or without a column. {!Pmi} makes one per matrix
+    are the same with or without a column. Every exact probability is
+    asked of the graph's own {!Pgraph.plan} (built once per graph, so
+    each one eliminates only the factor components its edge set
+    touches), with or without a column. {!Pmi} makes one per matrix
     column and drops it afterwards. A column is used by one domain at a
     time. *)
 type column

@@ -478,17 +478,8 @@ let get_config d =
    "structural.flat.*" sections are ignored. *)
 
 let database_sections db =
-  let garr = Corpus.to_array db.graphs in
-  let graphs = Store.encoder () in
-  let n = Array.length garr in
-  Store.put_i64 graphs n;
-  let offsets = Array.make (n + 1) 0 in
-  offsets.(0) <- Store.enc_length graphs;
-  Array.iteri
-    (fun i g ->
-      Pgraph_io.encode_binary graphs g;
-      offsets.(i + 1) <- Store.enc_length graphs)
-    garr;
+  let payload, offsets = Corpus.encoding db.graphs in
+  let n = Array.length offsets - 1 in
   let offs = Store.encoder () in
   Store.put_array offs Store.put_i64 offsets;
   let base =
@@ -499,12 +490,11 @@ let database_sections db =
       [ Store.section "db.base" e ]
     end
   in
-  (* The payload is the fingerprint's canonical encoding, so its CRC is
-     the corpus fingerprint without a second encoding pass; the corpus
-     memoises it, and a corpus that already knows it is not hashed again. *)
-  let graphs = Store.section "graphs" graphs in
-  let fingerprint = Corpus.fingerprint ~encoding:graphs.Store.payload db.graphs in
-  (graphs :: Store.section "graphs.offsets" offs
+  (* The payload is the fingerprint's canonical encoding; [encoding]
+     leaves its CRC memoised in an eager corpus that had none, so the
+     graphs are not encoded again for it. *)
+  let fingerprint = Corpus.fingerprint db.graphs in
+  ({ Store.name = "graphs"; payload } :: Store.section "graphs.offsets" offs
    :: Pmi.to_sections ~ng:n ~fingerprint db.pmi)
   @ base
 
@@ -564,8 +554,8 @@ let save_database ?(flat = true) path db =
    behind a lazily-decoding {!Corpus}, and the PMI postings and bounds —
    the bulk, which the structural filter reads too — are read in place,
    so time-to-first-query does not scale with database size. *)
-let load_database_mapped path =
-  let m = Store.map_file path ~kind:Store.Database in
+let load_database_mapped ~verify path =
+  let m = Store.map_file ~verify path ~kind:Store.Database in
   Fun.protect
     ~finally:(fun () -> Store.mapped_release m)
     (fun () ->
@@ -594,7 +584,7 @@ let load_database_mapped path =
         lineage = Qcache.lineage ~count:(Corpus.length graphs);
       })
 
-let load_database ?(salvage = false) ?(mmap = false) path =
+let load_database ?(salvage = false) ?(mmap = false) ?(verify = false) path =
   let eager () =
     let sections =
       if salvage then
@@ -605,7 +595,7 @@ let load_database ?(salvage = false) ?(mmap = false) path =
   in
   if not mmap then eager ()
   else
-    match load_database_mapped path with
+    match load_database_mapped ~verify path with
     | db -> db
     | exception Store.Store_error _ when salvage ->
       (* No partial salvage on a mapping — fall back to the eager salvage

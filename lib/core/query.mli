@@ -240,8 +240,16 @@ val save_database : ?flat:bool -> string -> database -> unit
     small sections and the postings are still integrity-checked at open).
     Queries are bit-identical to the eager load of the same file.
     Combined with [~salvage:true], any mmap failure falls back to the
-    eager salvage loader. *)
-val load_database : ?salvage:bool -> ?mmap:bool -> string -> database
+    eager salvage loader.
+
+    [~verify:true] with [~mmap:true] checks every section's CRC at open,
+    as the eager load does, in one pass over the image that decodes no
+    graph. A caller that copies the mapping into new files ([psst shard]
+    splitting a reused index) passes it, so a damaged image is rejected
+    instead of being copied under fresh CRCs. The eager load checks every
+    section anyway. *)
+val load_database :
+  ?salvage:bool -> ?mmap:bool -> ?verify:bool -> string -> database
 
 (** [run_exact_scan db q config] — the paper's Exact competitor: no
     indexes, exact SSP on every graph. *)

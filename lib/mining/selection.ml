@@ -92,6 +92,13 @@ let select db params =
      the scan is [Vf2.exists]. Graphs are scanned in decreasing order, so
      consing leaves each list sorted. *)
   let vertex_support = Hashtbl.create 16 and triples = Hashtbl.create 64 in
+  (* The same scan gives the two-edge supports. A connected two-edge
+     pattern is a path: a centre vertex and two arms, each an (edge label,
+     end label) pair. Matching is not induced, so a graph holds the path
+     exactly when some vertex of the centre's label has two distinct
+     incident edges with those arms, and with no duplicate edges two
+     distinct incident edges reach two distinct vertices. *)
+  let paths = Hashtbl.create 64 in
   let note tbl k gi =
     match Hashtbl.find_opt tbl k with
     | Some (g :: _) when g = gi -> ()
@@ -105,7 +112,23 @@ let select db params =
       (fun (e : Lgraph.edge) ->
         let a = vls.(e.u) and b = vls.(e.v) in
         note triples (min a b, max a b, e.label) gi)
-      (Lgraph.edges g)
+      (Lgraph.edges g);
+    if params.max_edges >= 2 then
+      Array.iteri
+        (fun c vl ->
+          let rec pairs = function
+            | [] -> ()
+            | (w, eid) :: rest ->
+              let p = ((Lgraph.edge g eid).label, vls.(w)) in
+              List.iter
+                (fun (w', eid') ->
+                  let q = ((Lgraph.edge g eid').label, vls.(w')) in
+                  note paths (vl, min p q, max p q) gi)
+                rest;
+              pairs rest
+          in
+          pairs (Lgraph.neighbors g c))
+        vls
   done;
   let scanned tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
   (* The observed label alphabets, which drive the extensions. *)
@@ -161,6 +184,16 @@ let select db params =
         | None -> Bitset.clear filter)
       es
   in
+  (* A two-edge candidate's path key: its centre is the vertex the two
+     edges share. *)
+  let path_key vls = function
+    | [ (a, b, l1); (c, d, l2) ] ->
+      let m = if a = c || a = d then a else b in
+      let arm (x, y, l) = (l, vls.(if x = m then y else x)) in
+      let p = arm (a, b, l1) and q = arm (c, d, l2) in
+      (vls.(m), min p q, max p q)
+    | _ -> invalid_arg "Selection.path_key: not a two-edge pattern"
+  in
   (* Level-wise growth from the single-edge frontier. *)
   let frontier =
     ref
@@ -192,10 +225,15 @@ let select db params =
               then begin
                 Hashtbl.replace seen_this_level key ();
                 let support =
-                  List.filter (fun gi -> Vf2.exists cand db.(gi)) (Bitset.elements filter)
+                  if !level = 2 then scanned paths (path_key vls es)
+                  else
+                    List.filter (fun gi -> Vf2.exists cand db.(gi)) (Bitset.elements filter)
                 in
-                let strong = strong_support_of db params cand support in
-                if reaches_beta (List.length strong) then begin
+                (* Strong support is a subset of the support, and the
+                   discriminative test reads the support alone, so both
+                   cheap tests run first and strong support only for a
+                   candidate that passes them. *)
+                if reaches_beta (List.length support) then begin
                   (* Discriminative check against selected subfeatures. *)
                   let subkeys =
                     List.init (Lgraph.num_edges cand) (fun eid ->
@@ -218,10 +256,13 @@ let select db params =
                     | _ -> float_of_int inter /. float_of_int (List.length support)
                   in
                   if dis >= 1. +. params.gamma then begin
-                    let m = mined cand key support strong in
-                    let b = bits support in
-                    add m b;
-                    next := (m, b) :: !next
+                    let strong = strong_support_of db params cand support in
+                    if reaches_beta (List.length strong) then begin
+                      let m = mined cand key support strong in
+                      let b = bits support in
+                      add m b;
+                      next := (m, b) :: !next
+                    end
                   end
                 end
               end

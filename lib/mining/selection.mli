@@ -71,7 +71,19 @@ type mined = {
     edges). A one-edge pattern's distinct embeddings are distinct single
     edges, pairwise edge-disjoint, so its strong support is its support
     whenever [alpha <= 1]; for a larger [alpha] it is computed with VF2
-    as for every grown level. The pre-filter and the discriminative
+    as for every grown level. The same scan gives the two-edge supports:
+    a connected two-edge pattern is a path, matching is not induced, and
+    there are no duplicate edges, so a graph holds it exactly when some
+    vertex of the centre's label has two distinct incident edges with
+    the path's two (edge label, end label) arms. Levels from three edges
+    on keep VF2.
+
+    A grown candidate that passes the pre-filter is tested in order:
+    [beta] on its support, the discriminative test (which reads the
+    support alone), and only then its strong support (VF2 embeddings and
+    a clique search per support graph) and [beta] on that. Strong support
+    is a subset of the support, so the order drops no feature and keeps
+    every list. The pre-filter and the discriminative
     check intersect graph sets as bitsets over the database (each label
     triple's support and each selected feature's), and test [beta] by
     the intersection's cardinality. *)

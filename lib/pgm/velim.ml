@@ -505,7 +505,50 @@ type plan = {
   part_of : int array; (* each input's part; -1 for a scope-0 input *)
   parts : part array;
   scalars : (int * float) list; (* scope-0 inputs and their entry *)
+  z : (float, exn) result; (* the partition value, or what it raises *)
 }
+
+(* The whole list's scalar from the streams of its independent parts and
+   its fully fixed inputs, as the whole-list run computes it: the first
+   step to fail in the merged order raises, and the product runs over
+   the one-entry tables in decreasing merged step, then [fixed]. *)
+let combine streams fixed =
+  let ns = Array.length streams in
+  let at = Array.make ns 0 and ends = Array.map (fun s -> s.ends) streams in
+  let made = ref [] and go = ref true in
+  while !go do
+    let best = ref (-1) and bc = ref 0 and bp = ref 0 in
+    for x = 0 to ns - 1 do
+      let s = streams.(x) and i = at.(x) in
+      if i < Array.length s.cost then begin
+        let c = s.cost.(i) and v = s.pick.(i) in
+        if !best < 0 || c < !bc || (c = !bc && v < !bp) then begin
+          best := x;
+          bc := c;
+          bp := v
+        end
+      end
+    done;
+    if !best < 0 then go := false
+    else begin
+      let x = !best in
+      let s = streams.(x) and i = at.(x) in
+      if i = s.fail then invalid_arg s.why;
+      (match ends.(x) with
+       | (j, e) :: rest when j = i ->
+         made := e :: !made;
+         ends.(x) <- rest
+       | _ -> ());
+      at.(x) <- i + 1
+    end
+  done;
+  match !made @ List.map snd fixed with
+  | [] -> 1.
+  | e :: rest ->
+    let x = List.fold_left ( *. ) e rest in
+    (* false exactly for negative and NaN products *)
+    if not (x >= 0.) then invalid_arg "Factor.create: negative or NaN entry";
+    0. +. x
 
 let plan factor_list =
   let factors = Array.of_list factor_list in
@@ -562,56 +605,18 @@ let plan factor_list =
         { vars; free = fst (kernel own Free ~keep:[]) })
       members
   in
-  { factors; part_of; parts; scalars = List.rev !scalars }
+  let scalars = List.rev !scalars in
+  let z =
+    match combine (Array.map (fun p -> p.free) parts) scalars with
+    | z -> Ok z
+    | exception (Invalid_argument _ as e) -> Error e
+  in
+  { factors; part_of; parts; scalars; z }
 
-(* The whole list's scalar from the streams of its independent parts and
-   its fully fixed inputs, as the whole-list run computes it: the first
-   step to fail in the merged order raises, and the product runs over
-   the one-entry tables in decreasing merged step, then [fixed]. *)
-let combine streams fixed =
-  let ns = Array.length streams in
-  let at = Array.make ns 0 and ends = Array.map (fun s -> s.ends) streams in
-  let made = ref [] and go = ref true in
-  while !go do
-    let best = ref (-1) and bc = ref 0 and bp = ref 0 in
-    for x = 0 to ns - 1 do
-      let s = streams.(x) and i = at.(x) in
-      if i < Array.length s.cost then begin
-        let c = s.cost.(i) and v = s.pick.(i) in
-        if !best < 0 || c < !bc || (c = !bc && v < !bp) then begin
-          best := x;
-          bc := c;
-          bp := v
-        end
-      end
-    done;
-    if !best < 0 then go := false
-    else begin
-      let x = !best in
-      let s = streams.(x) and i = at.(x) in
-      if i = s.fail then invalid_arg s.why;
-      (match ends.(x) with
-       | (j, e) :: rest when j = i ->
-         made := e :: !made;
-         ends.(x) <- rest
-       | _ -> ());
-      at.(x) <- i + 1
-    end
-  done;
-  match !made @ List.map snd fixed with
-  | [] -> 1.
-  | e :: rest ->
-    let x = List.fold_left ( *. ) e rest in
-    (* false exactly for negative and NaN products *)
-    if not (x >= 0.) then invalid_arg "Factor.create: negative or NaN entry";
-    0. +. x
+let plan_partition_value plan = match plan.z with Ok z -> z | Error e -> raise e
 
 let prob_set ?z ~value plan set =
-  let z =
-    match z with
-    | Some z -> z
-    | None -> combine (Array.map (fun p -> p.free) plan.parts) plan.scalars
-  in
+  let z = match z with Some z -> z | None -> plan_partition_value plan in
   if z <= 0. then invalid_arg "Velim.prob: zero partition value";
   let cap = Bitset.capacity set in
   let hit =

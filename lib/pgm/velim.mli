@@ -89,11 +89,17 @@ type plan
     keeps its error for the calls that leave it untouched. *)
 val plan : Factor.t list -> plan
 
+(** [plan_partition_value (plan factors)] is [partition_value factors],
+    bit for bit and errors included: the merge of the components'
+    recorded free eliminations (see {!prob_set}), made once when the plan
+    is built. *)
+val plan_partition_value : plan -> float
+
 (** [prob_set ?z ~value plan set] is [prob ~evidence factors] with every
     member of [set] set to [value], where [plan = plan factors], bit for
     bit and errors included, without building the evidence list. [z] is
-    as for {!prob}; without it the partition value comes from the plan's
-    recorded components.
+    as for {!prob}; without it the partition value is
+    {!plan_partition_value}.
 
     Only the components [set] touches are eliminated, by the kernel, on
     their inputs in input order; every untouched component reuses its

@@ -16,7 +16,10 @@ type mapped_src = {
   mu : Mutex.t;
 }
 
-type backing = Eager of Pgraph.t array | Mapped of mapped_src
+(* A mapped backing is the window of graphs [lo .. lo + n - 1] of its
+   source section; windows of one mapping share its decode cache. *)
+type window = { src : mapped_src; lo : int; n : int }
+type backing = Eager of Pgraph.t array | Mapped of window
 
 (* [fp] memoises {!fingerprint}: the graphs never change, so it is
    computed at most once per corpus value. A racing second computation
@@ -25,11 +28,26 @@ type t = { backing : backing; mutable fp : int32 option }
 
 let of_array ?fingerprint graphs = { backing = Eager graphs; fp = fingerprint }
 
-let slice_string (b : S.bigbytes) pos len =
-  let s = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set s i (Bigarray.Array1.unsafe_get b (pos + i))
+external big_get64 : S.bigbytes -> int -> int64 = "%caml_bigstring_get64u"
+
+(* Copies [len] bytes of [b] from [pos] into [dst] at [dpos], eight at a
+   time. *)
+let blit_big (b : S.bigbytes) pos dst dpos len =
+  let i = ref 0 in
+  while !i + 8 <= len do
+    Bytes.set_int64_ne dst (dpos + !i) (big_get64 b (pos + !i));
+    i := !i + 8
   done;
+  while !i < len do
+    Bytes.unsafe_set dst (dpos + !i) (Bigarray.Array1.unsafe_get b (pos + !i));
+    incr i
+  done
+
+let slice_string (b : S.bigbytes) pos len =
+  if pos < 0 || len < 0 || pos > Bigarray.Array1.dim b - len then
+    invalid_arg "Corpus.slice_string";
+  let s = Bytes.create len in
+  blit_big b pos s 0 len;
   Bytes.unsafe_to_string s
 
 let of_mapped m ~section ~offsets =
@@ -58,17 +76,15 @@ let of_mapped m ~section ~offsets =
   if stored_n <> n then
     S.error "section %S holds %d graphs, its offsets table describes %d"
       section stored_n n;
-  {
-    backing =
-      Mapped
-        { m; section; data; offsets; cache = Array.make n None; mu = Mutex.create () };
-    fp = None;
-  }
+  let src =
+    { m; section; data; offsets; cache = Array.make n None; mu = Mutex.create () }
+  in
+  { backing = Mapped { src; lo = 0; n }; fp = None }
 
 let length t =
   match t.backing with
   | Eager g -> Array.length g
-  | Mapped s -> Array.length s.cache
+  | Mapped w -> w.n
 
 let decode_one s i =
   let lo = s.offsets.(i) and hi = s.offsets.(i + 1) in
@@ -83,11 +99,10 @@ let decode_one s i =
 let get t i =
   match t.backing with
   | Eager g -> g.(i)
-  | Mapped s ->
-    if i < 0 || i >= Array.length s.cache then
-      invalid_arg
-        (Printf.sprintf "Corpus.get: index %d outside 0..%d" i
-           (Array.length s.cache - 1));
+  | Mapped { src = s; lo; n } ->
+    if i < 0 || i >= n then
+      invalid_arg (Printf.sprintf "Corpus.get: index %d outside 0..%d" i (n - 1));
+    let i = lo + i in
     (match Mutex.protect s.mu (fun () -> s.cache.(i)) with
     | Some g -> g
     | None ->
@@ -104,7 +119,14 @@ let get t i =
 
 let skeleton t i = Pgraph.skeleton (get t i)
 let to_array t = Array.init (length t) (get t)
-let sub t ~base ~count = of_array (Array.init count (fun i -> get t (base + i)))
+let sub t ~base ~count =
+  if base < 0 || count < 0 || base > length t - count then
+    invalid_arg
+      (Printf.sprintf "Corpus.sub: range %d..%d outside 0..%d" base (base + count)
+         (length t));
+  match t.backing with
+  | Eager g -> of_array (Array.sub g base count)
+  | Mapped w -> { backing = Mapped { w with lo = w.lo + base; n = count }; fp = None }
 
 (* Decoding goes through [get], so graphs already memoised by earlier
    lazy accesses are reused as-is and the rest decode (and validate)
@@ -117,15 +139,63 @@ let materialise t =
 
 let append t gs = of_array (Array.append (to_array t) gs)
 
-let fingerprint ?encoding t =
+(* The count prefix of the canonical encoding of [n] graphs. *)
+let count_prefix n =
+  let e = S.encoder () in
+  S.put_i64 e n;
+  S.contents e
+
+let whole { src; lo; n } = lo = 0 && n = Array.length src.cache
+
+let memo t compute =
   match t.fp with
   | Some fp -> fp
   | None ->
-    let fp =
-      match (encoding, t.backing) with
-      | Some e, _ -> Psst_util.Crc32.digest e
-      | None, Eager g -> Pgraph_io.db_fingerprint g
-      | None, Mapped s -> S.mapped_payload_crc s.m s.section
-    in
+    let fp = compute () in
     t.fp <- Some fp;
     fp
+
+(* A window's canonical encoding is its count prefix and then its graphs'
+   stored bytes, so its CRC is the prefix's combined with theirs. *)
+let fingerprint t =
+  memo t (fun () ->
+      match t.backing with
+      | Eager g -> Pgraph_io.db_fingerprint g
+      | Mapped w when whole w -> S.mapped_payload_crc w.src.m w.src.section
+      | Mapped { src; lo; n } ->
+        let a = src.offsets.(lo) and b = src.offsets.(lo + n) in
+        Psst_util.Crc32.combine
+          (Psst_util.Crc32.digest (count_prefix n))
+          (Psst_util.Crc32.update_bigbytes 0l src.data ~pos:a ~len:(b - a))
+          (b - a))
+
+let encoding t =
+  match t.backing with
+  | Eager garr ->
+    let e = S.encoder () in
+    let n = Array.length garr in
+    S.put_i64 e n;
+    let offsets = Array.make (n + 1) 0 in
+    offsets.(0) <- S.enc_length e;
+    Array.iteri
+      (fun i g ->
+        Pgraph_io.encode_binary e g;
+        offsets.(i + 1) <- S.enc_length e)
+      garr;
+    let payload = S.contents e in
+    (* The payload is the fingerprint's canonical encoding: its CRC is
+       the fingerprint, with no second encoding pass. *)
+    ignore (memo t (fun () -> Psst_util.Crc32.digest payload));
+    (payload, offsets)
+  | Mapped { src; lo; n } ->
+    (* The verified view: the source section's CRC is checked once per
+       mapping (with the fingerprint's pass, when that ran first), so no
+       damaged byte is copied. *)
+    let data = S.mapped_bytes src.m src.section in
+    let prefix = count_prefix n in
+    let p = String.length prefix in
+    let a = src.offsets.(lo) and b = src.offsets.(lo + n) in
+    let buf = Bytes.create (p + b - a) in
+    Bytes.blit_string prefix 0 buf 0 p;
+    blit_big data a buf p (b - a);
+    (Bytes.unsafe_to_string buf, Array.init (n + 1) (fun i -> p + src.offsets.(lo + i) - a))

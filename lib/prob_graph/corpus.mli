@@ -49,14 +49,19 @@ val get : t -> int -> Pgraph.t
 (** [skeleton t i] = [Pgraph.skeleton (get t i)]. *)
 val skeleton : t -> int -> Lgraph.t
 
-(** {1 Bulk operations (force the lazy backing)} *)
+(** {1 Bulk operations} *)
 
 (** [to_array t] decodes every graph and returns the full array. The
     result is cached, so repeated calls are cheap; offline consumers
-    (save, shard splitting, salvage rebuild) use this. *)
+    (index builds, shard merging, salvage rebuild) use this. Saving uses
+    {!encoding}, which decodes no mapped graph. *)
 val to_array : t -> Pgraph.t array
 
-(** [sub t ~base ~count] — an eager corpus over the contiguous slice. *)
+(** [sub t ~base ~count] — the contiguous slice of graphs
+    [base .. base + count - 1]. The slice of an eager corpus is eager; the
+    slice of a mapped corpus is a window on the same mapping, which
+    shares its decode cache and decodes nothing now. [Invalid_argument]
+    when the range lies outside [t]. *)
 val sub : t -> base:int -> count:int -> t
 
 (** [materialise t] — an eager corpus with the same graphs. A no-op on an
@@ -79,12 +84,21 @@ val append : t -> Pgraph.t array -> t
 (** [fingerprint t] — {!Pgraph_io.db_fingerprint} of the graphs. For a
     mapped corpus this is one streaming CRC pass over the raw payload (no
     decode, no copy): the payload is byte-identical to the encoding the
-    fingerprint is defined over. It is computed at most once per corpus
-    value (memoised; {!materialise} keeps it), so a process that checks a
-    loaded corpus and then replays its delta chain hashes it once.
+    fingerprint is defined over. A window ({!sub}) combines the CRC of its
+    count prefix with one pass over its graphs' bytes. It is computed at
+    most once per corpus value (memoised; {!materialise} keeps it, and
+    {!encoding} sets it), so a process that checks a loaded corpus and
+    then replays its delta chain hashes it once. *)
+val fingerprint : t -> int32
 
-    [encoding], when given, must be the canonical encoding of the graphs
-    (the ["graphs"] payload of a store image): its CRC is taken instead of
-    encoding them again. A saver passes the payload it just built, so a
-    corpus written to disk is never encoded twice for its fingerprint. *)
-val fingerprint : ?encoding:string -> t -> int32
+(** [encoding t] — the canonical ["graphs"] payload of a store image
+    ([put_array encode_binary] of the graphs) and its [n + 1] graph
+    boundaries (as {!of_mapped} takes them). An eager corpus is encoded;
+    one with no {!fingerprint} yet takes the payload's CRC as its
+    fingerprint, so a saver does not encode it twice. A mapped corpus, or
+    a window of one, is copied from the mapping's bytes with rebased
+    boundaries: no graph is decoded or encoded. The copy reads the
+    verified view ({!Psst_store.mapped_bytes}), so a source section whose
+    CRC fails raises [Psst_store.Store_error] and nothing is copied; the
+    check is one pass per mapping, shared with the fingerprint's. *)
+val encoding : t -> string * int array

@@ -4,8 +4,9 @@ module Prng = Psst_util.Prng
 (* Query-independent state every bound computation of the graph reuses,
    each part built on its first use: the compiled forward sampler with
    the present-edge mask of the certain edges (every world's starting
-   point), and the partition value Z. Most graphs of an index build need
-   Z and no world. *)
+   point), and the elimination plan of the factors, which also holds the
+   partition value Z. Most graphs of an index build need the plan and no
+   world. *)
 type worlds = { sampler : Sampler.compiled; base : Bitset.t }
 
 type t = {
@@ -16,7 +17,7 @@ type t = {
   lock : Mutex.t; (* guards the lazy fields: graphs are shared across query domains *)
   mutable jt : Jtree.t option;
   mutable worlds : worlds option;
-  mutable z : float option;
+  mutable plan : Velim.plan option;
 }
 
 let m_sampler_compiles = Psst_obs.counter "pgraph.sampler_compiles"
@@ -48,7 +49,7 @@ let make skeleton factors =
     lock = Mutex.create ();
     jt = None;
     worlds = None;
-    z = None;
+    plan = None;
   }
 
 let independent skeleton probs =
@@ -92,8 +93,10 @@ let worlds t =
         base = Bitset.of_list (Lgraph.num_edges t.skeleton) t.certain;
       })
 
-let partition_value t =
-  first_use t (fun t -> t.z) (fun t x -> t.z <- Some x) (fun t -> Velim.partition_value t.factors)
+let plan t =
+  first_use t (fun t -> t.plan) (fun t x -> t.plan <- Some x) (fun t -> Velim.plan t.factors)
+
+let partition_value t = Velim.plan_partition_value (plan t)
 
 let jpt t scope =
   let certain = certain_edges t in

@@ -48,11 +48,16 @@ val edge_marginal : t -> int -> float
     set is [present] (certain edges must be present, else 0). *)
 val world_prob : t -> Psst_util.Bitset.t -> float
 
+(** [plan t] is [Velim.plan (factors t)], built on first use under the
+    graph's lock and kept: every exact probability of the graph's bounds
+    is asked of it. It does not compile the world sampler, which
+    {!sample_mask} builds on its own first use. *)
+val plan : t -> Velim.plan
+
 (** Partition value Z of the factor product (1 up to rounding for a
-    chain-consistent list): exactly [Velim.partition_value (factors t)],
-    computed on first use and kept, for [Velim.prob ~z]. It does not
-    compile the world sampler, which {!sample_mask} builds on its own
-    first use. *)
+    chain-consistent list), read from {!plan}: exactly
+    [Velim.partition_value (factors t)], bit for bit and errors included,
+    for [Velim.prob ~z]. *)
 val partition_value : t -> float
 
 (** [sample_mask rng t] draws a possible world as its present-edge mask.

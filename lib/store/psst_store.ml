@@ -225,10 +225,10 @@ let decode_section sections name f =
 let add_u32 buf (i : int32) =
   Buffer.add_int32_le buf i
 
-let section_crc s =
-  Crc32.update
-    (Crc32.digest s.name)
-    s.payload ~pos:0 ~len:(String.length s.payload)
+(* A frame's CRC covers the name and then the payload; it is combined
+   from the payload's own CRC, so a reader that keeps the payload's CRC
+   (a mapping, for the fingerprint) reads the payload once for both. *)
+let frame_crc name ~payload_crc ~len = Crc32.combine (Crc32.digest name) payload_crc len
 
 (* The one atomic writer: every store file, and every delta a standby
    receives, reaches disk through this tmp+rename. *)
@@ -283,7 +283,9 @@ let write_file ?(version = format_version) path ~kind sections =
       add_u32 buf (Int32.of_int (String.length s.name));
       Buffer.add_string buf s.name;
       Buffer.add_int64_le buf (Int64.of_int (String.length s.payload));
-      add_u32 buf (section_crc s);
+      add_u32 buf
+        (frame_crc s.name ~payload_crc:(Crc32.digest s.payload)
+           ~len:(String.length s.payload));
       Buffer.add_string buf s.payload)
     sections;
   write_bytes path (Buffer.contents buf)
@@ -376,8 +378,17 @@ let read_header src ~kind =
 
 (* One section's framing: it starts at [start] (its name-length field),
    its payload spans [pos, stop), and [crc] is the stored CRC-32 of its
-   name and payload. *)
-type frame = { name : string; start : int; pos : int; stop : int; crc : int32 }
+   name and payload. [payload_crc] memoises the CRC of the payload alone,
+   the one pass over it that checking [crc] takes; a racing second pass
+   writes the same value. *)
+type frame = {
+  name : string;
+  start : int;
+  pos : int;
+  stop : int;
+  crc : int32;
+  mutable payload_crc : int32 option;
+}
 
 let ctx name = if name = "" then "<unnamed>" else name
 
@@ -396,10 +407,18 @@ let read_frame r =
   let len = Int64.to_int payload_len in
   need r len (Printf.sprintf "section %S payload" (ctx name));
   r.at <- r.at + len;
-  { name; start; pos = r.at - len; stop = r.at; crc }
+  { name; start; pos = r.at - len; stop = r.at; crc; payload_crc = None }
+
+let payload_crc src f =
+  match f.payload_crc with
+  | Some c -> c
+  | None ->
+    let c = src.span_crc 0l ~pos:f.pos ~len:(f.stop - f.pos) in
+    f.payload_crc <- Some c;
+    c
 
 let frame_intact src f =
-  src.span_crc (Crc32.digest f.name) ~pos:f.pos ~len:(f.stop - f.pos) = f.crc
+  frame_crc f.name ~payload_crc:(payload_crc src f) ~len:(f.stop - f.pos) = f.crc
 
 let check_crc src f =
   if not (frame_intact src f) then
@@ -565,7 +584,7 @@ type mapped = {
    defeat the point), so they escalate to Fail. *)
 let fault_map = Psst_fault.site "store.map"
 
-let map_file path ~kind =
+let map_file ?(verify = false) path ~kind =
   clean_orphan_tmp path;
   (match Psst_fault.fire fault_map with
   | None -> ()
@@ -596,7 +615,11 @@ let map_file path ~kind =
       let frames = ref [] in
       read_frames r count ~keep:(fun _ -> true) frames;
       check_end r;
-      { m_path = path; m_data = data; m_frames = List.rev !frames; m_fd = Some fd })
+      let frames = List.rev !frames in
+      (* Each frame keeps its payload's CRC, so a later fingerprint or
+         verified view of a section checked here reads it no more. *)
+      if verify then List.iter (check_crc (big_source data)) frames;
+      { m_path = path; m_data = data; m_frames = frames; m_fd = Some fd })
       ()
   with
   | exception e ->
@@ -633,10 +656,9 @@ let mapped_bytes_unverified m name : bigbytes =
 (* CRC-32 over the raw payload with a zero seed — the same digest
    [Crc32.digest] yields on the payload string, so a caller can compare
    against fingerprints computed over encoded data without decoding or
-   copying the section. *)
-let mapped_payload_crc m name =
-  let f = mapped_frame m name in
-  Crc32.update_bigbytes 0l m.m_data ~pos:f.pos ~len:(f.stop - f.pos)
+   copying the section. The frame keeps it, and the checksum of
+   [verify_frame] is combined from it. *)
+let mapped_payload_crc m name = payload_crc (big_source m.m_data) (mapped_frame m name)
 
 let require_fd m name =
   match m.m_fd with

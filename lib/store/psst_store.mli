@@ -210,12 +210,16 @@ type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     path instead. *)
 type mapped
 
-(** [map_file path ~kind] maps [path] read-only and validates header,
-    kind, framing and orphaned [.tmp] cleanup (payload CRCs are deferred
-    to the accessors — see {!mapped}). Fault site ["store.map"] supports
+(** [map_file ?verify path ~kind] maps [path] read-only and validates
+    header, kind, framing and orphaned [.tmp] cleanup (payload CRCs are
+    deferred to the accessors — see {!mapped}). [~verify:true] also
+    checks every section's stored CRC at open, one pass over the image,
+    for a caller that copies unverified views ({!mapped_f64},
+    {!mapped_bytes_unverified}) into a new file: the copy would carry
+    damaged bytes under fresh, valid CRCs. Fault site ["store.map"] supports
     [Fail] and [Delay] ([Bitflip]/[Partial_io] escalate to [Fail]: a
     shared read-only mapping cannot be damaged without copying). *)
-val map_file : string -> kind:kind -> mapped
+val map_file : ?verify:bool -> string -> kind:kind -> mapped
 
 val mapped_has : mapped -> string -> bool
 
@@ -241,7 +245,10 @@ val mapped_bytes_unverified : mapped -> string -> bigbytes
     zero seed, equal to [Psst_util.Crc32.digest] of the payload string:
     lets callers compare a section against a fingerprint computed over
     encoded data (e.g. {!Pgraph_io.db_fingerprint}) without decoding or
-    copying it. One streaming O(payload) pass. *)
+    copying it. It never checks the stored CRC. One streaming O(payload)
+    pass per section and mapping: the value is kept, and the checksum of
+    {!mapped_bytes} and {!mapped_section_string} is combined from it, so
+    a section is read once for both. *)
 val mapped_payload_crc : mapped -> string -> int32
 
 (** [mapped_f64 m name] — zero-copy IEEE-754 float64 view of the payload.

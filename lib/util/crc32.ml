@@ -85,3 +85,45 @@ let update_bigbytes crc (b : bigbytes) ~pos ~len =
   finish !c
 
 let digest s = update 0l s ~pos:0 ~len:(String.length s)
+
+(* Combination, after zlib's [crc32_combine]: over the conditioned
+   register, crc (a ++ b) = x^(8 |b|) * crc a + crc b in GF(2)[x] modulo
+   the polynomial, with bit 31 of an int holding x^0 (the reflected
+   order). [x2n.(k)] is x^(2^k). *)
+let poly = 0xEDB88320
+
+let multmodp a b =
+  let m = ref (1 lsl 31) and p = ref 0 and b = ref b and go = ref (a <> 0) in
+  while !go do
+    if a land !m <> 0 then begin
+      p := !p lxor !b;
+      if a land (!m - 1) = 0 then go := false
+    end;
+    m := !m lsr 1;
+    b := if !b land 1 <> 0 then (!b lsr 1) lxor poly else !b lsr 1
+  done;
+  !p
+
+let x2n =
+  let t = Array.make 32 0 in
+  t.(0) <- 1 lsl 30;
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+(* x^(n 2^k) *)
+let x2nmodp n k =
+  let p = ref (1 lsl 31) and n = ref n and k = ref k in
+  while !n <> 0 do
+    if !n land 1 <> 0 then p := multmodp x2n.(!k land 31) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
+
+let combine crc1 crc2 len2 =
+  if len2 < 0 then invalid_arg "Crc32.combine";
+  let c1 = Int32.to_int crc1 land 0xFFFFFFFF
+  and c2 = Int32.to_int crc2 land 0xFFFFFFFF in
+  Int32.of_int (multmodp (x2nmodp len2 3) c1 lxor c2)

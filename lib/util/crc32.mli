@@ -24,3 +24,12 @@ type bigbytes =
     bigarray (a memory-mapped file, say) read in place, without copying it
     into a string. Raises [Invalid_argument] on a span outside [b]. *)
 val update_bigbytes : int32 -> bigbytes -> pos:int -> len:int -> int32
+
+(** [combine crc1 crc2 len2] is the CRC of [a ^ b] from [crc1 = digest a],
+    [crc2 = digest b] and [len2 = String.length b], in O(log len2) steps
+    (zlib's [crc32_combine]). The relation is linear, so it also recovers
+    a suffix's CRC from the whole's: [combine (digest a) (digest (a ^ b))
+    (String.length b) = digest b]. A store frame's CRC covers the section
+    name and then the payload, so the payload's own CRC is had without a
+    second pass over it. Raises [Invalid_argument] when [len2 < 0]. *)
+val combine : int32 -> int32 -> int -> int32

@@ -293,6 +293,107 @@ let test_input_corpus_with_index () =
       Alcotest.(check (list string)) "rebuilt index = fresh build"
         (answers (query c12 None)) (answers other))
 
+(* [psst shard --index]: a reused index is mapped, and its shards copy
+   the image's graph bytes; they equal, byte for byte, the shards of the
+   run that built that index (the same build, so the same pmi.meta). An
+   image with one flipped byte (in the graphs payload, in the graphs
+   frame's CRC, in the PMI bounds or in the PMI postings) is rejected at
+   load and rebuilt, as any damaged index is: the shards equal the built
+   ones in every section but pmi.meta (the build's wall-clock time), so
+   no shard file carries the damaged bytes. *)
+let test_shard_reused_index () =
+  let q = Filename.quote in
+  let temp suffix = Filename.temp_file "psst_cli" suffix in
+  let temp_dir () =
+    let d = temp ".d" in
+    Sys.remove d;
+    Sys.mkdir d 0o700;
+    d
+  in
+  let corpus = temp ".pgdb" and index = temp ".psst" and damaged = temp ".psst" in
+  Sys.remove index;
+  let dirs = List.init 6 (fun _ -> temp_dir ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun d ->
+          Array.iter (fun e -> Sys.remove (Filename.concat d e)) (Sys.readdir d);
+          Sys.rmdir d)
+        dirs;
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ corpus; index; damaged ])
+    (fun () ->
+      Pgraph_io.save_binary corpus
+        (Generator.generate { Generator.default_params with num_graphs = 12; seed = 5 })
+          .Generator.graphs;
+      let shard idx dir =
+        run_psst_out
+          (Printf.sprintf "shard --input %s --index %s --shards 2 -o %s" (q corpus) (q idx)
+             (q (Filename.concat dir "s.manifest")))
+      in
+      let file dir sid = Filename.concat dir (Printf.sprintf "s.shard%d" sid) in
+      let bytes path = In_channel.with_open_bin path In_channel.input_all in
+      let built, mapped, damage_dirs =
+        match dirs with a :: b :: rest -> (a, b, rest) | _ -> assert false
+      in
+      let code, out = shard index built in
+      Alcotest.(check int) "shard building the index exits 0" 0 code;
+      Alcotest.(check bool) "the index is built" true
+        (List.exists (fun l -> contains l "index built") out);
+      let code, out = shard index mapped in
+      Alcotest.(check int) "shard reusing the index exits 0" 0 code;
+      Alcotest.(check bool) "the reused index is mapped" true
+        (List.exists (fun l -> contains l "memory-mapped") out);
+      List.iter
+        (fun sid ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d: mapped copy = built encoding, byte for byte" sid)
+            true
+            (bytes (file built sid) = bytes (file mapped sid)))
+        [ 0; 1 ];
+      let sections path =
+        Psst_store.read_file path ~kind:Psst_store.Database
+        |> List.filter (fun (s : Psst_store.section) -> s.name <> "pmi.meta")
+      in
+      let span name =
+        let _, start, stop =
+          List.find (fun (n, _, _) -> n = name) (Psst_store.section_spans (bytes index))
+        in
+        (* The frame is name length (4), name, payload length (8), CRC (4),
+           then the payload. *)
+        let crc_at = start + 4 + String.length name + 8 in
+        (crc_at, crc_at + 4, stop)
+      in
+      let middle name =
+        let _, pos, stop = span name in
+        (pos + stop) / 2
+      in
+      let graphs_crc, _, _ = span "graphs" in
+      List.iter2
+        (fun (what, at) dir ->
+          let b = Bytes.of_string (bytes index) in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+          Out_channel.with_open_bin damaged (fun oc -> Out_channel.output_bytes oc b);
+          let code, out = shard damaged dir in
+          Alcotest.(check int) (what ^ ": shard exits 0") 0 code;
+          Alcotest.(check bool) (what ^ ": rebuilt") true
+            (List.exists (fun l -> contains l "rebuilding") out);
+          List.iter
+            (fun sid ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: shard %d = built shard but pmi.meta" what sid)
+                true
+                (sections (file built sid) = sections (file dir sid)))
+            [ 0; 1 ])
+        [
+          ("flipped graphs payload byte", middle "graphs");
+          ("flipped graphs frame CRC byte", graphs_crc);
+          ("flipped bounds byte", middle "pmi.flat.bounds");
+          ("flipped postings byte", middle "pmi.flat.postings");
+        ]
+        damage_dirs)
+
 let suite =
   [
     Alcotest.test_case "missing files exit 1" `Quick test_missing_corpus;
@@ -318,4 +419,6 @@ let suite =
       test_index_matches_one_domain_build;
     Alcotest.test_case "--input corpus with a reused or stale index" `Quick
       test_input_corpus_with_index;
+    Alcotest.test_case "shard: mapped --index = built, damage never copied" `Quick
+      test_shard_reused_index;
   ]

@@ -282,36 +282,76 @@ let same_features (a : Selection.mined list) (b : Selection.mined list) =
 
 (* Random databases of 0-8 graphs over small label alphabets, so label
    triples repeat and frequencies land exactly on [beta] (0.5 of an even
-   database) as well as either side of it. *)
+   database) as well as either side of it. Most cases grow two or three
+   edges over one or two vertex labels: there two-edge paths come from the
+   label scan with repeated arms and equal end labels, and the support
+   tests that now run before strong support meet ties at [beta] and at
+   [gamma] (gamma 0 makes dis = 1 a tie). *)
 let mining_case =
   let open QCheck.Gen in
   let gen =
     let* seed = int_bound 100_000 in
     let* nd = int_range 0 8 in
+    let* vl = frequency [ (3, int_range 1 2); (1, return 3) ] in
     let* beta = oneofl [ 0.; 0.2; 0.5; 1.1 ] in
     (* alpha 1 keeps every one-edge support graph (ratio exactly 1);
        alpha 1.5 sends the one-edge level down the VF2 path. *)
     let* alpha = oneofl [ 0.; 0.15; 0.6; 1.; 1.5 ] in
     let* gamma = oneofl [ 0.; 0.15 ] in
-    let* max_edges = int_range 1 4 in
-    return (seed, nd, { Selection.default_params with alpha; beta; gamma; max_edges })
+    let* max_edges = frequency [ (3, int_range 2 3); (1, int_range 1 4) ] in
+    return (seed, nd, vl, { Selection.default_params with alpha; beta; gamma; max_edges })
   in
   QCheck.make gen
-    ~print:(fun (seed, nd, (p : Selection.params)) ->
-      Printf.sprintf "seed %d, %d graphs, alpha %g beta %g gamma %g max_edges %d"
-        seed nd p.alpha p.beta p.gamma p.max_edges)
+    ~print:(fun (seed, nd, vl, (p : Selection.params)) ->
+      Printf.sprintf
+        "seed %d, %d graphs over %d vertex labels, alpha %g beta %g gamma %g max_edges %d"
+        seed nd vl p.alpha p.beta p.gamma p.max_edges)
 
-let mining_db seed nd =
+let mining_db seed nd vl =
   let rng = Prng.make seed in
-  let vl = 1 + Prng.int rng 3 and el = 1 + Prng.int rng 2 in
+  let el = 1 + Prng.int rng 2 in
   Array.init nd (fun _ ->
       Tgen.random_connected_graph rng ~n:(3 + Prng.int rng 4) ~extra:(Prng.int rng 3) ~vl ~el)
 
 let prop_select_matches_oracle =
   QCheck.Test.make ~name:"select = unpruned oracle" ~count:200 mining_case
-    (fun (seed, nd, params) ->
-      let db = mining_db seed nd in
+    (fun (seed, nd, vl, params) ->
+      let db = mining_db seed nd vl in
       same_features (Selection.select db params) (Oracle.select db params))
+
+(* Two-edge supports come from a scan of each vertex's incident-edge
+   pairs, not from VF2. Matching is not induced: the path is found inside
+   a triangle, whose third edge joins its ends; with equal end labels a
+   vertex needs two distinct edges with that arm, so a lone arm does not
+   count twice. *)
+let test_two_edge_path_scan () =
+  let db =
+    [| (* triangle: centre 0 (label 1), both ends label 0 *)
+       Lgraph.create ~vlabels:[| 1; 0; 0 |] ~edges:[ (0, 1, 0); (1, 2, 0); (0, 2, 0) ];
+       (* one arm to a label-0 end, the other to a label-2 end *)
+       Lgraph.create ~vlabels:[| 1; 0; 2 |] ~edges:[ (0, 1, 0); (0, 2, 0) ];
+       (* the bare path *)
+       Lgraph.create ~vlabels:[| 0; 1; 0 |] ~edges:[ (1, 0, 0); (1, 2, 0) ] |]
+  in
+  let params = { Selection.default_params with alpha = 0.; beta = 0.; gamma = 0.; max_edges = 2 } in
+  let mined = Selection.select db params in
+  let path = Lgraph.create ~vlabels:[| 0; 1; 0 |] ~edges:[ (1, 0, 0); (1, 2, 0) ] in
+  let find key = List.find_opt (fun (m : Selection.mined) -> m.feature.key = key) mined in
+  (match find (Canon.code path) with
+  | None -> Alcotest.fail "the equal-ended path is not mined"
+  | Some m ->
+    Alcotest.(check (list int)) "found in the triangle and the path, not the fork" [ 0; 2 ]
+      m.support);
+  List.iter
+    (fun (m : Selection.mined) ->
+      if Lgraph.num_edges m.feature.graph = 2 then
+        Alcotest.(check (list int))
+          ("two-edge support = VF2 support: " ^ m.feature.key)
+          (List.filter (fun gi -> Vf2.exists m.feature.graph db.(gi)) [ 0; 1; 2 ])
+          m.support)
+    mined;
+  Alcotest.(check bool) "select = unpruned oracle" true
+    (same_features mined (Oracle.select db params))
 
 let suite =
   [
@@ -325,4 +365,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_features_unique;
     QCheck_alcotest.to_alcotest prop_strong_support_subset;
     QCheck_alcotest.to_alcotest prop_select_matches_oracle;
+    Alcotest.test_case "two-edge paths by label scan (triangle, equal ends)" `Quick
+      test_two_edge_path_scan;
   ]

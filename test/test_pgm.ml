@@ -741,6 +741,28 @@ let prop_jtree_matches_velim_on_random_chains =
       || Tgen.close ~eps:1e-9 (Velim.prob ~evidence:ev factors)
            (Jtree.evidence_prob jt ev))
 
+(* Z read from a plan is the whole-list elimination's float, bit for bit
+   and errors included: over the kernel's random lists (scalars, zeros,
+   all-zero tables), the plan's component lists (a wide factor among
+   them), and a probabilistic graph's memoised plan. *)
+let prop_plan_partition_value =
+  QCheck.Test.make ~name:"plan Z = whole-list partition value, bit for bit"
+    ~count:200 QCheck.small_int
+    (fun seed ->
+      let same factors =
+        outcome (fun () -> [ Velim.plan_partition_value (Velim.plan factors) ])
+        = outcome (fun () -> [ Velim.partition_value factors ])
+      in
+      let g =
+        Tgen.random_pgraph (Prng.make (seed + 401)) ~n:(4 + (seed mod 5)) ~extra:3 ~vl:2
+          ~el:1
+      in
+      same (random_factors (Prng.make (seed + 113)))
+      && same (fst (component_factors (Prng.make (seed + 307))))
+      && outcome (fun () -> [ Pgraph.partition_value g ])
+         = outcome (fun () -> [ Velim.partition_value (Pgraph.factors g) ])
+      && Pgraph.plan g == Pgraph.plan g)
+
 let suite =
   [
     Alcotest.test_case "factor create validation" `Quick test_factor_create_validation;
@@ -778,4 +800,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_plan_matches_reference;
     Alcotest.test_case "plan: a too-wide component raises only untouched" `Quick
       test_plan_wide_component;
+    QCheck_alcotest.to_alcotest prop_plan_partition_value;
   ]

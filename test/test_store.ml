@@ -665,17 +665,26 @@ let test_golden_image_digest () =
             (Printf.sprintf "image digest, %d domains" domains)
             golden_image_digest (image_digest [ path ])))
     [ 1; 3 ];
-  with_tmp_dir (fun dir ->
-      let manifest_path = Filename.concat dir "golden.manifest" in
-      let m =
-        Psst_shard.split_to_files ~manifest_path (index 1)
-          (Psst_shard.plan_even ~parts:2 ~total:12)
-      in
-      Alcotest.(check string) "shard image digest" golden_shard_digest
-        (image_digest
-           (List.map
-              (fun (e : Psst_shard.entry) -> Filename.concat dir e.Psst_shard.path)
-              m.Psst_shard.entries)))
+  (* The split's source: the built database, and its saved image loaded
+     eagerly and mapped (whose shards copy the mapped graph bytes). *)
+  let shard_digest what db =
+    with_tmp_dir (fun dir ->
+        let manifest_path = Filename.concat dir "golden.manifest" in
+        let m =
+          Psst_shard.split_to_files ~manifest_path db
+            (Psst_shard.plan_even ~parts:2 ~total:12)
+        in
+        Alcotest.(check string) ("shard image digest, " ^ what) golden_shard_digest
+          (image_digest
+             (List.map
+                (fun (e : Psst_shard.entry) -> Filename.concat dir e.Psst_shard.path)
+                m.Psst_shard.entries)))
+  in
+  shard_digest "built" (index 1);
+  with_tmp (fun path ->
+      Query.save_database path (index 1);
+      shard_digest "eager load" (Query.load_database path);
+      shard_digest "mapped load" (Query.load_database ~mmap:true path))
 
 (* --- flat image: hostile inputs --- *)
 
@@ -1153,6 +1162,28 @@ let test_parent_feature_section_loads () =
           write_bytes old (Bytes.to_string damaged);
           same "salvage, damaged bounds" (Query.load_database ~salvage:true old)))
 
+(* [Crc32.combine] against the direct digest: the CRC of a concatenation
+   from its parts' CRCs, and a suffix's CRC back from the whole's, over
+   random splits (empty parts and lengths past 64 KiB included). *)
+let prop_crc32_combine =
+  let gen =
+    let open QCheck.Gen in
+    let* n = frequency [ (4, int_bound 300); (1, int_range 65_000 70_000) ] in
+    let* s = string_size ~gen:char (return n) in
+    let* cut = int_bound n in
+    return (s, cut)
+  in
+  QCheck.Test.make ~name:"crc32 combine = direct digest over random splits"
+    ~count:300
+    (QCheck.make gen ~print:(fun (s, cut) ->
+         Printf.sprintf "%d bytes cut at %d" (String.length s) cut))
+    (fun (s, cut) ->
+      let d = Psst_util.Crc32.digest in
+      let a = String.sub s 0 cut and b = String.sub s cut (String.length s - cut) in
+      let len2 = String.length b in
+      Psst_util.Crc32.combine (d a) (d b) len2 = d s
+      && Psst_util.Crc32.combine (d a) (d s) len2 = d b)
+
 let suite =
   [
     Alcotest.test_case "primitive round trip" `Quick test_primitive_round_trip;
@@ -1206,4 +1237,5 @@ let suite =
       test_parent_feature_section_loads;
     QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
     Alcotest.test_case "mapped payload crc past 64 KiB" `Quick test_mapped_payload_crc;
+    QCheck_alcotest.to_alcotest prop_crc32_combine;
   ]
