@@ -91,14 +91,14 @@ end)
 
 (* Everything the bounds of one graph share across features: the world
    pool, the uncertain-edge set and the exact probabilities already
-   asked, keyed by the edge set, one table per polarity. The elimination
-   plan is the graph's own ([Pgraph.plan]), kept across columns. *)
+   asked, keyed by the edge set, both polarities from one elimination.
+   The elimination plan is the graph's own ([Pgraph.plan]), kept across
+   columns. *)
 type column = {
   graph : Pgraph.t;
   pool : Bitset.t array Lazy.t;
   uncertain : Bitset.t;
-  present : float Sets.t;
-  absent : float Sets.t;
+  exact : ((float, exn) result * (float, exn) result) Sets.t;
 }
 
 let column config g =
@@ -111,23 +111,27 @@ let column config g =
          Array.init config.mc_samples (fun _ -> Pgraph.sample_mask rng g));
     uncertain =
       Bitset.of_list (Lgraph.num_edges (Pgraph.skeleton g)) (Pgraph.uncertain_edges g);
-    present = Sets.create 64;
-    absent = Sets.create 64;
+    exact = Sets.create 64;
   }
 
-(* The probability that every edge of [s] is present ([value]) or absent. *)
+(* The probability that every edge of [s] is present ([value]) or absent.
+   One evaluation answers both polarities: cuts of one-edge-wide
+   embeddings are asked absent with the same set that was asked
+   present. *)
 let memo_exact col value s =
-  let memo = if value then col.present else col.absent in
-  match Sets.find_opt memo s with
-  | Some p ->
-    Psst_obs.incr m_exact_hits;
-    p
-  | None ->
-    Psst_obs.incr m_exact_evals;
-    let g = col.graph in
-    let p = Velim.prob_set ~z:(Pgraph.partition_value g) ~value (Pgraph.plan g) s in
-    Sets.add memo (Bitset.copy s) p;
-    p
+  let both =
+    match Sets.find_opt col.exact s with
+    | Some both ->
+      Psst_obs.incr m_exact_hits;
+      both
+    | None ->
+      Psst_obs.incr m_exact_evals;
+      let g = col.graph in
+      let both = Velim.prob_set ~z:(Pgraph.partition_value g) (Pgraph.plan g) s in
+      Sets.add col.exact (Bitset.copy s) both;
+      both
+  in
+  match if value then fst both else snd both with Ok p -> p | Error e -> raise e
 
 let exact_all_present col s = memo_exact col true s
 let exact_all_absent col s = memo_exact col false s

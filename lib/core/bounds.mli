@@ -46,8 +46,12 @@ type t = {
 (** What the bounds of one graph share across features: its Monte-Carlo
     world pool (sampled on first use), its uncertain-edge set,
     and a memo of every exact probability already computed, keyed by
-    polarity and edge set. A memo hit returns the float an evaluation would, so bounds
-    are the same with or without a column. Every exact probability is
+    edge set: one {!Velim.prob_set} evaluation fills both polarities
+    (every edge present, every edge absent), so a cut asked absent after
+    the same set was asked present is a hit ([bounds.exact_evals] counts
+    evaluations, [bounds.exact_memo_hits] hits). A memo hit returns the
+    float, or raises the error, an evaluation would, so bounds are the
+    same with or without a column. Every exact probability is
     asked of the graph's own {!Pgraph.plan} (built once per graph, so
     each one eliminates only the factor components its edge set
     touches), with or without a column. {!Pmi} makes one per matrix

@@ -69,6 +69,28 @@ let strong_support_of db params p support =
         float_of_int disjoint /. float_of_int (List.length embs) >= params.alpha)
     support
 
+module Itbl = Hashtbl.Make (Int)
+
+(* A graph set the label scan fills. Graphs are scanned in decreasing
+   order, so consing keeps [graphs] sorted. *)
+type scanned = { mutable count : int; mutable graphs : int list }
+
+let note tbl k gi =
+  match Itbl.find_opt tbl k with
+  | None -> Itbl.add tbl k { count = 1; graphs = [ gi ] }
+  | Some { graphs = g :: _; _ } when g = gi -> ()
+  | Some s ->
+    s.count <- s.count + 1;
+    s.graphs <- gi :: s.graphs
+
+(* The distinct values of [labels], in increasing order. *)
+let sorted_distinct labels =
+  let seen = Itbl.create 16 in
+  Seq.iter (fun l -> Itbl.replace seen l ()) labels;
+  let a = Array.of_seq (Itbl.to_seq_keys seen) in
+  Array.sort compare a;
+  a
+
 let select db params =
   let nd = Array.length db in
   let reaches_beta count = float_of_int count /. float_of_int nd >= params.beta in
@@ -85,154 +107,216 @@ let select db params =
   let mined graph key support strong_support =
     { feature = { graph; key }; support; strong_support }
   in
+  (* The observed label alphabets, which drive the extensions, and each
+     label's dense rank in them. Rank order is label order. *)
+  let per_graph f = Seq.flat_map (fun g -> Array.to_seq (f g)) (Array.to_seq db) in
+  let vlabels = sorted_distinct (per_graph Lgraph.vertex_labels)
+  and elabels =
+    sorted_distinct
+      (per_graph (fun g -> Array.map (fun (e : Lgraph.edge) -> e.label) (Lgraph.edges g)))
+  in
+  let nv = Array.length vlabels and ne = Array.length elabels in
+  let rank_table labels =
+    let t = Itbl.create (2 * Array.length labels) in
+    Array.iteri (fun r l -> Itbl.replace t l r) labels;
+    t
+  in
+  let vrank = rank_table vlabels and erank = rank_table elabels in
+  (* The label scan's keys pack ranks into one int: an edge label triple
+     (min end, max end, edge label) below [nv * nv * ne], an arm (end
+     label, edge label) below [na], and a two-edge path (centre, least
+     arm, greatest arm) below [nv * na * na]. Packed keys sort as the
+     tuples do. *)
+  let na = ne * nv in
+  if na > 0 && (na > max_int / na || nv > max_int / (na * na)) then
+    invalid_arg "Selection.select: too many distinct labels to pack the scan's keys";
+  let triple_key ra rb re = (((min ra rb * nv) + max ra rb) * ne) + re in
+  let arm rv re = (rv * ne) + re in
+  let path_key c p q = (((c * na) + min p q) * na) + max p q in
   (* Supports of the one-vertex and one-edge patterns, by one scan of each
      graph's labels. [Lgraph.create] rejects self-loops and duplicate
      edges, so a graph holds the pattern exactly when it has a vertex of
-     that label, or an edge with that label triple (min vl, max vl, el):
-     the scan is [Vf2.exists]. Graphs are scanned in decreasing order, so
-     consing leaves each list sorted. *)
-  let vertex_support = Hashtbl.create 16 and triples = Hashtbl.create 64 in
+     that label, or an edge with that label triple: the scan is
+     [Vf2.exists]. *)
+  let vertex_support = Array.make nv [] and triples = Itbl.create 64 in
   (* The same scan gives the two-edge supports. A connected two-edge
-     pattern is a path: a centre vertex and two arms, each an (edge label,
-     end label) pair. Matching is not induced, so a graph holds the path
+     pattern is a path: a centre vertex and two arms, each an end label
+     and the label of the edge to it. Matching is not induced, so a graph holds the path
      exactly when some vertex of the centre's label has two distinct
      incident edges with those arms, and with no duplicate edges two
      distinct incident edges reach two distinct vertices. *)
-  let paths = Hashtbl.create 64 in
-  let note tbl k gi =
-    match Hashtbl.find_opt tbl k with
-    | Some (g :: _) when g = gi -> ()
-    | l -> Hashtbl.replace tbl k (gi :: Option.value l ~default:[])
-  in
+  let paths = Itbl.create 256 in
   for gi = nd - 1 downto 0 do
     let g = db.(gi) in
-    let vls = Lgraph.vertex_labels g in
-    Array.iter (fun l -> note vertex_support l gi) vls;
+    let vr = Array.map (Itbl.find vrank) (Lgraph.vertex_labels g) in
     Array.iter
-      (fun (e : Lgraph.edge) ->
-        let a = vls.(e.u) and b = vls.(e.v) in
-        note triples (min a b, max a b, e.label) gi)
+      (fun r ->
+        match vertex_support.(r) with
+        | h :: _ when h = gi -> ()
+        | l -> vertex_support.(r) <- gi :: l)
+      vr;
+    let er = Array.map (fun (e : Lgraph.edge) -> Itbl.find erank e.label) (Lgraph.edges g) in
+    Array.iteri
+      (fun eid (e : Lgraph.edge) -> note triples (triple_key vr.(e.u) vr.(e.v) er.(eid)) gi)
       (Lgraph.edges g);
     if params.max_edges >= 2 then
       Array.iteri
-        (fun c vl ->
+        (fun c rc ->
           let rec pairs = function
             | [] -> ()
             | (w, eid) :: rest ->
-              let p = ((Lgraph.edge g eid).label, vls.(w)) in
-              List.iter
-                (fun (w', eid') ->
-                  let q = ((Lgraph.edge g eid').label, vls.(w')) in
-                  note paths (vl, min p q, max p q) gi)
-                rest;
+              let p = arm vr.(w) er.(eid) in
+              List.iter (fun (w', eid') -> note paths (path_key rc p (arm vr.(w') er.(eid'))) gi) rest;
               pairs rest
           in
           pairs (Lgraph.neighbors g c))
-        vls
+        vr
   done;
-  let scanned tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
-  (* The observed label alphabets, which drive the extensions. *)
-  let sorted_keys tbl key =
-    Hashtbl.fold (fun k _ acc -> key k :: acc) tbl [] |> List.sort_uniq compare
-  in
-  let vlabels = sorted_keys vertex_support Fun.id
-  and elabels = sorted_keys triples (fun (_, _, el) -> el) in
   (* Single-vertex features: always indexed. *)
-  List.iter
-    (fun vl ->
+  Array.iteri
+    (fun r vl ->
       let g = Lgraph.vertices_only ~vlabels:[| vl |] in
-      let support = scanned vertex_support vl in
+      let support = vertex_support.(r) in
       add (mined g (Canon.code g) support support) (bits support))
     vlabels;
   (* Single-edge features: always indexed; distinct label triples are never
-     isomorphic. A one-edge pattern's distinct embeddings are distinct
-     single edges, pairwise edge-disjoint, so its disjoint-embedding ratio
-     is 1 in every support graph and its strong support is its support
-     whenever [alpha <= 1]; any other [alpha] takes the VF2 path. *)
-  List.iter
-    (fun (vl1, vl2, el) ->
-      let support = scanned triples (vl1, vl2, el) in
-      if support <> [] then begin
-        let g = Lgraph.create ~vlabels:[| vl1; vl2 |] ~edges:[ (0, 1, el) ] in
-        let strong =
-          if params.alpha <= 1. then support
-          else strong_support_of db params g support
-        in
-        add (mined g (Canon.code g) support strong) (bits support)
-      end)
-    (List.concat_map
-       (fun vl1 ->
-         List.concat_map
-           (fun vl2 ->
-             if vl1 <= vl2 then List.map (fun el -> (vl1, vl2, el)) elabels else [])
-           vlabels)
-       vlabels);
-  (* Graphs that can hold a candidate: its parent's support intersected
-     with the support of each of its edges' label triples, into the
-     reused set [filter]. *)
-  let triple_bits = Hashtbl.create 64 in
-  Hashtbl.iter (fun k l -> Hashtbl.replace triple_bits k (bits l)) triples;
+     isomorphic, and packed keys sort as the triples do. A one-edge
+     pattern's distinct embeddings are distinct single edges, pairwise
+     edge-disjoint, so its disjoint-embedding ratio is 1 in every support
+     graph and its strong support is its support whenever [alpha <= 1];
+     any other [alpha] takes the VF2 path. *)
+  let triple_keys = Array.of_seq (Itbl.to_seq_keys triples) in
+  Array.sort compare triple_keys;
+  Array.iter
+    (fun k ->
+      let support = (Itbl.find triples k).graphs in
+      let re = k mod ne and rb = k / ne mod nv and ra = k / ne / nv in
+      let g =
+        Lgraph.create ~vlabels:[| vlabels.(ra); vlabels.(rb) |] ~edges:[ (0, 1, elabels.(re)) ]
+      in
+      let strong =
+        if params.alpha <= 1. then support else strong_support_of db params g support
+      in
+      add (mined g (Canon.code g) support strong) (bits support))
+    triple_keys;
+  (* Graphs that can hold a candidate of three or more edges: its
+     parent's support intersected with the support of each of its edges'
+     label triples, into the reused set [filter]. *)
+  let triple_bits = Itbl.create 64 in
+  Itbl.iter (fun k s -> Itbl.replace triple_bits k (bits s.graphs)) triples;
   let filter = Bitset.create nd in
   let filter_of parent_support vls es =
     Bitset.clear filter;
     Bitset.union_into filter parent_support;
     List.iter
       (fun (u, v, el) ->
-        let a = vls.(u) and b = vls.(v) in
-        match Hashtbl.find_opt triple_bits (min a b, max a b, el) with
+        let key = triple_key (Itbl.find vrank vls.(u)) (Itbl.find vrank vls.(v)) (Itbl.find erank el) in
+        match Itbl.find_opt triple_bits key with
         | Some t -> Bitset.inter_into filter t
         | None -> Bitset.clear filter)
       es
   in
-  (* A two-edge candidate's path key: its centre is the vertex the two
-     edges share. *)
-  let path_key vls = function
-    | [ (a, b, l1); (c, d, l2) ] ->
-      let m = if a = c || a = d then a else b in
-      let arm (x, y, l) = (l, vls.(if x = m then y else x)) in
-      let p = arm (a, b, l1) and q = arm (c, d, l2) in
-      (vls.(m), min p q, max p q)
-    | _ -> invalid_arg "Selection.path_key: not a two-edge pattern"
+  (* The discriminative test, [dis = |∩ Df'| / |Df| >= 1 + gamma], where
+     [inter] is the cardinality of the intersection. *)
+  let discriminative inter count =
+    let dis = if count = 0 then 0. else float_of_int inter /. float_of_int count in
+    dis >= 1. +. params.gamma
   in
-  (* Level-wise growth from the single-edge frontier. *)
-  let frontier =
-    ref
-      (List.filter_map
-         (fun m ->
-           if Lgraph.num_edges m.feature.graph = 1 then Hashtbl.find_opt selected m.feature.key
-           else None)
-         !out)
+  (* Strong support is a subset of the support, and the discriminative
+     test reads the support alone, so both cheap tests run first and
+     strong support (VF2 embeddings and a clique search per support
+     graph) only for a candidate that passes them. *)
+  let keep_if_strong next cand key support =
+    let strong = strong_support_of db params cand support in
+    if reaches_beta (List.length strong) then begin
+      let m = mined cand key support strong in
+      let b = bits support in
+      add m b;
+      next := (m, b) :: !next
+    end
   in
-  let level = ref 1 in
-  while !level < params.max_edges && !frontier <> [] do
-    incr level;
-    let next = ref [] in
-    let seen_this_level = Hashtbl.create 64 in
+  (* Level 2, from the one-edge features [(0, 1, el0)]: their extensions
+     sprout a vertex [2] of label [vl] from [u] over an edge of label
+     [el], in [extensions]' order, i.e. by the arm [(vl, el)]. Each is a
+     path centred on [u], and two paths are isomorphic exactly when their
+     path keys are equal, so the key stands for the canonical code until
+     a candidate is kept. The scan holds each path's exact support, so
+     only the extensions whose support reaches [beta] are visited:
+     [frequent_arms] lists, by centre and one arm, the other arms of the
+     frequent paths, in increasing order. A path's one-edge subfeatures
+     are its two arms' label triples, all selected, so a candidate is
+     built and coded only once it passes both support tests. Skipping an
+     infrequent extension without marking it seen keeps every outcome:
+     an isomorphic copy has the same support and is skipped too. *)
+  let level_two frontier =
+    let frequent_arms = Itbl.create 64 in
+    let link c p q =
+      let k = (c * na) + p in
+      Itbl.replace frequent_arms k (q :: Option.value (Itbl.find_opt frequent_arms k) ~default:[])
+    in
+    Itbl.iter
+      (fun key s ->
+        if reaches_beta s.count then begin
+          let q = key mod na and p = key / na mod na and c = key / na / na in
+          link c p q;
+          if p <> q then link c q p
+        end)
+      paths;
+    Itbl.filter_map_inplace (fun _ qs -> Some (List.sort compare qs)) frequent_arms;
+    let next = ref [] and seen = Itbl.create 64 in
+    List.iter
+      (fun ((parent : mined), _) ->
+        let pg = parent.feature.graph in
+        let pv = Lgraph.vertex_labels pg and pe = Lgraph.edge pg 0 in
+        let re0 = Itbl.find erank pe.label in
+        for u = 0 to 1 do
+          let c = Itbl.find vrank pv.(u) and r0 = Itbl.find vrank pv.(1 - u) in
+          let p = arm r0 re0 in
+          List.iter
+            (fun q ->
+              let key = path_key c p q in
+              if not (Itbl.mem seen key) then begin
+                Itbl.add seen key ();
+                let s = Itbl.find paths key and rv = q / ne and re = q mod ne in
+                Bitset.clear filter;
+                Bitset.union_into filter (Itbl.find triple_bits (triple_key c r0 re0));
+                Bitset.inter_into filter (Itbl.find triple_bits (triple_key c rv re));
+                if discriminative (Bitset.cardinal filter) s.count then begin
+                  let cand =
+                    Lgraph.create ~vlabels:[| pv.(0); pv.(1); vlabels.(rv) |]
+                      ~edges:[ (0, 1, pe.label); (u, 2, elabels.(re)) ]
+                  in
+                  keep_if_strong next cand (Canon.code cand) s.graphs
+                end
+              end)
+            (Option.value (Itbl.find_opt frequent_arms ((c * na) + p)) ~default:[])
+        done)
+      frontier;
+    !next
+  in
+  (* Levels from three edges on: every extension of a parent that
+     passes the pre-filter is built and given its canonical code, and
+     the first of its isomorphic copies is tested, its support scanned
+     with VF2 over [filter]. *)
+  let level_vf2 frontier =
+    let next = ref [] and seen = Hashtbl.create 64 in
+    let vl_list = Array.to_list vlabels and el_list = Array.to_list elabels in
     List.iter
       (fun ((parent : mined), parent_support) ->
         List.iter
           (fun (vls, es) ->
             filter_of parent_support vls es;
-            (* Exact pre-filter: strong support is a subset of [filter], so
-               a candidate failing here can never be frequent. It is not
+            (* Exact pre-filter: the support is a subset of [filter], so a
+               candidate failing here can never be frequent. It is not
                marked seen; a later isomorphic copy fails here or below. *)
             if reaches_beta (Bitset.cardinal filter) then begin
               let cand = Lgraph.create ~vlabels:vls ~edges:es in
               let key = Canon.code cand in
-              if
-                (not (Hashtbl.mem selected key))
-                && not (Hashtbl.mem seen_this_level key)
-              then begin
-                Hashtbl.replace seen_this_level key ();
+              if (not (Hashtbl.mem selected key)) && not (Hashtbl.mem seen key) then begin
+                Hashtbl.replace seen key ();
                 let support =
-                  if !level = 2 then scanned paths (path_key vls es)
-                  else
-                    List.filter (fun gi -> Vf2.exists cand db.(gi)) (Bitset.elements filter)
+                  List.filter (fun gi -> Vf2.exists cand db.(gi)) (Bitset.elements filter)
                 in
-                (* Strong support is a subset of the support, and the
-                   discriminative test reads the support alone, so both
-                   cheap tests run first and strong support only for a
-                   candidate that passes them. *)
                 if reaches_beta (List.length support) then begin
                   (* Discriminative check against selected subfeatures. *)
                   let subkeys =
@@ -250,26 +334,28 @@ let select db params =
                       List.iter (fun (_, b) -> Bitset.inter_into inter b) rest;
                       Bitset.cardinal inter
                   in
-                  let dis =
-                    match support with
-                    | [] -> 0.
-                    | _ -> float_of_int inter /. float_of_int (List.length support)
-                  in
-                  if dis >= 1. +. params.gamma then begin
-                    let strong = strong_support_of db params cand support in
-                    if reaches_beta (List.length strong) then begin
-                      let m = mined cand key support strong in
-                      let b = bits support in
-                      add m b;
-                      next := (m, b) :: !next
-                    end
-                  end
+                  if discriminative inter (List.length support) then
+                    keep_if_strong next cand key support
                 end
               end
             end)
-          (extensions vlabels elabels parent.feature.graph))
-      !frontier;
-    frontier := !next
+          (extensions vl_list el_list parent.feature.graph))
+      frontier;
+    !next
+  in
+  (* Level-wise growth from the single-edge frontier. *)
+  let frontier =
+    ref
+      (List.filter_map
+         (fun m ->
+           if Lgraph.num_edges m.feature.graph = 1 then Hashtbl.find_opt selected m.feature.key
+           else None)
+         !out)
+  in
+  let level = ref 1 in
+  while !level < params.max_edges && !frontier <> [] do
+    incr level;
+    frontier := (if !level = 2 then level_two else level_vf2) !frontier
   done;
   List.rev !out
 

@@ -48,45 +48,57 @@ type mined = {
 
 (** [select db params] mines and filters features over the certain graphs.
 
-    Before a grown candidate is built or given a canonical code, it is
-    checked against an exact pre-filter: its parent's support intersected
-    with the support of each of its edges' label triples
-    [(min vl, max vl, el)]. Support is anti-monotone (a graph holding the
-    candidate holds its parent and every one of its edges), so the strong
-    support is a subset of that intersection. When the intersection is
-    already below [beta] the candidate can never be frequent and is
-    dropped without being marked seen; an isomorphic copy reached later
-    has the same support and is rejected too. A candidate that passes is
-    evaluated as before, with its support scan limited to the
-    intersection, so the features, their order and their lists are those
-    of the unfiltered miner. The same argument makes each [support]
-    exactly [{g : Vf2.exists f gc}], which is how an index rebuilds a
-    feature's occurrences without the list.
-
-    Mining runs on the calling domain only (DESIGN.md §8). The first two
+    Mining runs on the calling domain only (DESIGN.md §8). The first
     levels come from one scan of each graph's vertex and edge labels, not
     from VF2: a graph holds a one-vertex pattern exactly when it has a
     vertex of that label, and a one-edge pattern exactly when it has an
-    edge with that label triple (graphs have no self-loops or duplicate
-    edges). A one-edge pattern's distinct embeddings are distinct single
-    edges, pairwise edge-disjoint, so its strong support is its support
-    whenever [alpha <= 1]; for a larger [alpha] it is computed with VF2
-    as for every grown level. The same scan gives the two-edge supports:
-    a connected two-edge pattern is a path, matching is not induced, and
-    there are no duplicate edges, so a graph holds it exactly when some
-    vertex of the centre's label has two distinct incident edges with
-    the path's two (edge label, end label) arms. Levels from three edges
-    on keep VF2.
+    edge with that label triple [(min vl, max vl, el)] (graphs have no
+    self-loops or duplicate edges). A one-edge pattern's distinct
+    embeddings are distinct single edges, pairwise edge-disjoint, so its
+    strong support is its support whenever [alpha <= 1]; for a larger
+    [alpha] it is computed with VF2 as for every grown level. The same
+    scan gives the two-edge supports: a connected two-edge pattern is a
+    path, matching is not induced, and there are no duplicate edges, so a
+    graph holds it exactly when some vertex of the centre's label has two
+    distinct incident edges with the path's two (edge label, end label)
+    arms. The scan keys its tables by ints that pack the dense ranks of
+    the observed labels; it raises [Invalid_argument] when [nv * na * na]
+    exceeds [max_int], for [nv] distinct vertex labels and [na] = [nv]
+    times the distinct edge labels (over 1.6 million vertex labels with
+    one edge label).
 
-    A grown candidate that passes the pre-filter is tested in order:
-    [beta] on its support, the discriminative test (which reads the
-    support alone), and only then its strong support (VF2 embeddings and
-    a clique search per support graph) and [beta] on that. Strong support
-    is a subset of the support, so the order drops no feature and keeps
-    every list. The pre-filter and the discriminative
-    check intersect graph sets as bitsets over the database (each label
-    triple's support and each selected feature's), and test [beta] by
-    the intersection's cardinality. *)
+    {b Level 2.} Two paths are isomorphic exactly when they have the same
+    centre label and the same two arms, so a path's key stands for its
+    canonical code. Only the extensions whose path support, read from
+    the scan, reaches [beta] are visited; the first of each key's copies
+    (in extension order) is tested. Its one-edge subfeatures are its two
+    arms' label triples, all selected, so the discriminative test is the
+    intersection of their supports, and the candidate is built and given
+    its canonical code only once it passes. An extension that misses
+    [beta] is not marked seen; an isomorphic copy has the same support
+    and is skipped too.
+
+    {b Levels from three edges on} keep VF2. Before a candidate is built
+    or given a canonical code, it is checked against an exact
+    pre-filter: its parent's support intersected with the support of
+    each of its edges' label triples. Support is anti-monotone (a graph
+    holding the candidate holds its parent and every one of its edges),
+    so the support is a subset of that intersection. When the
+    intersection is already below [beta] the candidate can never be
+    frequent and is dropped without being marked seen; an isomorphic copy
+    reached later has the same support and is rejected too. A candidate
+    that passes has its support scanned over the intersection.
+
+    On every level a grown candidate is tested in order: [beta] on its
+    support, the discriminative test (which reads the support alone), and
+    only then its strong support (VF2 embeddings and a clique search per
+    support graph) and [beta] on that. Strong support is a subset of the
+    support, so the order drops no feature and keeps every list. The
+    features, their order and their lists are those of the unfiltered
+    miner, and each [support] is exactly [{g : Vf2.exists f gc}], which
+    is how an index rebuilds a feature's occurrences without the list.
+    Graph sets are intersected as bitsets over the database, and [beta]
+    is tested by the intersection's cardinality. *)
 val select : Lgraph.t array -> params -> mined list
 
 (** [max_disjoint_embeddings embs] — size of a maximum edge-disjoint subset

@@ -246,13 +246,25 @@ type stream = {
   fixed : (int * float) list;
 }
 
-(* Eliminates every free variable outside [keep]. Returns the run's
-   stream and a function that multiplies what is left into the final
-   table (its scope as ids, and its entries), raising the run's error if
-   a step failed. *)
-let kernel factors evidence ~keep =
+(* A posed problem with its elimination order: everything a run needs
+   but the evidence-true bits of its inputs. A variable is free or fixed
+   whatever value fixes it, so one preparation serves both polarities of
+   an [All] evidence. *)
+type prepared = {
+  p : problem;
+  steps : int;
+  kept : int;
+  order : int array;
+  width : int array;
+  layout : int array;
+  sc_len : int;
+}
+
+(* Poses [factors] under [evidence] and orders the free variables
+   outside [keep]. *)
+let prepare factors evidence ~keep =
   let p = pose factors ~extra:[] evidence in
-  let n = p.n and w = p.w and nf = p.nf and data = p.data in
+  let nf = p.nf in
   let pend, steps, kept = candidates p keep in
   let order = Array.make steps 0 and width = Array.make steps 0 in
   min_degree p pend steps order width;
@@ -263,21 +275,36 @@ let kernel factors evidence ~keep =
      the scopes are laid out up to the first bucket too wide to build,
      which raises when its turn comes, then the final product's. *)
   let tables = nf + steps in
-  let meta = Array.make (3 * tables) 0 in
+  let layout = Array.make (3 * tables) 0 in
   for t = 0 to nf - 1 do
-    meta.(3 * t) <- p.ioff.(t);
-    meta.((3 * t) + 1) <- p.ioff.(t + 1) - p.ioff.(t);
-    meta.((3 * t) + 2) <- p.base.(t)
+    layout.(3 * t) <- p.ioff.(t);
+    layout.((3 * t) + 1) <- p.ioff.(t + 1) - p.ioff.(t)
   done;
   let ok = ref 0 and sc_end = ref p.ioff.(nf) in
   while !ok < steps && width.(!ok) <= Factor.max_vars do
     let t = nf + !ok in
-    meta.(3 * t) <- !sc_end;
-    meta.((3 * t) + 1) <- width.(!ok) - 1;
+    layout.(3 * t) <- !sc_end;
+    layout.((3 * t) + 1) <- width.(!ok) - 1;
     sc_end := !sc_end + width.(!ok) - 1;
     incr ok
   done;
-  let sc = Array.make (!sc_end + kept) 0 in
+  { p; steps; kept; order; width; layout; sc_len = !sc_end + kept }
+
+(* Eliminates the free variables of [q] with the evidence-true bits
+   [base.(i)] of each input [i] ([q.p.base] for the posed evidence).
+   Returns the run's stream and a function that multiplies what is left
+   into the final table (its scope as ids, and its entries), raising the
+   run's error if a step failed. Runs share nothing mutable, so one may
+   run after another's product is taken. *)
+let run q base =
+  let { p; steps; kept; order; width; layout; sc_len } = q in
+  let n = p.n and w = p.w and nf = p.nf in
+  let meta = Array.copy layout in
+  for t = 0 to nf - 1 do
+    meta.((3 * t) + 2) <- base.(t)
+  done;
+  let data = Array.copy p.data and mask = Array.copy p.mask in
+  let sc = Array.make sc_len 0 in
   Array.blit p.isc 0 sc 0 p.ioff.(nf);
   (* The work list: table ids, the newest created first, then the inputs
      in input order. At most [nf] tables are live at once. *)
@@ -295,10 +322,10 @@ let kernel factors evidence ~keep =
     done;
     for x = 0 to !live - 1 do
       let t = work.(x) in
-      if v < 0 || mem p.mask (t * w) v then begin
+      if v < 0 || mem mask (t * w) v then begin
         touched.(!k) <- t;
         incr k;
-        union_into merged 0 p.mask (t * w) w
+        union_into merged 0 mask (t * w) w
       end
       else begin
         work.(!stay) <- t;
@@ -398,7 +425,7 @@ let kernel factors evidence ~keep =
        let k = gather v in
        check_width k width.(s);
        remove merged 0 v;
-       union_into p.mask (t * w) merged 0 w;
+       union_into mask (t * w) merged 0 w;
        data.(t) <- bucket k v meta.(3 * t);
        for x = !live downto 1 do
          work.(x) <- work.(x - 1)
@@ -439,6 +466,11 @@ let kernel factors evidence ~keep =
       (Array.init kept (fun i -> p.ids.(sc.(at + i))), entries)
   in
   (stream, product)
+
+(* Eliminates every free variable outside [keep] under [evidence]. *)
+let kernel factors evidence ~keep =
+  let q = prepare factors evidence ~keep in
+  run q q.p.base
 
 let elimination_order factors to_eliminate =
   let p = pose factors ~extra:to_eliminate Free in
@@ -615,38 +647,51 @@ let plan factor_list =
 
 let plan_partition_value plan = match plan.z with Ok z -> z | Error e -> raise e
 
-let prob_set ?z ~value plan set =
-  let z = match z with Some z -> z | None -> plan_partition_value plan in
-  if z <= 0. then invalid_arg "Velim.prob: zero partition value";
-  let cap = Bitset.capacity set in
-  let hit =
-    Array.map
-      (fun p -> Array.exists (fun v -> v >= 0 && v < cap && Bitset.mem set v) p.vars)
-      plan.parts
-  in
-  let untouched = ref [] in
-  for x = Array.length plan.parts - 1 downto 0 do
-    if not hit.(x) then untouched := plan.parts.(x).free :: !untouched
-  done;
-  let inputs = ref [] in
-  for i = Array.length plan.factors - 1 downto 0 do
-    let x = plan.part_of.(i) in
-    if x >= 0 && hit.(x) then inputs := i :: !inputs
-  done;
-  let p =
-    match !inputs with
-    | [] -> combine (Array.of_list !untouched) plan.scalars
-    | inputs ->
-      let local = Array.of_list inputs in
-      let s, _ =
-        kernel (List.map (fun i -> plan.factors.(i)) inputs) (All (value, set)) ~keep:[]
-      in
-      let fixed =
-        List.merge
-          (fun (a, _) (b, _) -> compare a b)
-          plan.scalars
-          (List.map (fun (j, e) -> (local.(j), e)) s.fixed)
-      in
-      combine (Array.of_list (s :: !untouched)) fixed
-  in
-  p /. z
+let zero_partition = Invalid_argument "Velim.prob: zero partition value"
+
+let prob_set ?z plan set =
+  match match z with Some z -> Ok z | None -> plan.z with
+  | Error _ as e -> (e, e)
+  | Ok z when z <= 0. -> (Error zero_partition, Error zero_partition)
+  | Ok z ->
+    let cap = Bitset.capacity set in
+    let hit =
+      Array.map
+        (fun p -> Array.exists (fun v -> v >= 0 && v < cap && Bitset.mem set v) p.vars)
+        plan.parts
+    in
+    let untouched = ref [] in
+    for x = Array.length plan.parts - 1 downto 0 do
+      if not hit.(x) then untouched := plan.parts.(x).free :: !untouched
+    done;
+    let inputs = ref [] in
+    for i = Array.length plan.factors - 1 downto 0 do
+      let x = plan.part_of.(i) in
+      if x >= 0 && hit.(x) then inputs := i :: !inputs
+    done;
+    let outcome streams fixed =
+      match combine (Array.of_list streams) fixed with
+      | p -> Ok (p /. z)
+      | exception (Invalid_argument _ as e) -> Error e
+    in
+    (match !inputs with
+     | [] ->
+       let r = outcome !untouched plan.scalars in
+       (r, r)
+     | inputs ->
+       (* One posing and one order for both polarities: the same variables
+          are fixed, only their values differ. *)
+       let local = Array.of_list inputs in
+       let q = prepare (List.map (fun i -> plan.factors.(i)) inputs) (All (true, set)) ~keep:[] in
+       let polarity base =
+         let s, _ = run q base in
+         let fixed =
+           List.merge
+             (fun (a, _) (b, _) -> compare a b)
+             plan.scalars
+             (List.map (fun (j, e) -> (local.(j), e)) s.fixed)
+         in
+         outcome (s :: !untouched) fixed
+       in
+       let present = polarity q.p.base in
+       (present, polarity (Array.make q.p.nf 0)))

@@ -95,11 +95,23 @@ val plan : Factor.t list -> plan
     is built. *)
 val plan_partition_value : plan -> float
 
-(** [prob_set ?z ~value plan set] is [prob ~evidence factors] with every
-    member of [set] set to [value], where [plan = plan factors], bit for
-    bit and errors included, without building the evidence list. [z] is
+(** [prob_set ?z plan set] is [(present, absent)]: [prob ~evidence
+    factors] with every member of [set] set to [true], and with every
+    member set to [false], where [plan = plan factors], bit for bit,
+    without building an evidence list. Each side is [Ok p] with that
+    call's float, or [Error e] with the exception ([Invalid_argument]) it
+    would raise; the sides fail independently, so a NaN or negative
+    product under one polarity leaves the other's float as it is. [z] is
     as for {!prob}; without it the partition value is
-    {!plan_partition_value}.
+    {!plan_partition_value}, and its error, or
+    ["Velim.prob: zero partition value"] when it is not positive, is
+    both sides' error.
+
+    A variable is fixed whichever value fixes it, so both polarities
+    eliminate the same free variables in the same order through the same
+    buckets: the touched components are posed and ordered once, and only
+    the numeric elimination runs twice, with the evidence-true bits of
+    each polarity.
 
     Only the components [set] touches are eliminated, by the kernel, on
     their inputs in input order; every untouched component reuses its
@@ -118,4 +130,5 @@ val plan_partition_value : plan -> float
     whole-list kernel's final work list does. An error is the one the
     first failing step in the merged order raises. Hence every float,
     and every error, is the whole-list kernel's. *)
-val prob_set : ?z:float -> value:bool -> plan -> Psst_util.Bitset.t -> float
+val prob_set :
+  ?z:float -> plan -> Psst_util.Bitset.t -> (float, exn) result * (float, exn) result

@@ -21,6 +21,7 @@ type t = {
 }
 
 let m_sampler_compiles = Psst_obs.counter "pgraph.sampler_compiles"
+let m_plans_built = Psst_obs.counter "pgraph.plans_built"
 
 let make skeleton factors =
   let m = Lgraph.num_edges skeleton in
@@ -94,7 +95,12 @@ let worlds t =
       })
 
 let plan t =
-  first_use t (fun t -> t.plan) (fun t x -> t.plan <- Some x) (fun t -> Velim.plan t.factors)
+  first_use t
+    (fun t -> t.plan)
+    (fun t x -> t.plan <- Some x)
+    (fun t ->
+      Psst_obs.incr m_plans_built;
+      Velim.plan t.factors)
 
 let partition_value t = Velim.plan_partition_value (plan t)
 

@@ -51,7 +51,9 @@ val world_prob : t -> Psst_util.Bitset.t -> float
 (** [plan t] is [Velim.plan (factors t)], built on first use under the
     graph's lock and kept: every exact probability of the graph's bounds
     is asked of it. It does not compile the world sampler, which
-    {!sample_mask} builds on its own first use. *)
+    {!sample_mask} builds on its own first use. Each build counts one
+    ["pgraph.plans_built"]: an index build over fresh graphs counts one
+    per graph, and a later build over the same graphs none. *)
 val plan : t -> Velim.plan
 
 (** Partition value Z of the factor product (1 up to rounding for a

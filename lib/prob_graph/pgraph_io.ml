@@ -136,10 +136,12 @@ let load path =
 
 module S = Psst_store
 
-let encode_factor e f =
-  let vars = Factor.vars f in
-  S.put_int_list e (Array.to_list vars);
-  Factor.iter_assignments f (fun _ p -> S.put_f64 e p)
+(* The scope as an int list, then the entries in assignment order, each
+   written straight from the table, so no entry is boxed. *)
+let encode_factor e (f : Factor.t) =
+  S.put_i64 e (Array.length f.vars);
+  Array.iter (S.put_i64 e) f.vars;
+  S.put_f64s e f.data
 
 let decode_factor d =
   let vars = S.get_int_list d in
@@ -172,19 +174,36 @@ let save_binary path graphs =
 
 type binary = { count : int; fingerprint : int32; graphs : Pgraph.t array Lazy.t }
 
+(* One pass over the file: mapping it with [~verify] checks every frame
+   CRC and keeps each payload's own CRC, which is the fingerprint. The
+   graphs decode later from the same mapping, so they are the bytes the
+   checks and the fingerprint read. *)
 let read_binary path =
-  let sections = S.read_file path ~kind:S.Pgdb in
-  let count = S.decode_section sections "meta" S.get_nat in
-  let payload = S.find_section sections "graphs" in
-  let held = S.get_nat (S.decoder ~name:"graphs" payload) in
-  if held <> count then
-    S.error "graph count mismatch: meta says %d, payload holds %d" count held;
-  {
-    count;
-    fingerprint = Psst_util.Crc32.digest payload;
-    graphs =
-      lazy (S.decode_section sections "graphs" (fun d -> S.get_array d decode_binary));
-  }
+  let m = S.map_file ~verify:true path ~kind:S.Pgdb in
+  Fun.protect
+    ~finally:(fun () -> S.mapped_release m)
+    (fun () ->
+      let count =
+        let d = S.decoder ~name:"meta" (S.mapped_section_string m "meta") in
+        let count = S.get_nat d in
+        S.expect_end d;
+        count
+      in
+      let payload = S.mapped_bytes_unverified m "graphs" in
+      let prefix = String.init (min 8 (Bigarray.Array1.dim payload)) (fun i -> payload.{i}) in
+      let held = S.get_nat (S.decoder ~name:"graphs" prefix) in
+      if held <> count then
+        S.error "graph count mismatch: meta says %d, payload holds %d" count held;
+      {
+        count;
+        fingerprint = S.mapped_payload_crc m "graphs";
+        graphs =
+          lazy
+            (let d = S.decoder ~name:"graphs" (S.mapped_section_string m "graphs") in
+             let graphs = S.get_array d decode_binary in
+             S.expect_end d;
+             graphs);
+      })
 
 let load_binary path = Lazy.force (read_binary path).graphs
 

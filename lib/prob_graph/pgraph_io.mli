@@ -63,7 +63,10 @@ type binary = { count : int; fingerprint : int32; graphs : Pgraph.t array Lazy.t
 
 (** [read_binary path] — raises [Psst_store.Store_error] on corruption
     (any frame CRC), truncation, version or kind mismatch, and a graph
-    count that differs between ["meta"] and the payload. *)
+    count that differs between ["meta"] and the payload. The file is
+    mapped ([Psst_store.map_file ~verify:true]) and read once: the frame
+    checks keep the payload's CRC, which is the fingerprint, and
+    [graphs] decodes from the same mapping. *)
 val read_binary : string -> binary
 
 (** [load_auto path] sniffs the store magic and dispatches to

@@ -54,20 +54,70 @@ type section = { name : string; payload : string }
 
 (* --- payload encoding --- *)
 
-type enc = Buffer.t
+(* A growable byte buffer written with the unboxed fixed-width
+   primitives: an int or a float goes to its bytes without an [Int64]
+   box, so encoding a corpus allocates nothing per value. *)
+type enc = { mutable buf : Bytes.t; mutable len : int }
 
-let encoder () = Buffer.create 4096
-let contents = Buffer.contents
-let enc_length = Buffer.length
-let put_i64 e i = Buffer.add_int64_le e (Int64.of_int i)
-let put_i32 e (i : int32) = Buffer.add_int32_le e i
+external set_i64_unsafe : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set_i32_unsafe : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 
-let put_f64 e f = Buffer.add_int64_le e (Int64.bits_of_float f)
-let put_bool e b = Buffer.add_char e (if b then '\001' else '\000')
+let encoder () = { buf = Bytes.create 4096; len = 0 }
+let contents e = Bytes.sub_string e.buf 0 e.len
+let enc_length e = e.len
+
+let grow e need =
+  let cap = ref (2 * Bytes.length e.buf) in
+  while need > !cap do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit e.buf 0 b 0 e.len;
+  e.buf <- b
+
+(* Room for [n] more bytes. *)
+let[@inline] reserve e n = if e.len + n > Bytes.length e.buf then grow e (e.len + n)
+
+let[@inline] put_int64 e x =
+  reserve e 8;
+  set_i64_unsafe e.buf e.len (if Sys.big_endian then bswap64 x else x);
+  e.len <- e.len + 8
+
+let[@inline] put_i64 e i = put_int64 e (Int64.of_int i)
+
+let put_i32 e x =
+  reserve e 4;
+  set_i32_unsafe e.buf e.len (if Sys.big_endian then bswap32 x else x);
+  e.len <- e.len + 4
+
+let[@inline] put_f64 e f = put_int64 e (Int64.bits_of_float f)
+
+(* A loop here, not a [put_f64] per entry across the module boundary,
+   where each float would be boxed to pass it. *)
+let put_f64s e a =
+  reserve e (8 * Array.length a);
+  for i = 0 to Array.length a - 1 do
+    put_f64 e (Array.unsafe_get a i)
+  done
+
+let put_char e c =
+  reserve e 1;
+  Bytes.unsafe_set e.buf e.len c;
+  e.len <- e.len + 1
+
+let put_raw e s =
+  let n = String.length s in
+  reserve e n;
+  Bytes.blit_string s 0 e.buf e.len n;
+  e.len <- e.len + n
+
+let put_bool e b = put_char e (if b then '\001' else '\000')
 
 let put_string e s =
   put_i64 e (String.length s);
-  Buffer.add_string e s
+  put_raw e s
 
 let put_list e f l =
   put_i64 e (List.length l);
@@ -201,9 +251,9 @@ let expect_end d =
 let put_varint e n =
   if n < 0 then invalid_arg "put_varint: negative value";
   let rec go n =
-    if n < 0x80 then Buffer.add_char e (Char.chr n)
+    if n < 0x80 then put_char e (Char.unsafe_chr n)
     else begin
-      Buffer.add_char e (Char.chr (0x80 lor (n land 0x7f)));
+      put_char e (Char.unsafe_chr (0x80 lor (n land 0x7f)));
       go (n lsr 7)
     end
   in
@@ -221,9 +271,6 @@ let decode_section sections name f =
   v
 
 (* --- file framing --- *)
-
-let add_u32 buf (i : int32) =
-  Buffer.add_int32_le buf i
 
 (* A frame's CRC covers the name and then the payload; it is combined
    from the payload's own CRC, so a reader that keeps the payload's CRC
@@ -271,24 +318,31 @@ let write_bytes path data =
         | _ -> output_string oc data));
   Sys.rename tmp path
 
+(* The file is framed into one buffer of its exact size, which becomes
+   the written string without a copy. *)
 let write_file ?(version = format_version) path ~kind sections =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf magic;
-  add_u32 buf (Int32.of_int version);
-  add_u32 buf (Int32.of_int (kind_tag kind));
-  add_u32 buf (Int32.of_int (List.length sections));
-  add_u32 buf (Crc32.update 0l (Buffer.contents buf) ~pos:0 ~len:20);
+  let size =
+    List.fold_left
+      (fun n s -> n + 16 + String.length s.name + String.length s.payload)
+      header_bytes sections
+  in
+  let e = { buf = Bytes.create size; len = 0 } in
+  put_raw e magic;
+  put_i32 e (Int32.of_int version);
+  put_i32 e (Int32.of_int (kind_tag kind));
+  put_i32 e (Int32.of_int (List.length sections));
+  put_i32 e (Crc32.update 0l (Bytes.sub_string e.buf 0 20) ~pos:0 ~len:20);
   List.iter
     (fun s ->
-      add_u32 buf (Int32.of_int (String.length s.name));
-      Buffer.add_string buf s.name;
-      Buffer.add_int64_le buf (Int64.of_int (String.length s.payload));
-      add_u32 buf
+      put_i32 e (Int32.of_int (String.length s.name));
+      put_raw e s.name;
+      put_i64 e (String.length s.payload);
+      put_i32 e
         (frame_crc s.name ~payload_crc:(Crc32.digest s.payload)
            ~len:(String.length s.payload));
-      Buffer.add_string buf s.payload)
+      put_raw e s.payload)
     sections;
-  write_bytes path (Buffer.contents buf)
+  write_bytes path (Bytes.unsafe_to_string e.buf)
 
 (* --- reading the framing ---
 

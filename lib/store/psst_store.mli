@@ -133,6 +133,10 @@ val put_i32 : enc -> int32 -> unit
 (** Stored as IEEE-754 bits: round-trips every float bit-exactly. *)
 val put_f64 : enc -> float -> unit
 
+(** [put_f64s e a] is [Array.iter (put_f64 e) a]: the entries alone,
+    without a count, and without boxing one. *)
+val put_f64s : enc -> float array -> unit
+
 val put_bool : enc -> bool -> unit
 val put_string : enc -> string -> unit
 val put_int_list : enc -> int list -> unit

@@ -566,6 +566,25 @@ let test_pmi_build_compiles_samplers_lazily () =
     true
     (c < Array.length ds.graphs)
 
+(* Each graph's elimination plan is built once and kept: an index build
+   over fresh graphs builds one per graph, a rebuild over the same graphs
+   none, and the rebuild's bounds are the first build's. *)
+let test_plans_built_once () =
+  let ds = Generator.generate (Experiments.dataset_params { Experiments.default_scale with db_size = 30 }) in
+  let plans = Psst_obs.counter "pgraph.plans_built" in
+  let built f =
+    let before = Psst_obs.counter_value plans in
+    let x = f () in
+    (x, Psst_obs.counter_value plans - before)
+  in
+  let index () = Query.index_database ~mining:Experiments.mining_params ~domains:2 ds.graphs in
+  let first, fresh = built index in
+  let again, reused = built index in
+  Alcotest.(check int) "one plan per fresh graph" (Array.length ds.graphs) fresh;
+  Alcotest.(check int) "no plan on a rebuild" 0 reused;
+  Alcotest.(check string) "rebuild bounds = first build's" (bounds_digest first.pmi)
+    (bounds_digest again.pmi)
+
 let suite =
   [
     Alcotest.test_case "bounds: vertex feature" `Quick test_bounds_vertex_feature;
@@ -596,4 +615,6 @@ let suite =
     Alcotest.test_case "pipeline stats consistent" `Slow test_pipeline_stats_consistent;
     Alcotest.test_case "pmi build: samplers only for sampled columns" `Quick
       test_pmi_build_compiles_samplers_lazily;
+    Alcotest.test_case "pgraph: one plan per graph, kept across builds" `Quick
+      test_plans_built_once;
   ]

@@ -286,7 +286,27 @@ let same_features (a : Selection.mined list) (b : Selection.mined list) =
    edges over one or two vertex labels: there two-edge paths come from the
    label scan with repeated arms and equal end labels, and the support
    tests that now run before strong support meet ties at [beta] and at
-   [gamma] (gamma 0 makes dis = 1 a tie). *)
+   [gamma] (gamma 0 makes dis = 1 a tie). The miner keys its scan by the
+   labels' ranks, so the labels are also mapped to negative, sparse or
+   large values (order-preserving or not), vertex and edge labels each
+   its own way. *)
+type labels = Dense | Negative | Sparse | Large | Shuffled
+
+let label_name = function
+  | Dense -> "dense"
+  | Negative -> "negative"
+  | Sparse -> "sparse"
+  | Large -> "large"
+  | Shuffled -> "shuffled"
+
+let map_label style l =
+  match style with
+  | Dense -> l
+  | Negative -> -1 - (5 * l)
+  | Sparse -> 1_000 * l * l + 7
+  | Large -> max_int - (3 * l)
+  | Shuffled -> [| 9; -4; min_int; 2; 0; 77 |].(l mod 6) + (l / 6)
+
 let mining_case =
   let open QCheck.Gen in
   let gen =
@@ -299,24 +319,39 @@ let mining_case =
     let* alpha = oneofl [ 0.; 0.15; 0.6; 1.; 1.5 ] in
     let* gamma = oneofl [ 0.; 0.15 ] in
     let* max_edges = frequency [ (3, int_range 2 3); (1, int_range 1 4) ] in
-    return (seed, nd, vl, { Selection.default_params with alpha; beta; gamma; max_edges })
+    let style = frequency [ (2, return Dense); (1, oneofl [ Negative; Sparse; Large; Shuffled ]) ] in
+    let* vstyle = style and* estyle = style in
+    return
+      ( (seed, nd, vl, (vstyle, estyle)),
+        { Selection.default_params with alpha; beta; gamma; max_edges } )
   in
   QCheck.make gen
-    ~print:(fun (seed, nd, vl, (p : Selection.params)) ->
+    ~print:(fun ((seed, nd, vl, (vs, es)), (p : Selection.params)) ->
       Printf.sprintf
-        "seed %d, %d graphs over %d vertex labels, alpha %g beta %g gamma %g max_edges %d"
-        seed nd vl p.alpha p.beta p.gamma p.max_edges)
+        "seed %d, %d graphs over %d vertex labels (%s vertex, %s edge labels), alpha %g beta \
+         %g gamma %g max_edges %d"
+        seed nd vl (label_name vs) (label_name es) p.alpha p.beta p.gamma p.max_edges)
 
-let mining_db seed nd vl =
+let mining_db ?(labels = (Dense, Dense)) seed nd vl =
   let rng = Prng.make seed in
   let el = 1 + Prng.int rng 2 in
+  let vs, es = labels in
   Array.init nd (fun _ ->
-      Tgen.random_connected_graph rng ~n:(3 + Prng.int rng 4) ~extra:(Prng.int rng 3) ~vl ~el)
+      let g =
+        Tgen.random_connected_graph rng ~n:(3 + Prng.int rng 4) ~extra:(Prng.int rng 3) ~vl ~el
+      in
+      Lgraph.create
+        ~vlabels:(Array.map (map_label vs) (Lgraph.vertex_labels g))
+        ~edges:
+          (Array.to_list
+             (Array.map
+                (fun (e : Lgraph.edge) -> (e.u, e.v, map_label es e.label))
+                (Lgraph.edges g))))
 
 let prop_select_matches_oracle =
   QCheck.Test.make ~name:"select = unpruned oracle" ~count:200 mining_case
-    (fun (seed, nd, vl, params) ->
-      let db = mining_db seed nd vl in
+    (fun ((seed, nd, vl, labels), params) ->
+      let db = mining_db ~labels seed nd vl in
       same_features (Selection.select db params) (Oracle.select db params))
 
 (* Two-edge supports come from a scan of each vertex's incident-edge

@@ -168,6 +168,44 @@ let test_add_graph_consistent () =
       a.Query.answers b.Query.answers
   done
 
+(* An index build is the same on any number of domains: the images
+   written at 1, 2 and 4 domains are equal byte for byte in every section
+   but [pmi.meta], which holds the build's time. Each build gets freshly
+   generated graphs, so their plans are built on the pool too. *)
+let test_index_image_across_domains () =
+  let graphs () =
+    (Generator.generate
+       (Experiments.dataset_params { Experiments.default_scale with db_size = 40; seed = 17 }))
+      .graphs
+  in
+  let image domains =
+    let db = Query.index_database ~mining:Experiments.mining_params ~domains (graphs ()) in
+    let path = Filename.temp_file "psst_parallel" ".psst" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Query.save_database path db;
+        List.filter
+          (fun (s : Psst_store.section) -> s.name <> "pmi.meta")
+          (Psst_store.read_file path ~kind:Psst_store.Database))
+  in
+  let one = image 1 in
+  Alcotest.(check bool) "image has sections" true (List.length one > 3);
+  List.iter
+    (fun domains ->
+      let other = image domains in
+      Alcotest.(check (list string))
+        (Printf.sprintf "section names @ %d domains" domains)
+        (List.map (fun (s : Psst_store.section) -> s.name) one)
+        (List.map (fun (s : Psst_store.section) -> s.name) other);
+      List.iter2
+        (fun (a : Psst_store.section) (b : Psst_store.section) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s @ %d domains = @ 1 domain" a.name domains)
+            true (a.payload = b.payload))
+        one other)
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "pool: map = sequential map" `Quick
@@ -186,4 +224,6 @@ let suite =
     Alcotest.test_case "query: parallel stats counters" `Slow
       test_stats_verification_counters;
     Alcotest.test_case "query: add_graph = reindex" `Slow test_add_graph_consistent;
+    Alcotest.test_case "index_database: 1 = 2 = 4 domains, image bytes" `Slow
+      test_index_image_across_domains;
   ]

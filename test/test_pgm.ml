@@ -410,6 +410,12 @@ let outcome f =
   | fs -> Ok (List.map Int64.bits_of_float fs)
   | exception Invalid_argument msg -> Error msg
 
+(* One polarity of [Velim.prob_set], raising its error as a call asking
+   that polarity alone would. *)
+let prob_set_one ?z ~value plan set =
+  let present, absent = Velim.prob_set ?z plan set in
+  match if value then present else absent with Ok p -> p | Error e -> raise e
+
 let factor_outcome f =
   match f () with
   | m ->
@@ -466,7 +472,7 @@ let prop_kernel_matches_reference =
            (fun value ->
              outcome (fun () ->
                  [ reference_prob ~evidence:(set_evidence value) factors ])
-             = outcome (fun () -> [ Velim.prob_set ~value plan set ]))
+             = outcome (fun () -> [ prob_set_one ~value plan set ]))
            [ true; false ]
       && (match outcome (fun () -> [ Velim.partition_value factors ]) with
          | Ok [ z ] when Int64.float_of_bits z > 0. ->
@@ -481,7 +487,7 @@ let prop_kernel_matches_reference =
                 (fun value ->
                   outcome (fun () ->
                       [ reference_prob ~z ~evidence:(set_evidence value) factors ])
-                  = outcome (fun () -> [ Velim.prob_set ~z ~value plan set ]))
+                  = outcome (fun () -> [ prob_set_one ~z ~value plan set ]))
                 [ true; false ]
          | _ -> true))
 
@@ -597,13 +603,13 @@ let prop_plan_matches_reference =
             (fun value ->
               let evidence = List.map (fun v -> (v, value)) members in
               outcome (fun () -> [ reference_prob ~evidence factors ])
-              = outcome (fun () -> [ Velim.prob_set ~value plan set ])
+              = outcome (fun () -> [ prob_set_one ~value plan set ])
               &&
               match z with
               | Ok [ z ] when Int64.float_of_bits z > 0. ->
                 let z = Int64.float_of_bits z in
                 outcome (fun () -> [ reference_prob ~z ~evidence factors ])
-                = outcome (fun () -> [ Velim.prob_set ~z ~value plan set ])
+                = outcome (fun () -> [ prob_set_one ~z ~value plan set ])
               | _ -> true)
             [ true; false ])
         sets)
@@ -629,7 +635,7 @@ let test_plan_wide_component () =
         let evidence = List.map (fun v -> (v, value)) members in
         Alcotest.(check bool) name true
           (outcome (fun () -> [ Velim.prob ~z:1. ~evidence factors ])
-           = outcome (fun () -> [ Velim.prob_set ~z:1. ~value plan (set members) ])))
+           = outcome (fun () -> [ prob_set_one ~z:1. ~value plan (set members) ])))
       [ true; false ]
   in
   same "untouched wide component raises" [ 31 ];
@@ -638,16 +644,109 @@ let test_plan_wide_component () =
   same "both touched" (31 :: List.init 8 Fun.id);
   Alcotest.check_raises "untouched: scope too large"
     (Invalid_argument "Factor.multiply: scope too large") (fun () ->
-      ignore (Velim.prob_set ~z:1. ~value:true plan (set [ 30 ])));
+      ignore (prob_set_one ~z:1. ~value:true plan (set [ 30 ])));
   Alcotest.check_raises "no z: the partition value raises"
     (Invalid_argument "Factor.multiply: scope too large") (fun () ->
-      ignore (Velim.prob_set ~value:true plan (set (List.init 8 Fun.id))));
-  let p = Velim.prob_set ~z:1. ~value:false plan (set (List.init 8 Fun.id)) in
+      ignore (prob_set_one ~value:true plan (set (List.init 8 Fun.id))));
+  let p = prob_set_one ~z:1. ~value:false plan (set (List.init 8 Fun.id)) in
   Alcotest.(check bool) "touched: a probability" true (p >= 0.);
   Alcotest.(check bool) "touched = reference" true
     (outcome (fun () -> [ p ])
      = outcome (fun () ->
            [ reference_prob ~z:1. ~evidence:(List.init 8 (fun v -> (v, false))) factors ]))
+
+(* [Velim.prob_set] answers both polarities from one posing and one
+   order. Each side must be the reference loop's float or error for that
+   polarity alone. The lists are [component_factors]' with some entries
+   made infinite, so a product meets [infinity *. 0.] (NaN) under one
+   polarity and not the other, and sometimes with the too-wide component
+   of [test_plan_wide_component] beside them; the sets are empty, absent
+   ids only, part of one component, part of every component, and part of
+   every component with enough of the wide one to make it feasible. *)
+let prop_paired_polarities =
+  QCheck.Test.make ~name:"plan: paired polarities = reference, errors per polarity"
+    ~count:80 QCheck.small_int
+    (fun seed ->
+      let rng = Prng.make (seed + 401) in
+      let factors, comps = component_factors rng in
+      let factors =
+        List.map
+          (fun f ->
+            let vars = Factor.vars f in
+            if Array.length vars = 0 || not (Prng.bernoulli rng 0.2) then f
+            else
+              let k = Array.length vars in
+              Factor.create vars
+                (Array.init (1 lsl k) (fun i ->
+                     if Prng.bernoulli rng 0.3 then infinity else Factor.value f i)))
+          factors
+      in
+      let total = List.fold_left (fun n c -> n + List.length c) 0 comps in
+      let wide_ids = List.init 24 (fun i -> total + i) in
+      let with_wide = Prng.bernoulli rng 0.25 in
+      let factors =
+        if not with_wide then factors
+        else
+          factors
+          @ [ random_factor rng (List.filteri (fun i _ -> i < 16) wide_ids);
+              random_factor rng (List.filteri (fun i _ -> i >= 8) wide_ids);
+              random_factor rng (List.filteri (fun i _ -> i < 8 || i >= 16) wide_ids) ]
+      in
+      let some vs =
+        match List.filter (fun _ -> Prng.bernoulli rng 0.4) vs with [] -> [ List.hd vs ] | l -> l
+      in
+      let every = List.concat_map some comps in
+      let sets =
+        [ [];
+          [ total + 24; total + 25 ];
+          some (List.nth comps (Prng.int rng (List.length comps)));
+          every ]
+        @ if with_wide then [ every @ List.filteri (fun i _ -> i < 8) wide_ids ] else []
+      in
+      let plan = Velim.plan factors in
+      let side value (present, absent) =
+        match if value then present else absent with
+        | Ok p -> Ok [ Int64.bits_of_float p ]
+        | Error (Invalid_argument msg) -> Error msg
+        | Error e -> raise e
+      in
+      List.for_all
+        (fun members ->
+          let set = Psst_util.Bitset.of_list (total + 26) members in
+          let paired = Velim.prob_set plan set and paired_z = Velim.prob_set ~z:0.75 plan set in
+          List.for_all
+            (fun value ->
+              let evidence = List.map (fun v -> (v, value)) members in
+              outcome (fun () -> [ reference_prob ~evidence factors ]) = side value paired
+              && outcome (fun () -> [ reference_prob ~z:0.75 ~evidence factors ])
+                 = side value paired_z)
+            [ true; false ])
+        sets)
+
+(* A NaN under one polarity only: [f] is infinite at u = v = 1 and [g]
+   zero at v = 1, so with u true eliminating v meets [infinity *. 0.],
+   and with u false it does not. The other side keeps the float a call
+   for it alone returns. *)
+let test_paired_error_one_polarity () =
+  let case name ~nan_at ~fails =
+    let f = Factor.create [| 0; 1 |] (Array.init 4 (fun i -> if i = nan_at then infinity else 0.25)) in
+    let factors = [ f; Factor.create [| 1 |] [| 1.; 0. |]; coin 0.3 2 ] in
+    let set = Psst_util.Bitset.of_list 3 [ 0 ] in
+    let present, absent = Velim.prob_set ~z:1. (Velim.plan factors) set in
+    let failed, kept = if fails then (present, absent) else (absent, present) in
+    Alcotest.(check bool) (name ^ ": one side raises NaN") true
+      (match failed with
+       | Error (Invalid_argument msg) -> msg = "Factor.create: negative or NaN entry"
+       | _ -> false);
+    let expected = reference_prob ~z:1. ~evidence:[ (0, not fails) ] factors in
+    Alcotest.(check bool) (name ^ ": the other side = its own call") true
+      (match kept with
+       | Ok p -> Int64.bits_of_float p = Int64.bits_of_float expected
+       | Error _ -> false)
+  in
+  (* entry index u + 2v *)
+  case "present NaN" ~nan_at:3 ~fails:true;
+  case "absent NaN" ~nan_at:2 ~fails:false
 
 (* --- Junction tree --- *)
 
@@ -801,4 +900,7 @@ let suite =
     Alcotest.test_case "plan: a too-wide component raises only untouched" `Quick
       test_plan_wide_component;
     QCheck_alcotest.to_alcotest prop_plan_partition_value;
+    QCheck_alcotest.to_alcotest prop_paired_polarities;
+    Alcotest.test_case "plan: a NaN under one polarity leaves the other" `Quick
+      test_paired_error_one_polarity;
   ]

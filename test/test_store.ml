@@ -1184,6 +1184,57 @@ let prop_crc32_combine =
       Psst_util.Crc32.combine (d a) (d b) len2 = d s
       && Psst_util.Crc32.combine (d a) (d s) len2 = d b)
 
+(* [Pgraph_io.read_binary] maps the corpus and reads it once: every
+   frame CRC and the meta count are checked, and the fingerprint is the
+   payload's CRC, the canonical encoding [db_fingerprint] digests. *)
+let test_read_binary_checks () =
+  let rng = Prng.make 41 in
+  let graphs =
+    Array.init 12 (fun _ -> Tgen.random_pgraph rng ~n:(3 + Prng.int rng 4) ~extra:1 ~vl:3 ~el:2)
+  in
+  with_tmp (fun path ->
+      Pgraph_io.save_binary path graphs;
+      let good = read_bytes path in
+      let b = Pgraph_io.read_binary path in
+      Alcotest.(check int) "count" 12 b.count;
+      Alcotest.(check int32) "fingerprint = db_fingerprint of the graphs"
+        (Pgraph_io.db_fingerprint graphs) b.fingerprint;
+      let decoded = Lazy.force b.graphs in
+      Alcotest.(check int32) "fingerprint = db_fingerprint of the decoded graphs"
+        (Pgraph_io.db_fingerprint decoded) b.fingerprint;
+      Alcotest.(check bool) "decoded = saved" true (Array.for_all2 pgraph_identical graphs decoded);
+      let span name =
+        match List.find_opt (fun (n, _, _) -> n = name) (S.section_spans good) with
+        | Some (_, _, stop) -> stop
+        | None -> Alcotest.failf "no %s section" name
+      in
+      List.iter
+        (fun (what, at) ->
+          let bad = Bytes.of_string good in
+          Bytes.set bad at (Char.chr (Char.code (Bytes.get bad at) lxor 0x10));
+          write_bytes path (Bytes.to_string bad);
+          expect_store_error what (fun () -> Pgraph_io.read_binary path))
+        [ ("flipped graphs payload byte", span "graphs" - 1);
+          ("flipped graphs payload byte, mid-file", (span "graphs" + span "meta") / 2);
+          ("flipped meta byte", span "meta" - 1) ];
+      (* Valid frames, but the meta count disagrees with the payload. *)
+      let encode f =
+        let e = S.encoder () in
+        f e;
+        e
+      in
+      S.write_file path ~kind:S.Pgdb
+        [ S.section "meta" (encode (fun e -> S.put_i64 e 13));
+          S.section "graphs" (encode (fun e -> S.put_array e Pgraph_io.encode_binary graphs)) ];
+      (match Pgraph_io.read_binary path with
+       | _ -> Alcotest.fail "a wrong count was accepted"
+       | exception S.Store_error msg ->
+         Alcotest.(check bool) ("count mismatch named: " ^ msg) true
+           (String.length msg >= 20 && String.sub msg 0 20 = "graph count mismatch"));
+      write_bytes path good;
+      Alcotest.(check int32) "restored file reads again" b.fingerprint
+        (Pgraph_io.read_binary path).fingerprint)
+
 let suite =
   [
     Alcotest.test_case "primitive round trip" `Quick test_primitive_round_trip;
@@ -1238,4 +1289,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
     Alcotest.test_case "mapped payload crc past 64 KiB" `Quick test_mapped_payload_crc;
     QCheck_alcotest.to_alcotest prop_crc32_combine;
+    Alcotest.test_case "read_binary: one pass, damage and wrong counts rejected" `Quick
+      test_read_binary_checks;
   ]
